@@ -22,8 +22,7 @@ from .logext import (ExtendedSystem, GVector, LogPoint, make_log_point,
 from .motive import MotiveMatrices, OmegaData, phi_matrix, xi_constant
 from .roots import (NewtonPolygon, all_nonzero_roots, hensel_root,
                     newton_polygon)
-from .skew import SigmaPoly, SkewPoly, TwistedPoly, adjoint, skew_eval, \
-    skew_mul
+from .skew import SigmaPoly, SkewPoly, TwistedPoly
 from .tseries import TMatrix, TSeries
 from .verify import run_suite
 
@@ -38,8 +37,8 @@ __all__ = [
     "NewtonPolygon", "NoConvergence", "NotAUnit", "OmegaData", "PoleHit",
     "PrecisionExhausted", "ResidueFieldTooSmall", "ShapeMismatch",
     "SigmaPoly", "SingularSpecialization", "SkewPoly", "TMatrix", "TSeries",
-    "Tower", "TwistedPoly", "VerificationFailed", "adjoint",
-    "all_nonzero_roots", "compose_qlinear", "hensel_root", "make_log_point",
-    "newton_polygon", "phi_matrix", "relation_certificate", "run_suite",
-    "skew_eval", "skew_mul", "verify_morphism", "xi_constant",
+    "Tower", "TwistedPoly", "VerificationFailed", "all_nonzero_roots",
+    "compose_qlinear", "hensel_root", "make_log_point", "newton_polygon",
+    "phi_matrix", "relation_certificate", "run_suite", "verify_morphism",
+    "xi_constant",
 ]

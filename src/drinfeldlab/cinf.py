@@ -233,9 +233,10 @@ class CInfApprox:
         if not self.terms or not other.terms:
             return CInfApprox(self.cfg, {}, prec)
         F = self.cfg.field
-        log, exp = F._log, F._exp
+        log, exp, zech = F._log, F._exp, F._zech
         order = F.size - 1
-        addt = F._add
+        # out[e] is the discrete log of the coefficient, kept in [0, 2*order)
+        # so that zech and exp (both stored twice over) index it directly
         out = {}
         ta = self.sorted_terms()
         tb = other.sorted_terms()
@@ -244,44 +245,22 @@ class CInfApprox:
         for ea, ca in ta:
             la = log[ca]
             limit = prec - ea
-            if addt is not None:
-                for eb, cb in tb:
-                    if eb >= limit:
-                        break
-                    k = la + log[cb]
-                    if k >= order:
-                        k -= order
-                    c = exp[k]
-                    e = ea + eb
-                    cur = out.get(e)
-                    if cur is None:
-                        out[e] = c
+            for eb, cb in tb:
+                if eb >= limit:
+                    break
+                k = la + log[cb]
+                e = ea + eb
+                cur = out.get(e)
+                if cur is None:
+                    out[e] = k
+                else:
+                    z = zech[k - cur]
+                    if z is None:
+                        del out[e]
                     else:
-                        s = addt[cur][c]
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-            else:
-                fadd = F.add
-                for eb, cb in tb:
-                    if eb >= limit:
-                        break
-                    k = la + log[cb]
-                    if k >= order:
-                        k -= order
-                    c = exp[k]
-                    e = ea + eb
-                    cur = out.get(e)
-                    if cur is None:
-                        out[e] = c
-                    else:
-                        s = fadd(cur, c)
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-        return CInfApprox(self.cfg, out, prec)
+                        k = cur + z
+                        out[e] = k - order if k >= order else k
+        return CInfApprox(self.cfg, {e: exp[k] for e, k in out.items()}, prec)
 
     __rmul__ = __mul__
 

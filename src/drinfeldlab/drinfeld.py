@@ -12,9 +12,9 @@ integer valuation recursion on the coefficient tables, and the logarithm
 refuses arguments outside a disc where its term valuations grow by at least
 one theta-unit per step (safety factor q).
 
-Coefficient tables extend lazily and are otherwise immutable; extend them
-eagerly (exp_coeffs/log_coeffs) before sharing a module across threads.
-All evaluations are pure.
+Coefficient tables extend lazily: an extension is built on a private copy
+and published by rebinding the attribute, so threads sharing a module never
+see a table that one of them is still growing.  All evaluations are pure.
 """
 
 import logging
@@ -66,11 +66,10 @@ class Biderivation:
 class Tower:
     """One period with its division tower e_n = exp(omega / theta^n)."""
 
-    def __init__(self, omega, depth, chain, seed):
+    def __init__(self, omega, depth, chain):
         self.omega = omega
         self.depth = depth
         self.chain = chain  # chain[n-1] = e_n
-        self.seed = seed
 
     def exp_at_level(self, n):
         """exp(omega / theta^n) when the tower already knows it."""
@@ -147,27 +146,31 @@ class DrinfeldModule:
         """alpha_0..alpha_depth with
         alpha_i = (kappa alpha_{i-1}^q + u alpha_{i-2}^{q^2})/(theta^{q^i}-theta)."""
         cfg = self.cfg
-        while len(self._exp) <= depth:
-            i = len(self._exp)
-            num = self.kappa * self._exp[i - 1].frobenius(1)
+        table = list(self._exp)
+        while len(table) <= depth:
+            i = len(table)
+            num = self.kappa * table[i - 1].frobenius(1)
             if i >= 2:
-                num = num + self.u * self._exp[i - 2].frobenius(2)
+                num = num + self.u * table[i - 2].frobenius(2)
             den = cfg.theta(1).frobenius(i) - cfg.theta(1)
-            self._exp.append(num / den)
-        return self._exp[:depth + 1]
+            table.append(num / den)
+        self._exp = table
+        return table[:depth + 1]
 
     def log_coeffs(self, depth):
         """beta_0..beta_depth, the compositional inverse table:
         beta_i = (beta_{i-1} kappa^{q^{i-1}} + beta_{i-2} u^{q^{i-2}})/(theta-theta^{q^i})."""
         cfg = self.cfg
-        while len(self._log) <= depth:
-            i = len(self._log)
-            num = self._log[i - 1] * self.kappa.frobenius(i - 1)
+        table = list(self._log)
+        while len(table) <= depth:
+            i = len(table)
+            num = table[i - 1] * self.kappa.frobenius(i - 1)
             if i >= 2:
-                num = num + self._log[i - 2] * self.u.frobenius(i - 2)
+                num = num + table[i - 2] * self.u.frobenius(i - 2)
             den = cfg.theta(1) - cfg.theta(1).frobenius(i)
-            self._log.append(num / den)
-        return self._log[:depth + 1]
+            table.append(num / den)
+        self._log = table
+        return table[:depth + 1]
 
     def _coeff_vbounds(self, kind, upto):
         """Integer lower bounds for v(alpha_i) resp. v(beta_i)."""
@@ -341,7 +344,7 @@ class DrinfeldModule:
                         "period residual v = %s below threshold %d"
                         % (resid.vbound(), cfg.pass_threshold()))
                 log.debug("tower converged at depth %d", n)
-                return Tower(omega, n, chain, seed)
+                return Tower(omega, n, chain)
             poly = self.action_poly()
             poly[0] = poly[0] - en
             nxt, _ = newton_iterate(poly, en / cfg.theta())

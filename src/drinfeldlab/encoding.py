@@ -27,6 +27,17 @@ def _prec_in(p):
     return INF if p == "inf" else int(p)
 
 
+def _require(data, keys, what):
+    """Reject a descriptor that is not a JSON object holding every key."""
+    if not isinstance(data, dict):
+        raise ConfigError("%s must be a JSON object, not %s"
+                          % (what, type(data).__name__))
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ConfigError("%s lacks %s"
+                          % (what, ", ".join(repr(k) for k in missing)))
+
+
 def encode_cinf(x):
     cfg = x.cfg
     return {
@@ -39,6 +50,7 @@ def encode_cinf(x):
 
 
 def decode_cinf(cfg, data):
+    _require(data, ("e", "m", "modulus", "prec", "terms"), "serialized value")
     if data["e"] != cfg.e or data["m"] != cfg.m \
             or list(data["modulus"]) != list(cfg.modulus):
         raise ConfigError("serialized value belongs to a different tower")
@@ -88,7 +100,9 @@ def encode_config(cfg):
 
 
 def decode_config(data):
+    _require(data, ("p",), "configuration")
     prec = data.get("prec", {})
+    _require(prec, (), "'prec'")
     return FieldConfig(
         p=data["p"], s=data.get("s", 1), m=data.get("m", 1),
         modulus=tuple(data["modulus"]) if data.get("modulus") else None,
@@ -117,10 +131,12 @@ def encode_module(module):
 
 def decode_module(data, cfg=None):
     from .drinfeld import DrinfeldModule
+    _require(data, ("rank",), "module descriptor")
     if cfg is None:
         cfg = decode_config(data)
     if data["rank"] == 1:
         return cfg, DrinfeldModule(cfg, 1)
+    _require(data, ("kappa", "u"), "rank-2 module descriptor")
     kappa = decode_cinf(cfg, data["kappa"])
     u = decode_cinf(cfg, data["u"])
     return cfg, DrinfeldModule(cfg, 2, kappa, u)

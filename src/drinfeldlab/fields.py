@@ -7,16 +7,15 @@ is itself base-p encoded.  The flattened base-p digit vector of a code is
 therefore the coordinate vector over F_p, which is what gets serialized.
 
 All fields used by the desk-scale computations are tiny (at most a few
-thousand elements), so multiplication runs on discrete-log tables and
-addition on a full table when the field is small enough.
+thousand elements), so arithmetic runs on discrete-log tables for every
+field size: multiplication adds logarithms, and addition takes one step
+through the Zech logarithms Z(d), g^Z(d) = 1 + g^d (Lidl & Niederreiter,
+Finite Fields, 9.1), since g^a + g^b = g^(a + Z(b - a)).
 """
 
 import math
 
 from .errors import ConfigError, ResidueFieldTooSmall
-
-# Fields up to this size get full addition tables (size^2 ints).
-_ADD_TABLE_LIMIT = 512
 
 
 def _trial_factor(n):
@@ -213,23 +212,12 @@ class FiniteField:
         rem = poly_rem(self.ground, prod, self.modulus)
         return self.encode(list(rem) + [0] * (self.m - len(rem)))
 
-    def _add_slow(self, a, b):
-        g = self.ground
-        va, vb = self.decode(a), self.decode(b)
-        return self.encode([g.add(x, y) for x, y in zip(va, vb)])
-
     def _build_tables(self):
         size = self.size
         # negation
         g = self.ground
         self._neg = [self.encode([g.neg(c) for c in self.decode(a)])
                      for a in range(size)]
-        # full addition table for small fields
-        if size <= _ADD_TABLE_LIMIT:
-            self._add = [[self._add_slow(a, b) for b in range(size)]
-                         for a in range(size)]
-        else:
-            self._add = None
         # discrete logs on a fixed generator
         gen = self._find_generator()
         self.generator = gen
@@ -239,8 +227,19 @@ class FiniteField:
         log = [0] * size
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp
+        # Zech logarithms, None where 1 + g^d = 0.  Adding 1 changes only the
+        # lowest base-p digit of a code.
+        p = self.p
+        zech = []
+        for v in exp:
+            w = v + 1 if v % p != p - 1 else v - (p - 1)
+            zech.append(log[w] if w else None)
+        # Both tables are stored twice over, so a sum of two logs, and the
+        # difference of two such sums (negative ones index from the end),
+        # need no reduction mod size - 1.
+        self._exp = exp + exp
         self._log = log
+        self._zech = zech + zech
         # Frobenius a -> a^p as a permutation; q- and inverse-powers compose it
         self._frob_p = [self.pow_slow(a, self.p) for a in range(size)]
 
@@ -266,9 +265,13 @@ class FiniteField:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_slow(a, b)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a):
         return self._neg[a]
@@ -279,16 +282,12 @@ class FiniteField:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        n = self._log[a] + self._log[b]
-        order = self.size - 1
-        if n >= order:
-            n -= order
-        return self._exp[n]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_{q^m}")
-        return self._exp[(-self._log[a]) % (self.size - 1)]
+        return self._exp[-self._log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -158,15 +158,3 @@ class SigmaPoly(TwistedPoly):
         """Inverse adjoint back to K[tau]."""
         return SkewPoly(self.cfg,
                         [a.frobenius(i) for i, a in enumerate(self.coeffs)])
-
-
-def skew_mul(f, g):
-    return f * g
-
-
-def skew_eval(f, x):
-    return f(x)
-
-
-def adjoint(f):
-    return f.adjoint()

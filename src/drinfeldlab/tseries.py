@@ -40,10 +40,6 @@ class TSeries:
     def T(self):
         return len(self.coeffs)
 
-    def known_through(self):
-        """Index bound below which coefficients are known."""
-        return INF if self.tail == INF else self.T
-
     def coeff(self, i):
         if i < len(self.coeffs):
             return self.coeffs[i]

@@ -39,11 +39,15 @@ def test_torsion_and_periods(capsys):
 
 
 def test_config_error_exit_code(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"p": 4, "rank": 1}))
-    code, _, err = run_cli(capsys, "periods", "--module", str(bad))
-    assert code == 2
-    assert json.loads(err)["error"] == "ConfigError"
+    no_m = encode_module(context_q3().module)
+    del no_m["kappa"]["m"], no_m["u"]["m"]
+    # a non-prime p, a missing rank, values without "m", a non-object
+    for descriptor in ({"p": 4, "rank": 1}, {"p": 3}, no_m, [1, 2]):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(descriptor))
+        code, _, err = run_cli(capsys, "periods", "--module", str(bad))
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_precision_error_exit_code(capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -276,3 +278,33 @@ def test_periods_reject_dependent_seeds(ctx3):
     x = pts[0]
     with pytest.raises(IndependenceFailure):
         ctx3.module.periods(seeds=[x, x.scale(2)])
+
+
+def test_coefficient_tables_thread_safe(ctx3):
+    """Threads extending one module's lazy tables agree with a serial run."""
+    cfg, kappa, u = ctx3.cfg, ctx3.module.kappa, ctx3.module.u
+    serial = DrinfeldModule(cfg, 2, kappa, u)
+    want = (serial.exp_coeffs(12), serial.log_coeffs(12))
+    shared = DrinfeldModule(cfg, 2, kappa, u)
+    results = []
+
+    def work():
+        results.append((shared.exp_coeffs(12), shared.log_coeffs(12)))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    results.append((shared.exp_coeffs(12), shared.log_coeffs(12)))
+    for got in results:
+        for got_table, want_table in zip(got, want):
+            assert [(c.terms, c.prec) for c in got_table] == \
+                [(c.terms, c.prec) for c in want_table]

@@ -1,4 +1,7 @@
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_rem,
+                                     gf_strip)
 
 from drinfeldlab.errors import ConfigError, ResidueFieldTooSmall
 from drinfeldlab.fields import (FiniteField, default_modulus, is_prime,
@@ -101,3 +104,59 @@ def test_tower_with_s_greater_one():
     # flattened F_p coordinates round-trip
     for a in range(16):
         assert F16.from_fp_vec(F16.to_fp_vec(a)) == a
+
+
+# -- independent oracles -------------------------------------------------------
+# (p, s, m, a_limit): first operands a < a_limit are checked against every b.
+ORACLE_FIELDS = [(3, 1, 2, 9), (2, 2, 2, 16), (5, 1, 2, 25), (3, 1, 4, 81),
+                 (5, 1, 4, 25)]
+
+
+@pytest.mark.parametrize("p, s, m, a_limit", ORACLE_FIELDS)
+def test_add_sub_neg_against_digit_adder(p, s, m, a_limit):
+    """Addition is coordinate-wise mod p on the flattened base-p digits of a
+    code; the reference adds digits directly, without the field's tables."""
+    F = FiniteField(p, s, m)
+    n = s * m
+    digits = [[(c // p ** i) % p for i in range(n)] for c in range(F.size)]
+
+    def code(vec):
+        return sum(d * p ** i for i, d in enumerate(vec))
+
+    for a in range(a_limit):
+        da = digits[a]
+        minus_a = code([-x % p for x in da])
+        assert F.neg(a) == minus_a
+        # b = -a is where the Zech logarithm is undefined
+        assert F.add(a, minus_a) == 0 and F.add(minus_a, a) == 0
+        for b in range(F.size):
+            db = digits[b]
+            assert F.add(a, b) == code([(x + y) % p for x, y in zip(da, db)])
+            assert F.sub(a, b) == code([(x - y) % p for x, y in zip(da, db)])
+
+
+def _first_irreducible(p, m):
+    """Monic degree-m irreducible over F_p, constant terms scanned fastest
+    (the documented default modulus), found with sympy."""
+    for n in range(p ** m):
+        low = [(n // p ** i) % p for i in range(m)]
+        if gf_irreducible_p([1] + low[::-1], p, ZZ):
+            return tuple(low) + (1,)
+    raise AssertionError("no irreducible polynomial of degree %d" % m)
+
+
+@pytest.mark.parametrize("p, s, m, a_limit",
+                         [f for f in ORACLE_FIELDS if f[1] == 1])
+def test_mul_and_modulus_against_sympy(p, s, m, a_limit):
+    F = FiniteField(p, s, m)
+    assert tuple(F.modulus) == _first_irreducible(p, m)
+    modulus = list(reversed(F.modulus))
+
+    def gf(code):  # sympy dense form: high degree first
+        return gf_strip([(code // p ** i) % p for i in reversed(range(m))])
+
+    for a in range(a_limit):
+        for b in range(F.size):
+            rem = gf_rem(gf_mul(gf(a), gf(b), p, ZZ), modulus, p, ZZ)
+            want = sum(c * p ** i for i, c in enumerate(reversed(rem)))
+            assert F.mul(a, b) == want
