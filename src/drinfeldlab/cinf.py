@@ -11,9 +11,11 @@ Precision semantics (the only sound ones under truncation):
 * "zero to precision" means no known nonzero term;
 * add/sub:  prec = min(prec_a, prec_b);
 * mul:      prec = min(prec_a + v(b), prec_b + v(a));
-* div:      via Newton inversion of the leading term; when both inputs are
-  exact the quotient is capped at relative depth ``cfg.rel_prec``, since an
-  infinite expansion cannot be stored.
+* div:      via Newton inversion from the leading term; when both inputs
+  are exact the quotient is capped at relative depth ``cfg.rel_prec``, since
+  an infinite expansion cannot be stored.  The quotient's precision follows
+  from this rule, and only the digits below it are computed: each Newton
+  sweep doubles the relative window and reads the divisor to that depth.
 
 Values built from constants and theta-monomials are exact (infinite
 precision) and stay exact under ring operations, so the polynomial data of
@@ -24,10 +26,15 @@ import math
 from fractions import Fraction
 
 from .errors import (ConfigError, DivisionByApparentZero, GridTooCoarse,
-                     IndeterminateValuation, PrecisionExhausted)
+                     IndeterminateValuation, NoConvergence,
+                     PrecisionExhausted)
 from .fields import FiniteField, is_prime
 
 INF = math.inf
+
+# Newton sweeps CInfApprox.inverse may take; the window doubles on each
+# sweep, so 64 covers any window that fits in memory
+_INVERSE_SWEEPS = 64
 
 
 class FieldConfig:
@@ -289,7 +296,12 @@ class CInfApprox:
 
         A single-term value inverts exactly; otherwise the result is capped
         at relative precision cfg.rel_prec (or the propagated precision of
-        self, whichever is smaller).
+        self, whichever is smaller).  Each sweep doubles the relative window
+        w the iterate is right to, starting from the gap between the two
+        lowest terms, and reads self only to v + w.  The iterate is stored
+        exact between sweeps: a finite precision on it would cap self*x
+        below the window and stop the loop early.  NoConvergence when the
+        window is not certified after _INVERSE_SWEEPS sweeps.
         """
         if not self.terms:
             raise DivisionByApparentZero(
@@ -304,18 +316,22 @@ class CInfApprox:
             return out
         window = cfg.rel_prec if self.prec == INF else min(self.prec - v,
                                                            cfg.rel_prec)
-        b = self.truncate(v + window)
         x = CInfApprox(cfg, {-v: F.inv(lead)}, INF)
         one = cfg.one()
-        # each sweep at least doubles the valuation of 1 - b*x
-        for _ in range(64):
-            err = one - b * x
-            ev = err.vbound()
-            if ev >= window:
+        # x is right to relative w; a sweep makes it right to 2w
+        w = min(self.sorted_terms()[1][0] - v, window)
+        for _ in range(_INVERSE_SWEEPS):
+            w = min(2 * w, window)
+            err = one - self.truncate(v + w) * x
+            if err.vbound() >= window:
                 break
-            x = (x + x * err).truncate(-v + window)
+            x = CInfApprox(cfg, (x + x * err).terms, INF)
+        else:
+            raise NoConvergence(
+                "series inverse not certified to relative precision %d "
+                "after %d sweeps" % (window, _INVERSE_SWEEPS))
         prec = (-v + window) if self.prec == INF else self.prec - 2 * v
-        return x.truncate(min(prec, -v + window))
+        return CInfApprox(cfg, x.terms, min(prec, -v + window))
 
     def __truediv__(self, other):
         if isinstance(other, int):

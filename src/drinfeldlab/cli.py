@@ -2,8 +2,8 @@
 
 Every command prints one JSON document on stdout (sorted keys, so output
 is byte-deterministic for a fixed configuration) and machine-readable
-error records on stderr.  Exit codes: 0 ok, 2 configuration error,
-3 precision/grid error, 4 verification failure.
+error records on stderr.  Exit codes: 0 ok, 2 configuration error (or any
+other library error), 3 precision/grid error, 4 verification failure.
 """
 
 import argparse
@@ -12,9 +12,9 @@ import sys
 
 from .agf import AndersonGF
 from .cinf import INF
-from .encoding import (canonical_dumps, decode_cinf, decode_module,
-                       encode_agf, encode_cinf, encode_module)
-from .errors import (ConfigError, DivergentEvaluation,
+from .encoding import (_require, canonical_dumps, decode_cinf,
+                       decode_module, encode_agf, encode_cinf, encode_module)
+from .errors import (ConfigError, DivergentEvaluation, DrinfeldLabError,
                      DivisionByApparentZero, GridTooCoarse,
                      IndeterminateValuation, IndependenceFailure,
                      NoConvergence, NotAUnit, PoleHit, PrecisionExhausted,
@@ -75,10 +75,14 @@ def load_setup(args):
         path = args.module or args.config
         with open(path) as fh:
             data = json.load(fh)
-        if args.prec_n:
-            data.setdefault("prec", {})["valuation_terms"] = args.prec_n
-        if args.prec_t:
-            data.setdefault("prec", {})["t_terms"] = args.prec_t
+        if args.prec_n or args.prec_t:
+            _require(data, (), "module descriptor")
+            prec = data.setdefault("prec", {})
+            _require(prec, (), "'prec'")
+            if args.prec_n:
+                prec["valuation_terms"] = args.prec_n
+            if args.prec_t:
+                prec["t_terms"] = args.prec_t
         cfg, module = decode_module(data)
         return cfg, module, None
     ctx = builtin_context(args.q or "3")
@@ -320,6 +324,9 @@ def main(argv=None):
     except _VERIFY_ERRORS as ex:
         sys.stderr.write(canonical_dumps(ex.record()) + "\n")
         return 4
+    except DrinfeldLabError as ex:
+        sys.stderr.write(canonical_dumps(ex.record()) + "\n")
+        return 2
     except (OSError, ValueError, json.JSONDecodeError) as ex:
         sys.stderr.write(canonical_dumps(
             {"error": type(ex).__name__, "message": str(ex)}) + "\n")

@@ -10,7 +10,11 @@ from the unrolled difference equation.
 Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
 refuses arguments outside a disc where its term valuations grow by at least
-one theta-unit per step (safety factor q).
+one theta-unit per step (safety factor q).  Precision comes first, then
+digits: the certified precision of exp(z) or log(z) follows from valuations
+and precisions alone, so it is fixed before any product is formed, terms
+that land at or above it are skipped, and the rest are computed only below
+it.
 
 Coefficient tables extend lazily: an extension is built on a private copy
 and published by rebinding the attribute, so threads sharing a module never
@@ -222,19 +226,40 @@ class DrinfeldModule:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _qlinear_sum(self, kind, coeffs, z):
+        """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
+        precision R and computed only below it.
+
+        R is the tail floor or the precision of a computed term, whichever
+        is lowest; both need only valuations and precisions, so R comes
+        first.  A term whose valuation reaches R is skipped, Frobenius
+        included, and the others multiply z and coeffs[i] cut to the
+        digits that can land below R.
+        """
+        q = self.cfg.q
+        vz = z.valuation()
+        prec = self._tail_floor(kind, vz, len(coeffs) - 1)
+        for i, c in enumerate(coeffs):
+            qi = q ** i
+            prec = min(prec, c.prec + qi * vz, qi * z.prec + c.vbound())
+        acc = self.cfg.zero(INF)
+        for i, c in enumerate(coeffs):
+            if not c.terms:
+                continue
+            qi = q ** i
+            vc = min(c.terms)
+            if vc + qi * vz >= prec:
+                continue
+            zi = z.truncate(-((vc - prec) // qi)).frobenius(i)
+            acc = acc + c.truncate(prec - qi * vz) * zi
+        return acc.truncate(prec)
+
     def exp_eval(self, z):
         """exp(z); entire, so always certified."""
         if z.is_apparent_zero():
             return z
-        cfg = self.cfg
-        depth = cfg.exp_depth
-        coeffs = self.exp_coeffs(depth)
-        vz = z.valuation()
-        acc = cfg.zero(INF)
-        for i, a in enumerate(coeffs):
-            acc = acc + a * z.frobenius(i)
-        floor = self._tail_floor("exp", vz, depth)
-        return acc.truncate(min(acc.prec, floor))
+        return self._qlinear_sum("exp", self.exp_coeffs(self.cfg.exp_depth),
+                                 z)
 
     def log_certificate(self, z, depth=None):
         """True when the logarithm series is certified at z: computed term
@@ -259,17 +284,11 @@ class DrinfeldModule:
         """log(z) inside the certified disc; DivergentEvaluation outside."""
         if z.is_apparent_zero():
             return z
-        cfg = self.cfg
-        depth = cfg.exp_depth
+        depth = self.cfg.exp_depth
         if not self.log_certificate(z, depth):
             raise DivergentEvaluation(
                 "logarithm not certified at v(z) = %s" % z.valuation())
-        coeffs = self.log_coeffs(depth)
-        acc = cfg.zero(INF)
-        for i, b in enumerate(coeffs):
-            acc = acc + b * z.frobenius(i)
-        floor = self._tail_floor("log", z.valuation(), depth)
-        return acc.truncate(min(acc.prec, floor))
+        return self._qlinear_sum("log", self.log_coeffs(depth), z)
 
     # -- torsion ---------------------------------------------------------------
 

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drinfeldlab import cinf
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.errors import (ConfigError, DivisionByApparentZero,
-                                GridTooCoarse, IndeterminateValuation)
+                                GridTooCoarse, IndeterminateValuation,
+                                NoConvergence)
+
+# q = 3 over F_9 with a short window, so dense quotients stay cheap
+CFG_SHORT = FieldConfig(3, 1, 2, e=18, prec=60)
 
 
 def test_identity_cases(cfg_small):
@@ -136,3 +143,86 @@ def test_apparent_zero_propagation(cfg_small):
     assert s.terms == {0: 1} and s.prec == 50
     # exact zero times anything is exactly zero
     assert (cfg_small.zero(INF) * x).is_exact_zero()
+
+
+def _full_window_inverse(b):
+    """The reference inverse: every Newton sweep works on the full window
+    and the iterate is truncated to it."""
+    cfg = b.cfg
+    F = cfg.field
+    v, lead = b.leading()
+    if len(b.terms) == 1:
+        return CInfApprox(cfg, {-v: F.inv(lead)},
+                          INF if b.prec == INF else b.prec - 2 * v)
+    window = cfg.rel_prec if b.prec == INF else min(b.prec - v, cfg.rel_prec)
+    bt = b.truncate(v + window)
+    x = CInfApprox(cfg, {-v: F.inv(lead)}, INF)
+    one = cfg.one()
+    for _ in range(64):
+        err = one - bt * x
+        if err.vbound() >= window:
+            break
+        x = (x + x * err).truncate(-v + window)
+    else:
+        raise AssertionError("reference inverse did not converge")
+    prec = (-v + window) if b.prec == INF else b.prec - 2 * v
+    return x.truncate(min(prec, -v + window))
+
+
+def _assert_same_inverse(b):
+    got, want = b.inverse(), _full_window_inverse(b)
+    assert got.terms == want.terms
+    assert got.prec == want.prec
+
+
+def test_inverse_matches_full_window_reference():
+    rng = random.Random(31)
+    cfg = CFG_SHORT
+    size = cfg.field.size
+    for case in range(120):
+        v = rng.randrange(-60, 60)
+        kind = case % 4
+        if kind == 0:
+            # two terms, gap anywhere from one grid step to past the window
+            gap = rng.choice([1, 2, 17, 18, 100, 239, 240, 241, 500])
+            terms = {v: rng.randrange(1, size),
+                     v + gap: rng.randrange(1, size)}
+        elif kind == 1:
+            # a wide gap after the leading term, then a dense cluster
+            gap = rng.randrange(30, 260)
+            terms = {v: rng.randrange(1, size)}
+            for _ in range(rng.randrange(1, 6)):
+                terms[v + gap + rng.randrange(40)] = rng.randrange(1, size)
+        else:
+            terms = {v + rng.randrange(60): rng.randrange(1, size)
+                     for _ in range(rng.randrange(1, 8))}
+            terms[v] = rng.randrange(1, size)
+        # finite precision on kinds 2 and 3: window below rel_prec, and
+        # sometimes cutting the value to its leading term
+        prec = INF if kind < 2 else v + 1 + rng.randrange(300)
+        _assert_same_inverse(CInfApprox(cfg, terms, prec))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(v=st.integers(-80, 80),
+       rest=st.dictionaries(st.integers(1, 320), st.integers(1, 8),
+                            max_size=6),
+       lead=st.integers(1, 8),
+       depth=st.one_of(st.none(), st.integers(1, 400)))
+def test_inverse_matches_full_window_reference_hypothesis(v, rest, lead,
+                                                          depth):
+    terms = {v + d: c for d, c in rest.items()}
+    terms[v] = lead
+    prec = INF if depth is None else v + depth
+    _assert_same_inverse(CInfApprox(CFG_SHORT, terms, prec))
+
+
+def test_inverse_sweep_limit(monkeypatch):
+    # 1/(1 - th^-1) fills its window of 240 in five sweeps: the window
+    # grows 18 -> 36, 72, 144, 240, and the fifth sweep certifies it
+    d = CFG_SHORT.one() - CFG_SHORT.theta(-1)
+    monkeypatch.setattr(cinf, "_INVERSE_SWEEPS", 4)
+    with pytest.raises(NoConvergence):
+        d.inverse()
+    monkeypatch.setattr(cinf, "_INVERSE_SWEEPS", 5)
+    _assert_same_inverse(d)

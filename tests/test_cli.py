@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from drinfeldlab import cli
 from drinfeldlab.cli import main, parse_value
 from drinfeldlab.encoding import encode_module
+from drinfeldlab.errors import ShapeMismatch
 from drinfeldlab.verify import context_q3
 
 
@@ -48,6 +51,29 @@ def test_config_error_exit_code(capsys, tmp_path):
         code, _, err = run_cli(capsys, "periods", "--module", str(bad))
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+    # precision overrides are applied only to a well-formed descriptor
+    bad_prec = dict(encode_module(context_q3().module), prec=[240])
+    for descriptor in ([1, 2], bad_prec):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(descriptor))
+        for flags in (["--prec-n", "200"], ["--prec-t", "8"]):
+            code, _, err = run_cli(capsys, "periods", "--module", str(bad),
+                                   *flags)
+            assert code == 2
+            assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_other_library_error_exit_code(capsys, monkeypatch):
+    # a DrinfeldLabError outside the listed families is still a typed record
+    def broken(args, cfg, module, ctx):
+        raise ShapeMismatch("2x2 times 3x1")
+
+    monkeypatch.setitem(cli._COMMANDS, "torsion", broken)
+    code, out, err = run_cli(capsys, "torsion", "--q", "3", "--json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ShapeMismatch",
+                               "message": "2x2 times 3x1"}
 
 
 def test_precision_error_exit_code(capsys):
@@ -118,6 +144,18 @@ def test_verify_deterministic_and_green(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["pass"] is True
+
+
+@pytest.mark.slow
+def test_verify_json_matches_benchmark_golden(capsys):
+    # perfbench/golden/suite.json holds the verify --json bytes the
+    # benchmark checks every suite op against
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" \
+        / "suite.json"
+    want = json.loads(golden.read_text())["stdout"]
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    assert code == 0
+    assert out == want
 
 
 def test_more_commands(capsys):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from drinfeldlab.cinf import FieldConfig, INF
+from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule,
                                   compose_qlinear, verify_morphism)
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
@@ -308,3 +308,73 @@ def test_coefficient_tables_thread_safe(ctx3):
         for got_table, want_table in zip(got, want):
             assert [(c.terms, c.prec) for c in got_table] == \
                 [(c.terms, c.prec) for c in want_table]
+
+
+def _uncapped_sum(module, kind, z):
+    """The reference evaluation: every term of the truncated series in
+    full, cut at the certified precision afterwards."""
+    cfg = module.cfg
+    depth = cfg.exp_depth
+    table = module.exp_coeffs if kind == "exp" else module.log_coeffs
+    acc = cfg.zero(INF)
+    for i, c in enumerate(table(depth)):
+        acc = acc + c * z.frobenius(i)
+    floor = module._tail_floor(kind, z.valuation(), depth)
+    return acc.truncate(min(acc.prec, floor))
+
+
+def _eval_arguments(cfg, rng, count=12):
+    """theta-monomials, small sums and seeded random values, some of them
+    with finite precision."""
+    size = cfg.field.size
+    args = [cfg.theta(k) for k in (2, 1, 0, -1, -3)]
+    args += [cfg.one() + cfg.theta(-2), cfg.from_int(2)]
+    for _ in range(count):
+        v = rng.randrange(-2 * cfg.e, 4 * cfg.e)
+        terms = {v + rng.randrange(3 * cfg.e): rng.randrange(1, size)
+                 for _ in range(rng.randrange(1, 6))}
+        terms[v] = rng.randrange(1, size)
+        prec = rng.choice([INF, v + 1 + rng.randrange(cfg.rel_prec)])
+        args.append(CInfApprox(cfg, terms, prec))
+    return args
+
+
+def _assert_sums_match(module, args):
+    """exp_eval/log_eval equal the uncapped sums in terms and precision;
+    returns how many logarithms were compared."""
+    logs = 0
+    for z in args:
+        for kind, evaluate in (("exp", module.exp_eval),
+                               ("log", module.log_eval)):
+            if kind == "log":
+                if not module.log_certificate(z):
+                    continue
+                logs += 1
+            got, want = evaluate(z), _uncapped_sum(module, kind, z)
+            assert got.terms == want.terms, (kind, z)
+            assert got.prec == want.prec, (kind, z)
+    return logs
+
+
+@pytest.mark.parametrize("sample", ["ctx3", "ctx5"])
+def test_exp_log_sums_match_uncapped(sample, request):
+    ctx = request.getfixturevalue(sample)
+    cfg = ctx.cfg
+    rng = random.Random(41)
+    args = _eval_arguments(cfg, rng)
+    # periods, their division towers and the quasi-period arguments
+    for tower in ctx.lattice.towers:
+        om = tower.omega
+        args += [om, om.truncate(om.valuation() + cfg.prec)] + tower.chain
+        args += [om / cfg.theta(j) for j in range(1, 4)]
+    assert _assert_sums_match(ctx.module, args) >= 10
+    assert _assert_sums_match(ctx.carlitz, _eval_arguments(cfg, rng)) >= 5
+
+
+@pytest.mark.slow
+def test_exp_log_sums_match_uncapped_deep():
+    cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    args = _eval_arguments(cfg, random.Random(43), count=4)
+    args.append(rho.torsion_points()[0])
+    assert _assert_sums_match(rho, args) >= 3
