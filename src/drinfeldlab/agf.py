@@ -72,8 +72,7 @@ class AndersonGF:
             return TSeries(cfg, coeffs, tail=INF)
         # v(exp(w)) >= min_i bound_i + q^i v(w); arguments only shrink with j
         vw = self.u.vbound() + (T + 1) * cfg.e
-        ab = self.module._coeff_vbounds("exp", _TAIL_SCAN)
-        tail = min(ab[i] + cfg.q ** i * vw for i in range(_TAIL_SCAN + 1))
+        tail = self.module._tail_floor("exp", vw, -1)
         return TSeries(cfg, coeffs, tail=tail)
 
     def series_from_poles(self, T=None):

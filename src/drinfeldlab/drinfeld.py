@@ -19,6 +19,13 @@ it.
 Coefficient tables extend lazily: an extension is built on a private copy
 and published by rebinding the attribute, so threads sharing a module never
 see a table that one of them is still growing.  All evaluations are pure.
+
+Derived values are computed once per module: the torsion points (full and
+partial), the period lattice of periods() and F_tau(omega) for each period
+of that lattice.  A memo is filled by rebinding an attribute to a finished
+value, never by growing one in place, so threads may share a module; two
+threads racing on an empty memo both compute the same value.  Memoized
+lists are copied on the way out, so no caller can change a cached value.
 """
 
 import logging
@@ -74,6 +81,7 @@ class Tower:
         self.omega = omega
         self.depth = depth
         self.chain = chain  # chain[n-1] = e_n
+        self.quasi_period = None  # F_tau(omega), set by quasi_period_eval
 
     def exp_at_level(self, n):
         """exp(omega / theta^n) when the tower already knows it."""
@@ -123,6 +131,8 @@ class DrinfeldModule:
         self.u = u
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
+        self._torsion = {}  # partial -> (points, failures)
+        self._lattice = None
 
     # -- descriptor -----------------------------------------------------------
 
@@ -312,13 +322,24 @@ class DrinfeldModule:
 
         With partial=True the representable torsion is returned together
         with the per-segment failure records as (points, failures); the
-        default insists on the full set.
+        default insists on the full set.  Computed once per value of
+        partial; every call returns fresh lists.
         """
-        key = lambda r: (r.valuation(), r.leading()[1])
+        got = self._torsion.get(partial)
+        if got is None:
+            key = lambda r: (r.valuation(), r.leading()[1])
+            if partial:
+                roots, failures = partial_nonzero_roots(
+                    self.torsion_polynomial())
+            else:
+                roots, failures = all_nonzero_roots(
+                    self.torsion_polynomial()), []
+            got = (sorted(roots, key=key), failures)
+            self._torsion = {**self._torsion, partial: got}
+        points, failures = got
         if partial:
-            roots, failures = partial_nonzero_roots(self.torsion_polynomial())
-            return sorted(roots, key=key), failures
-        return sorted(all_nonzero_roots(self.torsion_polynomial()), key=key)
+            return list(points), [dict(f) for f in failures]
+        return list(points)
 
     def _scalar_multiple_of(self, x, y):
         """mu in F_q^x with x = mu*y (to working precision), else None."""
@@ -374,9 +395,15 @@ class DrinfeldModule:
         """Period lattice basis from torsion seeds.
 
         Rank 2 certifies F_q[theta]-independence through a nonzero
-        quasi-period bracket omega1*F(omega2) - omega2*F(omega1)."""
-        if seeds is None:
-            seeds = self.lattice_seeds()
+        quasi-period bracket omega1*F(omega2) - omega2*F(omega1).  The
+        lattice from the default seeds is computed once per module."""
+        if seeds is not None:
+            return self._lattice_from(seeds)
+        if self._lattice is None:
+            self._lattice = self._lattice_from(self.lattice_seeds())
+        return self._lattice
+
+    def _lattice_from(self, seeds):
         towers = [self.period_from_seed(s) for s in seeds]
         if self.rank == 1:
             return Lattice(towers[0].omega, None, towers)
@@ -423,19 +450,24 @@ class DrinfeldModule:
 
         Converges for every lam (the exp values shrink geometrically).  When
         a lattice built from division towers is supplied and lam is one of
-        its periods, the stored chain values exp(omega/theta^n) are reused.
+        its periods, the stored chain values exp(omega/theta^n) are reused,
+        and for the default delta = tau the value is kept on that tower and
+        returned on later calls.
         """
         cfg = self.cfg
-        if delta is None:
-            delta = Biderivation.tau(cfg)
-        if delta.is_zero() or lam.is_apparent_zero():
-            return cfg.zero(INF)
         tower = None
         if lattice is not None:
             for tw in lattice.towers:
                 if tw.omega is lam:
                     tower = tw
                     break
+        memo = tower if delta is None else None
+        if memo is not None and memo.quasi_period is not None:
+            return memo.quasi_period
+        if delta is None:
+            delta = Biderivation.tau(cfg)
+        if delta.is_zero() or lam.is_apparent_zero():
+            return cfg.zero(INF)
         dmin = delta.min_coeff_valuation()
         e, q = cfg.e, cfg.q
         vlam = lam.valuation()
@@ -455,7 +487,10 @@ class DrinfeldModule:
             floor = -(j + 1) * e + dmin + q * (vlam + (j + 2) * e)
             if floor >= target and vlam + (j + 2) * e >= 0:
                 break
-        return acc.truncate(min(acc.prec, floor))
+        value = acc.truncate(min(acc.prec, floor))
+        if memo is not None:
+            memo.quasi_period = value
+        return value
 
     # -- normalization and morphisms --------------------------------------------
 

@@ -124,10 +124,19 @@ def _pow_cache(x, cache, n):
     return val
 
 
-def poly_eval(coeffs, x):
-    """Evaluate a dense CInfApprox polynomial; skips structural zeros."""
+def _power_cache(x):
+    return {0: x.cfg.one(), 1: x}
+
+
+def poly_eval(coeffs, x, cache=None):
+    """Evaluate a dense CInfApprox polynomial; skips structural zeros.
+
+    cache, when given, is the power cache of x shared with other
+    evaluations at the same x; each power x^n is built by one fixed chain,
+    so sharing changes no value."""
     cfg = x.cfg
-    cache = {0: cfg.one(), 1: x}
+    if cache is None:
+        cache = _power_cache(x)
     acc = cfg.zero()
     for i, a in enumerate(coeffs):
         if a is None or a.is_exact_zero():
@@ -149,7 +158,7 @@ def poly_shift(coeffs, x0):
     cfg = x0.cfg
     p = cfg.p
     deg = len(coeffs) - 1
-    cache = {0: cfg.one(), 1: x0}
+    cache = _power_cache(x0)
     out = [cfg.zero(prec=INF) for _ in range(deg + 1)]
     for i, a in enumerate(coeffs):
         if a is None or a.is_exact_zero():
@@ -173,9 +182,13 @@ def newton_iterate(coeffs, seed, check_criterion=True):
     Returns (root, iterations).
     """
     deriv = poly_derivative(coeffs)
+
+    def f_and_deriv(x):
+        cache = _power_cache(x)
+        return poly_eval(coeffs, x, cache), poly_eval(deriv, x, cache)
+
     x = seed
-    fx = poly_eval(coeffs, x)
-    dfx = poly_eval(deriv, x)
+    fx, dfx = f_and_deriv(x)
     if check_criterion:
         if dfx.is_apparent_zero():
             raise NoConvergence("derivative vanishes at the seed")
@@ -196,8 +209,7 @@ def newton_iterate(coeffs, seed, check_criterion=True):
             return x, it
         last = v
         x = x - fx / dfx
-        fx = poly_eval(coeffs, x)
-        dfx = poly_eval(deriv, x)
+        fx, dfx = f_and_deriv(x)
     raise NoConvergence("Newton iteration did not stabilize in %d steps"
                         % _MAX_NEWTON_ITER)
 

@@ -46,15 +46,12 @@ class SampleContext:
             self.module = None
         else:
             self.module = DrinfeldModule(cfg, 2, kappa, u)
-        self._lattice = None
         self._motive = None
         self._tame_tower = None
 
     @property
     def lattice(self):
-        if self._lattice is None:
-            self._lattice = self.module.periods()
-        return self._lattice
+        return self.module.periods()
 
     def motive(self, T=16):
         if self._motive is None or self._motive.T != T:

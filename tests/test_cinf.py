@@ -226,3 +226,88 @@ def test_inverse_sweep_limit(monkeypatch):
         d.inverse()
     monkeypatch.setattr(cinf, "_INVERSE_SWEEPS", 5)
     _assert_same_inverse(d)
+
+
+# -- add/mul/Frobenius against a naive dense reference ---------------------
+
+
+def _dense_span(x):
+    """Every grid exponent from the lowest known term to the highest."""
+    return range(min(x.terms), max(x.terms) + 1) if x.terms else range(0)
+
+
+def _ref_add(a, b):
+    """(terms, prec) of a + b, one exponent at a time."""
+    F = a.cfg.field
+    prec = min(a.prec, b.prec)
+    lo = min(list(a.terms) + list(b.terms), default=0)
+    hi = max(list(a.terms) + list(b.terms), default=-1)
+    out = {}
+    for e in range(lo, hi + 1):
+        c = F.add(a.terms.get(e, 0), b.terms.get(e, 0))
+        if c and e < prec:
+            out[e] = c
+    return out, prec
+
+
+def _ref_mul(a, b):
+    """(terms, prec) of a * b by the schoolbook product over the dense
+    spans, zeros included; prec = min(prec_a + v(b), prec_b + v(a))."""
+    F = a.cfg.field
+    prec = min(a.prec + b.vbound(), b.prec + a.vbound())
+    out = {}
+    for ea in _dense_span(a):
+        for eb in _dense_span(b):
+            e = ea + eb
+            if e < prec:
+                out[e] = F.add(out.get(e, 0),
+                               F.mul(a.terms.get(ea, 0), b.terms.get(eb, 0)))
+    return {e: c for e, c in out.items() if c}, prec
+
+
+def _as_pair(x):
+    return x.terms, x.prec
+
+
+_SPARSE_TERMS = st.dictionaries(st.integers(-40, 160), st.integers(1, 8),
+                                max_size=5)
+_DENSE_TERMS = st.builds(
+    lambda lo, codes: {lo + i: c for i, c in enumerate(codes)},
+    st.integers(-40, 40), st.lists(st.integers(0, 8), min_size=1,
+                                   max_size=60))
+_VALUES = st.builds(lambda terms, prec: CInfApprox(CFG_SHORT, terms, prec),
+                    st.one_of(_SPARSE_TERMS, _DENSE_TERMS),
+                    st.one_of(st.just(INF), st.integers(-40, 260)))
+_ORACLE = settings(max_examples=120, deadline=None, database=None,
+                   derandomize=True)
+
+
+@_ORACLE
+@given(a=_VALUES, b=_VALUES)
+def test_add_matches_dense_reference(a, b):
+    assert _as_pair(a + b) == _ref_add(a, b)
+    assert _as_pair(a - b) == _ref_add(a, -b)
+
+
+@_ORACLE
+@given(a=_VALUES, b=_VALUES)
+def test_mul_matches_dense_reference(a, b):
+    assert _as_pair(a * b) == _ref_mul(a, b)
+
+
+@_ORACLE
+@given(a=_VALUES, b=_VALUES, n=st.integers(1, 2))
+def test_frobenius_precision_rules(a, b, n):
+    fa = a.frobenius(n)
+    qn = CFG_SHORT.q ** n
+    assert fa.prec == (INF if a.prec == INF else qn * a.prec)
+    assert _as_pair(fa.frobenius(-n)) == _as_pair(a)
+    # a homomorphism in terms and in precision
+    assert _as_pair((a * b).frobenius(n)) == _as_pair(fa * b.frobenius(n))
+    assert _as_pair((a + b).frobenius(n)) == _as_pair(fa + b.frobenius(n))
+    # a^q by reference products agrees below both precisions
+    if n == 1:
+        cube, cprec = _ref_mul(CInfApprox(CFG_SHORT, *_ref_mul(a, a)), a)
+        below = min(cprec, fa.prec)
+        assert {e: c for e, c in fa.terms.items() if e < below} == \
+            {e: c for e, c in cube.items() if e < below}

@@ -5,10 +5,11 @@ import threading
 import pytest
 
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
-from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule,
+from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
                                   compose_qlinear, verify_morphism)
+from drinfeldlab.encoding import encode_cinf
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
-                                ResidueFieldTooSmall)
+                                IndependenceFailure, ResidueFieldTooSmall)
 from drinfeldlab.skew import SkewPoly
 
 
@@ -280,18 +281,11 @@ def test_periods_reject_dependent_seeds(ctx3):
         ctx3.module.periods(seeds=[x, x.scale(2)])
 
 
-def test_coefficient_tables_thread_safe(ctx3):
-    """Threads extending one module's lazy tables agree with a serial run."""
-    cfg, kappa, u = ctx3.cfg, ctx3.module.kappa, ctx3.module.u
-    serial = DrinfeldModule(cfg, 2, kappa, u)
-    want = (serial.exp_coeffs(12), serial.log_coeffs(12))
-    shared = DrinfeldModule(cfg, 2, kappa, u)
+def _run_in_threads(work, count=4):
+    """work() in count threads at a tiny switch interval; their results."""
     results = []
-
-    def work():
-        results.append((shared.exp_coeffs(12), shared.log_coeffs(12)))
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
+    threads = [threading.Thread(target=lambda: results.append(work()))
+               for _ in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -302,12 +296,131 @@ def test_coefficient_tables_thread_safe(ctx3):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 4
+    assert len(results) == count
+    return results
+
+
+def test_coefficient_tables_thread_safe(ctx3):
+    """Threads extending one module's lazy tables agree with a serial run."""
+    cfg, kappa, u = ctx3.cfg, ctx3.module.kappa, ctx3.module.u
+    serial = DrinfeldModule(cfg, 2, kappa, u)
+    want = (serial.exp_coeffs(12), serial.log_coeffs(12))
+    shared = DrinfeldModule(cfg, 2, kappa, u)
+    results = _run_in_threads(
+        lambda: (shared.exp_coeffs(12), shared.log_coeffs(12)))
     results.append((shared.exp_coeffs(12), shared.log_coeffs(12)))
     for got in results:
         for got_table, want_table in zip(got, want):
             assert [(c.terms, c.prec) for c in got_table] == \
                 [(c.terms, c.prec) for c in want_table]
+
+
+def _fresh(ctx):
+    rho = ctx.module
+    return DrinfeldModule(ctx.cfg, rho.rank, rho.kappa, rho.u)
+
+
+def _encoded(values):
+    return [encode_cinf(x) for x in values]
+
+
+def _count_exp_evals(monkeypatch):
+    calls = []
+    exp_eval = DrinfeldModule.exp_eval
+
+    def counted(self, z):
+        calls.append(z)
+        return exp_eval(self, z)
+
+    monkeypatch.setattr(DrinfeldModule, "exp_eval", counted)
+    return calls
+
+
+def test_torsion_points_memoized(ctx3, ctx5w):
+    rho = _fresh(ctx3)
+    first = rho.torsion_points()
+    want = _encoded(first)
+    first.reverse()
+    first.pop()
+    assert _encoded(rho.torsion_points()) == want
+    # the partial form is memoized separately; its failure records too
+    wild = _fresh(ctx5w)
+    pts, failures = wild.torsion_points(partial=True)
+    want_pts, want_failures = _encoded(pts), [dict(f) for f in failures]
+    assert want_failures
+    pts.clear()
+    failures[0]["slope"] = "changed"
+    failures.append({})
+    pts, failures = wild.torsion_points(partial=True)
+    assert _encoded(pts) == want_pts and failures == want_failures
+
+
+def test_periods_memoized(ctx3, monkeypatch):
+    rho = _fresh(ctx3)
+    lat = rho.periods()
+    assert rho.periods() is lat
+    assert _encoded(lat.basis()) == _encoded(ctx3.lattice.basis())
+    # explicit seeds build a new lattice each time
+    assert rho.periods(seeds=rho.lattice_seeds()) is not lat
+    # a failed build is not cached
+    failing = _fresh(ctx3)
+    monkeypatch.setattr(DrinfeldModule, "legendre_bracket",
+                        lambda self, lattice: self.cfg.zero(INF))
+    with pytest.raises(IndependenceFailure):
+        failing.periods()
+    monkeypatch.undo()
+    assert _encoded(failing.periods().basis()) == _encoded(lat.basis())
+
+
+def test_quasi_period_memoized(ctx3, monkeypatch):
+    cfg = ctx3.cfg
+    rho = _fresh(ctx3)
+    lat = rho.periods()
+    # the reference towers have never been asked for F
+    ref = _fresh(ctx3)
+    towers = [ref.period_from_seed(s) for s in ref.lattice_seeds()]
+    ref_lat = Lattice(towers[0].omega, towers[1].omega, towers)
+    calls = _count_exp_evals(monkeypatch)
+    for om, ref_om in zip(lat.basis(), ref_lat.basis()):
+        got = rho.quasi_period_eval(om, lattice=lat)
+        del calls[:]
+        want = ref.quasi_period_eval(ref_om, lattice=ref_lat)
+        assert calls and got.terms == want.terms and got.prec == want.prec
+        del calls[:]
+        assert rho.quasi_period_eval(om, lattice=lat) is got
+        assert not calls
+    # a scaled period and an explicit delta are computed, not served
+    om = lat.omega1
+    memo = rho.quasi_period_eval(om, lattice=lat)
+    scaled = rho.quasi_period_eval(om.scale(2), lattice=lat)
+    assert calls and scaled is not memo
+    assert (scaled - memo.scale(2)).is_zero_to(cfg.pass_threshold())
+    del calls[:]
+    explicit = rho.quasi_period_eval(om, delta=Biderivation.tau(cfg),
+                                     lattice=lat)
+    assert calls and explicit is not memo
+    assert explicit.terms == memo.terms and explicit.prec == memo.prec
+    inner = rho.quasi_period_eval(om, delta=Biderivation.inner_one(rho),
+                                  lattice=lat)
+    assert (inner - om).is_zero_to(cfg.pass_threshold())
+    assert rho.quasi_period_eval(om, lattice=lat) is memo
+
+
+def test_memoized_values_thread_safe(ctx3):
+    """Threads sharing one fresh module get the values of a serial run."""
+
+    def derived(rho):
+        lat = rho.periods()
+        return (_encoded(rho.torsion_points()),
+                _encoded(rho.torsion_points(partial=True)[0]),
+                _encoded(lat.basis()),
+                _encoded(rho.quasi_period_eval(om, lattice=lat)
+                         for om in lat.basis()))
+
+    want = derived(_fresh(ctx3))
+    shared = _fresh(ctx3)
+    assert all(got == want
+               for got in _run_in_threads(lambda: derived(shared)))
 
 
 def _uncapped_sum(module, kind, z):
