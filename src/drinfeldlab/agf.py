@@ -10,13 +10,15 @@ a meromorphic function with simple poles at theta^(q^i) and residues
 twist evaluates at t = theta for n >= 1, which is where every period
 identity is read off.  The t-power-series form exists for radius-1 work
 and as the independent half of the dual-representation check.
+
+Every tail (the dropped coefficients of the series and the dropped poles
+of both pole-form evaluations) is a q-linear exponential tail, so each is
+certified by DrinfeldModule._tail_floor and its induction proof.
 """
 
 from .cinf import INF
-from .errors import PoleHit, PrecisionExhausted
+from .errors import PoleHit
 from .tseries import TSeries
-
-_TAIL_SCAN = 48
 
 
 class AndersonGF:
@@ -31,29 +33,6 @@ class AndersonGF:
         alphas = module.exp_coeffs(pole_count - 1)
         self.numerators = [alphas[i] * u.frobenius(i)
                            for i in range(pole_count)]
-
-    # -- bounds ----------------------------------------------------------------
-
-    def _numerator_vbounds(self, upto):
-        """Integer lower bounds for v(alpha_i u^{q^i})."""
-        if self.u.is_exact_zero():
-            return [INF] * (upto + 1)
-        vu = self.u.vbound()
-        ab = self.module._coeff_vbounds("exp", upto)
-        return [ab[i] + self.cfg.q ** i * vu for i in range(upto + 1)]
-
-    def _tail_floor(self, weights):
-        """min over dropped poles i >= I of nb[i] + weights(i), certified the
-        same way as the exponential tail (weights must be nondecreasing)."""
-        end = self.I + _TAIL_SCAN
-        nb = self._numerator_vbounds(end)
-        vals = [nb[i] + weights(i) for i in range(self.I, end + 1)]
-        floor = min(vals)
-        if vals[-1] < floor + self.cfg.e:
-            raise PrecisionExhausted(
-                "generating-function tail did not stabilize; "
-                "increase the pole count")
-        return floor
 
     # -- the two representations -------------------------------------------------
 
@@ -82,12 +61,15 @@ class AndersonGF:
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
+        vu = self.u.vbound()
         out = []
         for j in range(T):
             acc = cfg.zero(INF)
             for i in range(self.I):
                 acc = acc + self.numerators[i] * cfg.theta(-(j + 1)).frobenius(i)
-            floor = self._tail_floor(lambda i: cfg.q ** i * (j + 1) * cfg.e)
+            # dropped pole i contributes alpha_i (u / theta^(j+1))^(q^i)
+            floor = self.module._tail_floor("exp", vu + (j + 1) * cfg.e,
+                                            self.I - 1)
             out.append(acc.truncate(min(acc.prec, floor)))
         return TSeries(cfg, out, tail=None)
 
@@ -121,18 +103,10 @@ class AndersonGF:
                           "increase the pole count")
         if self.u.is_exact_zero():
             return acc
-        # dropped term i has v >= q^n nb[i] + q^(i+n) e (the reciprocal of a
-        # huge pole); certified like the exponential tail
-        q, e = cfg.q, cfg.e
-        end = self.I + _TAIL_SCAN
-        nb = self._numerator_vbounds(end)
-        vals = [q ** n * nb[i] + q ** (i + n) * e
-                for i in range(self.I, end + 1)]
-        floor = min(vals)
-        if vals[-1] < floor + e:
-            raise PrecisionExhausted(
-                "twisted evaluation tail did not stabilize; "
-                "increase the pole count")
+        # dropped pole i adds a term of valuation
+        # q^n v(alpha_i (u/theta)^(q^i)): q^n times an exp tail term at u/theta
+        floor = cfg.q ** n * self.module._tail_floor(
+            "exp", self.u.vbound() + cfg.e, self.I - 1)
         return acc.truncate(min(acc.prec, floor))
 
     # -- functional equation reports ----------------------------------------------

@@ -80,9 +80,9 @@ class FieldConfig:
         self.pole_count = pole_count
         self.tower_cap = tower_cap
 
-    def pass_threshold(self, frac=0.8):
+    def pass_threshold(self):
         """Grid valuation a residual must reach to count as zero."""
-        return int(frac * self.prec)
+        return int(0.8 * self.prec)
 
     # -- element constructors -------------------------------------------------
 

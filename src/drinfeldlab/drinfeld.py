@@ -271,19 +271,19 @@ class DrinfeldModule:
         return self._qlinear_sum("exp", self.exp_coeffs(self.cfg.exp_depth),
                                  z)
 
-    def log_certificate(self, z, depth=None):
+    def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term
         valuations rise by at least e per step (safety factor q) and the
         tail bound recursion continues the climb."""
         if z.is_apparent_zero():
             return True
         cfg = self.cfg
-        depth = depth if depth is not None else cfg.exp_depth
         e, q = cfg.e, cfg.q
+        end = cfg.exp_depth + _TAIL_SCAN
         vz = z.valuation()
-        bounds = self._coeff_vbounds("log", depth + _TAIL_SCAN)
+        bounds = self._coeff_vbounds("log", end)
         prev = vz
-        for i in range(1, depth + _TAIL_SCAN + 1):
+        for i in range(1, end + 1):
             cur = bounds[i] + q ** i * vz
             if cur < prev + e:
                 return False
@@ -294,11 +294,11 @@ class DrinfeldModule:
         """log(z) inside the certified disc; DivergentEvaluation outside."""
         if z.is_apparent_zero():
             return z
-        depth = self.cfg.exp_depth
-        if not self.log_certificate(z, depth):
+        if not self.log_certificate(z):
             raise DivergentEvaluation(
                 "logarithm not certified at v(z) = %s" % z.valuation())
-        return self._qlinear_sum("log", self.log_coeffs(depth), z)
+        return self._qlinear_sum("log", self.log_coeffs(self.cfg.exp_depth),
+                                 z)
 
     # -- torsion ---------------------------------------------------------------
 

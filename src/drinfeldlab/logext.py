@@ -54,12 +54,12 @@ class GVector:
     """g = (-kappa f_lambda^(1) - f_lambda^(2), -f_lambda^(1)) with its
     pole-form backing, plus the inhomogeneity h = (alpha, 0)."""
 
-    def __init__(self, motive, point, pole_count=None):
+    def __init__(self, motive, point):
         self.motive = motive
         self.point = point
         cfg = motive.cfg
         self.cfg = cfg
-        self.agf = AndersonGF(motive.module, point.lam, pole_count)
+        self.agf = AndersonGF(motive.module, point.lam)
         T = motive.T
         k = motive.module.kappa
         f = self.agf.series(T)
@@ -107,11 +107,11 @@ class GVector:
 class ExtendedSystem:
     """Block matrices Phi_n, Psi_n for a list of log points."""
 
-    def __init__(self, motive, points, pole_count=None):
+    def __init__(self, motive, points):
         self.motive = motive
         self.cfg = motive.cfg
         self.points = list(points)
-        self.gvectors = [GVector(motive, p, pole_count) for p in self.points]
+        self.gvectors = [GVector(motive, p) for p in self.points]
         self.n = len(self.points)
         self.phi_n = self._build_phi_n()
         self.psi_n = self._build_psi_n()
@@ -179,11 +179,8 @@ class ExtendedSystem:
         """Rebuild Psi_n(theta) from the generator list and compare with the
         pole-aware specialization, entrywise (lower-left block)."""
         motive = self.motive
-        cfg = self.cfg
         gens = dict(self.generators())
-        s = motive.xi / motive.omega.pi_tilde()
-        ref_top = [[s * gens["F(omega2)"], -(s * gens["F(omega1)"])],
-                   [s * gens["omega2"], -(s * gens["omega1"])]]
+        ref_top, _, _ = motive.reference_psi_at_theta()
         psi_theta = motive.psi_at_theta()
         out = []
         for i in range(2):

@@ -128,7 +128,7 @@ def phi_matrix(module):
 class MotiveMatrices:
     """Phi, Psi and the scaffolding shared by all rank-2 identity checks."""
 
-    def __init__(self, module, lattice, T=None, pole_count=None):
+    def __init__(self, module, lattice, T=None):
         if not module.is_normalized() or module.rank != 2:
             raise ConfigError(
                 "the trivialization display needs the normalized form u = 1; "
@@ -140,8 +140,8 @@ class MotiveMatrices:
         self.T = T if T is not None else cfg.t_terms
         self.xi = xi_constant(cfg)
         self.omega = OmegaData(cfg, T=self.T)
-        self.agf1 = AndersonGF(module, lattice.omega1, pole_count)
-        self.agf2 = AndersonGF(module, lattice.omega2, pole_count)
+        self.agf1 = AndersonGF(module, lattice.omega1)
+        self.agf2 = AndersonGF(module, lattice.omega2)
         self.phi = phi_matrix(module)
         self.psi = self._build_psi()
 

@@ -154,3 +154,52 @@ def test_residue_limit_oracle(ctx3, f_inv_theta):
         diff = val - f_inv_theta.numerators[i]
         # remaining partial fractions contribute O(theta^{-6} / gap)
         assert diff.valuation() >= 6 * cfg.e - abs(pole.valuation())
+
+
+_ORACLE_SCAN = 200
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx3", "ctx5", "ctx5w"])
+@pytest.mark.parametrize("uname", ["theta^-1", "theta^3", "torsion",
+                                   "theta^30"])
+@pytest.mark.parametrize("I", [4, 10, 12])
+def test_tail_floor_oracle(request, ctx_name, uname, I):
+    # the pole-form values against a partial-fraction sum built here and a
+    # brute-force minimum over 200 dropped poles: terms and precision agree
+    ctx = request.getfixturevalue(ctx_name)
+    cfg, mod = ctx.cfg, ctx.module
+    q, e = cfg.q, cfg.e
+    u = {
+        "theta^-1": lambda: cfg.theta(-1),
+        "theta^3": lambda: cfg.theta(3),
+        "torsion": lambda: mod.torsion_points(partial=True)[0][0],
+        "theta^30": lambda: cfg.theta(30),
+    }[uname]()
+    f = AndersonGF(mod, u, pole_count=I)
+    alphas = mod.exp_coeffs(I - 1)
+    nums = [alphas[i] * u.frobenius(i) for i in range(I)]
+    ab = mod._coeff_vbounds("exp", I + _ORACLE_SCAN)
+    vu = u.vbound()
+
+    def brute(n, w):
+        return min(q ** n * (ab[i] + q ** i * (vu + w))
+                   for i in range(I, I + _ORACLE_SCAN))
+
+    def assert_cut(got, ref, floor):
+        want = ref.truncate(min(ref.prec, floor))
+        assert got.terms == want.terms
+        assert got.prec == want.prec
+
+    th = cfg.theta()
+    for n in (1, 2):
+        ref = cfg.zero(INF)
+        for i in range(I):
+            ref = ref + nums[i].frobenius(n) / (cfg.theta(q ** (i + n)) - th)
+        assert_cut(f.eval_twisted(n, th), ref, brute(n, e))
+    T = 6
+    series = f.series_from_poles(T)
+    for j in range(T):
+        ref = cfg.zero(INF)
+        for i in range(I):
+            ref = ref + nums[i] * cfg.theta(-(j + 1) * q ** i)
+        assert_cut(series.coeff(j), ref, brute(0, (j + 1) * e))

@@ -158,6 +158,18 @@ def test_verify_json_matches_benchmark_golden(capsys):
     assert out == want
 
 
+@pytest.mark.slow
+def test_cli_commands_match_benchmark_golden(capsys):
+    # perfbench/golden/cli_cold.json keys each argv of the cli-cold stream
+    # (space-joined, --json appended when run) to its exit code and stdout
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" \
+        / "cli_cold.json"
+    for key, want in json.loads(golden.read_text()).items():
+        code, out, _ = run_cli(capsys, *key.split(" "), "--json")
+        assert code == want["exit_code"], key
+        assert json.loads(out) == want["stdout"], key
+
+
 def test_more_commands(capsys):
     code, out, _ = run_cli(capsys, "log-eval", "--q", "3", "--z",
                            "theta^-1", "--json")
