@@ -3,9 +3,12 @@
 The module descriptor is rho_t = theta + kappa*tau + u*tau^2 (rank 2) or the
 Carlitz module theta + tau (rank 1).  From the defining functional equation
 exp(theta z) = rho_t(exp z) the exponential/logarithm coefficient tables
-follow by recursion; torsion points come from the Newton-polygon solver;
-periods from division towers over torsion seeds; quasi-periodic functions
-from the unrolled difference equation.
+follow by recursion; torsion points come from the Newton-polygon solver,
+whose seeds for simple roots are refined by the additive step
+x -> -(kappa x^q + u x^{q^2})/theta (rho_t is additive with derivative
+theta, so the step contracts towards the root by a proven bound and needs
+no division); periods from division towers over torsion seeds;
+quasi-periodic functions from the unrolled difference equation.
 
 Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
@@ -16,9 +19,10 @@ and precisions alone, so it is fixed before any product is formed, terms
 that land at or above it are skipped, and the rest are computed only below
 it.
 
-Coefficient tables extend lazily: an extension is built on a private copy
-and published by rebinding the attribute, so threads sharing a module never
-see a table that one of them is still growing.  All evaluations are pure.
+Coefficient tables and their valuation bounds extend lazily: an extension
+is built on a private copy and published by rebinding the attribute, so
+threads sharing a module never see a table that one of them is still
+growing.  All evaluations are pure.
 
 Derived values are computed once per module: the torsion points (full and
 partial), the period lattice of periods() and F_tau(omega) for each period
@@ -30,7 +34,7 @@ lists are copied on the way out, so no caller can change a cached value.
 
 import logging
 
-from .cinf import INF
+from .cinf import INF, CInfApprox
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, VerificationFailed)
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
@@ -39,6 +43,9 @@ from .skew import SkewPoly
 log = logging.getLogger(__name__)
 
 _TAIL_SCAN = 64
+# additive steps _additive_root may take; each step gains at least q times
+# the proven distance the step before it gained
+_MAX_CONTRACTION = 64
 
 
 class Biderivation:
@@ -129,8 +136,11 @@ class DrinfeldModule:
         self.rank = rank
         self.kappa = kappa
         self.u = u
+        self._vk = INF if kappa.is_apparent_zero() else kappa.valuation()
+        self._vu = INF if u.is_apparent_zero() else u.valuation()
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
+        self._vbounds = {"exp": [0], "log": [0]}
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
 
@@ -187,22 +197,26 @@ class DrinfeldModule:
         return table[:depth + 1]
 
     def _coeff_vbounds(self, kind, upto):
-        """Integer lower bounds for v(alpha_i) resp. v(beta_i)."""
-        cfg = self.cfg
-        e, q = cfg.e, cfg.q
-        vk = self.kappa.valuation() if not self.kappa.is_apparent_zero() else INF
-        vu = self.u.valuation() if not self.u.is_apparent_zero() else INF
-        out = [0]
-        for i in range(1, upto + 1):
-            if kind == "exp":
-                c1 = vk + q * out[i - 1] if i >= 1 else INF
-                c2 = vu + q * q * out[i - 2] if i >= 2 else INF
-            else:
-                c1 = out[i - 1] + q ** (i - 1) * vk
-                c2 = out[i - 2] + q ** (i - 2) * vu if i >= 2 else INF
-            step = min(c1, c2) + q ** i * e
-            out.append(step)
-        return out
+        """Integer lower bounds for v(alpha_i) resp. v(beta_i), i <= upto.
+
+        The table is kept per kind and extended like the coefficient
+        tables: on a copy that is then published by rebinding."""
+        out = self._vbounds[kind]
+        if len(out) <= upto:
+            cfg = self.cfg
+            e, q = cfg.e, cfg.q
+            vk, vu = self._vk, self._vu
+            out = list(out)
+            for i in range(len(out), upto + 1):
+                if kind == "exp":
+                    c1 = vk + q * out[i - 1]
+                    c2 = vu + q * q * out[i - 2] if i >= 2 else INF
+                else:
+                    c1 = out[i - 1] + q ** (i - 1) * vk
+                    c2 = out[i - 2] + q ** (i - 2) * vu if i >= 2 else INF
+                out.append(min(c1, c2) + q ** i * e)
+            self._vbounds = {**self._vbounds, kind: out}
+        return out[:upto + 1]
 
     def _tail_floor(self, kind, vz, start):
         """Certified floor for v(coefficient_i * z^{q^i}) over all i > start.
@@ -218,8 +232,7 @@ class DrinfeldModule:
         bounds = self._coeff_vbounds(kind, end)
         terms = [bounds[i] + q ** i * vz for i in range(start + 1, end + 1)]
         floor = min(terms)
-        vk = self.kappa.valuation() if not self.kappa.is_apparent_zero() else INF
-        vu = self.u.valuation() if not self.u.is_apparent_zero() else INF
+        vk, vu = self._vk, self._vu
         if kind == "exp":
             worst = min(vk + q * floor, vu + q * q * floor)
             ok = worst + q ** end * e >= floor
@@ -236,19 +249,18 @@ class DrinfeldModule:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _qlinear_sum(self, kind, coeffs, z):
+    def _qlinear_sum(self, coeffs, z, prec):
         """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
         precision R and computed only below it.
 
-        R is the tail floor or the precision of a computed term, whichever
-        is lowest; both need only valuations and precisions, so R comes
-        first.  A term whose valuation reaches R is skipped, Frobenius
+        R is prec (a tail floor, say) or the precision of a computed term,
+        whichever is lowest; both need only valuations and precisions, so R
+        comes first.  A term whose valuation reaches R is skipped, Frobenius
         included, and the others multiply z and coeffs[i] cut to the
         digits that can land below R.
         """
         q = self.cfg.q
         vz = z.valuation()
-        prec = self._tail_floor(kind, vz, len(coeffs) - 1)
         for i, c in enumerate(coeffs):
             qi = q ** i
             prec = min(prec, c.prec + qi * vz, qi * z.prec + c.vbound())
@@ -268,8 +280,10 @@ class DrinfeldModule:
         """exp(z); entire, so always certified."""
         if z.is_apparent_zero():
             return z
-        return self._qlinear_sum("exp", self.exp_coeffs(self.cfg.exp_depth),
-                                 z)
+        depth = self.cfg.exp_depth
+        return self._qlinear_sum(
+            self.exp_coeffs(depth), z,
+            self._tail_floor("exp", z.valuation(), depth))
 
     def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term
@@ -297,8 +311,10 @@ class DrinfeldModule:
         if not self.log_certificate(z):
             raise DivergentEvaluation(
                 "logarithm not certified at v(z) = %s" % z.valuation())
-        return self._qlinear_sum("log", self.log_coeffs(self.cfg.exp_depth),
-                                 z)
+        depth = self.cfg.exp_depth
+        return self._qlinear_sum(
+            self.log_coeffs(depth), z,
+            self._tail_floor("log", z.valuation(), depth))
 
     # -- torsion ---------------------------------------------------------------
 
@@ -328,18 +344,70 @@ class DrinfeldModule:
         got = self._torsion.get(partial)
         if got is None:
             key = lambda r: (r.valuation(), r.leading()[1])
+            g = self.torsion_polynomial()
             if partial:
                 roots, failures = partial_nonzero_roots(
-                    self.torsion_polynomial())
+                    g, simple_root=self._additive_root)
             else:
                 roots, failures = all_nonzero_roots(
-                    self.torsion_polynomial()), []
+                    g, simple_root=self._additive_root), []
             got = (sorted(roots, key=key), failures)
             self._torsion = {**self._torsion, partial: got}
         points, failures = got
         if partial:
             return list(points), [dict(f) for f in failures]
         return list(points)
+
+    def _additive_root(self, x0):
+        """The torsion point r whose leading monomial is x0, a simple
+        residual root of g = torsion_polynomial(), certified.
+
+        rho_t is additive with rho_t' = theta, so r is the fixed point of
+        x -> x - rho_t(x)/theta = -(kappa x^q + u x^{q^2})/theta, and the
+        step takes a distance d = v(x - r) to at least
+        min(v(kappa) + q d, v(u) + q^2 d) + e.  The seed starts at
+        d = v(x0) + 1; a step that does not raise d is NoConvergence.
+
+        The root is cut at P = v(rho_t(x0)) + e + rel_prec and each iterate
+        is kept to P, so the result is r below P once the proven d reaches
+        P.  That P is Newton's on g: x g'(x) = theta - g(x) in
+        characteristic p and v(g(x0)) > v(theta) at a residual root, so
+        v(g(x0)) - v(g'(x0)) = v(rho_t(x0)) + e, and Newton's first
+        correction on g is capped at that plus rel_prec.  The same identity
+        makes g(x0) exactly 0 whenever g'(x0) is a single term; an exact
+        root x0 is returned as it is.  The root must pass the residual
+        check v(rho_t(r)) - v(r) >= pass_threshold().
+        """
+        cfg = self.cfg
+        q, e = cfg.q, cfg.e
+        rho = self.skew()
+        first = rho(x0)
+        if first.is_exact_zero():
+            return x0
+        prec = first.valuation() + e + cfg.rel_prec
+        step = [cfg.zero(INF)] + rho.coeffs[1:]
+        x, d = x0, x0.valuation() + 1
+        for _ in range(_MAX_CONTRACTION):
+            if d >= prec:
+                break
+            nxt = min(self._vk + q * d, self._vu + q * q * d) + e
+            if nxt <= d:
+                raise NoConvergence(
+                    "additive torsion step does not contract at distance "
+                    "%s from the root" % d)
+            x = -self._qlinear_sum(step, x, prec - e).shift(e)
+            x, d = CInfApprox(cfg, x.terms, INF), nxt
+        else:
+            raise NoConvergence(
+                "additive torsion step did not reach precision %d in %d "
+                "steps" % (prec, _MAX_CONTRACTION))
+        r = x.truncate(prec)
+        threshold = cfg.pass_threshold()
+        if rho(r).vbound() - r.valuation() < threshold:
+            raise NoConvergence(
+                "torsion point with leading term %r did not certify to "
+                "threshold %d" % (x0, threshold))
+        return r
 
     def _scalar_multiple_of(self, x, y):
         """mu in F_q^x with x = mu*y (to working precision), else None."""

@@ -49,7 +49,15 @@ class GridTooCoarse(DrinfeldLabError):
 
 
 class NoConvergence(DrinfeldLabError):
-    """Newton iteration cannot certify convergence from the given seed."""
+    """Newton iteration cannot certify convergence from the given seed.
+
+    residual_valuation, when known, is v(f) at the iterate where an
+    iteration stalled.
+    """
+
+    def __init__(self, message, hint=None, residual_valuation=None):
+        super().__init__(message, hint)
+        self.residual_valuation = residual_valuation
 
 
 class ResidueFieldTooSmall(DrinfeldLabError):

@@ -10,7 +10,10 @@ Roots are located by the classical descent: each segment yields a residual
 polynomial over F_{q^m}; a simple residual root gives a Newton-ready seed,
 a multiple residual root shifts the polynomial and recurses on the strictly
 smaller slopes.  Root differences of the separable polynomials that appear
-here are bounded away from each other, so the descent terminates.
+here are bounded away from each other, so the descent terminates.  A
+caller that knows a faster certified solver for the simple roots of the
+top level passes it in; torsion points use the additive step of their
+Drinfeld module there, and the descent keeps Newton.
 """
 
 import logging
@@ -179,7 +182,8 @@ def newton_iterate(coeffs, seed, check_criterion=True):
 
     With check_criterion the classical condition |f(x0)| < |f'(x0)|^2 is
     required up front; it guarantees a unique root in the seed's disc.
-    Returns (root, iterations).
+    Returns (root, iterations).  An iterate whose residual valuation does
+    not rise raises NoConvergence carrying that valuation.
     """
     deriv = poly_derivative(coeffs)
 
@@ -204,9 +208,10 @@ def newton_iterate(coeffs, seed, check_criterion=True):
             return x, it
         v = fx.valuation()
         if v <= last:
-            # stalled at the precision floor
-            log.debug("newton stalled at v(f)=%s after %d iterations", v, it)
-            return x, it
+            # no progress: nothing bounds the distance to a root
+            raise NoConvergence(
+                "Newton iteration stalled at v(f) = %s after %d iterations"
+                % (v, it), residual_valuation=v)
         last = v
         x = x - fx / dfx
         fx, dfx = f_and_deriv(x)
@@ -246,8 +251,12 @@ def _segment_residual(coeffs, hull_i0, v0, slope, length):
     return out
 
 
-def _segment_roots(coeffs, i0, v0, slope, length, depth):
-    """All roots hanging off one polygon segment (descending clusters)."""
+def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
+    """All roots hanging off one polygon segment (descending clusters).
+
+    simple_root(x0), when given, replaces Newton and its residual check for
+    the simple residual roots at depth 0: x0 is the leading monomial of the
+    one root it must return, certified."""
     cfg = coeffs[-1].cfg
     threshold = cfg.pass_threshold()
     if slope.denominator != 1:
@@ -265,7 +274,9 @@ def _segment_roots(coeffs, i0, v0, slope, length, depth):
         if z == 0:
             continue
         x0 = cfg.monomial(-lam, z)
-        if mult == 1:
+        if mult == 1 and depth == 0 and simple_root is not None:
+            roots.append(simple_root(x0))
+        elif mult == 1:
             # Newton is invariant under affine rescaling, so a simple
             # residual root converges without the raw magnitude test
             r, _ = newton_iterate(coeffs, x0, check_criterion=False)
@@ -304,24 +315,27 @@ def _iter_segments(coeffs):
         v0 += slope * length
 
 
-def all_nonzero_roots(coeffs, depth=0):
+def all_nonzero_roots(coeffs, depth=0, simple_root=None):
     """All roots of the polynomial that are units times grid monomials.
 
     Every segment must have an integral slope (GridTooCoarse otherwise) and
     every residual equation must split over F_{q^m} (ResidueFieldTooSmall
     otherwise); multiplicities descend recursively.  Returns a list of
-    CInfApprox roots of length = degree - ord0.
+    CInfApprox roots of length = degree - ord0.  simple_root is the solver
+    for simple residual roots at depth 0 (see _segment_roots); the cluster
+    descent always uses Newton.
     """
     if depth > _MAX_DESCENT:
         raise NoConvergence("root cluster descent exceeded %d levels"
                             % _MAX_DESCENT)
     roots = []
     for i0, v0, slope, length in _iter_segments(coeffs):
-        roots.extend(_segment_roots(coeffs, i0, v0, slope, length, depth))
+        roots.extend(_segment_roots(coeffs, i0, v0, slope, length, depth,
+                                    simple_root))
     return roots
 
 
-def partial_nonzero_roots(coeffs):
+def partial_nonzero_roots(coeffs, simple_root=None):
     """Like all_nonzero_roots, but collects per-segment failures instead of
     raising: returns (roots, failures) with failures a list of error
     records.  Used to salvage the representable part of a torsion module
@@ -330,7 +344,8 @@ def partial_nonzero_roots(coeffs):
     failures = []
     for i0, v0, slope, length in _iter_segments(coeffs):
         try:
-            roots.extend(_segment_roots(coeffs, i0, v0, slope, length, 0))
+            roots.extend(_segment_roots(coeffs, i0, v0, slope, length, 0,
+                                        simple_root))
         except (GridTooCoarse, NoConvergence, ResidueFieldTooSmall) as ex:
             failures.append({"slope": str(slope), "length": length,
                              **ex.record()})

@@ -4,12 +4,14 @@ import threading
 
 import pytest
 
+from drinfeldlab import roots
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
                                   compose_qlinear, verify_morphism)
 from drinfeldlab.encoding import encode_cinf
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
-                                IndependenceFailure, ResidueFieldTooSmall)
+                                DrinfeldLabError, IndependenceFailure,
+                                NoConvergence, ResidueFieldTooSmall)
 from drinfeldlab.skew import SkewPoly
 
 
@@ -491,3 +493,178 @@ def test_exp_log_sums_match_uncapped_deep():
     args = _eval_arguments(cfg, random.Random(43), count=4)
     args.append(rho.torsion_points()[0])
     assert _assert_sums_match(rho, args) >= 3
+
+
+def _vbounds_reference(module, kind, upto):
+    """The valuation bound recursion of _coeff_vbounds, from scratch."""
+    cfg = module.cfg
+    q, e = cfg.q, cfg.e
+    kappa, u = module.kappa, module.u
+    vk = INF if kappa.is_apparent_zero() else kappa.valuation()
+    vu = INF if u.is_apparent_zero() else u.valuation()
+    out = [0]
+    for i in range(1, upto + 1):
+        if kind == "exp":
+            c1 = vk + q * out[i - 1]
+            c2 = vu + q * q * out[i - 2] if i >= 2 else INF
+        else:
+            c1 = out[i - 1] + q ** (i - 1) * vk
+            c2 = out[i - 2] + q ** (i - 2) * vu if i >= 2 else INF
+        out.append(min(c1, c2) + q ** i * e)
+    return out
+
+
+_VBOUND_LENGTHS = (0, 1, 5, 3, 40, 12, 76, 80)
+
+
+def test_coeff_vbounds_cache(ctx3, ctx5w, cfg_small):
+    modules = [_fresh(ctx3), _fresh(ctx5w), DrinfeldModule(cfg_small, 1),
+               DrinfeldModule(cfg_small, 2, 0, cfg_small.theta(-1))]
+    for rho in modules:
+        for kind in ("exp", "log"):
+            for upto in _VBOUND_LENGTHS:
+                got = rho._coeff_vbounds(kind, upto)
+                assert got == _vbounds_reference(rho, kind, upto)
+                # a caller's copy does not reach the cache
+                got.append(-1)
+                got[0] = -1
+            assert rho._coeff_vbounds(kind, 80) == \
+                _vbounds_reference(rho, kind, 80)
+
+
+def test_coeff_vbounds_cache_thread_safe(ctx3):
+    shared = _fresh(ctx3)
+
+    def grow():
+        return [shared._coeff_vbounds(kind, upto)
+                for upto in _VBOUND_LENGTHS for kind in ("exp", "log")]
+
+    want = [_vbounds_reference(shared, kind, upto)
+            for upto in _VBOUND_LENGTHS for kind in ("exp", "log")]
+    results = _run_in_threads(grow)
+    results.append(grow())
+    assert all(got == want for got in results)
+
+
+# Torsion from the additive step against the generic Newton solver
+
+
+def _sample_module(cfg, kappa, u):
+    """kappa and u given as None (meaning 1), an int or a function of cfg."""
+    def value(c):
+        if c is None:
+            return cfg.one()
+        return c(cfg) if callable(c) else c
+    return DrinfeldModule(cfg, 2, value(kappa), value(u))
+
+
+def _q3_module(prec, kappa=None, u=None):
+    return _sample_module(FieldConfig(3, 1, 4, e=72, prec=prec), kappa, u)
+
+
+def _q5_module(prec, kappa=None):
+    return _sample_module(FieldConfig(5, 1, 4, e=600, prec=prec), kappa, None)
+
+
+def _q5_wild_module():
+    cfg = FieldConfig(5, 1, 2, e=100, prec=240)
+    return DrinfeldModule(cfg, 2, cfg.theta(), cfg.one())
+
+
+_TORSION_CASES = {
+    "q3-240": lambda: _q3_module(240),
+    "q3-960": lambda: _q3_module(960),
+    "q3-1920": lambda: _q3_module(1920),
+    "q3-3840": lambda: _q3_module(3840),
+    "q5-tame-240": lambda: _q5_module(240),
+    "q5-tame-960": lambda: _q5_module(960),
+    "q5-wild": _q5_wild_module,
+    "carlitz-q3": lambda: DrinfeldModule(FieldConfig(3, 1, 4, e=72), 1),
+    "carlitz-q5": lambda: DrinfeldModule(FieldConfig(5, 1, 4, e=600), 1),
+    "theta+tau^2": lambda: _q3_module(240, 0),
+    "kappa=1+1/theta": lambda: _q3_module(
+        240, lambda cfg: cfg.one() + cfg.theta(-1)),
+    "u=2+1/theta": lambda: _q3_module(
+        240, None, lambda cfg: cfg.from_int(2) + cfg.theta(-1)),
+    "kappa=1/theta,u=1+theta^-2": lambda: _q3_module(
+        240, lambda cfg: cfg.theta(-1), lambda cfg: cfg.one() + cfg.theta(-2)),
+    "kappa=2,u=1/theta": lambda: _q3_module(
+        240, 2, lambda cfg: cfg.theta(-1)),
+    "u=theta": lambda: _q3_module(240, None, lambda cfg: cfg.theta()),
+    "q5-kappa=1+1/theta-480": lambda: _q5_module(
+        480, lambda cfg: cfg.one() + cfg.theta(-1)),
+}
+
+
+def _outcome(compute):
+    """(points with their precision, failure records), or the error record
+    when the computation raises."""
+    key = lambda r: (r.valuation(), r.leading()[1])
+    try:
+        points, failures = compute()
+    except DrinfeldLabError as ex:
+        return ex.record()
+    return ([(r.terms, r.prec) for r in sorted(points, key=key)], failures)
+
+
+def _assert_torsion_matches_reference(rho):
+    g = rho.torsion_polynomial()
+    want_full = _outcome(lambda: (roots.all_nonzero_roots(g), []))
+    want_partial = _outcome(lambda: roots.partial_nonzero_roots(g))
+    assert _outcome(lambda: (rho.torsion_points(), [])) == want_full
+    assert _outcome(lambda: rho.torsion_points(partial=True)) == want_partial
+    return want_full, want_partial
+
+
+@pytest.mark.parametrize("case", [c for c in _TORSION_CASES
+                                  if c != "q3-3840"])
+def test_torsion_matches_newton_reference(case):
+    full, partial = _assert_torsion_matches_reference(_TORSION_CASES[case]())
+    if case == "q5-wild":
+        assert full["error"] == "GridTooCoarse"
+        assert len(partial[0]) == 4 and partial[1]
+    else:
+        assert partial == full and full[0]
+    if case in ("theta+tau^2", "carlitz-q3", "carlitz-q5"):
+        assert all(prec == INF for _, prec in full[0])
+
+
+@pytest.mark.slow
+def test_torsion_matches_newton_reference_deep():
+    _assert_torsion_matches_reference(_TORSION_CASES["q3-3840"]())
+
+
+def test_torsion_takes_no_newton_step(monkeypatch):
+    calls = []
+    newton = roots.newton_iterate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "newton_iterate", counted)
+    rho = _q3_module(960)
+    assert len(rho.torsion_points()) == 8
+    assert not calls
+
+
+def test_torsion_polynomial_derivative_identity(ctx3, ctx5w):
+    """x g'(x) = theta - g(x) for g = rho_t(x)/x in characteristic p: the
+    identity that gives _additive_root Newton's precision."""
+    rng = random.Random(7)
+    for rho in (ctx3.module, ctx3.carlitz, ctx5w.module):
+        cfg = rho.cfg
+        g = rho.torsion_polynomial()
+        dg = roots.poly_derivative(g)
+        for x in _eval_arguments(cfg, rng, count=4):
+            lhs = x * roots.poly_eval(dg, x)
+            rhs = cfg.theta() - roots.poly_eval(g, x)
+            assert (lhs - rhs).is_zero_to(min(lhs.prec, rhs.prec))
+
+
+def test_additive_root_requires_contraction():
+    rho = _q3_module(240)
+    # the eight roots have valuation -9; a seed of valuation -10 lies
+    # outside every root's disc, and d = -9 gives min(3d, 9d) + 72 = d
+    with pytest.raises(NoConvergence, match="does not contract"):
+        rho._additive_root(rho.cfg.monomial(-10, 1))

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeldlab.cinf import INF
+from drinfeldlab.cinf import INF, FieldConfig
 from drinfeldlab.errors import (GridTooCoarse, IndeterminateValuation,
                                 NoConvergence)
 from drinfeldlab.roots import (all_nonzero_roots, hensel_root,
-                               newton_polygon, partial_nonzero_roots,
-                               poly_eval)
+                               newton_iterate, newton_polygon,
+                               partial_nonzero_roots, poly_eval)
 
 
 def test_polygon_examples(cfg_small):
@@ -125,3 +125,14 @@ def test_hensel_with_polygon_seed(ctx3):
     root = hensel_root(coeffs, seed)
     assert poly_eval(coeffs, root).vbound() >= cfg.pass_threshold()
     assert ctx3.module.skew()(root).is_zero_to(cfg.pass_threshold())
+
+
+def test_newton_stall_raises():
+    # over F_3, x^2 + 1 has no root and x^3 - x - theta none on the grid:
+    # the first Newton step does not raise v(f), which certifies nothing
+    cfg = FieldConfig(3, 1, 1, e=18, prec=60)
+    one, zero, th = cfg.one(), cfg.zero(INF), cfg.theta()
+    for coeffs, v in (([one, zero, one], 0), ([-th, -one, zero, one], -54)):
+        with pytest.raises(NoConvergence, match="stalled") as info:
+            newton_iterate(coeffs, one, check_criterion=False)
+        assert info.value.residual_valuation == v
