@@ -4,11 +4,12 @@ The module descriptor is rho_t = theta + kappa*tau + u*tau^2 (rank 2) or the
 Carlitz module theta + tau (rank 1).  From the defining functional equation
 exp(theta z) = rho_t(exp z) the exponential/logarithm coefficient tables
 follow by recursion; torsion points come from the Newton-polygon solver,
-whose seeds for simple roots are refined by the additive step
-x -> -(kappa x^q + u x^{q^2})/theta (rho_t is additive with derivative
-theta, so the step contracts towards the root by a proven bound and needs
-no division); periods from division towers over torsion seeds;
-quasi-periodic functions from the unrolled difference equation.
+whose seeds for simple roots are refined, when kappa and u are exact, by
+the additive step x -> -(kappa x^q + u x^{q^2})/theta (rho_t is additive
+with derivative theta, so the step contracts towards the root by a proven
+bound and needs no division), and by Newton otherwise; periods from
+division towers over torsion seeds; quasi-periodic functions from the
+unrolled difference equation.
 
 Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
@@ -43,9 +44,6 @@ from .skew import SkewPoly
 log = logging.getLogger(__name__)
 
 _TAIL_SCAN = 64
-# additive steps _additive_root may take; each step gains at least q times
-# the proven distance the step before it gained
-_MAX_CONTRACTION = 64
 
 
 class Biderivation:
@@ -138,6 +136,9 @@ class DrinfeldModule:
         self.u = u
         self._vk = INF if kappa.is_apparent_zero() else kappa.valuation()
         self._vu = INF if u.is_apparent_zero() else u.valuation()
+        # _additive_root keeps no precision from kappa and u, so only exact
+        # coefficients take it; inexact ones keep Newton on torsion
+        self._exact = kappa.prec == INF and u.prec == INF
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
@@ -345,12 +346,13 @@ class DrinfeldModule:
         if got is None:
             key = lambda r: (r.valuation(), r.leading()[1])
             g = self.torsion_polynomial()
+            solver = self._additive_root if self._exact else None
             if partial:
                 roots, failures = partial_nonzero_roots(
-                    g, simple_root=self._additive_root)
+                    g, simple_root=solver)
             else:
                 roots, failures = all_nonzero_roots(
-                    g, simple_root=self._additive_root), []
+                    g, simple_root=solver), []
             got = (sorted(roots, key=key), failures)
             self._torsion = {**self._torsion, partial: got}
         points, failures = got
@@ -360,7 +362,10 @@ class DrinfeldModule:
 
     def _additive_root(self, x0):
         """The torsion point r whose leading monomial is x0, a simple
-        residual root of g = torsion_polynomial(), certified.
+        residual root of g = torsion_polynomial(), certified.  kappa and u
+        must be exact: every iterate is rebuilt as exact, so a finite
+        precision in them would not reach r, and rho_t(x0) is then exact,
+        so it is 0 or has a valuation.
 
         rho_t is additive with rho_t' = theta, so r is the fixed point of
         x -> x - rho_t(x)/theta = -(kappa x^q + u x^{q^2})/theta, and the
@@ -387,9 +392,7 @@ class DrinfeldModule:
         prec = first.valuation() + e + cfg.rel_prec
         step = [cfg.zero(INF)] + rho.coeffs[1:]
         x, d = x0, x0.valuation() + 1
-        for _ in range(_MAX_CONTRACTION):
-            if d >= prec:
-                break
+        while d < prec:
             nxt = min(self._vk + q * d, self._vu + q * q * d) + e
             if nxt <= d:
                 raise NoConvergence(
@@ -397,10 +400,6 @@ class DrinfeldModule:
                     "%s from the root" % d)
             x = -self._qlinear_sum(step, x, prec - e).shift(e)
             x, d = CInfApprox(cfg, x.terms, INF), nxt
-        else:
-            raise NoConvergence(
-                "additive torsion step did not reach precision %d in %d "
-                "steps" % (prec, _MAX_CONTRACTION))
         r = x.truncate(prec)
         threshold = cfg.pass_threshold()
         if rho(r).vbound() - r.valuation() < threshold:

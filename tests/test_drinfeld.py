@@ -8,7 +8,7 @@ from drinfeldlab import roots
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
                                   compose_qlinear, verify_morphism)
-from drinfeldlab.encoding import encode_cinf
+from drinfeldlab.encoding import decode_module, encode_cinf, encode_module
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 DrinfeldLabError, IndependenceFailure,
                                 NoConvergence, ResidueFieldTooSmall)
@@ -566,6 +566,15 @@ def _q5_module(prec, kappa=None):
     return _sample_module(FieldConfig(5, 1, 4, e=600, prec=prec), kappa, None)
 
 
+def _with_coeff_prec(rho, **precs):
+    """rho decoded from its descriptor after giving kappa or u the stated
+    finite precision, as a --module descriptor with a 'prec' field does."""
+    data = encode_module(rho)
+    for name, prec in precs.items():
+        data[name]["prec"] = prec
+    return decode_module(data)[1]
+
+
 def _q5_wild_module():
     cfg = FieldConfig(5, 1, 2, e=100, prec=240)
     return DrinfeldModule(cfg, 2, cfg.theta(), cfg.one())
@@ -593,6 +602,16 @@ _TORSION_CASES = {
     "u=theta": lambda: _q3_module(240, None, lambda cfg: cfg.theta()),
     "q5-kappa=1+1/theta-480": lambda: _q5_module(
         480, lambda cfg: cfg.one() + cfg.theta(-1)),
+    # inexact coefficients: the roots are known only to the precision that
+    # kappa and u carry
+    "q3-240,kappa.prec=300": lambda: _with_coeff_prec(
+        _q3_module(240), kappa=300),
+    "q3-240,u.prec=300": lambda: _with_coeff_prec(_q3_module(240), u=300),
+    "q5-tame-240,kappa.prec=2000,u.prec=3000": lambda: _with_coeff_prec(
+        _q5_module(240), kappa=2000, u=3000),
+    # rho_t(x0) is zero only to finite precision
+    "theta+tau^2,prec=400": lambda: _with_coeff_prec(
+        _q3_module(240, 0), kappa=400, u=400),
 }
 
 
@@ -646,20 +665,6 @@ def test_torsion_takes_no_newton_step(monkeypatch):
     rho = _q3_module(960)
     assert len(rho.torsion_points()) == 8
     assert not calls
-
-
-def test_torsion_polynomial_derivative_identity(ctx3, ctx5w):
-    """x g'(x) = theta - g(x) for g = rho_t(x)/x in characteristic p: the
-    identity that gives _additive_root Newton's precision."""
-    rng = random.Random(7)
-    for rho in (ctx3.module, ctx3.carlitz, ctx5w.module):
-        cfg = rho.cfg
-        g = rho.torsion_polynomial()
-        dg = roots.poly_derivative(g)
-        for x in _eval_arguments(cfg, rng, count=4):
-            lhs = x * roots.poly_eval(dg, x)
-            rhs = cfg.theta() - roots.poly_eval(g, x)
-            assert (lhs - rhs).is_zero_to(min(lhs.prec, rhs.prec))
 
 
 def test_additive_root_requires_contraction():
