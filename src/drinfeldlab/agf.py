@@ -38,7 +38,7 @@ class AndersonGF:
 
     def t_coeff(self, j):
         """Series coefficient exp(u / theta^(j+1)) (the defining form)."""
-        return self.module.exp_eval(self.u / self.cfg.theta(j + 1))
+        return self.module.exp_eval(self.u.shift((j + 1) * self.cfg.e))
 
     def series(self, T=None):
         """Truncated t-series from the defining coefficients, with a tail

@@ -18,7 +18,8 @@ one theta-unit per step (safety factor q).  Precision comes first, then
 digits: the certified precision of exp(z) or log(z) follows from valuations
 and precisions alone, so it is fixed before any product is formed, terms
 that land at or above it are skipped, and the rest are computed only below
-it.
+it.  A quasi-periodic function fixes its precision the same way and then
+evaluates each level exp(lam/theta^{j+1}) only to the digits the sum keeps.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -250,21 +251,29 @@ class DrinfeldModule:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _qlinear_prec(self, coeffs, vz, zprec, prec):
+        """Certified precision R of sum_i coeffs[i] * z^{q^i} for z of
+        valuation vz and precision zprec: prec (a tail floor, say) or the
+        precision of a computed term, whichever is lowest.  Valuations and
+        precisions alone fix it, so it comes before any product."""
+        q = self.cfg.q
+        for i, c in enumerate(coeffs):
+            qi = q ** i
+            prec = min(prec, c.prec + qi * vz, qi * zprec + c.vbound())
+        return prec
+
     def _qlinear_sum(self, coeffs, z, prec):
         """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
-        precision R and computed only below it.
+        precision R of _qlinear_prec and computed only below it.
 
-        R is prec (a tail floor, say) or the precision of a computed term,
-        whichever is lowest; both need only valuations and precisions, so R
-        comes first.  A term whose valuation reaches R is skipped, Frobenius
-        included, and the others multiply z and coeffs[i] cut to the
-        digits that can land below R.
+        A term whose valuation reaches R is skipped, Frobenius included,
+        and the others multiply z and coeffs[i] cut to the digits that can
+        land below R.  An infinite R (exact coefficients and z, no cap)
+        cuts nothing.
         """
         q = self.cfg.q
         vz = z.valuation()
-        for i, c in enumerate(coeffs):
-            qi = q ** i
-            prec = min(prec, c.prec + qi * vz, qi * z.prec + c.vbound())
+        prec = self._qlinear_prec(coeffs, vz, z.prec, prec)
         acc = self.cfg.zero(INF)
         for i, c in enumerate(coeffs):
             if not c.terms:
@@ -273,9 +282,16 @@ class DrinfeldModule:
             vc = min(c.terms)
             if vc + qi * vz >= prec:
                 continue
-            zi = z.truncate(-((vc - prec) // qi)).frobenius(i)
-            acc = acc + c.truncate(prec - qi * vz) * zi
+            zi = z if prec == INF else z.truncate(-((vc - prec) // qi))
+            acc = acc + c.truncate(prec - qi * vz) * zi.frobenius(i)
         return acc.truncate(prec)
+
+    def _exp_prec(self, vz, zprec):
+        """The precision exp_eval reaches on a nonzero z of valuation vz
+        and precision zprec."""
+        depth = self.cfg.exp_depth
+        return self._qlinear_prec(self.exp_coeffs(depth), vz, zprec,
+                                  self._tail_floor("exp", vz, depth))
 
     def exp_eval(self, z):
         """exp(z); entire, so always certified."""
@@ -513,13 +529,29 @@ class DrinfeldModule:
 
     def quasi_period_eval(self, lam, delta=None, lattice=None):
         """F_delta(lam) via the unrolled functional equation
-        F(lam) = sum_{j>=0} theta^j * delta_t(exp(lam/theta^{j+1})).
+        F(lam) = sum_{j>=0} theta^j * delta_t(w_j), with
+        w_j = exp(lam/theta^{j+1}).
 
         Converges for every lam (the exp values shrink geometrically).  When
         a lattice built from division towers is supplied and lam is one of
         its periods, the stored chain values exp(omega/theta^n) are reused,
         and for the default delta = tau the value is kept on that tower and
         returned on later calls.
+
+        Precision comes first, then digits.  The level count J and the
+        truncation floor depend on valuations only.  Level j has the
+        precision R_j of its chain value or the one exp_eval reaches, and
+        the term theta^j d_k w_j^{q^k} has precision
+        min(prec(d_k) + q^k v(w_j), q^k R_j + v(d_k)) - je, so the result
+        precision P (the floor or the lowest term precision) is known before
+        any product.  Each level is then evaluated only to
+        c_j = min(R_j, max_k ceil((P + je - v(d_k)) / q^k)) digits, the
+        fewest that keep every term at or above P: the argument is cut there
+        before exp_eval, which then reaches precision c_j unless some
+        q^i c_j + v(alpha_i) falls below c_j (that level is left uncut), and
+        a chain value is cut the same way.  An inexact d_k needs v(w_j) too,
+        which is read off the cut level.  The digits below P are those of
+        the uncut sum, so the value does not depend on the cuts.
         """
         cfg = self.cfg
         tower = None
@@ -539,22 +571,51 @@ class DrinfeldModule:
         e, q = cfg.e, cfg.q
         vlam = lam.valuation()
         target = cfg.rel_prec + max(0, -vlam)
-        acc = cfg.zero(INF)
-        theta_pow = cfg.one()
-        floor = None
         for j in range(0, 4 * cfg.tower_cap + 64):
-            w = tower.exp_at_level(j + 1) if tower else None
-            if w is None:
-                w = self.exp_eval(lam / cfg.theta(j + 1))
-            acc = acc + theta_pow * delta.delta_t(w)
-            theta_pow = theta_pow * cfg.theta()
             # dropped terms have v >= -(j+1)e + dmin + q(vlam + (j+2)e) and
             # climb by at least (q-1)e per step afterwards, valid once the
             # dropped arguments are small (exp acts as the identity there)
             floor = -(j + 1) * e + dmin + q * (vlam + (j + 2) * e)
             if floor >= target and vlam + (j + 2) * e >= 0:
                 break
-        value = acc.truncate(min(acc.prec, floor))
+        count = j + 1
+        ds = [(q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
+              if not d.is_exact_zero()]
+        # precision first: R_j of each level, then P, from valuations only
+        chain = [tower.exp_at_level(j + 1) if tower else None
+                 for j in range(count)]
+        args = [lam.shift((j + 1) * e) if w is None else None
+                for j, w in enumerate(chain)]
+        rs = [self._exp_prec(z.valuation(), z.prec) if w is None else w.prec
+              for w, z in zip(chain, args)]
+        prec = min([floor] + [qk * r + d.vbound() - j * e
+                              for j, r in enumerate(rs) for qk, d in ds])
+        # then digits: each level only to the precision its terms need;
+        # exp_eval on an argument cut below R_j reaches the cut unless a
+        # coefficient term falls below it (the tail floor lies above R_j)
+        alphas = self.exp_coeffs(cfg.exp_depth)
+        values = []
+        for j, (w, z, r) in enumerate(zip(chain, args, rs)):
+            cut = min(r, max(-((d.vbound() - prec - j * e) // qk)
+                             for qk, d in ds))
+            if w is not None:
+                w = w.truncate(cut)
+            elif cut < r and self._qlinear_prec(
+                    alphas, z.valuation(), cut, cut) == cut:
+                w = self.exp_eval(z.truncate(cut))
+            else:
+                w = self.exp_eval(z)
+            values.append(w)
+        # an inexact d_k also needs v(w_j): a cut level that keeps a term
+        # has the uncut leading term; one without terms lies at or above
+        # c_j, where prec(d_k) + q^k c_j - je cannot fall below prec
+        prec = min([prec] + [d.prec + qk * w.vbound() - j * e
+                             for j, w in enumerate(values)
+                             for qk, d in ds if d.prec != INF])
+        acc = cfg.zero(INF)
+        for j, w in enumerate(values):
+            acc = acc + delta.delta_t(w).shift(-j * e)
+        value = acc.truncate(prec)
         if memo is not None:
             memo.quasi_period = value
         return value

@@ -4,9 +4,13 @@ from pathlib import Path
 import pytest
 
 from drinfeldlab import cli
+from drinfeldlab.cinf import INF, FieldConfig
 from drinfeldlab.cli import main, parse_value
-from drinfeldlab.encoding import encode_module
+from drinfeldlab.drinfeld import DrinfeldModule
+from drinfeldlab.encoding import encode_cinf, encode_module
 from drinfeldlab.errors import ShapeMismatch
+from drinfeldlab.logext import GVector, make_log_point
+from drinfeldlab.motive import MotiveMatrices
 from drinfeldlab.verify import context_q3
 
 
@@ -168,6 +172,42 @@ def test_cli_commands_match_benchmark_golden(capsys):
         code, out, _ = run_cli(capsys, *key.split(" "), "--json")
         assert code == want["exit_code"], key
         assert json.loads(out) == want["stdout"], key
+
+
+@pytest.mark.slow
+def test_deep_q3_matches_benchmark_golden():
+    # perfbench/golden/deep_q3.json keys each alpha literal of the deep-q3
+    # workload to the periods, quasi-periods, log point, tower depths,
+    # Legendre fields and residuals of its chain at N = 1920; every value
+    # must match in all its terms and its precision
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" \
+        / "deep_q3.json"
+    for alpha, want in json.loads(golden.read_text()).items():
+        cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+        rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+        lat = rho.periods()
+        mot = MotiveMatrices(rho, lat, T=16)
+        diff = mot.difference_residual()
+        spec = mot.specialization_residuals()
+        li = mot.legendre_invariant()
+        point = make_log_point(rho, alpha=parse_value(cfg, alpha))
+        r1, r2 = GVector(mot, point).specialization_residuals()
+        F = [rho.quasi_period_eval(om, lattice=lat) for om in lat.basis()]
+        residuals = ([diff.min_vbound()]
+                     + [spec[i][j].vbound() for i in range(2)
+                        for j in range(2)]
+                     + [li["unit_tail_valuation"], r1.vbound(), r2.vbound()])
+        got = {
+            "omega1": encode_cinf(lat.omega1),
+            "omega2": encode_cinf(lat.omega2),
+            "F(omega1)": encode_cinf(F[0]),
+            "F(omega2)": encode_cinf(F[1]),
+            "lambda": encode_cinf(point.lam),
+            "tower_depths": [t.depth for t in lat.towers],
+            "legendre": {k: li[k] for k in ("invariant_code", "is_minus_one")},
+            "residuals": [r if r != INF else "inf" for r in residuals],
+        }
+        assert json.loads(json.dumps(got)) == want, alpha
 
 
 def test_more_commands(capsys):

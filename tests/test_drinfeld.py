@@ -12,6 +12,7 @@ from drinfeldlab.encoding import decode_module, encode_cinf, encode_module
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 DrinfeldLabError, IndependenceFailure,
                                 NoConvergence, ResidueFieldTooSmall)
+from drinfeldlab.logext import make_log_point
 from drinfeldlab.skew import SkewPoly
 
 
@@ -673,3 +674,111 @@ def test_additive_root_requires_contraction():
     # outside every root's disc, and d = -9 gives min(3d, 9d) + 72 = d
     with pytest.raises(NoConvergence, match="does not contract"):
         rho._additive_root(rho.cfg.monomial(-10, 1))
+
+
+# Quasi-periods against the plain unrolled loop
+
+
+def _quasi_period_reference(rho, lam, delta=None, lattice=None, extra=0):
+    """F_delta(lam) by the plain unrolled loop: every level
+    exp(lam/theta^{j+1}) at the full precision exp_eval gives it, summed,
+    then cut at min(sum precision, floor).  With extra > 0 the loop runs
+    that many levels past its stop and returns the uncut sum."""
+    cfg = rho.cfg
+    towers = lattice.towers if lattice is not None else []
+    tower = next((tw for tw in towers if tw.omega is lam), None)
+    if delta is None:
+        delta = Biderivation.tau(cfg)
+    e, q = cfg.e, cfg.q
+    dmin = delta.min_coeff_valuation()
+    vlam = lam.valuation()
+    target = cfg.rel_prec + max(0, -vlam)
+    acc, theta_pow, stop = cfg.zero(INF), cfg.one(), None
+    for j in range(4 * cfg.tower_cap + 64 + extra):
+        w = tower.exp_at_level(j + 1) if tower else None
+        if w is None:
+            w = rho.exp_eval(lam / cfg.theta(j + 1))
+        acc = acc + theta_pow * delta.delta_t(w)
+        theta_pow = theta_pow * cfg.theta()
+        if stop is None:
+            floor = -(j + 1) * e + dmin + q * (vlam + (j + 2) * e)
+            if floor >= target and vlam + (j + 2) * e >= 0:
+                stop = j
+        if stop is not None and j >= stop + extra:
+            break
+    return acc if extra else acc.truncate(min(acc.prec, floor))
+
+
+def _quasi_period_arguments(rho):
+    """(lam, lattice) pairs: the periods with and without their towers,
+    their sum, monomials, a period cut short twice and a log point."""
+    cfg = rho.cfg
+    lat = rho.periods()
+    om1, om2 = lat.omega1, lat.omega2
+    point = make_log_point(rho, alpha=cfg.theta(-1))
+    return [(om1, lat), (om2, lat), (om1, None), (om2, None),
+            (om1 + om2, None), (cfg.theta(-1), None), (cfg.theta(2), None),
+            (cfg.monomial(5), None),
+            (om1.truncate(om1.valuation() + cfg.prec), None),
+            (om1.truncate(om1.valuation() + cfg.e // 4), None),
+            (point.lam, lat)]
+
+
+@pytest.mark.parametrize("case", ["q3-240", "q3-960", "q3-1920",
+                                  "q5-tame-240", "q5-tame-960",
+                                  "q3-240,kappa.prec=300"])
+def test_quasi_period_matches_unrolled_reference(case):
+    # the inexact kappa makes inner_one's coefficient inexact, and the
+    # short period leaves levels that are zero below their cut
+    rho = _TORSION_CASES[case]()
+    for lam, lat in _quasi_period_arguments(rho):
+        for delta in (None, Biderivation.inner_one(rho)):
+            got = rho.quasi_period_eval(lam, delta=delta, lattice=lat)
+            want = _quasi_period_reference(rho, lam, delta, lat)
+            assert got.terms == want.terms, (case, lam, delta)
+            assert got.prec == want.prec, (case, lam, delta)
+
+
+def test_quasi_period_matches_unrolled_reference_short_arguments():
+    # arguments known to few digits give small cuts; where
+    # q^i c + v(alpha_i) < c for a large kappa, a cut argument would lose
+    # digits inside exp_eval, so that level must stay uncut
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    for k in (6, 7, 8):
+        rho = DrinfeldModule(cfg, 2, cfg.theta(k), cfg.one())
+        for a in (1, 2, 3):
+            for digits in (20, 60, 100, 140, 200):
+                lam = CInfApprox(cfg, {-a * cfg.e: 1, 7 - a * cfg.e: 2},
+                                 digits - a * cfg.e)
+                for delta in (None, Biderivation.inner_one(rho)):
+                    got = rho.quasi_period_eval(lam, delta=delta)
+                    want = _quasi_period_reference(rho, lam, delta)
+                    assert got.terms == want.terms, (k, a, digits, delta)
+                    assert got.prec == want.prec, (k, a, digits, delta)
+
+
+def test_quasi_period_floor_oracle():
+    # eight levels past the stop change nothing below the returned
+    # precision: q3 grid, kappa = theta^k, u in {1, theta^3},
+    # lam = theta^a
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    for k in range(9):
+        for u in (cfg.one(), cfg.theta(3)):
+            rho = DrinfeldModule(cfg, 2, cfg.theta(k), u)
+            for a in range(-3, 8):
+                lam = cfg.theta(a)
+                for delta in (None, Biderivation.inner_one(rho)):
+                    got = rho.quasi_period_eval(lam, delta=delta)
+                    full = _quasi_period_reference(rho, lam, delta, extra=8)
+                    assert full.prec >= got.prec, (k, u, a, delta)
+                    assert (full - got).vbound() >= got.prec, (k, u, a)
+
+
+def test_qlinear_sum_exact_argument_uncapped(ctx3):
+    # exact coefficients, exact z and no cap: nothing is cut
+    rho = _fresh(ctx3)
+    skew = rho.skew()
+    z = ctx3.cfg.theta(-1)
+    got = rho._qlinear_sum(skew.coeffs, z, INF)
+    want = skew(z)
+    assert got.terms == want.terms and got.prec == want.prec == INF
