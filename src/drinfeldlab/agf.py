@@ -16,7 +16,7 @@ of both pole-form evaluations) is a q-linear exponential tail, so each is
 certified by DrinfeldModule._tail_floor and its induction proof.
 """
 
-from .cinf import INF
+from .cinf import INF, dot
 from .errors import PoleHit
 from .tseries import TSeries
 
@@ -64,9 +64,8 @@ class AndersonGF:
         vu = self.u.vbound()
         out = []
         for j in range(T):
-            acc = cfg.zero(INF)
-            for i in range(self.I):
-                acc = acc + self.numerators[i] * cfg.theta(-(j + 1)).frobenius(i)
+            acc = dot(cfg, [(n, cfg.theta(-(j + 1)).frobenius(i))
+                            for i, n in enumerate(self.numerators)])
             # dropped pole i contributes alpha_i (u / theta^(j+1))^(q^i)
             floor = self.module._tail_floor("exp", vu + (j + 1) * cfg.e,
                                             self.I - 1)
@@ -88,7 +87,7 @@ class AndersonGF:
             v0 = INF
         else:
             v0 = t0.valuation()
-        acc = cfg.zero(INF)
+        pairs = []
         for i in range(self.I):
             pole = cfg.theta(1).frobenius(i + n)
             den = pole - t0
@@ -96,7 +95,8 @@ class AndersonGF:
                 raise PoleHit(
                     "t0 coincides with the pole theta^(q^%d) to precision"
                     % (i + n))
-            acc = acc + self.numerators[i].frobenius(n) / den
+            pairs.append((self.numerators[i].frobenius(n), den.inverse()))
+        acc = dot(cfg, pairs)
         # dropped poles are huge; make sure t0 cannot collide with them
         if v0 <= -cfg.q ** (self.I + n) * cfg.e:
             raise PoleHit("t0 reaches into the dropped pole range; "

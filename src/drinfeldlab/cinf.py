@@ -11,6 +11,12 @@ Precision semantics (the only sound ones under truncation):
 * "zero to precision" means no known nonzero term;
 * add/sub:  prec = min(prec_a, prec_b);
 * mul:      prec = min(prec_a + v(b), prec_b + v(a));
+* sum of products (``dot``): prec = min over the pairs of the product rule,
+  capped by an optional ``cap``; exact zeros add nothing to the min, a
+  zero-to-precision operand still caps it.  The precision is fixed first
+  and only term pairs below it are formed, all into one accumulator: the
+  sum is exact, so the digits are those of the products summed one by one
+  and cut at the lowest product precision;
 * div:      via Newton inversion from the leading term; when both inputs
   are exact the quotient is capped at relative depth ``cfg.rel_prec``, since
   an infinite expansion cannot be stored.  The quotient's precision follows
@@ -20,6 +26,11 @@ Precision semantics (the only sound ones under truncation):
 Values built from constants and theta-monomials are exact (infinite
 precision) and stay exact under ring operations, so the polynomial data of
 a computation never pays a truncation cost.
+
+``dot`` is the one place where coefficient products are formed: a * b is
+the sum over the single pair (a, b), and every sum of products in the
+library (series and matrix products, twisted polynomials, the q-linear
+exp/log sums) hands its pairs to it in one call.
 """
 
 import math
@@ -79,6 +90,18 @@ class FieldConfig:
         self.exp_depth = exp_depth
         self.pole_count = pole_count
         self.tower_cap = tower_cap
+        self._q_powers = [1]
+
+    def q_powers(self, n):
+        """[q^0, ..., q^n] or a longer prefix of the same table; one table
+        per config, extended on a copy that is published by rebinding."""
+        table = self._q_powers
+        if len(table) <= n:
+            table = list(table)
+            while len(table) <= n:
+                table.append(table[-1] * self.q)
+            self._q_powers = table
+        return table
 
     def pass_threshold(self):
         """Grid valuation a residual must reach to count as zero."""
@@ -123,7 +146,7 @@ class FieldConfig:
 class CInfApprox:
     """One precision-tracked element of K_{m,e}; immutable after creation."""
 
-    __slots__ = ("cfg", "terms", "prec", "_sorted")
+    __slots__ = ("cfg", "terms", "prec", "_sorted", "_logs")
 
     def __init__(self, cfg, terms, prec=INF):
         self.cfg = cfg
@@ -135,6 +158,19 @@ class CInfApprox:
         self.terms = terms
         self.prec = prec
         self._sorted = None
+        self._logs = None
+
+    @classmethod
+    def _raw(cls, cfg, terms, prec):
+        """A value from terms already nonzero and below prec (an int or
+        INF), taken as they are."""
+        x = object.__new__(cls)
+        x.cfg = cfg
+        x.terms = terms
+        x.prec = prec
+        x._sorted = None
+        x._logs = None
+        return x
 
     # -- inspection -----------------------------------------------------------
 
@@ -142,6 +178,15 @@ class CInfApprox:
         if self._sorted is None:
             self._sorted = sorted(self.terms.items())
         return self._sorted
+
+    def _log_terms(self):
+        """(exponent, discrete log of the coefficient) by exponent: the
+        form dot multiplies in.  Built once per value."""
+        if self._logs is None:
+            log = self.cfg.field._log
+            self._logs = [(e, log[c]) for e, c in
+                          (self._sorted or sorted(self.terms.items()))]
+        return self._logs
 
     def is_exact_zero(self):
         return not self.terms and self.prec == INF
@@ -166,6 +211,9 @@ class CInfApprox:
     def vbound(self):
         """Best lower bound for the valuation: exact when terms are known,
         otherwise the precision.  This is what residual reports quote."""
+        known = self._sorted or self._logs
+        if known:
+            return known[0][0]
         return min(self.terms) if self.terms else self.prec
 
     def theta_valuation(self):
@@ -233,41 +281,7 @@ class CInfApprox:
             return self.scale(self.cfg.field.from_int(other))
         if not isinstance(other, CInfApprox):
             return NotImplemented
-        self._check(other)
-        va = min(self.terms) if self.terms else self.prec
-        vb = min(other.terms) if other.terms else other.prec
-        prec = min(self.prec + vb, other.prec + va)
-        if not self.terms or not other.terms:
-            return CInfApprox(self.cfg, {}, prec)
-        F = self.cfg.field
-        log, exp, zech = F._log, F._exp, F._zech
-        order = F.size - 1
-        # out[e] is the discrete log of the coefficient, kept in [0, 2*order)
-        # so that zech and exp (both stored twice over) index it directly
-        out = {}
-        ta = self.sorted_terms()
-        tb = other.sorted_terms()
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        for ea, ca in ta:
-            la = log[ca]
-            limit = prec - ea
-            for eb, cb in tb:
-                if eb >= limit:
-                    break
-                k = la + log[cb]
-                e = ea + eb
-                cur = out.get(e)
-                if cur is None:
-                    out[e] = k
-                else:
-                    z = zech[k - cur]
-                    if z is None:
-                        del out[e]
-                    else:
-                        k = cur + z
-                        out[e] = k - order if k >= order else k
-        return CInfApprox(self.cfg, {e: exp[k] for e, k in out.items()}, prec)
+        return dot(self.cfg, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -372,12 +386,12 @@ class CInfApprox:
         """
         if k == 0:
             return self
-        F = self.cfg.field
+        frob = self.cfg.field.frob_table(k)
         if k > 0:
             scale = self.cfg.p ** k
-            terms = {e * scale: F.frob_p(c, k) for e, c in self.terms.items()}
+            terms = {e * scale: frob[c] for e, c in self.terms.items()}
             prec = INF if self.prec == INF else self.prec * scale
-            return CInfApprox(self.cfg, terms, prec)
+            return CInfApprox._raw(self.cfg, terms, prec)
         scale = self.cfg.p ** (-k)
         terms = {}
         for e, c in self.terms.items():
@@ -387,9 +401,9 @@ class CInfApprox:
                     % (e, -k),
                     hint="refine the grid: multiply e by p^%d" % (-k),
                     needed_factor=scale // math.gcd(e, scale))
-            terms[e // scale] = F.frob_p(c, k)
+            terms[e // scale] = frob[c]
         prec = INF if self.prec == INF else -(-self.prec // scale)
-        return CInfApprox(self.cfg, terms, prec)
+        return CInfApprox._raw(self.cfg, terms, prec)
 
     def frobenius(self, n):
         """q^n-power map (n-fold twist); n may be negative."""
@@ -413,3 +427,72 @@ class CInfApprox:
             body = " + ".join(bits)
         ptxt = "inf" if self.prec == INF else str(self.prec)
         return "<%s | prec %s>" % (body, ptxt)
+
+
+def dot(cfg, pairs, cap=INF):
+    """sum a * b over the (a, b) pairs of values over cfg, cut at cap.
+
+    Precision first: P = min(cap, min over the pairs of
+    min(prec_a + v(b), prec_b + v(a))), from valuations and precisions
+    alone; an exact zero adds INF, a zero-to-precision operand its
+    precision plus v(other).  Then one loop over discrete logs forms only
+    the term pairs below P, the shorter operand of each pair outside, and
+    adds each into a single accumulator through the Zech logarithms.  The
+    field sum is exact and order-free, so the value is that of the
+    products added one by one and cut at P.  An empty sum is the exact
+    zero.
+    """
+    prec = cap
+    work = []
+    for a, b in pairs:
+        if a.cfg is not cfg or b.cfg is not cfg:
+            for x in (a, b):
+                if x.cfg is not cfg and not cfg.same_as(x.cfg):
+                    raise ConfigError(
+                        "operands built over different FieldConfigs")
+        ta = a._log_terms()
+        tb = b._log_terms()
+        va = ta[0][0] if ta else a.prec
+        vb = tb[0][0] if tb else b.prec
+        p = a.prec + vb
+        if b.prec + va < p:
+            p = b.prec + va
+        if p < prec:
+            prec = p
+        if ta and tb:
+            if len(ta) > len(tb):
+                work.append((tb, ta, va))
+            else:
+                work.append((ta, tb, vb))
+    if prec != INF:
+        prec = int(prec)
+    if not work:
+        return CInfApprox._raw(cfg, {}, prec)
+    F = cfg.field
+    exp, zech = F._exp, F._zech
+    order = F.size - 1
+    # out[e] is the discrete log of the coefficient, kept in [0, 2*order)
+    # so that zech and exp (both stored twice over) index it directly
+    out = {}
+    get = out.get
+    for ta, tb, vb in work:
+        for ea, la in ta:
+            limit = prec - ea
+            if limit <= vb:
+                break
+            for eb, lb in tb:
+                if eb >= limit:
+                    break
+                e = ea + eb
+                k = la + lb
+                cur = get(e)
+                if cur is None:
+                    out[e] = k
+                else:
+                    z = zech[k - cur]
+                    if z is None:
+                        del out[e]
+                    else:
+                        k = cur + z
+                        out[e] = k - order if k >= order else k
+    return CInfApprox._raw(cfg, {e: exp[k] for e, k in out.items()}, prec)

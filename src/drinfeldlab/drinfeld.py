@@ -36,7 +36,7 @@ lists are copied on the way out, so no caller can change a cached value.
 
 import logging
 
-from .cinf import INF, CInfApprox
+from .cinf import INF, CInfApprox, dot
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, VerificationFailed)
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
@@ -175,11 +175,11 @@ class DrinfeldModule:
         table = list(self._exp)
         while len(table) <= depth:
             i = len(table)
-            num = self.kappa * table[i - 1].frobenius(1)
+            pairs = [(self.kappa, table[i - 1].frobenius(1))]
             if i >= 2:
-                num = num + self.u * table[i - 2].frobenius(2)
+                pairs.append((self.u, table[i - 2].frobenius(2)))
             den = cfg.theta(1).frobenius(i) - cfg.theta(1)
-            table.append(num / den)
+            table.append(dot(cfg, pairs) / den)
         self._exp = table
         return table[:depth + 1]
 
@@ -190,11 +190,11 @@ class DrinfeldModule:
         table = list(self._log)
         while len(table) <= depth:
             i = len(table)
-            num = table[i - 1] * self.kappa.frobenius(i - 1)
+            pairs = [(table[i - 1], self.kappa.frobenius(i - 1))]
             if i >= 2:
-                num = num + table[i - 2] * self.u.frobenius(i - 2)
+                pairs.append((table[i - 2], self.u.frobenius(i - 2)))
             den = cfg.theta(1) - cfg.theta(1).frobenius(i)
-            table.append(num / den)
+            table.append(dot(cfg, pairs) / den)
         self._log = table
         return table[:depth + 1]
 
@@ -232,12 +232,12 @@ class DrinfeldModule:
         q, e = cfg.q, cfg.e
         end = start + _TAIL_SCAN
         bounds = self._coeff_vbounds(kind, end)
-        terms = [bounds[i] + q ** i * vz for i in range(start + 1, end + 1)]
-        floor = min(terms)
+        qi = cfg.q_powers(end)
+        floor = min([bounds[i] + qi[i] * vz for i in range(start + 1, end + 1)])
         vk, vu = self._vk, self._vu
         if kind == "exp":
             worst = min(vk + q * floor, vu + q * q * floor)
-            ok = worst + q ** end * e >= floor
+            ok = worst + qi[end] * e >= floor
         else:
             # increments scale with q^i; nonnegative increment coefficients
             # keep b_i >= min(b_{i-1}, b_{i-2}) >= floor forever
@@ -256,9 +256,8 @@ class DrinfeldModule:
         valuation vz and precision zprec: prec (a tail floor, say) or the
         precision of a computed term, whichever is lowest.  Valuations and
         precisions alone fix it, so it comes before any product."""
-        q = self.cfg.q
-        for i, c in enumerate(coeffs):
-            qi = q ** i
+        qs = self.cfg.q_powers(len(coeffs))
+        for c, qi in zip(coeffs, qs):
             prec = min(prec, c.prec + qi * vz, qi * zprec + c.vbound())
         return prec
 
@@ -266,25 +265,25 @@ class DrinfeldModule:
         """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
         precision R of _qlinear_prec and computed only below it.
 
-        A term whose valuation reaches R is skipped, Frobenius included,
-        and the others multiply z and coeffs[i] cut to the digits that can
-        land below R.  An infinite R (exact coefficients and z, no cap)
+        A term whose valuation reaches R is skipped, Frobenius included;
+        for the others z is cut to the digits that can land below R before
+        its Frobenius, and dot, capped at R, forms only the coefficient
+        pairs below it.  An infinite R (exact coefficients and z, no cap)
         cuts nothing.
         """
-        q = self.cfg.q
+        cfg = self.cfg
         vz = z.valuation()
         prec = self._qlinear_prec(coeffs, vz, z.prec, prec)
-        acc = self.cfg.zero(INF)
-        for i, c in enumerate(coeffs):
+        pairs = []
+        for i, (c, qi) in enumerate(zip(coeffs, cfg.q_powers(len(coeffs)))):
             if not c.terms:
                 continue
-            qi = q ** i
-            vc = min(c.terms)
+            vc = c.vbound()
             if vc + qi * vz >= prec:
                 continue
             zi = z if prec == INF else z.truncate(-((vc - prec) // qi))
-            acc = acc + c.truncate(prec - qi * vz) * zi.frobenius(i)
-        return acc.truncate(prec)
+            pairs.append((c, zi.frobenius(i)))
+        return dot(cfg, pairs, prec)
 
     def _exp_prec(self, vz, zprec):
         """The precision exp_eval reaches on a nonzero z of valuation vz
@@ -504,7 +503,7 @@ class DrinfeldModule:
         """omega1*F_tau(omega2) - omega2*F_tau(omega1)."""
         f1 = self.quasi_period_eval(lattice.omega1, lattice=lattice)
         f2 = self.quasi_period_eval(lattice.omega2, lattice=lattice)
-        return lattice.omega1 * f2 - lattice.omega2 * f1
+        return dot(self.cfg, [(lattice.omega1, f2), (lattice.omega2, -f1)])
 
     # -- quasi-periodic functions ----------------------------------------------
 
@@ -517,12 +516,9 @@ class DrinfeldModule:
         d = delta.delta_t
         while len(got) <= depth:
             i = len(got)
-            num = cfg.zero(INF)
-            for j in range(1, min(i, d.degree()) + 1):
-                dj = d.coeff(j)
-                if dj.is_exact_zero():
-                    continue
-                num = num + dj * alphas[i - j].frobenius(j)
+            num = dot(cfg, [(d.coeff(j), alphas[i - j].frobenius(j))
+                            for j in range(1, min(i, d.degree()) + 1)
+                            if not d.coeff(j).is_exact_zero()])
             den = cfg.theta(1).frobenius(i) - cfg.theta(1)
             got.append(num / den)
         return got[:depth + 1]
@@ -612,10 +608,11 @@ class DrinfeldModule:
         prec = min([prec] + [d.prec + qk * w.vbound() - j * e
                              for j, w in enumerate(values)
                              for qk, d in ds if d.prec != INF])
-        acc = cfg.zero(INF)
-        for j, w in enumerate(values):
-            acc = acc + delta.delta_t(w).shift(-j * e)
-        value = acc.truncate(prec)
+        # theta^j delta_t(w_j) = sum_k theta^j d_k w_j^(q^k), cut at P
+        value = dot(cfg, [(d.shift(-j * e), w.frobenius(k))
+                          for j, w in enumerate(values)
+                          for k, d in enumerate(delta.delta_t.coeffs)
+                          if not d.is_exact_zero()], prec)
         if memo is not None:
             memo.quasi_period = value
         return value
@@ -684,12 +681,7 @@ def compose_qlinear(outer, inner, depth):
     """Coefficients of the composition of two F_q-linear series given by
     coefficient tables (c_k = sum_{i+j=k} a_i b_j^{q^i})."""
     cfg = outer[0].cfg
-    out = []
-    for k in range(depth + 1):
-        acc = cfg.zero(INF)
-        for i in range(0, k + 1):
-            if i >= len(outer) or k - i >= len(inner):
-                continue
-            acc = acc + outer[i] * inner[k - i].frobenius(i)
-        out.append(acc)
-    return out
+    return [dot(cfg, [(outer[i], inner[k - i].frobenius(i))
+                      for i in range(max(0, k - len(inner) + 1),
+                                     min(k + 1, len(outer)))])
+            for k in range(depth + 1)]

@@ -240,8 +240,10 @@ class FiniteField:
         self._exp = exp + exp
         self._log = log
         self._zech = zech + zech
-        # Frobenius a -> a^p as a permutation; q- and inverse-powers compose it
-        self._frob_p = [self.pow_slow(a, self.p) for a in range(size)]
+        # Frobenius tables a -> a^(p^k), k in [0, s*m), as permutations read
+        # off the logs: log a^(p^k) = p^k log a mod (size - 1).  Built on
+        # first use and published by rebinding a fresh dict.
+        self._frob = {}
 
     def pow_slow(self, a, n):
         r = 1
@@ -301,12 +303,23 @@ class FiniteField:
             return 0
         return self._exp[(self._log[a] * n) % (self.size - 1)]
 
+    def frob_table(self, k=1):
+        """The map a -> a^(p^k) as a list indexed by code, for any integer
+        k (k < 0 uses p^(sm) = identity)."""
+        k %= self.s * self.m
+        table = self._frob.get(k)
+        if table is None:
+            order = self.size - 1
+            step = self.p ** k % order
+            exp, log = self._exp, self._log
+            table = [0] + [exp[log[a] * step % order]
+                           for a in range(1, self.size)]
+            self._frob = {**self._frob, k: table}
+        return table
+
     def frob_p(self, a, k=1):
         """a^(p^k) for any integer k (k < 0 uses p^(sm) = identity)."""
-        k %= self.s * self.m
-        for _ in range(k):
-            a = self._frob_p[a]
-        return a
+        return self.frob_table(k)[a]
 
     def frob_q(self, a, n=1):
         """a^(q^n) for any integer n, the q-power field automorphism."""

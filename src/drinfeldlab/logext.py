@@ -13,7 +13,7 @@ transcendence.
 """
 
 from .agf import AndersonGF
-from .cinf import INF
+from .cinf import INF, dot
 from .errors import VerificationFailed
 from .tseries import TMatrix, TSeries
 
@@ -216,11 +216,8 @@ def relation_certificate(motive, points, ell, AB=None):
     lat = motive.lattice
     mod = motive.module
     thr = cfg.pass_threshold()
-    lams = [p.lam for p in points]
-    S = cfg.zero(INF)
-    for li, lam in zip(ell["l"], lams):
-        S = S + li * lam
-    S = S - ell["l11"] * lat.omega1 - ell["l21"] * lat.omega2
+    S = dot(cfg, [(li, p.lam) for li, p in zip(ell["l"], points)]
+            + [(-ell["l11"], lat.omega1), (-ell["l21"], lat.omega2)])
     report = {
         "residual_valuation": S.vbound(),
         "threshold": thr,
@@ -232,18 +229,14 @@ def relation_certificate(motive, points, ell, AB=None):
         pi = motive.omega.pi_tilde()
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)
         F2 = mod.quasi_period_eval(lat.omega2, lattice=lat)
-        Sl = cfg.zero(INF)
-        SF = cfg.zero(INF)
-        for li, p in zip(ell["l"], points):
-            Sl = Sl + li * p.lam
-            SF = SF + li * mod.quasi_period_eval(p.lam, lattice=lat)
+        Sl = dot(cfg, [(li, p.lam) for li, p in zip(ell["l"], points)])
+        SF = dot(cfg, [(li, mod.quasi_period_eval(p.lam, lattice=lat))
+                       for li, p in zip(ell["l"], points)])
         spec1 = Sl * xi * F2 + (B_t - SF) * xi * lat.omega2 \
             - ell["l11"] * pi
         spec2 = -(Sl * xi * F1) - (B_t - SF) * xi * lat.omega1 \
             - ell["l21"] * pi
-        Aref = cfg.zero(INF)
-        for li, p in zip(ell["l"], points):
-            Aref = Aref + p.alpha * li
+        Aref = dot(cfg, [(p.alpha, li) for li, p in zip(ell["l"], points)])
         report["specialized_residuals"] = [spec1.vbound(), spec2.vbound()]
         report["A_residual"] = (A_t - Aref).vbound()
     return report

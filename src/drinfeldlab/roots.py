@@ -20,7 +20,7 @@ import logging
 import math
 from fractions import Fraction
 
-from .cinf import INF, CInfApprox
+from .cinf import INF, CInfApprox, dot
 from .errors import (GridTooCoarse, IndeterminateValuation, NoConvergence,
                      ResidueFieldTooSmall)
 
@@ -137,15 +137,11 @@ def poly_eval(coeffs, x, cache=None):
     cache, when given, is the power cache of x shared with other
     evaluations at the same x; each power x^n is built by one fixed chain,
     so sharing changes no value."""
-    cfg = x.cfg
     if cache is None:
         cache = _power_cache(x)
-    acc = cfg.zero()
-    for i, a in enumerate(coeffs):
-        if a is None or a.is_exact_zero():
-            continue
-        acc = acc + a * _pow_cache(x, cache, i)
-    return acc
+    return dot(x.cfg, [(a, _pow_cache(x, cache, i))
+                       for i, a in enumerate(coeffs)
+                       if a is not None and not a.is_exact_zero()])
 
 
 def poly_derivative(coeffs):
@@ -162,7 +158,7 @@ def poly_shift(coeffs, x0):
     p = cfg.p
     deg = len(coeffs) - 1
     cache = _power_cache(x0)
-    out = [cfg.zero(prec=INF) for _ in range(deg + 1)]
+    pairs = [[] for _ in range(deg + 1)]
     for i, a in enumerate(coeffs):
         if a is None or a.is_exact_zero():
             continue
@@ -170,11 +166,9 @@ def poly_shift(coeffs, x0):
             b = math.comb(i, j) % p
             if b == 0:
                 continue
-            term = a * _pow_cache(x0, cache, i - j)
-            if b != 1:
-                term = term * b
-            out[j] = out[j] + term
-    return out
+            pairs[j].append((a if b == 1 else a * b,
+                             _pow_cache(x0, cache, i - j)))
+    return [dot(cfg, pr) for pr in pairs]
 
 
 def newton_iterate(coeffs, seed, check_criterion=True):

@@ -7,7 +7,7 @@ Ore's adjoint  sum a_i tau^i  ->  sum a_i^(-i) sigma^i  is the
 anti-isomorphism between them.
 """
 
-from .cinf import INF
+from .cinf import INF, dot
 from .errors import ConfigError
 
 
@@ -72,16 +72,15 @@ class TwistedPoly:
         cfg = self.cfg
         if self.is_zero() or other.is_zero():
             return type(self)(cfg, [])
-        out = [cfg.zero(INF)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        pairs = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 if b.is_exact_zero():
                     continue
-                out[i + j] = out[i + j] + a * b.frobenius(self.sign * i)
-        return type(self)(cfg, out)
+                pairs[i + j].append((a, b.frobenius(self.sign * i)))
+        return type(self)(cfg, [dot(cfg, p) for p in pairs])
 
     def _compat(self, other):
         if not isinstance(other, TwistedPoly):
@@ -99,12 +98,9 @@ class TwistedPoly:
         For tau-polynomials this is the usual additive-polynomial action
         (x^(q^i) is a termwise Frobenius, so evaluation is cheap).
         """
-        acc = self.cfg.zero(INF)
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero():
-                continue
-            acc = acc + a * x.frobenius(self.sign * i)
-        return acc
+        return dot(self.cfg, [(a, x.frobenius(self.sign * i))
+                              for i, a in enumerate(self.coeffs)
+                              if not a.is_exact_zero()])
 
     def dense_coeffs(self):
         """Coefficients of the ordinary polynomial sum a_i X^(q^i), dense in

@@ -5,9 +5,13 @@ valuation bound for every dropped coefficient (INF marks an exact
 polynomial, None means no information).  Twisting acts coefficientwise and
 is only offered for n >= 0; difference equations are always checked in
 their positively-twisted form.
+
+A product forms each coefficient as one sum of coefficient products
+(cinf.dot); a matrix product does so over all products of an entry at once,
+with the length and tail the entrywise sum of series products would have.
 """
 
-from .cinf import INF
+from .cinf import INF, dot
 from .errors import (ConfigError, DivergentEvaluation, PrecisionExhausted,
                      ShapeMismatch)
 
@@ -62,24 +66,11 @@ class TSeries:
             return self
         return TSeries(self.cfg, self.coeffs[:T], self.tail)
 
-    def _out_len(self, other, conv=False):
-        la = INF if self.tail == INF else len(self.coeffs)
-        lb = INF if other.tail == INF else len(other.coeffs)
-        n = min(la, lb)
-        if conv and n == INF:
-            n = len(self.coeffs) + len(other.coeffs) - 1
-        if n == INF:
-            n = max(len(self.coeffs), len(other.coeffs))
-        return int(n)
-
     def __add__(self, other):
         self._compat(other)
-        n = self._out_len(other)
+        n = _out_len(self.T, self.tail, other.T, other.tail)
         out = [self.coeff(i) + other.coeff(i) for i in range(n)]
-        tail = None
-        if self.tail is not None and other.tail is not None:
-            tail = min(self.tail, other.tail)
-        return TSeries(self.cfg, out, tail)
+        return TSeries(self.cfg, out, _sum_tail(self.tail, other.tail))
 
     def __neg__(self):
         return TSeries(self.cfg, [-c for c in self.coeffs], self.tail)
@@ -87,29 +78,29 @@ class TSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
+    def _product(self, other):
+        """(length, tail, pairs) of self * other: pairs[k] lists the
+        coefficient pairs (a_i, b_j), i + j = k, whose sum is coefficient
+        k."""
         self._compat(other)
-        cfg = self.cfg
-        n = self._out_len(other, conv=True)
-        na = min(len(self.coeffs), n)
-        nb = min(len(other.coeffs), n)
-        out = [cfg.zero(INF) for _ in range(n)]
-        for i in range(na):
-            a = self.coeffs[i]
-            if a.is_exact_zero():
-                continue
-            for j in range(min(nb, n - i)):
-                b = other.coeffs[j]
-                if b.is_exact_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
+        n = _out_len(self.T, self.tail, other.T, other.tail, conv=True)
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        na, nb = len(a), len(b)
+        pairs = [[(a[i], b[k - i]) for i in range(max(0, k - nb + 1),
+                                                  min(na, k + 1))]
+                 for k in range(n)]
         tail = None
         if self.tail is not None and other.tail is not None:
             ta, tb = self.tail, other.tail
             va = min(self._min_coeff_vbound(), ta)
             vb = min(other._min_coeff_vbound(), tb)
             tail = min(ta + vb, tb + va)
-        return TSeries(self.cfg, out, tail)
+        return n, tail, pairs
+
+    def __mul__(self, other):
+        n, tail, pairs = self._product(other)
+        cfg = self.cfg
+        return TSeries(cfg, [dot(cfg, p) for p in pairs], tail)
 
     def scale(self, c):
         """Multiply by a scalar CInfApprox."""
@@ -174,12 +165,11 @@ class TSeries:
         b0 = other.coeff(0)
         if b0.is_apparent_zero():
             raise DivergentEvaluation("division by series with zero constant term")
-        n = self._out_len(other)
+        n = _out_len(self.T, self.tail, other.T, other.tail)
         out = []
         for k in range(n):
-            acc = self.coeff(k)
-            for j in range(k):
-                acc = acc - out[j] * other.coeff(k - j)
+            acc = self.coeff(k) - dot(cfg, [(out[j], other.coeff(k - j))
+                                            for j in range(k)])
             out.append(acc / b0)
         return TSeries(cfg, out, None)
 
@@ -200,6 +190,24 @@ class TSeries:
 
     def __repr__(self):
         return "TSeries(T=%d, tail=%r)" % (self.T, self.tail)
+
+
+def _out_len(na, ta, nb, tb, conv=False):
+    """Length of the sum (or, with conv, the product) of series of lengths
+    na, nb and tails ta, tb: an exact polynomial (tail INF) is known
+    everywhere, a truncated series only through its length."""
+    la = INF if ta == INF else na
+    lb = INF if tb == INF else nb
+    n = min(la, lb)
+    if conv and n == INF:
+        n = na + nb - 1
+    if n == INF:
+        n = max(na, nb)
+    return int(n)
+
+
+def _sum_tail(ta, tb):
+    return None if ta is None or tb is None else min(ta, tb)
 
 
 class TMatrix:
@@ -246,14 +254,24 @@ class TMatrix:
         if k != k2:
             raise ShapeMismatch("matrix product %sx%s by %sx%s"
                                 % (n, k, k2, m))
+        cfg = self.cfg
         out = []
         for i in range(n):
             row = []
             for j in range(m):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for l in range(1, k):
-                    acc = acc + self.rows[i][l] * other.rows[l][j]
-                row.append(acc)
+                # the length and tail of the sum of the k entry products,
+                # folded by the rules of TSeries.__add__; each coefficient
+                # is then one dot over the pairs of every product
+                parts = [self.rows[i][l]._product(other.rows[l][j])
+                         for l in range(k)]
+                size, tail, _ = parts[0]
+                for n2, t2, _ in parts[1:]:
+                    size = _out_len(size, tail, n2, t2)
+                    tail = _sum_tail(tail, t2)
+                row.append(TSeries(cfg, [
+                    dot(cfg, [pr for _, _, ps in parts if c < len(ps)
+                              for pr in ps[c]])
+                    for c in range(size)], tail))
             out.append(row)
         return TMatrix(out)
 

@@ -311,3 +311,97 @@ def test_frobenius_precision_rules(a, b, n):
         below = min(cprec, fa.prec)
         assert {e: c for e, c in fa.terms.items() if e < below} == \
             {e: c for e, c in cube.items() if e < below}
+
+
+# -- the sum-of-products kernel against summed dense references ---------------
+
+# F_9 (the short grid above), F_625, and F_81 built as F_9[x]/(f) (s = 2)
+_DOT_CFGS = [CFG_SHORT, FieldConfig(5, 1, 4, prec=60),
+             FieldConfig(3, 2, 2, depth=0, prec=60)]
+
+
+def _ref_dot(pairs, cap=INF):
+    """(terms, prec) of sum a * b: each product by the dense reference,
+    added one exponent at a time and cut at the lowest precision."""
+    prec = cap
+    acc = {}
+    F = None
+    for a, b in pairs:
+        F = a.cfg.field
+        terms, p = _ref_mul(a, b)
+        prec = min(prec, p)
+        for e, c in terms.items():
+            acc[e] = F.add(acc.get(e, 0), c)
+    if prec != INF:
+        prec = int(prec)
+    return {e: c for e, c in acc.items() if c and e < prec}, prec
+
+
+def _dot_values(cfg):
+    size = cfg.field.size
+    sparse = st.dictionaries(st.integers(-20, 80), st.integers(1, size - 1),
+                             max_size=5)
+    dense = st.builds(
+        lambda lo, codes: {lo + i: c for i, c in enumerate(codes)},
+        st.integers(-20, 20), st.lists(st.integers(0, size - 1), min_size=1,
+                                       max_size=30))
+    # exact values, finite precisions, exact zeros and zeros to precision
+    return st.builds(lambda terms, prec: CInfApprox(cfg, terms, prec),
+                     st.one_of(sparse, dense, st.just({})),
+                     st.one_of(st.just(INF), st.integers(-20, 140)))
+
+
+def _dot_case(cfg):
+    """(pairs, cap): 0-4 pairs, sometimes followed by the negation of one of
+    them, so that part or all of the sum cancels."""
+    values = _dot_values(cfg)
+    pairs = st.lists(st.tuples(values, values), max_size=4)
+    cancel = st.one_of(st.none(), st.integers(0, 3))
+
+    def build(ps, k):
+        if k is not None and ps:
+            a, b = ps[k % len(ps)]
+            ps = ps + [(-a, b)]
+        return ps
+
+    return st.tuples(st.builds(build, pairs, cancel),
+                     st.one_of(st.just(INF), st.integers(-40, 200)))
+
+
+@pytest.mark.parametrize("cfg", _DOT_CFGS, ids=["F9", "F625", "F81-s2"])
+def test_dot_matches_summed_dense_reference(cfg):
+    @_ORACLE
+    @given(case=_dot_case(cfg))
+    def check(case):
+        pairs, cap = case
+        got = cinf.dot(cfg, pairs, cap)
+        assert _as_pair(got) == _ref_dot(pairs, cap)
+        assert all(c for c in got.terms.values())
+        if len(pairs) == 1:
+            a, b = pairs[0]
+            assert _as_pair(a * b) == _ref_dot(pairs)
+
+    check()
+
+
+def test_dot_precision_cases():
+    cfg = CFG_SHORT
+    a = CInfApprox(cfg, {0: 1, 3: 2, 7: 5}, INF)
+    b = CInfApprox(cfg, {-2: 4, 5: 1}, 40)
+    zero = cfg.zero(INF)
+    dust = cfg.zero(25)
+    # empty sum: the exact zero
+    assert _as_pair(cinf.dot(cfg, [])) == ({}, INF)
+    # exact zeros add nothing to the precision; zeros to precision cap it
+    assert cinf.dot(cfg, [(a, b), (zero, b), (a, zero)]).prec == 40
+    assert cinf.dot(cfg, [(a, b), (dust, a)]).prec == 25
+    assert cinf.dot(cfg, [(dust, b)]).prec == 23
+    # full cancellation leaves no term, at the lowest precision
+    got = cinf.dot(cfg, [(a, b), (-a, b)])
+    assert got.terms == {} and got.prec == 40
+    # cap below and above the products' precision
+    assert _as_pair(cinf.dot(cfg, [(a, b)], 6)) == _ref_dot([(a, b)], 6)
+    assert cinf.dot(cfg, [(a, b)], 400).prec == 40
+    # operands over a different grid are refused
+    with pytest.raises(ConfigError):
+        cinf.dot(cfg, [(a, FieldConfig(3, 1, 2, e=36).one())])

@@ -782,3 +782,43 @@ def test_qlinear_sum_exact_argument_uncapped(ctx3):
     got = rho._qlinear_sum(skew.coeffs, z, INF)
     want = skew(z)
     assert got.terms == want.terms and got.prec == want.prec == INF
+
+
+def _tail_floor_formula(module, kind, vz, start):
+    """The tail floor with every power q^i computed where it is used; None
+    where the bound does not stabilize."""
+    cfg = module.cfg
+    q, e = cfg.q, cfg.e
+    end = start + 64
+    bounds = module._coeff_vbounds(kind, end)
+    floor = min(bounds[i] + q ** i * vz for i in range(start + 1, end + 1))
+    vk, vu = module._vk, module._vu
+    if kind == "exp":
+        ok = min(vk + q * floor, vu + q * q * floor) + q ** end * e >= floor
+    else:
+        ok = vk + (q - 1) * vz + q * e >= 0 and \
+            vu + (q * q - 1) * vz + q * q * e >= 0
+    return floor if ok else None
+
+
+def test_tail_floor_power_table_matches_formula():
+    # the grid of test_quasi_period_floor_oracle on q3 and q5: kappa =
+    # theta^k, u in {1, theta^3}, z = theta^a / theta^(j+1)
+    for cfg in (FieldConfig(3, 1, 4, e=72, prec=240),
+                FieldConfig(5, 1, 4, e=600, prec=240)):
+        for k in range(9):
+            for u in (cfg.one(), cfg.theta(3)):
+                rho = DrinfeldModule(cfg, 2, cfg.theta(k), u)
+                for a in range(-3, 8):
+                    for j in range(0, 6):
+                        vz = (j + 1 - a) * cfg.e
+                        for kind in ("exp", "log"):
+                            for start in (-1, cfg.exp_depth):
+                                want = _tail_floor_formula(rho, kind, vz,
+                                                           start)
+                                if want is None:
+                                    with pytest.raises(DivergentEvaluation):
+                                        rho._tail_floor(kind, vz, start)
+                                else:
+                                    got = rho._tail_floor(kind, vz, start)
+                                    assert got == want, (k, a, j, kind)

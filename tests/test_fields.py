@@ -160,3 +160,25 @@ def test_mul_and_modulus_against_sympy(p, s, m, a_limit):
             rem = gf_rem(gf_mul(gf(a), gf(b), p, ZZ), modulus, p, ZZ)
             want = sum(c * p ** i for i, c in enumerate(reversed(rem)))
             assert F.mul(a, b) == want
+
+
+# every field the test suite builds, directly or through a FieldConfig
+_TEST_FIELDS = [(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 2),
+                (3, 1, 4), (3, 2, 2), (5, 1, 1), (5, 1, 2), (5, 1, 4)]
+
+
+@pytest.mark.parametrize("p, s, m", _TEST_FIELDS)
+def test_frobenius_tables_against_pow_slow(p, s, m):
+    """The p-power table read off the logs equals repeated squaring on the
+    polynomial representation; the p^k tables are its k-fold compositions
+    and k is taken mod s*m."""
+    F = FiniteField(p, s, m)
+    frob = [F.pow_slow(a, p) for a in range(F.size)]
+    assert F.frob_table(1) == frob
+    want = list(range(F.size))
+    for k in range(s * m + 1):
+        assert F.frob_table(k) == want
+        assert F.frob_table(k - s * m) == want
+        assert [F.frob_p(a, k) for a in range(F.size)] == want
+        want = [frob[a] for a in want]
+    assert F.frob_table(s * m) == list(range(F.size))

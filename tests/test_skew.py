@@ -115,3 +115,67 @@ def test_mixing_rings_rejected(cfg_small):
     sigma = tau.adjoint()
     with pytest.raises(ConfigError):
         tau * sigma
+
+
+# -- products and evaluation against the term-by-term loops the kernel replaced
+
+
+def _ref_ore_mul(f, g):
+    cfg = f.cfg
+    if f.is_zero() or g.is_zero():
+        return type(f)(cfg, [])
+    out = [cfg.zero(INF) for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
+    for i, a in enumerate(f.coeffs):
+        if a.is_exact_zero():
+            continue
+        for j, b in enumerate(g.coeffs):
+            if b.is_exact_zero():
+                continue
+            out[i + j] = out[i + j] + a * b.frobenius(f.sign * i)
+    return type(f)(cfg, out)
+
+
+def _ref_eval(f, x):
+    acc = f.cfg.zero(INF)
+    for i, a in enumerate(f.coeffs):
+        if a.is_exact_zero():
+            continue
+        acc = acc + a * x.frobenius(f.sign * i)
+    return acc
+
+
+def _same(x, y):
+    return x.terms == y.terms and x.prec == y.prec
+
+
+def _same_poly(f, g):
+    return type(f) is type(g) and len(f.coeffs) == len(g.coeffs) and \
+        all(_same(a, b) for a, b in zip(f.coeffs, g.coeffs))
+
+
+def test_ore_products_match_reference_loops(cfg_small):
+    rng = random.Random(82)
+    scale = cfg_small.q ** 8
+    for _ in range(40):
+        f = _random_poly(cfg_small, rng, rng.randrange(0, 4), scale)
+        g = _random_poly(cfg_small, rng, rng.randrange(0, 4), scale)
+        if rng.randrange(2):
+            f = SkewPoly(cfg_small, [c.truncate(rng.randrange(-20, 200))
+                                     for c in f.coeffs])
+        x = cfg_small.theta(-1) + cfg_small.from_coeff(rng.randrange(9)) \
+            .truncate(rng.choice([INF, 150]))
+        assert _same_poly(f * g, _ref_ore_mul(f, g))
+        fa, ga = f.adjoint(), g.adjoint()
+        assert _same_poly(fa * ga, _ref_ore_mul(fa, ga))
+        assert _same(f(x), _ref_eval(f, x))
+
+
+@pytest.mark.parametrize("name", ["ctx3", "ctx5"])
+def test_ore_products_match_reference_loops_on_modules(name, request):
+    ctx = request.getfixturevalue(name)
+    rho = ctx.module.skew()
+    lat = ctx.lattice
+    for f, g in [(rho, rho), (rho.adjoint(), rho.adjoint())]:
+        assert _same_poly(f * g, _ref_ore_mul(f, g))
+    for x in (lat.omega1, lat.omega2, lat.towers[0].chain[0]):
+        assert _same(rho(x), _ref_eval(rho, x))

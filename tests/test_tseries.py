@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from drinfeldlab.cinf import INF
+from drinfeldlab.cinf import INF, CInfApprox
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 ShapeMismatch)
 from drinfeldlab.tseries import TMatrix, TSeries
@@ -133,3 +133,115 @@ def test_shape_mismatch(cfg_small):
         I2 * I3
     with pytest.raises(ShapeMismatch):
         TMatrix([I2.rows[0], I3.rows[0]])
+
+
+# -- products against the product-by-product loops the kernel replaced ---------
+
+
+def _ref_len(x, y, conv=False):
+    la = INF if x.tail == INF else x.T
+    lb = INF if y.tail == INF else y.T
+    n = min(la, lb)
+    if conv and n == INF:
+        n = x.T + y.T - 1
+    if n == INF:
+        n = max(x.T, y.T)
+    return int(n)
+
+
+def _ref_series_mul(x, y):
+    """x * y with each coefficient product formed and added on its own."""
+    cfg = x.cfg
+    n = _ref_len(x, y, conv=True)
+    out = [cfg.zero(INF) for _ in range(n)]
+    for i in range(min(x.T, n)):
+        a = x.coeffs[i]
+        if a.is_exact_zero():
+            continue
+        for j in range(min(y.T, n - i)):
+            b = y.coeffs[j]
+            if b.is_exact_zero():
+                continue
+            out[i + j] = out[i + j] + a * b
+    tail = None
+    if x.tail is not None and y.tail is not None:
+        va = min([c.vbound() for c in x.coeffs] + [x.tail])
+        vb = min([c.vbound() for c in y.coeffs] + [y.tail])
+        tail = min(x.tail + vb, y.tail + va)
+    return TSeries(cfg, out, tail)
+
+
+def _ref_matrix_mul(A, B):
+    """A * B as a sum of series products, added one at a time."""
+    n, k = A.shape
+    m = B.shape[1]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = _ref_series_mul(A.rows[i][0], B.rows[0][j])
+            for l in range(1, k):
+                acc = acc + _ref_series_mul(A.rows[i][l], B.rows[l][j])
+            row.append(acc)
+        rows.append(row)
+    return TMatrix(rows)
+
+
+def _assert_same_series(got, want):
+    assert got.T == want.T and got.tail == want.tail
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert a.terms == b.terms and a.prec == b.prec
+
+
+def _assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    for ra, rb in zip(got.rows, want.rows):
+        for a, b in zip(ra, rb):
+            _assert_same_series(a, b)
+
+
+def _mixed_series(cfg, rng):
+    """Random length and tail (none, exact, finite); coefficients include
+    exact zeros and zeros to precision."""
+    coeffs = []
+    for _ in range(rng.randrange(0, 5)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            coeffs.append(cfg.zero(INF))
+        elif kind == 1:
+            coeffs.append(cfg.zero(rng.randrange(-20, 60)))
+        else:
+            terms = {rng.randrange(-20, 60): rng.randrange(1, cfg.field.size)
+                     for _ in range(rng.randrange(1, 6))}
+            prec = INF if kind == 2 else rng.randrange(-20, 80)
+            coeffs.append(CInfApprox(cfg, terms, prec))
+    return TSeries(cfg, coeffs, rng.choice([None, INF, rng.randrange(0, 60)]))
+
+
+def test_products_match_reference_loops_random(cfg_small):
+    rng = random.Random(81)
+    for _ in range(300):
+        x, y = _mixed_series(cfg_small, rng), _mixed_series(cfg_small, rng)
+        _assert_same_series(x * y, _ref_series_mul(x, y))
+    for n, k, m in [(2, 2, 2), (1, 3, 2), (3, 1, 1)] * 20:
+        A = TMatrix([[_mixed_series(cfg_small, rng) for _ in range(k)]
+                     for _ in range(n)])
+        B = TMatrix([[_mixed_series(cfg_small, rng) for _ in range(m)]
+                     for _ in range(k)])
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+
+
+@pytest.mark.parametrize("name", ["ctx3", "ctx5"])
+def test_products_match_reference_loops_on_psi(name, request):
+    # the inputs of Psi = xi Omega [[...]] and of Psi - Phi^(1) Psi^(1)
+    mot = request.getfixturevalue(name).motive()
+    T, k = mot.T, mot.module.kappa
+    f1, f2 = mot.agf1.series(T), mot.agf2.series(T)
+    scale = mot.omega.series.truncate(T).scale(mot.xi)
+    for f in (f1, f2):
+        f_1, f_2 = f.twist(1), f.twist(2)
+        for a in (-f_1, f_1.scale(k) + f_2):
+            _assert_same_series(scale * a, _ref_series_mul(scale, a))
+    psi = TMatrix([[a.truncate(T) for a in r] for r in mot.psi.rows])
+    for A, B in [(mot.phi.twist(1), psi.twist(1)), (psi, psi)]:
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
