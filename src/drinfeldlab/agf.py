@@ -87,6 +87,9 @@ class AndersonGF:
             v0 = INF
         else:
             v0 = t0.valuation()
+        # at t0 = theta each denominator theta^(q^(i+n)) - theta is in the
+        # config's pole table
+        at_theta = t0.prec == INF and t0.terms == {-cfg.e: 1}
         pairs = []
         for i in range(self.I):
             pole = cfg.theta(1).frobenius(i + n)
@@ -95,7 +98,8 @@ class AndersonGF:
                 raise PoleHit(
                     "t0 coincides with the pole theta^(q^%d) to precision"
                     % (i + n))
-            pairs.append((self.numerators[i].frobenius(n), den.inverse()))
+            inv = cfg.pole_inverse(i + n) if at_theta else den.inverse()
+            pairs.append((self.numerators[i].frobenius(n), inv))
         acc = dot(cfg, pairs)
         # dropped poles are huge; make sure t0 cannot collide with them
         if v0 <= -cfg.q ** (self.I + n) * cfg.e:

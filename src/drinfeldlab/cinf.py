@@ -91,6 +91,7 @@ class FieldConfig:
         self.pole_count = pole_count
         self.tower_cap = tower_cap
         self._q_powers = [1]
+        self._pole_inverses = []
 
     def q_powers(self, n):
         """[q^0, ..., q^n] or a longer prefix of the same table; one table
@@ -102,6 +103,27 @@ class FieldConfig:
                 table.append(table[-1] * self.q)
             self._q_powers = table
         return table
+
+    def pole_inverse(self, k):
+        """1/(theta^(q^k) - theta) for k >= 1: the denominators of the
+        exp, log and quasi-period recursions and the poles of a twisted
+        Anderson generating function at t = theta.  Inverted once per
+        config; the table is extended on a copy published by rebinding.
+        It keeps (terms, prec), not values: a value refers to its config,
+        and that cycle would keep each finished config, field tables and
+        all, alive until the cycle collector runs."""
+        if k < 1:
+            raise ConfigError("theta^(q^0) - theta is zero")
+        table = self._pole_inverses
+        if len(table) < k:
+            table = list(table)
+            th = self.theta()
+            while len(table) < k:
+                x = (th.frobenius(len(table) + 1) - th).inverse()
+                table.append((x.terms, x.prec))
+            self._pole_inverses = table
+        terms, prec = table[k - 1]
+        return CInfApprox._raw(self, terms, prec)
 
     def pass_threshold(self):
         """Grid valuation a residual must reach to count as zero."""

@@ -97,12 +97,15 @@ class Tower:
 
 
 class Lattice:
-    """Period basis with the data used to build it."""
+    """Period basis with the data used to build it.  ``bracket`` is the
+    quasi-period bracket omega1*F(omega2) - omega2*F(omega1) when the
+    module that built the lattice has certified it, else None."""
 
     def __init__(self, omega1, omega2=None, towers=None):
         self.omega1 = omega1
         self.omega2 = omega2
         self.towers = towers or []
+        self.bracket = None
 
     @property
     def rank(self):
@@ -178,8 +181,7 @@ class DrinfeldModule:
             pairs = [(self.kappa, table[i - 1].frobenius(1))]
             if i >= 2:
                 pairs.append((self.u, table[i - 2].frobenius(2)))
-            den = cfg.theta(1).frobenius(i) - cfg.theta(1)
-            table.append(dot(cfg, pairs) / den)
+            table.append(dot(cfg, pairs) * cfg.pole_inverse(i))
         self._exp = table
         return table[:depth + 1]
 
@@ -193,8 +195,7 @@ class DrinfeldModule:
             pairs = [(table[i - 1], self.kappa.frobenius(i - 1))]
             if i >= 2:
                 pairs.append((table[i - 2], self.u.frobenius(i - 2)))
-            den = cfg.theta(1) - cfg.theta(1).frobenius(i)
-            table.append(dot(cfg, pairs) / den)
+            table.append(-(dot(cfg, pairs) * cfg.pole_inverse(i)))
         self._log = table
         return table[:depth + 1]
 
@@ -497,6 +498,7 @@ class DrinfeldModule:
             raise IndependenceFailure(
                 "quasi-period bracket vanishes to precision: seeds were "
                 "dependent; retry with a different pair")
+        lattice.bracket = b
         return lattice
 
     def legendre_bracket(self, lattice):
@@ -519,8 +521,7 @@ class DrinfeldModule:
             num = dot(cfg, [(d.coeff(j), alphas[i - j].frobenius(j))
                             for j in range(1, min(i, d.degree()) + 1)
                             if not d.coeff(j).is_exact_zero()])
-            den = cfg.theta(1).frobenius(i) - cfg.theta(1)
-            got.append(num / den)
+            got.append(num * cfg.pole_inverse(i))
         return got[:depth + 1]
 
     def quasi_period_eval(self, lam, delta=None, lattice=None):

@@ -9,7 +9,14 @@ This module assembles, for a normalized rank-2 Drinfeld module:
 * the 2x2 multiplier matrix Phi and its trivialization Psi, built out of
   Anderson generating functions of a period basis, carried both as a
   truncated t-series matrix (for coefficientwise identities) and as
-  pole/partial-fraction data (for the t = theta specialization);
+  pole/partial-fraction data (for the t = theta specialization).  Each
+  series entry of Psi is xi Omega times a combination of twisted
+  generating functions; the factor xi Omega is applied through its
+  product form (OmegaData.times), one linear factor 1 - t/theta^(q^i) at a
+  time and then the monomial xi * prefactor, never through its expanded
+  series.  The value, precision and tail are those of the expanded
+  product; most of that product's term pairs cancel, and factor by factor
+  they cancel before they are formed;
 * the period matrix P = Psi(theta)^(-1) and the Legendre-type invariant
   [(omega1 F(omega2) - omega2 F(omega1)) * Omega(theta)]^(q-1) = -1.
 
@@ -19,7 +26,7 @@ root.
 """
 
 from .agf import AndersonGF
-from .cinf import INF
+from .cinf import INF, dot
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
 from .tseries import TMatrix, TSeries
@@ -52,6 +59,8 @@ class OmegaData:
     prefactor = (-theta)^(-q/(q-1)) for the designated (q-1)-st root of
     -theta.  Dropped factors perturb any value by at least
     (q^(I+1) - 1) e grid units, which is folded into specializations.
+    ``product`` is the exact degree-I polynomial, ``series`` its first T
+    coefficients.
     """
 
     def __init__(self, cfg, I=None, T=None):
@@ -71,11 +80,39 @@ class OmegaData:
         exp = cfg.q * cfg.e // (cfg.q - 1)
         self.prefactor = cfg.monomial(exp, cfg.field.pow(
             cfg.field.inv(c0), cfg.q))
-        series = TSeries.from_poly(cfg, [cfg.one()])
-        for i in range(1, I + 1):
-            series = series * TSeries.from_poly(
-                cfg, [cfg.one(), -cfg.theta(-1).frobenius(i)])
-        self.series = series.scale(self.prefactor).truncate(T)
+        # factor i is 1 + roots[i-1] t
+        self.roots = [-cfg.theta(-1).frobenius(i) for i in range(1, I + 1)]
+        product = TSeries.from_poly(cfg, [cfg.one()])
+        for r in self.roots:
+            product = product * TSeries.from_poly(cfg, [cfg.one(), r])
+        self.product = product.scale(self.prefactor)
+        self.series = self.product.truncate(T)
+
+    def times(self, a, c, T):
+        """(c Omega) * a through T coefficients, for an exact scalar c.
+
+        Applies the linear factors one at a time, g_k <- g_k + r_i g_(k-1),
+        and then the monomial c * prefactor: the same value, length and
+        tail as the product with the expanded series of c Omega, but the
+        cancellation among the factors happens as early as it can.  Each
+        step is one dot per coefficient, whose precision rule composes to
+        the dense one, min over j of prec(a_(k-j)) + v(c * prefactor)
+        + (q + ... + q^j) e, because the j-th elementary symmetric function
+        of the roots has a unique lowest term.
+        """
+        cfg = self.cfg
+        one = cfg.one()
+        g = list(a.coeffs)
+        if a.tail == INF:
+            g += [cfg.zero(INF)] * self.I
+        for r in self.roots:
+            g = g[:1] + [dot(cfg, ((one, x), (r, y)))
+                         for x, y in zip(g[1:], g)]
+        scale = c * self.prefactor
+        tail = a.tail
+        if tail not in (None, INF):
+            tail = tail + scale.vbound()
+        return TSeries(cfg, [scale * x for x in g], tail).truncate(T)
 
     def tail_error(self):
         """Valuation floor of the dropped-factor perturbation, relative to
@@ -85,7 +122,7 @@ class OmegaData:
     def value_at(self, t0):
         """Specialize the finite product anywhere; the dropped factors are
         folded in as a relative error."""
-        val = self.series.specialize(t0)
+        val = self.product.specialize(t0)
         if val.is_apparent_zero():
             return val
         return val.truncate(min(val.prec, val.valuation() + self.tail_error()))
@@ -100,7 +137,7 @@ class OmegaData:
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
-        om = self.series.truncate(T)
+        om = self.product.truncate(T)
         mult = TSeries.from_poly(cfg, [-cfg.theta().frobenius(1), cfg.one()])
         return (om - mult * om.twist(1)).truncate(T)
 
@@ -159,8 +196,8 @@ class MotiveMatrices:
             [-f2_1, f1_1],
             [f2_1.scale(k) + f2_2, -(f1_1.scale(k) + f1_2)],
         ]
-        scale = self.omega.series.truncate(T).scale(self.xi)
-        return TMatrix([[(scale * a).truncate(T) for a in r] for r in rows])
+        return TMatrix([[self.omega.times(a, self.xi, T) for a in r]
+                        for r in rows])
 
     # -- coefficientwise identities ---------------------------------------------
 
@@ -261,7 +298,9 @@ class MotiveMatrices:
         """Same invariant on another basis of the same lattice (used to
         certify invariance under rescaling and unimodular changes)."""
         cfg = self.cfg
-        bracket = self.module.legendre_bracket(lattice)
+        bracket = lattice.bracket
+        if bracket is None:
+            bracket = self.module.legendre_bracket(lattice)
         b = bracket * self.omega.value_at(cfg.theta())
         if b.is_apparent_zero() or b.valuation() != 0:
             raise NotAUnit(

@@ -59,12 +59,18 @@ class TSeries:
         return vb
 
     def truncate(self, T):
+        """The first T coefficients.  An exact polynomial is padded with
+        exact zeros; a cut folds the dropped coefficients into the tail."""
         if T >= len(self.coeffs):
             if self.tail == INF:
                 pad = [self.cfg.zero(INF)] * (T - len(self.coeffs))
                 return TSeries(self.cfg, self.coeffs + pad, INF)
             return self
-        return TSeries(self.cfg, self.coeffs[:T], self.tail)
+        tail = self.tail
+        if tail is not None:
+            for c in self.coeffs[T:]:
+                tail = min(tail, c.vbound())
+        return TSeries(self.cfg, self.coeffs[:T], tail)
 
     def __add__(self, other):
         self._compat(other)

@@ -1,7 +1,7 @@
 import pytest
 
 from drinfeldlab.agf import AndersonGF
-from drinfeldlab.cinf import INF
+from drinfeldlab.cinf import INF, dot
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import PoleHit
 
@@ -203,3 +203,31 @@ def test_tail_floor_oracle(request, ctx_name, uname, I):
         for i in range(I):
             ref = ref + nums[i] * cfg.theta(-(j + 1) * q ** i)
         assert_cut(series.coeff(j), ref, brute(0, (j + 1) * e))
+
+
+def _eval_twisted_generic(f, n, t0):
+    """eval_twisted's sum with every denominator inverted on the spot."""
+    cfg = f.cfg
+    pairs = [(f.numerators[i].frobenius(n),
+              (cfg.theta(1).frobenius(i + n) - t0).inverse())
+             for i in range(f.I)]
+    acc = dot(cfg, pairs)
+    floor = cfg.q ** n * f.module._tail_floor("exp", f.u.vbound() + cfg.e,
+                                               f.I - 1)
+    return acc.truncate(min(acc.prec, floor))
+
+
+@pytest.mark.parametrize("name", ["ctx3", "ctx5"])
+def test_eval_twisted_at_theta_uses_pole_table(name, request):
+    ctx = request.getfixturevalue(name)
+    cfg = ctx.cfg
+    th = cfg.theta()
+    lat = ctx.lattice
+    for u in (lat.omega1, lat.omega2, cfg.theta(-1) + cfg.theta(-3)):
+        f = AndersonGF(ctx.module, u)
+        for n in (1, 2, 3):
+            got = f.eval_twisted(n, th)
+            want = _eval_twisted_generic(f, n, th)
+            assert got.terms == want.terms and got.prec == want.prec
+        with pytest.raises(PoleHit):
+            f.eval_twisted(0, th)

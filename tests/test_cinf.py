@@ -405,3 +405,22 @@ def test_dot_precision_cases():
     # operands over a different grid are refused
     with pytest.raises(ConfigError):
         cinf.dot(cfg, [(a, FieldConfig(3, 1, 2, e=36).one())])
+
+
+# -- pole inverses, once per config ------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", [CFG_SHORT, FieldConfig(3, 1, 4, e=72, prec=480),
+                                 FieldConfig(5, 1, 4, e=600, prec=240)])
+def test_pole_inverse_table(cfg):
+    th = cfg.theta()
+    for k in (3, 1, 6, 2):
+        got = cfg.pole_inverse(k)
+        want = (th.frobenius(k) - th).inverse()
+        assert got.terms == want.terms and got.prec == want.prec
+    assert len(cfg._pole_inverses) == 6
+    # the table holds no value, so no reference back to the config
+    assert all(not isinstance(x, CInfApprox)
+               for entry in cfg._pole_inverses for x in entry)
+    with pytest.raises(ConfigError):
+        cfg.pole_inverse(0)

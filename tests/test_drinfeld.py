@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from drinfeldlab import roots
-from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
+from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
                                   compose_qlinear, verify_morphism)
 from drinfeldlab.encoding import decode_module, encode_cinf, encode_module
@@ -27,6 +27,32 @@ def test_exp_coefficient_recursion(carlitz, cfg_small):
     assert (al[0] - cfg_small.one()).is_exact_zero()
     a1 = cfg_small.one() / (th.frobenius(1) - th)
     assert (al[1] - a1).is_zero_to(600)
+
+
+def test_coefficient_recursions_match_division_form(ctx3, ctx5):
+    # the pole table replaces a division by theta^(q^i) - theta in each
+    # recursion; the values are those of the division
+    for ctx in (ctx3, ctx5):
+        cfg = ctx.cfg
+        th = cfg.theta()
+        for rho in (ctx.module, DrinfeldModule(
+                cfg, 2, CInfApprox(cfg, {-cfg.e: 1, 5: 2}, 400),
+                cfg.theta(2) + cfg.one())):
+            al, be = rho.exp_coeffs(8), rho.log_coeffs(8)
+            qp = rho.quasi_period_coeffs(Biderivation.tau(cfg), 8)
+            ra, rb, rq = [cfg.one()], [cfg.one()], [cfg.zero(INF)]
+            for i in range(1, 9):
+                den = th.frobenius(i) - th
+                pa = [(rho.kappa, ra[i - 1].frobenius(1))]
+                pb = [(rb[i - 1], rho.kappa.frobenius(i - 1))]
+                if i >= 2:
+                    pa.append((rho.u, ra[i - 2].frobenius(2)))
+                    pb.append((rb[i - 2], rho.u.frobenius(i - 2)))
+                ra.append(dot(cfg, pa) / den)
+                rb.append(dot(cfg, pb) / (th - th.frobenius(i)))
+                rq.append(ra[i - 1].frobenius(1) / den)
+            for got, want in zip(al + be + qp, ra + rb + rq):
+                assert got.terms == want.terms and got.prec == want.prec
 
 
 def test_exp_functional_equation_series(ctx3, cfg_small):
@@ -316,6 +342,18 @@ def test_coefficient_tables_thread_safe(ctx3):
         for got_table, want_table in zip(got, want):
             assert [(c.terms, c.prec) for c in got_table] == \
                 [(c.terms, c.prec) for c in want_table]
+
+
+def test_pole_table_thread_safe():
+    """Threads extending one config's pole table agree with a serial run."""
+    serial = FieldConfig(3, 1, 4, e=72, prec=240)
+    want = [serial.pole_inverse(k) for k in (9, 3, 12, 1)]
+    shared = FieldConfig(3, 1, 4, e=72, prec=240)
+    results = _run_in_threads(
+        lambda: [shared.pole_inverse(k) for k in (9, 3, 12, 1)])
+    for got in results:
+        assert [(c.terms, c.prec) for c in got] == \
+            [(c.terms, c.prec) for c in want]
 
 
 def _fresh(ctx):

@@ -1,10 +1,16 @@
-import pytest
+import hashlib
 
-from drinfeldlab.cinf import FieldConfig, INF
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.drinfeld import DrinfeldModule, Lattice
-from drinfeldlab.errors import ConfigError, ResidueFieldTooSmall
+from drinfeldlab.errors import (ConfigError, PrecisionExhausted,
+                                ResidueFieldTooSmall)
 from drinfeldlab.motive import (MotiveMatrices, OmegaData, phi_matrix,
                                 xi_constant)
+from drinfeldlab.tseries import TSeries
 
 
 def test_omega_difference_relation(ctx3):
@@ -238,3 +244,125 @@ def test_precision_scaling():
     assert mot.legendre_invariant()["is_minus_one"]
     om = OmegaData(cfg, T=8)
     assert om.difference_residual(8).is_zero_to(thr)
+
+
+# -- Omega below its degree, and Psi through Omega's product form ----------
+
+
+def test_omega_cut_below_its_degree():
+    # I = 2 at N = 240: the product has degree 2, so a T = 2 series has
+    # dropped a nonzero coefficient and must say so
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    om = OmegaData(cfg, T=2)
+    assert om.I == 2 and om.product.T == 3
+    with pytest.raises(PrecisionExhausted):
+        om.series.coeff(2)
+    assert om.series.tail == om.product.coeff(2).vbound()
+    # values and residuals come from the whole product, whatever T is
+    full = OmegaData(cfg, T=32)
+    for T in (1, 2):
+        got = OmegaData(cfg, T=T).value_at(cfg.theta())
+        want = full.value_at(cfg.theta())
+        assert got.terms == want.terms and got.prec == want.prec
+
+
+def test_legendre_tail_independent_of_t_truncation(ctx3):
+    # Omega(theta) used to be read off the cut series when T <= I
+    lat = ctx3.lattice
+    tails = {MotiveMatrices(ctx3.module, lat, T=T).legendre_invariant()
+             ["unit_tail_valuation"] for T in (1, 2, 16)}
+    assert len(tails) == 1
+
+
+def _series_digest(entries):
+    """sha256 over the tail and the terms and precision of every
+    coefficient of each series, in order."""
+    h = hashlib.sha256()
+    for s in entries:
+        h.update(repr((s.tail, [(c.sorted_terms(), c.prec)
+                                for c in s.coeffs])).encode())
+    return h.hexdigest()
+
+
+def _psi_digest(mot):
+    return _series_digest(a for r in mot.psi.rows for a in r)
+
+
+# Psi as the product with the expanded xi Omega series built it
+_PSI_Q3 = {
+    (240, 1): "d2d9a95a0516f0fd3b7d3af60713fbad"
+              "793437d1e0ecffb2d62e3f2144995de6",
+    (240, 2): "032181ff8b69d2de56d74ff86861221a"
+              "c3049dc5ea1af4f53888e2ec44a09b62",
+    (240, 16): "a6a11c2c54edec0e96750e1e48ce762d"
+               "ed9f3e2b435732d9891e2bdeaa63ebb7",
+    (960, 16): "710999c27ed3f02fd21b1f772dda423a"
+               "f2504c30dc07cb4b6db70fb451be98f8",
+    (1920, 16): "0e1d2005a6103c056400f3419cfb9e17"
+                "b348d35833b722f901109ccc6b93f5c1",
+}
+_PSI_Q5_TAME = ("33003b06ea3798c9ef91484d7b22d930"
+                "5c4ad9e24da232b321275367728edc45")
+
+
+@pytest.mark.parametrize("N,T", sorted(_PSI_Q3))
+def test_psi_bytes_pinned_q3(N, T):
+    cfg = FieldConfig(3, 1, 4, e=72, prec=N)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    mot = MotiveMatrices(rho, rho.periods(), T=T)
+    assert _psi_digest(mot) == _PSI_Q3[N, T]
+
+
+def test_psi_bytes_pinned_q5_tame(ctx5):
+    mot = MotiveMatrices(ctx5.module, ctx5.lattice, T=16)
+    assert _psi_digest(mot) == _PSI_Q5_TAME
+
+
+_CFG9 = FieldConfig(3, 1, 2, e=18, prec=240)
+_TERMS = st.dictionaries(st.integers(-40, 300), st.integers(1, 8),
+                         min_size=1, max_size=6)
+_COEFFS = st.one_of(
+    st.just(_CFG9.zero(INF)),
+    st.builds(_CFG9.zero, st.integers(-40, 400)),
+    st.builds(lambda t, p: CInfApprox(_CFG9, t, p), _TERMS,
+              st.one_of(st.just(INF), st.integers(-40, 400))))
+_SERIES = st.builds(
+    lambda cs, tail: TSeries(_CFG9, cs, tail),
+    st.lists(_COEFFS, max_size=6),
+    st.one_of(st.none(), st.just(INF), st.integers(-40, 400)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(a=_SERIES, I=st.integers(1, 4), c_exp=st.integers(-40, 40),
+       c_code=st.integers(1, 8), data=st.data())
+def test_omega_times_matches_expanded_product(a, I, c_exp, c_code, data):
+    T = data.draw(st.integers(1, I + 3))
+    om = OmegaData(_CFG9, I=I, T=T)
+    for c in (xi_constant(_CFG9), _CFG9.monomial(c_exp, c_code)):
+        got = om.times(a, c, T)
+        want = (om.product.scale(c) * a).truncate(T)
+        assert got.T == want.T and got.tail == want.tail
+        for x, y in zip(got.coeffs, want.coeffs):
+            assert x.terms == y.terms and x.prec == y.prec
+
+
+# -- the Legendre bracket is certified once per lattice --------------------
+
+
+def test_lattice_carries_its_certified_bracket(ctx3, monkeypatch):
+    rho, lat = ctx3.module, ctx3.lattice
+    want = rho.legendre_bracket(lat)
+    assert lat.bracket.terms == want.terms and lat.bracket.prec == want.prec
+    # a basis built by hand has none and computes its own
+    swapped = Lattice(lat.omega2, lat.omega1, lat.towers)
+    assert swapped.bracket is None
+    mot = ctx3.motive()
+    assert mot.legendre_invariant_for(swapped)["is_minus_one"]
+    # the invariant of the module's own lattice reads the stored bracket
+    li = mot.legendre_invariant()
+
+    def recomputed(self, lattice):
+        raise AssertionError("bracket recomputed")
+
+    monkeypatch.setattr(DrinfeldModule, "legendre_bracket", recomputed)
+    assert mot.legendre_invariant() == li

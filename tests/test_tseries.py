@@ -4,7 +4,7 @@ import pytest
 
 from drinfeldlab.cinf import INF, CInfApprox
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
-                                ShapeMismatch)
+                                PrecisionExhausted, ShapeMismatch)
 from drinfeldlab.tseries import TMatrix, TSeries
 
 
@@ -23,6 +23,27 @@ def test_twist_examples(cfg_small):
     assert F.twist(0) is F
     with pytest.raises(ConfigError):
         F.twist(-1)
+
+
+def test_truncate_folds_dropped_coefficients_into_tail(cfg_small):
+    th = cfg_small.theta()
+    poly = TSeries.from_poly(cfg_small, [cfg_small.one(), th.frobenius(-1),
+                                         cfg_small.theta(-2), th])
+    cut = poly.truncate(2)
+    assert cut.T == 2 and cut.tail == -cfg_small.e
+    with pytest.raises(PrecisionExhausted):
+        cut.coeff(2)
+    padded = poly.truncate(6)
+    assert padded.tail == INF and padded.coeff(5).is_exact_zero()
+    # a truncated series keeps the lower of its tail and the dropped
+    # coefficients; no tail stays no tail
+    s = TSeries(cfg_small, poly.coeffs[:3], 10)
+    assert s.truncate(1).tail == min(10, -cfg_small.e // 3)
+    assert s.truncate(2).tail == 10
+    assert TSeries(cfg_small, poly.coeffs, None).truncate(1).tail is None
+    zeros = TSeries.from_poly(cfg_small, [cfg_small.one(),
+                                          cfg_small.zero(INF)])
+    assert zeros.truncate(1).tail == INF
 
 
 def test_twist_is_ring_homomorphism(cfg_small):
