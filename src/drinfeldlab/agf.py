@@ -8,8 +8,12 @@ For a module rho and u in C_inf the generating function is
 a meromorphic function with simple poles at theta^(q^i) and residues
 -alpha_i u^(q^i).  The partial-fraction form is primary here: its n-fold
 twist evaluates at t = theta for n >= 1, which is where every period
-identity is read off.  The t-power-series form exists for radius-1 work
-and as the independent half of the dual-representation check.
+identity is read off.  The t-power-series form exists for radius-1 work.
+Both forms sum the same products alpha_i u^(q^i): the series takes its
+coefficients from the exp ladder (DrinfeldModule._exp_levels), which forms
+each product once, and the pole form keeps them as numerators.  What the
+dual-representation check compares is therefore the two truncations, I
+poles with their floor against exp_eval's rows and its tail floor.
 
 Every tail (the dropped coefficients of the series and the dropped poles
 of both pole-form evaluations) is a q-linear exponential tail, so each is
@@ -42,11 +46,13 @@ class AndersonGF:
 
     def series(self, T=None):
         """Truncated t-series from the defining coefficients, with a tail
-        bound for the dropped ones."""
+        bound for the dropped ones.  Coefficient j is t_coeff(j) in terms
+        and precision; all T come from one exp ladder over u."""
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
-        coeffs = [self.t_coeff(j) for j in range(T)]
+        coeffs = self.module._exp_levels(self.u, [(j + 1) * cfg.e
+                                                  for j in range(T)])
         if self.u.is_exact_zero():
             return TSeries(cfg, coeffs, tail=INF)
         # v(exp(w)) >= min_i bound_i + q^i v(w); arguments only shrink with j
@@ -56,8 +62,10 @@ class AndersonGF:
 
     def series_from_poles(self, T=None):
         """The same truncated series out of the partial fractions:
-        coefficient j is sum_i n_i theta^(-q^i (j+1)).  Independent of
-        exp_eval, which makes it the dual-representation cross-check."""
+        coefficient j is sum_i n_i theta^(-q^i (j+1)) over the I poles,
+        with the floor of the dropped ones.  It sums the same products as
+        series(), so the dual-representation check compares the two
+        truncations."""
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms

@@ -317,10 +317,14 @@ class CInfApprox:
                           self.prec)
 
     def shift(self, k):
-        """Multiply by the grid monomial of valuation k (exact)."""
-        return CInfApprox(self.cfg,
-                          {e + k: c for e, c in self.terms.items()},
-                          self.prec if self.prec == INF else self.prec + k)
+        """Multiply by the grid monomial of valuation k (exact).  Values
+        are immutable, so a zero shift returns self."""
+        if not k:
+            return self
+        return CInfApprox._raw(self.cfg,
+                               {e + k: c for e, c in self.terms.items()},
+                               self.prec if self.prec == INF
+                               else self.prec + k)
 
     def truncate(self, prec):
         if prec >= self.prec:

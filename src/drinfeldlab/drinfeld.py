@@ -18,8 +18,12 @@ one theta-unit per step (safety factor q).  Precision comes first, then
 digits: the certified precision of exp(z) or log(z) follows from valuations
 and precisions alone, so it is fixed before any product is formed, terms
 that land at or above it are skipped, and the rest are computed only below
-it.  A quasi-periodic function fixes its precision the same way and then
-evaluates each level exp(lam/theta^{j+1}) only to the digits the sum keeps.
+it.  Values exp(z/theta^k) at several k, the levels of a quasi-periodic
+function and the coefficients of an Anderson generating function, share one
+ladder: (z/theta^k)^{q^i} = z^{q^i} theta^{-q^i k}, so each product
+alpha_i z^{q^i} is formed once and every level reads it shifted.  A
+quasi-periodic function fixes its precision the same way, then evaluates
+each level only to the digits the sum keeps.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -45,6 +49,12 @@ from .skew import SkewPoly
 log = logging.getLogger(__name__)
 
 _TAIL_SCAN = 64
+
+
+def _digits(vc, qi, prec):
+    """The exponent of z from which no term of c * z^{q^i}, v(c) = vc,
+    lands below prec: the digits of z that term needs."""
+    return INF if prec == INF else -((vc - prec) // qi)
 
 
 class Biderivation:
@@ -262,29 +272,35 @@ class DrinfeldModule:
             prec = min(prec, c.prec + qi * vz, qi * zprec + c.vbound())
         return prec
 
+    def _qlinear_rows(self, coeffs, vz, prec):
+        """The rows of sum_i coeffs[i] * z^{q^i} that reach below prec, for
+        z of valuation vz, as (i, digits): a row without known terms, or
+        whose lowest term lands at or above prec, is skipped; the others
+        need z only below digits, the lowest exponent of z whose term can
+        land below prec.  An infinite prec cuts nothing."""
+        rows = []
+        qs = self.cfg.q_powers(len(coeffs))
+        for i, (c, qi) in enumerate(zip(coeffs, qs)):
+            if not c.terms:
+                continue
+            vc = c.vbound()
+            if vc + qi * vz < prec:
+                rows.append((i, _digits(vc, qi, prec)))
+        return rows
+
     def _qlinear_sum(self, coeffs, z, prec):
         """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
         precision R of _qlinear_prec and computed only below it.
 
-        A term whose valuation reaches R is skipped, Frobenius included;
-        for the others z is cut to the digits that can land below R before
-        its Frobenius, and dot, capped at R, forms only the coefficient
-        pairs below it.  An infinite R (exact coefficients and z, no cap)
-        cuts nothing.
+        The rows of _qlinear_rows are the only ones formed: each with z cut
+        to its digits before the Frobenius, and dot, capped at R, forms only
+        the coefficient pairs below it.
         """
-        cfg = self.cfg
         vz = z.valuation()
         prec = self._qlinear_prec(coeffs, vz, z.prec, prec)
-        pairs = []
-        for i, (c, qi) in enumerate(zip(coeffs, cfg.q_powers(len(coeffs)))):
-            if not c.terms:
-                continue
-            vc = c.vbound()
-            if vc + qi * vz >= prec:
-                continue
-            zi = z if prec == INF else z.truncate(-((vc - prec) // qi))
-            pairs.append((c, zi.frobenius(i)))
-        return dot(cfg, pairs, prec)
+        rows = self._qlinear_rows(coeffs, vz, prec)
+        return dot(self.cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
+                              for i, digits in rows], prec)
 
     def _exp_prec(self, vz, zprec):
         """The precision exp_eval reaches on a nonzero z of valuation vz
@@ -294,13 +310,54 @@ class DrinfeldModule:
                                   self._tail_floor("exp", vz, depth))
 
     def exp_eval(self, z):
-        """exp(z); entire, so always certified."""
+        """exp(z); entire, so always certified.  The one-level case of
+        _exp_levels."""
+        return self._exp_levels(z, [0])[0]
+
+    def _exp_levels(self, z, shifts, precs=None):
+        """[exp_eval(z.shift(k)) for k in shifts] in terms and precision,
+        from one set of products alpha_i z^{q^i}.  precs, when given, holds
+        for each level a precision R at most the one exp_eval reaches there;
+        the level is then exp_eval's value cut at R.
+
+        Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
+        sum_i p_i theta^{-q^i k/e} with p_i = alpha_i z^{q^i}.  Precision
+        first: each level has its R, _exp_prec unless precs gives it, and
+        its rows are those of _qlinear_rows at R.  A row that several
+        levels keep is formed once, as p_i capped at C_i = max(R - q^i k)
+        over those levels, and each of them reads it through the pair
+        (p_i, theta^{-q^i k/e}); a row that one level keeps goes into that
+        level's sum as exp_eval forms it.  Each level is one dot capped at
+        its R, so it holds exactly the term pairs of exp_eval below R: p_i
+        shifted by q^i k is known to C_i + q^i k >= R and to the precision
+        of the product exp_eval forms, which is at least R.
+        """
+        cfg = self.cfg
         if z.is_apparent_zero():
-            return z
-        depth = self.cfg.exp_depth
-        return self._qlinear_sum(
-            self.exp_coeffs(depth), z,
-            self._tail_floor("exp", z.valuation(), depth))
+            return [z.shift(k) for k in shifts]
+        depth = cfg.exp_depth
+        alphas = self.exp_coeffs(depth)
+        qs = cfg.q_powers(depth)
+        vz = z.valuation()
+        if precs is None:
+            precs = [self._exp_prec(vz + k, z.prec + k) for k in shifts]
+        plans, caps = [], {}
+        for k, r in zip(shifts, precs):
+            rows = self._qlinear_rows(alphas, vz + k, r)
+            plans.append((k, r, rows))
+            for i, _ in rows:
+                caps.setdefault(i, []).append(r - qs[i] * k)
+        shared = {}
+        for i, cs in caps.items():
+            if len(cs) > 1:
+                cap = max(cs)
+                digits = _digits(alphas[i].vbound(), qs[i], cap)
+                shared[i] = dot(cfg, [(alphas[i],
+                                       z.truncate(digits).frobenius(i))], cap)
+        return [dot(cfg, [
+            (shared[i], cfg.monomial(qs[i] * k)) if i in shared
+            else (alphas[i], z.truncate(digits - k).shift(k).frobenius(i))
+            for i, digits in rows], r) for k, r, rows in plans]
 
     def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term
@@ -536,19 +593,23 @@ class DrinfeldModule:
         returned on later calls.
 
         Precision comes first, then digits.  The level count J and the
-        truncation floor depend on valuations only.  Level j has the
-        precision R_j of its chain value or the one exp_eval reaches, and
-        the term theta^j d_k w_j^{q^k} has precision
+        truncation floor depend on valuations only: J is the least level
+        where the floor reaches rel_prec + max(0, -v(lam)) and the dropped
+        arguments are small, both linear in J.  Level j has the precision
+        R_j of its chain value or the one exp_eval reaches on
+        lam/theta^{j+1} (valuation v(lam) + (j+1)e, precision
+        prec(lam) + (j+1)e), and the term theta^j d_k w_j^{q^k} has precision
         min(prec(d_k) + q^k v(w_j), q^k R_j + v(d_k)) - je, so the result
         precision P (the floor or the lowest term precision) is known before
         any product.  Each level is then evaluated only to
         c_j = min(R_j, max_k ceil((P + je - v(d_k)) / q^k)) digits, the
-        fewest that keep every term at or above P: the argument is cut there
-        before exp_eval, which then reaches precision c_j unless some
-        q^i c_j + v(alpha_i) falls below c_j (that level is left uncut), and
-        a chain value is cut the same way.  An inexact d_k needs v(w_j) too,
-        which is read off the cut level.  The digits below P are those of
-        the uncut sum, so the value does not depend on the cuts.
+        fewest that keep every term at or above P: the levels without a
+        chain value come from one _exp_levels ladder, each cut at its c_j,
+        and a chain value is cut the same way.  The cut falls on the value,
+        not on the argument, so no level loses a digit below c_j.  An
+        inexact d_k needs v(w_j) too, which is read off the cut level.  The
+        digits below P are those of the uncut sum, so the value does not
+        depend on the cuts.
         """
         cfg = self.cfg
         tower = None
@@ -568,41 +629,41 @@ class DrinfeldModule:
         e, q = cfg.e, cfg.q
         vlam = lam.valuation()
         target = cfg.rel_prec + max(0, -vlam)
-        for j in range(0, 4 * cfg.tower_cap + 64):
-            # dropped terms have v >= -(j+1)e + dmin + q(vlam + (j+2)e) and
-            # climb by at least (q-1)e per step afterwards, valid once the
-            # dropped arguments are small (exp acts as the identity there)
-            floor = -(j + 1) * e + dmin + q * (vlam + (j + 2) * e)
-            if floor >= target and vlam + (j + 2) * e >= 0:
-                break
-        count = j + 1
+        # dropped terms have v >= floor(J) = -(J+1)e + dmin + q(vlam + (J+2)e)
+        # and climb by at least (q-1)e per step afterwards, valid once the
+        # dropped arguments are small (exp acts as the identity there); J is
+        # the least level where both hold, and both grow with J
+        step = (q - 1) * e
+        base = -e + dmin + q * (vlam + 2 * e)
+        J = max(0, -((vlam + 2 * e) // e),
+                0 if dmin == INF else -((base - target) // step))
+        floor = base + J * step
+        count = J + 1
         ds = [(q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
               if not d.is_exact_zero()]
-        # precision first: R_j of each level, then P, from valuations only
+        # precision first: R_j of each level, then P, from valuations only;
+        # level j's argument lam/theta^{j+1} has valuation vlam + (j+1)e and
+        # precision prec(lam) + (j+1)e
         chain = [tower.exp_at_level(j + 1) if tower else None
                  for j in range(count)]
-        args = [lam.shift((j + 1) * e) if w is None else None
-                for j, w in enumerate(chain)]
-        rs = [self._exp_prec(z.valuation(), z.prec) if w is None else w.prec
-              for w, z in zip(chain, args)]
+        rs = [self._exp_prec(vlam + (j + 1) * e, lam.prec + (j + 1) * e)
+              if w is None else w.prec for j, w in enumerate(chain)]
         prec = min([floor] + [qk * r + d.vbound() - j * e
                               for j, r in enumerate(rs) for qk, d in ds])
-        # then digits: each level only to the precision its terms need;
-        # exp_eval on an argument cut below R_j reaches the cut unless a
-        # coefficient term falls below it (the tail floor lies above R_j)
-        alphas = self.exp_coeffs(cfg.exp_depth)
-        values = []
-        for j, (w, z, r) in enumerate(zip(chain, args, rs)):
+        # then digits: each level only to the c_j its terms need; the
+        # levels without a chain value come from one ladder
+        values, at, cuts = list(chain), [], []
+        for j, (w, r) in enumerate(zip(chain, rs)):
             cut = min(r, max(-((d.vbound() - prec - j * e) // qk)
                              for qk, d in ds))
-            if w is not None:
-                w = w.truncate(cut)
-            elif cut < r and self._qlinear_prec(
-                    alphas, z.valuation(), cut, cut) == cut:
-                w = self.exp_eval(z.truncate(cut))
+            if w is None:
+                at.append(j)
+                cuts.append(cut)
             else:
-                w = self.exp_eval(z)
-            values.append(w)
+                values[j] = w.truncate(cut)
+        ladder = self._exp_levels(lam, [(j + 1) * e for j in at], cuts)
+        for j, w in zip(at, ladder):
+            values[j] = w
         # an inexact d_k also needs v(w_j): a cut level that keeps a term
         # has the uncut leading term; one without terms lies at or above
         # c_j, where prec(d_k) + q^k c_j - je cannot fall below prec

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from drinfeldlab.agf import AndersonGF
-from drinfeldlab.cinf import INF, dot
+from drinfeldlab.cinf import INF, FieldConfig, dot
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import PoleHit
+from drinfeldlab.tseries import TSeries
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +234,58 @@ def test_eval_twisted_at_theta_uses_pole_table(name, request):
             assert got.terms == want.terms and got.prec == want.prec
         with pytest.raises(PoleHit):
             f.eval_twisted(0, th)
+
+
+# The series against the per-coefficient loop it replaced
+
+
+def _series_reference(f, T):
+    """series(T) as one exp_eval per coefficient, with the same tail."""
+    cfg = f.cfg
+    coeffs = [f.module.exp_eval(f.u.shift((j + 1) * cfg.e))
+              for j in range(T)]
+    if f.u.is_exact_zero():
+        return TSeries(cfg, coeffs, tail=INF)
+    vw = f.u.vbound() + (T + 1) * cfg.e
+    return TSeries(cfg, coeffs, tail=f.module._tail_floor("exp", vw, -1))
+
+
+@pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5w"])
+def test_series_matches_per_coefficient_loop(name, request):
+    ctx = request.getfixturevalue(name)
+    cfg, mod = ctx.cfg, ctx.module
+    us = [cfg.theta(-1), cfg.theta(3), cfg.theta(-1) + cfg.theta(-3),
+          cfg.from_int(2), cfg.zero(INF), cfg.zero(5 * cfg.e),
+          mod.torsion_points(partial=True)[0][0]]
+    if not ctx.wild:
+        om = ctx.lattice.omega1
+        us += [om, ctx.lattice.omega2, om.truncate(om.valuation() + cfg.e)]
+    for u in us:
+        f = AndersonGF(mod, u)
+        for T in (1, 5, 16, 24):
+            got, want = f.series(T), _series_reference(f, T)
+            assert got.tail == want.tail, (u, T)
+            assert [(c.terms, c.prec) for c in got.coeffs] == \
+                [(c.terms, c.prec) for c in want.coeffs], (u, T)
+
+
+# f_lambda for lambda = log(theta^-1) on theta + tau + tau^2, q = 3,
+# N = 1920: sha256 of the tail and of every coefficient's terms and
+# precision, recorded from the per-coefficient loop
+_SERIES_LOG_POINT = {
+    16: "9d1aee8e8e8cb2a5c2967a942a2957c4"
+        "2c5a1c1c3beb7f0b9bafc4d456e6944f",
+    32: "2b0efa5a2b518274e18daf42eeaace8f"
+        "3eb120a513de7d5dba4cb121a7978dc9",
+}
+
+
+def test_series_bytes_pinned_log_point():
+    cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    f = AndersonGF(rho, rho.log_eval(cfg.theta(-1)))
+    for T, want in _SERIES_LOG_POINT.items():
+        s = f.series(T)
+        got = hashlib.sha256(repr((s.tail, [(c.sorted_terms(), c.prec)
+                                            for c in s.coeffs])).encode())
+        assert got.hexdigest() == want, T

@@ -1,8 +1,11 @@
+import itertools
 import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldlab import roots
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
@@ -366,14 +369,15 @@ def _encoded(values):
 
 
 def _count_exp_evals(monkeypatch):
+    # every exp evaluation, exp_eval's included, goes through the ladder
     calls = []
-    exp_eval = DrinfeldModule.exp_eval
+    exp_levels = DrinfeldModule._exp_levels
 
-    def counted(self, z):
-        calls.append(z)
-        return exp_eval(self, z)
+    def counted(self, z, levels, precs=None):
+        calls.append((z, levels))
+        return exp_levels(self, z, levels, precs)
 
-    monkeypatch.setattr(DrinfeldModule, "exp_eval", counted)
+    monkeypatch.setattr(DrinfeldModule, "_exp_levels", counted)
     return calls
 
 
@@ -732,7 +736,7 @@ def _quasi_period_reference(rho, lam, delta=None, lattice=None, extra=0):
     vlam = lam.valuation()
     target = cfg.rel_prec + max(0, -vlam)
     acc, theta_pow, stop = cfg.zero(INF), cfg.one(), None
-    for j in range(4 * cfg.tower_cap + 64 + extra):
+    for j in itertools.count():
         w = tower.exp_at_level(j + 1) if tower else None
         if w is None:
             w = rho.exp_eval(lam / cfg.theta(j + 1))
@@ -810,6 +814,129 @@ def test_quasi_period_floor_oracle():
                     full = _quasi_period_reference(rho, lam, delta, extra=8)
                     assert full.prec >= got.prec, (k, u, a, delta)
                     assert (full - got).vbound() >= got.prec, (k, u, a)
+
+
+def test_quasi_period_level_count_reaches_target():
+    # q = 3 over F_9 at e = 18 needs more levels than a scan of
+    # 4 * tower_cap + 64 holds; the level count has no cap, so the floor
+    # reaches rel_prec
+    cfg = FieldConfig(3, 1, 2, e=18, prec=1200)
+    lam = cfg.theta(-1)
+    for rho in (DrinfeldModule(cfg, 1),
+                DrinfeldModule(cfg, 2, cfg.one(), cfg.one())):
+        got = rho.quasi_period_eval(lam)
+        assert got.prec >= cfg.rel_prec
+        want = _quasi_period_reference(rho, lam)
+        assert got.terms == want.terms and got.prec == want.prec
+
+
+def test_quasi_period_level_count_small_argument_condition():
+    # delta_t = theta^-30 tau and lam = theta^a, a = 3, 4: the floor
+    # reaches its target at level 0, but the dropped arguments are small
+    # only from level a - 2 on, so that condition sets the level count
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    delta = Biderivation(SkewPoly(cfg, [cfg.zero(INF), cfg.theta(-30)]))
+    for a in (3, 4):
+        lam = cfg.theta(a)
+        got = rho.quasi_period_eval(lam, delta=delta)
+        want = _quasi_period_reference(rho, lam, delta)
+        assert got.terms == want.terms and got.prec == want.prec, a
+
+
+# The exp ladder against one exp_eval per level
+
+_LADDER_MODULES = {
+    "q3": lambda: _q3_module(240),
+    "q3,kappa.prec=300": lambda: _with_coeff_prec(_q3_module(240),
+                                                  kappa=300),
+    "q3,kappa=theta^7": lambda: _q3_module(240, lambda cfg: cfg.theta(7)),
+    "q5-tame": lambda: _q5_module(240),
+}
+_ladder_cache = {}
+
+
+def _ladder_module(name):
+    if name not in _ladder_cache:
+        _ladder_cache[name] = _LADDER_MODULES[name]()
+    return _ladder_cache[name]
+
+
+@st.composite
+def _ladder_argument(draw, cfg):
+    """z exact, inexact or zero to precision (the exact zero too)."""
+    e, size = cfg.e, cfg.field.size
+    v = draw(st.integers(-3 * e, 4 * e))
+    kind = draw(st.sampled_from(["exact", "inexact", "zero", "exact zero"]))
+    if kind == "exact zero":
+        return cfg.zero(INF)
+    if kind == "zero":
+        return cfg.zero(v)
+    terms = draw(st.dictionaries(st.integers(v, v + 3 * e),
+                                 st.integers(1, size - 1), max_size=5))
+    terms[v] = draw(st.integers(1, size - 1))
+    if kind == "exact":
+        return CInfApprox(cfg, terms, INF)
+    return CInfApprox(cfg, terms, v + 1 + draw(st.integers(0, cfg.rel_prec)))
+
+
+def _exp_reference(rho, z):
+    """exp_eval's value as the uncapped sum; a z without terms is returned
+    as it is."""
+    return _uncapped_sum(rho, "exp", z) if z.terms else z
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_LADDER_MODULES)), data=st.data())
+def test_exp_levels_match_exp_eval(name, data):
+    # each level equals exp_eval on z.shift(k) in terms and precision;
+    # handed the precision exp_eval reaches on a cut argument
+    # z.shift(k).truncate(c), it equals exp_eval on that argument, and
+    # handed any lower precision, the value cut there.  Shifts start at 0;
+    # cuts fall below, at and above the precision exp_eval reaches
+    rho = _ladder_module(name)
+    cfg = rho.cfg
+    z = data.draw(_ladder_argument(cfg))
+    ks = data.draw(st.lists(st.integers(0, 6 * cfg.e), min_size=1,
+                            max_size=6))
+    want = [_exp_reference(rho, z.shift(k)) for k in ks]
+    assert _pairs(rho._exp_levels(z, ks)) == _pairs(want)
+    assert _pairs(rho.exp_eval(z.shift(k)) for k in ks) == _pairs(want)
+    if not z.terms:
+        return
+    vz = z.valuation()
+    cuts = [data.draw(st.one_of(
+        st.just(INF), st.integers(vz + k - 2, vz + k + 2),
+        st.integers(vz + k - cfg.e, vz + k + 2 * cfg.rel_prec)))
+        for k in ks]
+    args = [z.shift(k).truncate(c) for k, c in zip(ks, cuts)]
+    assert _pairs(rho.exp_eval(a) for a in args) == \
+        _pairs(_exp_reference(rho, a) for a in args)
+    # exp_eval returns a cut argument without terms as it is
+    kept = [(k, a) for k, a in zip(ks, args) if a.terms]
+    if kept:
+        precs = [rho._exp_prec(a.valuation(), a.prec) for _, a in kept]
+        assert _pairs(rho._exp_levels(z, [k for k, _ in kept], precs)) == \
+            _pairs(_exp_reference(rho, a) for _, a in kept)
+    lower = [w.prec - data.draw(st.integers(0, cfg.rel_prec)) for w in want]
+    assert _pairs(rho._exp_levels(z, ks, lower)) == \
+        _pairs(w.truncate(r) for w, r in zip(want, lower))
+
+
+def _pairs(values):
+    return [(w.terms, w.prec) for w in values]
+
+
+def test_exp_levels_share_products(ctx3):
+    # a deep ladder over a period: rows kept by several levels are formed
+    # once, and the levels still equal exp_eval; shift 0 and an off-grid
+    # shift too
+    rho = _fresh(ctx3)
+    om = ctx3.lattice.omega1
+    e = ctx3.cfg.e
+    ks = [0, e // 3] + [(j + 1) * e for j in range(20)]
+    assert _pairs(rho._exp_levels(om, ks)) == \
+        _pairs(_exp_reference(rho, om.shift(k)) for k in ks)
 
 
 def test_qlinear_sum_exact_argument_uncapped(ctx3):
