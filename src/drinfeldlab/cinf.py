@@ -258,11 +258,6 @@ class CInfApprox:
         """True when v(self) >= threshold is certified."""
         return self.vbound() >= threshold
 
-    def equals(self, other, threshold=None):
-        if threshold is None:
-            threshold = self.cfg.pass_threshold()
-        return (self - other).is_zero_to(threshold)
-
     # -- ring operations ------------------------------------------------------
 
     def _check(self, other):

@@ -3,13 +3,14 @@
 The module descriptor is rho_t = theta + kappa*tau + u*tau^2 (rank 2) or the
 Carlitz module theta + tau (rank 1).  From the defining functional equation
 exp(theta z) = rho_t(exp z) the exponential/logarithm coefficient tables
-follow by recursion; torsion points come from the Newton-polygon solver,
-whose seeds for simple roots are refined, when kappa and u are exact, by
-the additive step x -> -(kappa x^q + u x^{q^2})/theta (rho_t is additive
-with derivative theta, so the step contracts towards the root by a proven
-bound and needs no division), and by Newton otherwise; periods from
-division towers over torsion seeds; quasi-periodic functions from the
-unrolled difference equation.
+follow by recursion.  One additive step solves rho_t(x) = b: rho_t is
+additive with derivative theta, so x -> (b - kappa x^q - u x^{q^2})/theta
+contracts towards the solution by a proven bound and needs no division.
+Torsion points come from the Newton-polygon solver, whose seeds for simple
+roots the step refines with b = 0 when kappa and u are exact (Newton
+otherwise); periods come from division towers over torsion seeds, each
+level rho_t(e_{n+1}) = e_n solved by the step with b = e_n; quasi-periodic
+functions come from the unrolled difference equation.
 
 Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
@@ -43,6 +44,8 @@ import logging
 from .cinf import INF, CInfApprox, dot
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, VerificationFailed)
+# newton_iterate is not called here; the benchmark tracer's self-test
+# wraps this alias
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
 from .skew import SkewPoly
 
@@ -99,12 +102,6 @@ class Tower:
         self.chain = chain  # chain[n-1] = e_n
         self.quasi_period = None  # F_tau(omega), set by quasi_period_eval
 
-    def exp_at_level(self, n):
-        """exp(omega / theta^n) when the tower already knows it."""
-        if 1 <= n <= len(self.chain):
-            return self.chain[n - 1]
-        return None
-
 
 class Lattice:
     """Period basis with the data used to build it.  ``bracket`` is the
@@ -116,10 +113,6 @@ class Lattice:
         self.omega2 = omega2
         self.towers = towers or []
         self.bracket = None
-
-    @property
-    def rank(self):
-        return 1 if self.omega2 is None else 2
 
     def basis(self):
         return [self.omega1] if self.omega2 is None \
@@ -169,10 +162,6 @@ class DrinfeldModule:
 
     def is_normalized(self):
         return self.rank == 1 or (self.u - self.cfg.one()).is_exact_zero()
-
-    def action_poly(self):
-        """rho_t as a dense ordinary polynomial (for the root machinery)."""
-        return self.skew().dense_coeffs()
 
     def __repr__(self):
         if self.rank == 1:
@@ -362,7 +351,10 @@ class DrinfeldModule:
     def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term
         valuations rise by at least e per step (safety factor q) and the
-        tail bound recursion continues the climb."""
+        tail bound recursion continues the climb.  A coefficient that is
+        exactly zero (bound inf, as at every odd index when kappa = 0) has
+        no term; the next finite bound is compared with the last finite
+        one, e per index step between them."""
         if z.is_apparent_zero():
             return True
         cfg = self.cfg
@@ -370,12 +362,14 @@ class DrinfeldModule:
         end = cfg.exp_depth + _TAIL_SCAN
         vz = z.valuation()
         bounds = self._coeff_vbounds("log", end)
-        prev = vz
+        prev, at = vz, 0
         for i in range(1, end + 1):
+            if bounds[i] == INF:
+                continue
             cur = bounds[i] + q ** i * vz
-            if cur < prev + e:
+            if cur < prev + (i - at) * e:
                 return False
-            prev = cur
+            prev, at = cur, i
         return True
 
     def log_eval(self, z):
@@ -435,21 +429,14 @@ class DrinfeldModule:
 
     def _additive_root(self, x0):
         """The torsion point r whose leading monomial is x0, a simple
-        residual root of g = torsion_polynomial(), certified.  kappa and u
-        must be exact: every iterate is rebuilt as exact, so a finite
-        precision in them would not reach r, and rho_t(x0) is then exact,
+        residual root of g = torsion_polynomial(), certified: _contract
+        with b = 0 from x0 at d = v(x0) + 1.  kappa and u must be exact:
+        P below takes no precision from them, and rho_t(x0) is then exact,
         so it is 0 or has a valuation.
 
-        rho_t is additive with rho_t' = theta, so r is the fixed point of
-        x -> x - rho_t(x)/theta = -(kappa x^q + u x^{q^2})/theta, and the
-        step takes a distance d = v(x - r) to at least
-        min(v(kappa) + q d, v(u) + q^2 d) + e.  The seed starts at
-        d = v(x0) + 1; a step that does not raise d is NoConvergence.
-
-        The root is cut at P = v(rho_t(x0)) + e + rel_prec and each iterate
-        is kept to P, so the result is r below P once the proven d reaches
-        P.  That P is Newton's on g: x g'(x) = theta - g(x) in
-        characteristic p and v(g(x0)) > v(theta) at a residual root, so
+        The root is cut at P = v(rho_t(x0)) + e + rel_prec.  That P is
+        Newton's on g: x g'(x) = theta - g(x) in characteristic p and
+        v(g(x0)) > v(theta) at a residual root, so
         v(g(x0)) - v(g'(x0)) = v(rho_t(x0)) + e, and Newton's first
         correction on g is capped at that plus rel_prec.  The same identity
         makes g(x0) exactly 0 whenever g'(x0) is a single term; an exact
@@ -457,29 +444,44 @@ class DrinfeldModule:
         check v(rho_t(r)) - v(r) >= pass_threshold().
         """
         cfg = self.cfg
-        q, e = cfg.q, cfg.e
         rho = self.skew()
         first = rho(x0)
         if first.is_exact_zero():
             return x0
-        prec = first.valuation() + e + cfg.rel_prec
-        step = [cfg.zero(INF)] + rho.coeffs[1:]
-        x, d = x0, x0.valuation() + 1
-        while d < prec:
-            nxt = min(self._vk + q * d, self._vu + q * q * d) + e
-            if nxt <= d:
-                raise NoConvergence(
-                    "additive torsion step does not contract at distance "
-                    "%s from the root" % d)
-            x = -self._qlinear_sum(step, x, prec - e).shift(e)
-            x, d = CInfApprox(cfg, x.terms, INF), nxt
-        r = x.truncate(prec)
+        r = self._contract(cfg.zero(INF), x0, x0.valuation() + 1,
+                           first.valuation() + cfg.e + cfg.rel_prec)
         threshold = cfg.pass_threshold()
         if rho(r).vbound() - r.valuation() < threshold:
             raise NoConvergence(
                 "torsion point with leading term %r did not certify to "
                 "threshold %d" % (x0, threshold))
         return r
+
+    def _contract(self, b, x, d, prec):
+        """The solution r of rho_t(r) = b with v(x - r) >= d, cut at prec;
+        the one solver of rho_t(x) = b, for torsion (b = 0) and division
+        towers.  x must be exact.
+
+        rho_t is additive with rho_t' = theta, so r is the fixed point of
+        x -> (b - kappa x^q - u x^{q^2})/theta, and the step takes a
+        distance d = v(x - r) to at least min(v(kappa) + q d, v(u) + q^2 d)
+        + e; a step that does not raise d is NoConvergence.  Each iterate
+        is kept to prec and rebuilt as exact, so the result is r below prec
+        once the proven d reaches prec; b must be known to prec - e, and an
+        inexact kappa or u to prec - e on the q- resp. q^2-th power of x.
+        """
+        cfg = self.cfg
+        q, e = cfg.q, cfg.e
+        step = [cfg.zero(INF)] + self.skew().coeffs[1:]
+        while d < prec:
+            nxt = min(self._vk + q * d, self._vu + q * q * d) + e
+            if nxt <= d:
+                raise NoConvergence(
+                    "additive step does not contract at distance %s from "
+                    "the root" % d)
+            x = (b - self._qlinear_sum(step, x, prec - e)).shift(e)
+            x, d = CInfApprox(cfg, x.terms, INF), nxt
+        return x.truncate(prec)
 
     def _scalar_multiple_of(self, x, y):
         """mu in F_q^x with x = mu*y (to working precision), else None."""
@@ -509,10 +511,22 @@ class DrinfeldModule:
     # -- periods ---------------------------------------------------------------
 
     def period_from_seed(self, seed):
-        """Division tower: e_1 = seed, rho_t(e_{n+1}) = e_n with Newton seed
-        e_n/theta; stops as soon as the logarithm certifies, returns
-        omega = theta^n log(e_n)."""
+        """Division tower: e_1 = seed, rho_t(e_{n+1}) = e_n; stops as soon
+        as the logarithm certifies, returns omega = theta^n log(e_n).
+
+        Each level is _contract with b = e_n from x0 = e_n/theta, taken
+        exact.  A solution r with v(r) = v(x0) has
+        r - x0 = -(kappa r^q + u r^{q^2})/theta, so it lies at distance
+        d0 = min(v(kappa) + q v(x0), v(u) + q^2 v(x0)) + e from x0.  When
+        d0 > v(x0) the step maps the disc v(x - x0) >= d0 into itself and
+        contracts it, so exactly one such r exists; otherwise the seed is
+        NoConvergence.  e_{n+1} is cut at
+        P = min(prec(e_n), prec(kappa) + q v(x0), prec(u) + q^2 v(x0)) + e,
+        the precision that b and the step's products carry, or at
+        v(x0) + rel_prec when all of them are exact.
+        """
         cfg = self.cfg
+        q, e = cfg.q, cfg.e
         chain = [seed]
         for n in range(1, cfg.tower_cap + 1):
             en = chain[-1]
@@ -525,10 +539,18 @@ class DrinfeldModule:
                         % (resid.vbound(), cfg.pass_threshold()))
                 log.debug("tower converged at depth %d", n)
                 return Tower(omega, n, chain)
-            poly = self.action_poly()
-            poly[0] = poly[0] - en
-            nxt, _ = newton_iterate(poly, en / cfg.theta())
-            chain.append(nxt)
+            x0 = CInfApprox(cfg, en.shift(e).terms, INF)
+            v0 = x0.valuation()
+            d0 = min(self._vk + q * v0, self._vu + q * q * v0) + e
+            if d0 <= v0:
+                raise NoConvergence(
+                    "tower seed of valuation %s lies outside the additive "
+                    "step's contraction disc" % v0)
+            prec = min(en.prec, self.kappa.prec + q * v0,
+                       self.u.prec + q * q * v0) + e
+            if prec == INF:
+                prec = v0 + cfg.rel_prec
+            chain.append(self._contract(en, x0, d0, prec))
         raise NoConvergence("division tower exceeded cap %d" % cfg.tower_cap)
 
     def periods(self, seeds=None):
@@ -587,38 +609,32 @@ class DrinfeldModule:
         w_j = exp(lam/theta^{j+1}).
 
         Converges for every lam (the exp values shrink geometrically).  When
-        a lattice built from division towers is supplied and lam is one of
-        its periods, the stored chain values exp(omega/theta^n) are reused,
-        and for the default delta = tau the value is kept on that tower and
-        returned on later calls.
+        a lattice is supplied, lam is one of its periods and delta is the
+        default tau, the value is kept on that period's tower and returned
+        on later calls.
 
         Precision comes first, then digits.  The level count J and the
         truncation floor depend on valuations only: J is the least level
         where the floor reaches rel_prec + max(0, -v(lam)) and the dropped
         arguments are small, both linear in J.  Level j has the precision
-        R_j of its chain value or the one exp_eval reaches on
-        lam/theta^{j+1} (valuation v(lam) + (j+1)e, precision
-        prec(lam) + (j+1)e), and the term theta^j d_k w_j^{q^k} has precision
+        R_j that exp_eval reaches on lam/theta^{j+1} (valuation
+        v(lam) + (j+1)e, precision prec(lam) + (j+1)e), and the term
+        theta^j d_k w_j^{q^k} has precision
         min(prec(d_k) + q^k v(w_j), q^k R_j + v(d_k)) - je, so the result
         precision P (the floor or the lowest term precision) is known before
         any product.  Each level is then evaluated only to
         c_j = min(R_j, max_k ceil((P + je - v(d_k)) / q^k)) digits, the
-        fewest that keep every term at or above P: the levels without a
-        chain value come from one _exp_levels ladder, each cut at its c_j,
-        and a chain value is cut the same way.  The cut falls on the value,
-        not on the argument, so no level loses a digit below c_j.  An
+        fewest that keep every term at or above P: all levels come from one
+        _exp_levels ladder, each cut at its c_j.  The cut falls on the
+        value, not on the argument, so no level loses a digit below c_j.  An
         inexact d_k needs v(w_j) too, which is read off the cut level.  The
         digits below P are those of the uncut sum, so the value does not
         depend on the cuts.
         """
         cfg = self.cfg
-        tower = None
-        if lattice is not None:
-            for tw in lattice.towers:
-                if tw.omega is lam:
-                    tower = tw
-                    break
-        memo = tower if delta is None else None
+        memo = None
+        if lattice is not None and delta is None:
+            memo = next((tw for tw in lattice.towers if tw.omega is lam), None)
         if memo is not None and memo.quasi_period is not None:
             return memo.quasi_period
         if delta is None:
@@ -644,26 +660,15 @@ class DrinfeldModule:
         # precision first: R_j of each level, then P, from valuations only;
         # level j's argument lam/theta^{j+1} has valuation vlam + (j+1)e and
         # precision prec(lam) + (j+1)e
-        chain = [tower.exp_at_level(j + 1) if tower else None
-                 for j in range(count)]
-        rs = [self._exp_prec(vlam + (j + 1) * e, lam.prec + (j + 1) * e)
-              if w is None else w.prec for j, w in enumerate(chain)]
+        shifts = [(j + 1) * e for j in range(count)]
+        rs = [self._exp_prec(vlam + k, lam.prec + k) for k in shifts]
         prec = min([floor] + [qk * r + d.vbound() - j * e
                               for j, r in enumerate(rs) for qk, d in ds])
-        # then digits: each level only to the c_j its terms need; the
-        # levels without a chain value come from one ladder
-        values, at, cuts = list(chain), [], []
-        for j, (w, r) in enumerate(zip(chain, rs)):
-            cut = min(r, max(-((d.vbound() - prec - j * e) // qk)
-                             for qk, d in ds))
-            if w is None:
-                at.append(j)
-                cuts.append(cut)
-            else:
-                values[j] = w.truncate(cut)
-        ladder = self._exp_levels(lam, [(j + 1) * e for j in at], cuts)
-        for j, w in zip(at, ladder):
-            values[j] = w
+        # then digits: each level only to the c_j its terms need, all from
+        # one ladder
+        cuts = [min(r, max(-((d.vbound() - prec - j * e) // qk)
+                           for qk, d in ds)) for j, r in enumerate(rs)]
+        values = self._exp_levels(lam, shifts, cuts)
         # an inexact d_k also needs v(w_j): a cut level that keeps a term
         # has the uncut leading term; one without terms lies at or above
         # c_j, where prec(d_k) + q^k c_j - je cannot fall below prec

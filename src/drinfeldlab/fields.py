@@ -291,9 +291,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero in F_{q^m}")
         return self._exp[-self._log[a]]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if a == 0:
             if n == 0:
@@ -331,9 +328,6 @@ class FiniteField:
 
     def base_field_elements(self):
         return [a for a in range(self.size) if self.in_base_field(a)]
-
-    def elements(self):
-        return range(self.size)
 
     # -- small polynomial roots ----------------------------------------------
 
@@ -413,9 +407,6 @@ class _PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(a, -1, self.p)
-
-    def pow(self, a, n):
-        return pow(a, n, self.p) if n >= 0 else pow(self.inv(a), -n, self.p)
 
 
 def default_modulus(ground, m):

@@ -13,7 +13,9 @@ smaller slopes.  Root differences of the separable polynomials that appear
 here are bounded away from each other, so the descent terminates.  A
 caller that knows a faster certified solver for the simple roots of the
 top level passes it in; torsion points use the additive step of their
-Drinfeld module there, and the descent keeps Newton.
+Drinfeld module there, and the descent keeps Newton.  Division towers do
+not come here: their Drinfeld module solves rho_t(x) = e_n by the same
+additive step.
 """
 
 import logging

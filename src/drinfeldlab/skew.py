@@ -88,10 +88,6 @@ class TwistedPoly:
         if self.sign != other.sign:
             raise ConfigError("cannot mix tau- and sigma-polynomials")
 
-    def scale(self, c):
-        """Left-multiply by the scalar c (CInfApprox)."""
-        return type(self)(self.cfg, [c * a for a in self.coeffs])
-
     def __call__(self, x):
         """Evaluate on x: sum a_i x^(q^(sign*i)).
 
@@ -101,18 +97,6 @@ class TwistedPoly:
         return dot(self.cfg, [(a, x.frobenius(self.sign * i))
                               for i, a in enumerate(self.coeffs)
                               if not a.is_exact_zero()])
-
-    def dense_coeffs(self):
-        """Coefficients of the ordinary polynomial sum a_i X^(q^i), dense in
-        X up to q^deg; used to hand additive polynomials to the root finder."""
-        if self.sign != +1:
-            raise ConfigError("dense form only defined for tau-polynomials")
-        cfg = self.cfg
-        n = cfg.q ** self.degree() if self.coeffs else 0
-        out = [cfg.zero(INF) for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs):
-            out[cfg.q ** i] = a
-        return out
 
     def adjoint(self):
         """Ore adjoint: sum a_i^(-i) sigma^i; an anti-homomorphism."""

@@ -107,6 +107,18 @@ def test_module_file_round_trip(capsys, tmp_path):
     assert data["config"]["e"] == 72
 
 
+def test_cm_module_file_commands(capsys):
+    # theta + tau^2 over q = 3: before the log certificate skipped its zero
+    # coefficients, periods ran into a tower that did not return
+    path = str(Path(__file__).parent / "data" / "cm_q3.json")
+    code, out, _ = run_cli(capsys, "periods", "--module", path, "--json")
+    assert code == 0
+    assert json.loads(out)["tower_depths"] == [1, 1]
+    code, out, _ = run_cli(capsys, "log-eval", "--module", path,
+                           "--z", "theta^-5", "--json")
+    assert code == 0
+
+
 def test_omega_command(capsys):
     code, out, _ = run_cli(capsys, "omega", "--q", "3", "--json")
     assert code == 0

@@ -718,17 +718,116 @@ def test_additive_root_requires_contraction():
         rho._additive_root(rho.cfg.monomial(-10, 1))
 
 
+# Division towers through the additive step
+
+
+def test_cm_module_periods_and_logarithm():
+    # theta + tau^2 has kappa = 0, so every odd log coefficient is exactly
+    # zero; the certificate skips them instead of comparing with inf
+    rho = _TORSION_CASES["theta+tau^2"]()
+    cfg = rho.cfg
+    thr = cfg.pass_threshold()
+    z = cfg.theta(-5)
+    assert (rho.exp_eval(rho.log_eval(z)) - z).is_zero_to(thr)
+    assert not rho.log_certificate(cfg.theta(2))
+    lat = rho.periods()
+    assert [t.depth for t in lat.towers] == [1, 1]
+    # complex multiplication by F_9: omega2 = c omega1, c in F_9 but not F_3
+    field = cfg.field
+    ratios = [c for c in range(1, field.size)
+              if (lat.omega2 - lat.omega1.scale(c)).is_zero_to(thr)]
+    assert len(ratios) == 1
+    assert field.frob_q(ratios[0], 2) == ratios[0]
+    assert not field.in_base_field(ratios[0])
+
+
+def _forced_towers(monkeypatch, rho, seeds, k):
+    """The towers of rho over the seeds, with log_certificate refusing the
+    first k levels of each."""
+    certificate = DrinfeldModule.log_certificate
+    left = [0]
+
+    def refusing(self, z):
+        if left[0]:
+            left[0] -= 1
+            return False
+        return certificate(self, z)
+
+    monkeypatch.setattr(DrinfeldModule, "log_certificate", refusing)
+    towers = []
+    for seed in seeds:
+        left[0] = k
+        towers.append(rho.period_from_seed(seed))
+    monkeypatch.undo()
+    return towers
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("case", ["q3-240", "q3-1920", "q5-tame-240",
+                                  "q3-240,kappa.prec=300", "theta+tau^2"])
+def test_forced_deep_towers_match_depth_one(case, k, monkeypatch):
+    # every refused level is one more additive division step; the period
+    # does not change, and each chain value is exp(omega/theta^n)
+    rho = _TORSION_CASES[case]()
+    cfg = rho.cfg
+    thr = cfg.pass_threshold()
+    want = rho.periods()
+    assert [t.depth for t in want.towers] == [1, 1]
+    towers = _forced_towers(monkeypatch, rho, rho.lattice_seeds(), k)
+    for tower, om in zip(towers, want.basis()):
+        assert tower.depth == k + 1 and tower.omega.prec >= thr
+        assert (tower.omega - om).vbound() >= min(tower.omega.prec, om.prec)
+        for n, en in enumerate(tower.chain, 1):
+            want_en = rho.exp_eval(tower.omega.shift(n * cfg.e))
+            assert (en - want_en).is_zero_to(thr), (n, en, want_en)
+
+
+@pytest.mark.parametrize("case", ["seed", "kappa", "u"])
+def test_forced_tower_precision_covers_inexact_inputs(case, monkeypatch):
+    # an input known to finite precision against an exact value that agrees
+    # with it there: the tower steps agree to the precision they claim
+    if case == "seed":
+        rho = exact = _q3_module(240)
+        cfg = rho.cfg
+        full = rho.lattice_seeds()[0]
+        seed = full.truncate(full.valuation() + 400)
+        seeds = [seed, CInfApprox(cfg, {**seed.terms, seed.prec: 1}, INF)]
+    else:
+        # theta + tau^2 with kappa = 0 known to 400 or u = 1 known to 300,
+        # where each sets the precision of the step
+        cm = _TORSION_CASES["theta+tau^2"]()
+        cfg = cm.cfg
+        prec = {"kappa": 400, "u": 300}[case]
+        coeffs = {"kappa": cm.kappa, "u": cm.u}
+        terms = coeffs[case].terms
+        coeffs[case] = CInfApprox(cfg, terms, prec)
+        rho = DrinfeldModule(cfg, 2, coeffs["kappa"], coeffs["u"])
+        coeffs[case] = CInfApprox(cfg, {**terms, prec: 1}, INF)
+        exact = DrinfeldModule(cfg, 2, coeffs["kappa"], coeffs["u"])
+        seeds = [cm.lattice_seeds()[0]] * 2
+    got, want = (_forced_towers(monkeypatch, r, [s], 3)[0].chain
+                 for r, s in zip((rho, exact), seeds))
+    for x, y in zip(got, want):
+        assert x.prec <= y.prec and (x - y).vbound() >= x.prec
+
+
+def test_tower_seed_outside_contraction_disc():
+    # e_1 = theta^2 is not log-certified; the step's seed theta has
+    # valuation -72 and d0 = min(3, 9) * (-72) + 72 <= -72
+    rho = _q3_module(240)
+    with pytest.raises(NoConvergence, match="contraction disc"):
+        rho.period_from_seed(rho.cfg.theta(2))
+
+
 # Quasi-periods against the plain unrolled loop
 
 
-def _quasi_period_reference(rho, lam, delta=None, lattice=None, extra=0):
+def _quasi_period_reference(rho, lam, delta=None, extra=0):
     """F_delta(lam) by the plain unrolled loop: every level
     exp(lam/theta^{j+1}) at the full precision exp_eval gives it, summed,
     then cut at min(sum precision, floor).  With extra > 0 the loop runs
     that many levels past its stop and returns the uncut sum."""
     cfg = rho.cfg
-    towers = lattice.towers if lattice is not None else []
-    tower = next((tw for tw in towers if tw.omega is lam), None)
     if delta is None:
         delta = Biderivation.tau(cfg)
     e, q = cfg.e, cfg.q
@@ -737,9 +836,7 @@ def _quasi_period_reference(rho, lam, delta=None, lattice=None, extra=0):
     target = cfg.rel_prec + max(0, -vlam)
     acc, theta_pow, stop = cfg.zero(INF), cfg.one(), None
     for j in itertools.count():
-        w = tower.exp_at_level(j + 1) if tower else None
-        if w is None:
-            w = rho.exp_eval(lam / cfg.theta(j + 1))
+        w = rho.exp_eval(lam / cfg.theta(j + 1))
         acc = acc + theta_pow * delta.delta_t(w)
         theta_pow = theta_pow * cfg.theta()
         if stop is None:
@@ -776,7 +873,7 @@ def test_quasi_period_matches_unrolled_reference(case):
     for lam, lat in _quasi_period_arguments(rho):
         for delta in (None, Biderivation.inner_one(rho)):
             got = rho.quasi_period_eval(lam, delta=delta, lattice=lat)
-            want = _quasi_period_reference(rho, lam, delta, lat)
+            want = _quasi_period_reference(rho, lam, delta)
             assert got.terms == want.terms, (case, lam, delta)
             assert got.prec == want.prec, (case, lam, delta)
 
