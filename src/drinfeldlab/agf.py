@@ -21,7 +21,7 @@ certified by DrinfeldModule._tail_floor and its induction proof.
 """
 
 from .cinf import INF, dot
-from .errors import PoleHit
+from .errors import ConfigError, PoleHit
 from .tseries import TSeries
 
 
@@ -120,6 +120,29 @@ class AndersonGF:
         floor = cfg.q ** n * self.module._tail_floor(
             "exp", self.u.vbound() + cfg.e, self.I - 1)
         return acc.truncate(min(acc.prec, floor))
+
+    # -- the twisted pair ---------------------------------------------------------
+
+    def twisted_pair(self, T=None):
+        """(kappa f^(1) + f^(2), f^(1)) through T coefficients: every column
+        of Psi and every g-vector is this pair, signed where it is used."""
+        self._require_normalized()
+        f = self.series(T)
+        f1 = f.twist(1)
+        return f1.scale(self.module.kappa) + f.twist(2), f1
+
+    def twisted_pair_at_theta(self):
+        """The same pair at t = theta, by pole-aware evaluation."""
+        self._require_normalized()
+        th = self.cfg.theta()
+        f1 = self.eval_twisted(1, th)
+        return self.module.kappa * f1 + self.eval_twisted(2, th), f1
+
+    def _require_normalized(self):
+        if self.module.rank != 2 or not self.module.is_normalized():
+            raise ConfigError(
+                "the twisted pair needs a rank-2 module in the normalized "
+                "form u = 1; call normalize() first")
 
     # -- functional equation reports ----------------------------------------------
 

@@ -62,6 +62,10 @@ class FieldConfig:
     def __init__(self, p, s=1, m=1, modulus=None, e=None, depth=2,
                  prec=240, rel_prec=None, t_terms=32, exp_depth=12,
                  pole_count=None, tower_cap=12, allow_char2=False):
+        for name, v in (("s", s), ("m", m)):
+            if type(v) is not int or v < 1:
+                raise ConfigError("%s = %r is not a positive integer"
+                                  % (name, v))
         if not is_prime(p):
             raise ConfigError("p = %r is not prime" % (p,))
         if p == 2 and not allow_char2:

@@ -132,6 +132,8 @@ def encode_module(module):
 def decode_module(data, cfg=None):
     from .drinfeld import DrinfeldModule
     _require(data, ("rank",), "module descriptor")
+    if type(data["rank"]) is not int or data["rank"] not in (1, 2):
+        raise ConfigError("rank must be 1 or 2, not %r" % (data["rank"],))
     if cfg is None:
         cfg = decode_config(data)
     if data["rank"] == 1:

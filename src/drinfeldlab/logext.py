@@ -1,10 +1,12 @@
 """Extensions of the rank-2 difference system by logarithm data.
 
-A point with algebraic exponential image contributes a vector
-g = (-kappa f^(1) - f^(2), -f^(1)) built from its Anderson generating
-function; g satisfies the transposed difference equation against Phi and
+A point with algebraic exponential image contributes a vector g = (-a, -b),
+where (a, b) = (kappa f^(1) + f^(2), f^(1)) is the twisted pair of its
+Anderson generating function f, the same pair each column of Psi is built
+from; g satisfies the transposed difference equation against Phi and
 specializes to (lambda - alpha, -F(lambda)) at t = theta.  Stacking n such
-rows under Phi and Psi produces block systems Phi_n, Psi_n whose common
+rows as a matrix G gives the block systems Phi_n = [[Phi, 0], [A, I]] (row i
+of A is (alpha_i, 0)) and Psi_n = [[Psi, 0], [G Psi, I]], whose common
 difference equation and specialization carry all the periods, logarithms
 and quasi-logarithms at once.  The relation certificate evaluates putative
 linear relations among these quantities and reports residual valuations;
@@ -15,6 +17,7 @@ transcendence.
 from .agf import AndersonGF
 from .cinf import INF, dot
 from .errors import VerificationFailed
+from .motive import difference_residual
 from .tseries import TMatrix, TSeries
 
 
@@ -51,33 +54,22 @@ def make_log_point(module, lam=None, alpha=None):
 
 
 class GVector:
-    """g = (-kappa f_lambda^(1) - f_lambda^(2), -f_lambda^(1)) with its
+    """g = (-a, -b) for the twisted pair (a, b) of f_lambda, with its
     pole-form backing, plus the inhomogeneity h = (alpha, 0)."""
 
     def __init__(self, motive, point):
         self.motive = motive
         self.point = point
-        cfg = motive.cfg
-        self.cfg = cfg
+        self.cfg = motive.cfg
         self.agf = AndersonGF(motive.module, point.lam)
-        T = motive.T
-        k = motive.module.kappa
-        f = self.agf.series(T)
-        f1, f2 = f.twist(1), f.twist(2)
-        self.g1 = -(f1.scale(k) + f2)
-        self.g2 = -f1
-
-    def series_pair(self):
-        return self.g1, self.g2
+        a, b = self.agf.twisted_pair(motive.T)
+        self.g1 = -a
+        self.g2 = -b
 
     def at_theta(self):
         """(g1(theta), g2(theta)) by pole-aware evaluation."""
-        cfg = self.cfg
-        th = cfg.theta()
-        k = self.motive.module.kappa
-        f1 = self.agf.eval_twisted(1, th)
-        f2 = self.agf.eval_twisted(2, th)
-        return -(k * f1 + f2), -f1
+        a, b = self.agf.twisted_pair_at_theta()
+        return -a, -b
 
     def specialization_residuals(self):
         """g1(theta) - (lambda - alpha) and g2(theta) + F(lambda), both of
@@ -105,58 +97,39 @@ class GVector:
 
 
 class ExtendedSystem:
-    """Block matrices Phi_n, Psi_n for a list of log points."""
+    """Block matrices Phi_n = [[Phi, 0], [A, I_n]] and
+    Psi_n = [[Psi, 0], [G Psi, I_n]] for a list of log points: row i of A
+    is (alpha_i, 0) and row i of G the g-vector of point i."""
 
     def __init__(self, motive, points):
         self.motive = motive
-        self.cfg = motive.cfg
+        cfg = self.cfg = motive.cfg
         self.points = list(points)
         self.gvectors = [GVector(motive, p) for p in self.points]
         self.n = len(self.points)
-        self.phi_n = self._build_phi_n()
-        self.psi_n = self._build_psi_n()
+        zero = TSeries.constant(cfg, cfg.zero(INF))
+        self.phi_n = self._block(motive.phi, [
+            [TSeries.constant(cfg, p.alpha), zero] for p in self.points])
+        lower = []
+        if self.n:
+            # Psi and every g have T coefficients, and so does G Psi
+            G = TMatrix([[gv.g1, gv.g2] for gv in self.gvectors])
+            lower = (G * motive.psi).rows
+        self.psi_n = self._block(motive.psi, lower)
 
-    def _zero(self):
-        return TSeries.constant(self.cfg, self.cfg.zero(INF))
-
-    def _one(self):
-        return TSeries.constant(self.cfg, self.cfg.one())
-
-    def _build_phi_n(self):
-        phi = self.motive.phi
-        rows = []
-        for i in range(2):
-            rows.append(list(phi.rows[i]) + [self._zero()] * self.n)
-        for i, p in enumerate(self.points):
-            row = [TSeries.constant(self.cfg, p.alpha), self._zero()]
-            row += [self._one() if j == i else self._zero()
-                    for j in range(self.n)]
-            rows.append(row)
-        return TMatrix(rows)
-
-    def _build_psi_n(self):
-        T = self.motive.T
-        psi = self.motive.psi
-        rows = []
-        for i in range(2):
-            rows.append([a.truncate(T) for a in psi.rows[i]]
-                        + [self._zero()] * self.n)
-        for i, gv in enumerate(self.gvectors):
-            g1, g2 = gv.series_pair()
-            row = [(g1 * psi.rows[0][j] + g2 * psi.rows[1][j]).truncate(T)
-                   for j in range(2)]
-            row += [self._one() if j == i else self._zero()
-                    for j in range(self.n)]
-            rows.append(row)
-        return TMatrix(rows)
+    def _block(self, top, lower):
+        """[[top, 0], [lower, I_n]] for the n rows of lower."""
+        cfg = self.cfg
+        zero = TSeries.constant(cfg, cfg.zero(INF))
+        one = TSeries.constant(cfg, cfg.one())
+        n = len(lower)
+        return TMatrix([r + [zero] * n for r in top.rows]
+                       + [r + [one if j == i else zero for j in range(n)]
+                          for i, r in enumerate(lower)])
 
     def difference_residual(self):
         """Psi_n - Phi_n^(1) Psi_n^(1) through T coefficients."""
-        T = self.motive.T
-        prod = self.phi_n.twist(1) * self.psi_n.twist(1)
-        m = 2 + self.n
-        return TMatrix([[(self.psi_n.rows[i][j] - prod.rows[i][j]).truncate(T)
-                         for j in range(m)] for i in range(m)])
+        return difference_residual(self.phi_n, self.psi_n, self.motive.T)
 
     def generators(self):
         """The named quantities that generate the specialized system."""

@@ -6,23 +6,25 @@ This module assembles, for a normalized rank-2 Drinfeld module:
   the 1x1 system with multiplier t - theta) and the period pi_tilde :=
   -1/Omega(theta);
 * the sign constant xi with xi^(q-1) = -1;
-* the 2x2 multiplier matrix Phi and its trivialization Psi, built out of
-  Anderson generating functions of a period basis, carried both as a
-  truncated t-series matrix (for coefficientwise identities) and as
-  pole/partial-fraction data (for the t = theta specialization).  Each
-  series entry of Psi is xi Omega times a combination of twisted
-  generating functions; the factor xi Omega is applied through its
-  product form (OmegaData.times), one linear factor 1 - t/theta^(q^i) at a
-  time and then the monomial xi * prefactor, never through its expanded
-  series.  The value, precision and tail are those of the expanded
-  product; most of that product's term pairs cancel, and factor by factor
-  they cancel before they are formed;
+* the 2x2 multiplier matrix Phi and its trivialization
+  Psi = xi Omega [[-b2, b1], [a2, -a1]], where (a_i, b_i) =
+  (kappa f_i^(1) + f_i^(2), f_i^(1)) is the twisted pair of the generating
+  function f_i of the period omega_i (AndersonGF.twisted_pair), carried
+  both as a truncated t-series matrix (for coefficientwise identities) and
+  at t = theta by pole-aware evaluation of the same pairs.  The factor
+  xi Omega is applied through its product form (OmegaData.times), one
+  linear factor 1 - t/theta^(q^i) at a time and then the monomial
+  xi * prefactor, never through its expanded series.  The value,
+  precision and tail are those of the expanded product; most of that
+  product's term pairs cancel, and factor by factor they cancel before
+  they are formed;
 * the period matrix P = Psi(theta)^(-1) and the Legendre-type invariant
   [(omega1 F(omega2) - omega2 F(omega1)) * Omega(theta)]^(q-1) = -1.
 
 Every identity is checked in its positively-twisted form, e.g.
 Psi = Phi^(1) Psi^(1), so that no series coefficient ever needs a q-th
-root.
+root; difference_residual forms X - Phi^(1) X^(1) for Omega, Psi, its
+Kronecker square, its determinant and the block systems alike.
 """
 
 from .agf import AndersonGF
@@ -132,14 +134,22 @@ class OmegaData:
         return -self.value_at(self.cfg.theta()).inverse()
 
     def difference_residual(self, T=None):
-        """Omega - (t - theta^q) Omega^(1); the truncated form leaves only
-        the dropped-factor dust."""
+        """Omega - (t - theta^q) Omega^(1), the rank-1 difference residual;
+        the truncated form leaves only the dropped-factor dust."""
         cfg = self.cfg
-        if T is None:
-            T = cfg.t_terms
-        om = self.product.truncate(T)
-        mult = TSeries.from_poly(cfg, [-cfg.theta().frobenius(1), cfg.one()])
-        return (om - mult * om.twist(1)).truncate(T)
+        return difference_residual(
+            TMatrix([[TSeries.t_minus_theta(cfg)]]), TMatrix([[self.product]]),
+            cfg.t_terms if T is None else T).entry(0, 0)
+
+
+def difference_residual(phi, psi, T):
+    """psi - phi^(1) psi^(1), entrywise through T coefficients: the
+    difference equation of every trivialization here.  psi is cut to T
+    first; an exact entry shorter than T is known everywhere and is left
+    unpadded, so that its products stay short."""
+    psi = TMatrix([[a if a.T <= T else a.truncate(T) for a in r]
+                   for r in psi.rows])
+    return (psi - phi.twist(1) * psi.twist(1)).truncate(T)
 
 
 def phi_matrix(module):
@@ -183,48 +193,31 @@ class MotiveMatrices:
         self.psi = self._build_psi()
 
     def _build_psi(self):
-        """Psi = xi Omega [[-f2^(1), f1^(1)],
-                           [kappa f2^(1) + f2^(2), -kappa f1^(1) - f1^(2)]]."""
-        cfg = self.cfg
+        """Psi = xi Omega [[-b2, b1], [a2, -a1]] for the twisted pairs
+        (a_i, b_i) of omega_i."""
         T = self.T
-        k = self.module.kappa
-        f1 = self.agf1.series(T)
-        f2 = self.agf2.series(T)
-        f1_1, f1_2 = f1.twist(1), f1.twist(2)
-        f2_1, f2_2 = f2.twist(1), f2.twist(2)
-        rows = [
-            [-f2_1, f1_1],
-            [f2_1.scale(k) + f2_2, -(f1_1.scale(k) + f1_2)],
-        ]
-        return TMatrix([[self.omega.times(a, self.xi, T) for a in r]
-                        for r in rows])
+        a1, b1 = self.agf1.twisted_pair(T)
+        a2, b2 = self.agf2.twisted_pair(T)
+        return TMatrix([[self.omega.times(x, self.xi, T) for x in r]
+                        for r in [[-b2, b1], [a2, -a1]]])
 
     # -- coefficientwise identities ---------------------------------------------
 
     def difference_residual(self):
         """Psi - Phi^(1) Psi^(1), entrywise through T coefficients."""
-        n = self.psi.shape[0]
-        trunc = TMatrix([[a.truncate(self.T) for a in r] for r in self.psi.rows])
-        prod = self.phi.twist(1) * trunc.twist(1)
-        return TMatrix([[(trunc.rows[i][j] - prod.rows[i][j]).truncate(self.T)
-                         for j in range(n)] for i in range(n)])
+        return difference_residual(self.phi, self.psi, self.T)
 
     def tensor_difference_residual(self):
         """Kronecker square: Psi x Psi against Phi x Phi."""
-        pp = self.phi.kronecker(self.phi)
-        qq = TMatrix([[a.truncate(self.T) for a in r]
-                      for r in self.psi.kronecker(self.psi).rows])
-        prod = pp.twist(1) * qq.twist(1)
-        return TMatrix([[(qq.rows[i][j] - prod.rows[i][j]).truncate(self.T)
-                         for j in range(qq.shape[0])]
-                        for i in range(qq.shape[0])])
+        return difference_residual(self.phi.kronecker(self.phi),
+                                   self.psi.kronecker(self.psi), self.T)
 
     def wedge_residual(self):
         """det Psi - (det Phi)^(1) (det Psi)^(1): the wedge line, multiplier
         det Phi, trivialized by det Psi."""
-        dphi = self.phi.det()
-        dpsi = self.psi.det().truncate(self.T)
-        return (dpsi - dphi.twist(1) * dpsi.twist(1)).truncate(self.T)
+        return difference_residual(TMatrix([[self.phi.det()]]),
+                                   TMatrix([[self.psi.det()]]),
+                                   self.T).entry(0, 0)
 
     def sigma_invariance_residual(self):
         """x - x^(1) for x = det Psi / (xi Omega); the true ratio lies in
@@ -240,18 +233,10 @@ class MotiveMatrices:
 
     def psi_at_theta(self):
         """Psi(theta) by pole-aware evaluation of the generating functions."""
-        cfg = self.cfg
-        th = cfg.theta()
-        k = self.module.kappa
-        f1_1 = self.agf1.eval_twisted(1, th)
-        f1_2 = self.agf1.eval_twisted(2, th)
-        f2_1 = self.agf2.eval_twisted(1, th)
-        f2_2 = self.agf2.eval_twisted(2, th)
-        s = self.xi * self.omega.value_at(th)
-        return [
-            [-s * f2_1, s * f1_1],
-            [s * (k * f2_1 + f2_2), -s * (k * f1_1 + f1_2)],
-        ]
+        a1, b1 = self.agf1.twisted_pair_at_theta()
+        a2, b2 = self.agf2.twisted_pair_at_theta()
+        s = self.xi * self.omega.value_at(self.cfg.theta())
+        return [[-s * b2, s * b1], [s * a2, -s * a1]]
 
     def reference_psi_at_theta(self):
         """(xi/pi_tilde) [[F(omega2), -F(omega1)], [omega2, -omega1]] from

@@ -284,6 +284,9 @@ class TMatrix:
     def twist(self, n):
         return TMatrix([[a.twist(n) for a in r] for r in self.rows])
 
+    def truncate(self, T):
+        return TMatrix([[a.truncate(T) for a in r] for r in self.rows])
+
     def transpose(self):
         n, m = self.shape
         return TMatrix([[self.rows[i][j] for i in range(n)]

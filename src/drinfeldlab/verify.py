@@ -262,13 +262,9 @@ def check_log_layer(ctx, ns=(1, 2)):
         mod = ctx.module
         lam = mod.log_eval(cfg.theta(-1))
         alpha = mod.exp_eval(lam)
-        f = AndersonGF(mod, lam)
-        th = cfg.theta()
-        g1t = -(mod.kappa * f.eval_twisted(1, th)
-                + mod.u * f.eval_twisted(2, th))
-        g2t = -f.eval_twisted(1, th)
-        r1 = g1t - (lam - alpha)
-        r2 = g2t + mod.quasi_period_eval(lam)
+        a, b = AndersonGF(mod, lam).twisted_pair_at_theta()
+        r1 = -a - (lam - alpha)
+        r2 = -b + mod.quasi_period_eval(lam)
         rep = _report("log-g-specialization[%s]" % ctx.label, {"q": cfg.q},
                       [r1.vbound(), r2.vbound()], cfg.pass_threshold())
         rep["note"] = ("block systems need the full period basis, which is "

@@ -124,6 +124,11 @@ def test_config_validation():
     assert cfg.q == 2
     with pytest.raises(ConfigError):
         FieldConfig(9, 1, 2)  # 9 is not prime
+    # s = 0 made q = 1 and the grid check divided by zero
+    for s, m in [(0, 2), (-1, 2), (True, 2), ("1", 2), (1, 0), (1, -3),
+                 (1, True), (1, False)]:
+        with pytest.raises(ConfigError):
+            FieldConfig(3, s, m, e=72)
 
 
 def test_mixed_config_rejected(cfg_small):

@@ -67,6 +67,22 @@ def test_config_error_exit_code(capsys, tmp_path):
             assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("rank", 3), ("rank", 0), ("rank", True), ("rank", "x"), ("rank", None),
+    ("s", 0), ("m", 0), ("s", True), ("m", True)])
+def test_bad_rank_or_degree_is_a_config_error(capsys, tmp_path, key, value):
+    # before, any rank but 1 built a rank-2 module (True built Carlitz) and
+    # "s": 0 raised ZeroDivisionError in FieldConfig, exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(encode_module(context_q3().module),
+                                   **{key: value})))
+    code, out, err = run_cli(capsys, "exp-eval", "--module", str(bad),
+                             "--z", "theta^-1", "--json")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_other_library_error_exit_code(capsys, monkeypatch):
     # a DrinfeldLabError outside the listed families is still a typed record
     def broken(args, cfg, module, ctx):
