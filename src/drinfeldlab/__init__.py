@@ -4,29 +4,43 @@ Construction of Drinfeld modules over precision-tracked Laurent expansions
 in theta^(-1/e), their periods, quasi-periods, logarithms, Anderson
 generating functions and Frobenius difference systems, with a verification
 suite that machine-checks every identity at configurable precision.
+
+The names below load their submodule on first use (PEP 562), so importing
+the package, or running one CLI command, loads only the modules it needs.
+A name is looked up in its submodule on every access, never copied into
+the package, so it is always the submodule's current object.
 """
 
-from .agf import AndersonGF
-from .cinf import CInfApprox, FieldConfig, INF
-from .drinfeld import (Biderivation, DrinfeldModule, Lattice, Tower,
-                       compose_qlinear, verify_morphism)
-from .errors import (ConfigError, DivergentEvaluation,
-                     DivisionByApparentZero, DrinfeldLabError, GridTooCoarse,
-                     IndeterminateValuation, IndependenceFailure,
-                     NoConvergence, NotAUnit, PoleHit, PrecisionExhausted,
-                     ResidueFieldTooSmall, ShapeMismatch,
-                     SingularSpecialization, VerificationFailed)
-from .fields import FiniteField
-from .logext import (ExtendedSystem, GVector, LogPoint, make_log_point,
-                     relation_certificate)
-from .motive import MotiveMatrices, OmegaData, phi_matrix, xi_constant
-from .roots import (NewtonPolygon, all_nonzero_roots, hensel_root,
-                    newton_polygon)
-from .skew import SigmaPoly, SkewPoly, TwistedPoly
-from .tseries import TMatrix, TSeries
-from .verify import run_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "AndersonGF": "agf",
+    "CInfApprox": "cinf", "FieldConfig": "cinf", "INF": "cinf",
+    "Biderivation": "drinfeld", "DrinfeldModule": "drinfeld",
+    "Lattice": "drinfeld", "Tower": "drinfeld",
+    "compose_qlinear": "drinfeld", "verify_morphism": "drinfeld",
+    "ConfigError": "errors", "DivergentEvaluation": "errors",
+    "DivisionByApparentZero": "errors", "DrinfeldLabError": "errors",
+    "GridTooCoarse": "errors", "IndeterminateValuation": "errors",
+    "IndependenceFailure": "errors", "NoConvergence": "errors",
+    "NotAUnit": "errors", "PoleHit": "errors",
+    "PrecisionExhausted": "errors", "ResidueFieldTooSmall": "errors",
+    "ShapeMismatch": "errors", "SingularSpecialization": "errors",
+    "VerificationFailed": "errors",
+    "FiniteField": "fields",
+    "ExtendedSystem": "logext", "GVector": "logext", "LogPoint": "logext",
+    "make_log_point": "logext", "relation_certificate": "logext",
+    "MotiveMatrices": "motive", "OmegaData": "motive",
+    "phi_matrix": "motive", "xi_constant": "motive",
+    "NewtonPolygon": "roots", "all_nonzero_roots": "roots",
+    "hensel_root": "roots", "newton_polygon": "roots",
+    "SigmaPoly": "skew", "SkewPoly": "skew", "TwistedPoly": "skew",
+    "TMatrix": "tseries", "TSeries": "tseries",
+    "run_suite": "verify",
+}
 
 __all__ = [
     "AndersonGF", "Biderivation", "CInfApprox", "ConfigError",
@@ -42,3 +56,15 @@ __all__ = [
     "phi_matrix", "relation_certificate", "run_suite", "verify_morphism",
     "xi_constant",
 ]
+
+
+def __getattr__(name):
+    sub = _EXPORTS.get(name)
+    if sub is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(import_module("." + sub, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,6 +18,11 @@ poles with their floor against exp_eval's rows and its tail floor.
 Every tail (the dropped coefficients of the series and the dropped poles
 of both pole-form evaluations) is a q-linear exponential tail, so each is
 certified by DrinfeldModule._tail_floor and its induction proof.
+
+The twisted pair at t = theta is computed once per generating function
+and published by rebinding an attribute to the finished pair, so threads
+may share a generating function; two threads racing on the empty memo
+both compute the same pair.
 """
 
 from .cinf import INF, dot
@@ -37,6 +42,7 @@ class AndersonGF:
         alphas = module.exp_coeffs(pole_count - 1)
         self.numerators = [alphas[i] * u.frobenius(i)
                            for i in range(pole_count)]
+        self._pair_at_theta = None
 
     # -- the two representations -------------------------------------------------
 
@@ -132,11 +138,16 @@ class AndersonGF:
         return f1.scale(self.module.kappa) + f.twist(2), f1
 
     def twisted_pair_at_theta(self):
-        """The same pair at t = theta, by pole-aware evaluation."""
-        self._require_normalized()
-        th = self.cfg.theta()
-        f1 = self.eval_twisted(1, th)
-        return self.module.kappa * f1 + self.eval_twisted(2, th), f1
+        """The same pair at t = theta, by pole-aware evaluation; computed
+        once per generating function."""
+        pair = self._pair_at_theta
+        if pair is None:
+            self._require_normalized()
+            th = self.cfg.theta()
+            f1 = self.eval_twisted(1, th)
+            pair = (self.module.kappa * f1 + self.eval_twisted(2, th), f1)
+            self._pair_at_theta = pair
+        return pair
 
     def _require_normalized(self):
         if self.module.rank != 2 or not self.module.is_normalized():

@@ -34,8 +34,9 @@ exp/log sums) hands its pairs to it in one call.
 """
 
 import math
-from fractions import Fraction
 
+# Fraction is imported only by the few methods that return or print one:
+# the fractions module is a sizeable share of a cold start
 from .errors import (ConfigError, DivisionByApparentZero, GridTooCoarse,
                      IndeterminateValuation, NoConvergence,
                      PrecisionExhausted)
@@ -66,6 +67,17 @@ class FieldConfig:
             if type(v) is not int or v < 1:
                 raise ConfigError("%s = %r is not a positive integer"
                                   % (name, v))
+        # plain ints only: a float, string or bool would pass the value
+        # checks below, or fail them with a TypeError
+        ints = [("p", p), ("depth", depth), ("prec", prec),
+                ("t_terms", t_terms), ("exp_depth", exp_depth),
+                ("tower_cap", tower_cap)]
+        ints += [(name, v) for name, v in (("e", e), ("rel_prec", rel_prec),
+                                           ("pole_count", pole_count))
+                 if v is not None]
+        for name, v in ints:
+            if type(v) is not int:
+                raise ConfigError("%s = %r is not an integer" % (name, v))
         if not is_prime(p):
             raise ConfigError("p = %r is not prime" % (p,))
         if p == 2 and not allow_char2:
@@ -86,8 +98,8 @@ class FieldConfig:
         self.e = e
         self.field = FiniteField(p, s, m, modulus)
         self.modulus = self.field.modulus
-        self.prec = int(prec)
-        self.rel_prec = int(rel_prec) if rel_prec is not None else 4 * self.prec
+        self.prec = prec
+        self.rel_prec = rel_prec if rel_prec is not None else 4 * prec
         if self.rel_prec < self.prec:
             raise ConfigError("rel_prec must be at least prec")
         self.t_terms = t_terms
@@ -243,11 +255,13 @@ class CInfApprox:
         return min(self.terms) if self.terms else self.prec
 
     def theta_valuation(self):
+        from fractions import Fraction
         v = self.valuation()
         return v if v == INF else Fraction(v, self.cfg.e)
 
     def abs_log_q(self):
         """log_q |x| as a Fraction (-INF for the exact zero)."""
+        from fractions import Fraction
         v = self.valuation()
         return -INF if v == INF else Fraction(-v, self.cfg.e)
 
@@ -437,6 +451,7 @@ class CInfApprox:
     # -- display --------------------------------------------------------------
 
     def __repr__(self):
+        from fractions import Fraction
         if not self.terms:
             body = "0"
         else:

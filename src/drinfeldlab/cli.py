@@ -4,13 +4,16 @@ Every command prints one JSON document on stdout (sorted keys, so output
 is byte-deterministic for a fixed configuration) and machine-readable
 error records on stderr.  Exit codes: 0 ok, 2 configuration error (or any
 other library error), 3 precision/grid error, 4 verification failure.
+
+Each command imports the modules it runs (agf, motive, logext, verify,
+suggest) when it runs, so a one-shot command loads no more of the library
+than it needs.
 """
 
 import argparse
 import json
 import sys
 
-from .agf import AndersonGF
 from .cinf import INF
 from .encoding import (_require, canonical_dumps, decode_cinf,
                        decode_module, encode_agf, encode_cinf, encode_module)
@@ -20,9 +23,7 @@ from .errors import (ConfigError, DivergentEvaluation, DrinfeldLabError,
                      NoConvergence, NotAUnit, PoleHit, PrecisionExhausted,
                      ResidueFieldTooSmall, SingularSpecialization,
                      VerificationFailed)
-from .logext import ExtendedSystem, make_log_point
-from .motive import MotiveMatrices, OmegaData
-from .verify import context_q3, context_q5_tame, context_q5_wild, run_suite
+from .samples import context_q3, context_q5_tame, context_q5_wild
 
 _PRECISION_ERRORS = (GridTooCoarse, PrecisionExhausted, ResidueFieldTooSmall,
                      NoConvergence, DivergentEvaluation,
@@ -150,12 +151,14 @@ def cmd_quasi_period(args, cfg, module, ctx):
 
 
 def cmd_agf(args, cfg, module, ctx):
+    from .agf import AndersonGF
     u = parse_value(cfg, args.u)
     f = AndersonGF(module, u)
     return {"command": "agf", "agf": encode_agf(f)}
 
 
 def cmd_omega(args, cfg, module, ctx):
+    from .motive import OmegaData
     om = OmegaData(cfg, T=cfg.t_terms)
     res = om.difference_residual()
     return {
@@ -169,6 +172,7 @@ def cmd_omega(args, cfg, module, ctx):
 
 
 def _motive_for(args, cfg, module, ctx):
+    from .motive import MotiveMatrices
     if ctx is not None and module is ctx.module:
         return ctx.motive(args.prec_t or 16)
     lat = module.periods()
@@ -211,6 +215,7 @@ def cmd_specialize(args, cfg, module, ctx):
 
 
 def cmd_log_point(args, cfg, module, ctx):
+    from .logext import make_log_point
     lam = parse_value(cfg, args.z) if args.z else None
     alpha = parse_value(cfg, args.alpha) if args.alpha else None
     P = make_log_point(module, lam=lam, alpha=alpha)
@@ -223,6 +228,7 @@ def cmd_log_point(args, cfg, module, ctx):
 
 
 def cmd_extend(args, cfg, module, ctx):
+    from .logext import ExtendedSystem, make_log_point
     mot = _motive_for(args, cfg, module, ctx)
     points = [make_log_point(module, alpha=parse_value(cfg, a.strip()))
               for a in args.alphas.split(";")]
@@ -242,6 +248,7 @@ def cmd_extend(args, cfg, module, ctx):
 
 
 def cmd_verify(args, cfg, module, ctx):
+    from .verify import run_suite
     return run_suite(timings=args.timings)
 
 

@@ -39,17 +39,15 @@ threads racing on an empty memo both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
 """
 
-import logging
-
 from .cinf import INF, CInfApprox, dot
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, VerificationFailed)
 # newton_iterate is not called here; the benchmark tracer's self-test
 # wraps this alias
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
-from .skew import SkewPoly
 
-log = logging.getLogger(__name__)
+# SkewPoly is imported where a tau-polynomial is built (torsion, towers,
+# biderivations), so exp and log evaluation never load skew.py
 
 _TAIL_SCAN = 64
 
@@ -72,12 +70,14 @@ class Biderivation:
     @classmethod
     def tau(cls, cfg):
         """The biderivation t -> tau (differentials of the second kind)."""
+        from .skew import SkewPoly
         return cls(SkewPoly.from_list(cfg, [0, 1]))
 
     @classmethod
     def inner_one(cls, module):
         """delta_t = theta - rho_t; its quasi-periodic function is
         z - exp(z), the differential of the first kind."""
+        from .skew import SkewPoly
         cfg = module.cfg
         rho = module.skew()
         coeffs = [cfg.zero(INF)] + [-rho.coeff(i)
@@ -155,6 +155,7 @@ class DrinfeldModule:
     # -- descriptor -----------------------------------------------------------
 
     def skew(self):
+        from .skew import SkewPoly
         cfg = self.cfg
         if self.rank == 1:
             return SkewPoly(cfg, [cfg.theta(), cfg.one()])
@@ -537,7 +538,6 @@ class DrinfeldModule:
                     raise NoConvergence(
                         "period residual v = %s below threshold %d"
                         % (resid.vbound(), cfg.pass_threshold()))
-                log.debug("tower converged at depth %d", n)
                 return Tower(omega, n, chain)
             x0 = CInfApprox(cfg, en.shift(e).terms, INF)
             v0 = x0.valuation()

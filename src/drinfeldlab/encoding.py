@@ -12,7 +12,6 @@ import json
 
 from .cinf import CInfApprox, FieldConfig, INF
 from .errors import ConfigError
-from .tseries import TSeries
 
 
 def canonical_dumps(obj):
@@ -66,6 +65,7 @@ def encode_tseries(F):
 
 
 def decode_tseries(cfg, data):
+    from .tseries import TSeries
     tail = data.get("tailBound")
     if tail is not None:
         tail = _prec_in(tail)

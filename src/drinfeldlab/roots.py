@@ -18,15 +18,14 @@ not come here: their Drinfeld module solves rho_t(x) = e_n by the same
 additive step.
 """
 
-import logging
 import math
-from fractions import Fraction
 
+# Fraction is imported by the functions that form slopes: the fractions
+# module (decimal with it) is a sizeable share of a cold start, and a
+# command that builds no Newton polygon, like exp-eval, never needs it
 from .cinf import INF, CInfApprox, dot
 from .errors import (GridTooCoarse, IndeterminateValuation, NoConvergence,
                      ResidueFieldTooSmall)
-
-log = logging.getLogger(__name__)
 
 _MAX_NEWTON_ITER = 64
 _MAX_DESCENT = 32
@@ -50,6 +49,7 @@ class NewtonPolygon:
         return [(-s, l) for s, l in self.segments]
 
     def theta_slopes(self, e):
+        from fractions import Fraction
         return [(Fraction(s) / e, l) for s, l in self.segments]
 
     def __repr__(self):
@@ -73,6 +73,7 @@ def _coefficient_points(coeffs):
 
 def newton_polygon(coeffs):
     """Polygon of a polynomial given as a dense list of CInfApprox."""
+    from fractions import Fraction
     pts, indet = _coefficient_points(coeffs)
     if not pts:
         raise IndeterminateValuation("all coefficients are zero to precision")
@@ -200,7 +201,6 @@ def newton_iterate(coeffs, seed, check_criterion=True):
     last = -INF
     for it in range(_MAX_NEWTON_ITER):
         if fx.is_apparent_zero():
-            log.debug("newton converged after %d iterations", it)
             return x, it
         v = fx.valuation()
         if v <= last:
@@ -221,15 +221,13 @@ def hensel_root(coeffs, seed):
     Requires the standard criterion |f(seed)| < |f'(seed)|^2; the result
     satisfies f(root) = 0 to the propagated working precision.
     """
-    root, iters = newton_iterate(coeffs, seed, check_criterion=True)
+    root, _ = newton_iterate(coeffs, seed, check_criterion=True)
     res = poly_eval(coeffs, root)
     target = seed.cfg.pass_threshold()
     if res.vbound() < target:
         raise NoConvergence(
             "root residual v = %s below certification threshold %d"
             % (res.vbound(), target))
-    log.debug("hensel_root: %d iterations, residual v >= %s", iters,
-              res.vbound())
     return root
 
 
@@ -300,6 +298,7 @@ def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
 
 
 def _iter_segments(coeffs):
+    from fractions import Fraction
     polygon = newton_polygon(coeffs)
     pts, _ = _coefficient_points(coeffs)
     vals = dict(pts)

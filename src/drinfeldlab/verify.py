@@ -16,11 +16,16 @@ checked for real and the unrepresentable remainder is reported with status
 import random
 import time
 
-from .cinf import INF, FieldConfig
-from .drinfeld import Biderivation, DrinfeldModule, compose_qlinear, \
-    verify_morphism
-from .logext import ExtendedSystem, make_log_point, relation_certificate
-from .motive import MotiveMatrices, OmegaData
+from .agf import AndersonGF
+from .cinf import INF
+from .drinfeld import (Biderivation, DrinfeldModule, Lattice,
+                       compose_qlinear, verify_morphism)
+from .logext import (ExtendedSystem, GVector, make_log_point,
+                     relation_certificate)
+from .motive import OmegaData
+# the samples live in samples.py; SampleContext stays importable from here
+from .samples import (SampleContext, context_q3,  # noqa: F401
+                      context_q5_tame, context_q5_wild)
 from .skew import SkewPoly
 
 _BATTERY_SEED = 0xD21F
@@ -32,55 +37,6 @@ def _v(x):
 
 def _vlist(values):
     return [_v(v) for v in values]
-
-
-class SampleContext:
-    """Lazily built sample data for one configuration."""
-
-    def __init__(self, label, cfg, kappa=None, u=None, wild=False):
-        self.label = label
-        self.cfg = cfg
-        self.wild = wild
-        self.carlitz = DrinfeldModule(cfg, 1)
-        if kappa is None and u is None:
-            self.module = None
-        else:
-            self.module = DrinfeldModule(cfg, 2, kappa, u)
-        self._motive = None
-        self._tame_tower = None
-
-    @property
-    def lattice(self):
-        return self.module.periods()
-
-    def motive(self, T=16):
-        if self._motive is None or self._motive.T != T:
-            self._motive = MotiveMatrices(self.module, self.lattice, T=T)
-        return self._motive
-
-    def tame_period_tower(self):
-        """First period from the representable torsion (works even when the
-        rest of the torsion is wild)."""
-        if self._tame_tower is None:
-            pts, _ = self.module.torsion_points(partial=True)
-            self._tame_tower = self.module.period_from_seed(pts[0])
-        return self._tame_tower
-
-
-def context_q3():
-    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
-    return SampleContext("q3", cfg, kappa=cfg.one(), u=cfg.one())
-
-
-def context_q5_tame():
-    cfg = FieldConfig(5, 1, 4, e=600, prec=240)
-    return SampleContext("q5-tame", cfg, kappa=cfg.one(), u=cfg.one())
-
-
-def context_q5_wild():
-    cfg = FieldConfig(5, 1, 2, e=100, prec=240)
-    return SampleContext("q5", cfg, kappa=cfg.theta(), u=cfg.one(),
-                         wild=True)
 
 
 def _report(check, params, residuals, threshold, extra=None):
@@ -142,7 +98,6 @@ def _agf_u_values(ctx):
 
 
 def check_agf(ctx, T=24):
-    from .agf import AndersonGF
     cfg = ctx.cfg
     out = []
     for name, u in _agf_u_values(ctx):
@@ -225,7 +180,6 @@ def check_legendre(ctx):
                         "is_minus_one": li["is_minus_one"]}))
     out[-1]["pass"] = bool(out[-1]["pass"] and li["is_minus_one"])
     # rescaling invariance for every c in F_q^x
-    from .drinfeld import Lattice
     lat = ctx.lattice
     codes = []
     for c in cfg.field.base_field_elements():
@@ -258,7 +212,6 @@ def check_log_layer(ctx, ns=(1, 2)):
     out = []
     if ctx.wild:
         # only the g-vector specializations exist for this module
-        from .agf import AndersonGF
         mod = ctx.module
         lam = mod.log_eval(cfg.theta(-1))
         alpha = mod.exp_eval(lam)
@@ -270,7 +223,6 @@ def check_log_layer(ctx, ns=(1, 2)):
         rep["note"] = ("block systems need the full period basis, which is "
                        "wildly ramified for this module")
         return [rep]
-    from .logext import GVector
     mot = ctx.motive()
     P = make_log_point(ctx.module, alpha=cfg.theta(-1))
     gv = GVector(mot, P)

@@ -129,6 +129,20 @@ def test_config_validation():
                  (1, True), (1, False)]:
         with pytest.raises(ConfigError):
             FieldConfig(3, s, m, e=72)
+    # the other integer fields want plain ints too; "3" and depth "x"
+    # raised TypeError, e = 72.0 was accepted and prec = 1.5 became 1
+    for name in ("p", "e", "depth", "prec", "rel_prec", "t_terms",
+                 "exp_depth", "tower_cap", "pole_count"):
+        for bad in ("3", 72.0, 1.5, True, False, "x"):
+            args = dict(p=3, s=1, m=2, e=72, prec=240)
+            args[name] = bad
+            with pytest.raises(ConfigError, match=name):
+                FieldConfig(**args)
+    for name in ("p", "depth", "prec", "t_terms", "exp_depth", "tower_cap"):
+        with pytest.raises(ConfigError, match=name):
+            FieldConfig(**dict(dict(p=3, s=1, m=2, e=72), **{name: None}))
+    cfg = FieldConfig(3, 1, 2, e=None, rel_prec=None, pole_count=None)
+    assert (cfg.e, cfg.rel_prec, cfg.pole_count) == (18, 960, None)
 
 
 def test_mixed_config_rejected(cfg_small):

@@ -83,6 +83,25 @@ def test_bad_rank_or_degree_is_a_config_error(capsys, tmp_path, key, value):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("p", "3"), ("e", 72.0), ("e", True), ("depth", "x")])
+def test_mistyped_config_field_is_a_config_error(capsys, tmp_path, key,
+                                                 value):
+    # before, "p": "3" and "depth": "x" exited 1 with a TypeError traceback,
+    # and "e": 72.0 and "e": true were accepted
+    data = json.loads((Path(__file__).parent / "data" / "cm_q3.json")
+                      .read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["exp-eval", "--z", "theta^-1"], ["psi"]):
+        code, out, err = run_cli(capsys, *argv, "--module", str(bad),
+                                 "--json")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_other_library_error_exit_code(capsys, monkeypatch):
     # a DrinfeldLabError outside the listed families is still a typed record
     def broken(args, cfg, module, ctx):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab import roots
+from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
                                   compose_qlinear, verify_morphism)
@@ -357,6 +358,47 @@ def test_pole_table_thread_safe():
     for got in results:
         assert [(c.terms, c.prec) for c in got] == \
             [(c.terms, c.prec) for c in want]
+
+
+def _count_twisted_evals(monkeypatch):
+    calls = []
+    eval_twisted = AndersonGF.eval_twisted
+
+    def counted(self, n, t0):
+        calls.append(n)
+        return eval_twisted(self, n, t0)
+
+    monkeypatch.setattr(AndersonGF, "eval_twisted", counted)
+    return calls
+
+
+def test_twisted_pair_at_theta_memoized(ctx3, monkeypatch):
+    """The pair at theta is evaluated once per generating function."""
+    lam = ctx3.cfg.theta(-1)
+    calls = _count_twisted_evals(monkeypatch)
+    f = AndersonGF(ctx3.module, lam)
+    first = f.twisted_pair_at_theta()
+    assert calls == [1, 2]
+    second = f.twisted_pair_at_theta()
+    assert calls == [1, 2]
+    # a fresh generating function evaluates it again, to the same values
+    fresh = AndersonGF(ctx3.module, lam).twisted_pair_at_theta()
+    assert calls == [1, 2, 1, 2]
+    for pair in (second, fresh):
+        assert [(x.terms, x.prec) for x in pair] == \
+            [(x.terms, x.prec) for x in first]
+
+
+def test_twisted_pair_at_theta_thread_safe(ctx3):
+    """Threads reading one generating function's pair agree with a serial
+    run."""
+    lam = ctx3.cfg.theta(-2)
+    want = AndersonGF(ctx3.module, lam).twisted_pair_at_theta()
+    shared = AndersonGF(ctx3.module, lam)
+    results = _run_in_threads(shared.twisted_pair_at_theta)
+    for got in results:
+        assert [(x.terms, x.prec) for x in got] == \
+            [(x.terms, x.prec) for x in want]
 
 
 def _fresh(ctx):
