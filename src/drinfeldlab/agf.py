@@ -6,17 +6,16 @@ For a module rho and u in C_inf the generating function is
            = sum_i alpha_i u^(q^i) / (theta^(q^i) - t),
 
 a meromorphic function with simple poles at theta^(q^i) and residues
--alpha_i u^(q^i).  The partial-fraction form is primary here: its n-fold
-twist evaluates at t = theta for n >= 1, which is where every period
-identity is read off.  The t-power-series form exists for radius-1 work.
-Both forms sum the same products alpha_i u^(q^i): the series takes its
-coefficients from the exp ladder (DrinfeldModule._exp_levels), which forms
-each product once, and the pole form keeps them as numerators.  What the
-dual-representation check compares is therefore the two truncations, I
-poles with their floor against exp_eval's rows and its tail floor.
+-alpha_i u^(q^i) = -numerators[i].  The partial-fraction form is primary
+here: its n-fold twist evaluates at t = theta for n >= 1, which is where
+every period identity is read off.  The t-power-series form (series, the
+one t-series path) exists for radius-1 work and takes its coefficients
+from the exp ladder (DrinfeldModule._exp_levels).  Both forms sum the same
+products alpha_i u^(q^i); the dual-representation oracle, which rebuilds
+the series from the I poles and their floor, lives in the tests.
 
 Every tail (the dropped coefficients of the series and the dropped poles
-of both pole-form evaluations) is a q-linear exponential tail, so each is
+of a twisted evaluation) is a q-linear exponential tail, so each is
 certified by DrinfeldModule._tail_floor and its induction proof.
 
 The twisted pair at t = theta is computed once per generating function
@@ -44,16 +43,13 @@ class AndersonGF:
                            for i in range(pole_count)]
         self._pair_at_theta = None
 
-    # -- the two representations -------------------------------------------------
-
-    def t_coeff(self, j):
-        """Series coefficient exp(u / theta^(j+1)) (the defining form)."""
-        return self.module.exp_eval(self.u.shift((j + 1) * self.cfg.e))
+    # -- the t-series -------------------------------------------------------------
 
     def series(self, T=None):
         """Truncated t-series from the defining coefficients, with a tail
-        bound for the dropped ones.  Coefficient j is t_coeff(j) in terms
-        and precision; all T come from one exp ladder over u."""
+        bound for the dropped ones.  Coefficient j is exp(u / theta^(j+1))
+        as exp_eval gives it, in terms and precision; all T come from one
+        exp ladder over u."""
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
@@ -66,31 +62,7 @@ class AndersonGF:
         tail = self.module._tail_floor("exp", vw, -1)
         return TSeries(cfg, coeffs, tail=tail)
 
-    def series_from_poles(self, T=None):
-        """The same truncated series out of the partial fractions:
-        coefficient j is sum_i n_i theta^(-q^i (j+1)) over the I poles,
-        with the floor of the dropped ones.  It sums the same products as
-        series(), so the dual-representation check compares the two
-        truncations."""
-        cfg = self.cfg
-        if T is None:
-            T = cfg.t_terms
-        vu = self.u.vbound()
-        out = []
-        for j in range(T):
-            acc = dot(cfg, [(n, cfg.theta(-(j + 1)).frobenius(i))
-                            for i, n in enumerate(self.numerators)])
-            # dropped pole i contributes alpha_i (u / theta^(j+1))^(q^i)
-            floor = self.module._tail_floor("exp", vu + (j + 1) * cfg.e,
-                                            self.I - 1)
-            out.append(acc.truncate(min(acc.prec, floor)))
-        return TSeries(cfg, out, tail=None)
-
     # -- pole-aware evaluation ----------------------------------------------------
-
-    def residue(self, i):
-        """Residue at theta^(q^i): -alpha_i u^(q^i)."""
-        return -self.numerators[i]
 
     def eval_twisted(self, n, t0):
         """Value of the n-fold twist at t = t0 (n >= 0):

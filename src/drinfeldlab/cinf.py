@@ -68,16 +68,21 @@ class FieldConfig:
                 raise ConfigError("%s = %r is not a positive integer"
                                   % (name, v))
         # plain ints only: a float, string or bool would pass the value
-        # checks below, or fail them with a TypeError
-        ints = [("p", p), ("depth", depth), ("prec", prec),
-                ("t_terms", t_terms), ("exp_depth", exp_depth),
-                ("tower_cap", tower_cap)]
-        ints += [(name, v) for name, v in (("e", e), ("rel_prec", rel_prec),
-                                           ("pole_count", pole_count))
-                 if v is not None]
-        for name, v in ints:
+        # checks below, or fail them with a TypeError; with a least value,
+        # since prec < 1 gives a pass threshold every residual clears and a
+        # count below 1 (or a negative depth) leaves nothing to compute
+        ints = [("p", p, None), ("depth", depth, 0), ("prec", prec, 1),
+                ("t_terms", t_terms, 1), ("exp_depth", exp_depth, 1),
+                ("tower_cap", tower_cap, 1)]
+        ints += [(name, v, low) for name, v, low in (
+            ("e", e, None), ("rel_prec", rel_prec, None),
+            ("pole_count", pole_count, 1)) if v is not None]
+        for name, v, low in ints:
             if type(v) is not int:
                 raise ConfigError("%s = %r is not an integer" % (name, v))
+            if low is not None and v < low:
+                raise ConfigError("%s = %d must be at least %d"
+                                  % (name, v, low))
         if not is_prime(p):
             raise ConfigError("p = %r is not prime" % (p,))
         if p == 2 and not allow_char2:

@@ -72,23 +72,25 @@ def builtin_context(tag):
 
 def load_setup(args):
     """Resolve (cfg, module, context-or-None) from the flags."""
+    if args.prec_t is not None and args.prec_t < 1:
+        raise ConfigError("--prec-t = %d must be at least 1" % args.prec_t)
     if args.module or args.config:
         path = args.module or args.config
         with open(path) as fh:
             data = json.load(fh)
-        if args.prec_n or args.prec_t:
+        if args.prec_n is not None or args.prec_t is not None:
             _require(data, (), "module descriptor")
             prec = data.setdefault("prec", {})
             _require(prec, (), "'prec'")
-            if args.prec_n:
+            if args.prec_n is not None:
                 prec["valuation_terms"] = args.prec_n
-            if args.prec_t:
+            if args.prec_t is not None:
                 prec["t_terms"] = args.prec_t
         cfg, module = decode_module(data)
         return cfg, module, None
     ctx = builtin_context(args.q or "3")
     cfg = ctx.cfg
-    if args.prec_n and args.prec_n != cfg.prec:
+    if args.prec_n is not None and args.prec_n != cfg.prec:
         raise ConfigError("builtin samples have fixed precision; use a "
                           "--module file to change it")
     module = ctx.carlitz if args.rank1 else ctx.module
@@ -173,10 +175,11 @@ def cmd_omega(args, cfg, module, ctx):
 
 def _motive_for(args, cfg, module, ctx):
     from .motive import MotiveMatrices
+    T = 16 if args.prec_t is None else args.prec_t
     if ctx is not None and module is ctx.module:
-        return ctx.motive(args.prec_t or 16)
+        return ctx.motive(T)
     lat = module.periods()
-    return MotiveMatrices(module, lat, T=args.prec_t or 16)
+    return MotiveMatrices(module, lat, T=T)
 
 
 def cmd_psi(args, cfg, module, ctx):

@@ -23,7 +23,12 @@ def _prec_out(p):
 
 
 def _prec_in(p):
-    return INF if p == "inf" else int(p)
+    if p == "inf":
+        return INF
+    if type(p) is not int:
+        raise ConfigError("precision %r is neither an integer nor \"inf\""
+                          % (p,))
+    return p
 
 
 def _require(data, keys, what):
@@ -51,25 +56,26 @@ def encode_cinf(x):
 def decode_cinf(cfg, data):
     _require(data, ("e", "m", "modulus", "prec", "terms"), "serialized value")
     if data["e"] != cfg.e or data["m"] != cfg.m \
-            or list(data["modulus"]) != list(cfg.modulus):
+            or data["modulus"] != list(cfg.modulus):
         raise ConfigError("serialized value belongs to a different tower")
-    terms = {int(e): cfg.field.from_fp_vec(vec) for e, vec in data["terms"]}
-    return CInfApprox(cfg, terms, _prec_in(data["prec"]))
-
-
-def encode_tseries(F):
-    out = {"T": F.T, "coeffs": [encode_cinf(c) for c in F.coeffs]}
-    if F.tail is not None:
-        out["tailBound"] = _prec_out(F.tail)
-    return out
-
-
-def decode_tseries(cfg, data):
-    from .tseries import TSeries
-    tail = data.get("tailBound")
-    if tail is not None:
-        tail = _prec_in(tail)
-    return TSeries(cfg, [decode_cinf(cfg, c) for c in data["coeffs"]], tail)
+    prec = _prec_in(data["prec"])
+    if type(data["terms"]) is not list:
+        raise ConfigError("'terms' must be a list of [exponent, vector] pairs")
+    p, width = cfg.p, cfg.s * cfg.m
+    terms = {}
+    for term in data["terms"]:
+        # plain ints only: a bool, float or out-of-range digit would be
+        # read as some other value
+        if type(term) is not list or len(term) != 2 \
+                or type(term[0]) is not int or type(term[1]) is not list \
+                or len(term[1]) > width \
+                or any(type(c) is not int or not 0 <= c < p
+                       for c in term[1]):
+            raise ConfigError(
+                "term %r is not [exponent, list of at most %d digits mod %d]"
+                % (term, width, p))
+        terms[term[0]] = cfg.field.from_fp_vec(term[1])
+    return CInfApprox(cfg, terms, prec)
 
 
 def encode_agf(f):

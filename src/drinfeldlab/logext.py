@@ -149,28 +149,23 @@ class ExtendedSystem:
         return gens
 
     def reconstruction_residuals(self):
-        """Rebuild Psi_n(theta) from the generator list and compare with the
-        pole-aware specialization, entrywise (lower-left block)."""
+        """Psi_n(theta) by pole-aware evaluation against the same matrix
+        rebuilt from the periods, quasi-periods, logarithms and
+        quasi-logarithms, entrywise; the identity blocks are left out.
+        Lower row i is g_i(theta) Psi(theta) - (lambda_i - alpha_i,
+        -F(lambda_i)) R for the reference R of Psi(theta)."""
         motive = self.motive
-        gens = dict(self.generators())
-        ref_top, _, _ = motive.reference_psi_at_theta()
-        psi_theta = motive.psi_at_theta()
-        out = []
-        for i in range(2):
-            out.append([psi_theta[i][j] - ref_top[i][j] for j in range(2)])
-        for i, gv in enumerate(self.gvectors, start=1):
-            lam = gens["lambda%d" % i]
-            flam = gens["F(lambda%d)" % i]
-            alpha = self.points[i - 1].alpha
-            g1t, g2t = (lam - alpha), -flam
-            direct1, direct2 = gv.at_theta()
-            row = [
-                (direct1 * psi_theta[0][0] + direct2 * psi_theta[1][0])
-                - (g1t * ref_top[0][0] + g2t * ref_top[1][0]),
-                (direct1 * psi_theta[0][1] + direct2 * psi_theta[1][1])
-                - (g1t * ref_top[0][1] + g2t * ref_top[1][1]),
-            ]
-            out.append(row)
+        psi = motive.psi_at_theta()
+        ref = motive.reference_psi_at_theta()
+        out = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(psi, ref)]
+        for p, gv in zip(self.points, self.gvectors):
+            g1, g2 = gv.at_theta()
+            flam = motive.module.quasi_period_eval(p.lam,
+                                                   lattice=motive.lattice)
+            out.append([dot(self.cfg, [(g1, psi[0][j]), (g2, psi[1][j]),
+                                       (-(p.lam - p.alpha), ref[0][j]),
+                                       (flam, ref[1][j])])
+                        for j in range(2)])
         return out
 
 

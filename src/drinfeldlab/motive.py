@@ -246,13 +246,12 @@ class MotiveMatrices:
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)
         F2 = mod.quasi_period_eval(lat.omega2, lattice=lat)
         s = self.xi / self.omega.pi_tilde()
-        return ([[s * F2, -(s * F1)], [s * lat.omega2, -(s * lat.omega1)]],
-                F1, F2)
+        return [[s * F2, -(s * F1)], [s * lat.omega2, -(s * lat.omega1)]]
 
     def specialization_residuals(self):
         """Entrywise difference between the two computations of Psi(theta)."""
         direct = self.psi_at_theta()
-        ref, _, _ = self.reference_psi_at_theta()
+        ref = self.reference_psi_at_theta()
         return [[direct[i][j] - ref[i][j] for j in range(2)]
                 for i in range(2)]
 

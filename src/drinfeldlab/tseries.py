@@ -52,12 +52,6 @@ class TSeries:
         raise PrecisionExhausted("coefficient %d beyond truncation %d"
                                  % (i, self.T))
 
-    def _min_coeff_vbound(self):
-        vb = INF
-        for c in self.coeffs:
-            vb = min(vb, c.vbound())
-        return vb
-
     def truncate(self, T):
         """The first T coefficients.  An exact polynomial is padded with
         exact zeros; a cut folds the dropped coefficients into the tail."""
@@ -98,8 +92,8 @@ class TSeries:
         tail = None
         if self.tail is not None and other.tail is not None:
             ta, tb = self.tail, other.tail
-            va = min(self._min_coeff_vbound(), ta)
-            vb = min(other._min_coeff_vbound(), tb)
+            va = min(self.min_vbound(), ta)
+            vb = min(other.min_vbound(), tb)
             tail = min(ta + vb, tb + va)
         return n, tail, pairs
 
@@ -116,11 +110,6 @@ class TSeries:
         elif tail not in (None, INF):
             tail = tail + c.vbound()
         return TSeries(self.cfg, [c * a for a in self.coeffs], tail)
-
-    def shift_t(self, k):
-        """Multiply by t^k (k >= 0)."""
-        pad = [self.cfg.zero(INF)] * k
-        return TSeries(self.cfg, pad + self.coeffs, self.tail)
 
     def twist(self, n):
         """Coefficientwise q^n-power; negative twists are excluded to keep
@@ -142,27 +131,25 @@ class TSeries:
         |t0| <= 1 and a tail bound; the dropped-tail error floor
         tail + T*v(t0) is folded into the precision of the result.
         """
-        cfg = self.cfg
-        if self.tail == INF:
-            acc = cfg.zero(INF)
-            for c in reversed(self.coeffs):
-                acc = acc * t0 + c
-            return acc
         if self.tail is None:
             raise DivergentEvaluation(
                 "series carries no tail bound; cannot certify evaluation")
-        v0 = t0.vbound()
-        if v0 < 0:
-            raise DivergentEvaluation(
-                "|t0| > 1: truncated series cannot be certified here "
-                "(pole-aware evaluation lives on the generating-function side)")
-        acc = cfg.zero(INF)
+        exact = self.tail == INF
+        if not exact:
+            v0 = t0.vbound()
+            if v0 < 0:
+                raise DivergentEvaluation(
+                    "|t0| > 1: truncated series cannot be certified here "
+                    "(pole-aware evaluation lives on the generating-function "
+                    "side)")
+            if v0 == INF:
+                return self.coeff(0)
+        acc = self.cfg.zero(INF)
         for c in reversed(self.coeffs):
             acc = acc * t0 + c
-        if v0 == INF:
-            return self.coeff(0)
-        err_floor = self.tail + self.T * v0
-        return acc.truncate(min(acc.prec, err_floor))
+        if exact:
+            return acc
+        return acc.truncate(min(acc.prec, self.tail + self.T * v0))
 
     def divide(self, other):
         """Series division; the divisor's constant term must be a unit."""
@@ -324,10 +311,6 @@ class TMatrix:
                 term = -term
             acc = term if acc is None else acc + term
         return acc
-
-    def specialize(self, t0):
-        """Entrywise evaluation at t0 -> nested lists of CInfApprox."""
-        return [[a.specialize(t0) for a in r] for r in self.rows]
 
     def min_vbound(self):
         return min(a.min_vbound() for r in self.rows for a in r)

@@ -23,9 +23,7 @@ from .drinfeld import (Biderivation, DrinfeldModule, Lattice,
 from .logext import (ExtendedSystem, GVector, make_log_point,
                      relation_certificate)
 from .motive import OmegaData
-# the samples live in samples.py; SampleContext stays importable from here
-from .samples import (SampleContext, context_q3,  # noqa: F401
-                      context_q5_tame, context_q5_wild)
+from .samples import context_q3, context_q5_tame, context_q5_wild
 from .skew import SkewPoly
 
 _BATTERY_SEED = 0xD21F

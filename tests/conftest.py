@@ -1,7 +1,7 @@
 import pytest
 
 from drinfeldlab.cinf import FieldConfig
-from drinfeldlab.verify import context_q3, context_q5_tame, context_q5_wild
+from drinfeldlab.samples import context_q3, context_q5_tame, context_q5_wild
 
 
 @pytest.fixture(scope="session")

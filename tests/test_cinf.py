@@ -143,6 +143,18 @@ def test_config_validation():
             FieldConfig(**dict(dict(p=3, s=1, m=2, e=72), **{name: None}))
     cfg = FieldConfig(3, 1, 2, e=None, rel_prec=None, pole_count=None)
     assert (cfg.e, cfg.rel_prec, cfg.pole_count) == (18, 960, None)
+    # and values in range: prec = -5 gave the pass threshold -4, which
+    # every residual cleared
+    for name, bad in [("prec", 0), ("prec", -5), ("t_terms", 0),
+                      ("t_terms", -2), ("exp_depth", 0), ("tower_cap", 0),
+                      ("pole_count", 0), ("depth", -1)]:
+        args = dict(p=3, s=1, m=2, e=72, prec=240)
+        args[name] = bad
+        with pytest.raises(ConfigError, match=name):
+            FieldConfig(**args)
+    cfg = FieldConfig(3, 1, 2, e=2, depth=0, prec=1, t_terms=1, exp_depth=1,
+                      tower_cap=1, pole_count=1)
+    assert (cfg.prec, cfg.depth) == (1, 0)
 
 
 def test_mixed_config_rejected(cfg_small):

@@ -11,13 +11,25 @@ from drinfeldlab.encoding import encode_cinf, encode_module
 from drinfeldlab.errors import ShapeMismatch
 from drinfeldlab.logext import GVector, make_log_point
 from drinfeldlab.motive import MotiveMatrices
-from drinfeldlab.verify import context_q3
+from drinfeldlab.samples import context_q3
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cm_q3():
+    return json.loads((Path(__file__).parent / "data" / "cm_q3.json")
+                      .read_text())
+
+
+def _assert_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_exp_eval_zero(capsys):
@@ -100,6 +112,48 @@ def test_mistyped_config_field_is_a_config_error(capsys, tmp_path, key,
         assert code == 2 and out == ""
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("valuation_terms,flags", [
+    (-5, []), (0, []), (240, ["--prec-n", "0"]), (240, ["--prec-t", "0"]),
+    (240, ["--prec-t", "-2"])])
+def test_non_positive_precision_is_a_config_error(capsys, tmp_path,
+                                                  valuation_terms, flags):
+    # before, N = -5 or 0 passed every check (threshold int(0.8 N) <= 0),
+    # --prec-n 0 and --prec-t 0 were ignored and --prec-t -2 exited 3
+    data = _cm_q3()
+    data["prec"]["valuation_terms"] = valuation_terms
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["periods"], ["exp-eval", "--z", "theta^-1"], ["psi"]):
+        _assert_config_error(capsys, argv + ["--module", str(bad)] + flags)
+    if valuation_terms == 240:
+        _assert_config_error(capsys, ["psi", "--q", "3"] + flags)
+
+
+@pytest.mark.parametrize("where", ["z", "kappa"])
+@pytest.mark.parametrize("key,value", [
+    ("terms", [[0, 5]]), ("terms", [[0, [7]]]), ("terms", [[0.5, [1]]]),
+    ("terms", [[True, [1]]]), ("terms", [[0, [1, 0, 0, 0, 0]]]),
+    ("terms", [[0, [True]]]), ("terms", [[0]]), ("terms", "x"),
+    ("prec", 1.5), ("prec", None), ("prec", True), ("modulus", 5)])
+def test_malformed_value_is_a_config_error(capsys, tmp_path, where, key,
+                                           value):
+    # before, [0, 5] raised a TypeError traceback and digit 7 over F_3,
+    # exponent 0.5 and "prec": 1.5 were read as 1, 0 and 1
+    data = _cm_q3()
+    if where == "z":
+        z = dict(data["u"], **{key: value})
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(z))
+        _assert_config_error(capsys, ["exp-eval", "--q", "3", "--z",
+                                      "@%s" % path])
+    else:
+        data["kappa"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        _assert_config_error(capsys, ["exp-eval", "--module", str(path),
+                                      "--z", "theta^-1"])
 
 
 def test_other_library_error_exit_code(capsys, monkeypatch):

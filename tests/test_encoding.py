@@ -3,9 +3,8 @@ import json
 from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import CInfApprox, INF
 from drinfeldlab.encoding import (canonical_dumps, decode_cinf,
-                                  decode_module, decode_tseries, encode_agf,
-                                  encode_cinf, encode_module, encode_tseries)
-from drinfeldlab.tseries import TSeries
+                                  decode_module, encode_agf, encode_cinf,
+                                  encode_module)
 
 
 def test_cinf_round_trip(cfg_small):
@@ -32,15 +31,6 @@ def test_json_serializable(cfg_small):
     text = canonical_dumps(encode_cinf(x))
     back = decode_cinf(cfg_small, json.loads(text))
     assert back.terms == x.terms
-
-
-def test_tseries_round_trip(cfg_small):
-    F = TSeries(cfg_small, [cfg_small.one(), cfg_small.theta(-1)], tail=54)
-    data = encode_tseries(F)
-    G = decode_tseries(cfg_small, data)
-    assert G.T == F.T and G.tail == F.tail
-    for i in range(F.T):
-        assert G.coeffs[i].terms == F.coeffs[i].terms
 
 
 def test_module_round_trip(ctx3):

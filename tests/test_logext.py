@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from drinfeldlab.cinf import INF
+from drinfeldlab.cinf import INF, FieldConfig
+from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import VerificationFailed
 from drinfeldlab.logext import (ExtendedSystem, GVector, make_log_point,
                                 relation_certificate)
+from drinfeldlab.motive import MotiveMatrices
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,46 @@ def test_extended_system_reconstruction(ctx3, mot, point):
     names = [n for n, _ in system.generators()]
     assert names == ["omega1", "omega2", "F(omega1)", "F(omega2)",
                      "lambda1", "F(lambda1)"]
+
+
+def _reconstruction_reference(system):
+    """reconstruction_residuals entry by entry, from the generator list
+    and the reference R of Psi(theta): lower entry j is
+    (g1 Psi_0j + g2 Psi_1j) - ((lambda - alpha) R_0j - F(lambda) R_1j)."""
+    motive = system.motive
+    gens = dict(system.generators())
+    ref = motive.reference_psi_at_theta()
+    psi = motive.psi_at_theta()
+    out = [[psi[i][j] - ref[i][j] for j in range(2)] for i in range(2)]
+    for i, gv in enumerate(system.gvectors, start=1):
+        g1t = gens["lambda%d" % i] - system.points[i - 1].alpha
+        g2t = -gens["F(lambda%d)" % i]
+        d1, d2 = gv.at_theta()
+        out.append([(d1 * psi[0][j] + d2 * psi[1][j])
+                    - (g1t * ref[0][j] + g2t * ref[1][j])
+                    for j in range(2)])
+    return out
+
+
+@pytest.mark.parametrize("q,e,prec", [(3, 72, 240), (3, 72, 1920),
+                                      (5, 600, 240)])
+def test_reconstruction_matches_entrywise_reference(q, e, prec):
+    # one dot per lower entry equals the entry-by-entry formula in terms
+    # and precision: dot sums the products exactly and cuts at the lowest
+    # product precision, as the sums of products do
+    cfg = FieldConfig(q, 1, 4, e=e, prec=prec)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    mot = MotiveMatrices(rho, rho.periods(), T=16)
+    p1 = make_log_point(rho, alpha=cfg.theta(-1))
+    p2 = make_log_point(rho, lam=cfg.theta() * p1.lam)
+    for points in ([p1], [p1, p2]):
+        system = ExtendedSystem(mot, points)
+        got = system.reconstruction_residuals()
+        want = _reconstruction_reference(system)
+        assert len(got) == len(want) == 2 + len(points)
+        for rg, rw in zip(got, want):
+            assert [(v.sorted_terms(), v.prec) for v in rg] == \
+                [(v.sorted_terms(), v.prec) for v in rw]
 
 
 def test_relation_tautologies(ctx3, mot):

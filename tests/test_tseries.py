@@ -14,6 +14,14 @@ def _random_series(cfg, rng, T):
                          for _ in range(T)], tail=0)
 
 
+def _random_t_multiple(cfg, rng, T):
+    """t times a random series of length T, cut back to T: one exact zero
+    in front, then truncate, which folds the last coefficient into the
+    tail."""
+    F = _random_series(cfg, rng, T)
+    return TSeries(cfg, [cfg.zero(INF)] + F.coeffs, F.tail).truncate(T)
+
+
 def test_twist_examples(cfg_small):
     F = TSeries(cfg_small, [cfg_small.zero(INF), cfg_small.theta(-1)],
                 tail=INF)
@@ -119,10 +127,10 @@ def test_matrix_inverse_via_division(cfg_small):
     rng = random.Random(4)
     one = TSeries.constant(cfg_small, cfg_small.one()).truncate(4)
     zero = TSeries.constant(cfg_small, cfg_small.zero(INF)).truncate(4)
-    A = TMatrix([[one + _random_series(cfg_small, rng, 4).shift_t(1).truncate(4),
-                  _random_series(cfg_small, rng, 4).shift_t(1).truncate(4)],
-                 [_random_series(cfg_small, rng, 4).shift_t(1).truncate(4),
-                  one + _random_series(cfg_small, rng, 4).shift_t(1).truncate(4)]])
+    A = TMatrix([[one + _random_t_multiple(cfg_small, rng, 4),
+                  _random_t_multiple(cfg_small, rng, 4)],
+                 [_random_t_multiple(cfg_small, rng, 4),
+                  one + _random_t_multiple(cfg_small, rng, 4)]])
     det = A.det().truncate(4)
     adj = TMatrix([[A.entry(1, 1), -A.entry(0, 1)],
                    [-A.entry(1, 0), A.entry(0, 0)]])
