@@ -42,20 +42,7 @@ _EXPORTS = {
     "run_suite": "verify",
 }
 
-__all__ = [
-    "AndersonGF", "Biderivation", "CInfApprox", "ConfigError",
-    "DivergentEvaluation", "DivisionByApparentZero", "DrinfeldLabError",
-    "DrinfeldModule", "ExtendedSystem", "FieldConfig", "FiniteField",
-    "GVector", "GridTooCoarse", "INF", "IndeterminateValuation",
-    "IndependenceFailure", "Lattice", "LogPoint", "MotiveMatrices",
-    "NewtonPolygon", "NoConvergence", "NotAUnit", "OmegaData", "PoleHit",
-    "PrecisionExhausted", "ResidueFieldTooSmall", "ShapeMismatch",
-    "SigmaPoly", "SingularSpecialization", "SkewPoly", "TMatrix", "TSeries",
-    "Tower", "TwistedPoly", "VerificationFailed", "all_nonzero_roots",
-    "compose_qlinear", "hensel_root", "make_log_point", "newton_polygon",
-    "phi_matrix", "relation_certificate", "run_suite", "verify_morphism",
-    "xi_constant",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

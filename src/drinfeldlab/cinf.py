@@ -93,6 +93,14 @@ class FieldConfig:
         self.s = s
         self.m = m
         self.q = p ** s
+        # the m + 1 coefficients are F_q codes, low degree first; a bool or
+        # a code >= q would be read as some other polynomial
+        if modulus is not None and (
+                type(modulus) not in (list, tuple) or len(modulus) != m + 1
+                or any(type(c) is not int or not 0 <= c < self.q
+                       for c in modulus)):
+            raise ConfigError("modulus %r is not a list of m + 1 = %d codes "
+                              "in [0, %d)" % (modulus, m + 1, self.q))
         self.depth = depth
         if e is None:
             e = (self.q - 1) * self.q ** depth

@@ -3,7 +3,8 @@
 Every command prints one JSON document on stdout (sorted keys, so output
 is byte-deterministic for a fixed configuration) and machine-readable
 error records on stderr.  Exit codes: 0 ok, 2 configuration error (or any
-other library error), 3 precision/grid error, 4 verification failure.
+other library error), 3 precision/grid error, 4 verification failure; an
+error's code is its class's ``exit_code``.
 
 Each command imports the modules it runs (agf, motive, logext, verify,
 suggest) when it runs, so a one-shot command loads no more of the library
@@ -16,20 +17,10 @@ import sys
 
 from .cinf import INF
 from .encoding import (_require, canonical_dumps, decode_cinf,
-                       decode_module, encode_agf, encode_cinf, encode_module)
-from .errors import (ConfigError, DivergentEvaluation, DrinfeldLabError,
-                     DivisionByApparentZero, GridTooCoarse,
-                     IndeterminateValuation, IndependenceFailure,
-                     NoConvergence, NotAUnit, PoleHit, PrecisionExhausted,
-                     ResidueFieldTooSmall, SingularSpecialization,
-                     VerificationFailed)
+                       decode_module, encode_agf, encode_cinf, encode_module,
+                       encode_valuation)
+from .errors import ConfigError, DrinfeldLabError
 from .samples import context_q3, context_q5_tame, context_q5_wild
-
-_PRECISION_ERRORS = (GridTooCoarse, PrecisionExhausted, ResidueFieldTooSmall,
-                     NoConvergence, DivergentEvaluation,
-                     IndeterminateValuation, PoleHit, DivisionByApparentZero)
-_VERIFY_ERRORS = (VerificationFailed, NotAUnit, SingularSpecialization,
-                  IndependenceFailure)
 
 
 def parse_value(cfg, text):
@@ -74,9 +65,8 @@ def load_setup(args):
     """Resolve (cfg, module, context-or-None) from the flags."""
     if args.prec_t is not None and args.prec_t < 1:
         raise ConfigError("--prec-t = %d must be at least 1" % args.prec_t)
-    if args.module or args.config:
-        path = args.module or args.config
-        with open(path) as fh:
+    if args.module:
+        with open(args.module) as fh:
             data = json.load(fh)
         if args.prec_n is not None or args.prec_t is not None:
             _require(data, (), "module descriptor")
@@ -168,38 +158,31 @@ def cmd_omega(args, cfg, module, ctx):
         "I": om.I,
         "pi_tilde": encode_cinf(om.pi_tilde()),
         "difference_residual_valuations":
-            ["inf" if v == INF else v for v in res.vbounds()],
+            [encode_valuation(v) for v in res.vbounds()],
         "threshold": cfg.pass_threshold(),
     }
 
 
-def _motive_for(args, cfg, module, ctx):
+def _motive_for(args, module):
     from .motive import MotiveMatrices
     T = 16 if args.prec_t is None else args.prec_t
-    if ctx is not None and module is ctx.module:
-        return ctx.motive(T)
-    lat = module.periods()
-    return MotiveMatrices(module, lat, T=T)
+    return MotiveMatrices(module, module.periods(), T=T)
 
 
 def cmd_psi(args, cfg, module, ctx):
-    mot = _motive_for(args, cfg, module, ctx)
+    mot = _motive_for(args, module)
     sres, x0 = mot.sigma_invariance_residual()
-    def vb(x):
-        return ["inf" if v == INF else v for v in x]
-    return {
-        "command": "psi",
-        "T": mot.T,
-        "difference_residual": vb([mot.difference_residual().min_vbound()]),
-        "tensor_residual": vb([mot.tensor_difference_residual().min_vbound()]),
-        "wedge_residual": vb([mot.wedge_residual().min_vbound()]),
-        "sigma_invariance_residual": vb([sres.min_vbound()]),
-        "threshold": cfg.pass_threshold(),
-    }
+    out = {"command": "psi", "T": mot.T, "threshold": cfg.pass_threshold()}
+    for key, res in (("difference_residual", mot.difference_residual()),
+                     ("tensor_residual", mot.tensor_difference_residual()),
+                     ("wedge_residual", mot.wedge_residual()),
+                     ("sigma_invariance_residual", sres)):
+        out[key] = [encode_valuation(res.min_vbound())]
+    return out
 
 
 def cmd_specialize(args, cfg, module, ctx):
-    mot = _motive_for(args, cfg, module, ctx)
+    mot = _motive_for(args, module)
     P, M = mot.period_matrix()
     spec = mot.specialization_residuals()
     li = mot.legendre_invariant()
@@ -209,10 +192,10 @@ def cmd_specialize(args, cfg, module, ctx):
                       for i in range(2)],
         "period_matrix": [[encode_cinf(P[i][j]) for j in range(2)]
                           for i in range(2)],
-        "cross_check_valuations":
-            [["inf" if spec[i][j].vbound() == INF else spec[i][j].vbound()
-              for j in range(2)] for i in range(2)],
-        "legendre": {k: v for k, v in li.items()},
+        "cross_check_valuations": [[encode_valuation(x.vbound())
+                                    for x in row] for row in spec],
+        "legendre": dict(li, unit_tail_valuation=encode_valuation(
+            li["unit_tail_valuation"])),
         "threshold": cfg.pass_threshold(),
     }
 
@@ -232,7 +215,7 @@ def cmd_log_point(args, cfg, module, ctx):
 
 def cmd_extend(args, cfg, module, ctx):
     from .logext import ExtendedSystem, make_log_point
-    mot = _motive_for(args, cfg, module, ctx)
+    mot = _motive_for(args, module)
     points = [make_log_point(module, alpha=parse_value(cfg, a.strip()))
               for a in args.alphas.split(";")]
     system = ExtendedSystem(mot, points)
@@ -242,8 +225,7 @@ def cmd_extend(args, cfg, module, ctx):
         "n": system.n,
         "points": [{"lambda": encode_cinf(p.lam),
                     "alpha": encode_cinf(p.alpha)} for p in points],
-        "difference_residual_valuation":
-            "inf" if res.min_vbound() == INF else res.min_vbound(),
+        "difference_residual_valuation": encode_valuation(res.min_vbound()),
         "generators": [{"name": n, "value": encode_cinf(v)}
                        for n, v in system.generators()],
         "threshold": cfg.pass_threshold(),
@@ -290,8 +272,7 @@ def build_parser():
                     "modules: periods, quasi-periods, logarithms and their "
                     "Frobenius difference systems.")
     ap.add_argument("command", choices=sorted(_COMMANDS))
-    ap.add_argument("--config", help="JSON module/config descriptor")
-    ap.add_argument("--module", help="synonym of --config")
+    ap.add_argument("--module", help="JSON module descriptor")
     ap.add_argument("--q", help="builtin sample: 3, 5 or 5-wild")
     ap.add_argument("--rank1", action="store_true",
                     help="use the Carlitz module over the chosen sample field")
@@ -325,19 +306,10 @@ def main(argv=None):
             cfg, module, ctx = load_setup(args)
             payload = _COMMANDS[args.command](args, cfg, module, ctx)
             payload["config"] = encode_module(module)
-    except ConfigError as ex:
-        sys.stderr.write(canonical_dumps(ex.record()) + "\n")
-        return 2
-    except _PRECISION_ERRORS as ex:
-        sys.stderr.write(canonical_dumps(ex.record()) + "\n")
-        return 3
-    except _VERIFY_ERRORS as ex:
-        sys.stderr.write(canonical_dumps(ex.record()) + "\n")
-        return 4
     except DrinfeldLabError as ex:
         sys.stderr.write(canonical_dumps(ex.record()) + "\n")
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as ex:
+        return ex.exit_code
+    except (OSError, ValueError) as ex:
         sys.stderr.write(canonical_dumps(
             {"error": type(ex).__name__, "message": str(ex)}) + "\n")
         return 2

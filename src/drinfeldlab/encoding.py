@@ -18,8 +18,13 @@ def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _prec_out(p):
-    return "inf" if p == INF else int(p)
+def encode_valuation(v):
+    """A precision or valuation bound as JSON: an int, "inf" or "-inf"."""
+    if v == INF:
+        return "inf"
+    if v == -INF:
+        return "-inf"
+    return int(v)
 
 
 def _prec_in(p):
@@ -48,7 +53,7 @@ def encode_cinf(x):
         "e": cfg.e,
         "m": cfg.m,
         "modulus": list(cfg.modulus),
-        "prec": _prec_out(x.prec),
+        "prec": encode_valuation(x.prec),
         "terms": [[e, cfg.field.to_fp_vec(c)] for e, c in x.sorted_terms()],
     }
 
@@ -111,7 +116,7 @@ def decode_config(data):
     _require(prec, (), "'prec'")
     return FieldConfig(
         p=data["p"], s=data.get("s", 1), m=data.get("m", 1),
-        modulus=tuple(data["modulus"]) if data.get("modulus") else None,
+        modulus=data.get("modulus"),
         e=data.get("e"), depth=data.get("depth", 2),
         prec=prec.get("valuation_terms", 240),
         rel_prec=prec.get("rel_terms"),

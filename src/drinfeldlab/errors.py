@@ -1,13 +1,17 @@
 """Exception hierarchy.
 
-Every failure mode of the library is a subclass of DrinfeldLabError so
-callers (and the CLI) can map errors to exit codes uniformly.  Errors that
-have a standard remediation carry it in ``hint``.
+Every failure mode of the library is a subclass of DrinfeldLabError and
+carries the CLI's exit code for it in ``exit_code``: 2 for a configuration
+error (and any error not listed below), 3 for the precision and grid
+family, 4 for the verification family.  Errors that have a standard
+remediation carry it in ``hint``.
 """
 
 
 class DrinfeldLabError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
     def __init__(self, message, hint=None):
         super().__init__(message)
@@ -27,13 +31,19 @@ class ConfigError(DrinfeldLabError):
 class PrecisionExhausted(DrinfeldLabError):
     """An operation needs a known leading term but none survives."""
 
+    exit_code = 3
+
 
 class DivisionByApparentZero(DrinfeldLabError):
     """Divisor is zero to its stated precision."""
 
+    exit_code = 3
+
 
 class IndeterminateValuation(DrinfeldLabError):
     """Valuation requested of a value that is zero to precision only."""
+
+    exit_code = 3
 
 
 class GridTooCoarse(DrinfeldLabError):
@@ -42,6 +52,8 @@ class GridTooCoarse(DrinfeldLabError):
     needed_factor, when known, is a multiplier for e that would make this
     particular step representable (configuration search uses it).
     """
+
+    exit_code = 3
 
     def __init__(self, message, hint=None, needed_factor=None):
         super().__init__(message, hint)
@@ -55,6 +67,8 @@ class NoConvergence(DrinfeldLabError):
     iteration stalled.
     """
 
+    exit_code = 3
+
     def __init__(self, message, hint=None, residual_valuation=None):
         super().__init__(message, hint)
         self.residual_valuation = residual_valuation
@@ -63,13 +77,19 @@ class NoConvergence(DrinfeldLabError):
 class ResidueFieldTooSmall(DrinfeldLabError):
     """A residual equation has no root in the configured finite field."""
 
+    exit_code = 3
+
 
 class DivergentEvaluation(DrinfeldLabError):
     """Series evaluation outside its certified convergence region."""
 
+    exit_code = 3
+
 
 class PoleHit(DrinfeldLabError):
     """Evaluation point coincides with a pole to working precision."""
+
+    exit_code = 3
 
 
 class ShapeMismatch(DrinfeldLabError):
@@ -79,14 +99,22 @@ class ShapeMismatch(DrinfeldLabError):
 class SingularSpecialization(DrinfeldLabError):
     """A matrix that must be invertible is singular to precision."""
 
+    exit_code = 4
+
 
 class NotAUnit(DrinfeldLabError):
     """A quantity expected to be a unit has nonzero valuation."""
+
+    exit_code = 4
 
 
 class IndependenceFailure(DrinfeldLabError):
     """Chosen lattice seeds produced a degenerate period basis."""
 
+    exit_code = 4
+
 
 class VerificationFailed(DrinfeldLabError):
     """A constructed object fails its defining identity."""
+
+    exit_code = 4

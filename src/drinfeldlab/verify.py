@@ -5,7 +5,9 @@ precision on sample modules over q = 3 and q = 5, and each check emits a
 JSON-able report {check, parameters, residual_valuations, threshold, pass}.
 Residual valuations are lower bounds: "the residual is zero to valuation
 v"; a check passes when every residual clears the pass threshold
-(0.8 x working precision by default).
+(0.8 x working precision by default) and its side condition holds.  A
+yes/no identity reports its residual as "inf" when it holds and "-inf"
+when it fails.
 
 The q = 5 sample with a theta-sized tau-coefficient has wildly ramified
 large torsion (no theta-power grid contains it); its representable part is
@@ -20,6 +22,7 @@ from .agf import AndersonGF
 from .cinf import INF
 from .drinfeld import (Biderivation, DrinfeldModule, Lattice,
                        compose_qlinear, verify_morphism)
+from .encoding import encode_valuation
 from .logext import (ExtendedSystem, GVector, make_log_point,
                      relation_certificate)
 from .motive import OmegaData
@@ -29,23 +32,15 @@ from .skew import SkewPoly
 _BATTERY_SEED = 0xD21F
 
 
-def _v(x):
-    return "inf" if x == INF else int(x)
-
-
-def _vlist(values):
-    return [_v(v) for v in values]
-
-
-def _report(check, params, residuals, threshold, extra=None):
-    vals = _vlist(residuals)
-    ok = all(r >= threshold for r in residuals)
+def _report(check, params, residuals, threshold, extra=None, require=True):
+    """One suite record: it passes when ``require`` holds and every
+    residual valuation clears ``threshold``."""
     rep = {
         "check": check,
         "parameters": params,
-        "residual_valuations": vals,
+        "residual_valuations": [encode_valuation(r) for r in residuals],
         "threshold": threshold,
-        "pass": bool(ok),
+        "pass": bool(require and all(r >= threshold for r in residuals)),
     }
     if extra:
         rep.update(extra)
@@ -75,11 +70,10 @@ def check_carlitz_period(ctx):
     lead = ratio.terms.get(0, 0) if ok_unit else 0
     in_fq = cfg.field.in_base_field(lead) and lead != 0
     resid = [(ratio - cfg.from_coeff(lead)).vbound()]
-    rep = _report("carlitz-period-match[%s]" % ctx.label,
-                  {"q": cfg.q}, resid, cfg.pass_threshold(),
-                  {"ratio_leading_code": lead, "ratio_in_Fq": bool(in_fq)})
-    rep["pass"] = bool(rep["pass"] and in_fq)
-    return rep
+    return _report("carlitz-period-match[%s]" % ctx.label,
+                   {"q": cfg.q}, resid, cfg.pass_threshold(),
+                   {"ratio_leading_code": lead, "ratio_in_Fq": bool(in_fq)},
+                   require=in_fq)
 
 
 def _agf_u_values(ctx):
@@ -116,13 +110,12 @@ def check_periods_kernel(ctx):
     if ctx.wild:
         tower = ctx.tame_period_tower()
         res = [ctx.module.exp_eval(tower.omega).vbound()]
-        rep = _report("periods-kernel[%s]" % ctx.label,
-                      {"q": cfg.q, "periods": 1}, res, cfg.pass_threshold())
         _, failures = ctx.module.torsion_points(partial=True)
-        rep["blocked"] = failures
-        rep["note"] = ("second basis period is wildly ramified; "
-                       "not representable on any theta-power grid")
-        return rep
+        return _report("periods-kernel[%s]" % ctx.label,
+                       {"q": cfg.q, "periods": 1}, res, cfg.pass_threshold(),
+                       {"blocked": failures,
+                        "note": "second basis period is wildly ramified; "
+                                "not representable on any theta-power grid"})
     lat = ctx.lattice
     res = [ctx.module.exp_eval(om).vbound() for om in lat.basis()]
     return _report("periods-kernel[%s]" % ctx.label,
@@ -175,8 +168,8 @@ def check_legendre(ctx):
     out.append(_report("legendre[%s]" % ctx.label, {"q": cfg.q},
                        [li["unit_tail_valuation"]], cfg.pass_threshold(),
                        {"invariant_code": li["invariant_code"],
-                        "is_minus_one": li["is_minus_one"]}))
-    out[-1]["pass"] = bool(out[-1]["pass"] and li["is_minus_one"])
+                        "is_minus_one": li["is_minus_one"]},
+                       require=li["is_minus_one"]))
     # rescaling invariance for every c in F_q^x
     lat = ctx.lattice
     codes = []
@@ -200,8 +193,8 @@ def check_legendre(ctx):
     out.append(_report("legendre-unimodular[%s]" % ctx.label, {"q": cfg.q},
                        [li_u["unit_tail_valuation"]], cfg.pass_threshold(),
                        {"invariant_code": li_u["invariant_code"],
-                        "is_minus_one": li_u["is_minus_one"]}))
-    out[-1]["pass"] = bool(out[-1]["pass"] and li_u["is_minus_one"])
+                        "is_minus_one": li_u["is_minus_one"]},
+                       require=li_u["is_minus_one"]))
     return out
 
 
@@ -216,11 +209,10 @@ def check_log_layer(ctx, ns=(1, 2)):
         a, b = AndersonGF(mod, lam).twisted_pair_at_theta()
         r1 = -a - (lam - alpha)
         r2 = -b + mod.quasi_period_eval(lam)
-        rep = _report("log-g-specialization[%s]" % ctx.label, {"q": cfg.q},
-                      [r1.vbound(), r2.vbound()], cfg.pass_threshold())
-        rep["note"] = ("block systems need the full period basis, which is "
-                       "wildly ramified for this module")
-        return [rep]
+        return [_report("log-g-specialization[%s]" % ctx.label, {"q": cfg.q},
+                        [r1.vbound(), r2.vbound()], cfg.pass_threshold(),
+                        {"note": "block systems need the full period basis, "
+                                 "which is wildly ramified for this module"})]
     mot = ctx.motive()
     P = make_log_point(ctx.module, alpha=cfg.theta(-1))
     gv = GVector(mot, P)
@@ -276,7 +268,7 @@ def check_log_layer(ctx, ns=(1, 2)):
         "check": "relation-battery[%s]" % ctx.label,
         "parameters": {"q": cfg.q, "battery": battery,
                        "refutation_bound": int(0.3 * cfg.prec)},
-        "residual_valuations": [_v(worst)],
+        "residual_valuations": [encode_valuation(worst)],
         "threshold": int(0.3 * cfg.prec),
         "pass": bool(decisive == battery),
         "decisive_failures": decisive,
@@ -300,35 +292,25 @@ def check_algebra(ctx):
             coeffs.append(c)
         return SkewPoly(cfg, coeffs)
     worst = INF
-    ok = True
     for _ in range(100):
         f, g = rpoly(), rpoly()
         d = (f * g).adjoint() - (g.adjoint() * f.adjoint())
         for i in range(d.degree() + 1):
             c = d.coeff(i)
             if not c.is_exact_zero():
-                ok = ok and c.is_zero_to(thr)
                 worst = min(worst, c.vbound())
-    out.append({
-        "check": "ore-adjoint[%s]" % ctx.label,
-        "parameters": {"q": cfg.q, "pairs": 100, "max_degree": 4},
-        "residual_valuations": [_v(worst)],
-        "threshold": thr,
-        "pass": bool(ok),
-    })
-    # exp(log z) = z through z^(q^5)
+    out.append(_report("ore-adjoint[%s]" % ctx.label,
+                       {"q": cfg.q, "pairs": 100, "max_degree": 4},
+                       [worst], thr))
     for mod, name in [(ctx.carlitz, "carlitz"), (ctx.module, "rank2")]:
-        if mod is None:
-            continue
+        # exp(log z) = z through z^(q^5)
         comp = compose_qlinear(mod.exp_coeffs(5), mod.log_coeffs(5), 5)
         resid = [(comp[0] - cfg.one()).vbound()] + \
             [comp[k].vbound() for k in range(1, 6)]
         out.append(_report("exp-log-roundtrip[%s,%s]" % (ctx.label, name),
                            {"q": cfg.q, "depth": 5}, resid, thr))
-    # quasi-period recursion reproduces z - exp(z) for delta = theta - rho_t
-    for mod, name in [(ctx.carlitz, "carlitz"), (ctx.module, "rank2")]:
-        if mod is None:
-            continue
+        # quasi-period recursion reproduces z - exp(z) for
+        # delta = theta - rho_t
         d1 = Biderivation.inner_one(mod)
         qp = mod.quasi_period_coeffs(d1, 6)
         al = mod.exp_coeffs(6)
@@ -345,15 +327,11 @@ def check_algebra(ctx):
                 c = code
                 break
         rep = verify_morphism(SkewPoly(cfg, [cfg.from_coeff(c)]), cm)
-        out.append({
-            "check": "cm-commutation[%s]" % ctx.label,
-            "parameters": {"q": cfg.q, "module": "theta+tau^2",
-                           "scalar_code": c},
-            "residual_valuations": _vlist(
-                [INF if rep["is_morphism"] else -INF]),
-            "threshold": thr,
-            "pass": bool(rep["is_morphism"] and rep.get("adjoint_ok")),
-        })
+        out.append(_report("cm-commutation[%s]" % ctx.label,
+                           {"q": cfg.q, "module": "theta+tau^2",
+                            "scalar_code": c},
+                           [INF if rep["is_morphism"] else -INF], thr,
+                           require=rep.get("adjoint_ok")))
     return out
 
 

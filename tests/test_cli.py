@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from drinfeldlab import cli
+from drinfeldlab import cli, errors
 from drinfeldlab.cinf import INF, FieldConfig
 from drinfeldlab.cli import main, parse_value
 from drinfeldlab.drinfeld import DrinfeldModule
@@ -156,6 +156,60 @@ def test_malformed_value_is_a_config_error(capsys, tmp_path, where, key,
                                       "--z", "theta^-1"])
 
 
+@pytest.mark.parametrize("modulus", [5, [2, 1, 0, 0, 7], [2, 1, 0, 0, True]])
+def test_malformed_modulus_is_a_config_error(capsys, tmp_path, modulus):
+    # before, 5 raised a TypeError traceback, and the 7 and the true over
+    # F_3 were read as 1
+    data = _cm_q3()
+    data["modulus"] = modulus
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    _assert_config_error(capsys, ["exp-eval", "--module", str(path),
+                                  "--z", "theta^-1"])
+
+
+def test_modulus_coefficients_are_fq_codes():
+    # over F_9 the default modulus of F_81 has the code 4, which is not a
+    # digit mod 3: the rule is m + 1 codes in [0, q)
+    cfg = FieldConfig(3, 2, 2)
+    assert cfg.modulus == (4, 0, 1)
+    assert FieldConfig(3, 2, 2, modulus=[4, 0, 1]).same_as(cfg)
+
+
+# every library error and the exit code main reports for it
+_EXIT_CODES = {
+    "DrinfeldLabError": 2, "ConfigError": 2, "ShapeMismatch": 2,
+    "GridTooCoarse": 3, "PrecisionExhausted": 3, "ResidueFieldTooSmall": 3,
+    "NoConvergence": 3, "DivergentEvaluation": 3,
+    "IndeterminateValuation": 3, "PoleHit": 3, "DivisionByApparentZero": 3,
+    "VerificationFailed": 4, "NotAUnit": 4, "SingularSpecialization": 4,
+    "IndependenceFailure": 4,
+}
+
+
+def test_exit_code_table_lists_every_error():
+    seen, todo = set(), [errors.DrinfeldLabError]
+    while todo:
+        cls = todo.pop()
+        seen.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    assert seen == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("name,code", sorted(_EXIT_CODES.items()))
+def test_library_error_exit_code(capsys, monkeypatch, name, code):
+    cls = getattr(errors, name)
+
+    def broken(args, cfg, module, ctx):
+        raise cls("forced")
+
+    monkeypatch.setitem(cli._COMMANDS, "torsion", broken)
+    got, out, err = run_cli(capsys, "torsion", "--q", "3", "--json")
+    assert cls.exit_code == code and got == code
+    assert out == ""
+    assert json.loads(err) == {"error": name, "message": "forced"}
+
+
 def test_other_library_error_exit_code(capsys, monkeypatch):
     # a DrinfeldLabError outside the listed families is still a typed record
     def broken(args, cfg, module, ctx):
@@ -249,6 +303,40 @@ def test_verify_deterministic_and_green(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["pass"] is True
+
+
+def _assert_only_failures(capsys, names):
+    # a failed yes/no identity is a record with residual "-inf" and exit 4;
+    # before, encoding -inf raised OverflowError, exit 1
+    code, out, err = run_cli(capsys, "verify", "--json")
+    assert code == 4 and err == ""
+    data = json.loads(out)
+    failed = [r for r in data["checks"] if not r["pass"]]
+    assert [r["check"] for r in failed] == names
+    assert all(r["residual_valuations"] == ["-inf"] and r["pass"] is False
+               for r in failed)
+    assert data["pass"] is False
+
+
+@pytest.mark.slow
+def test_failed_cm_commutation_is_reported(capsys, monkeypatch):
+    monkeypatch.setattr("drinfeldlab.verify.verify_morphism",
+                        lambda e_poly, rho: {"is_morphism": False,
+                                             "adjoint_ok": True})
+    _assert_only_failures(capsys, ["cm-commutation[q3]"])
+
+
+@pytest.mark.slow
+def test_failed_legendre_rescale_is_reported(capsys, monkeypatch):
+    original = MotiveMatrices.legendre_invariant_for
+
+    def not_minus_one(self, lattice):
+        return dict(original(self, lattice), invariant_code=0)
+
+    monkeypatch.setattr(MotiveMatrices, "legendre_invariant_for",
+                        not_minus_one)
+    _assert_only_failures(capsys, ["legendre-rescale[q3]",
+                                   "legendre-rescale[q5-tame]"])
 
 
 @pytest.mark.slow

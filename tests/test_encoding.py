@@ -4,7 +4,7 @@ from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import CInfApprox, INF
 from drinfeldlab.encoding import (canonical_dumps, decode_cinf,
                                   decode_module, encode_agf, encode_cinf,
-                                  encode_module)
+                                  encode_module, encode_valuation)
 
 
 def test_cinf_round_trip(cfg_small):
@@ -24,6 +24,13 @@ def test_cinf_infinite_precision(cfg_small):
     assert data["prec"] == "inf"
     y = decode_cinf(cfg_small, data)
     assert y.prec == INF
+
+
+def test_encode_valuation():
+    assert encode_valuation(INF) == "inf"
+    assert encode_valuation(-INF) == "-inf"
+    for v in (-108, 0, 192):
+        assert type(encode_valuation(v)) is int and encode_valuation(v) == v
 
 
 def test_json_serializable(cfg_small):
