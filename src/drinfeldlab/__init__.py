@@ -35,8 +35,7 @@ _EXPORTS = {
     "make_log_point": "logext", "relation_certificate": "logext",
     "MotiveMatrices": "motive", "OmegaData": "motive",
     "phi_matrix": "motive", "xi_constant": "motive",
-    "NewtonPolygon": "roots", "all_nonzero_roots": "roots",
-    "hensel_root": "roots", "newton_polygon": "roots",
+    "all_nonzero_roots": "roots",
     "SigmaPoly": "skew", "SkewPoly": "skew", "TwistedPoly": "skew",
     "TMatrix": "tseries", "TSeries": "tseries",
     "run_suite": "verify",

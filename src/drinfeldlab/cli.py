@@ -62,7 +62,7 @@ def builtin_context(tag):
 
 
 def load_setup(args):
-    """Resolve (cfg, module, context-or-None) from the flags."""
+    """Resolve (cfg, module) from the flags."""
     if args.prec_t is not None and args.prec_t < 1:
         raise ConfigError("--prec-t = %d must be at least 1" % args.prec_t)
     if args.module:
@@ -76,15 +76,13 @@ def load_setup(args):
                 prec["valuation_terms"] = args.prec_n
             if args.prec_t is not None:
                 prec["t_terms"] = args.prec_t
-        cfg, module = decode_module(data)
-        return cfg, module, None
+        return decode_module(data)
     ctx = builtin_context(args.q or "3")
     cfg = ctx.cfg
     if args.prec_n is not None and args.prec_n != cfg.prec:
         raise ConfigError("builtin samples have fixed precision; use a "
                           "--module file to change it")
-    module = ctx.carlitz if args.rank1 else ctx.module
-    return cfg, module, ctx
+    return cfg, ctx.carlitz if args.rank1 else ctx.module
 
 
 def emit(args, payload):
@@ -95,17 +93,17 @@ def emit(args, payload):
                          + "\n")
 
 
-def cmd_exp_eval(args, cfg, module, ctx):
+def cmd_exp_eval(args, cfg, module):
     z = parse_value(cfg, args.z)
     return {"command": "exp-eval", "value": encode_cinf(module.exp_eval(z))}
 
 
-def cmd_log_eval(args, cfg, module, ctx):
+def cmd_log_eval(args, cfg, module):
     z = parse_value(cfg, args.z)
     return {"command": "log-eval", "value": encode_cinf(module.log_eval(z))}
 
 
-def cmd_torsion(args, cfg, module, ctx):
+def cmd_torsion(args, cfg, module):
     if args.partial:
         points, failures = module.torsion_points(partial=True)
     else:
@@ -117,7 +115,7 @@ def cmd_torsion(args, cfg, module, ctx):
     }
 
 
-def cmd_periods(args, cfg, module, ctx):
+def cmd_periods(args, cfg, module):
     lat = module.periods()
     out = {
         "command": "periods",
@@ -129,7 +127,7 @@ def cmd_periods(args, cfg, module, ctx):
     return out
 
 
-def cmd_quasi_period(args, cfg, module, ctx):
+def cmd_quasi_period(args, cfg, module):
     if args.z is not None:
         z = parse_value(cfg, args.z)
         return {"command": "quasi-period",
@@ -142,14 +140,14 @@ def cmd_quasi_period(args, cfg, module, ctx):
     return out
 
 
-def cmd_agf(args, cfg, module, ctx):
+def cmd_agf(args, cfg, module):
     from .agf import AndersonGF
     u = parse_value(cfg, args.u)
     f = AndersonGF(module, u)
     return {"command": "agf", "agf": encode_agf(f)}
 
 
-def cmd_omega(args, cfg, module, ctx):
+def cmd_omega(args, cfg, module):
     from .motive import OmegaData
     om = OmegaData(cfg, T=cfg.t_terms)
     res = om.difference_residual()
@@ -169,7 +167,7 @@ def _motive_for(args, module):
     return MotiveMatrices(module, module.periods(), T=T)
 
 
-def cmd_psi(args, cfg, module, ctx):
+def cmd_psi(args, cfg, module):
     mot = _motive_for(args, module)
     sres, x0 = mot.sigma_invariance_residual()
     out = {"command": "psi", "T": mot.T, "threshold": cfg.pass_threshold()}
@@ -181,7 +179,7 @@ def cmd_psi(args, cfg, module, ctx):
     return out
 
 
-def cmd_specialize(args, cfg, module, ctx):
+def cmd_specialize(args, cfg, module):
     mot = _motive_for(args, module)
     P, M = mot.period_matrix()
     spec = mot.specialization_residuals()
@@ -200,7 +198,7 @@ def cmd_specialize(args, cfg, module, ctx):
     }
 
 
-def cmd_log_point(args, cfg, module, ctx):
+def cmd_log_point(args, cfg, module):
     from .logext import make_log_point
     lam = parse_value(cfg, args.z) if args.z else None
     alpha = parse_value(cfg, args.alpha) if args.alpha else None
@@ -213,7 +211,7 @@ def cmd_log_point(args, cfg, module, ctx):
     }
 
 
-def cmd_extend(args, cfg, module, ctx):
+def cmd_extend(args, cfg, module):
     from .logext import ExtendedSystem, make_log_point
     mot = _motive_for(args, module)
     points = [make_log_point(module, alpha=parse_value(cfg, a.strip()))
@@ -232,12 +230,12 @@ def cmd_extend(args, cfg, module, ctx):
     }
 
 
-def cmd_verify(args, cfg, module, ctx):
+def cmd_verify(args, cfg, module):
     from .verify import run_suite
     return run_suite(timings=args.timings)
 
 
-def cmd_suggest(args, cfg, module, ctx):
+def cmd_suggest(args, cfg, module):
     from .suggest import suggest_config
     kappa = [int(c) for c in (args.kappa_poly or "1").split(",")]
     u = [int(c) for c in (args.u_poly or "1").split(",")]
@@ -301,10 +299,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "suggest":
-            payload = cmd_suggest(args, None, None, None)
+            payload = cmd_suggest(args, None, None)
         else:
-            cfg, module, ctx = load_setup(args)
-            payload = _COMMANDS[args.command](args, cfg, module, ctx)
+            cfg, module = load_setup(args)
+            payload = _COMMANDS[args.command](args, cfg, module)
             payload["config"] = encode_module(module)
     except DrinfeldLabError as ex:
         sys.stderr.write(canonical_dumps(ex.record()) + "\n")

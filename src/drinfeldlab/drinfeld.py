@@ -6,11 +6,11 @@ exp(theta z) = rho_t(exp z) the exponential/logarithm coefficient tables
 follow by recursion.  One additive step solves rho_t(x) = b: rho_t is
 additive with derivative theta, so x -> (b - kappa x^q - u x^{q^2})/theta
 contracts towards the solution by a proven bound and needs no division.
-Torsion points come from the Newton-polygon solver, whose seeds for simple
-roots the step refines with b = 0 when kappa and u are exact (Newton
-otherwise); periods come from division towers over torsion seeds, each
-level rho_t(e_{n+1}) = e_n solved by the step with b = e_n; quasi-periodic
-functions come from the unrolled difference equation.
+Torsion points are the roots of rho_t, seeded from its three-term Newton
+polygon and refined by the step with b = 0 (roots.py); periods come from
+division towers over torsion seeds, each level rho_t(e_{n+1}) = e_n solved
+by the step with b = e_n; quasi-periodic functions come from the unrolled
+difference equation.
 
 Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
@@ -41,9 +41,7 @@ lists are copied on the way out, so no caller can change a cached value.
 
 from .cinf import INF, CInfApprox, dot
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
-                     NoConvergence, VerificationFailed)
-# newton_iterate is not called here; the benchmark tracer's self-test
-# wraps this alias
+                     NoConvergence, ResidueFieldTooSmall, VerificationFailed)
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
 
 # SkewPoly is imported where a tau-polynomial is built (torsion, towers,
@@ -143,9 +141,6 @@ class DrinfeldModule:
         self.u = u
         self._vk = INF if kappa.is_apparent_zero() else kappa.valuation()
         self._vu = INF if u.is_apparent_zero() else u.valuation()
-        # _additive_root keeps no precision from kappa and u, so only exact
-        # coefficients take it; inexact ones keep Newton on torsion
-        self._exact = kappa.prec == INF and u.prec == INF
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
@@ -387,20 +382,6 @@ class DrinfeldModule:
 
     # -- torsion ---------------------------------------------------------------
 
-    def torsion_polynomial(self):
-        """rho_t(x)/x, whose roots are the nonzero t-torsion points."""
-        cfg = self.cfg
-        q = cfg.q
-        deg = q ** self.rank - 1
-        coeffs = [cfg.zero(INF) for _ in range(deg + 1)]
-        coeffs[0] = cfg.theta()
-        if self.rank == 1:
-            coeffs[q - 1] = cfg.one()
-        else:
-            coeffs[q - 1] = self.kappa
-            coeffs[q * q - 1] = self.u
-        return coeffs
-
     def torsion_points(self, partial=False):
         """All q^rank - 1 nonzero t-torsion points, sorted by (valuation,
         leading coefficient code) for determinism.
@@ -413,50 +394,16 @@ class DrinfeldModule:
         got = self._torsion.get(partial)
         if got is None:
             key = lambda r: (r.valuation(), r.leading()[1])
-            g = self.torsion_polynomial()
-            solver = self._additive_root if self._exact else None
             if partial:
-                roots, failures = partial_nonzero_roots(
-                    g, simple_root=solver)
+                roots, failures = partial_nonzero_roots(self)
             else:
-                roots, failures = all_nonzero_roots(
-                    g, simple_root=solver), []
+                roots, failures = all_nonzero_roots(self), []
             got = (sorted(roots, key=key), failures)
             self._torsion = {**self._torsion, partial: got}
         points, failures = got
         if partial:
             return list(points), [dict(f) for f in failures]
         return list(points)
-
-    def _additive_root(self, x0):
-        """The torsion point r whose leading monomial is x0, a simple
-        residual root of g = torsion_polynomial(), certified: _contract
-        with b = 0 from x0 at d = v(x0) + 1.  kappa and u must be exact:
-        P below takes no precision from them, and rho_t(x0) is then exact,
-        so it is 0 or has a valuation.
-
-        The root is cut at P = v(rho_t(x0)) + e + rel_prec.  That P is
-        Newton's on g: x g'(x) = theta - g(x) in characteristic p and
-        v(g(x0)) > v(theta) at a residual root, so
-        v(g(x0)) - v(g'(x0)) = v(rho_t(x0)) + e, and Newton's first
-        correction on g is capped at that plus rel_prec.  The same identity
-        makes g(x0) exactly 0 whenever g'(x0) is a single term; an exact
-        root x0 is returned as it is.  The root must pass the residual
-        check v(rho_t(r)) - v(r) >= pass_threshold().
-        """
-        cfg = self.cfg
-        rho = self.skew()
-        first = rho(x0)
-        if first.is_exact_zero():
-            return x0
-        r = self._contract(cfg.zero(INF), x0, x0.valuation() + 1,
-                           first.valuation() + cfg.e + cfg.rel_prec)
-        threshold = cfg.pass_threshold()
-        if rho(r).vbound() - r.valuation() < threshold:
-            raise NoConvergence(
-                "torsion point with leading term %r did not certify to "
-                "threshold %d" % (x0, threshold))
-        return r
 
     def _contract(self, b, x, d, prec):
         """The solution r of rho_t(r) = b with v(x - r) >= d, cut at prec;
@@ -695,18 +642,21 @@ class DrinfeldModule:
         if self.is_normalized():
             return self, cfg.one()
         n = cfg.q ** 2 - 1
-        if len(self.u.terms) == 1:
-            exp_u, c_u = self.u.leading()
-            if exp_u % n != 0:
-                raise ConfigError(
-                    "no (q^2-1)-st root of 1/u on the grid; refine e")
-            x = cfg.monomial(-exp_u // n, cfg.field.nth_root(
-                cfg.field.inv(c_u), n))
-        else:
-            # f(X) = u X^n - 1; any root works, pick the deterministic first
-            coeffs = [-cfg.one()] + [cfg.zero(INF)] * (n - 1) + [self.u]
-            x = sorted(all_nonzero_roots(coeffs),
-                       key=lambda r: (r.valuation(), r.leading()[1]))[0]
+        field = cfg.field
+        exp_u, c_u = self.u.leading()
+        if exp_u % n != 0:
+            raise ConfigError("no (q^2-1)-st root of 1/u on the grid; refine e")
+        # u x^n = 1 by Newton from the smallest-code root of the residual
+        # equation c_u z^n = 1, all of whose roots are simple (p does not
+        # divide n); for a one-term u that seed is the root
+        z = [z for z, _ in field.poly_roots(
+            [field.neg(1)] + [0] * (n - 1) + [c_u])]
+        if not z:
+            raise ResidueFieldTooSmall(
+                "no (q^2-1)-st root of 1/u lies in F_%d" % field.size,
+                hint="increase the extension degree m")
+        coeffs = [-cfg.one()] + [cfg.zero(INF)] * (n - 1) + [self.u]
+        x, _ = newton_iterate(coeffs, cfg.monomial(-exp_u // n, z[0]))
         kappa_nu = self.kappa * (x ** (cfg.q - 1))
         nu = DrinfeldModule(cfg, 2, kappa_nu, cfg.one())
         check = self.u * x ** n - cfg.one()

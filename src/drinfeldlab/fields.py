@@ -13,9 +13,7 @@ through the Zech logarithms Z(d), g^Z(d) = 1 + g^d (Lidl & Niederreiter,
 Finite Fields, 9.1), since g^a + g^b = g^(a + Z(b - a)).
 """
 
-import math
-
-from .errors import ConfigError, ResidueFieldTooSmall
+from .errors import ConfigError
 
 
 def _trial_factor(n):
@@ -360,23 +358,6 @@ class FiniteField:
             if mult:
                 roots.append((z, mult))
         return roots
-
-    def nth_root(self, a, n):
-        """Some x with x^n = a, or raise ResidueFieldTooSmall."""
-        if a == 0:
-            return 0
-        order = self.size - 1
-        la = self._log[a]
-        # solve n*x = la (mod order)
-        g = math.gcd(n, order)
-        if la % g != 0:
-            raise ResidueFieldTooSmall(
-                "no %d-th root of the residue-field element exists in F_%d"
-                % (n, self.size),
-                hint="increase the extension degree m")
-        n_, la_, ord_ = n // g, la // g, order // g
-        x = (la_ * pow(n_, -1, ord_)) % ord_
-        return self._exp[x]
 
     def __repr__(self):
         return "FiniteField(p=%d, s=%d, m=%d)" % (self.p, self.s, self.m)

@@ -100,7 +100,8 @@ class OmegaData:
         step is one dot per coefficient, whose precision rule composes to
         the dense one, min over j of prec(a_(k-j)) + v(c * prefactor)
         + (q + ... + q^j) e, because the j-th elementary symmetric function
-        of the roots has a unique lowest term.
+        of the roots has a unique lowest term.  The tail is read from that
+        product's pair lists, which are not summed.
         """
         cfg = self.cfg
         one = cfg.one()
@@ -111,9 +112,7 @@ class OmegaData:
             g = g[:1] + [dot(cfg, ((one, x), (r, y)))
                          for x, y in zip(g[1:], g)]
         scale = c * self.prefactor
-        tail = a.tail
-        if tail not in (None, INF):
-            tail = tail + scale.vbound()
+        _, tail, _ = self.product.scale(c)._product(a)
         return TSeries(cfg, [scale * x for x in g], tail).truncate(T)
 
     def tail_error(self):

@@ -1,29 +1,57 @@
-"""Newton polygons and non-archimedean root finding in K_{m,e}.
+"""The t-torsion of a Drinfeld module: the nonzero roots of
+rho_t(x) = theta x + kappa x^q + u x^{q^2}.
 
-Convention: for f = sum a_i X^i the polygon is the lower convex hull of the
-points (i, v(a_i)) (grid-unit valuations).  A segment of slope s and
-horizontal length L certifies L roots of valuation -s.  Slopes are exact
-Fractions; a root can only be represented when its slope is an integer
-number of grid units, otherwise GridTooCoarse reports the missing divisor.
+Polygon.  For sum_i a_i x^i the Newton polygon is the lower convex hull of
+the points (i, v(a_i)) in grid units.  A segment of slope s and length L
+holds L roots of valuation -s; they lie on the grid only when s is an
+integer, otherwise GridTooCoarse names the missing divisor.  rho_t has at
+most three points, (1, -e), (q, v(kappa)) and (q^2, v(u)), so the hull
+comes from integer cross products.  A coefficient that is zero only to its
+precision (an inexact kappa = 0) must lie strictly above the hull, else
+IndeterminateValuation.
 
-Roots are located by the classical descent: each segment yields a residual
-polynomial over F_{q^m}; a simple residual root gives a Newton-ready seed,
-a multiple residual root shifts the polynomial and recurses on the strictly
-smaller slopes.  Root differences of the separable polynomials that appear
-here are bounded away from each other, so the descent terminates.  A
-caller that knows a faster certified solver for the simple roots of the
-top level passes it in; torsion points use the additive step of their
-Drinfeld module there, and the descent keeps Newton.  Division towers do
-not come here: their Drinfeld module solves rho_t(x) = e_n by the same
-additive step.
+Residual roots.  The residual polynomial of a segment has the leading
+coefficients of its roots as roots, with their multiplicities.  On a
+segment with (1, -e) as an end point every root is simple: with the
+residual written from index 1, z R(z) is additive, so R + z R' = c_theta,
+and z R'(z) = c_theta != 0 at a root; from index 0 the derivative is
+c_theta itself.  A segment without (1, -e) has exponents 0, q, q^2 only
+relative to its start, so its residual is a q-th power and every root is
+multiple.
+
+Descent.  A multiple residual root of slope s adds its monomial to the
+seed x0 and descends: rho_t is additive, so rho_t(x0 + h) =
+rho_t(x0) + rho_t(h), whose polygon has the one new point
+(0, v(rho_t(x0))).  Its segments of slope below s hold the roots h of
+valuation above -s, the cluster, and there must be as many as the
+multiplicity (NoConvergence otherwise).  A rho_t(x0) that is zero to
+precision puts no point there.
+
+Refinement.  A simple residual root gives the exact seed x0, whose last
+monomial has valuation v = -s, and exactly one root r with v(r - x0) > v.
+It is refined by DrinfeldModule._contract with b = 0 from d = v + 1, at any
+depth.  That d is a proven distance: r - x0 is the one root of
+rho_t(x0) + rho_t(h) of valuation above v, so it has the integer valuation
+v(rho_t(x0)) + e of the segment from (0, v(rho_t(x0))) to (1, -e).  And
+the disc v(x - r) >= d contracts: the segment ends at (1, -e), so by
+convexity (q, v(kappa)) and (q^2, v(u)) lie on or above the line of slope s
+through it, v(kappa) >= -e + (q - 1) s and v(u) >= -e + (q^2 - 1) s, whence
+min(v(kappa) + q d, v(u) + q^2 d) + e >= q - s > 1 - s = d, and both
+bounds grow with d at rate at least q.  The root is cut at
+P = min(v(rho_t(x0)) + e + rel_prec, prec(kappa) + q v0 + e,
+prec(u) + q^2 v0 + e), v0 = v(x0): the first term is Newton's cap on
+g = rho_t(x)/x (x g' = theta - g in characteristic p, so the first
+correction g/g' has valuation v(rho_t(x0)) + e), the others the precision
+a step's products keep.  An exact root x0 is returned as it is.  Each root
+must pass v(rho_t(r)) - v(r) >= pass_threshold().
+
+Newton's method stays for normalize's u x^{q^2 - 1} = 1, the one equation
+here that is not additive.
 """
 
 import math
 
-# Fraction is imported by the functions that form slopes: the fractions
-# module (decimal with it) is a sizeable share of a cold start, and a
-# command that builds no Newton polygon, like exp-eval, never needs it
-from .cinf import INF, CInfApprox, dot
+from .cinf import INF, dot
 from .errors import (GridTooCoarse, IndeterminateValuation, NoConvergence,
                      ResidueFieldTooSmall)
 
@@ -31,90 +59,154 @@ _MAX_NEWTON_ITER = 64
 _MAX_DESCENT = 32
 
 
-class NewtonPolygon:
-    """Lower hull of coefficient valuations.
-
-    segments: list of (slope, length) with slope an exact Fraction in grid
-    units and strictly increasing; ord0 counts exact-zero low coefficients
-    (roots at the origin are not certified by the polygon).
-    """
-
-    def __init__(self, segments, ord0, degree):
-        self.segments = segments
-        self.ord0 = ord0
-        self.degree = degree
-
-    def root_valuations(self):
-        """Multiset of certified root valuations as (valuation, count)."""
-        return [(-s, l) for s, l in self.segments]
-
-    def theta_slopes(self, e):
-        from fractions import Fraction
-        return [(Fraction(s) / e, l) for s, l in self.segments]
-
-    def __repr__(self):
-        return "NewtonPolygon(%s, ord0=%d)" % (self.segments, self.ord0)
+def _slope_text(dy, dx):
+    """dy/dx in lowest terms, printed as a Fraction prints it."""
+    g = math.gcd(dy, dx)
+    return str(dy // g) if g == dx else "%d/%d" % (dy // g, dx // g)
 
 
-def _coefficient_points(coeffs):
-    """(index, valuation) for determinate coefficients; precision floor of
-    the indeterminate ones so the hull can be certified against them."""
-    pts = []
-    indeterminate = []
-    for i, a in enumerate(coeffs):
-        if a is None or a.is_exact_zero():
+def _segments(coeffs):
+    """Edges ((i0, v0), (i1, v1)) of the lower hull of a polynomial given
+    as {index: CInfApprox}, in increasing slope."""
+    pts, loose = [], []
+    for i in sorted(coeffs):
+        a = coeffs[i]
+        if a.is_exact_zero():
             continue
         if a.is_apparent_zero():
-            indeterminate.append((i, a.prec))
+            loose.append((i, a.prec))
         else:
             pts.append((i, a.valuation()))
-    return pts, indeterminate
-
-
-def newton_polygon(coeffs):
-    """Polygon of a polynomial given as a dense list of CInfApprox."""
-    from fractions import Fraction
-    pts, indet = _coefficient_points(coeffs)
-    if not pts:
-        raise IndeterminateValuation("all coefficients are zero to precision")
-    ord0 = pts[0][0]
-    degree = pts[-1][0]
-    for i, p in indet:
-        if i > degree:
-            raise IndeterminateValuation(
-                "coefficient %d is zero to precision %s but would raise the "
-                "degree" % (i, p))
-    # lower hull with strictly increasing slopes
     hull = []
-    for pt in pts:
+    for x, y in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if Fraction(y2 - y1, x2 - x1) >= Fraction(pt[1] - y1, pt[0] - x1):
-                hull.pop()
-            else:
+            if (y2 - y1) * (x - x1) < (y - y1) * (x2 - x1):
                 break
-        hull.append(pt)
-    segments = [(Fraction(y2 - y1, x2 - x1), x2 - x1)
-                for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
-
-    def hull_value(i):
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= i <= x2:
-                return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (i - x1)
-        return None
-
-    # every coefficient must be known strictly below any level where it
-    # could disturb the hull
-    for i, p in indet:
-        hv = hull_value(i)
-        if hv is not None and p <= hv:
-            raise IndeterminateValuation(
-                "coefficient %d known only to precision %s, hull needs > %s"
-                % (i, p, hv))
-    return NewtonPolygon(segments, ord0, degree)
+            hull.pop()
+        hull.append((x, y))
+    edges = list(zip(hull, hull[1:]))
+    for i, p in loose:
+        for (x1, y1), (x2, y2) in edges:
+            # the hull at i is line / (x2 - x1)
+            line = y1 * (x2 - x1) + (y2 - y1) * (i - x1)
+            if x1 <= i <= x2 and p * (x2 - x1) <= line:
+                # numbered by the power of x in rho_t(x)/x, the polynomial
+                # whose roots the torsion points are
+                raise IndeterminateValuation(
+                    "coefficient %d known only to precision %s, hull needs "
+                    "> %s" % (i - 1, p, _slope_text(line, x2 - x1)))
+    return edges
 
 
-# ---------------------------------------------------------------------------
+def _refine(module, x0, d, z):
+    """The torsion point r with v(r - x0) >= d, x0 exact from the residual
+    root z: _contract with b = 0, cut as the module docstring says."""
+    cfg = module.cfg
+    q, e = cfg.q, cfg.e
+    rho = module.skew()
+    v0 = x0.valuation()
+    prec = min(rho(x0).vbound() + e + cfg.rel_prec,
+               module.kappa.prec + q * v0 + e,
+               module.u.prec + q * q * v0 + e)
+    if prec == INF:
+        return x0
+    r = module._contract(cfg.zero(INF), x0, d, prec)
+    threshold = cfg.pass_threshold()
+    if r.is_apparent_zero() or rho(r).vbound() - r.valuation() < threshold:
+        raise NoConvergence(
+            "root from residual class %d did not certify to threshold %d"
+            % (z, threshold))
+    return r
+
+
+def _segment_roots(module, coeffs, edge, seed, depth):
+    """The roots seed + h of rho_t for the roots h on one polygon edge of
+    coeffs, the polynomial rho_t(seed) + rho_t(h)."""
+    cfg = module.cfg
+    (i0, v0), (i1, v1) = edge
+    length = i1 - i0
+    if (v1 - v0) % length:
+        g = math.gcd(v1 - v0, length)
+        raise GridTooCoarse(
+            "polygon slope %s is not integral on the grid"
+            % _slope_text(v1 - v0, length),
+            hint="multiply e by %d (repeated p-denominators at deeper "
+                 "descent levels indicate wildly ramified roots with no "
+                 "theta-power-grid expansion at all)" % (length // g),
+            needed_factor=length // g)
+    lam = (v1 - v0) // length
+    residual = [0] * (length + 1)
+    for i, a in coeffs.items():
+        if i0 <= i <= i1:
+            residual[i - i0] = a.terms.get(v0 + lam * (i - i0), 0)
+    roots = []
+    found = 0
+    for z, mult in cfg.field.poly_roots(residual):
+        if z == 0:
+            continue
+        x0 = seed + cfg.monomial(-lam, z)
+        if mult == 1:
+            roots.append(_refine(module, x0, 1 - lam, z))
+        else:
+            sub = _cluster(module, x0, lam, depth + 1)
+            if len(sub) != mult:
+                raise NoConvergence(
+                    "cluster descent found %d of %d roots at slope %d"
+                    % (len(sub), mult, lam))
+            roots.extend(sub)
+        found += mult
+    if found != length:
+        raise ResidueFieldTooSmall(
+            "segment of slope %d certifies %d roots but only %d residual "
+            "roots lie in F_%d" % (lam, length, found, cfg.field.size),
+            hint="increase the extension degree m")
+    return roots
+
+
+def _cluster(module, seed, lam, depth, failures=None):
+    """The roots of rho_t in the cluster of the exact seed: seed + h over
+    the roots h of rho_t(seed) + rho_t(h) of valuation above -lam; every
+    nonzero root for seed 0 and lam INF.  With a failures list, a polygon
+    segment that fails is recorded there instead of raised."""
+    if depth > _MAX_DESCENT:
+        raise NoConvergence("root cluster descent exceeded %d levels"
+                            % _MAX_DESCENT)
+    cfg = module.cfg
+    coeffs = {0: module.skew()(seed), 1: cfg.theta(), cfg.q: module.kappa,
+              cfg.q ** 2: module.u}
+    roots = []
+    for edge in _segments(coeffs):
+        (i0, v0), (i1, v1) = edge
+        if v1 - v0 >= lam * (i1 - i0):
+            break
+        try:
+            roots.extend(_segment_roots(module, coeffs, edge, seed, depth))
+        except (GridTooCoarse, NoConvergence, ResidueFieldTooSmall) as ex:
+            if failures is None:
+                raise
+            failures.append({"slope": _slope_text(v1 - v0, i1 - i0),
+                             "length": i1 - i0, **ex.record()})
+    return roots
+
+
+def all_nonzero_roots(module):
+    """The q^rank - 1 nonzero t-torsion points of module, unsorted; the
+    first failure raises."""
+    return _cluster(module, module.cfg.zero(INF), INF, 0)
+
+
+def partial_nonzero_roots(module):
+    """Like all_nonzero_roots, but a failing polygon segment is recorded
+    instead of raised: returns (roots, failures), the failures as error
+    records with the segment's slope and length.  Salvages the
+    representable torsion of a module whose other part is wildly
+    ramified."""
+    failures = []
+    return _cluster(module, module.cfg.zero(INF), INF, 0, failures), failures
+
+
+# -- Newton's method, for normalize ------------------------------------------
 
 
 def _pow_cache(x, cache, n):
@@ -130,10 +222,6 @@ def _pow_cache(x, cache, n):
     return val
 
 
-def _power_cache(x):
-    return {0: x.cfg.one(), 1: x}
-
-
 def poly_eval(coeffs, x, cache=None):
     """Evaluate a dense CInfApprox polynomial; skips structural zeros.
 
@@ -141,67 +229,35 @@ def poly_eval(coeffs, x, cache=None):
     evaluations at the same x; each power x^n is built by one fixed chain,
     so sharing changes no value."""
     if cache is None:
-        cache = _power_cache(x)
+        cache = {0: x.cfg.one(), 1: x}
     return dot(x.cfg, [(a, _pow_cache(x, cache, i))
                        for i, a in enumerate(coeffs)
                        if a is not None and not a.is_exact_zero()])
 
 
-def poly_derivative(coeffs):
-    cfg = coeffs[0].cfg
-    out = []
-    for i, a in enumerate(coeffs[1:], start=1):
-        out.append(a * (i % cfg.p))
-    return out if out else [cfg.zero(prec=INF)]
-
-
-def poly_shift(coeffs, x0):
-    """Coefficients of f(x0 + h) as a polynomial in h."""
-    cfg = x0.cfg
-    p = cfg.p
-    deg = len(coeffs) - 1
-    cache = _power_cache(x0)
-    pairs = [[] for _ in range(deg + 1)]
-    for i, a in enumerate(coeffs):
-        if a is None or a.is_exact_zero():
-            continue
-        for j in range(i + 1):
-            b = math.comb(i, j) % p
-            if b == 0:
-                continue
-            pairs[j].append((a if b == 1 else a * b,
-                             _pow_cache(x0, cache, i - j)))
-    return [dot(cfg, pr) for pr in pairs]
-
-
-def newton_iterate(coeffs, seed, check_criterion=True):
+def newton_iterate(coeffs, seed):
     """Newton's method x <- x - f(x)/f'(x) from the seed.
 
-    With check_criterion the classical condition |f(x0)| < |f'(x0)|^2 is
-    required up front; it guarantees a unique root in the seed's disc.
     Returns (root, iterations).  An iterate whose residual valuation does
-    not rise raises NoConvergence carrying that valuation.
+    not rise raises NoConvergence carrying that valuation.  A residual that
+    is zero only to its precision caps the root at prec(f) - v(f'), the
+    precision of the correction it stands for.
     """
-    deriv = poly_derivative(coeffs)
+    cfg = seed.cfg
+    deriv = [a * (i % cfg.p) for i, a in enumerate(coeffs) if i]
 
     def f_and_deriv(x):
-        cache = _power_cache(x)
+        cache = {0: cfg.one(), 1: x}
         return poly_eval(coeffs, x, cache), poly_eval(deriv, x, cache)
 
     x = seed
     fx, dfx = f_and_deriv(x)
-    if check_criterion:
-        if dfx.is_apparent_zero():
-            raise NoConvergence("derivative vanishes at the seed")
-        if not fx.is_apparent_zero() and \
-                fx.valuation() <= 2 * dfx.valuation():
-            raise NoConvergence(
-                "Newton criterion fails: v(f) = %s <= 2 v(f') = %s"
-                % (fx.valuation(), 2 * dfx.valuation()))
     last = -INF
     for it in range(_MAX_NEWTON_ITER):
         if fx.is_apparent_zero():
-            return x, it
+            if fx.prec == INF:
+                return x, it
+            return x.truncate(min(x.prec, fx.prec - dfx.valuation())), it
         v = fx.valuation()
         if v <= last:
             # no progress: nothing bounds the distance to a root
@@ -213,135 +269,3 @@ def newton_iterate(coeffs, seed, check_criterion=True):
         fx, dfx = f_and_deriv(x)
     raise NoConvergence("Newton iteration did not stabilize in %d steps"
                         % _MAX_NEWTON_ITER)
-
-
-def hensel_root(coeffs, seed):
-    """The unique root inside the seed's convergence disc.
-
-    Requires the standard criterion |f(seed)| < |f'(seed)|^2; the result
-    satisfies f(root) = 0 to the propagated working precision.
-    """
-    root, _ = newton_iterate(coeffs, seed, check_criterion=True)
-    res = poly_eval(coeffs, root)
-    target = seed.cfg.pass_threshold()
-    if res.vbound() < target:
-        raise NoConvergence(
-            "root residual v = %s below certification threshold %d"
-            % (res.vbound(), target))
-    return root
-
-
-def _segment_residual(coeffs, hull_i0, v0, slope, length):
-    """Residual polynomial of a polygon segment, low degree first."""
-    out = []
-    for k in range(length + 1):
-        i = hull_i0 + k
-        line = v0 + slope * k
-        a = coeffs[i] if i < len(coeffs) else None
-        if line.denominator != 1 or a is None:
-            out.append(0)
-        else:
-            out.append(a.terms.get(int(line), 0))
-    return out
-
-
-def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
-    """All roots hanging off one polygon segment (descending clusters).
-
-    simple_root(x0), when given, replaces Newton and its residual check for
-    the simple residual roots at depth 0: x0 is the leading monomial of the
-    one root it must return, certified."""
-    cfg = coeffs[-1].cfg
-    threshold = cfg.pass_threshold()
-    if slope.denominator != 1:
-        raise GridTooCoarse(
-            "polygon slope %s is not integral on the grid" % slope,
-            hint="multiply e by %d (repeated p-denominators at deeper "
-                 "descent levels indicate wildly ramified roots with no "
-                 "theta-power-grid expansion at all)" % slope.denominator,
-            needed_factor=slope.denominator)
-    lam = int(slope)
-    residual = _segment_residual(coeffs, i0, v0, slope, length)
-    roots = []
-    found = 0
-    for z, mult in cfg.field.poly_roots(residual):
-        if z == 0:
-            continue
-        x0 = cfg.monomial(-lam, z)
-        if mult == 1 and depth == 0 and simple_root is not None:
-            roots.append(simple_root(x0))
-        elif mult == 1:
-            # Newton is invariant under affine rescaling, so a simple
-            # residual root converges without the raw magnitude test
-            r, _ = newton_iterate(coeffs, x0, check_criterion=False)
-            if depth == 0 and poly_eval(coeffs, r).vbound() < threshold:
-                raise NoConvergence(
-                    "root from residual class %d did not certify to "
-                    "threshold %d" % (z, threshold))
-            roots.append(r)
-        else:
-            shifted = poly_shift(coeffs, x0)
-            sub = [r for r in all_nonzero_roots(shifted, depth + 1)
-                   if r.valuation() > -lam]
-            if len(sub) != mult:
-                raise NoConvergence(
-                    "cluster descent found %d of %d roots at slope %d"
-                    % (len(sub), mult, lam))
-            roots.extend(x0 + h for h in sub)
-        found += mult
-    if found != length:
-        raise ResidueFieldTooSmall(
-            "segment of slope %d certifies %d roots but only %d residual "
-            "roots lie in F_%d" % (lam, length, found, cfg.field.size),
-            hint="increase the extension degree m")
-    return roots
-
-
-def _iter_segments(coeffs):
-    from fractions import Fraction
-    polygon = newton_polygon(coeffs)
-    pts, _ = _coefficient_points(coeffs)
-    vals = dict(pts)
-    i0 = polygon.ord0
-    v0 = Fraction(vals[i0])
-    for slope, length in polygon.segments:
-        yield i0, v0, slope, length
-        i0 += length
-        v0 += slope * length
-
-
-def all_nonzero_roots(coeffs, depth=0, simple_root=None):
-    """All roots of the polynomial that are units times grid monomials.
-
-    Every segment must have an integral slope (GridTooCoarse otherwise) and
-    every residual equation must split over F_{q^m} (ResidueFieldTooSmall
-    otherwise); multiplicities descend recursively.  Returns a list of
-    CInfApprox roots of length = degree - ord0.  simple_root is the solver
-    for simple residual roots at depth 0 (see _segment_roots); the cluster
-    descent always uses Newton.
-    """
-    if depth > _MAX_DESCENT:
-        raise NoConvergence("root cluster descent exceeded %d levels"
-                            % _MAX_DESCENT)
-    roots = []
-    for i0, v0, slope, length in _iter_segments(coeffs):
-        roots.extend(_segment_roots(coeffs, i0, v0, slope, length, depth,
-                                    simple_root))
-    return roots
-
-
-def partial_nonzero_roots(coeffs, simple_root=None):
-    """Like all_nonzero_roots, but collects per-segment failures instead of
-    raising: returns (roots, failures) with failures a list of error
-    records.  Used to salvage the representable part of a torsion module
-    whose other part is wildly ramified."""
-    roots = []
-    failures = []
-    for i0, v0, slope, length in _iter_segments(coeffs):
-        try:
-            roots.extend(_segment_roots(coeffs, i0, v0, slope, length, 0,
-                                        simple_root))
-        except (GridTooCoarse, NoConvergence, ResidueFieldTooSmall) as ex:
-            failures.append({"slope": str(slope), "length": length,
-                             **ex.record()})
-    return roots, failures

@@ -81,7 +81,8 @@ class TSeries:
     def _product(self, other):
         """(length, tail, pairs) of self * other: pairs[k] lists the
         coefficient pairs (a_i, b_j), i + j = k, whose sum is coefficient
-        k."""
+        k.  The tail bounds every dropped coefficient: the products with a
+        dropped factor, and the known pairs a_i b_j with i + j >= length."""
         self._compat(other)
         n = _out_len(self.T, self.tail, other.T, other.tail, conv=True)
         a, b = self.coeffs[:n], other.coeffs[:n]
@@ -95,6 +96,13 @@ class TSeries:
             va = min(self.min_vbound(), ta)
             vb = min(other.min_vbound(), tb)
             tail = min(ta + vb, tb + va)
+            # the known pairs past n: a_i with low[j] = min v(b_j'), j' >= j
+            low = [INF] * (other.T + 1)
+            for j in range(other.T - 1, -1, -1):
+                low[j] = min(low[j + 1], other.coeffs[j].vbound())
+            for i, x in enumerate(self.coeffs):
+                if n - i < other.T:
+                    tail = min(tail, x.vbound() + low[max(0, n - i)])
         return n, tail, pairs
 
     def __mul__(self, other):

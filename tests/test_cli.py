@@ -200,7 +200,7 @@ def test_exit_code_table_lists_every_error():
 def test_library_error_exit_code(capsys, monkeypatch, name, code):
     cls = getattr(errors, name)
 
-    def broken(args, cfg, module, ctx):
+    def broken(args, cfg, module):
         raise cls("forced")
 
     monkeypatch.setitem(cli._COMMANDS, "torsion", broken)
@@ -212,7 +212,7 @@ def test_library_error_exit_code(capsys, monkeypatch, name, code):
 
 def test_other_library_error_exit_code(capsys, monkeypatch):
     # a DrinfeldLabError outside the listed families is still a typed record
-    def broken(args, cfg, module, ctx):
+    def broken(args, cfg, module):
         raise ShapeMismatch("2x2 times 3x1")
 
     monkeypatch.setitem(cli._COMMANDS, "torsion", broken)
@@ -260,6 +260,23 @@ def test_cm_module_file_commands(capsys):
     code, out, _ = run_cli(capsys, "log-eval", "--module", path,
                            "--z", "theta^-5", "--json")
     assert code == 0
+
+
+def test_inexact_cm_module_torsion_precision(capsys):
+    # theta + tau^2 with kappa = 0 and u = 1 known to 400: the torsion
+    # points have valuation -9, so they are known to
+    # min(400 - 3 * 9, 400 - 9 * 9) + 72 = 391, not exactly
+    path = str(Path(__file__).parent / "data" / "cm_q3_inexact.json")
+    code, out, _ = run_cli(capsys, "torsion", "--module", path, "--json")
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert len(points) == 8
+    assert all(p["prec"] == 391 for p in points)
+    # the exact module's points agree with them below 391
+    exact = json.loads(run_cli(capsys, "torsion", "--module", path.replace(
+        "_inexact", ""), "--json")[1])["points"]
+    assert [p["terms"] for p in points] == \
+        [[t for t in p["terms"] if t[0] < 391] for p in exact]
 
 
 def test_omega_command(capsys):

@@ -3,7 +3,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_rem,
                                      gf_strip)
 
-from drinfeldlab.errors import ConfigError, ResidueFieldTooSmall
+from drinfeldlab.errors import ConfigError
 from drinfeldlab.fields import (FiniteField, default_modulus, is_prime,
                                 poly_is_irreducible)
 
@@ -66,13 +66,6 @@ def test_sqrt_of_minus_one_needs_extension():
     assert F3.poly_roots([1, 0, 1]) == []  # X^2 + 1 has no root in F_3
     F9 = FiniteField(3, 1, 2)
     assert len(F9.poly_roots([1, 0, 1])) == 2
-
-
-def test_nth_root(F9):
-    x = F9.nth_root(F9.neg(1), 2)
-    assert F9.mul(x, x) == F9.neg(1)
-    with pytest.raises(ResidueFieldTooSmall):
-        FiniteField(5, 1, 1).nth_root(2, 4)  # 2 is not a 4th power in F_5
 
 
 def test_modulus_validation():

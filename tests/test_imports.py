@@ -46,7 +46,15 @@ def test_exp_eval_loads_only_what_it_runs():
                      "theta^-1", "--json")
     assert "drinfeldlab.drinfeld" in mods
     assert not mods & _HEAVY
-    # no debug logging; Fraction is needed only by Newton polygons
+    # no debug logging, and no Fraction: nothing prints a theta-valuation
+    assert not mods & {"logging", "fractions"}
+
+
+def test_torsion_loads_no_fractions():
+    # the torsion polygon is formed from integer cross products
+    mods = _imported("-m", "drinfeldlab", "torsion", "--q", "3", "--json")
+    assert "drinfeldlab.roots" in mods
+    assert not mods & _HEAVY - {"drinfeldlab.skew"}
     assert not mods & {"logging", "fractions"}
 
 
@@ -68,11 +76,11 @@ def test_every_public_name_is_its_submodules_object():
 
 def test_package_name_follows_its_submodule(monkeypatch):
     roots = importlib.import_module("drinfeldlab.roots")
-    original = roots.hensel_root
-    monkeypatch.setattr(roots, "hensel_root", len)
-    assert drinfeldlab.hensel_root is len
+    original = roots.all_nonzero_roots
+    monkeypatch.setattr(roots, "all_nonzero_roots", len)
+    assert drinfeldlab.all_nonzero_roots is len
     monkeypatch.undo()
-    assert drinfeldlab.hensel_root is original
+    assert drinfeldlab.all_nonzero_roots is original
 
 
 def test_dir_and_star_import_cover_all():

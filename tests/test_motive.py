@@ -288,10 +288,11 @@ def _psi_digest(mot):
     return _series_digest(a for r in mot.psi.rows for a in r)
 
 
-# Psi as the product with the expanded xi Omega series built it
+# Psi as the product with the expanded xi Omega series built it; at T = 1
+# the second row's tails are 243, the valuation of its t^1 coefficients
 _PSI_Q3 = {
-    (240, 1): "d2d9a95a0516f0fd3b7d3af60713fbad"
-              "793437d1e0ecffb2d62e3f2144995de6",
+    (240, 1): "2eb27232c4abbcf3ddc6d480ebb33c7a"
+              "8752d03881097d59011eab6cc777a715",
     (240, 2): "032181ff8b69d2de56d74ff86861221a"
               "c3049dc5ea1af4f53888e2ec44a09b62",
     (240, 16): "a6a11c2c54edec0e96750e1e48ce762d"

@@ -1,13 +1,21 @@
+"""The torsion solver of drinfeldlab.roots, and the generic dense root
+finder of tests/torsion_oracle.py that the torsion tests compare it with."""
+
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drinfeldlab.cinf import INF, FieldConfig
+from drinfeldlab import roots
+from drinfeldlab.cinf import INF, CInfApprox, FieldConfig
+from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import (GridTooCoarse, IndeterminateValuation,
                                 NoConvergence)
-from drinfeldlab.roots import (all_nonzero_roots, hensel_root,
-                               newton_iterate, newton_polygon,
-                               partial_nonzero_roots, poly_eval)
+
+from torsion_oracle import (all_nonzero_roots, assert_torsion_matches,
+                            hensel_root, newton_iterate, newton_polygon,
+                            poly_eval, torsion_polynomial)
 
 
 def test_polygon_examples(cfg_small):
@@ -80,33 +88,31 @@ def test_all_roots_carlitz_torsion(cfg_small):
 
 def test_all_roots_rank2_q3(ctx3):
     cfg = ctx3.cfg
-    coeffs = ctx3.module.torsion_polynomial()
-    roots = all_nonzero_roots(coeffs)
-    assert len(roots) == 8
-    assert all(r.valuation() == -cfg.e // 8 for r in roots)
+    coeffs = torsion_polynomial(ctx3.module)
+    points = roots.all_nonzero_roots(ctx3.module)
+    assert len(points) == 8
+    assert all(r.valuation() == -cfg.e // 8 for r in points)
     # sum of root valuations equals v(theta) (the polygon bookkeeping)
-    assert sum(r.valuation() for r in roots) == -cfg.e
+    assert sum(r.valuation() for r in points) == -cfg.e
     thr = cfg.pass_threshold()
-    for r in roots:
+    for r in points:
         assert poly_eval(coeffs, r).vbound() >= thr
 
 
 def test_cluster_descent_q5_tame(ctx5):
     # theta + x^4 + x^24 over F_625 splits completely on the e = 600 grid
-    coeffs = ctx5.module.torsion_polynomial()
-    roots = all_nonzero_roots(coeffs)
-    assert len(roots) == 24
-    assert sum(r.valuation() for r in roots) == -ctx5.cfg.e
+    points = roots.all_nonzero_roots(ctx5.module)
+    assert len(points) == 24
+    assert sum(r.valuation() for r in points) == -ctx5.cfg.e
 
 
 def test_wild_module_partial_roots(ctx5w):
-    coeffs = ctx5w.module.torsion_polynomial()
     with pytest.raises(GridTooCoarse):
-        all_nonzero_roots(coeffs)
-    roots, failures = partial_nonzero_roots(coeffs)
+        roots.all_nonzero_roots(ctx5w.module)
+    points, failures = roots.partial_nonzero_roots(ctx5w.module)
     # the valuation-0 line (4 roots) is representable; the 20 wild ones fail
-    assert len(roots) == 4
-    assert all(r.valuation() == 0 for r in roots)
+    assert len(points) == 4
+    assert all(r.valuation() == 0 for r in points)
     assert len(failures) == 1
     assert failures[0]["error"] == "GridTooCoarse"
     assert failures[0]["length"] == 20
@@ -116,7 +122,7 @@ def test_hensel_with_polygon_seed(ctx3):
     # a torsion point of the rank-2 module from hensel_root directly: the
     # seed from the polygon residual satisfies the strict criterion here
     cfg = ctx3.cfg
-    coeffs = ctx3.module.torsion_polynomial()
+    coeffs = torsion_polynomial(ctx3.module)
     np = newton_polygon(coeffs)
     (slope, length), = np.segments
     lam = int(slope)
@@ -136,3 +142,117 @@ def test_newton_stall_raises():
         with pytest.raises(NoConvergence, match="stalled") as info:
             newton_iterate(coeffs, one, check_criterion=False)
         assert info.value.residual_valuation == v
+
+
+# -- the torsion solver against the generic finder ----------------------------
+
+# rel_prec = N (not 4N) keeps the roots short: the generic finder's Newton
+# steps on roots of 4N digits take up to seconds each
+_Q3 = FieldConfig(3, 1, 4, e=72, prec=240, rel_prec=240)
+
+
+@st.composite
+def _coefficient(draw, v):
+    """A value of valuation v with up to two more terms, 9k grid units
+    above it (so the roots' expansions stay sparse), exact or known to a
+    drawn precision; with v None, zero to a drawn precision.  Leading
+    coefficients are mostly in F_3, whose residual equations split in
+    F_81."""
+    code = st.one_of(st.integers(1, 2), st.integers(1, _Q3.field.size - 1))
+    if v is None:
+        return _Q3.zero(draw(st.integers(-150, 400)))
+    terms = {v: draw(code)}
+    for _ in range(draw(st.integers(0, 2))):
+        terms[v + 9 * draw(st.integers(1, 16))] = draw(code)
+    prec = draw(st.one_of(st.just(INF), st.integers(700, 1500)))
+    return CInfApprox(_Q3, terms, prec)
+
+
+@st.composite
+def _q3_module(draw):
+    """Rank 1, or rank 2 over the q3 grid with valuations from one of three
+    shapes: one segment from (1, -e) to (9, v(u)), two segments of integer
+    slopes (so the cluster descent runs), or any.
+
+    Finite precisions are at least 700, which every torsion point the
+    polygon predicts needs to certify.  Below that the generic finder
+    reports other failures: it checks certification at the top level only,
+    and its descent also re-descends into the roots outside the cluster,
+    down to its level cap."""
+    shape = draw(st.sampled_from(["rank1", "one", "two", "any"]))
+    if shape == "rank1":
+        return DrinfeldModule(_Q3, 1)
+    if shape == "one":
+        s = draw(st.integers(-20, 30))
+        vu = -72 + 8 * s
+        # (3, v(kappa)) on or above the segment, or kappa zero
+        vk = draw(st.one_of(st.none(),
+                            st.integers(-72 + 2 * s, -72 + 2 * s + 200)))
+    elif shape == "two":
+        s1 = draw(st.integers(-20, 30))
+        s2 = s1 + draw(st.integers(1, 30))
+        vk = -72 + 2 * s1
+        vu = vk + 6 * s2
+    else:
+        vk = draw(st.one_of(st.none(), st.integers(-250, 150)))
+        vu = draw(st.integers(-150, 150))
+    kappa = draw(_coefficient(vk))
+    if vk is None and draw(st.booleans()):
+        kappa = _Q3.zero(INF)
+    return DrinfeldModule(_Q3, 2, kappa, draw(_coefficient(vu)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q3_module())
+def test_torsion_matches_generic_finder(rho):
+    assert_torsion_matches(rho)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_tame_cluster_resolves_to_the_known_torsion(k):
+    # the torsion F_3 + F_3 r, r = theta^k - sum_i theta^(-3^i), of
+    # rho_t = theta P(x)/c0 with P(x) = (x^3 - x)^3 - y^2 (x^3 - x) =
+    # x^9 + c1 x^3 + c0 x and y = r^3 - r = theta^(3k) - theta^k + theta^-1:
+    # the six large roots form two clusters r + F_3, b = 1, 2, whose
+    # descent resolves on the grid; the generic finder re-descends outside
+    # them down to its level cap here
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    th = cfg.theta()
+    y = cfg.theta(3 * k) - cfg.theta(k) + cfg.theta(-1)
+    c0 = y * y
+    rho = DrinfeldModule(cfg, 2, -(th * (cfg.one() + c0)) / c0, th / c0)
+    points, failures = roots.partial_nonzero_roots(rho)
+    assert failures == [] and len(points) == 8
+    r = CInfApprox(cfg, {-72 * k: 1, **{72 * 3 ** i: 2 for i in range(6)}})
+    want = [r.scale(b) + cfg.from_int(a)
+            for a in range(3) for b in range(3) if a or b]
+    for x in points:
+        assert x.prec >= cfg.pass_threshold()
+        assert sum((x - w).vbound() >= x.prec for w in want) == 1
+
+
+def test_uncertified_roots_are_failure_records():
+    # u known to 0 only: the torsion point of valuation -9 would be cut at
+    # 0 + 9 * (-9) + 72 = -9, below its own leading term; it is recorded as
+    # uncertified instead of raising from its valuation
+    rho = DrinfeldModule(_Q3, 2, _Q3.theta(), CInfApprox(_Q3, {-18: 1}, 0))
+    points, failures = roots.partial_nonzero_roots(rho)
+    assert points == []
+    assert [(f["slope"], f["error"]) for f in failures] == \
+        [("0", "NoConvergence"), ("9", "NoConvergence")]
+    assert all("did not certify" in f["message"] for f in failures)
+
+
+def test_normalize_multi_term_u_is_the_sorted_first_root():
+    # u = 1 + theta^-1: u X^8 = 1 has eight roots of valuation 0, one per
+    # residual class; normalize takes the smallest-code one
+    cfg = _Q3
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one() + cfg.theta(-1))
+    nu, x = rho.normalize()
+    n = cfg.q ** 2 - 1
+    f = [-cfg.one()] + [cfg.zero(INF)] * (n - 1) + [rho.u]
+    want = sorted(all_nonzero_roots(f),
+                  key=lambda r: (r.valuation(), r.leading()[1]))[0]
+    assert x.terms == want.terms and x.prec == want.prec
+    assert nu.is_normalized()
+    assert (rho.u * x ** n - cfg.one()).is_zero_to(cfg.pass_threshold())

@@ -197,6 +197,11 @@ def _ref_series_mul(x, y):
         va = min([c.vbound() for c in x.coeffs] + [x.tail])
         vb = min([c.vbound() for c in y.coeffs] + [y.tail])
         tail = min(x.tail + vb, y.tail + va)
+        # the known pairs that land past the output are dropped too
+        for i, a in enumerate(x.coeffs):
+            for j, b in enumerate(y.coeffs):
+                if i + j >= n:
+                    tail = min(tail, a.vbound() + b.vbound())
     return TSeries(cfg, out, tail)
 
 
@@ -258,6 +263,19 @@ def test_products_match_reference_loops_random(cfg_small):
         B = TMatrix([[_mixed_series(cfg_small, rng) for _ in range(m)]
                      for _ in range(k)])
         _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+
+
+def test_product_tail_holds_the_dropped_pairs(cfg_small):
+    # (1 + t)^2 over F_9 known to t^2 with tail 100: the dropped t^2
+    # coefficient is 1, so the value at t = 1, 1 + 2 = 0 from the kept
+    # coefficients, is known to valuation 0 only; the true value is 4 = 1
+    cfg = cfg_small
+    x = TSeries(cfg, [cfg.one(), cfg.one()], 100)
+    sq = x * x
+    assert sq.T == 2 and sq.tail == 0
+    value = sq.specialize(cfg.one())
+    assert value.prec == 0 and not value.terms
+    assert (value - cfg.one()).vbound() >= value.prec
 
 
 @pytest.mark.parametrize("name", ["ctx3", "ctx5"])
