@@ -24,7 +24,9 @@ seed x0 and descends: rho_t is additive, so rho_t(x0 + h) =
 rho_t(x0) + rho_t(h), whose polygon has the one new point
 (0, v(rho_t(x0))).  Its segments of slope below s hold the roots h of
 valuation above -s, the cluster, and there must be as many as the
-multiplicity (NoConvergence otherwise).  A rho_t(x0) that is zero to
+multiplicity (NoConvergence otherwise).  A rho_t(x0) that is exactly
+zero makes x0 itself a root, h = 0, which the polygon of rho_t(h) does not
+count; it is returned as it is.  A rho_t(x0) that is zero only to
 precision puts no point there.
 
 Refinement.  A simple residual root gives the exact seed x0, whose last
@@ -166,16 +168,17 @@ def _segment_roots(module, coeffs, edge, seed, depth):
 
 def _cluster(module, seed, lam, depth, failures=None):
     """The roots of rho_t in the cluster of the exact seed: seed + h over
-    the roots h of rho_t(seed) + rho_t(h) of valuation above -lam; every
-    nonzero root for seed 0 and lam INF.  With a failures list, a polygon
-    segment that fails is recorded there instead of raised."""
+    the roots h of rho_t(seed) + rho_t(h) of valuation above -lam, h = 0
+    among them when rho_t(seed) is exactly zero; every nonzero root for
+    seed 0 and lam INF.  With a failures list, a polygon segment that fails
+    is recorded there instead of raised."""
     if depth > _MAX_DESCENT:
         raise NoConvergence("root cluster descent exceeded %d levels"
                             % _MAX_DESCENT)
     cfg = module.cfg
     coeffs = {0: module.skew()(seed), 1: cfg.theta(), cfg.q: module.kappa,
               cfg.q ** 2: module.u}
-    roots = []
+    roots = [seed] if lam != INF and coeffs[0].is_exact_zero() else []
     for edge in _segments(coeffs):
         (i0, v0), (i1, v1) = edge
         if v1 - v0 >= lam * (i1 - i0):

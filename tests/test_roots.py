@@ -4,7 +4,7 @@ finder of tests/torsion_oracle.py that the torsion tests compare it with."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab import roots
@@ -176,9 +176,8 @@ def _q3_module(draw):
 
     Finite precisions are at least 700, which every torsion point the
     polygon predicts needs to certify.  Below that the generic finder
-    reports other failures: it checks certification at the top level only,
-    and its descent also re-descends into the roots outside the cluster,
-    down to its level cap."""
+    reports other failures: it checks certification at the top level
+    only."""
     shape = draw(st.sampled_from(["rank1", "one", "two", "any"]))
     if shape == "rank1":
         return DrinfeldModule(_Q3, 1)
@@ -202,10 +201,34 @@ def _q3_module(draw):
     return DrinfeldModule(_Q3, 2, kappa, draw(_coefficient(vu)))
 
 
+def _exact_monomial_torsion():
+    # rho_t(x) = theta x + theta x^3 + (theta^(1/4) + 2) x^9 has the exact
+    # torsion points c theta^(1/8), c^2 = -1, each the seed of a triple
+    # cluster c theta^(1/8) + F_3 a with v(a) = 0
+    return DrinfeldModule(_Q3, 2, _Q3.theta(),
+                          CInfApprox(_Q3, {-18: 1, 0: 2}))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_q3_module())
+@example(_exact_monomial_torsion())
 def test_torsion_matches_generic_finder(rho):
     assert_torsion_matches(rho)
+
+
+def test_exact_seed_is_a_torsion_point():
+    # the cluster descent from x0 = c theta^(1/8) meets rho_t(x0) = 0
+    # exactly: x0 is a root, h = 0, beside the two h = +-a
+    rho = _exact_monomial_torsion()
+    points = rho.torsion_points()
+    assert len(points) == 8
+    for c, _ in _Q3.field.poly_roots([1, 0, 1]):
+        x0 = _Q3.monomial(-9, c)
+        assert sum(x.terms == x0.terms and x.prec == INF
+                   for x in points) == 1
+    rho_t = rho.skew()
+    for x in points:
+        assert rho_t(x).vbound() - x.valuation() >= _Q3.pass_threshold()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -214,13 +237,13 @@ def test_tame_cluster_resolves_to_the_known_torsion(k):
     # rho_t = theta P(x)/c0 with P(x) = (x^3 - x)^3 - y^2 (x^3 - x) =
     # x^9 + c1 x^3 + c0 x and y = r^3 - r = theta^(3k) - theta^k + theta^-1:
     # the six large roots form two clusters r + F_3, b = 1, 2, whose
-    # descent resolves on the grid; the generic finder re-descends outside
-    # them down to its level cap here
+    # descent resolves on the grid, as in the generic finder
     cfg = FieldConfig(3, 1, 4, e=72, prec=240)
     th = cfg.theta()
     y = cfg.theta(3 * k) - cfg.theta(k) + cfg.theta(-1)
     c0 = y * y
     rho = DrinfeldModule(cfg, 2, -(th * (cfg.one() + c0)) / c0, th / c0)
+    assert_torsion_matches(rho)
     points, failures = roots.partial_nonzero_roots(rho)
     assert failures == [] and len(points) == 8
     r = CInfApprox(cfg, {-72 * k: 1, **{72 * 3 ** i: 2 for i in range(6)}})

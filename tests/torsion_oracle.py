@@ -321,9 +321,13 @@ def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
                     "threshold %d" % (z, threshold))
             roots.append(r)
         else:
+            # the cluster: h = 0 once per exact zero low coefficient (x0 is
+            # then itself a root), and the roots on the slopes below lam
             shifted = poly_shift(coeffs, x0)
-            sub = [r for r in all_nonzero_roots(shifted, depth + 1)
-                   if r.valuation() > -lam]
+            ord0 = next(i for i, a in enumerate(shifted)
+                        if not a.is_exact_zero())
+            sub = [cfg.zero(INF)] * ord0 + \
+                all_nonzero_roots(shifted, depth + 1, below=lam)
             if len(sub) != mult:
                 raise NoConvergence(
                     "cluster descent found %d of %d roots at slope %d"
@@ -351,13 +355,14 @@ def _iter_segments(coeffs):
         v0 += slope * length
 
 
-def all_nonzero_roots(coeffs, depth=0, simple_root=None):
+def all_nonzero_roots(coeffs, depth=0, simple_root=None, below=None):
     """All roots of the polynomial that are units times grid monomials.
 
     Every segment must have an integral slope (GridTooCoarse otherwise) and
     every residual equation must split over F_{q^m} (ResidueFieldTooSmall
     otherwise); multiplicities descend recursively.  Returns a list of
-    CInfApprox roots of length = degree - ord0.  simple_root is the solver
+    CInfApprox roots of length = degree - ord0, or, with below, only the
+    roots on the segments of slope below it.  simple_root is the solver
     for simple residual roots at depth 0 (see _segment_roots); the cluster
     descent always uses Newton.
     """
@@ -366,6 +371,8 @@ def all_nonzero_roots(coeffs, depth=0, simple_root=None):
                             % _MAX_DESCENT)
     roots = []
     for i0, v0, slope, length in _iter_segments(coeffs):
+        if below is not None and slope >= below:
+            break
         roots.extend(_segment_roots(coeffs, i0, v0, slope, length, depth,
                                     simple_root))
     return roots
