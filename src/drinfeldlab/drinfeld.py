@@ -144,6 +144,7 @@ class DrinfeldModule:
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
+        self._floors = {}  # (kind, vz, start) -> _tail_floor
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
 
@@ -170,28 +171,32 @@ class DrinfeldModule:
         """alpha_0..alpha_depth with
         alpha_i = (kappa alpha_{i-1}^q + u alpha_{i-2}^{q^2})/(theta^{q^i}-theta)."""
         cfg = self.cfg
-        table = list(self._exp)
-        while len(table) <= depth:
-            i = len(table)
-            pairs = [(self.kappa, table[i - 1].frobenius(1))]
-            if i >= 2:
-                pairs.append((self.u, table[i - 2].frobenius(2)))
-            table.append(dot(cfg, pairs) * cfg.pole_inverse(i))
-        self._exp = table
+        table = self._exp
+        if len(table) <= depth:
+            table = list(table)
+            while len(table) <= depth:
+                i = len(table)
+                pairs = [(self.kappa, table[i - 1].frobenius(1))]
+                if i >= 2:
+                    pairs.append((self.u, table[i - 2].frobenius(2)))
+                table.append(dot(cfg, pairs) * cfg.pole_inverse(i))
+            self._exp = table
         return table[:depth + 1]
 
     def log_coeffs(self, depth):
         """beta_0..beta_depth, the compositional inverse table:
         beta_i = (beta_{i-1} kappa^{q^{i-1}} + beta_{i-2} u^{q^{i-2}})/(theta-theta^{q^i})."""
         cfg = self.cfg
-        table = list(self._log)
-        while len(table) <= depth:
-            i = len(table)
-            pairs = [(table[i - 1], self.kappa.frobenius(i - 1))]
-            if i >= 2:
-                pairs.append((table[i - 2], self.u.frobenius(i - 2)))
-            table.append(-(dot(cfg, pairs) * cfg.pole_inverse(i)))
-        self._log = table
+        table = self._log
+        if len(table) <= depth:
+            table = list(table)
+            while len(table) <= depth:
+                i = len(table)
+                pairs = [(table[i - 1], self.kappa.frobenius(i - 1))]
+                if i >= 2:
+                    pairs.append((table[i - 2], self.u.frobenius(i - 2)))
+                table.append(-(dot(cfg, pairs) * cfg.pole_inverse(i)))
+            self._log = table
         return table[:depth + 1]
 
     def _coeff_vbounds(self, kind, upto):
@@ -222,8 +227,14 @@ class DrinfeldModule:
         b_i := bound_i + q^i vz obeys b_i >= min(vk + q b_{i-1},
         vu + q^2 b_{i-2}) + q^i e, so once the scanned b's sit above the
         floor and q^i e alone outweighs the damage a floor-level pair can
-        do, every later term stays above the floor by induction.
+        do, every later term stays above the floor by induction.  The
+        floor depends on the module, kind, vz and start only, so it is
+        kept per module.
         """
+        key = (kind, vz, start)
+        floor = self._floors.get(key)
+        if floor is not None:
+            return floor
         cfg = self.cfg
         q, e = cfg.q, cfg.e
         end = start + _TAIL_SCAN
@@ -243,6 +254,7 @@ class DrinfeldModule:
         if not ok:
             raise DivergentEvaluation(
                 "tail bound for %s evaluation did not stabilize" % kind)
+        self._floors[key] = floor
         return floor
 
     # -- evaluation ------------------------------------------------------------
@@ -326,12 +338,13 @@ class DrinfeldModule:
         vz = z.valuation()
         if precs is None:
             precs = [self._exp_prec(vz + k, z.prec + k) for k in shifts]
-        plans, caps = [], {}
-        for k, r in zip(shifts, precs):
-            rows = self._qlinear_rows(alphas, vz + k, r)
-            plans.append((k, r, rows))
-            for i, _ in rows:
-                caps.setdefault(i, []).append(r - qs[i] * k)
+        plans = [(k, r, self._qlinear_rows(alphas, vz + k, r))
+                 for k, r in zip(shifts, precs)]
+        caps = {}
+        if len(plans) > 1:
+            for k, r, rows in plans:
+                for i, _ in rows:
+                    caps.setdefault(i, []).append(r - qs[i] * k)
         shared = {}
         for i, cs in caps.items():
             if len(cs) > 1:

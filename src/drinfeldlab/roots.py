@@ -24,10 +24,15 @@ seed x0 and descends: rho_t is additive, so rho_t(x0 + h) =
 rho_t(x0) + rho_t(h), whose polygon has the one new point
 (0, v(rho_t(x0))).  Its segments of slope below s hold the roots h of
 valuation above -s, the cluster, and there must be as many as the
-multiplicity (NoConvergence otherwise).  A rho_t(x0) that is exactly
-zero makes x0 itself a root, h = 0, which the polygon of rho_t(h) does not
-count; it is returned as it is.  A rho_t(x0) that is zero only to
-precision puts no point there.
+multiplicity (NoConvergence otherwise).  A rho_t(x0) that is zero,
+exactly or to its precision P, makes x0 itself a root, h = 0, which the
+polygon of rho_t(h) does not count: (0, P) is not a polygon point.  An
+exact x0 is returned as it is; otherwise the root is known to P + e, for
+the root h of rho_t(x0) + rho_t(h) nearest 0 has the valuation
+v(rho_t(x0)) + e >= P + e of the segment from (0, v(rho_t(x0))) to
+(1, -e).  That segment is on the hull because (0, P) lies strictly above
+the line of the first edge, extended to index 0 (IndeterminateValuation
+otherwise).
 
 Refinement.  A simple residual root gives the exact seed x0, whose last
 monomial has valuation v = -s, and exactly one root r with v(r - x0) > v.
@@ -89,15 +94,18 @@ def _segments(coeffs):
         hull.append((x, y))
     edges = list(zip(hull, hull[1:]))
     for i, p in loose:
-        for (x1, y1), (x2, y2) in edges:
-            # the hull at i is line / (x2 - x1)
+        for k, ((x1, y1), (x2, y2)) in enumerate(edges):
+            # the hull at i is line / (x2 - x1); left of the hull, the
+            # first edge extended
             line = y1 * (x2 - x1) + (y2 - y1) * (i - x1)
-            if x1 <= i <= x2 and p * (x2 - x1) <= line:
+            if (x1 <= i or k == 0) and i <= x2 and p * (x2 - x1) <= line:
                 # numbered by the power of x in rho_t(x)/x, the polynomial
-                # whose roots the torsion points are
+                # whose roots the torsion points are; index 0 is the
+                # descent's rho_t(x0)
+                what = "rho_t(x0)" if i == 0 else "coefficient %d" % (i - 1)
                 raise IndeterminateValuation(
-                    "coefficient %d known only to precision %s, hull needs "
-                    "> %s" % (i - 1, p, _slope_text(line, x2 - x1)))
+                    "%s known only to precision %s, hull needs > %s"
+                    % (what, p, _slope_text(line, x2 - x1)))
     return edges
 
 
@@ -113,12 +121,17 @@ def _refine(module, x0, d, z):
                module.u.prec + q * q * v0 + e)
     if prec == INF:
         return x0
-    r = module._contract(cfg.zero(INF), x0, d, prec)
-    threshold = cfg.pass_threshold()
-    if r.is_apparent_zero() or rho(r).vbound() - r.valuation() < threshold:
-        raise NoConvergence(
-            "root from residual class %d did not certify to threshold %d"
-            % (z, threshold))
+    return _certified(module, module._contract(cfg.zero(INF), x0, d, prec),
+                      "root from residual class %d" % z)
+
+
+def _certified(module, r, what):
+    """r, once v(rho_t(r)) - v(r) reaches the pass threshold."""
+    threshold = module.cfg.pass_threshold()
+    if r.is_apparent_zero() or \
+            module.skew()(r).vbound() - r.valuation() < threshold:
+        raise NoConvergence("%s did not certify to threshold %d"
+                            % (what, threshold))
     return r
 
 
@@ -169,16 +182,21 @@ def _segment_roots(module, coeffs, edge, seed, depth):
 def _cluster(module, seed, lam, depth, failures=None):
     """The roots of rho_t in the cluster of the exact seed: seed + h over
     the roots h of rho_t(seed) + rho_t(h) of valuation above -lam, h = 0
-    among them when rho_t(seed) is exactly zero; every nonzero root for
-    seed 0 and lam INF.  With a failures list, a polygon segment that fails
-    is recorded there instead of raised."""
+    among them when rho_t(seed) is zero to its precision; every nonzero
+    root for seed 0 and lam INF.  With a failures list, a polygon segment
+    that fails is recorded there instead of raised."""
     if depth > _MAX_DESCENT:
         raise NoConvergence("root cluster descent exceeded %d levels"
                             % _MAX_DESCENT)
     cfg = module.cfg
     coeffs = {0: module.skew()(seed), 1: cfg.theta(), cfg.q: module.kappa,
               cfg.q ** 2: module.u}
-    roots = [seed] if lam != INF and coeffs[0].is_exact_zero() else []
+    rho0 = coeffs[0]
+    roots = []
+    if lam != INF and rho0.is_apparent_zero():
+        # h = 0, known to P + e when rho_t(seed) is zero to precision P
+        roots.append(_certified(module, seed.truncate(rho0.prec + cfg.e),
+                                "seed root at slope %d" % lam))
     for edge in _segments(coeffs):
         (i0, v0), (i1, v1) = edge
         if v1 - v0 >= lam * (i1 - i0):

@@ -1114,3 +1114,6 @@ def test_tail_floor_power_table_matches_formula():
                                 else:
                                     got = rho._tail_floor(kind, vz, start)
                                     assert got == want, (k, a, j, kind)
+                                    # the second call reads the kept floor
+                                    assert rho._tail_floor(
+                                        kind, vz, start) == want

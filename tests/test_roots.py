@@ -254,6 +254,42 @@ def test_tame_cluster_resolves_to_the_known_torsion(k):
         assert sum((x - w).vbound() >= x.prec for w in want) == 1
 
 
+def test_seed_zero_to_precision_is_a_torsion_point():
+    # rho_t = theta P(x)/D, P(x) = (x^3 - x)^3 - D (x^3 - x), D =
+    # (theta^3 - theta)^2, has the torsion F_3 + F_3 theta, but kappa and u
+    # are quotients known to 888 and 1320 only: the descent from the seed
+    # b theta meets rho_t(b theta) = 0 to precision P = 672, so b theta is a
+    # root known to P + e = 744 beside the two roots b theta +- 1
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    th = cfg.theta()
+    d = (cfg.theta(3) - th) ** 2
+    rho = DrinfeldModule(cfg, 2, -(th * (cfg.one() + d)) / d, th / d)
+    assert (rho.kappa.prec, rho.u.prec) == (888, 1320)
+    points, failures = roots.partial_nonzero_roots(rho)
+    assert failures == [] and len(points) == 8
+    want = [cfg.from_int(a) + th.scale(b)
+            for a in range(3) for b in range(3) if a or b]
+    rho_t = rho.skew()
+    for x in points:
+        assert sum((x - w).vbound() >= x.prec for w in want) == 1
+        assert rho_t(x).vbound() >= cfg.pass_threshold()
+    assert sorted(x.prec for x in points) == [744] * 6 + [960] * 2
+    assert_torsion_matches(rho)
+
+
+def test_seed_precision_must_clear_the_extended_first_edge():
+    # rho_t(x0) + rho_t(h) over q3 with kappa = u = 1: the hull is the one
+    # edge (1, -72)-(9, 0) of slope 9, whose line meets index 0 at -81; a
+    # rho_t(x0) known to -81 could put (0, v) on the hull, one known to -80
+    # cannot
+    cfg = _Q3
+    coeffs = {1: cfg.theta(), 3: cfg.one(), 9: cfg.one()}
+    assert roots._segments({0: cfg.zero(-80), **coeffs}) == \
+        [((1, -72), (9, 0))]
+    with pytest.raises(IndeterminateValuation, match=r"rho_t\(x0\) .* -81"):
+        roots._segments({0: cfg.zero(-81), **coeffs})
+
+
 def test_uncertified_roots_are_failure_records():
     # u known to 0 only: the torsion point of valuation -9 would be cut at
     # 0 + 9 * (-9) + 72 = -9, below its own leading term; it is recorded as

@@ -135,13 +135,13 @@ def newton_polygon(coeffs):
                 for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
     def hull_value(i):
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= i <= x2:
+        for k, ((x1, y1), (x2, y2)) in enumerate(zip(hull, hull[1:])):
+            if (x1 <= i or k == 0) and i <= x2:
                 return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (i - x1)
         return None
 
     # every coefficient must be known strictly below any level where it
-    # could disturb the hull
+    # could disturb the hull; left of the hull, the first edge extended
     for i, p in indet:
         hv = hull_value(i)
         if hv is not None and p <= hv:
@@ -322,12 +322,17 @@ def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
             roots.append(r)
         else:
             # the cluster: h = 0 once per exact zero low coefficient (x0 is
-            # then itself a root), and the roots on the slopes below lam
+            # then itself a root), or once when f(x0) is zero only to its
+            # precision, known to prec(f) - v(f') as Newton caps it; and
+            # the roots on the slopes below lam
             shifted = poly_shift(coeffs, x0)
             ord0 = next(i for i, a in enumerate(shifted)
                         if not a.is_exact_zero())
-            sub = [cfg.zero(INF)] * ord0 + \
-                all_nonzero_roots(shifted, depth + 1, below=lam)
+            sub = [cfg.zero(INF)] * ord0
+            if ord0 == 0 and shifted[0].is_apparent_zero():
+                sub.append(cfg.zero(shifted[0].prec
+                                    - shifted[1].valuation()))
+            sub += all_nonzero_roots(shifted, depth + 1, below=lam)
             if len(sub) != mult:
                 raise NoConvergence(
                     "cluster descent found %d of %d roots at slope %d"
