@@ -30,7 +30,17 @@ a computation never pays a truncation cost.
 ``dot`` is the one place where coefficient products are formed: a * b is
 the sum over the single pair (a, b), and every sum of products in the
 library (series and matrix products, twisted polynomials, the q-linear
-exp/log sums) hands its pairs to it in one call.
+exp/log sums) hands its pairs to it in one call.  Most of those pairs have
+a one-term operand c0 theta^(-e0/e): a theta-monomial, a constant, one(),
+a root of Omega's factors.  Such a pair is one pass over the other
+operand's terms below P - e0, each shifted by e0 and multiplied by c0 with
+one table lookup (none when c0 = 1).  These are exactly the term pairs the
+general loop forms below P, and P is fixed before either runs, so the
+digits and the precision are the loop's.
+
+Values are immutable, so each caches its valuation bound on first use;
+configurations over the same (p, s, m, modulus) share one FiniteField,
+whose tables are immutable and deterministic.
 """
 
 import math
@@ -47,6 +57,19 @@ INF = math.inf
 # Newton sweeps CInfApprox.inverse may take; the window doubles on each
 # sweep, so 64 covers any window that fits in memory
 _INVERSE_SWEEPS = 64
+
+# one FiniteField per (p, s, m, modulus) and process, like a unique parent:
+# its tables never change, so every config over it may share them
+_FIELDS = {}
+
+
+def _shared_field(p, s, m, modulus):
+    key = (p, s, m, None if modulus is None else tuple(modulus))
+    field = _FIELDS.get(key)
+    if field is None:
+        # two threads may both build it; setdefault keeps the first
+        field = _FIELDS.setdefault(key, FiniteField(p, s, m, modulus))
+    return field
 
 
 class FieldConfig:
@@ -109,7 +132,7 @@ class FieldConfig:
                 "e = %d must be a positive multiple of (q-1)*q^depth = %d"
                 % (e, (self.q - 1) * self.q ** depth))
         self.e = e
-        self.field = FiniteField(p, s, m, modulus)
+        self.field = _shared_field(p, s, m, modulus)
         self.modulus = self.field.modulus
         self.prec = prec
         self.rel_prec = rel_prec if rel_prec is not None else 4 * prec
@@ -197,7 +220,7 @@ class FieldConfig:
 class CInfApprox:
     """One precision-tracked element of K_{m,e}; immutable after creation."""
 
-    __slots__ = ("cfg", "terms", "prec", "_sorted", "_logs")
+    __slots__ = ("cfg", "terms", "prec", "_sorted", "_logs", "_v")
 
     def __init__(self, cfg, terms, prec=INF):
         self.cfg = cfg
@@ -210,6 +233,7 @@ class CInfApprox:
         self.prec = prec
         self._sorted = None
         self._logs = None
+        self._v = None
 
     @classmethod
     def _raw(cls, cfg, terms, prec):
@@ -221,6 +245,7 @@ class CInfApprox:
         x.prec = prec
         x._sorted = None
         x._logs = None
+        x._v = None
         return x
 
     # -- inspection -----------------------------------------------------------
@@ -252,20 +277,24 @@ class CInfApprox:
         Raises IndeterminateValuation when the value is zero to finite
         precision, since its true valuation is then unknowable.
         """
-        if self.terms:
-            return min(self.terms)
-        if self.prec == INF:
-            return INF
+        if self.terms or self.prec == INF:
+            return self.vbound()
         raise IndeterminateValuation(
             "value is zero to precision %s; valuation unknown" % self.prec)
 
     def vbound(self):
         """Best lower bound for the valuation: exact when terms are known,
-        otherwise the precision.  This is what residual reports quote."""
-        known = self._sorted or self._logs
-        if known:
-            return known[0][0]
-        return min(self.terms) if self.terms else self.prec
+        otherwise the precision.  This is what residual reports quote.
+        Found once per value."""
+        v = self._v
+        if v is None:
+            known = self._sorted or self._logs
+            if known:
+                v = known[0][0]
+            else:
+                v = min(self.terms) if self.terms else self.prec
+            self._v = v
+        return v
 
     def theta_valuation(self):
         from fractions import Fraction
@@ -282,7 +311,7 @@ class CInfApprox:
         """(exponent, coefficient) of the lowest known term."""
         if not self.terms:
             raise PrecisionExhausted("no known leading term")
-        e = min(self.terms)
+        e = self.vbound()
         return e, self.terms[e]
 
     def is_zero_to(self, threshold):
@@ -298,31 +327,51 @@ class CInfApprox:
     def __add__(self, other):
         if not isinstance(other, CInfApprox):
             return NotImplemented
-        self._check(other)
-        add = self.cfg.field.add
-        prec = min(self.prec, other.prec)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = add(cur, c)
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return CInfApprox(self.cfg, out, prec)
-
-    def __neg__(self):
-        neg = self.cfg.field.neg
-        return CInfApprox(self.cfg, {e: neg(c) for e, c in self.terms.items()},
-                          self.prec)
+        return self._sum(other, False)
 
     def __sub__(self, other):
         if not isinstance(other, CInfApprox):
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        """self + other, or self - other when negate: the longer
+        operand's terms below the precision (self's for a difference),
+        then the other's merged in one pass through the Zech logarithms."""
+        self._check(other)
+        F = self.cfg.field
+        log, exp, zech, neg = F._log, F._exp, F._zech, F._neg
+        prec = min(self.prec, other.prec)
+        a, b = self, other
+        if not negate and len(b.terms) > len(a.terms):
+            a, b = b, a
+        if a.prec == prec:
+            out = dict(a.terms)
+        else:
+            out = {e: c for e, c in a.terms.items() if e < prec}
+        get = out.get
+        for e, c in b.terms.items():
+            if e >= prec:
+                continue
+            if negate:
+                c = neg[c]
+            cur = get(e)
+            if cur is None:
+                out[e] = c
+            else:
+                lc = log[cur]
+                z = zech[log[c] - lc]
+                if z is None:
+                    del out[e]
+                else:
+                    out[e] = exp[lc + z]
+        return CInfApprox._raw(self.cfg, out, prec)
+
+    def __neg__(self):
+        neg = self.cfg.field._neg
+        return CInfApprox._raw(self.cfg,
+                               {e: neg[c] for e, c in self.terms.items()},
+                               self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -336,11 +385,16 @@ class CInfApprox:
     def scale(self, code):
         """Multiply by a field constant (code)."""
         if code == 0:
-            return CInfApprox(self.cfg, {}, INF)
-        mul = self.cfg.field.mul
-        return CInfApprox(self.cfg,
-                          {e: mul(c, code) for e, c in self.terms.items()},
-                          self.prec)
+            return CInfApprox._raw(self.cfg, {}, INF)
+        if code == 1:
+            return self
+        F = self.cfg.field
+        log, exp = F._log, F._exp
+        k = log[code]
+        return CInfApprox._raw(self.cfg,
+                               {e: exp[log[c] + k]
+                                for e, c in self.terms.items()},
+                               self.prec)
 
     def shift(self, k):
         """Multiply by the grid monomial of valuation k (exact).  Values
@@ -488,46 +542,83 @@ def dot(cfg, pairs, cap=INF):
     Precision first: P = min(cap, min over the pairs of
     min(prec_a + v(b), prec_b + v(a))), from valuations and precisions
     alone; an exact zero adds INF, a zero-to-precision operand its
-    precision plus v(other).  Then one loop over discrete logs forms only
-    the term pairs below P, the shorter operand of each pair outside, and
-    adds each into a single accumulator through the Zech logarithms.  The
+    precision plus v(other).  Then only the term pairs below P are formed,
+    each added into a single accumulator of discrete logs through the
+    Zech logarithms.  A pair with a one-term operand c0 theta^(-e0/e) is
+    one pass over the other operand's terms e < P - e0, unsorted; a lone
+    such pair is written straight as codes.  Any other pair is one loop
+    over discrete logs by exponent, the shorter operand outside, each
+    inner run stopping at P.  Both form the same term pairs below P, the
     field sum is exact and order-free, so the value is that of the
     products added one by one and cut at P.  An empty sum is the exact
     zero.
     """
     prec = cap
-    work = []
+    monos = []  # (e0, c0, other's terms): a one-term operand c0 th^(-e0/e)
+    work = []   # (shorter, longer, v(longer)) in discrete logs
     for a, b in pairs:
         if a.cfg is not cfg or b.cfg is not cfg:
             for x in (a, b):
                 if x.cfg is not cfg and not cfg.same_as(x.cfg):
                     raise ConfigError(
                         "operands built over different FieldConfigs")
-        ta = a._log_terms()
-        tb = b._log_terms()
-        va = ta[0][0] if ta else a.prec
-        vb = tb[0][0] if tb else b.prec
+        ta, tb = a.terms, b.terms
+        if len(ta) > 1 and len(tb) > 1:
+            la, lb = a._log_terms(), b._log_terms()
+            va, vb = la[0][0], lb[0][0]
+            if len(la) > len(lb):
+                work.append((lb, la, va))
+            else:
+                work.append((la, lb, vb))
+        else:
+            va, vb = a.vbound(), b.vbound()
+            if ta and tb:
+                if len(ta) == 1:
+                    monos.append((va, ta[va], tb))
+                else:
+                    monos.append((vb, tb[vb], ta))
         p = a.prec + vb
         if b.prec + va < p:
             p = b.prec + va
         if p < prec:
             prec = p
-        if ta and tb:
-            if len(ta) > len(tb):
-                work.append((tb, ta, va))
-            else:
-                work.append((ta, tb, vb))
     if prec != INF:
         prec = int(prec)
-    if not work:
-        return CInfApprox._raw(cfg, {}, prec)
     F = cfg.field
-    exp, zech = F._exp, F._zech
+    exp, log, zech = F._exp, F._log, F._zech
+    if not work and len(monos) == 1:
+        e0, c0, other = monos[0]
+        limit = prec - e0
+        if c0 == 1:
+            terms = {e + e0: c for e, c in other.items() if e < limit}
+        else:
+            l0 = log[c0]
+            terms = {e + e0: exp[log[c] + l0]
+                     for e, c in other.items() if e < limit}
+        return CInfApprox._raw(cfg, terms, prec)
     order = F.size - 1
     # out[e] is the discrete log of the coefficient, kept in [0, 2*order)
     # so that zech and exp (both stored twice over) index it directly
     out = {}
     get = out.get
+    for e0, c0, other in monos:
+        limit = prec - e0
+        l0 = log[c0]
+        for e, c in other.items():
+            if e >= limit:
+                continue
+            e += e0
+            k = log[c] + l0
+            cur = get(e)
+            if cur is None:
+                out[e] = k
+            else:
+                z = zech[k - cur]
+                if z is None:
+                    del out[e]
+                else:
+                    k = cur + z
+                    out[e] = k - order if k >= order else k
     for ta, tb, vb in work:
         for ea, la in ta:
             limit = prec - ea

@@ -13,6 +13,7 @@ than it needs.
 
 import argparse
 import json
+import re
 import sys
 
 from .cinf import INF
@@ -23,31 +24,38 @@ from .errors import ConfigError, DrinfeldLabError
 from .samples import context_q3, context_q5_tame, context_q5_wild
 
 
-def parse_value(cfg, text):
-    """Tiny literal grammar for field values.
+# one term of a literal; compiled on first use (re caches it), so a
+# command that parses no value does not pay for it
+_INT = r"[+-]?[0-9]+"
+_TERM = r"(%s)|(?:(%s)\*)?theta(?:\^(%s))?" % (_INT, _INT, _INT)
 
-    Comma-separated terms; each term is an integer, ``theta^K``,
-    ``C*theta^K`` (K an integer power) or ``@file.json`` holding a
-    serialized value.
+
+def parse_value(cfg, text):
+    """Field value from the literal grammar.
+
+    A literal is comma-separated terms, with spaces allowed around each
+    term.  A term is ``INT``, ``[INT*]theta[^INT]`` (INT a decimal
+    integer, optionally signed) or ``@file.json`` holding a serialized
+    value; the value is their sum.  Anything else is a ConfigError.
     """
-    text = text.strip()
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return decode_cinf(cfg, json.load(fh))
     acc = cfg.zero(INF)
     for term in text.split(","):
         term = term.strip()
-        if "theta" in term:
-            coeff = 1
-            if "*" in term:
-                ctext, term = term.split("*", 1)
-                coeff = int(ctext)
-            power = 1
-            if "^" in term:
-                power = int(term.split("^", 1)[1])
-            acc = acc + cfg.theta(power) * coeff
+        if term.startswith("@"):
+            with open(term[1:]) as fh:
+                acc = acc + decode_cinf(cfg, json.load(fh))
+            continue
+        match = re.fullmatch(_TERM, term)
+        if match is None:
+            raise ConfigError(
+                "malformed term %r in value %r" % (term, text),
+                hint="terms are INT, [INT*]theta[^INT] or @file.json, "
+                     "separated by commas")
+        const, coeff, power = match.groups()
+        if const is not None:
+            acc = acc + cfg.from_int(int(const))
         else:
-            acc = acc + cfg.from_int(int(term))
+            acc = acc + cfg.theta(int(power or 1)) * int(coeff or 1)
     return acc
 
 

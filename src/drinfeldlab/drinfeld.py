@@ -56,6 +56,12 @@ def _digits(vc, qi, prec):
     return INF if prec == INF else -((vc - prec) // qi)
 
 
+def _known(coeffs):
+    """(precision, lowest term or INF when it has none) of each value: all
+    that _qlinear_prec and _qlinear_rows read of a coefficient."""
+    return [(c.prec, c.vbound() if c.terms else INF) for c in coeffs]
+
+
 class Biderivation:
     """delta determined by delta_t, a tau-polynomial with zero constant term."""
 
@@ -144,6 +150,7 @@ class DrinfeldModule:
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
+        self._known = {"exp": [(INF, 0)], "log": [(INF, 0)]}
         self._floors = {}  # (kind, vz, start) -> _tail_floor
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
@@ -221,6 +228,18 @@ class DrinfeldModule:
             self._vbounds = {**self._vbounds, kind: out}
         return out[:upto + 1]
 
+    def _coeff_known(self, kind, depth):
+        """_known of alpha_0..alpha_depth resp. beta_0..beta_depth, kept
+        beside the coefficient tables and extended like them, so that an
+        evaluation reads no coefficient's valuation."""
+        out = self._known[kind]
+        if len(out) <= depth:
+            table = (self.exp_coeffs if kind == "exp"
+                     else self.log_coeffs)(depth)
+            out = out + _known(table[len(out):])
+            self._known = {**self._known, kind: out}
+        return out[:depth + 1]
+
     def _tail_floor(self, kind, vz, start):
         """Certified floor for v(coefficient_i * z^{q^i}) over all i > start.
 
@@ -259,43 +278,50 @@ class DrinfeldModule:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _qlinear_prec(self, coeffs, vz, zprec, prec):
+    def _qlinear_prec(self, known, vz, zprec, prec):
         """Certified precision R of sum_i coeffs[i] * z^{q^i} for z of
-        valuation vz and precision zprec: prec (a tail floor, say) or the
-        precision of a computed term, whichever is lowest.  Valuations and
-        precisions alone fix it, so it comes before any product."""
-        qs = self.cfg.q_powers(len(coeffs))
-        for c, qi in zip(coeffs, qs):
-            prec = min(prec, c.prec + qi * vz, qi * zprec + c.vbound())
+        valuation vz and precision zprec, from known = _known(coeffs):
+        prec (a tail floor, say) or the precision of a computed term,
+        whichever is lowest.  Valuations and precisions alone fix it, so it
+        comes before any product.  A coefficient without terms bounds R by
+        its precision plus q^i vz alone: z has a term below its precision,
+        so q^i zprec + prec(c) lies above that."""
+        qs = self.cfg.q_powers(len(known))
+        for (cp, cv), qi in zip(known, qs):
+            if cp + qi * vz < prec:
+                prec = cp + qi * vz
+            if qi * zprec + cv < prec:
+                prec = qi * zprec + cv
         return prec
 
-    def _qlinear_rows(self, coeffs, vz, prec):
+    def _qlinear_rows(self, known, vz, prec):
         """The rows of sum_i coeffs[i] * z^{q^i} that reach below prec, for
-        z of valuation vz, as (i, digits): a row without known terms, or
-        whose lowest term lands at or above prec, is skipped; the others
-        need z only below digits, the lowest exponent of z whose term can
-        land below prec.  An infinite prec cuts nothing."""
+        z of valuation vz and known = _known(coeffs), as (i, digits): a row
+        without known terms, or whose lowest term lands at or above prec,
+        is skipped; the others need z only below digits, the lowest
+        exponent of z whose term can land below prec.  An infinite prec
+        cuts nothing."""
         rows = []
-        qs = self.cfg.q_powers(len(coeffs))
-        for i, (c, qi) in enumerate(zip(coeffs, qs)):
-            if not c.terms:
-                continue
-            vc = c.vbound()
+        qs = self.cfg.q_powers(len(known))
+        for i, ((_, vc), qi) in enumerate(zip(known, qs)):
             if vc + qi * vz < prec:
                 rows.append((i, _digits(vc, qi, prec)))
         return rows
 
-    def _qlinear_sum(self, coeffs, z, prec):
+    def _qlinear_sum(self, coeffs, z, prec, known=None):
         """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
-        precision R of _qlinear_prec and computed only below it.
+        precision R of _qlinear_prec and computed only below it; known is
+        _known(coeffs), when the caller keeps it.
 
         The rows of _qlinear_rows are the only ones formed: each with z cut
         to its digits before the Frobenius, and dot, capped at R, forms only
         the coefficient pairs below it.
         """
+        if known is None:
+            known = _known(coeffs)
         vz = z.valuation()
-        prec = self._qlinear_prec(coeffs, vz, z.prec, prec)
-        rows = self._qlinear_rows(coeffs, vz, prec)
+        prec = self._qlinear_prec(known, vz, z.prec, prec)
+        rows = self._qlinear_rows(known, vz, prec)
         return dot(self.cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
                               for i, digits in rows], prec)
 
@@ -303,7 +329,7 @@ class DrinfeldModule:
         """The precision exp_eval reaches on a nonzero z of valuation vz
         and precision zprec."""
         depth = self.cfg.exp_depth
-        return self._qlinear_prec(self.exp_coeffs(depth), vz, zprec,
+        return self._qlinear_prec(self._coeff_known("exp", depth), vz, zprec,
                                   self._tail_floor("exp", vz, depth))
 
     def exp_eval(self, z):
@@ -334,11 +360,12 @@ class DrinfeldModule:
             return [z.shift(k) for k in shifts]
         depth = cfg.exp_depth
         alphas = self.exp_coeffs(depth)
+        known = self._coeff_known("exp", depth)
         qs = cfg.q_powers(depth)
         vz = z.valuation()
         if precs is None:
             precs = [self._exp_prec(vz + k, z.prec + k) for k in shifts]
-        plans = [(k, r, self._qlinear_rows(alphas, vz + k, r))
+        plans = [(k, r, self._qlinear_rows(known, vz + k, r))
                  for k, r in zip(shifts, precs)]
         caps = {}
         if len(plans) > 1:
@@ -349,7 +376,7 @@ class DrinfeldModule:
         for i, cs in caps.items():
             if len(cs) > 1:
                 cap = max(cs)
-                digits = _digits(alphas[i].vbound(), qs[i], cap)
+                digits = _digits(known[i][1], qs[i], cap)
                 shared[i] = dot(cfg, [(alphas[i],
                                        z.truncate(digits).frobenius(i))], cap)
         return [dot(cfg, [
@@ -391,7 +418,8 @@ class DrinfeldModule:
         depth = self.cfg.exp_depth
         return self._qlinear_sum(
             self.log_coeffs(depth), z,
-            self._tail_floor("log", z.valuation(), depth))
+            self._tail_floor("log", z.valuation(), depth),
+            self._coeff_known("log", depth))
 
     # -- torsion ---------------------------------------------------------------
 
@@ -434,13 +462,15 @@ class DrinfeldModule:
         cfg = self.cfg
         q, e = cfg.q, cfg.e
         step = [cfg.zero(INF)] + self.skew().coeffs[1:]
+        known = _known(step)
         while d < prec:
             nxt = min(self._vk + q * d, self._vu + q * q * d) + e
             if nxt <= d:
                 raise NoConvergence(
                     "additive step does not contract at distance %s from "
                     "the root" % d)
-            x = (b - self._qlinear_sum(step, x, prec - e)).shift(e)
+            x = (b - self._qlinear_sum(step, x, prec - e,
+                                       known)).shift(e)
             x, d = CInfApprox(cfg, x.terms, INF), nxt
         return x.truncate(prec)
 

@@ -193,12 +193,15 @@ class MotiveMatrices:
 
     def _build_psi(self):
         """Psi = xi Omega [[-b2, b1], [a2, -a1]] for the twisted pairs
-        (a_i, b_i) of omega_i."""
+        (a_i, b_i) of omega_i; a negated entry takes -xi as Omega's
+        scalar, so no series is negated."""
         T = self.T
         a1, b1 = self.agf1.twisted_pair(T)
         a2, b2 = self.agf2.twisted_pair(T)
-        return TMatrix([[self.omega.times(x, self.xi, T) for x in r]
-                        for r in [[-b2, b1], [a2, -a1]]])
+        xi, mxi = self.xi, -self.xi
+        return TMatrix([[self.omega.times(x, c, T) for x, c in r]
+                        for r in [[(b2, mxi), (b1, xi)],
+                                  [(a2, xi), (a1, mxi)]]])
 
     # -- coefficientwise identities ---------------------------------------------
 

@@ -11,6 +11,8 @@ A product forms each coefficient as one sum of coefficient products
 with the length and tail the entrywise sum of series products would have.
 """
 
+from operator import add, sub
+
 from .cinf import INF, dot
 from .errors import (ConfigError, DivergentEvaluation, PrecisionExhausted,
                      ShapeMismatch)
@@ -67,16 +69,19 @@ class TSeries:
         return TSeries(self.cfg, self.coeffs[:T], tail)
 
     def __add__(self, other):
+        return self._termwise(other, add)
+
+    def __sub__(self, other):
+        return self._termwise(other, sub)
+
+    def _termwise(self, other, op):
         self._compat(other)
         n = _out_len(self.T, self.tail, other.T, other.tail)
-        out = [self.coeff(i) + other.coeff(i) for i in range(n)]
+        out = [op(self.coeff(i), other.coeff(i)) for i in range(n)]
         return TSeries(self.cfg, out, _sum_tail(self.tail, other.tail))
 
     def __neg__(self):
         return TSeries(self.cfg, [-c for c in self.coeffs], self.tail)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def _product(self, other):
         """(length, tail, pairs) of self * other: pairs[k] lists the
@@ -238,16 +243,19 @@ class TMatrix:
         return self.rows[i][j]
 
     def __add__(self, other):
+        return self._entrywise(other, add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, sub)
+
+    def _entrywise(self, other, op):
         if self.shape != other.shape:
-            raise ShapeMismatch("matrix addition needs equal shapes")
-        return TMatrix([[a + b for a, b in zip(ra, rb)]
+            raise ShapeMismatch("matrix sum or difference needs equal shapes")
+        return TMatrix([[op(a, b) for a, b in zip(ra, rb)]
                         for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return TMatrix([[-a for a in r] for r in self.rows])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         n, k = self.shape

@@ -315,13 +315,6 @@ _ORACLE = settings(max_examples=120, deadline=None, database=None,
 
 @_ORACLE
 @given(a=_VALUES, b=_VALUES)
-def test_add_matches_dense_reference(a, b):
-    assert _as_pair(a + b) == _ref_add(a, b)
-    assert _as_pair(a - b) == _ref_add(a, -b)
-
-
-@_ORACLE
-@given(a=_VALUES, b=_VALUES)
 def test_mul_matches_dense_reference(a, b):
     assert _as_pair(a * b) == _ref_mul(a, b)
 
@@ -380,6 +373,95 @@ def _dot_values(cfg):
     return st.builds(lambda terms, prec: CInfApprox(cfg, terms, prec),
                      st.one_of(sparse, dense, st.just({})),
                      st.one_of(st.just(INF), st.integers(-20, 140)))
+
+
+def _dense_values(cfg, min_size=20, max_size=80):
+    """Long dense values, exact or with a finite precision."""
+    size = cfg.field.size
+    return st.builds(
+        lambda lo, codes, prec: CInfApprox(
+            cfg, {lo + i: c for i, c in enumerate(codes)}, prec),
+        st.integers(-20, 20),
+        st.lists(st.integers(0, size - 1), min_size=min_size,
+                 max_size=max_size),
+        st.one_of(st.just(INF), st.integers(0, 160)))
+
+
+def _ref_neg(a):
+    F = a.cfg.field
+    return CInfApprox(a.cfg, {e: F.neg(c) for e, c in a.terms.items()},
+                      a.prec)
+
+
+def test_add_matches_dense_reference():
+    # a + b, a - b, -a and scale read the Zech, log and negation tables
+    # directly; the reference adds and multiplies through the field, over
+    # each of the three fields of the dot oracle
+    for cfg in _DOT_CFGS:
+        F = cfg.field
+        values = st.one_of(_dot_values(cfg), _dense_values(cfg, 1, 40))
+        if cfg is CFG_SHORT:
+            values = st.one_of(values, _VALUES)
+
+        @_ORACLE
+        @given(a=values, b=values, code=st.integers(0, F.size - 1))
+        def check(a, b, code):
+            assert _as_pair(a + b) == _ref_add(a, b)
+            assert _as_pair(a - b) == _ref_add(a, _ref_neg(b))
+            assert _as_pair(a + b) == _as_pair(b + a)
+            assert _as_pair(-a) == _as_pair(_ref_neg(a))
+            assert _as_pair(a.scale(code)) == (
+                {e: F.mul(c, code) for e, c in a.terms.items() if code},
+                INF if code == 0 else a.prec)
+            # a - a cancels in full, at a's precision
+            assert _as_pair(a - a) == ({}, a.prec)
+
+        check()
+
+
+def _mono_values(cfg):
+    """One-term values c0 theta^(-e0/e): code 1 or any other code, exact
+    or with a finite precision (at or below e0 it is zero to precision)."""
+    return st.builds(lambda e0, c0, prec: CInfApprox(cfg, {e0: c0}, prec),
+                     st.integers(-20, 80),
+                     st.one_of(st.just(1),
+                               st.integers(1, cfg.field.size - 1)),
+                     st.one_of(st.just(INF), st.integers(-20, 140)))
+
+
+def _mono_case(cfg):
+    """(pairs, cap): 1-5 pairs with a one-term operand on either side, its
+    partner a long dense value, any value or another monomial; at times a
+    general pair too; then the negations of none, some or all of them,
+    so that the sum cancels in part or in full."""
+    mono = _mono_values(cfg)
+    partner = st.one_of(_dense_values(cfg), _dot_values(cfg), mono)
+    pair = st.one_of(st.tuples(mono, partner), st.tuples(partner, mono))
+    general = st.tuples(_dense_values(cfg, 2, 20), _dot_values(cfg))
+
+    def build(ps, extra, cancel):
+        ps = ps + extra
+        return ps + [(-a, b) for a, b in ps[:cancel]]
+
+    return st.tuples(st.builds(build, st.lists(pair, min_size=1, max_size=5),
+                               st.lists(general, max_size=1),
+                               st.integers(0, 6)),
+                     st.one_of(st.just(INF), st.integers(-40, 200)))
+
+
+@pytest.mark.parametrize("cfg", _DOT_CFGS, ids=["F9", "F625", "F81-s2"])
+def test_monomial_pairs_match_summed_dense_reference(cfg):
+    @_ORACLE
+    @given(case=_mono_case(cfg))
+    def check(case):
+        pairs, cap = case
+        got = cinf.dot(cfg, pairs, cap)
+        assert _as_pair(got) == _ref_dot(pairs, cap)
+        assert all(c for c in got.terms.values())
+        for a, b in pairs:
+            assert _as_pair(a * b) == _as_pair(b * a) == _ref_dot([(a, b)])
+
+    check()
 
 
 def _dot_case(cfg):
@@ -455,3 +537,57 @@ def test_pole_inverse_table(cfg):
                for entry in cfg._pole_inverses for x in entry)
     with pytest.raises(ConfigError):
         cfg.pole_inverse(0)
+
+
+# -- one field per (p, s, m, modulus) and process -----------------------------
+
+
+def _tables(F):
+    return (F.modulus, F.generator, F._neg, F._exp, F._log, F._zech)
+
+
+def test_configs_share_one_field():
+    a = FieldConfig(3, 1, 4, e=72, prec=240)
+    b = FieldConfig(3, 1, 4, e=108, prec=480, depth=3)
+    assert a.field is b.field
+    # the modulus is part of the key: the same field under its default
+    # modulus spelled out, and a different one under another irreducible
+    default = FieldConfig(3, 1, 2).field
+    spelled = FieldConfig(3, 1, 2, modulus=[1, 0, 1]).field
+    other = FieldConfig(3, 1, 2, modulus=[2, 1, 1]).field
+    assert spelled.modulus == default.modulus == (1, 0, 1)
+    assert _tables(spelled) == _tables(default)
+    assert other is not default and other.modulus == (2, 1, 1)
+    assert other._log != default._log
+    assert FieldConfig(3, 1, 2, modulus=(2, 1, 1)).field is other
+
+
+def test_configs_built_in_two_threads_share_identical_tables(monkeypatch):
+    import threading
+    monkeypatch.setattr(cinf, "_FIELDS", {})
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def build(i):
+        start.wait()
+        got[i] = FieldConfig(5, 1, 4, e=600)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got[0].field is got[1].field
+    assert _tables(got[0].field) == _tables(cinf.FiniteField(5, 1, 4))
+
+
+def test_each_config_keeps_its_pole_inverses():
+    a = FieldConfig(3, 1, 4, e=72, prec=240)
+    b = FieldConfig(3, 1, 4, e=72, prec=480)
+    assert a.field is b.field
+    a.pole_inverse(3)
+    assert len(a._pole_inverses) == 3 and b._pole_inverses == []
+    # the same pole to each config's own relative precision
+    x, y = a.pole_inverse(1), b.pole_inverse(1)
+    assert x.prec < y.prec
+    assert {e: c for e, c in y.terms.items() if e < x.prec} == x.terms

@@ -45,6 +45,50 @@ def test_value_grammar(cfg_small):
     assert v.terms == {-18: 2, 0: 1, 36: 1}
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("0", {}), ("-1", {0: 2}), ("1,2", {}), (" theta ", {-18: 1}),
+    ("theta^-1", {18: 1}), ("2*theta^-1", {18: 2}),
+    ("+2*theta^+3", {-54: 2}), ("-1*theta", {-18: 2}),
+    ("theta^-1,theta^-2", {18: 1, 36: 1}),
+    ("theta^-1 , theta^-1", {18: 2}), ("3*theta^-1", {})])
+def test_value_grammar_terms(cfg_small, text, terms):
+    v = parse_value(cfg_small, text)
+    assert v.terms == terms and v.prec == INF
+
+
+def test_every_benchmark_literal_parses(cfg_small):
+    # the benchmark goldens key every --z/--u/--alpha/--alphas literal of
+    # the workloads, a superset of those in the README and the CI pins
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    texts = set(json.loads((golden / "deep_q3.json").read_text()))
+    for key in json.loads((golden / "cli_cold.json").read_text()):
+        argv = key.split(" ")
+        for flag in ("--z", "--u", "--alpha", "--alphas"):
+            if flag in argv:
+                texts.update(argv[argv.index(flag) + 1].split(";"))
+    assert len(texts) == 5
+    for text in texts:
+        assert parse_value(cfg_small, text).terms
+
+
+def test_file_term_adds_to_the_sum(cfg_small, tmp_path):
+    vfile = tmp_path / "v.json"
+    vfile.write_text(json.dumps(encode_cinf(cfg_small.theta(-1))))
+    v = parse_value(cfg_small, " @%s , 1" % vfile)
+    assert v.terms == {18: 1, 0: 1}
+
+
+@pytest.mark.parametrize("text", [
+    "5theta", "junk theta^1", "2*3*theta", "thetaXYZ^2", "theta^",
+    "*theta", "theta^1.5", "1 2", "", "1,,2", "2 * theta", "0x10", "1_0",
+    "theta^-1;theta^-2", "theta**2", "2*", "1.0"])
+def test_malformed_literal_is_a_config_error(capsys, text):
+    # before, 5theta and "junk theta^1" gave theta, 2*3*theta gave
+    # 2 theta and thetaXYZ^2 gave theta^2
+    _assert_config_error(capsys, ["exp-eval", "--q", "3", "--z", text])
+    _assert_config_error(capsys, ["agf", "--q", "3", "--u", text])
+
+
 def test_torsion_and_periods(capsys):
     code, out, _ = run_cli(capsys, "torsion", "--q", "3", "--rank1",
                            "--json")
