@@ -8,11 +8,14 @@ For a module rho and u in C_inf the generating function is
 a meromorphic function with simple poles at theta^(q^i) and residues
 -alpha_i u^(q^i) = -numerators[i].  The partial-fraction form is primary
 here: its n-fold twist evaluates at t = theta for n >= 1, which is where
-every period identity is read off.  The t-power-series form (series, the
-one t-series path) exists for radius-1 work and takes its coefficients
-from the exp ladder (DrinfeldModule._exp_levels).  Both forms sum the same
-products alpha_i u^(q^i); the dual-representation oracle, which rebuilds
-the series from the I poles and their floor, lives in the tests.
+every period identity is read off.  There each denominator is
+theta^(q^k) - theta, whose inverse has every coefficient 1, so dividing by
+it is a running sum (_pole_sum) rather than a product.  The t-power-series
+form (series, the one t-series path) exists for radius-1 work and takes
+its coefficients from the exp ladder (DrinfeldModule._exp_levels).  Both
+forms read the same products alpha_i u^(q^i), formed once per argument
+(DrinfeldModule.exp_products); the dual-representation oracle, which
+rebuilds the series from the I poles and their floor, lives in the tests.
 
 Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
@@ -24,7 +27,7 @@ may share a generating function; two threads racing on the empty memo
 both compute the same pair.
 """
 
-from .cinf import INF, dot
+from .cinf import INF, CInfApprox, dot
 from .errors import ConfigError, PoleHit
 from .tseries import TSeries
 
@@ -38,9 +41,7 @@ class AndersonGF:
         if pole_count is None:
             pole_count = cfg.pole_count or cfg.exp_depth
         self.I = pole_count
-        alphas = module.exp_coeffs(pole_count - 1)
-        self.numerators = [alphas[i] * u.frobenius(i)
-                           for i in range(pole_count)]
+        self.numerators = module.exp_products(u, pole_count)
         self._pair_at_theta = None
 
     # -- the t-series -------------------------------------------------------------
@@ -73,20 +74,25 @@ class AndersonGF:
             v0 = INF
         else:
             v0 = t0.valuation()
-        # at t0 = theta each denominator theta^(q^(i+n)) - theta is in the
-        # config's pole table
-        at_theta = t0.prec == INF and t0.terms == {-cfg.e: 1}
-        pairs = []
-        for i in range(self.I):
-            pole = cfg.theta(1).frobenius(i + n)
-            den = pole - t0
-            if den.is_apparent_zero():
+        # at t0 = theta each denominator is theta^(q^(i+n)) - theta, and
+        # _pole_sum divides by it as the product with its inverse would
+        if t0.prec == INF and t0.terms == {-cfg.e: 1}:
+            if n == 0:
                 raise PoleHit(
-                    "t0 coincides with the pole theta^(q^%d) to precision"
-                    % (i + n))
-            inv = cfg.pole_inverse(i + n) if at_theta else den.inverse()
-            pairs.append((self.numerators[i].frobenius(n), inv))
-        acc = dot(cfg, pairs)
+                    "t0 coincides with the pole theta^(q^0) to precision")
+            acc = _pole_sum(cfg, [(x, i + n)
+                                  for i, x in enumerate(self.numerators)], n)
+        else:
+            pairs = []
+            for i in range(self.I):
+                den = cfg.theta(1).frobenius(i + n) - t0
+                if den.is_apparent_zero():
+                    raise PoleHit(
+                        "t0 coincides with the pole theta^(q^%d) to "
+                        "precision" % (i + n))
+                pairs.append((self.numerators[i].frobenius(n),
+                              den.inverse()))
+            acc = dot(cfg, pairs)
         # dropped poles are huge; make sure t0 cannot collide with them
         if v0 <= -cfg.q ** (self.I + n) * cfg.e:
             raise PoleHit("t0 reaches into the dropped pole range; "
@@ -157,3 +163,83 @@ class AndersonGF:
         if not self.u.is_apparent_zero():
             val = val - mod.exp_eval(self.u)
         return val
+
+
+def _pole_sum(cfg, parts, n):
+    """sum x^(q^n) / (theta^(q^k) - theta) over the (x, k) of parts,
+    k >= 1: the value dot(cfg, [(x.frobenius(n), cfg.pole_inverse(k)),
+    ...]) gives, without forming the twists or the products.
+
+    1/(theta^Q - theta) = sum_(j >= 0) theta^(-Q - j(Q - 1)), every
+    coefficient 1, so y = x/(theta^Q - theta) obeys
+    y[E] = x[E - Q e] + y[E - (Q - 1) e]: a running sum along each class
+    of exponents mod (Q - 1) e, one step per output exponent where the
+    product takes one per term pair.  The twist is read off x's terms:
+    exponents and discrete logs times q^n.  P is dot's rule over the pairs
+    (x^(q^n), pole_inverse(k)), read off the stored inverses' precisions
+    and valuations.  A term of the series that the stored inverse lacks
+    lies at or above its precision, so its products lie at or above
+    prec(inverse) + v(x^(q^n)) >= P: the digits below P are the products'.
+    """
+    F = cfg.field
+    exp, log, zech = F._exp, F._log, F._zech
+    order = F.size - 1
+    qn = cfg.q_powers(n)[n]
+    prec = INF
+    for x, k in parts:
+        inv = cfg.pole_inverse(k)
+        vx, vi = qn * x.vbound(), inv.vbound()
+        p = qn * x.prec + vi
+        if inv.prec + vx < p:
+            p = inv.prec + vx
+        if p < prec:
+            prec = p
+    if prec != INF:
+        prec = int(prec)
+    e = cfg.e
+    out = {}
+    get = out.get
+    for x, k in parts:
+        q_k = cfg.q_powers(k)[k]
+        shift, step = q_k * e, (q_k - 1) * e
+        classes = {}
+        for ex, c in x.terms.items():
+            ex = qn * ex + shift
+            if ex < prec:
+                classes.setdefault(ex % step, []).append(
+                    (ex, qn * log[c] % order))
+        for src in classes.values():
+            src.sort()
+            src.append((INF, None))
+            at, cur = 0, None
+            ex = src[0][0]
+            while ex < prec:
+                if src[at][0] == ex:
+                    l = src[at][1]
+                    at += 1
+                    if cur is None:
+                        cur = l
+                    else:
+                        z = zech[l - cur]
+                        if z is None:
+                            cur = None
+                        else:
+                            cur += z
+                            if cur >= order:
+                                cur -= order
+                if cur is None:
+                    # the running sum is zero until the next source term
+                    ex = src[at][0]
+                    continue
+                now = get(ex)
+                if now is None:
+                    out[ex] = cur
+                else:
+                    z = zech[cur - now]
+                    if z is None:
+                        del out[ex]
+                    else:
+                        now += z
+                        out[ex] = now - order if now >= order else now
+                ex += step
+    return CInfApprox._raw(cfg, {ex: exp[l] for ex, l in out.items()}, prec)

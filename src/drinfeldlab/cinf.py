@@ -30,13 +30,30 @@ a computation never pays a truncation cost.
 ``dot`` is the one place where coefficient products are formed: a * b is
 the sum over the single pair (a, b), and every sum of products in the
 library (series and matrix products, twisted polynomials, the q-linear
-exp/log sums) hands its pairs to it in one call.  Most of those pairs have
-a one-term operand c0 theta^(-e0/e): a theta-monomial, a constant, one(),
-a root of Omega's factors.  Such a pair is one pass over the other
-operand's terms below P - e0, each shifted by e0 and multiplied by c0 with
-one table lookup (none when c0 = 1).  These are exactly the term pairs the
-general loop forms below P, and P is fixed before either runs, so the
-digits and the precision are the loop's.
+exp/log sums) hands its pairs to it in one call.  P is fixed first, and a
+pair then takes one of three paths:
+
+* a one-term operand c0 theta^(-e0/e) (a theta-monomial, a constant,
+  one()): one pass over the other operand's terms below P - e0, each
+  shifted by e0 and multiplied by c0 with one table lookup (none when
+  c0 = 1).  A sum of such pairs alone stays in codes: the longest pass is
+  a copy, shift or scaling, the others merge through the Zech logarithms;
+* two operands of at least _PACK_MIN terms each: a packed big-int product
+  (Kronecker substitution, packed.py), every such pair of the sum added as
+  integers and unpacked once below P;
+* any other pair: a loop over discrete logs by exponent, the shorter
+  operand outside, each inner run stopping at P, into one log accumulator
+  that is converted to codes once.
+
+All three form exactly the term pairs below P that the loop forms, so the
+digits and the precision do not depend on the path.  The cutoff
+_PACK_MIN = 100 is measured on the dense products of the deep q3 chain
+(F_81, N = 1920, 2-core shared box, best of 30): the Legendre bracket's two
+pairs of 131-141 terms take 0.33-0.40 of the loop's time packed, while pairs
+whose shorter operand has 48-54 terms take 1.0-2.9 of it (their products
+are short after the cut at P, and CPython multiplies big ints by
+Karatsuba).  No product of the verify suite or the CLI commands at N = 240
+reaches the cutoff, so a cold start does not import packed.py.
 
 Values are immutable, so each caches its valuation bound on first use;
 configurations over the same (p, s, m, modulus) share one FiniteField,
@@ -53,6 +70,10 @@ from .errors import (ConfigError, DivisionByApparentZero, GridTooCoarse,
 from .fields import FiniteField, is_prime
 
 INF = math.inf
+
+# dot's packed path takes a pair once both operands have this many terms
+# (packed.py); the module docstring gives the measurement
+_PACK_MIN = 100
 
 # Newton sweeps CInfApprox.inverse may take; the window doubles on each
 # sweep, so 64 covers any window that fits in memory
@@ -159,20 +180,26 @@ class FieldConfig:
     def pole_inverse(self, k):
         """1/(theta^(q^k) - theta) for k >= 1: the denominators of the
         exp, log and quasi-period recursions and the poles of a twisted
-        Anderson generating function at t = theta.  Inverted once per
-        config; the table is extended on a copy published by rebinding.
-        It keeps (terms, prec), not values: a value refers to its config,
-        and that cycle would keep each finished config, field tables and
-        all, alive until the cycle collector runs."""
+        Anderson generating function at t = theta.
+
+        With Q = q^k it is theta^(-Q) / (1 - theta^(1-Q)) =
+        sum_(j >= 0) theta^(-Q - j(Q - 1)), every coefficient 1, written
+        down to the precision inverse() gives an exact two-term divisor:
+        v + rel_prec, v = Q e.  Built once per config; the table is extended
+        on a copy published by rebinding.  It keeps (terms, prec), not
+        values: a value refers to its config, and that cycle would keep
+        each finished config, field tables and all, alive until the cycle
+        collector runs."""
         if k < 1:
             raise ConfigError("theta^(q^0) - theta is zero")
         table = self._pole_inverses
         if len(table) < k:
             table = list(table)
-            th = self.theta()
             while len(table) < k:
-                x = (th.frobenius(len(table) + 1) - th).inverse()
-                table.append((x.terms, x.prec))
+                Q = self.q ** (len(table) + 1)
+                prec = Q * self.e + self.rel_prec
+                table.append((dict.fromkeys(
+                    range(Q * self.e, prec, (Q - 1) * self.e), 1), prec))
             self._pole_inverses = table
         terms, prec = table[k - 1]
         return CInfApprox._raw(self, terms, prec)
@@ -445,7 +472,7 @@ class CInfApprox:
             err = one - self.truncate(v + w) * x
             if err.vbound() >= window:
                 break
-            x = CInfApprox(cfg, (x + x * err).terms, INF)
+            x = CInfApprox._raw(cfg, (x + x * err).terms, INF)
         else:
             raise NoConvergence(
                 "series inverse not certified to relative precision %d "
@@ -542,20 +569,28 @@ def dot(cfg, pairs, cap=INF):
     Precision first: P = min(cap, min over the pairs of
     min(prec_a + v(b), prec_b + v(a))), from valuations and precisions
     alone; an exact zero adds INF, a zero-to-precision operand its
-    precision plus v(other).  Then only the term pairs below P are formed,
-    each added into a single accumulator of discrete logs through the
-    Zech logarithms.  A pair with a one-term operand c0 theta^(-e0/e) is
-    one pass over the other operand's terms e < P - e0, unsorted; a lone
-    such pair is written straight as codes.  Any other pair is one loop
-    over discrete logs by exponent, the shorter operand outside, each
-    inner run stopping at P.  Both form the same term pairs below P, the
-    field sum is exact and order-free, so the value is that of the
-    products added one by one and cut at P.  An empty sum is the exact
-    zero.
+    precision plus v(other).  Then only the term pairs below P are
+    formed, by one of three paths:
+
+    * a pair with a one-term operand c0 theta^(-e0/e) is one pass over
+      the other operand's terms e < P - e0, unsorted;
+    * a pair whose operands both have at least _PACK_MIN terms is one
+      packed big-int product (packed.dense_sum), all such pairs summed
+      before one unpacking;
+    * any other pair is one loop over discrete logs by exponent, the
+      shorter operand outside, each inner run stopping at P.
+
+    A sum of monomial pairs alone (and packed pairs) is kept as codes:
+    the first pass is a copy, shift or scaling, later passes merge
+    through the Zech logarithms as CInfApprox._sum does.  A sum with
+    loop pairs keeps one accumulator of discrete logs and converts it
+    once.  Every path forms the same term pairs below P and the field sum
+    is exact and order-free, so the value is that of the products added
+    one by one and cut at P.  An empty sum is the exact zero.
     """
     prec = cap
-    monos = []  # (e0, c0, other's terms): a one-term operand c0 th^(-e0/e)
-    work = []   # (shorter, longer, v(longer)) in discrete logs
+    monos = []  # (e0, c0, other): a one-term operand c0 th^(-e0/e)
+    work = []   # pairs of operands with at least two terms each
     for a, b in pairs:
         if a.cfg is not cfg or b.cfg is not cfg:
             for x in (a, b):
@@ -564,19 +599,17 @@ def dot(cfg, pairs, cap=INF):
                         "operands built over different FieldConfigs")
         ta, tb = a.terms, b.terms
         if len(ta) > 1 and len(tb) > 1:
-            la, lb = a._log_terms(), b._log_terms()
-            va, vb = la[0][0], lb[0][0]
-            if len(la) > len(lb):
-                work.append((lb, la, va))
+            if len(ta) < _PACK_MIN or len(tb) < _PACK_MIN:
+                # the loop's sorted log lists, which also give v(a), v(b)
+                a._log_terms()
+                b._log_terms()
+            work.append((a, b))
+        va, vb = a.vbound(), b.vbound()
+        if ta and tb and (len(ta) == 1 or len(tb) == 1):
+            if len(ta) == 1:
+                monos.append((va, ta[va], b))
             else:
-                work.append((la, lb, vb))
-        else:
-            va, vb = a.vbound(), b.vbound()
-            if ta and tb:
-                if len(ta) == 1:
-                    monos.append((va, ta[va], tb))
-                else:
-                    monos.append((vb, tb[vb], ta))
+                monos.append((vb, tb[vb], a))
         p = a.prec + vb
         if b.prec + va < p:
             p = b.prec + va
@@ -586,25 +619,62 @@ def dot(cfg, pairs, cap=INF):
         prec = int(prec)
     F = cfg.field
     exp, log, zech = F._exp, F._log, F._zech
-    if not work and len(monos) == 1:
-        e0, c0, other = monos[0]
-        limit = prec - e0
-        if c0 == 1:
-            terms = {e + e0: c for e, c in other.items() if e < limit}
-        else:
+    terms = None
+    if work:
+        dense = [(a, b) for a, b in work
+                 if len(a.terms) >= _PACK_MIN and len(b.terms) >= _PACK_MIN]
+        if dense:
+            from .packed import dense_sum
+            terms = dense_sum(F, dense, prec)
+            if terms is not None:
+                work = [(a, b) for a, b in work if len(a.terms) < _PACK_MIN
+                        or len(b.terms) < _PACK_MIN]
+    if not work:
+        if terms is None:
+            if not monos:
+                return CInfApprox._raw(cfg, {}, prec)
+            # the longest pass first, written straight as codes
+            first = max(range(len(monos)),
+                        key=lambda i: len(monos[i][2].terms))
+            e0, c0, other = monos.pop(first)
+            limit = prec - e0
+            if c0 != 1:
+                l0 = log[c0]
+                terms = {e + e0: exp[log[c] + l0]
+                         for e, c in other.terms.items() if e < limit}
+            elif not e0 and other.prec <= limit:
+                terms = dict(other.terms)
+            else:
+                terms = {e + e0: c for e, c in other.terms.items()
+                         if e < limit}
+        get = terms.get
+        for e0, c0, other in monos:
+            limit = prec - e0
             l0 = log[c0]
-            terms = {e + e0: exp[log[c] + l0]
-                     for e, c in other.items() if e < limit}
+            for e, c in other.terms.items():
+                if e >= limit:
+                    continue
+                e += e0
+                cur = get(e)
+                if cur is None:
+                    terms[e] = exp[log[c] + l0]
+                else:
+                    lc = log[cur]
+                    z = zech[log[c] + l0 - lc]
+                    if z is None:
+                        del terms[e]
+                    else:
+                        terms[e] = exp[lc + z]
         return CInfApprox._raw(cfg, terms, prec)
     order = F.size - 1
     # out[e] is the discrete log of the coefficient, kept in [0, 2*order)
     # so that zech and exp (both stored twice over) index it directly
-    out = {}
+    out = {} if terms is None else {e: log[c] for e, c in terms.items()}
     get = out.get
     for e0, c0, other in monos:
         limit = prec - e0
         l0 = log[c0]
-        for e, c in other.items():
+        for e, c in other.terms.items():
             if e >= limit:
                 continue
             e += e0
@@ -619,7 +689,11 @@ def dot(cfg, pairs, cap=INF):
                 else:
                     k = cur + z
                     out[e] = k - order if k >= order else k
-    for ta, tb, vb in work:
+    for a, b in work:
+        ta, tb = a._log_terms(), b._log_terms()
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        vb = tb[0][0]
         for ea, la in ta:
             limit = prec - ea
             if limit <= vb:
@@ -640,3 +714,4 @@ def dot(cfg, pairs, cap=INF):
                         k = cur + z
                         out[e] = k - order if k >= order else k
     return CInfApprox._raw(cfg, {e: exp[k] for e, k in out.items()}, prec)
+

@@ -32,10 +32,13 @@ threads sharing a module never see a table that one of them is still
 growing.  All evaluations are pure.
 
 Derived values are computed once per module: the torsion points (full and
-partial), the period lattice of periods() and F_tau(omega) for each period
-of that lattice.  A memo is filled by rebinding an attribute to a finished
-value, never by growing one in place, so threads may share a module; two
-threads racing on an empty memo both compute the same value.  Memoized
+partial), the period lattice of periods(), F_tau(omega) for each period
+of that lattice, and the products alpha_i u^{q^i} of the last few
+arguments u of an Anderson generating function (exp_products), which the
+generating function's poles and every later exp ladder over u read.  A
+memo is filled by rebinding an attribute to a finished value, never by
+growing one in place, so threads may share a module; two threads racing
+on an empty memo both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
 """
 
@@ -48,6 +51,10 @@ from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
 # biderivations), so exp and log evaluation never load skew.py
 
 _TAIL_SCAN = 64
+
+# arguments whose products alpha_i u^{q^i} a module keeps: omega1, omega2
+# and a logarithm lambda, the three of one Psi chain
+_PRODUCT_MEMO = 3
 
 
 def _digits(vc, qi, prec):
@@ -154,6 +161,7 @@ class DrinfeldModule:
         self._floors = {}  # (kind, vz, start) -> _tail_floor
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
+        self._products = {}  # id(u) -> (u, [alpha_i u^{q^i}])
 
     # -- descriptor -----------------------------------------------------------
 
@@ -325,6 +333,29 @@ class DrinfeldModule:
         return dot(self.cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
                               for i, digits in rows], prec)
 
+    def exp_products(self, u, count):
+        """[alpha_i * u^{q^i} for i < count], the products an Anderson
+        generating function's poles and every exp ladder over u read.  They
+        are formed once per argument: the last _PRODUCT_MEMO arguments
+        keep theirs, matched by identity, in a memo published by
+        rebinding."""
+        have = self._kept_products(u)
+        if len(have) < count:
+            alphas = self.exp_coeffs(count - 1)
+            have = have + [alphas[i] * u.frobenius(i)
+                           for i in range(len(have), count)]
+            memo = {k: v for k, v in self._products.items() if k != id(u)}
+            while len(memo) >= _PRODUCT_MEMO:
+                del memo[next(iter(memo))]
+            memo[id(u)] = (u, have)
+            self._products = memo
+        return have[:count]
+
+    def _kept_products(self, u):
+        """u's products in the exp_products memo, or []."""
+        got = self._products.get(id(u))
+        return got[1] if got is not None and got[0] is u else []
+
     def _exp_prec(self, vz, zprec):
         """The precision exp_eval reaches on a nonzero z of valuation vz
         and precision zprec."""
@@ -353,7 +384,12 @@ class DrinfeldModule:
         level's sum as exp_eval forms it.  Each level is one dot capped at
         its R, so it holds exactly the term pairs of exp_eval below R: p_i
         shifted by q^i k is known to C_i + q^i k >= R and to the precision
-        of the product exp_eval forms, which is at least R.
+        of the product exp_eval forms, which is at least R.  When z's full
+        products are in the exp_products memo (z is the argument of a
+        generating function), a shared row is the memo's p_i cut at C_i:
+        z is cut to the digits whose terms reach below C_i, so the capped
+        product has the full one's digits below min(C_i, its precision),
+        and that is its precision.
         """
         cfg = self.cfg
         if z.is_apparent_zero():
@@ -372,10 +408,14 @@ class DrinfeldModule:
             for k, r, rows in plans:
                 for i, _ in rows:
                     caps.setdefault(i, []).append(r - qs[i] * k)
+        products = self._kept_products(z)
         shared = {}
         for i, cs in caps.items():
             if len(cs) > 1:
                 cap = max(cs)
+                if i < len(products):
+                    shared[i] = products[i].truncate(cap)
+                    continue
                 digits = _digits(known[i][1], qs[i], cap)
                 shared[i] = dot(cfg, [(alphas[i],
                                        z.truncate(digits).frobenius(i))], cap)
@@ -471,7 +511,7 @@ class DrinfeldModule:
                     "the root" % d)
             x = (b - self._qlinear_sum(step, x, prec - e,
                                        known)).shift(e)
-            x, d = CInfApprox(cfg, x.terms, INF), nxt
+            x, d = CInfApprox._raw(cfg, x.terms, INF), nxt
         return x.truncate(prec)
 
     def _scalar_multiple_of(self, x, y):

@@ -11,6 +11,15 @@ thousand elements), so arithmetic runs on discrete-log tables for every
 field size: multiplication adds logarithms, and addition takes one step
 through the Zech logarithms Z(d), g^Z(d) = 1 + g^d (Lidl & Niederreiter,
 Finite Fields, 9.1), since g^a + g^b = g^(a + Z(b - a)).
+
+The tables come from one linear pass.  Multiplication by a fixed c is
+F_p-linear on the flattened digits, so x -> x c is read off two tables
+indexed by the low and the high half of x's digits, whose entries hold the
+digits of that half times c unreduced, one lane per digit; their sum is
+reduced lane by lane mod p.  Walking x -> x c from 1 gives c's orbit: the
+first candidate c = 2, 3, ... whose orbit has size - 1 elements is the
+generator, and its orbit is the exp table.  Negation is digitwise,
+neg[c] = (-c mod p) + p neg[c // p].
 """
 
 from .errors import ConfigError
@@ -211,23 +220,19 @@ class FiniteField:
         return self.encode(list(rem) + [0] * (self.m - len(rem)))
 
     def _build_tables(self):
-        size = self.size
-        # negation
-        g = self.ground
-        self._neg = [self.encode([g.neg(c) for c in self.decode(a)])
-                     for a in range(size)]
+        size, p = self.size, self.p
+        # negation digit by digit: the low digit of c is c mod p
+        neg = [0] * size
+        for c in range(1, size):
+            neg[c] = (-c) % p + p * neg[c // p]
+        self._neg = neg
         # discrete logs on a fixed generator
-        gen = self._find_generator()
-        self.generator = gen
-        exp = [1] * (size - 1)
-        for i in range(1, size - 1):
-            exp[i] = self._mul_slow(exp[i - 1], gen)
+        self.generator, exp = self._generator_orbit()
         log = [0] * size
         for i, v in enumerate(exp):
             log[v] = i
         # Zech logarithms, None where 1 + g^d = 0.  Adding 1 changes only the
         # lowest base-p digit of a code.
-        p = self.p
         zech = []
         for v in exp:
             w = v + 1 if v % p != p - 1 else v - (p - 1)
@@ -243,24 +248,60 @@ class FiniteField:
         # first use and published by rebinding a fresh dict.
         self._frob = {}
 
-    def pow_slow(self, a, n):
-        r = 1
-        while n > 0:
-            if n & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            n >>= 1
-        return r
-
-    def _find_generator(self):
-        order = self.size - 1
-        primes = set(_trial_factor(order)) if order > 1 else set()
-        for cand in range(2, self.size):
-            if all(self.pow_slow(cand, order // r) != 1 for r in primes):
-                return cand
+    def _generator_orbit(self):
+        """(g, [1, g, ..., g^(size-2)]) for the smallest code g whose
+        orbit holds size - 1 elements: a generator, and its orbit is the
+        exp table."""
         if self.size == 2:
-            return 1
+            return 1, [1]
+        for cand in range(2, self.size):
+            orbit = self._orbit(cand)
+            if len(orbit) == self.size - 1:
+                return cand, orbit
         raise ConfigError("no multiplicative generator found")
+
+    def _orbit(self, c):
+        """[1, c, c^2, ...], up to the power before the first 1, for c != 0.
+
+        x -> x c is F_p-linear on the n = s*m flattened digits of x, so a
+        step reads x c off two tables, one per half of the digits: entry
+        x_lo holds the digits of x_lo * c, one lane of W bits each,
+        unreduced, and the two entries' sum is reduced lane by lane mod p.
+        A lane of that sum adds at most n products of two digits, so W is
+        the bit length of n (p - 1)^2 (a byte lane overflows at p = 13,
+        m = 2, where the bound is 288).  The tables cost n products in the
+        polynomial representation."""
+        p = self.p
+        n = self.s * self.m
+        width = (n * (p - 1) ** 2).bit_length()
+        mask = (1 << width) - 1
+        shifts = [width * j for j in reversed(range(n))]
+        half = p ** (n // 2)
+        cols = []
+        for k in range(n):
+            v = self._mul_slow(p ** k, c)
+            lanes = 0
+            for j in range(n):
+                lanes |= (v % p) << (width * j)
+                v //= p
+            cols.append(lanes)
+        lo, hi = [0], [0]
+        for col in cols[:n // 2]:
+            lo = [v + d * col for d in range(p) for v in lo]
+        for col in cols[n // 2:]:
+            hi = [v + d * col for d in range(p) for v in hi]
+        orbit = [1]
+        x = 1
+        # c's order divides size - 1, so the walk is back at 1 by then
+        for _ in range(self.size - 1):
+            lanes = lo[x % half] + hi[x // half]
+            x = 0
+            for sh in shifts:
+                x = x * p + ((lanes >> sh) & mask) % p
+            if x == 1:
+                return orbit
+            orbit.append(x)
+        raise ConfigError("the orbit of %d does not return to 1" % c)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -338,12 +379,35 @@ class FiniteField:
     def poly_roots(self, coeffs):
         """All roots in the field with multiplicities, by exhaustion.
 
-        Returns a list of (root, multiplicity); suitable only for the tiny
-        residual polynomials that appear in Newton-polygon work.
+        Returns a list of (root, multiplicity) in code order; suitable only
+        for the tiny residual polynomials that appear in Newton-polygon
+        work.  Each candidate z != 0 reads f(z) off the nonzero
+        coefficients alone, log c_i + i log z summed through the Zech
+        logarithms; a root's multiplicity comes from synthetic division.
         """
         coeffs = list(poly_trim(coeffs))
+        if len(coeffs) < 2:
+            return []
+        log, exp, zech = self._log, self._exp, self._zech
+        order = self.size - 1
+        terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
         roots = []
         for z in range(self.size):
+            if z:
+                lz = log[z]
+                val = 0
+                for i, lc in terms:
+                    k = (lc + i * lz) % order
+                    if not val:
+                        val = exp[k]
+                    else:
+                        lv = log[val]
+                        d = zech[k - lv]
+                        val = 0 if d is None else exp[lv + d]
+            else:
+                val = coeffs[0]
+            if val:
+                continue
             mult = 0
             work = list(coeffs)
             while len(work) > 1 and self.poly_eval(work, z) == 0:
@@ -355,8 +419,7 @@ class FiniteField:
                     quot.append(acc)
                 work = list(reversed(quot))
                 mult += 1
-            if mult:
-                roots.append((z, mult))
+            roots.append((z, mult))
         return roots
 
     def __repr__(self):

@@ -28,7 +28,7 @@ Kronecker square, its determinant and the block systems alike.
 """
 
 from .agf import AndersonGF
-from .cinf import INF, dot
+from .cinf import INF, CInfApprox
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
 from .tseries import TMatrix, TSeries
@@ -96,24 +96,77 @@ class OmegaData:
         Applies the linear factors one at a time, g_k <- g_k + r_i g_(k-1),
         and then the monomial c * prefactor: the same value, length and
         tail as the product with the expanded series of c Omega, but the
-        cancellation among the factors happens as early as it can.  Each
-        step is one dot per coefficient, whose precision rule composes to
-        the dense one, min over j of prec(a_(k-j)) + v(c * prefactor)
-        + (q + ... + q^j) e, because the j-th elementary symmetric function
-        of the roots has a unique lowest term.  The tail is read from that
-        product's pair lists, which are not summed.
+        cancellation among the factors happens as early as it can.  Every
+        coefficient stays a dict of discrete logs through all I steps and
+        is converted to codes once, with c * prefactor folded in.
+
+        Each step is dot's sum over the pairs (1, g_k) and (r_i, g_(k-1)),
+        formed as dot forms it: its precision is dot's rule for those
+        pairs, P = min(prec g_k, prec g_(k-1) + v(r_i)), and only the terms
+        below P are merged, through the Zech logarithms.  Keeping dot's
+        rule at every step keeps the value and precision of the stepwise
+        dots, and those compose to the dense rule, min over j of
+        prec(a_(k-j)) + v(c * prefactor) + (q + ... + q^j) e, because the
+        j-th elementary symmetric function of the roots has a unique lowest
+        term.  The tail is read from that product's pair lists, which are
+        not summed.
         """
         cfg = self.cfg
-        one = cfg.one()
-        g = list(a.coeffs)
+        F = cfg.field
+        log, exp, zech = F._log, F._exp, F._zech
+        order = F.size - 1
+        # (exponent -> discrete log, precision) of each coefficient
+        g = [({e: log[x] for e, x in y.terms.items()}, y.prec)
+             for y in a.coeffs]
         if a.tail == INF:
-            g += [cfg.zero(INF)] * self.I
+            g += [({}, INF) for _ in range(self.I)]
+        # every root is -theta^(-q^i): a shift and the log of -1
+        minus = log[F._neg[1]]
         for r in self.roots:
-            g = g[:1] + [dot(cfg, ((one, x), (r, y)))
-                         for x, y in zip(g[1:], g)]
+            s = r.vbound()
+            # downwards, so that g_(k-1) is still the old one when g_k
+            # takes it, and each g_k is merged into in place
+            for k in range(len(g) - 1, 0, -1):
+                (acc, xp), (yt, yp) = g[k], g[k - 1]
+                P = min(xp, yp + s)
+                if P < xp:
+                    acc = {e: l for e, l in acc.items() if e < P}
+                get = acc.get
+                limit = P - s
+                for e, l in yt.items():
+                    if e >= limit:
+                        continue
+                    e += s
+                    l += minus
+                    if l >= order:
+                        l -= order
+                    cur = get(e)
+                    if cur is None:
+                        acc[e] = l
+                    else:
+                        z = zech[l - cur]
+                        if z is None:
+                            del acc[e]
+                        else:
+                            l = cur + z
+                            acc[e] = l - order if l >= order else l
+                g[k] = (acc, P)
         scale = c * self.prefactor
         _, tail, _ = self.product.scale(c)._product(a)
-        return TSeries(cfg, [scale * x for x in g], tail).truncate(T)
+        if len(scale.terms) == 1:
+            # dot's lone monomial pair (scale, x): shifted, scaled, exact
+            # where x is
+            (e0, c0), = scale.terms.items()
+            l0 = log[c0]
+            coeffs = [CInfApprox._raw(cfg, {e + e0: exp[k + l0]
+                                            for e, k in t.items()},
+                                      P if P == INF else P + e0)
+                      for t, P in g]
+        else:
+            coeffs = [scale * CInfApprox._raw(cfg, {e: exp[k] for e, k in
+                                                    t.items()}, P)
+                      for t, P in g]
+        return TSeries(cfg, coeffs, tail).truncate(T)
 
     def tail_error(self):
         """Valuation floor of the dropped-factor perturbation, relative to

@@ -64,7 +64,10 @@ class TwistedPoly:
         return type(self)(self.cfg, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        self._compat(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return type(self)(self.cfg,
+                          [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
         """Ore product: (a var^i)(b var^j) = a b^(q^(sign*i)) var^(i+j)."""

@@ -1,9 +1,12 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drinfeldlab.agf import AndersonGF
-from drinfeldlab.cinf import INF, FieldConfig, dot
+from drinfeldlab import drinfeld
+from drinfeldlab.agf import AndersonGF, _pole_sum
+from drinfeldlab.cinf import INF, CInfApprox, FieldConfig, dot
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import PoleHit
 from drinfeldlab.tseries import TSeries
@@ -309,3 +312,94 @@ def test_series_bytes_pinned_log_point():
         got = hashlib.sha256(repr((s.tail, [(c.sorted_terms(), c.prec)
                                             for c in s.coeffs])).encode())
         assert got.hexdigest() == want, T
+
+
+# -- dividing by theta^(q^k) - theta as a running sum --------------------------
+
+_POLE_CFG = FieldConfig(3, 1, 2, e=18, prec=120)
+
+
+def test_pole_inverses_are_all_ones_geometric_series():
+    """1/(theta^Q - theta) = sum_j theta^(-Q - j(Q - 1)), every coefficient
+    1: the series _pole_sum sums along, below each stored precision."""
+    cfg = _POLE_CFG
+    for k in (1, 2, 3):
+        inv = cfg.pole_inverse(k)
+        Q = cfg.q ** k
+        want = {}
+        ex = Q * cfg.e
+        while ex < inv.prec:
+            want[ex] = 1
+            ex += (Q - 1) * cfg.e
+        assert inv.terms == want
+
+
+def _pole_values():
+    cfg = _POLE_CFG
+    sparse = st.dictionaries(st.integers(-60, 200), st.integers(1, 8),
+                             max_size=8)
+    dense = st.builds(
+        lambda lo, step, codes: {lo + step * i: c
+                                 for i, c in enumerate(codes)},
+        st.integers(-60, 60), st.sampled_from([1, 2, 9, 18]),
+        st.lists(st.integers(0, 8), min_size=1, max_size=40))
+    # exact values, finite precisions, exact zeros and zeros to precision
+    return st.builds(lambda terms, prec: CInfApprox(cfg, terms, prec),
+                     st.one_of(sparse, dense, st.just({})),
+                     st.one_of(st.just(INF), st.integers(-60, 400)))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(parts=st.lists(st.tuples(_pole_values(), st.integers(1, 3)),
+                      min_size=1, max_size=4),
+       n=st.integers(0, 2))
+def test_pole_sum_matches_dot_with_pole_inverses(parts, n):
+    """The running sums give the terms and precision of the products of
+    the twisted values with the stored pole inverses, summed by dot."""
+    cfg = _POLE_CFG
+    got = _pole_sum(cfg, parts, n)
+    want = dot(cfg, [(x.frobenius(n), cfg.pole_inverse(k))
+                     for x, k in parts])
+    assert (got.terms, got.prec) == (want.terms, want.prec)
+
+
+# -- alpha_i u^(q^i), once per argument ---------------------------------------
+
+
+def test_exp_products_kept_per_argument(ctx3):
+    """The poles and every later ladder over u read one list of products,
+    matched by identity; the last _PRODUCT_MEMO arguments keep theirs."""
+    cfg = ctx3.cfg
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    alphas = rho.exp_coeffs(12)
+    us = [cfg.theta(-1), cfg.theta(-2), cfg.theta(-1) + cfg.theta(-3),
+          cfg.from_int(2)]
+    first = rho.exp_products(us[0], 4)
+    for i, x in enumerate(first):
+        want = alphas[i] * us[0].frobenius(i)
+        assert (x.terms, x.prec) == (want.terms, want.prec)
+    # a longer request extends the kept list; both are copies of it
+    longer = rho.exp_products(us[0], 8)
+    assert all(a is b for a, b in zip(first, longer))
+    longer.clear()
+    assert len(rho.exp_products(us[0], 8)) == 8
+    # an equal value that is another object is another argument
+    twin = cfg.theta(-1)
+    assert rho.exp_products(twin, 1)[0] is not first[0]
+    # the oldest argument goes once _PRODUCT_MEMO others come after it
+    for u in us[1:]:
+        rho.exp_products(u, 2)
+    assert len(rho._products) == drinfeld._PRODUCT_MEMO
+    assert rho._kept_products(us[0]) == []
+    assert len(rho._kept_products(us[-1])) == 2
+    # the poles of a generating function are the kept products, and a
+    # ladder over its argument, which reads them, gives what a module
+    # without them gives
+    f = AndersonGF(rho, us[1])
+    kept = rho._kept_products(us[1])
+    assert all(a is b for a, b in zip(f.numerators, kept))
+    fresh = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    got = f.series(16)
+    want = fresh._exp_levels(us[1], [(j + 1) * cfg.e for j in range(16)])
+    assert [(c.terms, c.prec) for c in got.coeffs] == \
+        [(c.terms, c.prec) for c in want]

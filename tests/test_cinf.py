@@ -482,19 +482,111 @@ def _dot_case(cfg):
 
 
 @pytest.mark.parametrize("cfg", _DOT_CFGS, ids=["F9", "F625", "F81-s2"])
-def test_dot_matches_summed_dense_reference(cfg):
+def test_dot_matches_summed_dense_reference(cfg, monkeypatch):
     @_ORACLE
     @given(case=_dot_case(cfg))
     def check(case):
         pairs, cap = case
-        got = cinf.dot(cfg, pairs, cap)
-        assert _as_pair(got) == _ref_dot(pairs, cap)
-        assert all(c for c in got.terms.values())
-        if len(pairs) == 1:
-            a, b = pairs[0]
-            assert _as_pair(a * b) == _ref_dot(pairs)
+        # cutoff 0 sends every pair of two multi-term operands to the
+        # packed product, INF sends none to it
+        for cutoff in (0, INF):
+            monkeypatch.setattr(cinf, "_PACK_MIN", cutoff)
+            got = cinf.dot(cfg, pairs, cap)
+            assert _as_pair(got) == _ref_dot(pairs, cap)
+            assert all(c for c in got.terms.values())
+            if len(pairs) == 1:
+                a, b = pairs[0]
+                assert _as_pair(a * b) == _ref_dot(pairs)
 
     check()
+
+
+# F_625 as F_25[x]/(f): n = s*m = 4 digits, a digit product at most 16, so
+# one pair's slots reach min(len a, len b) * 64: 8-bit slots up to three
+# terms, 16-bit slots from four
+_EDGE_CFG = FieldConfig(5, 2, 2, depth=0, prec=60)
+
+
+def test_packed_slots_at_the_bound_edge(monkeypatch):
+    """Dense operands whose every digit is p - 1 fill the middle slot of
+    an aligned product to the bound exactly; one to three pairs of three to
+    five terms cross from 8-bit to 16-bit slots, some strided, some cut."""
+    monkeypatch.setattr(cinf, "_PACK_MIN", 0)
+    cfg = _EDGE_CFG
+    top = cfg.field.size - 1  # every digit 4
+
+    def value(data):
+        n = data.draw(st.integers(3, 5))
+        lo = data.draw(st.integers(-10, 10))
+        step = data.draw(st.sampled_from([1, 1, 2, 3]))
+        codes = data.draw(st.lists(st.sampled_from([top, top, top, 1]),
+                                   min_size=n, max_size=n))
+        prec = data.draw(st.one_of(st.just(INF), st.integers(0, 60)))
+        return CInfApprox(cfg, {lo + step * i: c for i, c in enumerate(codes)},
+                          prec)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        pairs = [(value(data), value(data))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        cap = data.draw(st.one_of(st.just(INF), st.integers(-20, 80)))
+        assert _as_pair(cinf.dot(cfg, pairs, cap)) == _ref_dot(pairs, cap)
+
+    check()
+
+
+def test_packed_slot_bound_falls_back_past_16_bits(monkeypatch):
+    """Past 16 bits the packed product declines and the loop forms the
+    pairs; just below it the packed product agrees with the loop."""
+    from drinfeldlab import packed
+    cfg = _EDGE_CFG
+    top = cfg.field.size - 1
+    x = CInfApprox(cfg, {i: top for i in range(128)}, INF)
+    y = CInfApprox(cfg, {i: top for i in range(127)}, INF)
+    F = cfg.field
+    # 8 * 128 * 64 = 65536 needs 17 bits; 7 * 128 + 127 = 1023 pairs fit
+    assert packed.dense_sum(F, [(x, x)] * 8, INF) is None
+    fits = [(x, x)] * 7 + [(y, x)]
+    got = packed.dense_sum(F, fits, INF)
+    monkeypatch.setattr(cinf, "_PACK_MIN", INF)
+    want = cinf.dot(cfg, fits)
+    assert got == want.terms
+    monkeypatch.setattr(cinf, "_PACK_MIN", 0)
+    assert _as_pair(cinf.dot(cfg, [(x, x)] * 8)) == _as_pair(
+        cinf.dot(cfg, [(x, x)] * 4 + [(-x, x)] * 4 + [(x, x)] * 8))
+
+
+def test_monomial_sums_first_pass_cases():
+    """A sum of monomial pairs alone is written as codes: its longest pass
+    first, as a copy, a shift, a cut or a scaling, the others merged
+    through the Zech logarithms."""
+    cfg = _DOT_CFGS[1]
+    F = cfg.field
+    long = CInfApprox(cfg, {i: 1 + (7 * i) % (F.size - 1) for i in range(40)},
+                      50)
+    short = CInfApprox(cfg, {3: 5, 9: 7}, INF)
+    one, th = cfg.one(), cfg.monomial(4)
+    two = cfg.from_coeff(2)
+    cut_one = CInfApprox(cfg, {0: 1}, 20)
+    zero, dust = cfg.zero(INF), cfg.zero(30)
+    cases = [
+        [(one, long)],                      # a copy
+        [(long, th)],                       # a shift
+        [(cut_one, long)],                  # a cut: prec 20 < 50
+        [(two, long), (short, one)],        # a scaling, then a merge
+        [(one, long), (th, short), (zero, long), (long, zero)],
+        [(one, long), (cfg.from_coeff(F.neg(1)), long)],  # full cancellation
+        [(one, short), (th, long), (dust, one)],
+        [(zero, short)],                    # exact zeros only
+    ]
+    for pairs in cases:
+        for cap in (INF, 25, -5):
+            got = cinf.dot(cfg, pairs, cap)
+            assert _as_pair(got) == _ref_dot(pairs, cap)
+    assert _as_pair(cinf.dot(cfg, cases[5])) == ({}, 50)
+    assert _as_pair(cinf.dot(cfg, cases[7])) == ({}, INF)
 
 
 def test_dot_precision_cases():
@@ -524,8 +616,12 @@ def test_dot_precision_cases():
 
 
 @pytest.mark.parametrize("cfg", [CFG_SHORT, FieldConfig(3, 1, 4, e=72, prec=480),
-                                 FieldConfig(5, 1, 4, e=600, prec=240)])
+                                 FieldConfig(5, 1, 4, e=600, prec=240),
+                                 FieldConfig(3, 2, 2, depth=0, prec=60),
+                                 FieldConfig(3, 1, 2, e=36, prec=60,
+                                             rel_prec=333)])
 def test_pole_inverse_table(cfg):
+    # the closed-form series against Newton inversion of theta^(q^k) - theta
     th = cfg.theta()
     for k in (3, 1, 6, 2):
         got = cfg.pole_inverse(k)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
+from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
 from drinfeldlab.drinfeld import DrinfeldModule, Lattice
 from drinfeldlab.errors import (ConfigError, PrecisionExhausted,
                                 ResidueFieldTooSmall)
@@ -367,3 +367,62 @@ def test_lattice_carries_its_certified_bracket(ctx3, monkeypatch):
 
     monkeypatch.setattr(DrinfeldModule, "legendre_bracket", recomputed)
     assert mot.legendre_invariant() == li
+
+
+# -- Omega's factor steps, kept as discrete logs, against the stepwise dots --
+
+_TIMES_CFGS = {3: FieldConfig(3, 1, 2, prec=60),
+               5: FieldConfig(5, 1, 2, prec=40)}
+_TIMES_OMEGAS = {}
+
+
+def _times_stepwise(om, a, c, T):
+    """(c Omega) * a as OmegaData.times formed it one dot per coefficient
+    and factor step, each converted back to codes."""
+    cfg = om.cfg
+    one = cfg.one()
+    g = list(a.coeffs)
+    if a.tail == INF:
+        g += [cfg.zero(INF)] * om.I
+    for r in om.roots:
+        g = g[:1] + [dot(cfg, ((one, x), (r, y))) for x, y in zip(g[1:], g)]
+    scale = c * om.prefactor
+    _, tail, _ = om.product.scale(c)._product(a)
+    return TSeries(cfg, [scale * x for x in g], tail).truncate(T)
+
+
+def _series_case(p):
+    cfg = _TIMES_CFGS[p]
+    size = cfg.field.size
+    e = cfg.e
+    terms = st.dictionaries(st.integers(-2 * e, 6 * e),
+                            st.integers(1, size - 1), max_size=12)
+    # exact values, finite precisions and zeros to precision
+    coeff = st.builds(lambda t, prec: CInfApprox(cfg, t, prec), terms,
+                      st.one_of(st.just(INF), st.integers(-e, 8 * e)))
+    tail = st.one_of(st.none(), st.just(INF), st.integers(-e, 8 * e))
+    series = st.builds(lambda cs, t: TSeries(cfg, cs, t),
+                       st.lists(coeff, max_size=8), tail)
+    xi = xi_constant(cfg)
+    scalar = st.one_of(st.sampled_from([xi, -xi]), st.builds(
+        lambda k, c: cfg.monomial(k, c), st.integers(-2 * e, 2 * e),
+        st.integers(1, size - 1)))
+    return st.tuples(st.just(cfg), st.integers(1, 4), series, scalar,
+                     st.integers(1, 10))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=st.one_of(_series_case(3), _series_case(5)))
+def test_omega_times_matches_stepwise_dot(case):
+    """times keeps every coefficient as discrete logs through the I factor
+    steps, each step cut at dot's own precision rule, and converts once:
+    the terms, precisions, length and tail are the stepwise dots'."""
+    cfg, I, a, c, T = case
+    om = _TIMES_OMEGAS.get((cfg.p, I))
+    if om is None:
+        om = _TIMES_OMEGAS[cfg.p, I] = OmegaData(cfg, I=I)
+    got = om.times(a, c, T)
+    want = _times_stepwise(om, a, c, T)
+    assert got.tail == want.tail and got.T == want.T
+    assert [(x.terms, x.prec) for x in got.coeffs] == \
+        [(x.terms, x.prec) for x in want.coeffs]
