@@ -27,7 +27,7 @@ may share a generating function; two threads racing on the empty memo
 both compute the same pair.
 """
 
-from .cinf import INF, CInfApprox, dot
+from .cinf import INF, CInfApprox, _merge_logs, dot
 from .errors import ConfigError, PoleHit
 from .tseries import TSeries
 
@@ -174,10 +174,11 @@ def _pole_sum(cfg, parts, n):
     coefficient 1, so y = x/(theta^Q - theta) obeys
     y[E] = x[E - Q e] + y[E - (Q - 1) e]: a running sum along each class
     of exponents mod (Q - 1) e, one step per output exponent where the
-    product takes one per term pair.  The twist is read off x's terms:
-    exponents and discrete logs times q^n.  P is dot's rule over the pairs
-    (x^(q^n), pole_inverse(k)), read off the stored inverses' precisions
-    and valuations.  A term of the series that the stored inverse lacks
+    product takes one per term pair; each part's running sums are then
+    merged into the sum by one _merge_logs pass.  The twist is read off
+    x's terms: exponents and discrete logs times q^n.  P is dot's rule
+    over the pairs (x^(q^n), pole_inverse(k)), read off the stored
+    inverses' precisions and valuations.  A term of the series that the stored inverse lacks
     lies at or above its precision, so its products lie at or above
     prec(inverse) + v(x^(q^n)) >= P: the digits below P are the products'.
     """
@@ -198,11 +199,11 @@ def _pole_sum(cfg, parts, n):
         prec = int(prec)
     e = cfg.e
     out = {}
-    get = out.get
     for x, k in parts:
         q_k = cfg.q_powers(k)[k]
         shift, step = q_k * e, (q_k - 1) * e
         classes = {}
+        sums = []
         for ex, c in x.terms.items():
             ex = qn * ex + shift
             if ex < prec:
@@ -231,15 +232,7 @@ def _pole_sum(cfg, parts, n):
                     # the running sum is zero until the next source term
                     ex = src[at][0]
                     continue
-                now = get(ex)
-                if now is None:
-                    out[ex] = cur
-                else:
-                    z = zech[cur - now]
-                    if z is None:
-                        del out[ex]
-                    else:
-                        now += z
-                        out[ex] = now - order if now >= order else now
+                sums.append((ex, cur))
                 ex += step
+        _merge_logs(F, out, sums, 0, 0, prec)
     return CInfApprox._raw(cfg, {ex: exp[l] for ex, l in out.items()}, prec)

@@ -34,16 +34,19 @@ exp/log sums) hands its pairs to it in one call.  P is fixed first, and a
 pair then takes one of three paths:
 
 * a one-term operand c0 theta^(-e0/e) (a theta-monomial, a constant,
-  one()): one pass over the other operand's terms below P - e0, each
-  shifted by e0 and multiplied by c0 with one table lookup (none when
-  c0 = 1).  A sum of such pairs alone stays in codes: the longest pass is
-  a copy, shift or scaling, the others merge through the Zech logarithms;
+  one()): one _merge_codes pass over the other operand's terms below
+  P - e0, each shifted by e0 and multiplied by c0.  Every such pass goes
+  into one dict of codes, the longest first, which into an empty dict is
+  a copy, shift or scaling;
 * two operands of at least _PACK_MIN terms each: a packed big-int product
   (Kronecker substitution, packed.py), every such pair of the sum added as
   integers and unpacked once below P;
 * any other pair: a loop over discrete logs by exponent, the shorter
   operand outside, each inner run stopping at P, into one log accumulator
   that is converted to codes once.
+
+Field sums go through the Zech logarithms in _merge_codes (into codes) or
+_merge_logs (into discrete logs); only dot's pair loop inlines that step.
 
 All three form exactly the term pairs below P that the loop forms, so the
 digits and the precision do not depend on the path.  The cutoff
@@ -364,10 +367,8 @@ class CInfApprox:
     def _sum(self, other, negate):
         """self + other, or self - other when negate: the longer
         operand's terms below the precision (self's for a difference),
-        then the other's merged in one pass through the Zech logarithms."""
+        then the other's, times -1 for a difference, by _merge_codes."""
         self._check(other)
-        F = self.cfg.field
-        log, exp, zech, neg = F._log, F._exp, F._zech, F._neg
         prec = min(self.prec, other.prec)
         a, b = self, other
         if not negate and len(b.terms) > len(a.terms):
@@ -376,22 +377,10 @@ class CInfApprox:
             out = dict(a.terms)
         else:
             out = {e: c for e, c in a.terms.items() if e < prec}
-        get = out.get
-        for e, c in b.terms.items():
-            if e >= prec:
-                continue
-            if negate:
-                c = neg[c]
-            cur = get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                lc = log[cur]
-                z = zech[log[c] - lc]
-                if z is None:
-                    del out[e]
-                else:
-                    out[e] = exp[lc + z]
+        if b.terms:
+            F = self.cfg.field
+            out = _merge_codes(F, out, b.terms, 0,
+                               F._log[F._neg[1]] if negate else 0, prec)
         return CInfApprox._raw(self.cfg, out, prec)
 
     def __neg__(self):
@@ -416,12 +405,8 @@ class CInfApprox:
         if code == 1:
             return self
         F = self.cfg.field
-        log, exp = F._log, F._exp
-        k = log[code]
-        return CInfApprox._raw(self.cfg,
-                               {e: exp[log[c] + k]
-                                for e, c in self.terms.items()},
-                               self.prec)
+        return CInfApprox._raw(self.cfg, _merge_codes(
+            F, {}, self.terms, 0, F._log[code], INF), self.prec)
 
     def shift(self, k):
         """Multiply by the grid monomial of valuation k (exact).  Values
@@ -563,6 +548,63 @@ class CInfApprox:
         return "<%s | prec %s>" % (body, ptxt)
 
 
+def _merge_codes(F, out, terms, e0, l0, limit):
+    """Add c g^l0 theta^(-(e + e0)/e) for every e: c of terms with
+    e < limit (INF: no cut) into out, a dict of codes by exponent, and
+    return out; a sum that cancels deletes its exponent.  Into an empty
+    out the pass is one copy, shift or scaling into a new dict."""
+    log, exp = F._log, F._exp
+    if not out:
+        if l0:
+            return {e + e0: exp[log[c] + l0]
+                    for e, c in terms.items() if e < limit}
+        if e0 or limit != INF:
+            return {e + e0: c for e, c in terms.items() if e < limit}
+        return dict(terms)
+    zech = F._zech
+    get = out.get
+    for e, c in terms.items():
+        if e < limit:
+            e += e0
+            cur = get(e)
+            if cur is None:
+                out[e] = exp[log[c] + l0]
+            else:
+                lc = log[cur]
+                z = zech[log[c] + l0 - lc]
+                if z is None:
+                    del out[e]
+                else:
+                    out[e] = exp[lc + z]
+    return out
+
+
+def _merge_logs(F, out, items, e0, l0, limit):
+    """_merge_codes over discrete logs: add g^(l + l0) theta^(-(e + e0)/e)
+    for every (e, l) of items with e < limit into out, in place.  Every
+    log, stored or given, and l0 lie in [0, F.size - 1), the range of
+    F._log, so the tables index a sum or difference of two directly."""
+    zech = F._zech
+    order = F.size - 1
+    get = out.get
+    for e, l in items:
+        if e < limit:
+            e += e0
+            l += l0
+            if l >= order:
+                l -= order
+            cur = get(e)
+            if cur is None:
+                out[e] = l
+            else:
+                z = zech[l - cur]
+                if z is None:
+                    del out[e]
+                else:
+                    l = cur + z
+                    out[e] = l - order if l >= order else l
+
+
 def dot(cfg, pairs, cap=INF):
     """sum a * b over the (a, b) pairs of values over cfg, cut at cap.
 
@@ -580,13 +622,13 @@ def dot(cfg, pairs, cap=INF):
     * any other pair is one loop over discrete logs by exponent, the
       shorter operand outside, each inner run stopping at P.
 
-    A sum of monomial pairs alone (and packed pairs) is kept as codes:
-    the first pass is a copy, shift or scaling, later passes merge
-    through the Zech logarithms as CInfApprox._sum does.  A sum with
-    loop pairs keeps one accumulator of discrete logs and converts it
-    once.  Every path forms the same term pairs below P and the field sum
-    is exact and order-free, so the value is that of the products added
-    one by one and cut at P.  An empty sum is the exact zero.
+    The packed pairs and the monomial passes are summed as codes, the
+    passes by _merge_codes, the longest first.  Loop pairs, when any
+    remain, go on from that sum converted to discrete logs once, in one
+    log accumulator converted back once.  Every path forms the same term
+    pairs below P and the field sum is exact and order-free, so the value
+    is that of the products added one by one and cut at P.  An empty sum
+    is the exact zero.
     """
     prec = cap
     monos = []  # (e0, c0, other): a one-term operand c0 th^(-e0/e)
@@ -629,66 +671,25 @@ def dot(cfg, pairs, cap=INF):
             if terms is not None:
                 work = [(a, b) for a, b in work if len(a.terms) < _PACK_MIN
                         or len(b.terms) < _PACK_MIN]
-    if not work:
+    if monos:
+        if len(monos) > 1:
+            # the longest pass first: into an empty dict it is one copy
+            monos.sort(key=lambda m: len(m[2].terms), reverse=True)
         if terms is None:
-            if not monos:
-                return CInfApprox._raw(cfg, {}, prec)
-            # the longest pass first, written straight as codes
-            first = max(range(len(monos)),
-                        key=lambda i: len(monos[i][2].terms))
-            e0, c0, other = monos.pop(first)
-            limit = prec - e0
-            if c0 != 1:
-                l0 = log[c0]
-                terms = {e + e0: exp[log[c] + l0]
-                         for e, c in other.terms.items() if e < limit}
-            elif not e0 and other.prec <= limit:
-                terms = dict(other.terms)
-            else:
-                terms = {e + e0: c for e, c in other.terms.items()
-                         if e < limit}
-        get = terms.get
+            terms = {}
         for e0, c0, other in monos:
+            # a first pass with nothing to cut is a plain copy
             limit = prec - e0
-            l0 = log[c0]
-            for e, c in other.terms.items():
-                if e >= limit:
-                    continue
-                e += e0
-                cur = get(e)
-                if cur is None:
-                    terms[e] = exp[log[c] + l0]
-                else:
-                    lc = log[cur]
-                    z = zech[log[c] + l0 - lc]
-                    if z is None:
-                        del terms[e]
-                    else:
-                        terms[e] = exp[lc + z]
-        return CInfApprox._raw(cfg, terms, prec)
+            terms = _merge_codes(F, terms, other.terms, e0, log[c0],
+                                 limit if terms or other.prec > limit
+                                 else INF)
+    if not work:
+        return CInfApprox._raw(cfg, {} if terms is None else terms, prec)
     order = F.size - 1
     # out[e] is the discrete log of the coefficient, kept in [0, 2*order)
     # so that zech and exp (both stored twice over) index it directly
-    out = {} if terms is None else {e: log[c] for e, c in terms.items()}
+    out = {e: log[c] for e, c in terms.items()} if terms else {}
     get = out.get
-    for e0, c0, other in monos:
-        limit = prec - e0
-        l0 = log[c0]
-        for e, c in other.terms.items():
-            if e >= limit:
-                continue
-            e += e0
-            k = log[c] + l0
-            cur = get(e)
-            if cur is None:
-                out[e] = k
-            else:
-                z = zech[k - cur]
-                if z is None:
-                    del out[e]
-                else:
-                    k = cur + z
-                    out[e] = k - order if k >= order else k
     for a, b in work:
         ta, tb = a._log_terms(), b._log_terms()
         if len(ta) > len(tb):

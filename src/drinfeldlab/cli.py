@@ -270,6 +270,9 @@ _COMMANDS = {
     "suggest": cmd_suggest,
 }
 
+# the value flag each command cannot run without
+_NEEDS = {"exp-eval": "z", "log-eval": "z", "agf": "u", "extend": "alphas"}
+
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -306,6 +309,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        need = _NEEDS.get(args.command)
+        if need and getattr(args, need) is None:
+            raise ConfigError("%s needs --%s" % (args.command, need))
         if args.command == "suggest":
             payload = cmd_suggest(args, None, None)
         else:

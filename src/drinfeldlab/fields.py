@@ -382,13 +382,13 @@ class FiniteField:
         Returns a list of (root, multiplicity) in code order; suitable only
         for the tiny residual polynomials that appear in Newton-polygon
         work.  Each candidate z != 0 reads f(z) off the nonzero
-        coefficients alone, log c_i + i log z summed through the Zech
-        logarithms; a root's multiplicity comes from synthetic division.
+        coefficients alone, the terms g^(log c_i + i log z) summed by
+        add; a root's multiplicity comes from synthetic division.
         """
         coeffs = list(poly_trim(coeffs))
         if len(coeffs) < 2:
             return []
-        log, exp, zech = self._log, self._exp, self._zech
+        log, exp, add = self._log, self._exp, self.add
         order = self.size - 1
         terms = [(i, log[c]) for i, c in enumerate(coeffs) if c]
         roots = []
@@ -397,13 +397,7 @@ class FiniteField:
                 lz = log[z]
                 val = 0
                 for i, lc in terms:
-                    k = (lc + i * lz) % order
-                    if not val:
-                        val = exp[k]
-                    else:
-                        lv = log[val]
-                        d = zech[k - lv]
-                        val = 0 if d is None else exp[lv + d]
+                    val = add(val, exp[(lc + i * lz) % order])
             else:
                 val = coeffs[0]
             if val:

@@ -16,7 +16,7 @@ transcendence.
 
 from .agf import AndersonGF
 from .cinf import INF, dot
-from .errors import VerificationFailed
+from .errors import ConfigError, VerificationFailed
 from .motive import difference_residual
 from .tseries import TMatrix, TSeries
 
@@ -31,14 +31,14 @@ class LogPoint:
 
 
 def make_log_point(module, lam=None, alpha=None):
-    """Build a verified LogPoint from either coordinate.
+    """Build a verified LogPoint from exactly one of lam, alpha.
 
     Lifting from alpha uses the certified logarithm disc and may raise
     DivergentEvaluation; either way the defining identity is re-checked.
     """
     cfg = module.cfg
     if (lam is None) == (alpha is None):
-        raise VerificationFailed("give exactly one of lambda, alpha")
+        raise ConfigError("give exactly one of lambda, alpha")
     if lam is not None:
         alpha = module.exp_eval(lam)
         provenance = "given-lambda"

@@ -28,7 +28,7 @@ Kronecker square, its determinant and the block systems alike.
 """
 
 from .agf import AndersonGF
-from .cinf import INF, CInfApprox
+from .cinf import INF, CInfApprox, _merge_logs
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
 from .tseries import TMatrix, TSeries
@@ -98,12 +98,13 @@ class OmegaData:
         tail as the product with the expanded series of c Omega, but the
         cancellation among the factors happens as early as it can.  Every
         coefficient stays a dict of discrete logs through all I steps and
-        is converted to codes once, with c * prefactor folded in.
+        is converted to codes once, then multiplied by c * prefactor
+        (dot's monomial pass when that is one term).
 
         Each step is dot's sum over the pairs (1, g_k) and (r_i, g_(k-1)),
         formed as dot forms it: its precision is dot's rule for those
         pairs, P = min(prec g_k, prec g_(k-1) + v(r_i)), and only the terms
-        below P are merged, through the Zech logarithms.  Keeping dot's
+        below P are merged, by one _merge_logs pass.  Keeping dot's
         rule at every step keeps the value and precision of the stepwise
         dots, and those compose to the dense rule, min over j of
         prec(a_(k-j)) + v(c * prefactor) + (q + ... + q^j) e, because the
@@ -113,8 +114,7 @@ class OmegaData:
         """
         cfg = self.cfg
         F = cfg.field
-        log, exp, zech = F._log, F._exp, F._zech
-        order = F.size - 1
+        log, exp = F._log, F._exp
         # (exponent -> discrete log, precision) of each coefficient
         g = [({e: log[x] for e, x in y.terms.items()}, y.prec)
              for y in a.coeffs]
@@ -131,41 +131,13 @@ class OmegaData:
                 P = min(xp, yp + s)
                 if P < xp:
                     acc = {e: l for e, l in acc.items() if e < P}
-                get = acc.get
-                limit = P - s
-                for e, l in yt.items():
-                    if e >= limit:
-                        continue
-                    e += s
-                    l += minus
-                    if l >= order:
-                        l -= order
-                    cur = get(e)
-                    if cur is None:
-                        acc[e] = l
-                    else:
-                        z = zech[l - cur]
-                        if z is None:
-                            del acc[e]
-                        else:
-                            l = cur + z
-                            acc[e] = l - order if l >= order else l
+                _merge_logs(F, acc, yt.items(), s, minus, P - s)
                 g[k] = (acc, P)
         scale = c * self.prefactor
         _, tail, _ = self.product.scale(c)._product(a)
-        if len(scale.terms) == 1:
-            # dot's lone monomial pair (scale, x): shifted, scaled, exact
-            # where x is
-            (e0, c0), = scale.terms.items()
-            l0 = log[c0]
-            coeffs = [CInfApprox._raw(cfg, {e + e0: exp[k + l0]
-                                            for e, k in t.items()},
-                                      P if P == INF else P + e0)
-                      for t, P in g]
-        else:
-            coeffs = [scale * CInfApprox._raw(cfg, {e: exp[k] for e, k in
-                                                    t.items()}, P)
-                      for t, P in g]
+        coeffs = [scale * CInfApprox._raw(cfg, {e: exp[k] for e, k in
+                                                t.items()}, P)
+                  for t, P in g]
         return TSeries(cfg, coeffs, tail).truncate(T)
 
     def tail_error(self):

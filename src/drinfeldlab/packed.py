@@ -221,16 +221,7 @@ def _split(terms, ways, rows, zero):
 
 def _add_runs(F, maps, chunk):
     """The code of one step whose slots span several residue maps."""
-    log, exp, zech = F._log, F._exp, F._zech
     code = 0
     for lo, hi, table in maps:
-        c = table[chunk[lo:hi]]
-        if not c:
-            continue
-        if not code:
-            code = c
-        else:
-            lc = log[code]
-            z = zech[log[c] - lc]
-            code = 0 if z is None else exp[lc + z]
+        code = F.add(code, table[chunk[lo:hi]])
     return code

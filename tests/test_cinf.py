@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.errors import (ConfigError, DivisionByApparentZero,
                                 GridTooCoarse, IndeterminateValuation,
                                 NoConvergence)
+from drinfeldlab.fields import FiniteField
 
 # q = 3 over F_9 with a short window, so dense quotients stay cheap
 CFG_SHORT = FieldConfig(3, 1, 2, e=18, prec=60)
@@ -610,6 +612,86 @@ def test_dot_precision_cases():
     # operands over a different grid are refused
     with pytest.raises(ConfigError):
         cinf.dot(cfg, [(a, FieldConfig(3, 1, 2, e=36).one())])
+
+
+# -- the two Zech merge helpers against the field's add and mul --------------
+
+
+def _check_merge_pair(F, x, y, l0):
+    """{e: x} merged into {e + e0: y} (y = 0: into an empty dict) at the
+    scale g^l0, against F.add(y, F.mul(x, g^l0)), uncut and cut."""
+    order = F.size - 1
+    log = F._log
+    e, e0 = 7, -3
+    want = F.add(y, F.mul(x, F._exp[l0]))
+    for limit in (INF, e + 1, e):
+        kept = want if limit > e else y
+        got = cinf._merge_codes(F, {e + e0: y} if y else {}, {e: x}, e0, l0,
+                                limit)
+        assert got == ({e + e0: kept} if kept else {})
+        logs = {e + e0: log[y]} if y else {}
+        cinf._merge_logs(F, logs, [(e, log[x])], e0, l0, limit)
+        assert logs == ({e + e0: log[kept]} if kept else {})
+        assert all(0 <= k < order for k in logs.values())
+
+
+def _check_merge_runs(F, rng):
+    """Many-term passes: every exponent shifted by e0 and cut at the
+    limit exactly, against a reference summed one term at a time."""
+    order = F.size - 1
+    log, exp = F._log, F._exp
+    for _ in range(60):
+        out = {e: rng.randrange(1, F.size) for e in rng.sample(range(40), 15)}
+        terms = {e: rng.randrange(1, F.size)
+                 for e in rng.sample(range(-10, 40), 20)}
+        e0, l0 = rng.randrange(-5, 6), rng.randrange(order)
+        limit = rng.choice([INF, rng.randrange(-10, 45)])
+        want = dict(out)
+        for e, c in terms.items():
+            if e < limit:
+                want[e + e0] = F.add(want.get(e + e0, 0),
+                                     F.mul(c, exp[l0]))
+        want = {e: c for e, c in want.items() if c}
+        assert cinf._merge_codes(F, dict(out), terms, e0, l0, limit) == want
+        logs = {e: log[c] for e, c in out.items()}
+        cinf._merge_logs(F, logs, [(e, log[c]) for e, c in terms.items()],
+                         e0, l0, limit)
+        assert logs == {e: log[c] for e, c in want.items()}
+        assert all(0 <= k < order for k in logs.values())
+
+
+@pytest.mark.parametrize("F", [FiniteField(3, 2, 1), FiniteField(2, 2, 2)],
+                         ids=["F9-s2", "F16-s2"])
+def test_merge_helpers_exhaustive(F):
+    order = F.size - 1
+    for x, y, l0 in itertools.product(range(1, F.size), range(F.size),
+                                      range(order)):
+        _check_merge_pair(F, x, y, l0)
+    # x = -y at l0 = 0 cancels: the exponent is deleted
+    for y in range(1, F.size):
+        assert cinf._merge_codes(F, {4: y}, {4: F.neg(y)}, 0, 0, INF) == {}
+    _check_merge_runs(F, random.Random(F.size))
+
+
+def test_merge_helpers_sampled_over_f625():
+    F = FiniteField(5, 1, 4)
+    rng = random.Random(625)
+    for _ in range(4000):
+        _check_merge_pair(F, rng.randrange(1, F.size), rng.randrange(F.size),
+                          rng.randrange(F.size - 1))
+    _check_merge_runs(F, rng)
+
+
+def test_merge_codes_into_an_empty_dict():
+    # a copy, a shift, a cut or a scaling; a new dict, never the input
+    F = FiniteField(3, 2, 1)
+    terms = {0: 1, 2: 5, 9: 3}
+    copy = cinf._merge_codes(F, {}, terms, 0, 0, INF)
+    assert copy == terms and copy is not terms
+    assert cinf._merge_codes(F, {}, terms, 4, 0, INF) == {4: 1, 6: 5, 13: 3}
+    assert cinf._merge_codes(F, {}, terms, 0, 0, 9) == {0: 1, 2: 5}
+    assert cinf._merge_codes(F, {}, terms, 1, 2, 3) == {
+        1: F._exp[2], 3: F.mul(5, F._exp[2])}
 
 
 # -- pole inverses, once per config ------------------------------------------

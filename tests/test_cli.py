@@ -340,6 +340,16 @@ def test_log_point_command(capsys):
     assert data["provenance"] == "lifted-from-alpha"
 
 
+@pytest.mark.parametrize("argv", [
+    ["exp-eval"], ["log-eval"], ["agf"], ["extend"], ["log-point"],
+    ["log-point", "--z", "theta^-1", "--alpha", "theta^-1"]],
+    ids=["exp-eval-z", "log-eval-z", "agf-u", "extend-alphas",
+         "log-point-neither", "log-point-both"])
+def test_missing_value_flag_is_a_config_error(capsys, argv):
+    # a usage error: exit 2 with one record, never a traceback or exit 4
+    _assert_config_error(capsys, argv + ["--q", "3"])
+
+
 def test_serialized_values_reparse(capsys, tmp_path):
     # round-trip: serialize a value, feed it back via @file
     code, out, _ = run_cli(capsys, "log-point", "--q", "3",

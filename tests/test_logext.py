@@ -4,7 +4,7 @@ import pytest
 
 from drinfeldlab.cinf import INF, FieldConfig
 from drinfeldlab.drinfeld import DrinfeldModule
-from drinfeldlab.errors import VerificationFailed
+from drinfeldlab.errors import ConfigError
 from drinfeldlab.logext import (ExtendedSystem, GVector, make_log_point,
                                 relation_certificate)
 from drinfeldlab.motive import MotiveMatrices
@@ -46,9 +46,10 @@ def test_log_point_periodicity(ctx3, point):
 
 
 def test_log_point_validation(ctx3):
-    with pytest.raises(VerificationFailed):
+    # neither or both coordinates is a usage error, not a failed check
+    with pytest.raises(ConfigError):
         make_log_point(ctx3.module)
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(ConfigError):
         make_log_point(ctx3.module, lam=ctx3.cfg.one(),
                        alpha=ctx3.cfg.one())
 
