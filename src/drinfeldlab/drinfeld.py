@@ -23,8 +23,10 @@ it.  Values exp(z/theta^k) at several k, the levels of a quasi-periodic
 function and the coefficients of an Anderson generating function, share one
 ladder: (z/theta^k)^{q^i} = z^{q^i} theta^{-q^i k}, so each product
 alpha_i z^{q^i} is formed once and every level reads it shifted.  A
-quasi-periodic function fixes its precision the same way, then evaluates
-each level only to the digits the sum keeps.
+quasi-periodic function fixes its precision the same way, then sums the
+shifted and twisted products of all its levels in one dot, keeping only
+the digits the sum needs.  The levels' tail floors are read off one lower
+envelope of the tail bound's lines per module, kind and start.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -41,6 +43,8 @@ growing one in place, so threads may share a module; two threads racing
 on an empty memo both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
 """
+
+from bisect import bisect_left
 
 from .cinf import INF, CInfApprox, dot
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
@@ -158,7 +162,7 @@ class DrinfeldModule:
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
         self._known = {"exp": [(INF, 0)], "log": [(INF, 0)]}
-        self._floors = {}  # (kind, vz, start) -> _tail_floor
+        self._envelopes = {}  # (kind, start) -> _tail_envelope
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
         self._products = {}  # id(u) -> (u, [alpha_i u^{q^i}])
@@ -255,34 +259,75 @@ class DrinfeldModule:
         vu + q^2 b_{i-2}) + q^i e, so once the scanned b's sit above the
         floor and q^i e alone outweighs the damage a floor-level pair can
         do, every later term stays above the floor by induction.  The
-        floor depends on the module, kind, vz and start only, so it is
-        kept per module.
-        """
-        key = (kind, vz, start)
-        floor = self._floors.get(key)
-        if floor is not None:
-            return floor
+        one-level case of _tail_floors."""
+        return self._tail_floors(kind, [vz], start)[0]
+
+    def _tail_floors(self, kind, vzs, start):
+        """[_tail_floor(kind, vz, start) for vz in vzs] in one pass: each
+        scanned minimum, over start < i <= start + _TAIL_SCAN, is read off
+        _tail_envelope by one bisection, and each floor keeps its own
+        stabilization check."""
+        lines, cuts = self._tail_envelope(kind, start)
         cfg = self.cfg
         q, e = cfg.q, cfg.e
         end = start + _TAIL_SCAN
-        bounds = self._coeff_vbounds(kind, end)
-        qi = cfg.q_powers(end)
-        floor = min([bounds[i] + qi[i] * vz for i in range(start + 1, end + 1)])
+        reach = cfg.q_powers(end)[end] * e
         vk, vu = self._vk, self._vu
-        if kind == "exp":
-            worst = min(vk + q * floor, vu + q * q * floor)
-            ok = worst + qi[end] * e >= floor
-        else:
-            # increments scale with q^i; nonnegative increment coefficients
-            # keep b_i >= min(b_{i-1}, b_{i-2}) >= floor forever
-            inc1 = vk + (q - 1) * vz + q * e
-            inc2 = vu + (q * q - 1) * vz + q * q * e
-            ok = inc1 >= 0 and inc2 >= 0
-        if not ok:
-            raise DivergentEvaluation(
-                "tail bound for %s evaluation did not stabilize" % kind)
-        self._floors[key] = floor
-        return floor
+        floors = []
+        for vz in vzs:
+            if lines:
+                slope, bound = lines[bisect_left(cuts, vz)]
+                floor = bound + slope * vz
+            else:
+                floor = INF
+            if kind == "exp":
+                ok = min(vk + q * floor, vu + q * q * floor) + reach >= floor
+            else:
+                # increments scale with q^i; nonnegative increment
+                # coefficients keep b_i >= min(b_{i-1}, b_{i-2}) >= floor
+                # forever
+                ok = (vk + (q - 1) * vz + q * e >= 0
+                      and vu + (q * q - 1) * vz + q * q * e >= 0)
+            if not ok:
+                raise DivergentEvaluation(
+                    "tail bound for %s evaluation did not stabilize" % kind)
+            floors.append(floor)
+        return floors
+
+    def _tail_envelope(self, kind, start):
+        """The lower envelope of the scanned lines vz -> bound_i + q^i vz,
+        start < i <= start + _TAIL_SCAN, as (lines, cuts): lines holds the
+        (q^i, bound_i) that reach the minimum somewhere, steepest first,
+        and line t is a lowest one for every integer vz with
+        cuts[t - 1] < vz <= cuts[t].  A line with an infinite bound never
+        does.  Line a lies at or below the shallower line b exactly for
+        vz <= (bound_b - bound_a) / (q^a - q^b), so the cuts are those
+        quotients rounded down; a line is dropped when its neighbours meet
+        at or before the point where it would leave the minimum.  Built
+        once per module, kind and start, and published by rebinding."""
+        key = (kind, start)
+        got = self._envelopes.get(key)
+        if got is not None:
+            return got
+        end = start + _TAIL_SCAN
+        bounds = self._coeff_vbounds(kind, end)
+        qi = self.cfg.q_powers(end)
+        lines = []
+        for i in range(end, start, -1):
+            s, b = qi[i], bounds[i]
+            if b == INF:
+                continue
+            while len(lines) >= 2:
+                (s1, b1), (s2, b2) = lines[-2], lines[-1]
+                if (b - b1) * (s1 - s2) > (b2 - b1) * (s1 - s):
+                    break
+                lines.pop()
+            lines.append((s, b))
+        cuts = [(b2 - b1) // (s1 - s2)
+                for (s1, b1), (s2, b2) in zip(lines, lines[1:])]
+        got = (lines, cuts)
+        self._envelopes = {**self._envelopes, key: got}
+        return got
 
     # -- evaluation ------------------------------------------------------------
 
@@ -356,17 +401,55 @@ class DrinfeldModule:
         got = self._products.get(id(u))
         return got[1] if got is not None and got[0] is u else []
 
-    def _exp_prec(self, vz, zprec):
-        """The precision exp_eval reaches on a nonzero z of valuation vz
-        and precision zprec."""
+    def _exp_precs(self, vz, zprec, shifts):
+        """[the precision exp_eval reaches on z.shift(k) for k in shifts],
+        for a nonzero z of valuation vz and precision zprec: one pass over
+        the levels, each reading its tail floor off _tail_envelope."""
         depth = self.cfg.exp_depth
-        return self._qlinear_prec(self._coeff_known("exp", depth), vz, zprec,
-                                  self._tail_floor("exp", vz, depth))
+        known = self._coeff_known("exp", depth)
+        floors = self._tail_floors("exp", [vz + k for k in shifts], depth)
+        return [self._qlinear_prec(known, vz + k, zprec + k, floor)
+                for k, floor in zip(shifts, floors)]
 
     def exp_eval(self, z):
         """exp(z); entire, so always certified.  The one-level case of
         _exp_levels."""
         return self._exp_levels(z, [0])[0]
+
+    def _ladder_plan(self, z, shifts, precs):
+        """The row plan of the levels exp(z.shift(k)) cut at R, for the
+        (k, R) of shifts and precs and a nonzero z: (plans, caps) with
+        plans[(k, R, rows)], rows those of _qlinear_rows at R, and caps[i]
+        the list of R - q^i k over the levels that keep row i, the digits
+        of p_i = alpha_i z^{q^i} each of them reads.  Every ladder, exp_eval
+        included, is planned here, and nothing is formed."""
+        depth = self.cfg.exp_depth
+        known = self._coeff_known("exp", depth)
+        qs = self.cfg.q_powers(depth)
+        vz = z.valuation()
+        plans = [(k, r, self._qlinear_rows(known, vz + k, r))
+                 for k, r in zip(shifts, precs)]
+        caps = {}
+        for k, r, rows in plans:
+            for i, _ in rows:
+                caps.setdefault(i, []).append(r - qs[i] * k)
+        return plans, caps
+
+    def _ladder_row(self, z, i, cap):
+        """p_i = alpha_i z^{q^i} capped at cap: the exp_products memo's p_i
+        cut there when z's products are kept, else formed from z cut to
+        the digits whose terms reach below cap.  Either has the full
+        product's digits below min(cap, its precision), and that is its
+        precision."""
+        products = self._kept_products(z)
+        if i < len(products):
+            return products[i].truncate(cap)
+        cfg = self.cfg
+        depth = cfg.exp_depth
+        digits = _digits(self._coeff_known("exp", depth)[i][1],
+                         cfg.q_powers(i)[i], cap)
+        return dot(cfg, [(self.exp_coeffs(depth)[i],
+                          z.truncate(digits).frobenius(i))], cap)
 
     def _exp_levels(self, z, shifts, precs=None):
         """[exp_eval(z.shift(k)) for k in shifts] in terms and precision,
@@ -376,49 +459,27 @@ class DrinfeldModule:
 
         Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
         sum_i p_i theta^{-q^i k/e} with p_i = alpha_i z^{q^i}.  Precision
-        first: each level has its R, _exp_prec unless precs gives it, and
-        its rows are those of _qlinear_rows at R.  A row that several
-        levels keep is formed once, as p_i capped at C_i = max(R - q^i k)
-        over those levels, and each of them reads it through the pair
+        first: each level has its R, _exp_precs unless precs gives it, and
+        its rows are those of _ladder_plan.  A row that several levels keep
+        is formed once, as p_i capped at C_i = max(R - q^i k) over those
+        levels (_ladder_row), and each of them reads it through the pair
         (p_i, theta^{-q^i k/e}); a row that one level keeps goes into that
         level's sum as exp_eval forms it.  Each level is one dot capped at
         its R, so it holds exactly the term pairs of exp_eval below R: p_i
         shifted by q^i k is known to C_i + q^i k >= R and to the precision
-        of the product exp_eval forms, which is at least R.  When z's full
-        products are in the exp_products memo (z is the argument of a
-        generating function), a shared row is the memo's p_i cut at C_i:
-        z is cut to the digits whose terms reach below C_i, so the capped
-        product has the full one's digits below min(C_i, its precision),
-        and that is its precision.
+        of the product exp_eval forms, which is at least R.
         """
         cfg = self.cfg
         if z.is_apparent_zero():
             return [z.shift(k) for k in shifts]
         depth = cfg.exp_depth
         alphas = self.exp_coeffs(depth)
-        known = self._coeff_known("exp", depth)
         qs = cfg.q_powers(depth)
-        vz = z.valuation()
         if precs is None:
-            precs = [self._exp_prec(vz + k, z.prec + k) for k in shifts]
-        plans = [(k, r, self._qlinear_rows(known, vz + k, r))
-                 for k, r in zip(shifts, precs)]
-        caps = {}
-        if len(plans) > 1:
-            for k, r, rows in plans:
-                for i, _ in rows:
-                    caps.setdefault(i, []).append(r - qs[i] * k)
-        products = self._kept_products(z)
-        shared = {}
-        for i, cs in caps.items():
-            if len(cs) > 1:
-                cap = max(cs)
-                if i < len(products):
-                    shared[i] = products[i].truncate(cap)
-                    continue
-                digits = _digits(known[i][1], qs[i], cap)
-                shared[i] = dot(cfg, [(alphas[i],
-                                       z.truncate(digits).frobenius(i))], cap)
+            precs = self._exp_precs(z.valuation(), z.prec, shifts)
+        plans, caps = self._ladder_plan(z, shifts, precs)
+        shared = {i: self._ladder_row(z, i, max(cs))
+                  for i, cs in caps.items() if len(cs) > 1}
         return [dot(cfg, [
             (shared[i], cfg.monomial(qs[i] * k)) if i in shared
             else (alphas[i], z.truncate(digits - k).shift(k).frobenius(i))
@@ -652,14 +713,32 @@ class DrinfeldModule:
         theta^j d_k w_j^{q^k} has precision
         min(prec(d_k) + q^k v(w_j), q^k R_j + v(d_k)) - je, so the result
         precision P (the floor or the lowest term precision) is known before
-        any product.  Each level is then evaluated only to
+        any product.  Level j is needed only to
         c_j = min(R_j, max_k ceil((P + je - v(d_k)) / q^k)) digits, the
-        fewest that keep every term at or above P: all levels come from one
-        _exp_levels ladder, each cut at its c_j.  The cut falls on the
-        value, not on the argument, so no level loses a digit below c_j.  An
-        inexact d_k needs v(w_j) too, which is read off the cut level.  The
-        digits below P are those of the uncut sum, so the value does not
-        depend on the cuts.
+        fewest that keep every term at or above P: q^k c_j + v(d_k) - je
+        >= P for every k.
+
+        With every d_k exact the value is one sum.  Level j is
+        sum_i p_i theta^{-q^i (j+1)}, p_i = alpha_i lam^{q^i}, over the rows
+        i that _ladder_plan keeps at c_j, so
+        theta^j d_k w_j^{q^k} = sum_i (d_k theta^j theta^{-q^{i+k} (j+1)})
+        * p_i^{q^k}, and every such pair goes into one dot capped at P.
+        Each row is formed once, capped at the largest c_j - q^i (j+1)e of
+        its levels (_ladder_row), and twisted once per d_k.  The sum is
+        exact below P by the cut argument: a row _ladder_plan drops has its
+        lowest term at or above c_j, the tail past exp_depth lies at or
+        above R_j >= c_j, and a digit of a row at or above c_j after its
+        level's shift, like a digit of w_j there, lands at or above
+        q^k c_j + v(d_k) - je >= P; every pair is known to
+        q^k c_j + v(d_k) - je or beyond, so dot's precision is P.  The
+        digits below P are those of the uncut sum.
+
+        An inexact d_k keeps the level path: its term precision
+        prec(d_k) + q^k v(w_j) - je reads the valuation of the level value,
+        which only the formed level has (its lowest term may cancel among
+        rows).  So each level comes from one _exp_levels ladder, cut at c_j:
+        a cut level that keeps a term has the uncut leading term, and one
+        without terms lies at or above c_j.
         """
         cfg = self.cfg
         memo = None
@@ -685,31 +764,44 @@ class DrinfeldModule:
                 0 if dmin == INF else -((base - target) // step))
         floor = base + J * step
         count = J + 1
-        ds = [(q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
+        ds = [(k, q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
               if not d.is_exact_zero()]
         # precision first: R_j of each level, then P, from valuations only;
         # level j's argument lam/theta^{j+1} has valuation vlam + (j+1)e and
         # precision prec(lam) + (j+1)e
         shifts = [(j + 1) * e for j in range(count)]
-        rs = [self._exp_prec(vlam + k, lam.prec + k) for k in shifts]
+        rs = self._exp_precs(vlam, lam.prec, shifts)
         prec = min([floor] + [qk * r + d.vbound() - j * e
-                              for j, r in enumerate(rs) for qk, d in ds])
-        # then digits: each level only to the c_j its terms need, all from
-        # one ladder
+                              for j, r in enumerate(rs) for _, qk, d in ds])
+        # then digits: each level only to the c_j its terms need
         cuts = [min(r, max(-((d.vbound() - prec - j * e) // qk)
-                           for qk, d in ds)) for j, r in enumerate(rs)]
-        values = self._exp_levels(lam, shifts, cuts)
-        # an inexact d_k also needs v(w_j): a cut level that keeps a term
-        # has the uncut leading term; one without terms lies at or above
-        # c_j, where prec(d_k) + q^k c_j - je cannot fall below prec
-        prec = min([prec] + [d.prec + qk * w.vbound() - j * e
-                             for j, w in enumerate(values)
-                             for qk, d in ds if d.prec != INF])
-        # theta^j delta_t(w_j) = sum_k theta^j d_k w_j^(q^k), cut at P
-        value = dot(cfg, [(d.shift(-j * e), w.frobenius(k))
-                          for j, w in enumerate(values)
-                          for k, d in enumerate(delta.delta_t.coeffs)
-                          if not d.is_exact_zero()], prec)
+                           for _, qk, d in ds)) for j, r in enumerate(rs)]
+        if all(d.prec == INF for _, _, d in ds):
+            # one sum over the pairs (d_k theta^j theta^(-q^(i+k)(j+1)),
+            # p_i^(q^k)) of every level's rows
+            plans, caps = self._ladder_plan(lam, shifts, cuts)
+            qs = cfg.q_powers(cfg.exp_depth)
+            twisted = {}
+            for i, cs in caps.items():
+                row = self._ladder_row(lam, i, max(cs))
+                for k, _, _ in ds:
+                    twisted[i, k] = row.frobenius(k)
+            value = dot(cfg, [
+                (d.shift(qs[i] * qk * s - j * e), twisted[i, k])
+                for j, (s, _, rows) in enumerate(plans)
+                for i, _ in rows for k, qk, d in ds], prec)
+        else:
+            values = self._exp_levels(lam, shifts, cuts)
+            # an inexact d_k also needs v(w_j): a level without terms lies
+            # at or above c_j, where prec(d_k) + q^k c_j - je cannot fall
+            # below prec
+            prec = min([prec] + [d.prec + qk * w.vbound() - j * e
+                                 for j, w in enumerate(values)
+                                 for _, qk, d in ds if d.prec != INF])
+            # theta^j delta_t(w_j) = sum_k theta^j d_k w_j^(q^k), cut at P
+            value = dot(cfg, [(d.shift(-j * e), w.frobenius(k))
+                              for j, w in enumerate(values)
+                              for k, _, d in ds], prec)
         if memo is not None:
             memo.quasi_period = value
         return value

@@ -55,16 +55,36 @@ def make_log_point(module, lam=None, alpha=None):
 
 class GVector:
     """g = (-a, -b) for the twisted pair (a, b) of f_lambda, with its
-    pole-form backing, plus the inhomogeneity h = (alpha, 0)."""
+    pole-form backing, plus the inhomogeneity h = (alpha, 0).
+
+    The series pair g1, g2 is built on first read: the specialization at
+    t = theta reads the poles alone.  Like the generating function's pair
+    at theta, it is published by rebinding an attribute to the finished
+    pair, so threads may share a g-vector."""
 
     def __init__(self, motive, point):
         self.motive = motive
         self.point = point
         self.cfg = motive.cfg
         self.agf = AndersonGF(motive.module, point.lam)
-        a, b = self.agf.twisted_pair(motive.T)
-        self.g1 = -a
-        self.g2 = -b
+        self.agf._require_normalized()
+        self._series = None
+
+    @property
+    def g1(self):
+        return self._pair()[0]
+
+    @property
+    def g2(self):
+        return self._pair()[1]
+
+    def _pair(self):
+        pair = self._series
+        if pair is None:
+            a, b = self.agf.twisted_pair(self.motive.T)
+            pair = (-a, -b)
+            self._series = pair
+        return pair
 
     def at_theta(self):
         """(g1(theta), g2(theta)) by pole-aware evaluation."""

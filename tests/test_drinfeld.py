@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -413,15 +415,16 @@ def _encoded(values):
 
 
 def _count_exp_evals(monkeypatch):
-    # every exp evaluation, exp_eval's included, goes through the ladder
+    # every exp evaluation, exp_eval's and the quasi-period sum's included,
+    # is planned by the shared ladder planner
     calls = []
-    exp_levels = DrinfeldModule._exp_levels
+    plan = DrinfeldModule._ladder_plan
 
-    def counted(self, z, levels, precs=None):
+    def counted(self, z, levels, precs):
         calls.append((z, levels))
-        return exp_levels(self, z, levels, precs)
+        return plan(self, z, levels, precs)
 
-    monkeypatch.setattr(DrinfeldModule, "_exp_levels", counted)
+    monkeypatch.setattr(DrinfeldModule, "_ladder_plan", counted)
     return calls
 
 
@@ -971,6 +974,96 @@ def test_quasi_period_level_count_small_argument_condition():
         assert got.terms == want.terms and got.prec == want.prec, a
 
 
+def _exp_prec_scan(rho, vz, zprec):
+    """The precision exp_eval reaches on a nonzero z of valuation vz and
+    precision zprec, its tail floor from the 64-line scan; None where that
+    floor does not stabilize."""
+    depth = rho.cfg.exp_depth
+    floor = _tail_floor_formula(rho, "exp", vz, depth)
+    if floor is None:
+        return None
+    return rho._qlinear_prec(rho._coeff_known("exp", depth), vz, zprec, floor)
+
+
+def _quasi_period_levels(rho, lam, delta):
+    """F_delta(lam) level by level: every level w_j = exp(lam/theta^{j+1})
+    from one _exp_levels ladder cut at its c_j, then the sum of
+    theta^j d_k w_j^(q^k) cut at P, with P lowered for an inexact d_k by
+    prec(d_k) + q^k v(w_j) - je.  This was the library's evaluation for
+    every delta; the library keeps it for an inexact d_k only."""
+    cfg = rho.cfg
+    e, q = cfg.e, cfg.q
+    dmin = delta.min_coeff_valuation()
+    vlam = lam.valuation()
+    target = cfg.rel_prec + max(0, -vlam)
+    step = (q - 1) * e
+    base = -e + dmin + q * (vlam + 2 * e)
+    J = max(0, -((vlam + 2 * e) // e),
+            0 if dmin == INF else -((base - target) // step))
+    floor = base + J * step
+    ds = [(k, q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
+          if not d.is_exact_zero()]
+    shifts = [(j + 1) * e for j in range(J + 1)]
+    rs = [_exp_prec_scan(rho, vlam + k, lam.prec + k) for k in shifts]
+    prec = min([floor] + [qk * r + d.vbound() - j * e
+                          for j, r in enumerate(rs) for _, qk, d in ds])
+    cuts = [min(r, max(-((d.vbound() - prec - j * e) // qk)
+                       for _, qk, d in ds)) for j, r in enumerate(rs)]
+    values = rho._exp_levels(lam, shifts, cuts)
+    prec = min([prec] + [d.prec + qk * w.vbound() - j * e
+                         for j, w in enumerate(values)
+                         for _, qk, d in ds if d.prec != INF])
+    return dot(cfg, [(d.shift(-j * e), w.frobenius(k))
+                     for j, w in enumerate(values) for k, _, d in ds], prec)
+
+
+def _cm_module(prec):
+    data = json.loads((Path(__file__).parent / "data" / "cm_q3.json")
+                      .read_text())
+    data["prec"] = dict(data["prec"], valuation_terms=prec,
+                        rel_terms=4 * prec)
+    return decode_module(data)[1]
+
+
+_ONE_SUM_MODULES = {"q3": _q3_module, "q5-tame": _q5_module,
+                    "cm_q3": _cm_module}
+
+
+@pytest.mark.parametrize("prec", [240, 960, 1920])
+@pytest.mark.parametrize("name", sorted(_ONE_SUM_MODULES))
+def test_quasi_period_one_sum_matches_levels(name, prec, monkeypatch):
+    # tau and inner_one have exact coefficients and take the one sum; a
+    # tau-coefficient known to finite precision takes the level path.  Both
+    # equal the level-by-level sum in terms and precision, on the periods
+    # (the lattice's kept F_tau too) and a logarithm
+    rho = _ONE_SUM_MODULES[name](prec)
+    cfg = rho.cfg
+    lat = rho.periods()
+    point = make_log_point(rho, alpha=cfg.theta(-1))
+    inexact = Biderivation(SkewPoly(cfg, [
+        cfg.zero(INF), CInfApprox(cfg, {0: 1, cfg.e: 2}, cfg.rel_prec // 2),
+        cfg.one()]))
+    levels = []
+    exp_levels = DrinfeldModule._exp_levels
+
+    def counted(self, z, shifts, precs=None):
+        levels.append(z)
+        return exp_levels(self, z, shifts, precs)
+
+    monkeypatch.setattr(DrinfeldModule, "_exp_levels", counted)
+    for lam in (lat.omega1, lat.omega2, point.lam):
+        cases = [(None, lat), (Biderivation.tau(cfg), None),
+                 (Biderivation.inner_one(rho), None), (inexact, None)]
+        for delta, lattice in cases:
+            del levels[:]
+            got = rho.quasi_period_eval(lam, delta=delta, lattice=lattice)
+            assert bool(levels) == (delta is inexact)
+            want = _quasi_period_levels(rho, lam,
+                                        delta or Biderivation.tau(cfg))
+            assert got.terms == want.terms, (name, prec, lam, delta)
+            assert got.prec == want.prec, (name, prec, lam, delta)
+
+
 # The exp ladder against one exp_eval per level
 
 _LADDER_MODULES = {
@@ -1042,7 +1135,8 @@ def test_exp_levels_match_exp_eval(name, data):
     # exp_eval returns a cut argument without terms as it is
     kept = [(k, a) for k, a in zip(ks, args) if a.terms]
     if kept:
-        precs = [rho._exp_prec(a.valuation(), a.prec) for _, a in kept]
+        precs = [rho._exp_precs(a.valuation(), a.prec, [0])[0]
+                 for _, a in kept]
         assert _pairs(rho._exp_levels(z, [k for k, _ in kept], precs)) == \
             _pairs(_exp_reference(rho, a) for _, a in kept)
     lower = [w.prec - data.draw(st.integers(0, cfg.rel_prec)) for w in want]
@@ -1114,6 +1208,50 @@ def test_tail_floor_power_table_matches_formula():
                                 else:
                                     got = rho._tail_floor(kind, vz, start)
                                     assert got == want, (k, a, j, kind)
-                                    # the second call reads the kept floor
+                                    # the second call reads the kept
+                                    # envelope
                                     assert rho._tail_floor(
                                         kind, vz, start) == want
+
+
+_ENVELOPE_MODULES = dict(_LADDER_MODULES, **{
+    "cm_q3": lambda: _cm_module(240),
+    "carlitz-q3": _TORSION_CASES["carlitz-q3"],
+    "q3,pole_count=5": lambda: DrinfeldModule(
+        FieldConfig(3, 1, 4, e=72, pole_count=5), 2, 1, 1)})
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_ENVELOPE_MODULES)), data=st.data())
+def test_tail_envelope_matches_scan(name, data):
+    # the one-pass floors and exp precisions over increasing shifts equal
+    # those of the 64-line scan, for both kinds and every start the library
+    # passes: exp_depth (exp and log sums), -1 (the t-series tail) and
+    # I - 1 (a generating function's dropped poles); a floor that does not
+    # stabilize raises on both sides.  cm_q3 (kappa = 0) and Carlitz (u = 0)
+    # have lines with an infinite bound
+    if name not in _ladder_cache:
+        _ladder_cache[name] = _ENVELOPE_MODULES[name]()
+    rho = _ladder_cache[name]
+    cfg = rho.cfg
+    e, depth = cfg.e, cfg.exp_depth
+    vz = data.draw(st.integers(-80 * e, 40 * e))
+    zprec = data.draw(st.one_of(
+        st.just(INF), st.integers(vz + 1, vz + 1 + 2 * cfg.rel_prec)))
+    shifts = list(itertools.accumulate(data.draw(st.lists(
+        st.integers(0, 3 * e), min_size=1, max_size=8))))
+    vzs = [vz + k for k in shifts]
+    for kind in ("exp", "log"):
+        for start in (depth, -1, (cfg.pole_count or depth) - 1):
+            want = [_tail_floor_formula(rho, kind, v, start) for v in vzs]
+            if None in want:
+                with pytest.raises(DivergentEvaluation):
+                    rho._tail_floors(kind, vzs, start)
+            else:
+                assert rho._tail_floors(kind, vzs, start) == want
+    want = [_exp_prec_scan(rho, vz + k, zprec + k) for k in shifts]
+    if None in want:
+        with pytest.raises(DivergentEvaluation):
+            rho._exp_precs(vz, zprec, shifts)
+    else:
+        assert rho._exp_precs(vz, zprec, shifts) == want

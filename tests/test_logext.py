@@ -1,7 +1,11 @@
 import random
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 
+from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import INF, FieldConfig
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import ConfigError
@@ -60,6 +64,63 @@ def test_g_vector_specializations(ctx3, mot, point):
     thr = ctx3.cfg.pass_threshold()
     assert r1.is_zero_to(thr)
     assert r2.is_zero_to(thr)
+
+
+def _series_pair(gv):
+    return [[(c.terms, c.prec) for c in g.coeffs] + [g.tail]
+            for g in (gv.g1, gv.g2)]
+
+
+def test_g_vector_series_on_first_read(ctx3, mot, point, monkeypatch):
+    # the specialization reads the poles alone; g1 and g2, read afterwards,
+    # are the former eager pair -(kappa f^(1) + f^(2)), -f^(1), built once
+    calls = []
+    series = AndersonGF.series
+
+    def counted(self, T=None):
+        calls.append(T)
+        return series(self, T)
+
+    monkeypatch.setattr(AndersonGF, "series", counted)
+    gv = GVector(mot, point)
+    r1, r2 = gv.specialization_residuals()
+    thr = ctx3.cfg.pass_threshold()
+    assert r1.is_zero_to(thr) and r2.is_zero_to(thr)
+    assert not calls
+    g1, g2 = gv.g1, gv.g2
+    assert calls == [mot.T]
+    assert gv.g1 is g1 and gv.g2 is g2 and calls == [mot.T]
+    monkeypatch.undo()
+    a, b = AndersonGF(mot.module, point.lam).twisted_pair(mot.T)
+    for got, want in ((g1, -a), (g2, -b)):
+        assert got.T == want.T == mot.T and got.tail == want.tail
+        assert [(c.terms, c.prec) for c in got.coeffs] == \
+            [(c.terms, c.prec) for c in want.coeffs]
+    # a module that is not normalized is refused at construction, as before
+    raw = DrinfeldModule(ctx3.cfg, 2, ctx3.cfg.one(), ctx3.cfg.theta(-1))
+    with pytest.raises(ConfigError):
+        GVector(SimpleNamespace(module=raw, cfg=ctx3.cfg, T=4), point)
+
+
+def test_g_vector_series_thread_safe(mot, point):
+    # threads reading one fresh g-vector's series get the serial pair
+    want = _series_pair(GVector(mot, point))
+    shared = GVector(mot, point)
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(_series_pair(shared)))
+        for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(got == want for got in results)
 
 
 def test_g_vector_zero_point(ctx3, mot):
