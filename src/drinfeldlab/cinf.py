@@ -29,9 +29,11 @@ a computation never pays a truncation cost.
 
 ``dot`` is the one place where coefficient products are formed: a * b is
 the sum over the single pair (a, b), and every sum of products in the
-library (series and matrix products, twisted polynomials, the q-linear
-exp/log sums) hands its pairs to it in one call.  P is fixed first, and a
-pair then takes one of three paths:
+library (series and matrix products, twisted-polynomial evaluation, the
+q-linear exp/log sums) hands its pairs to it in one call.  The Ore product
+(skew.py) alone forms its pairs itself, by dot's rule, from twisted log
+terms that no value holds.  P is fixed first, and a pair then takes one of
+three paths:
 
 * a one-term operand c0 theta^(-e0/e) (a theta-monomial, a constant,
   one()): one _merge_codes pass over the other operand's terms below
@@ -500,9 +502,10 @@ class CInfApprox:
         """p^k-power map: termwise in characteristic p.
 
         For k < 0 every exponent must be divisible by p^|k| (the grid cannot
-        express p-th roots of arbitrary monomials).
+        express p-th roots of arbitrary monomials).  Values are immutable,
+        so a zero twist, or any twist of the exact zero, returns self.
         """
-        if k == 0:
+        if k == 0 or (not self.terms and self.prec == INF):
             return self
         frob = self.cfg.field.frob_table(k)
         if k > 0:

@@ -7,7 +7,7 @@ Ore's adjoint  sum a_i tau^i  ->  sum a_i^(-i) sigma^i  is the
 anti-isomorphism between them.
 """
 
-from .cinf import INF, dot
+from .cinf import INF, CInfApprox, _merge_logs, dot
 from .errors import ConfigError
 
 
@@ -70,20 +70,73 @@ class TwistedPoly:
                           [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
-        """Ore product: (a var^i)(b var^j) = a b^(q^(sign*i)) var^(i+j)."""
+        """Ore product: (a var^i)(b var^j) = a b^(q^(sign*i)) var^(i+j).
+
+        Coefficient d is dot's sum over the pairs (a_i, b_j^(q^(sign*i))),
+        i + j = d, formed in one pass and without the twisted values.  With
+        k = s*i, b_j's discrete-log terms (e, l) twist to (e p^k, l p^k)
+        under tau and to (e / p^k, l p^(-k)) under sigma, the log taken mod
+        |F*| and the sigma exponent divided exactly (else frob_p's
+        GridTooCoarse).  P_d is dot's rule on the twisted valuation and
+        precision, the sigma precision rounded up as frob_p rounds it; then
+        every a-term's pass over the twisted terms below P_d goes into the
+        degree's log dict by _merge_logs, converted to codes once."""
         self._compat(other)
         cfg = self.cfg
         if self.is_zero() or other.is_zero():
             return type(self)(cfg, [])
-        pairs = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        F = cfg.field
+        order = F.size - 1
+        p, s, sign = cfg.p, cfg.s, self.sign
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        precs = [INF] * n
+        passes = [[] for _ in range(n)]
+        bs = [(j, b, b._log_terms(), b.prec) for j, b in
+              enumerate(other.coeffs) if not b.is_exact_zero()]
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_exact_zero():
-                    continue
-                pairs[i + j].append((a, b.frobenius(self.sign * i)))
-        return type(self)(cfg, [dot(cfg, p) for p in pairs])
+            ta, va = a._log_terms(), a.vbound()
+            scale = p ** (s * i)
+            step = pow(p, sign * s * i % (s * cfg.m), order)
+            for j, b, tb, pb in bs:
+                if not i:
+                    tw = tb
+                elif sign > 0:
+                    tw = [(e * scale, l * step % order) for e, l in tb]
+                    pb = pb * scale
+                else:
+                    if any(e % scale for e in b.terms):
+                        b.frob_p(-s * i)  # raises frob_p's GridTooCoarse
+                    tw = [(e // scale, l * step % order) for e, l in tb]
+                    if pb != INF:
+                        pb = -(-pb // scale)
+                vb = tw[0][0] if tw else pb
+                d = i + j
+                precs[d] = min(precs[d], a.prec + vb, pb + va)
+                if ta and tw:
+                    passes[d].append((ta, tw))
+        # every twist is checked before the configs: a coarse twist raises
+        # GridTooCoarse even when the operands mix configs
+        for x in self.coeffs + other.coeffs:
+            if x.cfg is not cfg and not x.is_exact_zero() \
+                    and not cfg.same_as(x.cfg):
+                raise ConfigError("operands built over different FieldConfigs")
+        exp = F._exp
+        out = []
+        for prec, pairs in zip(precs, passes):
+            if prec != INF:
+                prec = int(prec)
+            logs = {}
+            for ta, tw in pairs:
+                for ea, la in ta:
+                    limit = prec - ea
+                    if limit <= tw[0][0]:
+                        break
+                    _merge_logs(F, logs, tw, ea, la, limit)
+            out.append(CInfApprox._raw(
+                cfg, {e: exp[l] for e, l in logs.items()}, prec))
+        return type(self)(cfg, out)
 
     def _compat(self, other):
         if not isinstance(other, TwistedPoly):

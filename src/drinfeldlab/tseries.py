@@ -86,15 +86,22 @@ class TSeries:
     def _product(self, other):
         """(length, tail, pairs) of self * other: pairs[k] lists the
         coefficient pairs (a_i, b_j), i + j = k, whose sum is coefficient
-        k.  The tail bounds every dropped coefficient: the products with a
-        dropped factor, and the known pairs a_i b_j with i + j >= length."""
+        k, by increasing i.  A pair with an exact-zero factor adds INF to
+        dot's precision and no terms, so it is left out.  The tail bounds
+        every dropped coefficient: the products with a dropped factor, and
+        the known pairs a_i b_j with i + j >= length."""
         self._compat(other)
         n = _out_len(self.T, self.tail, other.T, other.tail, conv=True)
-        a, b = self.coeffs[:n], other.coeffs[:n]
-        na, nb = len(a), len(b)
-        pairs = [[(a[i], b[k - i]) for i in range(max(0, k - nb + 1),
-                                                  min(na, k + 1))]
-                 for k in range(n)]
+        ys = [(j, y) for j, y in enumerate(other.coeffs[:n])
+              if not y.is_exact_zero()]
+        pairs = [[] for _ in range(n)]
+        for i, x in enumerate(self.coeffs[:n]):
+            if x.is_exact_zero():
+                continue
+            for j, y in ys:
+                if i + j >= n:
+                    break
+                pairs[i + j].append((x, y))
         tail = None
         if self.tail is not None and other.tail is not None:
             ta, tb = self.tail, other.tail

@@ -28,7 +28,7 @@ import threading
 import time
 
 from .agf import AndersonGF
-from .cinf import INF
+from .cinf import INF, CInfApprox
 from .drinfeld import (Biderivation, DrinfeldModule, Lattice,
                        compose_qlinear, verify_morphism)
 from .encoding import encode_valuation
@@ -292,13 +292,16 @@ def check_algebra(ctx):
     # Ore adjoint anti-homomorphism on 100 random pairs of degree <= 4
     rng = random.Random(_BATTERY_SEED)
     safe = cfg.q ** 8
+    F = cfg.field
     def rpoly():
+        # each coefficient c0 + c1 theta^(-x) from the draws c0, x, c1
         coeffs = []
         for _ in range(rng.randrange(1, 5) + 1):
-            c = cfg.from_coeff(rng.randrange(cfg.field.size)) \
-                + cfg.monomial(safe * rng.randrange(-1, 2),
-                               rng.randrange(cfg.field.size))
-            coeffs.append(c)
+            c0 = rng.randrange(F.size)
+            x = safe * rng.randrange(-1, 2)
+            c1 = rng.randrange(F.size)
+            terms = {0: F.add(c0, c1)} if x == 0 else {0: c0, x: c1}
+            coeffs.append(CInfApprox(cfg, terms))
         return SkewPoly(cfg, coeffs)
     worst = INF
     for _ in range(100):
@@ -351,9 +354,10 @@ def _groups():
     """The suite's jobs, each a sample context builder and the checks run
     on it in order, in two groups: q3, and q5-tame then q5-wild.  The table
     is read from this module's names on each run, so a wrapped or patched
-    check is the one that runs.  Warm, in process on a 2-core box (median
-    of 9), the jobs take 103, 100 and 12 ms, so the groups take 103 and
-    112 ms; q5-wild beside q3 would give 115 and 100."""
+    check is the one that runs.  Warm, in process under taskset -c 0 on a
+    2-core shared box (median of 36 runs: 4 processes of 9), the jobs take
+    55, 49 and 6 ms, so the groups take 55 and 56 ms; q5-wild beside q3
+    would give 61 and 49."""
     full = (check_omega_difference, check_carlitz_period, check_agf,
             check_periods_kernel, check_psi, check_legendre, check_log_layer,
             check_algebra)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drinfeldlab.cinf import INF
-from drinfeldlab.errors import ConfigError
+from drinfeldlab.cinf import INF, CInfApprox, FieldConfig
+from drinfeldlab.errors import ConfigError, DrinfeldLabError
 from drinfeldlab.skew import SigmaPoly, SkewPoly
 
 
@@ -153,21 +155,72 @@ def _same_poly(f, g):
         all(_same(a, b) for a, b in zip(f.coeffs, g.coeffs))
 
 
-def test_ore_products_match_reference_loops(cfg_small):
-    rng = random.Random(82)
-    scale = cfg_small.q ** 8
-    for _ in range(40):
-        f = _random_poly(cfg_small, rng, rng.randrange(0, 4), scale)
-        g = _random_poly(cfg_small, rng, rng.randrange(0, 4), scale)
-        if rng.randrange(2):
-            f = SkewPoly(cfg_small, [c.truncate(rng.randrange(-20, 200))
-                                     for c in f.coeffs])
-        x = cfg_small.theta(-1) + cfg_small.from_coeff(rng.randrange(9)) \
-            .truncate(rng.choice([INF, 150]))
-        assert _same_poly(f * g, _ref_ore_mul(f, g))
-        fa, ga = f.adjoint(), g.adjoint()
-        assert _same_poly(fa * ga, _ref_ore_mul(fa, ga))
-        assert _same(f(x), _ref_eval(f, x))
+def _ore_cfgs(cfg_small):
+    """cfg_small's F_9 (q = 3), F_625 (q = 5) and F_81 over q = 9 (s = 2),
+    each with a partner grid of twice the e, whose values the product must
+    refuse to mix with the first's."""
+    cfgs = [cfg_small, FieldConfig(5, 1, 4), FieldConfig(3, 2, 2)]
+    return [(cfg, FieldConfig(cfg.p, cfg.s, cfg.m, e=2 * cfg.e))
+            for cfg in cfgs]
+
+
+@st.composite
+def _ore_coeff(draw, cfg):
+    """An exact, finite-precision, zero-to-precision or exact-zero value.
+    Exponents are multiples of 1, p or q^3, so a sigma twist by up to 3
+    steps may or may not stay on the grid, and precisions fall anywhere,
+    so a sigma precision is often not a multiple of the twist."""
+    kind = draw(st.sampled_from(["exact", "finite", "zero-to-prec",
+                                 "exact-zero"]))
+    if kind == "exact-zero":
+        return cfg.zero(INF)
+    step = draw(st.sampled_from([1, cfg.p, cfg.q ** 3, cfg.q ** 3]))
+    prec = draw(st.integers(-4 * step, 8 * step))
+    if kind == "zero-to-prec":
+        return cfg.zero(prec)
+    terms = draw(st.dictionaries(st.integers(-3, 6).map(lambda k: k * step),
+                                 st.integers(1, cfg.field.size - 1),
+                                 min_size=1, max_size=4))
+    return CInfApprox(cfg, terms, INF if kind == "exact" else prec)
+
+
+def _outcome(fn):
+    """("ok", the value's (terms, prec) or the polynomial's class and
+    coefficients as (terms, prec)), or the error's class, message, hint
+    and needed_factor."""
+    try:
+        f = fn()
+    except DrinfeldLabError as exc:
+        return (type(exc), str(exc), exc.hint,
+                getattr(exc, "needed_factor", None))
+    if isinstance(f, CInfApprox):
+        return ("ok", f.terms, f.prec)
+    return ("ok", type(f), [(c.terms, c.prec) for c in f.coeffs])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_ore_products_match_reference_loops(cfg_small, data):
+    cfg, other = data.draw(st.sampled_from(_ore_cfgs(cfg_small)))
+    cls = data.draw(st.sampled_from([SkewPoly, SigmaPoly]))
+    f, g = [cls(cfg, data.draw(st.lists(_ore_coeff(cfg), min_size=1,
+                                        max_size=4)))
+            for _ in range(2)]
+    got = _outcome(lambda: f * g)
+    assert got == _outcome(lambda: _ref_ore_mul(f, g))
+    x = data.draw(_ore_coeff(cfg))
+    assert _outcome(lambda: f(x)) == _outcome(lambda: _ref_eval(f, x))
+    # g over a grid of twice the e: the twists come first, so a coarse
+    # twist still raises GridTooCoarse; else two nonzero operands raise
+    # ConfigError
+    g2 = cls(other, [CInfApprox(other, c.terms, c.prec) for c in g.coeffs])
+    mixed = _outcome(lambda: f * g2)
+    if got[0] != "ok":
+        assert mixed == got
+    elif f.is_zero() or g.is_zero():
+        assert mixed[0] == "ok"
+    else:
+        assert mixed[0] is ConfigError
 
 
 @pytest.mark.parametrize("name", ["ctx3", "ctx5"])

@@ -265,6 +265,50 @@ def test_products_match_reference_loops_random(cfg_small):
         _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
 
 
+def _exact_zero_series(cfg):
+    return TSeries.constant(cfg, cfg.zero(INF))
+
+
+def test_products_with_exact_zero_entries_match_reference_loops(cfg_small):
+    # whole exact-zero entries, as the block systems and the identity hold
+    # them: every pair through such an entry is left out of the product
+    rng = random.Random(83)
+
+    def entry():
+        if rng.randrange(3) == 0:
+            return _exact_zero_series(cfg_small)
+        return _mixed_series(cfg_small, rng)
+
+    for _ in range(200):
+        x, y = entry(), entry()
+        _assert_same_series(x * y, _ref_series_mul(x, y))
+    for n, k, m in [(2, 2, 2), (3, 3, 3), (1, 3, 2), (3, 1, 1)] * 15:
+        A = TMatrix([[entry() for _ in range(k)] for _ in range(n)])
+        B = TMatrix([[entry() for _ in range(m)] for _ in range(k)])
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+    zero = TMatrix([[_exact_zero_series(cfg_small)] * 2] * 2)
+    I = TMatrix.identity(cfg_small, 2)
+    for A, B in [(zero, zero), (zero, I), (I, I)]:
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+
+
+def test_frob_p_of_exact_zero_is_the_exact_zero(cfg_small):
+    # a padded exact polynomial twists its zeros without copying them: the
+    # value is the one the termwise copy gave, {} to precision INF
+    zero = cfg_small.zero(INF)
+    for k in range(-3, 4):
+        z = zero.frob_p(k)
+        assert z is zero and z.terms == {} and z.prec == INF
+        assert zero.frobenius(k) is zero
+    # a zero to precision still moves its precision, rounded up under an
+    # inverse twist
+    assert cfg_small.zero(10).frob_p(1).prec == 30
+    assert cfg_small.zero(10).frob_p(-1).prec == 4
+    padded = TSeries.from_poly(cfg_small, [cfg_small.theta()]).truncate(4)
+    _assert_same_series(padded.twist(2), TSeries(
+        cfg_small, [cfg_small.theta(9)] + [zero] * 3, INF))
+
+
 def test_product_tail_holds_the_dropped_pairs(cfg_small):
     # (1 + t)^2 over F_9 known to t^2 with tail 100: the dropped t^2
     # coefficient is 1, so the value at t = 1, 1 + 2 = 0 from the kept
@@ -291,4 +335,19 @@ def test_products_match_reference_loops_on_psi(name, request):
             _assert_same_series(scale * a, _ref_series_mul(scale, a))
     psi = TMatrix([[a.truncate(T) for a in r] for r in mot.psi.rows])
     for A, B in [(mot.phi.twist(1), psi.twist(1)), (psi, psi)]:
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+    # Phi (x) Phi against Psi (x) Psi, as the tensor-square residual forms
+    # them, and the block shape [[Phi, 0], [A, I]] of the log layer with
+    # A = (alpha, 0): whole exact-zero entries on both sides
+    cfg = mot.cfg
+    phi2, psi2 = mot.phi.kronecker(mot.phi), psi.kronecker(psi)
+    for A, B in [(phi2.twist(1), psi2.twist(1)), (phi2, phi2)]:
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+    zero, one = _exact_zero_series(cfg), TSeries.constant(cfg, cfg.one())
+    alpha = TSeries.constant(cfg, cfg.theta(-1))
+    block = TMatrix([r + [zero] for r in mot.phi.rows]
+                    + [[alpha, zero, one]])
+    lower = TMatrix([r + [zero] for r in psi.rows]
+                    + [[psi.rows[0][0], psi.rows[1][1], one]])
+    for A, B in [(block.twist(1), lower.twist(1)), (block, block)]:
         _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
