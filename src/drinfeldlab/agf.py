@@ -13,9 +13,10 @@ theta^(q^k) - theta, whose inverse has every coefficient 1, so dividing by
 it is a running sum (_pole_sum) rather than a product.  The t-power-series
 form (series, the one t-series path) exists for radius-1 work and takes
 its coefficients from the exp ladder (DrinfeldModule._exp_levels).  Both
-forms read the same products alpha_i u^(q^i), formed once per argument
-(DrinfeldModule.exp_products); the dual-representation oracle, which
-rebuilds the series from the I poles and their floor, lives in the tests.
+forms read the same products alpha_i u^(q^i): the generating function
+forms them once, as its numerators, and hands them to the ladder; the
+dual-representation oracle, which rebuilds the series from the I poles and
+their floor, lives in the tests.
 
 Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
@@ -41,7 +42,8 @@ class AndersonGF:
         if pole_count is None:
             pole_count = cfg.pole_count or cfg.exp_depth
         self.I = pole_count
-        self.numerators = module.exp_products(u, pole_count)
+        self.numerators = [alpha * u.frobenius(i) for i, alpha
+                           in enumerate(module.exp_coeffs(pole_count - 1))]
         self._pair_at_theta = None
 
     # -- the t-series -------------------------------------------------------------
@@ -50,12 +52,13 @@ class AndersonGF:
         """Truncated t-series from the defining coefficients, with a tail
         bound for the dropped ones.  Coefficient j is exp(u / theta^(j+1))
         as exp_eval gives it, in terms and precision; all T come from one
-        exp ladder over u."""
+        exp ladder over u, which cuts the numerators for its shared rows."""
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
-        coeffs = self.module._exp_levels(self.u, [(j + 1) * cfg.e
-                                                  for j in range(T)])
+        coeffs = self.module._exp_levels(
+            self.u, [(j + 1) * cfg.e for j in range(T)],
+            products=self.numerators)
         if self.u.is_exact_zero():
             return TSeries(cfg, coeffs, tail=INF)
         # v(exp(w)) >= min_i bound_i + q^i v(w); arguments only shrink with j
@@ -177,27 +180,25 @@ def _pole_sum(cfg, parts, n):
     product takes one per term pair; each part's running sums are then
     merged into the sum by one _merge_logs pass.  The twist is read off
     x's terms: exponents and discrete logs times q^n.  P is dot's rule
-    over the pairs (x^(q^n), pole_inverse(k)), read off the stored
-    inverses' precisions and valuations.  A term of the series that the stored inverse lacks
-    lies at or above its precision, so its products lie at or above
-    prec(inverse) + v(x^(q^n)) >= P: the digits below P are the products'.
+    over the pairs (x^(q^n), pole_inverse(k)), with the inverse's
+    valuation Q e and precision Q e + rel_prec as pole_inverse writes it.
+    A term of the series that pole_inverse lacks lies at or above its
+    precision, so its products lie at or above prec(inverse) + v(x^(q^n))
+    >= P: the digits below P are the products'.
     """
     F = cfg.field
     exp, log, zech = F._exp, F._log, F._zech
     order = F.size - 1
     qn = cfg.q_powers(n)[n]
+    e = cfg.e
     prec = INF
     for x, k in parts:
-        inv = cfg.pole_inverse(k)
-        vx, vi = qn * x.vbound(), inv.vbound()
-        p = qn * x.prec + vi
-        if inv.prec + vx < p:
-            p = inv.prec + vx
+        vx, vi = qn * x.vbound(), cfg.q_powers(k)[k] * e
+        p = min(qn * x.prec + vi, vi + cfg.rel_prec + vx)
         if p < prec:
             prec = p
     if prec != INF:
         prec = int(prec)
-    e = cfg.e
     out = {}
     for x, k in parts:
         q_k = cfg.q_powers(k)[k]

@@ -169,7 +169,6 @@ class FieldConfig:
         self.pole_count = pole_count
         self.tower_cap = tower_cap
         self._q_powers = [1]
-        self._pole_inverses = []
 
     def q_powers(self, n):
         """[q^0, ..., q^n] or a longer prefix of the same table; one table
@@ -190,24 +189,13 @@ class FieldConfig:
         With Q = q^k it is theta^(-Q) / (1 - theta^(1-Q)) =
         sum_(j >= 0) theta^(-Q - j(Q - 1)), every coefficient 1, written
         down to the precision inverse() gives an exact two-term divisor:
-        v + rel_prec, v = Q e.  Built once per config; the table is extended
-        on a copy published by rebinding.  It keeps (terms, prec), not
-        values: a value refers to its config, and that cycle would keep
-        each finished config, field tables and all, alive until the cycle
-        collector runs."""
+        v + rel_prec, v = Q e."""
         if k < 1:
             raise ConfigError("theta^(q^0) - theta is zero")
-        table = self._pole_inverses
-        if len(table) < k:
-            table = list(table)
-            while len(table) < k:
-                Q = self.q ** (len(table) + 1)
-                prec = Q * self.e + self.rel_prec
-                table.append((dict.fromkeys(
-                    range(Q * self.e, prec, (Q - 1) * self.e), 1), prec))
-            self._pole_inverses = table
-        terms, prec = table[k - 1]
-        return CInfApprox._raw(self, terms, prec)
+        v = self.q_powers(k)[k] * self.e
+        prec = v + self.rel_prec
+        return CInfApprox._raw(
+            self, dict.fromkeys(range(v, prec, v - self.e), 1), prec)
 
     def pass_threshold(self):
         """Grid valuation a residual must reach to count as zero."""

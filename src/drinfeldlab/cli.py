@@ -273,6 +273,9 @@ _COMMANDS = {
 # the value flag each command cannot run without
 _NEEDS = {"exp-eval": "z", "log-eval": "z", "agf": "u", "extend": "alphas"}
 
+# the flags that choose a config; verify runs its built-in samples only
+_SETUP_FLAGS = ("module", "q", "rank1", "prec_n", "prec_t")
+
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -312,6 +315,15 @@ def main(argv=None):
         need = _NEEDS.get(args.command)
         if need and getattr(args, need) is None:
             raise ConfigError("%s needs --%s" % (args.command, need))
+        if args.command == "verify":
+            # identity, not equality: --prec-n 0 is given, not False
+            given = [f for f in _SETUP_FLAGS
+                     if getattr(args, f) is not None
+                     and getattr(args, f) is not False]
+            if given:
+                raise ConfigError(
+                    "verify runs the built-in samples and takes no --%s"
+                    % given[0].replace("_", "-"))
         if args.command == "suggest":
             payload = cmd_suggest(args, None, None)
         else:

@@ -34,13 +34,10 @@ threads sharing a module never see a table that one of them is still
 growing.  All evaluations are pure.
 
 Derived values are computed once per module: the torsion points (full and
-partial), the period lattice of periods(), F_tau(omega) for each period
-of that lattice, and the products alpha_i u^{q^i} of the last few
-arguments u of an Anderson generating function (exp_products), which the
-generating function's poles and every later exp ladder over u read.  A
-memo is filled by rebinding an attribute to a finished value, never by
-growing one in place, so threads may share a module; two threads racing
-on an empty memo both compute the same value.  Memoized
+partial), the period lattice of periods() and F_tau(omega) for each period
+of that lattice.  A memo is filled by rebinding an attribute to a finished
+value, never by growing one in place, so threads may share a module; two
+threads racing on an empty memo both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
 """
 
@@ -55,10 +52,6 @@ from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
 # biderivations), so exp and log evaluation never load skew.py
 
 _TAIL_SCAN = 64
-
-# arguments whose products alpha_i u^{q^i} a module keeps: omega1, omega2
-# and a logarithm lambda, the three of one Psi chain
-_PRODUCT_MEMO = 3
 
 
 def _digits(vc, qi, prec):
@@ -161,11 +154,9 @@ class DrinfeldModule:
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
-        self._known = {"exp": [(INF, 0)], "log": [(INF, 0)]}
         self._envelopes = {}  # (kind, start) -> _tail_envelope
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
-        self._products = {}  # id(u) -> (u, [alpha_i u^{q^i}])
 
     # -- descriptor -----------------------------------------------------------
 
@@ -239,18 +230,6 @@ class DrinfeldModule:
                 out.append(min(c1, c2) + q ** i * e)
             self._vbounds = {**self._vbounds, kind: out}
         return out[:upto + 1]
-
-    def _coeff_known(self, kind, depth):
-        """_known of alpha_0..alpha_depth resp. beta_0..beta_depth, kept
-        beside the coefficient tables and extended like them, so that an
-        evaluation reads no coefficient's valuation."""
-        out = self._known[kind]
-        if len(out) <= depth:
-            table = (self.exp_coeffs if kind == "exp"
-                     else self.log_coeffs)(depth)
-            out = out + _known(table[len(out):])
-            self._known = {**self._known, kind: out}
-        return out[:depth + 1]
 
     def _tail_floor(self, kind, vz, start):
         """Certified floor for v(coefficient_i * z^{q^i}) over all i > start.
@@ -378,35 +357,12 @@ class DrinfeldModule:
         return dot(self.cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
                               for i, digits in rows], prec)
 
-    def exp_products(self, u, count):
-        """[alpha_i * u^{q^i} for i < count], the products an Anderson
-        generating function's poles and every exp ladder over u read.  They
-        are formed once per argument: the last _PRODUCT_MEMO arguments
-        keep theirs, matched by identity, in a memo published by
-        rebinding."""
-        have = self._kept_products(u)
-        if len(have) < count:
-            alphas = self.exp_coeffs(count - 1)
-            have = have + [alphas[i] * u.frobenius(i)
-                           for i in range(len(have), count)]
-            memo = {k: v for k, v in self._products.items() if k != id(u)}
-            while len(memo) >= _PRODUCT_MEMO:
-                del memo[next(iter(memo))]
-            memo[id(u)] = (u, have)
-            self._products = memo
-        return have[:count]
-
-    def _kept_products(self, u):
-        """u's products in the exp_products memo, or []."""
-        got = self._products.get(id(u))
-        return got[1] if got is not None and got[0] is u else []
-
     def _exp_precs(self, vz, zprec, shifts):
         """[the precision exp_eval reaches on z.shift(k) for k in shifts],
         for a nonzero z of valuation vz and precision zprec: one pass over
         the levels, each reading its tail floor off _tail_envelope."""
         depth = self.cfg.exp_depth
-        known = self._coeff_known("exp", depth)
+        known = _known(self.exp_coeffs(depth))
         floors = self._tail_floors("exp", [vz + k for k in shifts], depth)
         return [self._qlinear_prec(known, vz + k, zprec + k, floor)
                 for k, floor in zip(shifts, floors)]
@@ -424,7 +380,7 @@ class DrinfeldModule:
         of p_i = alpha_i z^{q^i} each of them reads.  Every ladder, exp_eval
         included, is planned here, and nothing is formed."""
         depth = self.cfg.exp_depth
-        known = self._coeff_known("exp", depth)
+        known = _known(self.exp_coeffs(depth))
         qs = self.cfg.q_powers(depth)
         vz = z.valuation()
         plans = [(k, r, self._qlinear_rows(known, vz + k, r))
@@ -435,27 +391,26 @@ class DrinfeldModule:
                 caps.setdefault(i, []).append(r - qs[i] * k)
         return plans, caps
 
-    def _ladder_row(self, z, i, cap):
-        """p_i = alpha_i z^{q^i} capped at cap: the exp_products memo's p_i
-        cut there when z's products are kept, else formed from z cut to
-        the digits whose terms reach below cap.  Either has the full
-        product's digits below min(cap, its precision), and that is its
-        precision."""
-        products = self._kept_products(z)
+    def _ladder_row(self, z, i, cap, products=()):
+        """p_i = alpha_i z^{q^i} capped at cap: products[i] cut there when
+        the caller holds z's full products (an Anderson generating
+        function's numerators), else formed from z cut to the digits whose
+        terms reach below cap.  Either has the full product's digits below
+        min(cap, its precision), and that is its precision."""
         if i < len(products):
             return products[i].truncate(cap)
         cfg = self.cfg
-        depth = cfg.exp_depth
-        digits = _digits(self._coeff_known("exp", depth)[i][1],
-                         cfg.q_powers(i)[i], cap)
-        return dot(cfg, [(self.exp_coeffs(depth)[i],
-                          z.truncate(digits).frobenius(i))], cap)
+        alpha = self.exp_coeffs(cfg.exp_depth)[i]
+        digits = _digits(alpha.vbound(), cfg.q_powers(i)[i], cap)
+        return dot(cfg, [(alpha, z.truncate(digits).frobenius(i))], cap)
 
-    def _exp_levels(self, z, shifts, precs=None):
+    def _exp_levels(self, z, shifts, precs=None, products=()):
         """[exp_eval(z.shift(k)) for k in shifts] in terms and precision,
         from one set of products alpha_i z^{q^i}.  precs, when given, holds
         for each level a precision R at most the one exp_eval reaches there;
-        the level is then exp_eval's value cut at R.
+        the level is then exp_eval's value cut at R.  products, when given,
+        holds the full products alpha_i z^{q^i} for the first rows, which
+        the shared rows then cut instead of forming (_ladder_row).
 
         Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
         sum_i p_i theta^{-q^i k/e} with p_i = alpha_i z^{q^i}.  Precision
@@ -478,7 +433,7 @@ class DrinfeldModule:
         if precs is None:
             precs = self._exp_precs(z.valuation(), z.prec, shifts)
         plans, caps = self._ladder_plan(z, shifts, precs)
-        shared = {i: self._ladder_row(z, i, max(cs))
+        shared = {i: self._ladder_row(z, i, max(cs), products)
                   for i, cs in caps.items() if len(cs) > 1}
         return [dot(cfg, [
             (shared[i], cfg.monomial(qs[i] * k)) if i in shared
@@ -519,8 +474,7 @@ class DrinfeldModule:
         depth = self.cfg.exp_depth
         return self._qlinear_sum(
             self.log_coeffs(depth), z,
-            self._tail_floor("log", z.valuation(), depth),
-            self._coeff_known("log", depth))
+            self._tail_floor("log", z.valuation(), depth))
 
     # -- torsion ---------------------------------------------------------------
 

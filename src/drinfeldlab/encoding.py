@@ -110,22 +110,23 @@ def encode_config(cfg):
     }
 
 
+# the FieldConfig arguments a descriptor holds at its top level, and its
+# prec block's keys with the arguments they name
+_CONFIG_KEYS = ("p", "s", "m", "modulus", "e", "depth", "allow_char2")
+_PREC_KEYS = {"valuation_terms": "prec", "rel_terms": "rel_prec",
+              "t_terms": "t_terms", "depth": "exp_depth",
+              "pole_count": "pole_count", "tower_cap": "tower_cap"}
+
+
 def decode_config(data):
+    """The FieldConfig of a descriptor: only the keys it holds are passed,
+    so a missing one takes FieldConfig's default."""
     _require(data, ("p",), "configuration")
     prec = data.get("prec", {})
     _require(prec, (), "'prec'")
-    return FieldConfig(
-        p=data["p"], s=data.get("s", 1), m=data.get("m", 1),
-        modulus=data.get("modulus"),
-        e=data.get("e"), depth=data.get("depth", 2),
-        prec=prec.get("valuation_terms", 240),
-        rel_prec=prec.get("rel_terms"),
-        t_terms=prec.get("t_terms", 32),
-        exp_depth=prec.get("depth", 12),
-        pole_count=prec.get("pole_count"),
-        tower_cap=prec.get("tower_cap", 12),
-        allow_char2=data.get("allow_char2", False),
-    )
+    kwargs = {k: data[k] for k in _CONFIG_KEYS if k in data}
+    kwargs.update((arg, prec[k]) for k, arg in _PREC_KEYS.items() if k in prec)
+    return FieldConfig(**kwargs)
 
 
 def encode_module(module):

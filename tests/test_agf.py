@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeldlab import drinfeld
 from drinfeldlab.agf import AndersonGF, _pole_sum
 from drinfeldlab.cinf import INF, CInfApprox, FieldConfig, dot
 from drinfeldlab.drinfeld import DrinfeldModule
@@ -321,7 +320,7 @@ _POLE_CFG = FieldConfig(3, 1, 2, e=18, prec=120)
 
 def test_pole_inverses_are_all_ones_geometric_series():
     """1/(theta^Q - theta) = sum_j theta^(-Q - j(Q - 1)), every coefficient
-    1: the series _pole_sum sums along, below each stored precision."""
+    1: the series _pole_sum sums along, below each written precision."""
     cfg = _POLE_CFG
     for k in (1, 2, 3):
         inv = cfg.pole_inverse(k)
@@ -355,7 +354,7 @@ def _pole_values():
        n=st.integers(0, 2))
 def test_pole_sum_matches_dot_with_pole_inverses(parts, n):
     """The running sums give the terms and precision of the products of
-    the twisted values with the stored pole inverses, summed by dot."""
+    the twisted values with the written pole inverses, summed by dot."""
     cfg = _POLE_CFG
     got = _pole_sum(cfg, parts, n)
     want = dot(cfg, [(x.frobenius(n), cfg.pole_inverse(k))
@@ -363,43 +362,24 @@ def test_pole_sum_matches_dot_with_pole_inverses(parts, n):
     assert (got.terms, got.prec) == (want.terms, want.prec)
 
 
-# -- alpha_i u^(q^i), once per argument ---------------------------------------
+# -- alpha_i u^(q^i), the numerators -----------------------------------------
 
 
-def test_exp_products_kept_per_argument(ctx3):
-    """The poles and every later ladder over u read one list of products,
-    matched by identity; the last _PRODUCT_MEMO arguments keep theirs."""
+def test_numerators_feed_the_series_ladder(ctx3):
+    """A generating function's numerators are alpha_i u^(q^i), and its
+    series, whose ladder cuts them for its shared rows, is what a module
+    that never saw u gives."""
     cfg = ctx3.cfg
     rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
-    alphas = rho.exp_coeffs(12)
-    us = [cfg.theta(-1), cfg.theta(-2), cfg.theta(-1) + cfg.theta(-3),
-          cfg.from_int(2)]
-    first = rho.exp_products(us[0], 4)
-    for i, x in enumerate(first):
-        want = alphas[i] * us[0].frobenius(i)
+    u = cfg.theta(-2)
+    f = AndersonGF(rho, u)
+    alphas = rho.exp_coeffs(f.I - 1)
+    assert len(f.numerators) == f.I
+    for i, x in enumerate(f.numerators):
+        want = alphas[i] * u.frobenius(i)
         assert (x.terms, x.prec) == (want.terms, want.prec)
-    # a longer request extends the kept list; both are copies of it
-    longer = rho.exp_products(us[0], 8)
-    assert all(a is b for a, b in zip(first, longer))
-    longer.clear()
-    assert len(rho.exp_products(us[0], 8)) == 8
-    # an equal value that is another object is another argument
-    twin = cfg.theta(-1)
-    assert rho.exp_products(twin, 1)[0] is not first[0]
-    # the oldest argument goes once _PRODUCT_MEMO others come after it
-    for u in us[1:]:
-        rho.exp_products(u, 2)
-    assert len(rho._products) == drinfeld._PRODUCT_MEMO
-    assert rho._kept_products(us[0]) == []
-    assert len(rho._kept_products(us[-1])) == 2
-    # the poles of a generating function are the kept products, and a
-    # ladder over its argument, which reads them, gives what a module
-    # without them gives
-    f = AndersonGF(rho, us[1])
-    kept = rho._kept_products(us[1])
-    assert all(a is b for a, b in zip(f.numerators, kept))
     fresh = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
     got = f.series(16)
-    want = fresh._exp_levels(us[1], [(j + 1) * cfg.e for j in range(16)])
+    want = fresh._exp_levels(u, [(j + 1) * cfg.e for j in range(16)])
     assert [(c.terms, c.prec) for c in got.coeffs] == \
         [(c.terms, c.prec) for c in want]

@@ -350,6 +350,16 @@ def test_missing_value_flag_is_a_config_error(capsys, argv):
     _assert_config_error(capsys, argv + ["--q", "3"])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--module", str(Path(__file__).parent / "data" / "cm_q3.json")],
+    ["--q", "3"], ["--rank1"], ["--prec-n", "0"], ["--prec-t", "16"]],
+    ids=["module", "q", "rank1", "prec-n", "prec-t"])
+def test_verify_rejects_config_flags(capsys, flags):
+    # verify runs its built-in samples: a config flag would be stamped on
+    # a report that never ran it
+    _assert_config_error(capsys, ["verify"] + flags)
+
+
 def test_serialized_values_reparse(capsys, tmp_path):
     # round-trip: serialize a value, feed it back via @file
     code, out, _ = run_cli(capsys, "log-point", "--q", "3",

@@ -13,7 +13,7 @@ from drinfeldlab import roots
 from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
-                                  compose_qlinear, verify_morphism)
+                                  _known, compose_qlinear, verify_morphism)
 from drinfeldlab.encoding import decode_module, encode_cinf, encode_module
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 IndependenceFailure, NoConvergence,
@@ -350,18 +350,6 @@ def test_coefficient_tables_thread_safe(ctx3):
         for got_table, want_table in zip(got, want):
             assert [(c.terms, c.prec) for c in got_table] == \
                 [(c.terms, c.prec) for c in want_table]
-
-
-def test_pole_table_thread_safe():
-    """Threads extending one config's pole table agree with a serial run."""
-    serial = FieldConfig(3, 1, 4, e=72, prec=240)
-    want = [serial.pole_inverse(k) for k in (9, 3, 12, 1)]
-    shared = FieldConfig(3, 1, 4, e=72, prec=240)
-    results = _run_in_threads(
-        lambda: [shared.pole_inverse(k) for k in (9, 3, 12, 1)])
-    for got in results:
-        assert [(c.terms, c.prec) for c in got] == \
-            [(c.terms, c.prec) for c in want]
 
 
 def _count_twisted_evals(monkeypatch):
@@ -982,7 +970,7 @@ def _exp_prec_scan(rho, vz, zprec):
     floor = _tail_floor_formula(rho, "exp", vz, depth)
     if floor is None:
         return None
-    return rho._qlinear_prec(rho._coeff_known("exp", depth), vz, zprec, floor)
+    return rho._qlinear_prec(_known(rho.exp_coeffs(depth)), vz, zprec, floor)
 
 
 def _quasi_period_levels(rho, lam, delta):

@@ -1,10 +1,11 @@
 import json
 
 from drinfeldlab.agf import AndersonGF
-from drinfeldlab.cinf import CInfApprox, INF
+from drinfeldlab.cinf import CInfApprox, FieldConfig, INF
 from drinfeldlab.encoding import (canonical_dumps, decode_cinf,
-                                  decode_module, encode_agf, encode_cinf,
-                                  encode_module, encode_valuation)
+                                  decode_config, decode_module, encode_agf,
+                                  encode_cinf, encode_config, encode_module,
+                                  encode_valuation)
 
 
 def test_cinf_round_trip(cfg_small):
@@ -50,6 +51,17 @@ def test_module_round_trip(ctx3):
     for a, b in ((module.kappa, ctx3.module.kappa),
                  (module.u, ctx3.module.u)):
         assert (a - CInfApprox(cfg, b.terms, b.prec)).is_exact_zero()
+
+
+def test_config_defaults_are_field_configs():
+    # a descriptor key that is missing takes FieldConfig's default; the
+    # prec block's keys name other arguments
+    assert encode_config(decode_config({"p": 3})) == \
+        encode_config(FieldConfig(3))
+    cfg = decode_config({"p": 3, "m": 2, "prec": {
+        "valuation_terms": 60, "rel_terms": 90, "depth": 5, "pole_count": 4}})
+    assert (cfg.m, cfg.prec, cfg.rel_prec, cfg.exp_depth, cfg.pole_count,
+            cfg.t_terms) == (2, 60, 90, 5, 4, 32)
 
 
 def test_agf_encoding(ctx3):
