@@ -59,12 +59,15 @@ class AndersonGF:
         coeffs = self.module._exp_levels(
             self.u, [(j + 1) * cfg.e for j in range(T)],
             products=self.numerators)
+        return TSeries(cfg, coeffs, tail=self._series_tail(T))
+
+    def _series_tail(self, T):
+        """The tail of series(T): a floor for every dropped coefficient."""
         if self.u.is_exact_zero():
-            return TSeries(cfg, coeffs, tail=INF)
+            return INF
         # v(exp(w)) >= min_i bound_i + q^i v(w); arguments only shrink with j
-        vw = self.u.vbound() + (T + 1) * cfg.e
-        tail = self.module._tail_floor("exp", vw, -1)
-        return TSeries(cfg, coeffs, tail=tail)
+        vw = self.u.vbound() + (T + 1) * self.cfg.e
+        return self.module._tail_floor("exp", vw, -1)
 
     # -- pole-aware evaluation ----------------------------------------------------
 
@@ -111,8 +114,10 @@ class AndersonGF:
     # -- the twisted pair ---------------------------------------------------------
 
     def twisted_pair(self, T=None):
-        """(kappa f^(1) + f^(2), f^(1)) through T coefficients: every column
-        of Psi and every g-vector is this pair, signed where it is used."""
+        """(kappa f^(1) + f^(2), f^(1)) through T coefficients: every
+        g-vector is this pair, signed where it is used, and every column of
+        Psi is its product with xi Omega, which OmegaData.column forms from
+        the numerators instead."""
         self._require_normalized()
         f = self.series(T)
         f1 = f.twist(1)

@@ -85,7 +85,7 @@ def load_setup(args):
             if args.prec_t is not None:
                 prec["t_terms"] = args.prec_t
         return decode_module(data)
-    ctx = builtin_context(args.q or "3")
+    ctx = builtin_context("3" if args.q is None else args.q)
     cfg = ctx.cfg
     if args.prec_n is not None and args.prec_n != cfg.prec:
         raise ConfigError("builtin samples have fixed precision; use a "
@@ -273,8 +273,13 @@ _COMMANDS = {
 # the value flag each command cannot run without
 _NEEDS = {"exp-eval": "z", "log-eval": "z", "agf": "u", "extend": "alphas"}
 
-# the flags that choose a config; verify runs its built-in samples only
+# the flags that choose a config, and the commands that read none of them:
+# verify runs its built-in samples only, and suggest proposes a config from
+# --p, --s and the theta-polynomials, reading --rank1 alone of these
 _SETUP_FLAGS = ("module", "q", "rank1", "prec_n", "prec_t")
+_UNSET = {"verify": ("runs the built-in samples", _SETUP_FLAGS),
+          "suggest": ("proposes a config", ("module", "q", "prec_n",
+                                            "prec_t"))}
 
 
 def build_parser():
@@ -315,15 +320,14 @@ def main(argv=None):
         need = _NEEDS.get(args.command)
         if need and getattr(args, need) is None:
             raise ConfigError("%s needs --%s" % (args.command, need))
-        if args.command == "verify":
+        if args.command in _UNSET:
+            what, flags = _UNSET[args.command]
             # identity, not equality: --prec-n 0 is given, not False
-            given = [f for f in _SETUP_FLAGS
-                     if getattr(args, f) is not None
+            given = [f for f in flags if getattr(args, f) is not None
                      and getattr(args, f) is not False]
             if given:
-                raise ConfigError(
-                    "verify runs the built-in samples and takes no --%s"
-                    % given[0].replace("_", "-"))
+                raise ConfigError("%s %s and takes no --%s" % (
+                    args.command, what, given[0].replace("_", "-")))
         if args.command == "suggest":
             payload = cmd_suggest(args, None, None)
         else:

@@ -11,13 +11,15 @@ This module assembles, for a normalized rank-2 Drinfeld module:
   (kappa f_i^(1) + f_i^(2), f_i^(1)) is the twisted pair of the generating
   function f_i of the period omega_i (AndersonGF.twisted_pair), carried
   both as a truncated t-series matrix (for coefficientwise identities) and
-  at t = theta by pole-aware evaluation of the same pairs.  The factor
-  xi Omega is applied through its product form (OmegaData.times), one
-  linear factor 1 - t/theta^(q^i) at a time and then the monomial
-  xi * prefactor, never through its expanded series.  The value,
-  precision and tail are those of the expanded product; most of that
-  product's term pairs cancel, and factor by factor they cancel before
-  they are formed;
+  at t = theta by pole-aware evaluation of the same pairs.  The series
+  entries come from the poles of f_i (OmegaData.column), not from its
+  t-series: the factor 1 - t/theta^(q^L) of the truncated Omega_I cancels
+  the pole theta^(q^L) of f_i^(1) and f_i^(2) for L <= I, so
+  Omega_I/(theta^(q^L) - t) is a polynomial, and each coefficient of
+  xi Omega b_i is one sum of the twisted numerators against those
+  coefficients.  The value, precision and tail are those of the product
+  of the series of xi Omega_I with the twisted-pair series, almost all of
+  whose terms cancel;
 * the period matrix P = Psi(theta)^(-1) and the Legendre-type invariant
   [(omega1 F(omega2) - omega2 F(omega1)) * Omega(theta)]^(q-1) = -1.
 
@@ -28,7 +30,7 @@ Kronecker square, its determinant and the block systems alike.
 """
 
 from .agf import AndersonGF
-from .cinf import INF, CInfApprox, _merge_logs
+from .cinf import INF, CInfApprox, _merge_codes, dot
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
 from .tseries import TMatrix, TSeries
@@ -62,7 +64,8 @@ class OmegaData:
     -theta.  Dropped factors perturb any value by at least
     (q^(I+1) - 1) e grid units, which is folded into specializations.
     ``product`` is the exact degree-I polynomial, ``series`` its first T
-    coefficients.
+    coefficients; ``column`` multiplies it into a generating function's
+    twisted pair through the poles.
     """
 
     def __init__(self, cfg, I=None, T=None):
@@ -90,55 +93,171 @@ class OmegaData:
         self.product = product.scale(self.prefactor)
         self.series = self.product.truncate(T)
 
-    def times(self, a, c, T):
-        """(c Omega) * a through T coefficients, for an exact scalar c.
+    def _pole_row(self, L, T):
+        """[coefficient k of Omega_I / (theta^(q^L) - t) for k < T],
+        prefactor included, exact.
 
-        Applies the linear factors one at a time, g_k <- g_k + r_i g_(k-1),
-        and then the monomial c * prefactor: the same value, length and
-        tail as the product with the expanded series of c Omega, but the
-        cancellation among the factors happens as early as it can.  Every
-        coefficient stays a dict of discrete logs through all I steps and
-        is converted to codes once, then multiplied by c * prefactor
-        (dot's monomial pass when that is one term).
-
-        Each step is dot's sum over the pairs (1, g_k) and (r_i, g_(k-1)),
-        formed as dot forms it: its precision is dot's rule for those
-        pairs, P = min(prec g_k, prec g_(k-1) + v(r_i)), and only the terms
-        below P are merged, by one _merge_logs pass.  Keeping dot's
-        rule at every step keeps the value and precision of the stepwise
-        dots, and those compose to the dense rule, min over j of
-        prec(a_(k-j)) + v(c * prefactor) + (q + ... + q^j) e, because the
-        j-th elementary symmetric function of the roots has a unique lowest
-        term.  The tail is read from that product's pair lists, which are
-        not summed.
-        """
+        (theta^Q - t) W = Omega_I, Q = q^L, gives W_k = theta^(-Q)
+        (Omega_k + W_(k-1)): a shift and at most one merge per coefficient.
+        For L <= I the factor 1 - t/theta^Q of Omega_I cancels the pole, so
+        W is a polynomial of degree I - 1 and the merges leave exact zeros
+        from k = I on.  Every term of W is a term of Omega_I times a power
+        theta^(-Q(j+1)), so v(W_k) >= v(prefactor) + Q e."""
         cfg = self.cfg
         F = cfg.field
-        log, exp = F._log, F._exp
-        # (exponent -> discrete log, precision) of each coefficient
-        g = [({e: log[x] for e, x in y.terms.items()}, y.prec)
-             for y in a.coeffs]
-        if a.tail == INF:
-            g += [({}, INF) for _ in range(self.I)]
-        # every root is -theta^(-q^i): a shift and the log of -1
-        minus = log[F._neg[1]]
+        s = cfg.q_powers(L)[L] * cfg.e
+        w, row = {}, []
+        for k in range(T):
+            w = {x + s: c for x, c in w.items()}
+            if k < len(self.product.coeffs):
+                w = _merge_codes(F, w, self.product.coeffs[k].terms, s, 0,
+                                 INF)
+            row.append(CInfApprox._raw(cfg, w, INF))
+        return row
+
+    def column(self, gf, c, T, rows=None):
+        """(c Omega b, -c Omega a) through T coefficients, for the twisted
+        pair (a, b) = gf.twisted_pair(T) of a generating function of a
+        rank-2 module and a nonzero field constant c (a code): the terms,
+        precisions and tails of the products of c Omega_I's series with the
+        pair's series, formed from the poles of gf.  rows holds the
+        _pole_row(L, T) built so far by L, and takes those built here, so
+        that the columns of one Psi build each row once.
+
+        With n_i = alpha_i u^(q^i) over the ladder's rows i <= exp_depth,
+        f^(1) = sum_L B_L / (theta^(q^L) - t) with B_L = n_(L-1)^q, and
+        f^(2) = sum_L D_L / (theta^(q^L) - t) with D_L = n_(L-2)^(q^2).  So
+        coefficient k of Omega_I b is S_k = sum_L B_L C_(L,k), with
+        C_(L,k) = rows[L][k], and that of Omega_I a is kappa S_k +
+        sum_L D_L C_(L,k): one dot each, capped at P_k, then times c or -c.
+        Only the pairs whose lowest term lands below P_k are listed, and a
+        row whose lowest term plus v(prefactor) + q^L e reaches no P_k
+        builds no C_(L, .); each row n_i that a pair reads is formed once
+        (DrinfeldModule._ladder_row), cut to the digits its pairs read, and
+        twisted.
+
+        Precision first: P_k comes from valuations and precisions alone.
+        The series coefficient f_j has the ladder's precision R_j
+        (_exp_precs), so b_j has q R_j and a_j, by dot's rule for the kappa
+        scale, min(q^2 R_j, v(kappa) + q R_j, prec(kappa) + q v(f_j)).  The
+        last is read only for an inexact kappa, from the levels f_j formed
+        to R_j.  Each factor 1 - t/theta^(q^i) of Omega_I is dot's rule for
+        a sum of two pairs, P_k <- min(P_k, P_(k-1) + q^i e), and
+        c * prefactor adds v(prefactor).  MotiveMatrices._build_psi shows
+        that these are the product's terms and precisions.
+
+        The tail is _product's rule: h, the pair's tail plus the lowest
+        valuation of c Omega_I, or v(c Omega_i) + v(x_j) for some 1 <= i
+        <= I and T - i <= j < T, when that is lower.  That reads the last I
+        levels, and only below h - min over i >= 1 of v(Omega_i): for an
+        exact kappa only those levels are formed, cut at the first digit C
+        where x_j = f_j^(1), known to q C, and kappa f_j^(1) + f_j^(2),
+        known to min(q C + v(kappa), q^2 C), reach that bound (the a
+        column's h is at most the b column's plus v(kappa), so q C reaching
+        the b bound settles the first term of the second).  A cut x_j
+        has the full one's terms below its precision, so its valuation
+        bound differs from the full one's only where both are at or above
+        the bound, and neither lowers h there.
+        """
+        cfg = self.cfg
+        q, e, I = cfg.q, cfg.e, self.I
+        mod, u = gf.module, gf.u
+        kappa = mod.kappa
+        vk = kappa.vbound()
+        if rows is None:
+            rows = {}
+        shifts = [(j + 1) * e for j in range(T)]
+        qs = cfg.q_powers(cfg.exp_depth + 2)
+        if u.is_apparent_zero():
+            R, low = [u.shift(s).prec for s in shifts], []
+        else:
+            vu = u.valuation()
+            R = mod._exp_precs(vu, u.prec, shifts)
+            # the lowest term of n_i, None for a row without terms
+            low = [x.vbound() + qs[i] * vu if x.terms else None
+                   for i, x in enumerate(mod.exp_coeffs(cfg.exp_depth))]
+        # the tails: the pair's, shifted by Omega_I's lowest term, against
+        # the dropped pairs of Omega_i, i >= 1, with the last levels, which
+        # lower them only below h = that tail - v(Omega_i)
+        t = gf._series_tail(T)
+        tb = ta = t
+        if t != INF:
+            tb, ta = q * t, q * q * t
+            if not kappa.is_exact_zero():
+                ta = min(ta, tb + vk)
+        vo = [x.vbound() for x in self.product.coeffs]
+        tb, ta = tb + min(vo), ta + min(vo)
+        # the levels f_j: for an exact kappa the last I, cut at the digit C
+        # past which f^(1) and kappa f^(1) + f^(2) are known to h (q C >=
+        # h_b and q^2 C >= h_a; q C + v(kappa) >= h_b + v(kappa) >= h_a);
+        # for an inexact one all T to R_j, since P_k reads v(f_j)
+        js, cut = range(T), INF
+        if kappa.prec == INF:
+            js = range(max(0, T - I), T)
+            if t != INF:
+                hb, ha = tb - min(vo[1:]), ta - min(vo[1:])
+                cut = max(-(-hb // q), -(-ha // (q * q)))
+        f = dict(zip(js, mod._exp_levels(u, [shifts[j] for j in js],
+                                         [min(R[j], cut) for j in js],
+                                         products=gf.numerators)))
+        # P_k, b column then a column
+        Pb = [q * r for r in R]
+        Pa = [q * r for r in Pb]
+        if not kappa.is_exact_zero():
+            Pa = [min(x, vk + y) for x, y in zip(Pa, Pb)]
+        if kappa.prec != INF:
+            Pa = [min(x, kappa.prec + q * f[j].vbound())
+                  for j, x in enumerate(Pa)]
         for r in self.roots:
             s = r.vbound()
-            # downwards, so that g_(k-1) is still the old one when g_k
-            # takes it, and each g_k is merged into in place
-            for k in range(len(g) - 1, 0, -1):
-                (acc, xp), (yt, yp) = g[k], g[k - 1]
-                P = min(xp, yp + s)
-                if P < xp:
-                    acc = {e: l for e, l in acc.items() if e < P}
-                _merge_logs(F, acc, yt.items(), s, minus, P - s)
-                g[k] = (acc, P)
-        scale = c * self.prefactor
-        _, tail, _ = self.product.scale(c)._product(a)
-        coeffs = [scale * CInfApprox._raw(cfg, {e: exp[k] for e, k in
-                                                t.items()}, P)
-                  for t, P in g]
-        return TSeries(cfg, coeffs, tail).truncate(T)
+            for P in (Pb, Pa):
+                for k in range(T - 1, 0, -1):
+                    if P[k - 1] + s < P[k]:
+                        P[k] = P[k - 1] + s
+        vp = self.prefactor.vbound()
+        precs = {1: [p + vp for p in Pb], 2: [p + vp for p in Pa]}
+        # the pairs below P_k, each row cut to the digits they read
+        pairs = {(n, k): [] for n in (1, 2) for k in range(T)}
+        for i, v in enumerate(low):
+            if v is None:
+                continue
+            reads = []
+            for n, P in precs.items():
+                w = qs[n] * v
+                if w + vp + qs[i + n] * e >= max(P):
+                    continue
+                row = rows.get(i + n)
+                if row is None:
+                    row = rows[i + n] = self._pole_row(i + n, T)
+                ks = [k for k in range(T) if w + row[k].vbound() < P[k]]
+                if ks:
+                    # the digits of n_i these pairs read
+                    cap = max(P[k] - row[k].vbound() for k in ks)
+                    reads.append((n, row, ks, -(-cap // qs[n])))
+            if reads:
+                x = mod._ladder_row(u, i, max(r[3] for r in reads),
+                                    gf.numerators)
+                for n, row, ks, _ in reads:
+                    xn = x.frobenius(n)
+                    for k in ks:
+                        pairs[n, k].append((xn, row[k]))
+        nc = cfg.field.neg(c)
+        top, bottom = [], []
+        for k in range(T):
+            s = dot(cfg, pairs[1, k], precs[1][k])
+            d = pairs[2, k]
+            if not kappa.is_exact_zero():
+                d.append((kappa, s))
+            top.append(s.scale(c))
+            bottom.append(dot(cfg, d, precs[2][k]).scale(nc))
+        for j, x in f.items():
+            if j >= T - I:
+                x1 = x.frobenius(1)
+                xa = (kappa * x1 + x.frobenius(2)).vbound()
+                for i in range(max(1, T - j), I + 1):
+                    tb = min(tb, vo[i] + x1.vbound())
+                    ta = min(ta, vo[i] + xa)
+        return TSeries(cfg, top, tb), TSeries(cfg, bottom, ta)
 
     def tail_error(self):
         """Valuation floor of the dropped-factor perturbation, relative to
@@ -218,15 +337,55 @@ class MotiveMatrices:
 
     def _build_psi(self):
         """Psi = xi Omega [[-b2, b1], [a2, -a1]] for the twisted pairs
-        (a_i, b_i) of omega_i; a negated entry takes -xi as Omega's
-        scalar, so no series is negated."""
-        T = self.T
-        a1, b1 = self.agf1.twisted_pair(T)
-        a2, b2 = self.agf2.twisted_pair(T)
-        xi, mxi = self.xi, -self.xi
-        return TMatrix([[self.omega.times(x, c, T) for x, c in r]
-                        for r in [[(b2, mxi), (b1, xi)],
-                                  [(a2, xi), (a1, mxi)]]])
+        (a_i, b_i) of omega_i, a column per period from the poles of its
+        generating function (OmegaData.column); a negated entry takes -xi
+        as Omega's scalar, so no series is negated.  Each entry has the
+        terms, precision and tail of the product of the series of
+        +-xi Omega_I with the twisted-pair series, as follows.
+
+        P_k is that product's precision.  f_j, the ladder's level j, has
+        precision R_j; the twist multiplies it by q, the kappa scale and
+        the sum of the a column take dot's rule and the minimum, each
+        factor of Omega_I is a sum of the two pairs (1, g_k) and
+        (-theta^(-q^i), g_(k-1)), and the monomial xi * prefactor shifts
+        the result: these are the steps column takes on P_k.
+
+        Below P_k the pole form has the product's terms.  Let X_j =
+        sum_L X_L theta^(-q^L (j+1)) over all rows i <= exp_depth.  Level j
+        holds the terms of f_j below R_j, since a row the ladder skips
+        there has its lowest term at or above R_j; so x_j, the twisted
+        level, holds X_j's terms below prec(x_j).  Coefficient k of the
+        product is sum_m e_m x_(k-m), e_m = Omega_m (prefactor included),
+        and a term that x_(k-m) lacks would land at or above prec(x_(k-m))
+        + v(e_m) >= P_k.  So its terms below P_k are those of
+        sum_m e_m X_(k-m) = sum_L X_L C_(L,k).  In the a column kappa
+        multiplies S_k known to P_k^b; a term of S_k past that lands at or
+        above v(kappa) + P_k^b >= P_k^a, since prec(a_j) <= v(kappa) +
+        q R_j.
+
+        No row or dropped pole reaches below P_k, and every dot's own
+        precision is P_k.  C_(L,k) = sum_(m <= min(k, I)) e_m
+        theta^(-q^L (k-m+1)), so v(C_(L,k)) >= min_m v(e_m) +
+        q^L (k-m+1) e; and _qlinear_prec keeps R_j <= prec(n_i) +
+        q^i (j+1) e for every row.  Together, a pair's precision
+        q prec(n_(L-1)) + v(C_(L,k)) is at least min_m q R_(k-m) + v(e_m)
+        >= P_k^b, and with q^2 the same holds for the D pairs against
+        P_k^a.  The pair (kappa, S_k) has min(prec(kappa) + v(S_k),
+        v(kappa) + P_k^b) >= P_k^a by the same bounds on v(S_k).  With the
+        lowest term v(n_i) in place of prec(n_i) the same inequality holds
+        for every row's terms, so a pair left out, and a row the ladder
+        skips at every level, has no term below P_k.  The dropped poles
+        are those of the rows past exp_depth, which neither the ladder nor
+        column forms: for them v(n_i) + q^i (j+1) e lies at or above the
+        ladder's tail floor, which caps R_j, so by the same inequality
+        their pairs have no term below P_k either.
+        """
+        T, xi = self.T, self.xi.terms[0]
+        rows = {}
+        b2, a2 = self.omega.column(self.agf2, self.cfg.field.neg(xi), T,
+                                   rows)
+        b1, a1 = self.omega.column(self.agf1, xi, T, rows)
+        return TMatrix([[b2, b1], [a2, a1]])
 
     # -- coefficientwise identities ---------------------------------------------
 

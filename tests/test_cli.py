@@ -360,6 +360,26 @@ def test_verify_rejects_config_flags(capsys, flags):
     _assert_config_error(capsys, ["verify"] + flags)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--module", "nope.json"], ["--q", "5"], ["--prec-n", "7"],
+    ["--prec-t", "16"]], ids=["module", "q", "prec-n", "prec-t"])
+def test_suggest_rejects_config_flags(capsys, flags):
+    # suggest proposes a config from --p and the theta-polynomials; a
+    # config flag would be ignored, and --module never opened
+    _assert_config_error(capsys, ["suggest", "--p", "3"] + flags)
+
+
+def test_suggest_reads_rank1(capsys):
+    code, out, _ = run_cli(capsys, "suggest", "--p", "3", "--rank1",
+                           "--json")
+    assert code == 0 and json.loads(out)["command"] == "suggest"
+
+
+def test_empty_builtin_tag_is_a_config_error(capsys):
+    # an empty --q names no sample; it used to run the q3 one
+    _assert_config_error(capsys, ["exp-eval", "--q", "", "--z", "0"])
+
+
 def test_serialized_values_reparse(capsys, tmp_path):
     # round-trip: serialize a value, feed it back via @file
     code, out, _ = run_cli(capsys, "log-point", "--q", "3",

@@ -1,16 +1,22 @@
 import hashlib
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
 from drinfeldlab.drinfeld import DrinfeldModule, Lattice
+from drinfeldlab.encoding import decode_module
 from drinfeldlab.errors import (ConfigError, PrecisionExhausted,
                                 ResidueFieldTooSmall)
 from drinfeldlab.motive import (MotiveMatrices, OmegaData, phi_matrix,
                                 xi_constant)
 from drinfeldlab.tseries import TSeries
+
+from omega_oracle import factor_step_column, omega_times
 
 
 def test_omega_difference_relation(ctx3):
@@ -319,6 +325,178 @@ def test_psi_bytes_pinned_q5_tame(ctx5):
     assert _psi_digest(mot) == _PSI_Q5_TAME
 
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# Psi at T = 16 as the factor steps built it, before it was formed from the
+# generating functions' poles: the CM module theta + tau^2 (kappa = 0, no
+# kappa f^(1) in the a column), the q3 module at N = 960, and q3 at N = 240
+# with kappa = 1 + theta^-1 known to 400 only, whose a column takes its
+# precision from kappa's
+_PSI_MODULES = {
+    "cm_q3.json": "2bb3205a9b773b524032d211787b414c"
+                  "8607091a756652f690722a8fdbd42054",
+    "q3_n960.json": "710999c27ed3f02fd21b1f772dda423a"
+                    "f2504c30dc07cb4b6db70fb451be98f8",
+    "kappa-inexact": "76a4285e6aa204ccf9477c71b14b8f1b"
+                     "fd4bd1f8f07b170f06bda7d5936559b7",
+}
+
+
+def _file_module(name):
+    with open(os.path.join(_DATA, name)) as fh:
+        return decode_module(json.load(fh))[1]
+
+
+def _inexact_kappa_module(N=240, known=400):
+    cfg = FieldConfig(3, 1, 4, e=72, prec=N)
+    return DrinfeldModule(cfg, 2, CInfApprox(cfg, {0: 1, 72: 1}, known),
+                          cfg.one())
+
+
+@pytest.mark.parametrize("name", sorted(_PSI_MODULES))
+def test_psi_bytes_pinned_modules(name):
+    rho = (_inexact_kappa_module() if name == "kappa-inexact"
+           else _file_module(name))
+    mot = MotiveMatrices(rho, rho.periods(), T=16)
+    assert _psi_digest(mot) == _PSI_MODULES[name]
+
+
+# -- Psi from the poles against Omega's factor steps ------------------------
+
+_POLE_CASES = {}
+
+
+def _pole_case(name, N):
+    """(module, lattice, OmegaData by T) for a named module at N, built
+    once; q3_n960.json keeps its own N."""
+    key = (name, N)
+    got = _POLE_CASES.get(key)
+    if got is None:
+        if name == "q3_n960.json":
+            rho = _file_module(name)
+        elif name == "kappa-inexact":
+            rho = _inexact_kappa_module(N, N + 160)
+        else:
+            q, e = (5, 600) if name == "q5-tame" else (3, 72)
+            cfg = FieldConfig(q, 1, 4, e=e, prec=N)
+            # cm_q3 is the module of cm_q3.json, theta + tau^2, at any N
+            kappa = {"q3": cfg.one(), "q5-tame": cfg.one(),
+                     "cm_q3": cfg.zero(INF),
+                     "kappa-exact": CInfApprox(cfg, {0: 1, 72: 1})}[name]
+            rho = DrinfeldModule(cfg, 2, kappa, cfg.one())
+        got = _POLE_CASES[key] = (rho, rho.periods(), {})
+    return got
+
+
+def _same_series(got, want):
+    assert got.T == want.T and got.tail == want.tail
+    assert [(x.terms, x.prec) for x in got.coeffs] == \
+        [(x.terms, x.prec) for x in want.coeffs]
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["q3", "q5-tame", "cm_q3", "q3_n960.json",
+                             "kappa-inexact", "kappa-exact"]),
+       N=st.sampled_from([240, 480, 960]),
+       T=st.sampled_from([1, 2, 3, 8, 16]),
+       pole_count=st.sampled_from([None, 1, 3, 12, 13, 20]),
+       data=st.data())
+def test_psi_poles_match_factor_steps(name, N, T, pole_count, data):
+    """OmegaData.column against the factor steps over the twisted pair, in
+    terms, precision, length and tail: Psi's generating functions (the
+    periods) and other arguments, pole counts below, at and above the
+    ladder's exp_depth + 1 = 13 rows, and both signs of c."""
+    rho, lat, omegas = _pole_case(name, N)
+    cfg = rho.cfg
+    om = omegas.get(T)
+    if om is None:
+        om = omegas[T] = OmegaData(cfg, T=T)
+    size, e = cfg.field.size, cfg.e
+    u = data.draw(st.one_of(
+        st.sampled_from(lat.basis()),
+        st.builds(lambda t: CInfApprox(cfg, t), st.dictionaries(
+            st.integers(-2 * e, 2 * e), st.integers(1, size - 1),
+            min_size=1, max_size=3))))
+    xi = xi_constant(cfg)
+    c = data.draw(st.sampled_from([xi, -xi]))
+    gf = AndersonGF(rho, u, pole_count=pole_count)
+    for got, want in zip(om.column(gf, c.terms[0], T),
+                         factor_step_column(om, gf, c, T)):
+        _same_series(got, want)
+
+
+def test_psi_poles_inexact_kappa_cancelled_level():
+    """An inexact kappa reads v(f_j) into the precision of the a column.
+    For u = c theta^(153/72) with c^8 = -1, rows 0 and 2 of f_0 =
+    exp(u/theta) both start at theta^(81/72) and cancel there."""
+    rho = _inexact_kappa_module()
+    cfg = rho.cfg
+    F = cfg.field
+    c = next(x for x in range(1, F.size) if F.pow(x, 8) == F.neg(1))
+    gf = AndersonGF(rho, CInfApprox(cfg, {-153: c, -100: 1}))
+    om = OmegaData(cfg, T=4)
+    xi = xi_constant(cfg)
+    for g, w in zip(om.column(gf, xi.terms[0], 4),
+                    factor_step_column(om, gf, xi, 4)):
+        _same_series(g, w)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_psi_poles_cancelled_last_level(T):
+    """The tails read the last levels f_j only below a bound, and the a
+    column's bound is q^2 times theirs when kappa = 0.  Here rows 0 and 2
+    of f_(T-1) cancel at their lowest term, so that level starts above the
+    b column's bound: cut there, it would lower the a column's tail."""
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    F = cfg.field
+    rho = DrinfeldModule(cfg, 2, cfg.zero(INF), cfg.one())
+    alpha = rho.exp_coeffs(cfg.exp_depth)[2]
+    v = alpha.vbound()
+    # alpha_2 u^9 theta^(-9T) and u theta^(-T) share their lowest term
+    assert v % 8 == 0
+    c = next(x for x in range(1, F.size)
+             if F.add(F.mul(alpha.terms[v], F.pow(x, 9)), x) == 0)
+    gf = AndersonGF(rho, CInfApprox(cfg, {-v // 8 - T * cfg.e: c}))
+    om = OmegaData(cfg, T=T)
+    xi = xi_constant(cfg)
+    for g, w in zip(om.column(gf, xi.terms[0], T),
+                    factor_step_column(om, gf, xi, T)):
+        _same_series(g, w)
+
+
+def test_psi_at_depth_forms_no_series(monkeypatch):
+    """At N = 1920 Psi is formed from the poles: no twisted pair and no
+    series, and of the series ladder only the last I levels, which the
+    tails read, cut where they can no longer lower them."""
+    cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    lat = rho.periods()
+    calls = []
+    ladder = DrinfeldModule._exp_levels
+
+    def spy(self, z, shifts, precs=None, products=()):
+        calls.append((list(shifts), list(precs)))
+        return ladder(self, z, shifts, precs, products)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("formed a series")
+
+    monkeypatch.setattr(DrinfeldModule, "_exp_levels", spy)
+    for owner, name in ((AndersonGF, "series"),
+                        (AndersonGF, "twisted_pair"),
+                        (TSeries, "twist")):
+        monkeypatch.setattr(owner, name, boom)
+    mot = MotiveMatrices(rho, lat, T=16)
+    monkeypatch.undo()
+    assert _psi_digest(mot) == _PSI_Q3[1920, 16]
+    I, e = mot.omega.I, cfg.e
+    ends = [(j + 1) * e for j in range(16 - I, 16)]
+    assert [x for x, _ in calls] == [ends, ends]
+    # the full levels hold their terms to R_j > 7700; the tails read the
+    # digits below 1100
+    assert all(r < 1100 for _, precs in calls for r in precs)
+
+
 _CFG9 = FieldConfig(3, 1, 2, e=18, prec=240)
 _TERMS = st.dictionaries(st.integers(-40, 300), st.integers(1, 8),
                          min_size=1, max_size=6)
@@ -340,7 +518,7 @@ def test_omega_times_matches_expanded_product(a, I, c_exp, c_code, data):
     T = data.draw(st.integers(1, I + 3))
     om = OmegaData(_CFG9, I=I, T=T)
     for c in (xi_constant(_CFG9), _CFG9.monomial(c_exp, c_code)):
-        got = om.times(a, c, T)
+        got = omega_times(om, a, c, T)
         want = (om.product.scale(c) * a).truncate(T)
         assert got.T == want.T and got.tail == want.tail
         for x, y in zip(got.coeffs, want.coeffs):
@@ -377,7 +555,7 @@ _TIMES_OMEGAS = {}
 
 
 def _times_stepwise(om, a, c, T):
-    """(c Omega) * a as OmegaData.times formed it one dot per coefficient
+    """(c Omega) * a as omega_times formed it one dot per coefficient
     and factor step, each converted back to codes."""
     cfg = om.cfg
     one = cfg.one()
@@ -414,14 +592,14 @@ def _series_case(p):
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(case=st.one_of(_series_case(3), _series_case(5)))
 def test_omega_times_matches_stepwise_dot(case):
-    """times keeps every coefficient as discrete logs through the I factor
-    steps, each step cut at dot's own precision rule, and converts once:
-    the terms, precisions, length and tail are the stepwise dots'."""
+    """omega_times keeps every coefficient as discrete logs through the I
+    factor steps, each step cut at dot's own precision rule, and converts
+    once: the terms, precisions, length and tail are the stepwise dots'."""
     cfg, I, a, c, T = case
     om = _TIMES_OMEGAS.get((cfg.p, I))
     if om is None:
         om = _TIMES_OMEGAS[cfg.p, I] = OmegaData(cfg, I=I)
-    got = om.times(a, c, T)
+    got = omega_times(om, a, c, T)
     want = _times_stepwise(om, a, c, T)
     assert got.tail == want.tail and got.T == want.T
     assert [(x.terms, x.prec) for x in got.coeffs] == \

@@ -33,6 +33,25 @@ def test_twist_examples(cfg_small):
         F.twist(-1)
 
 
+@pytest.mark.parametrize("tail", [None, INF, 5])
+def test_scale_by_exact_one_keeps_the_coefficients(cfg_small, tail):
+    cfg = cfg_small
+    F = TSeries(cfg, [cfg.theta(-1).scale(2), CInfApprox(cfg, {3: 1}, 40),
+                      cfg.zero(INF), cfg.zero(7)], tail)
+    G = F.scale(cfg.one())
+    # the same values, precisions and tail
+    assert G.tail == tail
+    assert [(x.terms, x.prec) for x in G.coeffs] == \
+        [(x.terms, x.prec) for x in F.coeffs]
+    # an inexact one is a product, and a one over another config raises
+    one = CInfApprox(cfg, {0: 1}, 20)
+    assert [x.prec for x in F.scale(one).coeffs] == \
+        [(one * x).prec for x in F.coeffs] == [38, 23, INF, 7]
+    other = type(cfg)(3, 1, 4, e=72, prec=240)
+    with pytest.raises(ConfigError):
+        F.scale(other.one())
+
+
 def test_truncate_folds_dropped_coefficients_into_tail(cfg_small):
     th = cfg_small.theta()
     poly = TSeries.from_poly(cfg_small, [cfg_small.one(), th.frobenius(-1),

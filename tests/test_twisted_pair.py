@@ -16,6 +16,8 @@ from drinfeldlab.logext import ExtendedSystem, GVector, make_log_point
 from drinfeldlab.motive import MotiveMatrices
 from drinfeldlab.tseries import TSeries
 
+from omega_oracle import omega_times
+
 
 def _ref_psi(mot):
     T, k = mot.T, mot.module.kappa
@@ -26,7 +28,7 @@ def _ref_psi(mot):
         [-f2_1, f1_1],
         [f2_1.scale(k) + f2_2, -(f1_1.scale(k) + f1_2)],
     ]
-    return [[mot.omega.times(a, mot.xi, T) for a in r] for r in rows]
+    return [[omega_times(mot.omega, a, mot.xi, T) for a in r] for r in rows]
 
 
 def _ref_psi_at_theta(mot):
