@@ -13,10 +13,12 @@ theta^(q^k) - theta, whose inverse has every coefficient 1, so dividing by
 it is a running sum (_pole_sum) rather than a product.  The t-power-series
 form (series, the one t-series path) exists for radius-1 work and takes
 its coefficients from the exp ladder (DrinfeldModule._exp_levels).  Both
-forms read the same products alpha_i u^(q^i): the generating function
-forms them once, as its numerators, and hands them to the ladder; the
-dual-representation oracle, which rebuilds the series from the I poles and
-their floor, lives in the tests.
+forms read the same products alpha_i u^(q^i), the numerators, formed once
+and handed to the ladder, which cuts them for every row it keeps.  The
+generating function of a period or a logarithm takes the numerators that
+the residual check exp(u) of its tower or log point formed (_held); any
+other forms them when it is built.  The dual-representation oracle, which
+rebuilds the series from the I poles and their floor, lives in the tests.
 
 Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
@@ -34,7 +36,10 @@ from .tseries import TSeries
 
 
 class AndersonGF:
-    def __init__(self, module, u, pole_count=None):
+    def __init__(self, module, u, pole_count=None, _held=()):
+        """_held: the numerators alpha_i u^(q^i) that a residual check
+        already formed for this very u (a period's tower, a log point),
+        taken when they are pole_count many; else they are formed here."""
         cfg = module.cfg
         self.module = module
         self.cfg = cfg
@@ -42,8 +47,8 @@ class AndersonGF:
         if pole_count is None:
             pole_count = cfg.pole_count or cfg.exp_depth
         self.I = pole_count
-        self.numerators = [alpha * u.frobenius(i) for i, alpha
-                           in enumerate(module.exp_coeffs(pole_count - 1))]
+        self.numerators = _held if len(_held) == pole_count \
+            else module._numerators(u, pole_count)
         self._pair_at_theta = None
 
     # -- the t-series -------------------------------------------------------------

@@ -67,8 +67,8 @@ whose tables are immutable and deterministic.
 
 import math
 
-# Fraction is imported only by the few methods that return or print one:
-# the fractions module is a sizeable share of a cold start
+# Fraction is imported only by __repr__, which prints one: the fractions
+# module is a sizeable share of a cold start
 from .errors import (ConfigError, DivisionByApparentZero, GridTooCoarse,
                      IndeterminateValuation, NoConvergence,
                      PrecisionExhausted)
@@ -315,17 +315,6 @@ class CInfApprox:
                 v = min(self.terms) if self.terms else self.prec
             self._v = v
         return v
-
-    def theta_valuation(self):
-        from fractions import Fraction
-        v = self.valuation()
-        return v if v == INF else Fraction(v, self.cfg.e)
-
-    def abs_log_q(self):
-        """log_q |x| as a Fraction (-INF for the exact zero)."""
-        from fractions import Fraction
-        v = self.valuation()
-        return -INF if v == INF else Fraction(-v, self.cfg.e)
 
     def leading(self):
         """(exponent, coefficient) of the lowest known term."""

@@ -23,10 +23,16 @@ it.  Values exp(z/theta^k) at several k, the levels of a quasi-periodic
 function and the coefficients of an Anderson generating function, share one
 ladder: (z/theta^k)^{q^i} = z^{q^i} theta^{-q^i k}, so each product
 alpha_i z^{q^i} is formed once and every level reads it shifted.  A
-quasi-periodic function fixes its precision the same way, then sums the
-shifted and twisted products of all its levels in one dot, keeping only
-the digits the sum needs.  The levels' tail floors are read off one lower
-envelope of the tail bound's lines per module, kind and start.
+quasi-periodic function with exact coefficients plans its sum at level 0
+alone, since every level's precision rises by at least one theta-unit per
+level, then sums the twisted products against exact sparse multipliers
+that stand for all its levels in one dot, keeping only the digits the sum
+needs.  The levels' tail floors are read off one lower envelope of the
+tail bound's lines per module, kind and start.  A period's tower keeps the
+full products alpha_i omega^{q^i} that its residual check exp(omega) ~ 0
+read, the numerators of omega's generating function, so the quasi-period
+and the generating function of that period cut them instead of forming
+them again.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -39,6 +45,8 @@ of that lattice.  A memo is filled by rebinding an attribute to a finished
 value, never by growing one in place, so threads may share a module; two
 threads racing on an empty memo both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
+A tower's numerators are set before the tower is returned and never
+change after.
 """
 
 from bisect import bisect_left
@@ -102,12 +110,16 @@ class Biderivation:
 
 
 class Tower:
-    """One period with its division tower e_n = exp(omega / theta^n)."""
+    """One period with its division tower e_n = exp(omega / theta^n), and
+    the numerators alpha_i omega^(q^i), i < pole count, that its residual
+    check exp(omega) ~ 0 formed (period_from_seed sets them before the
+    tower is returned)."""
 
     def __init__(self, omega, depth, chain):
         self.omega = omega
         self.depth = depth
         self.chain = chain  # chain[n-1] = e_n
+        self.numerators = ()
         self.quasi_period = None  # F_tau(omega), set by quasi_period_eval
 
 
@@ -125,6 +137,11 @@ class Lattice:
     def basis(self):
         return [self.omega1] if self.omega2 is None \
             else [self.omega1, self.omega2]
+
+    def tower_of(self, z):
+        """The tower whose period is this very value z (matched by
+        identity, not by digits), else None."""
+        return next((tw for tw in self.towers if tw.omega is z), None)
 
 
 class DrinfeldModule:
@@ -391,12 +408,22 @@ class DrinfeldModule:
                 caps.setdefault(i, []).append(r - qs[i] * k)
         return plans, caps
 
+    def _numerators(self, z, count=None):
+        """The full products alpha_i z^{q^i}, i < count (default: the pole
+        count of a generating function, pole_count or exp_depth): the
+        numerators of the generating function of z, which a residual check
+        forms once and its readers cut (_ladder_row)."""
+        if count is None:
+            count = self.cfg.pole_count or self.cfg.exp_depth
+        return [alpha * z.frobenius(i)
+                for i, alpha in enumerate(self.exp_coeffs(count - 1))]
+
     def _ladder_row(self, z, i, cap, products=()):
         """p_i = alpha_i z^{q^i} capped at cap: products[i] cut there when
-        the caller holds z's full products (an Anderson generating
-        function's numerators), else formed from z cut to the digits whose
-        terms reach below cap.  Either has the full product's digits below
-        min(cap, its precision), and that is its precision."""
+        the caller holds z's full products (_numerators), else formed from
+        z cut to the digits whose terms reach below cap.  Either has the
+        full product's digits below min(cap, its precision), and that is
+        its precision."""
         if i < len(products):
             return products[i].truncate(cap)
         cfg = self.cfg
@@ -409,20 +436,24 @@ class DrinfeldModule:
         from one set of products alpha_i z^{q^i}.  precs, when given, holds
         for each level a precision R at most the one exp_eval reaches there;
         the level is then exp_eval's value cut at R.  products, when given,
-        holds the full products alpha_i z^{q^i} for the first rows, which
-        the shared rows then cut instead of forming (_ladder_row).
+        holds the full products alpha_i z^{q^i} for the first rows
+        (_numerators), which every row the ladder keeps among them then
+        cuts instead of forming (_ladder_row).
 
         Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
         sum_i p_i theta^{-q^i k/e} with p_i = alpha_i z^{q^i}.  Precision
         first: each level has its R, _exp_precs unless precs gives it, and
-        its rows are those of _ladder_plan.  A row that several levels keep
-        is formed once, as p_i capped at C_i = max(R - q^i k) over those
-        levels (_ladder_row), and each of them reads it through the pair
-        (p_i, theta^{-q^i k/e}); a row that one level keeps goes into that
-        level's sum as exp_eval forms it.  Each level is one dot capped at
-        its R, so it holds exactly the term pairs of exp_eval below R: p_i
-        shifted by q^i k is known to C_i + q^i k >= R and to the precision
-        of the product exp_eval forms, which is at least R.
+        its rows are those of _ladder_plan.  A row that several levels keep,
+        or that products holds, is read once, as p_i capped at
+        C_i = max(R - q^i k) over those levels (_ladder_row), and each of
+        them reads it through the pair (p_i, theta^{-q^i k/e}); any other
+        row goes into its one level's sum as exp_eval forms it.  Each level
+        is one dot capped at its R, so it holds exactly the term pairs of
+        exp_eval below R: p_i shifted by q^i k is known to
+        C_i + q^i k >= R and to the precision of the full product shifted,
+        min(prec(alpha_i) + q^i v, v(alpha_i) + q^i zprec) for the
+        argument's valuation v and precision zprec, which _qlinear_prec
+        keeps at or above R.
         """
         cfg = self.cfg
         if z.is_apparent_zero():
@@ -434,7 +465,8 @@ class DrinfeldModule:
             precs = self._exp_precs(z.valuation(), z.prec, shifts)
         plans, caps = self._ladder_plan(z, shifts, precs)
         shared = {i: self._ladder_row(z, i, max(cs), products)
-                  for i, cs in caps.items() if len(cs) > 1}
+                  for i, cs in caps.items()
+                  if len(cs) > 1 or i < len(products)}
         return [dot(cfg, [
             (shared[i], cfg.monomial(qs[i] * k)) if i in shared
             else (alphas[i], z.truncate(digits - k).shift(k).frobenius(i))
@@ -570,6 +602,10 @@ class DrinfeldModule:
         P = min(prec(e_n), prec(kappa) + q v(x0), prec(u) + q^2 v(x0)) + e,
         the precision that b and the step's products carry, or at
         v(x0) + rel_prec when all of them are exact.
+
+        The residual check exp(omega) ~ 0 reads omega's numerators
+        (_numerators), which the tower keeps for the generating function
+        and the quasi-period of omega.
         """
         cfg = self.cfg
         q, e = cfg.q, cfg.e
@@ -578,12 +614,15 @@ class DrinfeldModule:
             en = chain[-1]
             if self.log_certificate(en):
                 omega = cfg.theta(n) * self.log_eval(en)
-                resid = self.exp_eval(omega)
+                numerators = self._numerators(omega)
+                resid = self._exp_levels(omega, [0], products=numerators)[0]
                 if resid.vbound() < cfg.pass_threshold():
                     raise NoConvergence(
                         "period residual v = %s below threshold %d"
                         % (resid.vbound(), cfg.pass_threshold()))
-                return Tower(omega, n, chain)
+                tower = Tower(omega, n, chain)
+                tower.numerators = numerators
+                return tower
             x0 = CInfApprox(cfg, en.shift(e).terms, INF)
             v0 = x0.valuation()
             d0 = min(self._vk + q * v0, self._vu + q * q * v0) + e
@@ -648,23 +687,73 @@ class DrinfeldModule:
             got.append(num * cfg.pole_inverse(i))
         return got[:depth + 1]
 
+    def _exp_radius(self):
+        """The least rho >= 0 with b_i + (q^i - 1) rho >= 0 for every
+        i >= 1, b_i the bounds of _coeff_vbounds("exp"): from valuation rho
+        on, every term alpha_i z^(q^i), i >= 1, of exp(z) lies at or above
+        v(z), so v(exp z) >= v(z).
+
+        The scan stops at the first i where the recursion keeps the bound
+        for every later index.  b_m >= min(vk + q b_(m-1),
+        vu + q^2 b_(m-2)) + q^m e, so when b_(m-1) and b_(m-2) meet the
+        bound, b_m + (q^m - 1) rho is at least
+        min(vk + (q - 1) rho, vu + (q^2 - 1) rho) + q^m e; once that is
+        >= 0 at m = i + 1 it is at every m > i, and b_0 = 0 meets the
+        bound."""
+        cfg = self.cfg
+        q, e = cfg.q, cfg.e
+        vk, vu = self._vk, self._vu
+        rho, i = 0, 0
+        while True:
+            i += 1
+            b, qi = self._coeff_vbounds("exp", i)[i], cfg.q_powers(i)[i]
+            if b != INF and b + (qi - 1) * rho < 0:
+                rho = -(b // (qi - 1))
+            reach = q * qi * e
+            if vk + (q - 1) * rho + reach >= 0 \
+                    and vu + (q * q - 1) * rho + reach >= 0:
+                return rho
+
     def quasi_period_eval(self, lam, delta=None, lattice=None):
         """F_delta(lam) via the unrolled functional equation
         F(lam) = sum_{j>=0} theta^j * delta_t(w_j), with
-        w_j = exp(lam/theta^{j+1}).
+        w_j = exp(lam/theta^{j+1}) (_quasi_period_sum).
 
         Converges for every lam (the exp values shrink geometrically).  When
-        a lattice is supplied, lam is one of its periods and delta is the
-        default tau, the value is kept on that period's tower and returned
-        on later calls.
+        a lattice is supplied and lam is one of its periods, the sum cuts
+        the numerators that period's tower keeps instead of forming them;
+        when delta is also the default tau, the value is kept on that tower
+        and returned on later calls."""
+        tower = lattice.tower_of(lam) if lattice is not None else None
+        memo = tower if delta is None else None
+        if memo is not None and memo.quasi_period is not None:
+            return memo.quasi_period
+        value = self._quasi_period_sum(
+            lam, delta, tower.numerators if tower is not None else ())
+        if memo is not None:
+            memo.quasi_period = value
+        return value
+
+    def _quasi_period_sum(self, lam, delta=None, products=()):
+        """F_delta(lam), delta None meaning tau.  products, when given,
+        holds lam's numerators (_numerators), which the sum over exact d_k
+        cuts for its rows instead of forming them.
 
         Precision comes first, then digits.  The level count J and the
-        truncation floor depend on valuations only: J is the least level
-        where the floor reaches rel_prec + max(0, -v(lam)) and the dropped
-        arguments are small, both linear in J.  Level j has the precision
-        R_j that exp_eval reaches on lam/theta^{j+1} (valuation
-        v(lam) + (j+1)e, precision prec(lam) + (j+1)e), and the term
-        theta^j d_k w_j^{q^k} has precision
+        truncation floor depend on valuations only.  Write z_j =
+        v(lam) + (j+1)e for the valuation of level j's argument.  From
+        z_j >= rho = _exp_radius() on, v(w_j) >= z_j >= 0; every d_k has
+        k >= 1 (delta_t has no constant term), so each term
+        theta^j d_k w_j^(q^k) of a level past J lies at or above
+        -je + v(d_k) + q^k z_j >= -je + dmin + q z_j, which rises by
+        (q-1)e per level: every dropped term lies at or above
+        floor = -(J+1)e + dmin + q z_(J+1) once z_(J+1) >= rho.  J is the
+        least level where that holds and the floor reaches
+        rel_prec + max(0, -v(lam)); both grow with J.
+
+        Level j has the precision R_j that exp_eval reaches on
+        lam/theta^{j+1} (valuation z_j, precision prec(lam) + (j+1)e), and
+        the term theta^j d_k w_j^{q^k} has precision
         min(prec(d_k) + q^k v(w_j), q^k R_j + v(d_k)) - je, so the result
         precision P (the floor or the lowest term precision) is known before
         any product.  Level j is needed only to
@@ -672,20 +761,28 @@ class DrinfeldModule:
         fewest that keep every term at or above P: q^k c_j + v(d_k) - je
         >= P for every k.
 
-        With every d_k exact the value is one sum.  Level j is
-        sum_i p_i theta^{-q^i (j+1)}, p_i = alpha_i lam^{q^i}, over the rows
-        i that _ladder_plan keeps at c_j, so
-        theta^j d_k w_j^{q^k} = sum_i (d_k theta^j theta^{-q^{i+k} (j+1)})
-        * p_i^{q^k}, and every such pair goes into one dot capped at P.
-        Each row is formed once, capped at the largest c_j - q^i (j+1)e of
-        its levels (_ladder_row), and twisted once per d_k.  The sum is
-        exact below P by the cut argument: a row _ladder_plan drops has its
-        lowest term at or above c_j, the tail past exp_depth lies at or
-        above R_j >= c_j, and a digit of a row at or above c_j after its
-        level's shift, like a digit of w_j there, lands at or above
-        q^k c_j + v(d_k) - je >= P; every pair is known to
-        q^k c_j + v(d_k) - je or beyond, so dot's precision is P.  The
-        digits below P are those of the uncut sum.
+        With every d_k exact, level 0 plans the whole sum.  R_j rises by at
+        least e per level: each line of _qlinear_prec, and each line of the
+        tail envelope, has slope q^i >= 1 in the argument's valuation and
+        precision, and both grow by e per level.  So
+        q^k R_j + v(d_k) - je >= q^k R_0 + v(d_k), and
+        P = min(floor, min_k q^k R_0 + v(d_k)).  Level j is
+        sum_i p_i theta^{-q^i (j+1)}, p_i = alpha_i lam^{q^i}, so
+        theta^j d_k w_j^{q^k} = sum_i d_k theta^j theta^{-q^{i+k} (j+1)}
+        p_i^{q^k}, and the value is one dot capped at P over the pairs
+        (d_k G_ik, p_i^{q^k}), G_ik = sum_{j<=J} theta^j theta^{-q^{i+k}(j+1)}
+        exact and kept to the terms that can land below P.  The rows are
+        those _ladder_plan keeps at c_0, each p_i cut at c_0 - q^i e
+        (_ladder_row).  The sum is exact below P by the cut argument: a
+        digit of p_i at or above c_0 - q^i e lands, at level j, at or above
+        q^k (c_0 + q^i je) + v(d_k) - je >= q^k c_0 + v(d_k) >= P; a row
+        level 0 skips has its lowest term at or above c_0 there, and so at
+        every level; the exp tail past exp_depth lies at or above
+        R_j >= R_0 + je and lands at or above q^k R_0 + v(d_k) >= P.  Every
+        pair is known to v(d_k) + q^{i+k} e + q^k prec(p_i cut), at least
+        min(q^k c_0, q^k R_0) + v(d_k) >= P (the full product shifted by
+        q^i e is known to R_0, as in _exp_levels), so dot's precision is P
+        and its digits are those of the uncut sum.
 
         An inexact d_k keeps the level path: its term precision
         prec(d_k) + q^k v(w_j) - je reads the valuation of the level value,
@@ -695,11 +792,6 @@ class DrinfeldModule:
         without terms lies at or above c_j.
         """
         cfg = self.cfg
-        memo = None
-        if lattice is not None and delta is None:
-            memo = next((tw for tw in lattice.towers if tw.omega is lam), None)
-        if memo is not None and memo.quasi_period is not None:
-            return memo.quasi_period
         if delta is None:
             delta = Biderivation.tau(cfg)
         if delta.is_zero() or lam.is_apparent_zero():
@@ -709,56 +801,58 @@ class DrinfeldModule:
         vlam = lam.valuation()
         target = cfg.rel_prec + max(0, -vlam)
         # dropped terms have v >= floor(J) = -(J+1)e + dmin + q(vlam + (J+2)e)
-        # and climb by at least (q-1)e per step afterwards, valid once the
-        # dropped arguments are small (exp acts as the identity there); J is
-        # the least level where both hold, and both grow with J
+        # and climb by (q-1)e per level, once the dropped arguments lie in
+        # exp's radius; J is the least level where both hold
         step = (q - 1) * e
         base = -e + dmin + q * (vlam + 2 * e)
-        J = max(0, -((vlam + 2 * e) // e),
+        J = max(0, -((vlam + 2 * e - self._exp_radius()) // e),
                 0 if dmin == INF else -((base - target) // step))
         floor = base + J * step
         count = J + 1
         ds = [(k, q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
               if not d.is_exact_zero()]
-        # precision first: R_j of each level, then P, from valuations only;
-        # level j's argument lam/theta^{j+1} has valuation vlam + (j+1)e and
-        # precision prec(lam) + (j+1)e
-        shifts = [(j + 1) * e for j in range(count)]
+        exact = all(d.prec == INF for _, _, d in ds)
+        # precision first: R_j of each planned level, then P, from
+        # valuations only; with exact d_k level 0 plans the sum
+        shifts = [(j + 1) * e for j in range(1 if exact else count)]
         rs = self._exp_precs(vlam, lam.prec, shifts)
         prec = min([floor] + [qk * r + d.vbound() - j * e
                               for j, r in enumerate(rs) for _, qk, d in ds])
         # then digits: each level only to the c_j its terms need
         cuts = [min(r, max(-((d.vbound() - prec - j * e) // qk)
                            for _, qk, d in ds)) for j, r in enumerate(rs)]
-        if all(d.prec == INF for _, _, d in ds):
-            # one sum over the pairs (d_k theta^j theta^(-q^(i+k)(j+1)),
-            # p_i^(q^k)) of every level's rows
-            plans, caps = self._ladder_plan(lam, shifts, cuts)
+        if exact:
+            # one sum over the pairs (d_k G_ik, p_i^(q^k)), G_ik's terms
+            # theta^j theta^(-q^(i+k)(j+1)) at Q e + j(Q - 1)e, Q = q^(i+k)
+            _, caps = self._ladder_plan(lam, shifts, cuts)
             qs = cfg.q_powers(cfg.exp_depth)
-            twisted = {}
-            for i, cs in caps.items():
-                row = self._ladder_row(lam, i, max(cs))
-                for k, _, _ in ds:
-                    twisted[i, k] = row.frobenius(k)
-            value = dot(cfg, [
-                (d.shift(qs[i] * qk * s - j * e), twisted[i, k])
-                for j, (s, _, rows) in enumerate(plans)
-                for i, _ in rows for k, qk, d in ds], prec)
-        else:
-            values = self._exp_levels(lam, shifts, cuts)
-            # an inexact d_k also needs v(w_j): a level without terms lies
-            # at or above c_j, where prec(d_k) + q^k c_j - je cannot fall
-            # below prec
-            prec = min([prec] + [d.prec + qk * w.vbound() - j * e
-                                 for j, w in enumerate(values)
-                                 for _, qk, d in ds if d.prec != INF])
-            # theta^j delta_t(w_j) = sum_k theta^j d_k w_j^(q^k), cut at P
-            value = dot(cfg, [(d.shift(-j * e), w.frobenius(k))
-                              for j, w in enumerate(values)
-                              for k, _, d in ds], prec)
-        if memo is not None:
-            memo.quasi_period = value
-        return value
+            pairs = []
+            for i, (cap,) in caps.items():
+                row = self._ladder_row(lam, i, cap, products)
+                if not row.terms:
+                    continue
+                low = row.vbound()
+                for k, qk, d in ds:
+                    Q = qs[i] * qk
+                    # G's terms at or above top land at or above P
+                    top = prec - d.vbound() - qk * low
+                    n = min(count, -((Q * e - top) // ((Q - 1) * e)))
+                    if n > 0:
+                        G = CInfApprox._raw(cfg, {
+                            Q * e + j * (Q - 1) * e: 1 for j in range(n)},
+                            INF)
+                        pairs.append((d * G, row.frobenius(k)))
+            return dot(cfg, pairs, prec)
+        values = self._exp_levels(lam, shifts, cuts)
+        # an inexact d_k also needs v(w_j): a level without terms lies at
+        # or above c_j, where prec(d_k) + q^k c_j - je cannot fall below prec
+        prec = min([prec] + [d.prec + qk * w.vbound() - j * e
+                             for j, w in enumerate(values)
+                             for _, qk, d in ds if d.prec != INF])
+        # theta^j delta_t(w_j) = sum_k theta^j d_k w_j^(q^k), cut at P
+        return dot(cfg, [(d.shift(-j * e), w.frobenius(k))
+                         for j, w in enumerate(values)
+                         for k, _, d in ds], prec)
 
     # -- normalization and morphisms --------------------------------------------
 

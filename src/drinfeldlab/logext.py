@@ -12,6 +12,10 @@ and quasi-logarithms at once.  The relation certificate evaluates putative
 linear relations among these quantities and reports residual valuations;
 it can refute a relation only down to working precision, never prove
 transcendence.
+
+A log point keeps the numerators alpha_i lambda^(q^i) that its check
+exp(lambda) = alpha formed; its g-vector's generating function and
+F(lambda) cut them instead of forming them again.
 """
 
 from .agf import AndersonGF
@@ -22,12 +26,15 @@ from .tseries import TMatrix, TSeries
 
 
 class LogPoint:
-    """A pair (lambda, alpha) with exp(lambda) = alpha, verified."""
+    """A pair (lambda, alpha) with exp(lambda) = alpha, verified, and the
+    numerators alpha_i lambda^(q^i), i < pole count, that the check
+    formed (make_log_point sets them before the point is returned)."""
 
     def __init__(self, lam, alpha, provenance):
         self.lam = lam
         self.alpha = alpha
         self.provenance = provenance
+        self.numerators = ()
 
 
 def make_log_point(module, lam=None, alpha=None):
@@ -35,22 +42,29 @@ def make_log_point(module, lam=None, alpha=None):
 
     Lifting from alpha uses the certified logarithm disc and may raise
     DivergentEvaluation; either way the defining identity is re-checked.
+    exp(lambda) reads lambda's numerators, which the point keeps for the
+    generating function of its g-vector.
     """
     cfg = module.cfg
     if (lam is None) == (alpha is None):
         raise ConfigError("give exactly one of lambda, alpha")
     if lam is not None:
-        alpha = module.exp_eval(lam)
         provenance = "given-lambda"
     else:
         lam = module.log_eval(alpha)
         provenance = "lifted-from-alpha"
-    resid = module.exp_eval(lam) - alpha
+    numerators = module._numerators(lam)
+    value = module._exp_levels(lam, [0], products=numerators)[0]
+    if alpha is None:
+        alpha = value
+    resid = value - alpha
     if not resid.is_zero_to(cfg.pass_threshold()):
         raise VerificationFailed(
             "exp(lambda) - alpha has v = %s, below threshold %d"
             % (resid.vbound(), cfg.pass_threshold()))
-    return LogPoint(lam, alpha, provenance)
+    point = LogPoint(lam, alpha, provenance)
+    point.numerators = numerators
+    return point
 
 
 class GVector:
@@ -66,7 +80,8 @@ class GVector:
         self.motive = motive
         self.point = point
         self.cfg = motive.cfg
-        self.agf = AndersonGF(motive.module, point.lam)
+        self.agf = AndersonGF(motive.module, point.lam,
+                              _held=point.numerators)
         self.agf._require_normalized()
         self._series = None
 
@@ -97,8 +112,9 @@ class GVector:
         module = self.motive.module
         g1t, g2t = self.at_theta()
         r1 = g1t - (self.point.lam - self.point.alpha)
-        r2 = g2t + module.quasi_period_eval(self.point.lam,
-                                            lattice=self.motive.lattice)
+        # F(lambda) cuts the numerators the point keeps, as f_lambda does
+        r2 = g2t + module._quasi_period_sum(self.point.lam,
+                                            products=self.point.numerators)
         return r1, r2
 
     def functional_equation_residual(self):

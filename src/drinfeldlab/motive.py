@@ -330,8 +330,12 @@ class MotiveMatrices:
         self.T = T if T is not None else cfg.t_terms
         self.xi = xi_constant(cfg)
         self.omega = OmegaData(cfg, T=self.T)
-        self.agf1 = AndersonGF(module, lattice.omega1)
-        self.agf2 = AndersonGF(module, lattice.omega2)
+        # each period's generating function takes the numerators its
+        # tower's residual check formed
+        towers = [lattice.tower_of(om) for om in lattice.basis()]
+        self.agf1, self.agf2 = (
+            AndersonGF(module, om, _held=tw.numerators if tw else ())
+            for om, tw in zip(lattice.basis(), towers))
         self.phi = phi_matrix(module)
         self.psi = self._build_psi()
 

@@ -843,11 +843,23 @@ def test_tower_seed_outside_contraction_disc():
 # Quasi-periods against the plain unrolled loop
 
 
+def _exp_radius_reference(rho, scan=64):
+    """The least rho >= 0 with b_i + (q^i - 1) rho >= 0 for i <= scan, b_i
+    the valuation bounds of _vbounds_reference: the radius past which exp
+    lowers no valuation, from a plain scan."""
+    q = rho.cfg.q
+    bounds = _vbounds_reference(rho, "exp", scan)
+    return max([0] + [-(b // (q ** i - 1))
+                      for i, b in enumerate(bounds) if i and b != INF])
+
+
 def _quasi_period_reference(rho, lam, delta=None, extra=0):
     """F_delta(lam) by the plain unrolled loop: every level
     exp(lam/theta^{j+1}) at the full precision exp_eval gives it, summed,
-    then cut at min(sum precision, floor).  With extra > 0 the loop runs
-    that many levels past its stop and returns the uncut sum."""
+    then cut at min(sum precision, floor).  The loop stops at the first
+    level where the floor reaches its target and the next argument lies in
+    exp's radius.  With extra > 0 it runs that many levels past its stop
+    and returns the uncut sum."""
     cfg = rho.cfg
     if delta is None:
         delta = Biderivation.tau(cfg)
@@ -855,6 +867,7 @@ def _quasi_period_reference(rho, lam, delta=None, extra=0):
     dmin = delta.min_coeff_valuation()
     vlam = lam.valuation()
     target = cfg.rel_prec + max(0, -vlam)
+    radius = _exp_radius_reference(rho)
     acc, theta_pow, stop = cfg.zero(INF), cfg.one(), None
     for j in itertools.count():
         w = rho.exp_eval(lam / cfg.theta(j + 1))
@@ -862,7 +875,7 @@ def _quasi_period_reference(rho, lam, delta=None, extra=0):
         theta_pow = theta_pow * cfg.theta()
         if stop is None:
             floor = -(j + 1) * e + dmin + q * (vlam + (j + 2) * e)
-            if floor >= target and vlam + (j + 2) * e >= 0:
+            if floor >= target and vlam + (j + 2) * e >= radius:
                 stop = j
         if stop is not None and j >= stop + extra:
             break
@@ -917,21 +930,48 @@ def test_quasi_period_matches_unrolled_reference_short_arguments():
                     assert got.prec == want.prec, (k, a, digits, delta)
 
 
+_FLOOR_GRID = [(FieldConfig(3, 1, 4, e=72, prec=240), range(-3, 8)),
+               (FieldConfig(5, 1, 4, e=600, prec=240), (-1, 1, 3))]
+
+
 def test_quasi_period_floor_oracle():
     # eight levels past the stop change nothing below the returned
-    # precision: q3 grid, kappa = theta^k, u in {1, theta^3},
-    # lam = theta^a
-    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
-    for k in range(9):
-        for u in (cfg.one(), cfg.theta(3)):
-            rho = DrinfeldModule(cfg, 2, cfg.theta(k), u)
-            for a in range(-3, 8):
-                lam = cfg.theta(a)
-                for delta in (None, Biderivation.inner_one(rho)):
-                    got = rho.quasi_period_eval(lam, delta=delta)
-                    full = _quasi_period_reference(rho, lam, delta, extra=8)
-                    assert full.prec >= got.prec, (k, u, a, delta)
-                    assert (full - got).vbound() >= got.prec, (k, u, a)
+    # precision: kappa = theta^k for k <= 12, where v(alpha_1) < 0 from
+    # k = q + 1 on and exp's radius grows past 0, u in {1, theta^3},
+    # lam = theta^a; q3 and q5-tame, where kappa = theta^10..12 at
+    # lam = theta take one level more than the radius 0 would give
+    for cfg, exps in _FLOOR_GRID:
+        for k in range(13):
+            for u in (cfg.one(), cfg.theta(3)):
+                rho = DrinfeldModule(cfg, 2, cfg.theta(k), u)
+                for a in exps:
+                    lam = cfg.theta(a)
+                    for delta in (None, Biderivation.inner_one(rho)):
+                        got = rho.quasi_period_eval(lam, delta=delta)
+                        full = _quasi_period_reference(rho, lam, delta,
+                                                       extra=8)
+                        assert full.prec >= got.prec, (k, u, a, delta)
+                        assert (full - got).vbound() >= got.prec, (k, u, a)
+
+
+def test_exp_radius_matches_scan():
+    # the radius stops its scan at the first index the recursion carries;
+    # a 64-index scan finds the same value, kappa = 0 (every odd bound
+    # infinite) and the Carlitz module included; at valuation rho exp
+    # lowers no valuation
+    for cfg, _ in _FLOOR_GRID:
+        modules = [DrinfeldModule(cfg, 1), DrinfeldModule(cfg, 2, 0, 1)]
+        modules += [DrinfeldModule(cfg, 2, cfg.theta(k), u)
+                    for k in range(-2, 13)
+                    for u in (cfg.one(), cfg.theta(3), cfg.theta(-2))]
+        radii = set()
+        for rho in modules:
+            radius = rho._exp_radius()
+            assert radius == _exp_radius_reference(rho), rho
+            z = cfg.monomial(radius)
+            assert rho.exp_eval(z).vbound() >= radius, rho
+            radii.add(radius)
+        assert 0 in radii and max(radii) > cfg.e
 
 
 def test_quasi_period_level_count_reaches_target():
@@ -975,10 +1015,11 @@ def _exp_prec_scan(rho, vz, zprec):
 
 def _quasi_period_levels(rho, lam, delta):
     """F_delta(lam) level by level: every level w_j = exp(lam/theta^{j+1})
-    from one _exp_levels ladder cut at its c_j, then the sum of
-    theta^j d_k w_j^(q^k) cut at P, with P lowered for an inexact d_k by
-    prec(d_k) + q^k v(w_j) - je.  This was the library's evaluation for
-    every delta; the library keeps it for an inexact d_k only."""
+    from one _exp_levels ladder cut at its c_j, with each R_j and P from
+    every level, then the sum of theta^j d_k w_j^(q^k) cut at P, with P
+    lowered for an inexact d_k by prec(d_k) + q^k v(w_j) - je.  This was
+    the library's evaluation for every delta; the library keeps it for an
+    inexact d_k only, and plans the sum over exact d_k at level 0."""
     cfg = rho.cfg
     e, q = cfg.e, cfg.q
     dmin = delta.min_coeff_valuation()
@@ -986,7 +1027,7 @@ def _quasi_period_levels(rho, lam, delta):
     target = cfg.rel_prec + max(0, -vlam)
     step = (q - 1) * e
     base = -e + dmin + q * (vlam + 2 * e)
-    J = max(0, -((vlam + 2 * e) // e),
+    J = max(0, -((vlam + 2 * e - _exp_radius_reference(rho)) // e),
             0 if dmin == INF else -((base - target) // step))
     floor = base + J * step
     ds = [(k, q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
@@ -1050,6 +1091,91 @@ def test_quasi_period_one_sum_matches_levels(name, prec, monkeypatch):
                                         delta or Biderivation.tau(cfg))
             assert got.terms == want.terms, (name, prec, lam, delta)
             assert got.prec == want.prec, (name, prec, lam, delta)
+
+
+# exp_depth = 2 leaves the tail floor, which no pair of the sum carries, to
+# bind R_0 at the arguments drawn
+_LEVEL_ZERO_CFGS = {(q, depth): FieldConfig(q, 1, 4, e=e, prec=240,
+                                            exp_depth=depth)
+                    for q, e in ((3, 72), (5, 600)) for depth in (2, 12)}
+_level_zero_cache = {}
+
+
+def _level_zero_module(q, depth, k, cube):
+    key = (q, depth, k, cube)
+    if key not in _level_zero_cache:
+        cfg = _LEVEL_ZERO_CFGS[q, depth]
+        _level_zero_cache[key] = DrinfeldModule(
+            cfg, 2, cfg.theta(k), cfg.theta(3) if cube else cfg.one())
+    return _level_zero_cache[key]
+
+
+@st.composite
+def _quasi_period_argument(draw, cfg):
+    """lam with a drawn valuation and term set, exact or known to a
+    precision that often sits close enough above v(lam) to bind R_0."""
+    e, size = cfg.e, cfg.field.size
+    v = draw(st.integers(-3 * e, 4 * e))
+    terms = draw(st.dictionaries(st.integers(v, v + 3 * e),
+                                 st.integers(1, size - 1), max_size=5))
+    terms[v] = draw(st.integers(1, size - 1))
+    prec = draw(st.one_of(st.just(INF), st.integers(v + 1, v + 2 * e),
+                          st.integers(v + 1, v + 1 + cfg.rel_prec)))
+    return CInfApprox(cfg, terms, prec)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(q=st.sampled_from([3, 5]), depth=st.sampled_from([12, 2]),
+       k=st.integers(0, 8), cube=st.booleans(), inner=st.booleans(),
+       data=st.data())
+def test_quasi_period_level_zero_matches_levels(q, depth, k, cube, inner,
+                                                data):
+    # the sum planned at level 0 equals the level-by-level sum in terms
+    # and precision: kappa = theta^k (v(alpha_1) < 0 from k = q + 1 on),
+    # u in {1, theta^3}, delta in {tau, inner_one}; and so does the sum
+    # that cuts lam's full numerators for its rows
+    rho = _level_zero_module(q, depth, k, cube)
+    cfg = rho.cfg
+    lam = data.draw(_quasi_period_argument(cfg))
+    delta = Biderivation.inner_one(rho) if inner else Biderivation.tau(cfg)
+    want = _quasi_period_levels(rho, lam, delta)
+    got = rho.quasi_period_eval(lam, delta=delta)
+    assert (got.terms, got.prec) == (want.terms, want.prec)
+    held = rho._quasi_period_sum(lam, delta, rho._numerators(lam))
+    assert (held.terms, held.prec) == (want.terms, want.prec)
+
+
+def test_quasi_period_plans_one_level(monkeypatch):
+    # at N = 1920 every quasi-period with exact d_k, of a period (cutting
+    # its tower's numerators) or of a logarithm, reads one exp precision
+    # and plans one level, and forms no ladder level
+    rho = _q3_module(1920)
+    cfg = rho.cfg
+    lat = rho.periods()
+    point = make_log_point(rho, alpha=cfg.theta(-1))
+    calls = []
+    exp_precs, ladder_plan = DrinfeldModule._exp_precs, \
+        DrinfeldModule._ladder_plan
+
+    def precs_spy(self, vz, zprec, shifts):
+        calls.append(("precs", len(shifts)))
+        return exp_precs(self, vz, zprec, shifts)
+
+    def plan_spy(self, z, shifts, precs):
+        calls.append(("plan", len(shifts)))
+        return ladder_plan(self, z, shifts, precs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("formed a ladder level")
+
+    monkeypatch.setattr(DrinfeldModule, "_exp_precs", precs_spy)
+    monkeypatch.setattr(DrinfeldModule, "_ladder_plan", plan_spy)
+    monkeypatch.setattr(DrinfeldModule, "_exp_levels", boom)
+    for lam in (lat.omega1, lat.omega2, point.lam):
+        for delta in (Biderivation.tau(cfg), Biderivation.inner_one(rho)):
+            del calls[:]
+            rho.quasi_period_eval(lam, delta=delta, lattice=lat)
+            assert calls == [("precs", 1), ("plan", 1)], (lam, delta)
 
 
 # The exp ladder against one exp_eval per level

@@ -102,14 +102,12 @@ def test_g_vector_series_on_first_read(ctx3, mot, point, monkeypatch):
         GVector(SimpleNamespace(module=raw, cfg=ctx3.cfg, T=4), point)
 
 
-def test_g_vector_series_thread_safe(mot, point):
-    # threads reading one fresh g-vector's series get the serial pair
-    want = _series_pair(GVector(mot, point))
-    shared = GVector(mot, point)
+def _run_in_threads(work, count):
+    """work() in count threads at a tiny switch interval, restored
+    afterwards; their results."""
     results = []
-    threads = [threading.Thread(
-        target=lambda: results.append(_series_pair(shared)))
-        for _ in range(4)]
+    threads = [threading.Thread(target=lambda: results.append(work()))
+               for _ in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -120,7 +118,91 @@ def test_g_vector_series_thread_safe(mot, point):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 4 and all(got == want for got in results)
+    assert len(results) == count
+    return results
+
+
+def test_g_vector_series_thread_safe(mot, point):
+    # threads reading one fresh g-vector's series get the serial pair
+    want = _series_pair(GVector(mot, point))
+    shared = GVector(mot, point)
+    results = _run_in_threads(lambda: _series_pair(shared), 4)
+    assert all(got == want for got in results)
+
+
+def _chain(rho):
+    """periods, Psi, F(omega_i), a log point and its g-vector residuals on
+    rho, encoded; the towers' and the point's kept numerators too."""
+    cfg = rho.cfg
+    lat = rho.periods()
+    mot = MotiveMatrices(rho, lat, T=8)
+    point = make_log_point(rho, alpha=cfg.theta(-1))
+    gv = GVector(mot, point)
+    values = lat.basis() + [rho.quasi_period_eval(om, lattice=lat)
+                            for om in lat.basis()]
+    values += [point.lam, point.alpha, *gv.specialization_residuals()]
+    values += [x for tw in lat.towers for x in tw.numerators]
+    values += point.numerators
+    values += [c for r in mot.psi.rows for a in r for c in a.coeffs]
+    values += [r[0] for r in gv.functional_equation_residual().rows]
+    return [(x.terms, x.prec) if hasattr(x, "terms")
+            else [(c.terms, c.prec) for c in x.coeffs] for x in values]
+
+
+def test_shared_module_thread_safe():
+    # six threads through one cold module at N = 480: the lattice, Psi,
+    # F(omega_i), a log point and its g-vector, the numerators the towers
+    # and the point keep, all as a serial run on a fresh module gives them
+    cfg = FieldConfig(3, 1, 4, e=72, prec=480)
+
+    def module():
+        return DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+
+    want = _chain(module())
+    shared = module()
+    results = _run_in_threads(lambda: _chain(shared), 6)
+    assert all(got == want for got in results)
+
+
+def test_psi_and_g_vector_form_no_products(monkeypatch):
+    # at N = 1920 the generating functions of the periods and of a log
+    # point, and F(lambda), cut the numerators that the towers' and the
+    # point's residual checks formed: MotiveMatrices and GVector form no
+    # product alpha_i u^(q^i), neither a full nor a capped one
+    cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    lat = rho.periods()
+    point = make_log_point(rho, alpha=cfg.theta(-2))
+    formed = []
+    row, levels = DrinfeldModule._ladder_row, DrinfeldModule._exp_levels
+
+    def numerators(self, z, count=None):
+        raise AssertionError("formed the numerators again")
+
+    def row_spy(self, z, i, cap, products=()):
+        if i >= len(products):
+            formed.append(i)
+        return row(self, z, i, cap, products)
+
+    def levels_spy(self, z, shifts, precs=None, products=()):
+        # a row the ladder keeps at one level only, beyond products, is
+        # formed inside that level's sum
+        plan = precs or self._exp_precs(z.valuation(), z.prec, shifts)
+        _, caps = self._ladder_plan(z, shifts, plan)
+        formed.extend(i for i, cs in caps.items()
+                      if len(cs) == 1 and i >= len(products))
+        return levels(self, z, shifts, precs, products)
+
+    monkeypatch.setattr(DrinfeldModule, "_numerators", numerators)
+    monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
+    monkeypatch.setattr(DrinfeldModule, "_exp_levels", levels_spy)
+    mot = MotiveMatrices(rho, lat, T=16)
+    gv = GVector(mot, point)
+    r1, r2 = gv.specialization_residuals()
+    gv.g1
+    assert formed == []
+    thr = cfg.pass_threshold()
+    assert r1.is_zero_to(thr) and r2.is_zero_to(thr)
 
 
 def test_g_vector_zero_point(ctx3, mot):
