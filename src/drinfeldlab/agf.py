@@ -14,11 +14,11 @@ it is a running sum (_pole_sum) rather than a product.  The t-power-series
 form (series, the one t-series path) exists for radius-1 work and takes
 its coefficients from the exp ladder (DrinfeldModule._exp_levels).  Both
 forms read the same products alpha_i u^(q^i), the numerators, formed once
-and handed to the ladder, which cuts them for every row it keeps.  The
-generating function of a period or a logarithm takes the numerators that
-the residual check exp(u) of its tower or log point formed (_held); any
-other forms them when it is built.  The dual-representation oracle, which
-rebuilds the series from the I poles and their floor, lives in the tests.
+and handed to the ladder, which cuts them for every row it keeps.  A
+generating function is given its numerators when it is built (those the
+residual check exp(u) of a tower or log point formed), or forms them then.
+The dual-representation oracle, which rebuilds the series from the I
+poles and their floor, lives in the tests.
 
 Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
@@ -36,19 +36,15 @@ from .tseries import TSeries
 
 
 class AndersonGF:
-    def __init__(self, module, u, pole_count=None, _held=()):
-        """_held: the numerators alpha_i u^(q^i) that a residual check
-        already formed for this very u (a period's tower, a log point),
-        taken when they are pole_count many; else they are formed here."""
-        cfg = module.cfg
+    def __init__(self, module, u, numerators=None):
+        """numerators: the products alpha_i u^(q^i), one per pole, that a
+        residual check formed for this very u (a tower, a log point); when
+        none are given, module._numerators(u) forms them here."""
         self.module = module
-        self.cfg = cfg
+        self.cfg = module.cfg
         self.u = u
-        if pole_count is None:
-            pole_count = cfg.pole_count or cfg.exp_depth
-        self.I = pole_count
-        self.numerators = _held if len(_held) == pole_count \
-            else module._numerators(u, pole_count)
+        self.numerators = numerators or module._numerators(u)
+        self.I = len(self.numerators)
         self._pair_at_theta = None
 
     # -- the t-series -------------------------------------------------------------
@@ -63,7 +59,7 @@ class AndersonGF:
             T = cfg.t_terms
         coeffs = self.module._exp_levels(
             self.u, [(j + 1) * cfg.e for j in range(T)],
-            products=self.numerators)
+            numerators=self.numerators)
         return TSeries(cfg, coeffs, tail=self._series_tail(T))
 
     def _series_tail(self, T):
@@ -141,10 +137,7 @@ class AndersonGF:
         return pair
 
     def _require_normalized(self):
-        if self.module.rank != 2 or not self.module.is_normalized():
-            raise ConfigError(
-                "the twisted pair needs a rank-2 module in the normalized "
-                "form u = 1; call normalize() first")
+        require_normalized(self.module, "the twisted pair")
 
     # -- functional equation reports ----------------------------------------------
 
@@ -176,6 +169,18 @@ class AndersonGF:
         if not self.u.is_apparent_zero():
             val = val - mod.exp_eval(self.u)
         return val
+
+
+def require_normalized(module, what):
+    """ConfigError unless module has rank 2 and the normalized form u = 1,
+    which what (a construction) needs: normalize() serves a rank-2 module
+    with u != 1, but the Carlitz module has no rank-2 form."""
+    if module.rank != 2:
+        raise ConfigError("%s needs a rank-2 module, not the rank-1 "
+                          "Carlitz module" % what)
+    if not module.is_normalized():
+        raise ConfigError("%s needs a rank-2 module in the normalized form "
+                          "u = 1; call normalize() first" % what)
 
 
 def _pole_sum(cfg, parts, n):

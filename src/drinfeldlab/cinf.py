@@ -84,6 +84,10 @@ _PACK_MIN = 100
 # sweep, so 64 covers any window that fits in memory
 _INVERSE_SWEEPS = 64
 
+# the bit counts of the most elements a field's tables may hold and of the
+# largest q^depth of a grid
+_FIELD_BITS, _GRID_BITS = 24, 32
+
 # one FiniteField per (p, s, m, modulus) and process, like a unique parent:
 # its tables never change, so every config over it may share them
 _FIELDS = {}
@@ -132,6 +136,16 @@ class FieldConfig:
             if low is not None and v < low:
                 raise ConfigError("%s = %d must be at least %d"
                                   % (name, v, low))
+        # decided before any power or primality test: p >= 2, so an
+        # exponent past the bit count exceeds the bound
+        if p > 1 and (s * m > _FIELD_BITS
+                      or p ** (s * m) > 1 << _FIELD_BITS):
+            raise ConfigError("the field of p^(s m) = %d^(%d * %d) elements "
+                              "exceeds 2^%d" % (p, s, m, _FIELD_BITS))
+        if p > 1 and (depth > _GRID_BITS
+                      or p ** (s * depth) > 1 << _GRID_BITS):
+            raise ConfigError("q^depth = %d^%d exceeds 2^%d"
+                              % (p ** s, depth, _GRID_BITS))
         if not is_prime(p):
             raise ConfigError("p = %r is not prime" % (p,))
         if p == 2 and not allow_char2:

@@ -157,7 +157,7 @@ def cmd_agf(args, cfg, module):
 
 def cmd_omega(args, cfg, module):
     from .motive import OmegaData
-    om = OmegaData(cfg, T=cfg.t_terms)
+    om = OmegaData(cfg)
     res = om.difference_residual()
     return {
         "command": "omega",

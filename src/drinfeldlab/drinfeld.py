@@ -28,11 +28,11 @@ alone, since every level's precision rises by at least one theta-unit per
 level, then sums the twisted products against exact sparse multipliers
 that stand for all its levels in one dot, keeping only the digits the sum
 needs.  The levels' tail floors are read off one lower envelope of the
-tail bound's lines per module, kind and start.  A period's tower keeps the
-full products alpha_i omega^{q^i} that its residual check exp(omega) ~ 0
-read, the numerators of omega's generating function, so the quasi-period
-and the generating function of that period cut them instead of forming
-them again.
+tail bound's lines per module, kind and start.  Every row a ladder keeps
+is read through one cut (_ladder_row).  A period's tower is built with
+the full products alpha_i omega^{q^i} that its residual check
+exp(omega) ~ 0 read, the numerators of omega's generating function, which
+the quasi-period and the generating function of that period cut.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -45,8 +45,7 @@ of that lattice.  A memo is filled by rebinding an attribute to a finished
 value, never by growing one in place, so threads may share a module; two
 threads racing on an empty memo both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
-A tower's numerators are set before the tower is returned and never
-change after.
+A tower's numerators are given to it when it is built and never change.
 """
 
 from bisect import bisect_left
@@ -112,14 +111,13 @@ class Biderivation:
 class Tower:
     """One period with its division tower e_n = exp(omega / theta^n), and
     the numerators alpha_i omega^(q^i), i < pole count, that its residual
-    check exp(omega) ~ 0 formed (period_from_seed sets them before the
-    tower is returned)."""
+    check exp(omega) ~ 0 formed."""
 
-    def __init__(self, omega, depth, chain):
+    def __init__(self, omega, depth, chain, numerators=()):
         self.omega = omega
         self.depth = depth
         self.chain = chain  # chain[n-1] = e_n
-        self.numerators = ()
+        self.numerators = numerators
         self.quasi_period = None  # F_tau(omega), set by quasi_period_eval
 
 
@@ -385,7 +383,10 @@ class DrinfeldModule:
                 for k, floor in zip(shifts, floors)]
 
     def exp_eval(self, z):
-        """exp(z); entire, so always certified.  The one-level case of
+        """exp(z), certified.  exp is entire, but its tail floor reads a
+        scan of _TAIL_SCAN coefficient bounds, which does not stabilize for
+        an argument far outside the unit disc (theta^40 on q3): there the
+        value is refused with DivergentEvaluation.  The one-level case of
         _exp_levels."""
         return self._exp_levels(z, [0])[0]
 
@@ -418,59 +419,59 @@ class DrinfeldModule:
         return [alpha * z.frobenius(i)
                 for i, alpha in enumerate(self.exp_coeffs(count - 1))]
 
-    def _ladder_row(self, z, i, cap, products=()):
-        """p_i = alpha_i z^{q^i} capped at cap: products[i] cut there when
-        the caller holds z's full products (_numerators), else formed from
-        z cut to the digits whose terms reach below cap.  Either has the
+    def _exp_with_numerators(self, z):
+        """(exp(z), the numerators of z): the residual check of a period or
+        a log point reads exp(z) from the numerators it forms, and the
+        tower or point it builds keeps them."""
+        numerators = self._numerators(z)
+        return self._exp_levels(z, [0], numerators=numerators)[0], numerators
+
+    def _ladder_row(self, z, i, cap, numerators=()):
+        """p_i = alpha_i z^{q^i} capped at cap: numerators[i] cut there when
+        the caller holds z's numerators (_numerators), else formed from z
+        cut to the digits whose terms reach below cap.  Either has the
         full product's digits below min(cap, its precision), and that is
         its precision."""
-        if i < len(products):
-            return products[i].truncate(cap)
+        if i < len(numerators):
+            return numerators[i].truncate(cap)
         cfg = self.cfg
         alpha = self.exp_coeffs(cfg.exp_depth)[i]
         digits = _digits(alpha.vbound(), cfg.q_powers(i)[i], cap)
         return dot(cfg, [(alpha, z.truncate(digits).frobenius(i))], cap)
 
-    def _exp_levels(self, z, shifts, precs=None, products=()):
+    def _exp_levels(self, z, shifts, precs=None, numerators=()):
         """[exp_eval(z.shift(k)) for k in shifts] in terms and precision,
         from one set of products alpha_i z^{q^i}.  precs, when given, holds
         for each level a precision R at most the one exp_eval reaches there;
-        the level is then exp_eval's value cut at R.  products, when given,
-        holds the full products alpha_i z^{q^i} for the first rows
-        (_numerators), which every row the ladder keeps among them then
-        cuts instead of forming (_ladder_row).
+        the level is then exp_eval's value cut at R.  numerators, when
+        given, holds the full products alpha_i z^{q^i} for the first rows
+        (_numerators), which the rows the ladder keeps among them cut
+        instead of forming.
 
         Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
         sum_i p_i theta^{-q^i k/e} with p_i = alpha_i z^{q^i}.  Precision
         first: each level has its R, _exp_precs unless precs gives it, and
-        its rows are those of _ladder_plan.  A row that several levels keep,
-        or that products holds, is read once, as p_i capped at
-        C_i = max(R - q^i k) over those levels (_ladder_row), and each of
-        them reads it through the pair (p_i, theta^{-q^i k/e}); any other
-        row goes into its one level's sum as exp_eval forms it.  Each level
-        is one dot capped at its R, so it holds exactly the term pairs of
-        exp_eval below R: p_i shifted by q^i k is known to
-        C_i + q^i k >= R and to the precision of the full product shifted,
-        min(prec(alpha_i) + q^i v, v(alpha_i) + q^i zprec) for the
-        argument's valuation v and precision zprec, which _qlinear_prec
-        keeps at or above R.
+        its rows are those of _ladder_plan.  Every row the ladder keeps is
+        read once, as p_i capped at C_i = max(R - q^i k) over the levels
+        that keep it (_ladder_row), and each of them reads it through the
+        pair (p_i, theta^{-q^i k/e}).  Each level is one dot capped at its
+        R, so it holds exactly the term pairs of exp_eval below R: p_i
+        shifted by q^i k is known to C_i + q^i k >= R and to the precision
+        of the full product shifted, min(prec(alpha_i) + q^i v,
+        v(alpha_i) + q^i zprec) for the argument's valuation v and
+        precision zprec, which _qlinear_prec keeps at or above R.
         """
         cfg = self.cfg
         if z.is_apparent_zero():
             return [z.shift(k) for k in shifts]
-        depth = cfg.exp_depth
-        alphas = self.exp_coeffs(depth)
-        qs = cfg.q_powers(depth)
+        qs = cfg.q_powers(cfg.exp_depth)
         if precs is None:
             precs = self._exp_precs(z.valuation(), z.prec, shifts)
         plans, caps = self._ladder_plan(z, shifts, precs)
-        shared = {i: self._ladder_row(z, i, max(cs), products)
-                  for i, cs in caps.items()
-                  if len(cs) > 1 or i < len(products)}
-        return [dot(cfg, [
-            (shared[i], cfg.monomial(qs[i] * k)) if i in shared
-            else (alphas[i], z.truncate(digits - k).shift(k).frobenius(i))
-            for i, digits in rows], r) for k, r, rows in plans]
+        rows = {i: self._ladder_row(z, i, max(cs), numerators)
+                for i, cs in caps.items()}
+        return [dot(cfg, [(rows[i], cfg.monomial(qs[i] * k))
+                          for i, _ in plan], r) for k, r, plan in plans]
 
     def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term
@@ -604,8 +605,8 @@ class DrinfeldModule:
         v(x0) + rel_prec when all of them are exact.
 
         The residual check exp(omega) ~ 0 reads omega's numerators
-        (_numerators), which the tower keeps for the generating function
-        and the quasi-period of omega.
+        (_exp_with_numerators), which the tower is built with, for the
+        generating function and the quasi-period of omega.
         """
         cfg = self.cfg
         q, e = cfg.q, cfg.e
@@ -614,15 +615,12 @@ class DrinfeldModule:
             en = chain[-1]
             if self.log_certificate(en):
                 omega = cfg.theta(n) * self.log_eval(en)
-                numerators = self._numerators(omega)
-                resid = self._exp_levels(omega, [0], products=numerators)[0]
+                resid, numerators = self._exp_with_numerators(omega)
                 if resid.vbound() < cfg.pass_threshold():
                     raise NoConvergence(
                         "period residual v = %s below threshold %d"
                         % (resid.vbound(), cfg.pass_threshold()))
-                tower = Tower(omega, n, chain)
-                tower.numerators = numerators
-                return tower
+                return Tower(omega, n, chain, numerators)
             x0 = CInfApprox(cfg, en.shift(e).terms, INF)
             v0 = x0.valuation()
             d0 = min(self._vk + q * v0, self._vu + q * q * v0) + e
@@ -734,10 +732,10 @@ class DrinfeldModule:
             memo.quasi_period = value
         return value
 
-    def _quasi_period_sum(self, lam, delta=None, products=()):
-        """F_delta(lam), delta None meaning tau.  products, when given,
-        holds lam's numerators (_numerators), which the sum over exact d_k
-        cuts for its rows instead of forming them.
+    def _quasi_period_sum(self, lam, delta=None, numerators=()):
+        """F_delta(lam), delta None meaning tau.  numerators, when given,
+        are lam's (_numerators), which the sum over exact d_k cuts for its
+        rows instead of forming them.
 
         Precision comes first, then digits.  The level count J and the
         truncation floor depend on valuations only.  Write z_j =
@@ -828,7 +826,7 @@ class DrinfeldModule:
             qs = cfg.q_powers(cfg.exp_depth)
             pairs = []
             for i, (cap,) in caps.items():
-                row = self._ladder_row(lam, i, cap, products)
+                row = self._ladder_row(lam, i, cap, numerators)
                 if not row.terms:
                     continue
                 low = row.vbound()

@@ -13,8 +13,8 @@ linear relations among these quantities and reports residual valuations;
 it can refute a relation only down to working precision, never prove
 transcendence.
 
-A log point keeps the numerators alpha_i lambda^(q^i) that its check
-exp(lambda) = alpha formed; its g-vector's generating function and
+A log point is built with the numerators alpha_i lambda^(q^i) that its
+check exp(lambda) = alpha formed; its g-vector's generating function and
 F(lambda) cut them instead of forming them again.
 """
 
@@ -28,13 +28,13 @@ from .tseries import TMatrix, TSeries
 class LogPoint:
     """A pair (lambda, alpha) with exp(lambda) = alpha, verified, and the
     numerators alpha_i lambda^(q^i), i < pole count, that the check
-    formed (make_log_point sets them before the point is returned)."""
+    formed."""
 
-    def __init__(self, lam, alpha, provenance):
+    def __init__(self, lam, alpha, provenance, numerators=()):
         self.lam = lam
         self.alpha = alpha
         self.provenance = provenance
-        self.numerators = ()
+        self.numerators = numerators
 
 
 def make_log_point(module, lam=None, alpha=None):
@@ -53,8 +53,7 @@ def make_log_point(module, lam=None, alpha=None):
     else:
         lam = module.log_eval(alpha)
         provenance = "lifted-from-alpha"
-    numerators = module._numerators(lam)
-    value = module._exp_levels(lam, [0], products=numerators)[0]
+    value, numerators = module._exp_with_numerators(lam)
     if alpha is None:
         alpha = value
     resid = value - alpha
@@ -62,9 +61,7 @@ def make_log_point(module, lam=None, alpha=None):
         raise VerificationFailed(
             "exp(lambda) - alpha has v = %s, below threshold %d"
             % (resid.vbound(), cfg.pass_threshold()))
-    point = LogPoint(lam, alpha, provenance)
-    point.numerators = numerators
-    return point
+    return LogPoint(lam, alpha, provenance, numerators)
 
 
 class GVector:
@@ -80,8 +77,7 @@ class GVector:
         self.motive = motive
         self.point = point
         self.cfg = motive.cfg
-        self.agf = AndersonGF(motive.module, point.lam,
-                              _held=point.numerators)
+        self.agf = AndersonGF(motive.module, point.lam, point.numerators)
         self.agf._require_normalized()
         self._series = None
 
@@ -113,8 +109,8 @@ class GVector:
         g1t, g2t = self.at_theta()
         r1 = g1t - (self.point.lam - self.point.alpha)
         # F(lambda) cuts the numerators the point keeps, as f_lambda does
-        r2 = g2t + module._quasi_period_sum(self.point.lam,
-                                            products=self.point.numerators)
+        r2 = g2t + module._quasi_period_sum(
+            self.point.lam, numerators=self.point.numerators)
         return r1, r2
 
     def functional_equation_residual(self):

@@ -29,7 +29,7 @@ root; difference_residual forms X - Phi^(1) X^(1) for Omega, Psi, its
 Kronecker square, its determinant and the block systems alike.
 """
 
-from .agf import AndersonGF
+from .agf import AndersonGF, require_normalized
 from .cinf import INF, CInfApprox, _merge_codes, dot
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
@@ -63,20 +63,17 @@ class OmegaData:
     prefactor = (-theta)^(-q/(q-1)) for the designated (q-1)-st root of
     -theta.  Dropped factors perturb any value by at least
     (q^(I+1) - 1) e grid units, which is folded into specializations.
-    ``product`` is the exact degree-I polynomial, ``series`` its first T
-    coefficients; ``column`` multiplies it into a generating function's
-    twisted pair through the poles.
+    ``product`` is the exact degree-I polynomial; ``column`` multiplies it
+    into a generating function's twisted pair through the poles.
     """
 
-    def __init__(self, cfg, I=None, T=None):
+    def __init__(self, cfg, I=None):
         if cfg.e % (cfg.q - 1) != 0:
             raise ConfigError("(q-1) must divide e for the prefactor root")
         if I is None:
             I = 1
             while (cfg.q ** (I + 1) - 1) * cfg.e < cfg.rel_prec:
                 I += 1
-        if T is None:
-            T = cfg.t_terms
         self.cfg = cfg
         self.I = I
         self.root_tag = designated_sign_root(cfg)
@@ -91,7 +88,6 @@ class OmegaData:
         for r in self.roots:
             product = product * TSeries.from_poly(cfg, [cfg.one(), r])
         self.product = product.scale(self.prefactor)
-        self.series = self.product.truncate(T)
 
     def _pole_row(self, L, T):
         """[coefficient k of Omega_I / (theta^(q^L) - t) for k < T],
@@ -115,20 +111,18 @@ class OmegaData:
             row.append(CInfApprox._raw(cfg, w, INF))
         return row
 
-    def column(self, gf, c, T, rows=None):
+    def column(self, gf, c, T):
         """(c Omega b, -c Omega a) through T coefficients, for the twisted
         pair (a, b) = gf.twisted_pair(T) of a generating function of a
         rank-2 module and a nonzero field constant c (a code): the terms,
         precisions and tails of the products of c Omega_I's series with the
-        pair's series, formed from the poles of gf.  rows holds the
-        _pole_row(L, T) built so far by L, and takes those built here, so
-        that the columns of one Psi build each row once.
+        pair's series, formed from the poles of gf.
 
         With n_i = alpha_i u^(q^i) over the ladder's rows i <= exp_depth,
         f^(1) = sum_L B_L / (theta^(q^L) - t) with B_L = n_(L-1)^q, and
         f^(2) = sum_L D_L / (theta^(q^L) - t) with D_L = n_(L-2)^(q^2).  So
         coefficient k of Omega_I b is S_k = sum_L B_L C_(L,k), with
-        C_(L,k) = rows[L][k], and that of Omega_I a is kappa S_k +
+        C_(L,k) = _pole_row(L, T)[k], and that of Omega_I a is kappa S_k +
         sum_L D_L C_(L,k): one dot each, capped at P_k, then times c or -c.
         Only the pairs whose lowest term lands below P_k are listed, and a
         row whose lowest term plus v(prefactor) + q^L e reaches no P_k
@@ -164,8 +158,7 @@ class OmegaData:
         mod, u = gf.module, gf.u
         kappa = mod.kappa
         vk = kappa.vbound()
-        if rows is None:
-            rows = {}
+        rows = {}
         shifts = [(j + 1) * e for j in range(T)]
         qs = cfg.q_powers(cfg.exp_depth + 2)
         if u.is_apparent_zero():
@@ -199,7 +192,7 @@ class OmegaData:
                 cut = max(-(-hb // q), -(-ha // (q * q)))
         f = dict(zip(js, mod._exp_levels(u, [shifts[j] for j in js],
                                          [min(R[j], cut) for j in js],
-                                         products=gf.numerators)))
+                                         numerators=gf.numerators)))
         # P_k, b column then a column
         Pb = [q * r for r in R]
         Pa = [q * r for r in Pb]
@@ -319,22 +312,19 @@ class MotiveMatrices:
     """Phi, Psi and the scaffolding shared by all rank-2 identity checks."""
 
     def __init__(self, module, lattice, T=None):
-        if not module.is_normalized() or module.rank != 2:
-            raise ConfigError(
-                "the trivialization display needs the normalized form u = 1; "
-                "call normalize() first")
+        require_normalized(module, "the trivialization display")
         cfg = module.cfg
         self.cfg = cfg
         self.module = module
         self.lattice = lattice
         self.T = T if T is not None else cfg.t_terms
         self.xi = xi_constant(cfg)
-        self.omega = OmegaData(cfg, T=self.T)
+        self.omega = OmegaData(cfg)
         # each period's generating function takes the numerators its
         # tower's residual check formed
         towers = [lattice.tower_of(om) for om in lattice.basis()]
         self.agf1, self.agf2 = (
-            AndersonGF(module, om, _held=tw.numerators if tw else ())
+            AndersonGF(module, om, tw.numerators if tw else None)
             for om, tw in zip(lattice.basis(), towers))
         self.phi = phi_matrix(module)
         self.psi = self._build_psi()
@@ -385,10 +375,8 @@ class MotiveMatrices:
         their pairs have no term below P_k either.
         """
         T, xi = self.T, self.xi.terms[0]
-        rows = {}
-        b2, a2 = self.omega.column(self.agf2, self.cfg.field.neg(xi), T,
-                                   rows)
-        b1, a1 = self.omega.column(self.agf1, xi, T, rows)
+        b2, a2 = self.omega.column(self.agf2, self.cfg.field.neg(xi), T)
+        b1, a1 = self.omega.column(self.agf1, xi, T)
         return TMatrix([[b2, b1], [a2, a1]])
 
     # -- coefficientwise identities ---------------------------------------------
@@ -415,7 +403,7 @@ class MotiveMatrices:
         (residual, constant_term)."""
         cfg = self.cfg
         dpsi = self.psi.det().truncate(self.T)
-        xiom = self.omega.series.truncate(self.T).scale(self.xi)
+        xiom = self.omega.product.truncate(self.T).scale(self.xi)
         x = dpsi.divide(xiom)
         return (x - x.twist(1)).truncate(self.T), x.coeff(0)
 

@@ -41,10 +41,9 @@ def suggest_config(p, s=1, rank=2, kappa_poly=(1,), u_poly=(1,), depth=2,
     GridTooCoarse with a wild-ramification note when grid refinement does
     not terminate.
     """
-    q = p ** s
-    base = (q - 1) * q ** depth
     m = 2
-    e = base
+    # the first config bounds p, s and depth before any power is formed
+    e = base = FieldConfig(p, s, m, depth=depth, prec=prec, **extra).e
     refinements = 0
     while True:
         try:

@@ -62,7 +62,7 @@ def _report(check, params, residuals, threshold, extra=None, require=True):
 
 def check_omega_difference(ctx, T=32):
     cfg = ctx.cfg
-    om = OmegaData(cfg, T=T)
+    om = OmegaData(cfg)
     res = om.difference_residual(T)
     return _report("omega-difference[%s]" % ctx.label,
                    {"q": cfg.q, "T": T, "I": om.I},

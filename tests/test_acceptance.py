@@ -53,7 +53,7 @@ def test_c1_omega_difference(request, ctxname):
     cfg = ctx.cfg
     assert cfg.prec == N
     start = time.monotonic()
-    om = OmegaData(cfg, T=32)
+    om = OmegaData(cfg)
     res = om.difference_residual(32)
     elapsed = time.monotonic() - start
     ok = res.is_zero_to(THRESH) and len(res.coeffs) == 32 and elapsed < 2.0

@@ -29,9 +29,14 @@ def _series_from_poles(f, T):
     return TSeries(cfg, out, tail=None)
 
 
+def _gf(module, u, I):
+    """The generating function of u with I poles."""
+    return AndersonGF(module, u, module._numerators(u, I))
+
+
 @pytest.fixture(scope="module")
 def f_inv_theta(ctx3):
-    return AndersonGF(ctx3.module, ctx3.cfg.theta(-1), pole_count=10)
+    return _gf(ctx3.module, ctx3.cfg.theta(-1), 10)
 
 
 def test_first_numerator_is_u(ctx3, f_inv_theta):
@@ -64,7 +69,7 @@ def test_carlitz_period_coefficient(cfg_small):
     # first series coefficient of f_{pi}(t) is exp(pi/theta), a torsion point
     C = DrinfeldModule(cfg_small, 1)
     lat = C.periods()
-    f = AndersonGF(C, lat.omega1, pole_count=8)
+    f = _gf(C, lat.omega1, 8)
     c0 = C.exp_eval(lat.omega1.shift(cfg_small.e))
     assert (C.skew()(c0)).is_zero_to(cfg_small.pass_threshold())
     assert (-f.numerators[0] + lat.omega1).is_zero_to(600)
@@ -99,15 +104,15 @@ def test_tail_bound_oracle(ctx3):
     # dropping the last pole changes the value by at least the declared tail
     cfg = ctx3.cfg
     u = cfg.theta(-1)
-    f10 = AndersonGF(ctx3.module, u, pole_count=10)
-    f9 = AndersonGF(ctx3.module, u, pole_count=9)
+    f10 = _gf(ctx3.module, u, 10)
+    f9 = _gf(ctx3.module, u, 9)
     v10 = f10.eval_twisted(1, cfg.theta())
     v9 = f9.eval_twisted(1, cfg.theta())
     assert (v10 - v9).vbound() >= v9.prec
 
 
 def test_functional_equation_zero(ctx3):
-    z = AndersonGF(ctx3.module, ctx3.cfg.zero(INF), pole_count=6)
+    z = _gf(ctx3.module, ctx3.cfg.zero(INF), 6)
     assert z.functional_equation_residual(8).is_zero_to(10 ** 9)
     assert z.specialization_residual().is_zero_to(10 ** 9)
 
@@ -143,7 +148,7 @@ def test_functional_equation_random(ctx3):
 def test_carlitz_functional_equation(cfg_small):
     # rank-1 specialization: f^(1) = (t - theta) f + exp(u)
     C = DrinfeldModule(cfg_small, 1)
-    f = AndersonGF(C, cfg_small.theta(-1), pole_count=10)
+    f = _gf(C, cfg_small.theta(-1), 10)
     assert f.functional_equation_residual(12).is_zero_to(
         cfg_small.pass_threshold())
 
@@ -200,7 +205,7 @@ def test_tail_floor_oracle(request, ctx_name, uname, I):
         "torsion": lambda: mod.torsion_points(partial=True)[0][0],
         "theta^30": lambda: cfg.theta(30),
     }[uname]()
-    f = AndersonGF(mod, u, pole_count=I)
+    f = _gf(mod, u, I)
     alphas = mod.exp_coeffs(I - 1)
     nums = [alphas[i] * u.frobenius(i) for i in range(I)]
     ab = mod._coeff_vbounds("exp", I + _ORACLE_SCAN)

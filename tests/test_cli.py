@@ -538,3 +538,92 @@ def test_suggest_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["m"] == 4 and data["e"] == 72
+
+
+# -- sizes bounded before any work -----------------------------------------
+
+_HUGE_P = 1000000000000000003
+
+
+def _run_capped(argv):
+    """The CLI in a child process under a 1.5 GB address-space cap, killed
+    after 10 s: an input that starts unbounded work fails the test."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+    src = str(Path(__file__).parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "drinfeldlab", *argv, "--json"],
+        capture_output=True, text=True, timeout=10, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("s", 10 ** 9, "1000000000"), ("depth", 10 ** 9, "^1000000000"),
+    ("p", _HUGE_P, str(_HUGE_P))], ids=["s", "depth", "p"])
+def test_huge_descriptor_sizes_rejected_first(tmp_path, key, value, named):
+    # a field past 2^24 elements or a q^depth past 2^32 is refused before
+    # any power of it or primality test is formed
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(dict(_cm_q3(), **{key: value})))
+    done = _run_capped(["periods", "--module", str(path)])
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ConfigError" and named in record["message"]
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--p", "3", "--s", "1000000000"], "1000000000"),
+    (["--p", str(_HUGE_P)], str(_HUGE_P))], ids=["s", "p"])
+def test_huge_suggest_sizes_rejected_first(flags, named):
+    done = _run_capped(["suggest"] + flags)
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ConfigError" and named in record["message"]
+
+
+@pytest.mark.parametrize("p,s,m,depth,named", [
+    (2, 25, 1, 0, "2^(25 * 1)"), (4099, 1, 2, 0, "4099^(1 * 2)"),
+    ((1 << 24) + 1, 1, 1, 0, "16777217^(1 * 1)"), (3, 1, 1, 21, "3^21"),
+    (2, 2, 1, 17, "4^17"), (3, 1, 1, 20, None), (2, 2, 1, 16, None)])
+def test_size_bounds_are_the_stated_ones(p, s, m, depth, named):
+    # past 2^24 field elements (4099^2, 2^25) or a q^depth of 2^32 (3^21,
+    # 4^17) is refused, naming the value; 3^20 and 4^16 pass
+    if named is None:
+        FieldConfig(p, s, m, depth=depth, allow_char2=True)
+        return
+    with pytest.raises(errors.ConfigError, match=r"exceeds 2\^") as ex:
+        FieldConfig(p, s, m, depth=depth, allow_char2=True)
+    assert named in str(ex.value)
+
+
+# -- rank 1 is told it needs rank 2, not normalize() -----------------------
+
+@pytest.mark.parametrize("argv", [
+    ["psi"], ["specialize"], ["extend", "--alphas", "theta^-1"]],
+    ids=["psi", "specialize", "extend"])
+def test_rank1_trivialization_names_rank_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--q", "3", "--rank1", "--json")
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "ConfigError"
+    assert "rank-2" in record["message"]
+    assert "normalize" not in record["message"]
+
+
+def test_exp_eval_past_the_tail_scan_is_exit_3(capsys):
+    # exp is entire, but the tail floor reads a 64-line scan, which does
+    # not stabilize this far out: the value is refused, not guessed
+    code, out, err = run_cli(capsys, "exp-eval", "--q", "3",
+                             "--z", "theta^40", "--json")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "DivergentEvaluation",
+        "message": "tail bound for exp evaluation did not stabilize"}

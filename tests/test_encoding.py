@@ -65,7 +65,8 @@ def test_config_defaults_are_field_configs():
 
 
 def test_agf_encoding(ctx3):
-    f = AndersonGF(ctx3.module, ctx3.cfg.theta(-1), pole_count=4)
+    u = ctx3.cfg.theta(-1)
+    f = AndersonGF(ctx3.module, u, ctx3.module._numerators(u, 4))
     data = encode_agf(f)
     assert data["I"] == 4
     assert len(data["terms"]) == 4

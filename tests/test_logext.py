@@ -174,28 +174,19 @@ def test_psi_and_g_vector_form_no_products(monkeypatch):
     lat = rho.periods()
     point = make_log_point(rho, alpha=cfg.theta(-2))
     formed = []
-    row, levels = DrinfeldModule._ladder_row, DrinfeldModule._exp_levels
+    row = DrinfeldModule._ladder_row
 
     def numerators(self, z, count=None):
         raise AssertionError("formed the numerators again")
 
-    def row_spy(self, z, i, cap, products=()):
-        if i >= len(products):
+    # every row a ladder reads passes through _ladder_row
+    def row_spy(self, z, i, cap, numerators=()):
+        if i >= len(numerators):
             formed.append(i)
-        return row(self, z, i, cap, products)
-
-    def levels_spy(self, z, shifts, precs=None, products=()):
-        # a row the ladder keeps at one level only, beyond products, is
-        # formed inside that level's sum
-        plan = precs or self._exp_precs(z.valuation(), z.prec, shifts)
-        _, caps = self._ladder_plan(z, shifts, plan)
-        formed.extend(i for i, cs in caps.items()
-                      if len(cs) == 1 and i >= len(products))
-        return levels(self, z, shifts, precs, products)
+        return row(self, z, i, cap, numerators)
 
     monkeypatch.setattr(DrinfeldModule, "_numerators", numerators)
     monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
-    monkeypatch.setattr(DrinfeldModule, "_exp_levels", levels_spy)
     mot = MotiveMatrices(rho, lat, T=16)
     gv = GVector(mot, point)
     r1, r2 = gv.specialization_residuals()
@@ -203,6 +194,58 @@ def test_psi_and_g_vector_form_no_products(monkeypatch):
     assert formed == []
     thr = cfg.pass_threshold()
     assert r1.is_zero_to(thr) and r2.is_zero_to(thr)
+
+
+def test_every_ladder_row_read_through_ladder_row(monkeypatch):
+    # one deep-q3 op at N = 1920, and exp(lambda), whose one level keeps
+    # rows that no caller holds: inside every ladder (_exp_levels, and the
+    # quasi-period sum that plans at level 0), the _ladder_row calls are
+    # the rows that _ladder_plan keeps, each once, capped at its largest
+    # cut
+    cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    frames, ladders = [], []
+    plan, row = DrinfeldModule._ladder_plan, DrinfeldModule._ladder_row
+
+    def ladder(method):
+        def spy(self, *args, **kwargs):
+            frames.append(([], []))
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                ladders.append(frames.pop())
+        return spy
+
+    def plan_spy(self, z, shifts, precs):
+        plans, caps = plan(self, z, shifts, precs)
+        frames[-1][0].append(sorted((i, max(cs)) for i, cs in caps.items()))
+        return plans, caps
+
+    def row_spy(self, z, i, cap, numerators=()):
+        if frames:
+            frames[-1][1].append((i, cap))
+        return row(self, z, i, cap, numerators)
+
+    for name in ("_exp_levels", "_quasi_period_sum"):
+        monkeypatch.setattr(DrinfeldModule, name,
+                            ladder(getattr(DrinfeldModule, name)))
+    monkeypatch.setattr(DrinfeldModule, "_ladder_plan", plan_spy)
+    monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
+    lat = rho.periods()
+    mot = MotiveMatrices(rho, lat, T=16)
+    mot.difference_residual()
+    mot.specialization_residuals()
+    mot.legendre_invariant()
+    point = make_log_point(rho, alpha=cfg.theta(-2))
+    GVector(mot, point).specialization_residuals()
+    for om in lat.basis():
+        rho.quasi_period_eval(om, lattice=lat)
+    rho.exp_eval(point.lam)
+    monkeypatch.undo()
+    assert sum(1 for plans, _ in ladders if plans) >= 9
+    for plans, rows in ladders:
+        # a ladder over zero plans nothing and reads no row
+        assert plans == ([sorted(rows)] if plans or rows else [])
 
 
 def test_g_vector_zero_point(ctx3, mot):

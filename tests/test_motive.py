@@ -21,7 +21,7 @@ from omega_oracle import factor_step_column, omega_times
 
 def test_omega_difference_relation(ctx3):
     cfg = ctx3.cfg
-    om = OmegaData(cfg, T=32)
+    om = OmegaData(cfg)
     res = om.difference_residual(32)
     assert res.is_zero_to(cfg.pass_threshold())
 
@@ -248,7 +248,7 @@ def test_precision_scaling():
     mot = MotiveMatrices(rho, lat, T=8)
     assert mot.difference_residual().is_zero_to(thr)
     assert mot.legendre_invariant()["is_minus_one"]
-    om = OmegaData(cfg, T=8)
+    om = OmegaData(cfg)
     assert om.difference_residual(8).is_zero_to(thr)
 
 
@@ -256,20 +256,15 @@ def test_precision_scaling():
 
 
 def test_omega_cut_below_its_degree():
-    # I = 2 at N = 240: the product has degree 2, so a T = 2 series has
+    # I = 2 at N = 240: the product has degree 2, so its T = 2 cut has
     # dropped a nonzero coefficient and must say so
     cfg = FieldConfig(3, 1, 4, e=72, prec=240)
-    om = OmegaData(cfg, T=2)
+    om = OmegaData(cfg)
     assert om.I == 2 and om.product.T == 3
+    cut = om.product.truncate(2)
     with pytest.raises(PrecisionExhausted):
-        om.series.coeff(2)
-    assert om.series.tail == om.product.coeff(2).vbound()
-    # values and residuals come from the whole product, whatever T is
-    full = OmegaData(cfg, T=32)
-    for T in (1, 2):
-        got = OmegaData(cfg, T=T).value_at(cfg.theta())
-        want = full.value_at(cfg.theta())
-        assert got.terms == want.terms and got.prec == want.prec
+        cut.coeff(2)
+    assert cut.tail == om.product.coeff(2).vbound()
 
 
 def test_legendre_tail_independent_of_t_truncation(ctx3):
@@ -367,8 +362,8 @@ _POLE_CASES = {}
 
 
 def _pole_case(name, N):
-    """(module, lattice, OmegaData by T) for a named module at N, built
-    once; q3_n960.json keeps its own N."""
+    """(module, lattice, OmegaData) for a named module at N, built once;
+    q3_n960.json keeps its own N."""
     key = (name, N)
     got = _POLE_CASES.get(key)
     if got is None:
@@ -384,7 +379,7 @@ def _pole_case(name, N):
                      "cm_q3": cfg.zero(INF),
                      "kappa-exact": CInfApprox(cfg, {0: 1, 72: 1})}[name]
             rho = DrinfeldModule(cfg, 2, kappa, cfg.one())
-        got = _POLE_CASES[key] = (rho, rho.periods(), {})
+        got = _POLE_CASES[key] = (rho, rho.periods(), OmegaData(rho.cfg))
     return got
 
 
@@ -406,11 +401,8 @@ def test_psi_poles_match_factor_steps(name, N, T, pole_count, data):
     terms, precision, length and tail: Psi's generating functions (the
     periods) and other arguments, pole counts below, at and above the
     ladder's exp_depth + 1 = 13 rows, and both signs of c."""
-    rho, lat, omegas = _pole_case(name, N)
+    rho, lat, om = _pole_case(name, N)
     cfg = rho.cfg
-    om = omegas.get(T)
-    if om is None:
-        om = omegas[T] = OmegaData(cfg, T=T)
     size, e = cfg.field.size, cfg.e
     u = data.draw(st.one_of(
         st.sampled_from(lat.basis()),
@@ -419,7 +411,7 @@ def test_psi_poles_match_factor_steps(name, N, T, pole_count, data):
             min_size=1, max_size=3))))
     xi = xi_constant(cfg)
     c = data.draw(st.sampled_from([xi, -xi]))
-    gf = AndersonGF(rho, u, pole_count=pole_count)
+    gf = AndersonGF(rho, u, rho._numerators(u, pole_count))
     for got, want in zip(om.column(gf, c.terms[0], T),
                          factor_step_column(om, gf, c, T)):
         _same_series(got, want)
@@ -434,7 +426,7 @@ def test_psi_poles_inexact_kappa_cancelled_level():
     F = cfg.field
     c = next(x for x in range(1, F.size) if F.pow(x, 8) == F.neg(1))
     gf = AndersonGF(rho, CInfApprox(cfg, {-153: c, -100: 1}))
-    om = OmegaData(cfg, T=4)
+    om = OmegaData(cfg)
     xi = xi_constant(cfg)
     for g, w in zip(om.column(gf, xi.terms[0], 4),
                     factor_step_column(om, gf, xi, 4)):
@@ -457,7 +449,7 @@ def test_psi_poles_cancelled_last_level(T):
     c = next(x for x in range(1, F.size)
              if F.add(F.mul(alpha.terms[v], F.pow(x, 9)), x) == 0)
     gf = AndersonGF(rho, CInfApprox(cfg, {-v // 8 - T * cfg.e: c}))
-    om = OmegaData(cfg, T=T)
+    om = OmegaData(cfg)
     xi = xi_constant(cfg)
     for g, w in zip(om.column(gf, xi.terms[0], T),
                     factor_step_column(om, gf, xi, T)):
@@ -474,9 +466,9 @@ def test_psi_at_depth_forms_no_series(monkeypatch):
     calls = []
     ladder = DrinfeldModule._exp_levels
 
-    def spy(self, z, shifts, precs=None, products=()):
+    def spy(self, z, shifts, precs=None, numerators=()):
         calls.append((list(shifts), list(precs)))
-        return ladder(self, z, shifts, precs, products)
+        return ladder(self, z, shifts, precs, numerators)
 
     def boom(*args, **kwargs):
         raise AssertionError("formed a series")
@@ -516,7 +508,7 @@ _SERIES = st.builds(
        c_code=st.integers(1, 8), data=st.data())
 def test_omega_times_matches_expanded_product(a, I, c_exp, c_code, data):
     T = data.draw(st.integers(1, I + 3))
-    om = OmegaData(_CFG9, I=I, T=T)
+    om = OmegaData(_CFG9, I=I)
     for c in (xi_constant(_CFG9), _CFG9.monomial(c_exp, c_code)):
         got = omega_times(om, a, c, T)
         want = (om.product.scale(c) * a).truncate(T)

@@ -347,7 +347,7 @@ def test_products_match_reference_loops_on_psi(name, request):
     mot = request.getfixturevalue(name).motive()
     T, k = mot.T, mot.module.kappa
     f1, f2 = mot.agf1.series(T), mot.agf2.series(T)
-    scale = mot.omega.series.truncate(T).scale(mot.xi)
+    scale = mot.omega.product.truncate(T).scale(mot.xi)
     for f in (f1, f2):
         f_1, f_2 = f.twist(1), f.twist(2)
         for a in (-f_1, f_1.scale(k) + f_2):
