@@ -542,10 +542,17 @@ class DrinfeldModule:
         rho_t is additive with rho_t' = theta, so r is the fixed point of
         x -> (b - kappa x^q - u x^{q^2})/theta, and the step takes a
         distance d = v(x - r) to at least min(v(kappa) + q d, v(u) + q^2 d)
-        + e; a step that does not raise d is NoConvergence.  Each iterate
-        is kept to prec and rebuilt as exact, so the result is r below prec
-        once the proven d reaches prec; b must be known to prec - e, and an
-        inexact kappa or u to prec - e on the q- resp. q^2-th power of x.
+        + e; a step that does not raise d is NoConvergence.  Each step is
+        computed only below min(prec, nxt), nxt the distance it proves, and
+        rebuilt as exact, so the result is r below prec once the proven d
+        reaches prec; b must be known to prec - e, and an inexact kappa or
+        u to prec - e on the q- resp. q^2-th power of x.
+
+        The cut keeps every digit a step reads.  By induction x agrees
+        with r below d, its digits from d on wrong or missing alike, and
+        the step at d forms its sum below nxt - e, so it reads x only below
+        (nxt - e - v)/q^i <= d, for v = v(kappa), i = 1 and v = v(u),
+        i = 2; the next step, at nxt, reads the new iterate only below nxt.
         """
         cfg = self.cfg
         q, e = cfg.q, cfg.e
@@ -557,30 +564,31 @@ class DrinfeldModule:
                 raise NoConvergence(
                     "additive step does not contract at distance %s from "
                     "the root" % d)
-            x = (b - self._qlinear_sum(step, x, prec - e,
+            x = (b - self._qlinear_sum(step, x, min(prec, nxt) - e,
                                        known)).shift(e)
             x, d = CInfApprox._raw(cfg, x.terms, INF), nxt
         return x.truncate(prec)
 
-    def _scalar_multiple_of(self, x, y):
-        """mu in F_q^x with x = mu*y (to working precision), else None."""
-        cfg = self.cfg
-        thr = cfg.pass_threshold()
-        for mu in cfg.field.base_field_elements():
-            if mu == 0:
-                continue
-            if (x - y.scale(mu)).is_zero_to(thr):
-                return mu
-        return None
-
     def lattice_seeds(self):
-        """Torsion representatives of distinct F_q^x-orbits (rank many)."""
+        """Torsion representatives of distinct F_q^x-orbits (rank many):
+        the first torsion point, and for rank 2 the first point outside
+        its orbit.
+
+        y lies in the orbit of x when y = x.scale(c) to their precision,
+        for c the ratio of the leading codes, which must lie in F_q.  That
+        test is exact: the torsion is an F_q-vector space, so two points of
+        different orbits differ by a nonzero torsion point, whose valuation
+        is a polygon slope, below every certified precision."""
         points = self.torsion_points()
         seeds = [points[0]]
         if self.rank == 2:
-            for x in points[1:]:
-                if self._scalar_multiple_of(x, seeds[0]) is None:
-                    seeds.append(x)
+            F = self.cfg.field
+            inv = F.inv(seeds[0].leading()[1])
+            for y in points[1:]:
+                c = F.mul(y.leading()[1], inv)
+                if not F.in_base_field(c) or \
+                        not (y - seeds[0].scale(c)).is_apparent_zero():
+                    seeds.append(y)
                     break
             else:
                 raise IndependenceFailure(

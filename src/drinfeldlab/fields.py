@@ -366,7 +366,10 @@ class FiniteField:
         return self.frob_q(a) == a
 
     def base_field_elements(self):
-        return [a for a in range(self.size) if self.in_base_field(a)]
+        """F_q in code order: 0 and the q - 1 powers g^(k (q^m - 1)/(q - 1)),
+        the cyclic subgroup of order q - 1 of F_{q^m}^x."""
+        step = (self.size - 1) // (self.q - 1)
+        return sorted([0] + self._exp[:self.size - 1:step])
 
     # -- small polynomial roots ----------------------------------------------
 

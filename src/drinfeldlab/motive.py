@@ -418,12 +418,17 @@ class MotiveMatrices:
 
     def reference_psi_at_theta(self):
         """(xi/pi_tilde) [[F(omega2), -F(omega1)], [omega2, -omega1]] from
-        independently computed periods and quasi-periods."""
+        independently computed periods and quasi-periods.
+
+        xi/pi_tilde is read as -(xi Omega(theta)), the identity that
+        pi_tilde = -1/Omega(theta) itself defines: no inversion, so the
+        scale keeps value_at's precision instead of the rel_prec cap that
+        the two inverses of the quotient form put on it."""
         lat = self.lattice
         mod = self.module
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)
         F2 = mod.quasi_period_eval(lat.omega2, lattice=lat)
-        s = self.xi / self.omega.pi_tilde()
+        s = -(self.xi * self.omega.value_at(self.cfg.theta()))
         return [[s * F2, -(s * F1)], [s * lat.omega2, -(s * lat.omega1)]]
 
     def specialization_residuals(self):

@@ -52,6 +52,19 @@ correction g/g' has valuation v(rho_t(x0)) + e), the others the precision
 a step's products keep.  An exact root x0 is returned as it is.  Each root
 must pass v(rho_t(r)) - v(r) >= pass_threshold().
 
+Orbits.  rho_t(c x) = c rho_t(x) for c in F_q, since c^q = c, so the
+t-torsion is an F_q-vector space and F_q^x permutes the roots of each
+top-level segment (seed 0): the residual, read from index 1 or from index
+q, is a polynomial in z^(q-1), so c z is a residual root of the
+multiplicity of z.  From c x0, _refine's cut (read off valuations, which
+c keeps), every _contract iterate and its truncation, and the _certified
+residual are c times those from x0, at the same valuations, so the root from
+c z is r.scale(c), digit for digit and at the same precision; a failure
+raises alike, first for the lowest code of its orbit.  The top level
+refines one simple residual root per orbit, q + 1 of the q^2 - 1 points of
+a full torsion set, and scales the rest; a cluster's seed + h is no
+multiple of another, so clusters and descent levels refine every root.
+
 Newton's method stays for normalize's u x^{q^2 - 1} = 1, the one equation
 here that is not additive.
 """
@@ -155,14 +168,22 @@ def _segment_roots(module, coeffs, edge, seed, depth):
     for i, a in coeffs.items():
         if i0 <= i <= i1:
             residual[i - i0] = a.terms.get(v0 + lam * (i - i0), 0)
+    F = cfg.field
+    units = [c for c in F.base_field_elements() if c] if depth == 0 else []
+    orbit = {}
     roots = []
     found = 0
-    for z, mult in cfg.field.poly_roots(residual):
+    for z, mult in F.poly_roots(residual):
         if z == 0:
             continue
         x0 = seed + cfg.monomial(-lam, z)
-        if mult == 1:
-            roots.append(_refine(module, x0, 1 - lam, z))
+        if z in orbit:
+            r, c = orbit[z]
+            roots.append(r.scale(c))
+        elif mult == 1:
+            r = _refine(module, x0, 1 - lam, z)
+            roots.append(r)
+            orbit.update((F.mul(c, z), (r, c)) for c in units)
         else:
             sub = _cluster(module, x0, lam, depth + 1)
             if len(sub) != mult:

@@ -16,8 +16,8 @@ from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
                                   _known, compose_qlinear, verify_morphism)
 from drinfeldlab.encoding import decode_module, encode_cinf, encode_module
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
-                                IndependenceFailure, NoConvergence,
-                                ResidueFieldTooSmall)
+                                DrinfeldLabError, IndependenceFailure,
+                                NoConvergence, ResidueFieldTooSmall)
 from drinfeldlab.logext import make_log_point
 from drinfeldlab.skew import SkewPoly
 
@@ -729,6 +729,114 @@ def test_torsion_takes_no_newton_step(monkeypatch):
     for case in ("q3-960", "q3-240,kappa.prec=300", "theta+tau^2,prec=400"):
         assert len(_TORSION_CASES[case]().torsion_points()) == 8
     assert not calls
+
+
+def _data_module(name):
+    return decode_module(json.loads(
+        (Path(__file__).parent / "data" / name).read_text()))[1]
+
+
+_ORBIT_CASES = {
+    **{c: _TORSION_CASES[c] for c in ("q3-240", "q3-960", "q3-1920",
+                                      "q5-tame-240", "q5-wild")},
+    "cm_q3": lambda: _data_module("cm_q3.json"),
+    "cm_q3_inexact": lambda: _data_module("cm_q3_inexact.json"),
+}
+
+
+def _roots_outcome(compute):
+    """(points as (terms, prec) in the order given, failure records), or
+    the error record when the computation raises."""
+    try:
+        points, failures = compute()
+    except DrinfeldLabError as ex:
+        return ex.record()
+    return [(r.terms, r.prec) for r in points], failures
+
+
+def _torsion_outcomes(rho):
+    return [_roots_outcome(lambda: (roots.all_nonzero_roots(rho), [])),
+            _roots_outcome(lambda: roots.partial_nonzero_roots(rho)),
+            _roots_outcome(lambda: (rho.torsion_points(), [])),
+            _roots_outcome(lambda: rho.torsion_points(partial=True))]
+
+
+@pytest.mark.parametrize("case", sorted(_ORBIT_CASES))
+def test_torsion_by_orbits_matches_every_root_refined(case, monkeypatch):
+    # the top level refines one residual root per F_q^x orbit and scales it
+    # to the others; _segment_roots told that every level lies one deeper
+    # takes the descent's path and refines every residual root.  Terms,
+    # precisions, order and failure records are the same
+    got = _torsion_outcomes(_ORBIT_CASES[case]())
+    segment_roots = roots._segment_roots
+    monkeypatch.setattr(
+        roots, "_segment_roots",
+        lambda module, coeffs, edge, seed, depth:
+            segment_roots(module, coeffs, edge, seed, depth + 1))
+    assert _torsion_outcomes(_ORBIT_CASES[case]()) == got
+    if case == "q5-wild":
+        assert got[0]["error"] == "GridTooCoarse" and len(got[1][0]) == 4
+    else:
+        assert len(got[0][0]) == (24 if case == "q5-tame-240" else 8)
+
+
+@pytest.mark.parametrize("case", ["q3-240", "q3-1920", "q5-tame-240",
+                                  "cm_q3", "cm_q3_inexact"])
+def test_full_torsion_refines_one_root_per_orbit(case, monkeypatch):
+    # q^2 - 1 points from q + 1 refinements: 4 on q3, 6 on q5-tame
+    calls = []
+    refine = roots._refine
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(roots, "_refine", counted)
+    rho = _ORBIT_CASES[case]()
+    q = rho.cfg.q
+    assert len(rho.torsion_points()) == q * q - 1
+    assert len(calls) == q + 1
+
+
+def _scan_seeds(rho):
+    """The lattice seeds as a numeric scan picked them: the first torsion
+    point, and the first that no mu in F_q^x maps it to within the pass
+    threshold."""
+    cfg = rho.cfg
+    thr = cfg.pass_threshold()
+    units = [mu for mu in range(1, cfg.field.size)
+             if cfg.field.in_base_field(mu)]
+    first, *rest = rho.torsion_points()
+    for x in rest:
+        if not any((x - first.scale(mu)).is_zero_to(thr) for mu in units):
+            return [first, x]
+    raise AssertionError("no second orbit")
+
+
+def _cluster_module():
+    # rho_t = theta x + theta x^3 + (theta^(1/4) + 2) x^9: the torsion
+    # points c theta^(1/8) + F_3 a, c^2 = -1, v(a) = 0, share their leading
+    # term three by three, so that ratio is 1 in different orbits
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    return DrinfeldModule(cfg, 2, cfg.theta(), CInfApprox(cfg, {-18: 1,
+                                                                0: 2}))
+
+
+_SEED_CASES = {c: make for c, make in {**_TORSION_CASES, **_ORBIT_CASES,
+                                       "clusters": _cluster_module}.items()
+               if c not in ("q5-wild", "carlitz-q3", "carlitz-q5", "q3-3840")}
+
+
+@pytest.mark.parametrize("case", sorted(_SEED_CASES))
+def test_lattice_seeds_match_the_numeric_scan(case):
+    # the exact orbit test (leading-code ratio in F_q, then the scaled seed
+    # equal to its precision) picks the seeds the threshold scan over F_q
+    # picked; on the CM modules the second point is an F_9-multiple of the
+    # first, outside its F_3-orbit, and on the clusters module it has the
+    # first's leading term
+    rho = _SEED_CASES[case]()
+    got = [(x.terms, x.prec) for x in rho.lattice_seeds()]
+    assert got == [(x.terms, x.prec) for x in _scan_seeds(rho)]
 
 
 def test_additive_root_requires_contraction():

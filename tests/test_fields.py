@@ -57,6 +57,19 @@ def test_base_field_detection(F9):
     assert set(base) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("p, s, m", [(2, 1, 1), (2, 1, 2), (2, 2, 2),
+                                     (3, 1, 1), (3, 1, 2), (3, 1, 4),
+                                     (3, 2, 1), (3, 2, 2), (5, 1, 2),
+                                     (5, 1, 4), (5, 2, 2)])
+def test_base_field_elements_closed_form(p, s, m):
+    # 0 and the powers g^(k (q^m - 1)/(q - 1)) are the Frobenius-fixed
+    # codes, in code order, on every field the tests build, F_16 over F_4
+    # (s = 2) among them
+    F = FiniteField(p, s, m)
+    assert F.base_field_elements() == [a for a in range(F.size)
+                                       if F.in_base_field(a)]
+
+
 def test_poly_roots_with_multiplicity(F9):
     # (X - 1)^2 (X - 2) = X^3 - 4X^2 + 5X - 2 over F_3: X^3 + 2X^2 + 2X + 1
     coeffs = [1, 2, 2, 1]

@@ -159,6 +159,36 @@ def test_psi_theta_entries(ctx3):
     assert (s * M[0][0] - F2).is_zero_to(thr)
 
 
+def _reference_module(name):
+    if name == "cm_q3.json":
+        return _file_module(name)
+    q, e, N = {"q3": (3, 72, 240), "q3-1920": (3, 72, 1920),
+               "q5-tame": (5, 600, 240)}[name]
+    cfg = FieldConfig(q, 1, 4, e=e, prec=N)
+    return DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+
+
+@pytest.mark.parametrize("name", ["q3", "q3-1920", "q5-tame", "cm_q3.json"])
+def test_reference_psi_scale_read_off_omega(name):
+    # xi/pi_tilde read as -(xi Omega(theta)) has the digits of the quotient
+    # xi/pi_tilde below the quotient's precision, and a precision at least
+    # as high: the two inverses' rel_prec cap is gone
+    rho = _reference_module(name)
+    lat = rho.periods()
+    mot = MotiveMatrices(rho, lat, T=4)
+    got = mot.reference_psi_at_theta()
+    F1 = rho.quasi_period_eval(lat.omega1, lattice=lat)
+    F2 = rho.quasi_period_eval(lat.omega2, lattice=lat)
+    s = mot.xi / mot.omega.pi_tilde()
+    want = [[s * F2, -(s * F1)], [s * lat.omega2, -(s * lat.omega1)]]
+    for g, w in zip(sum(got, []), sum(want, [])):
+        assert g.prec >= w.prec
+        assert (g - w).is_apparent_zero()
+    if name == "q3-1920":
+        assert [[x.prec for x in r] for r in want] == [[7761] * 2, [7707] * 2]
+        assert [[x.prec for x in r] for r in got] == [[8001] * 2, [7761] * 2]
+
+
 def test_legendre_invariant(ctx3):
     mot = ctx3.motive(16)
     li = mot.legendre_invariant()

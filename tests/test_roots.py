@@ -155,16 +155,16 @@ _Q3 = FieldConfig(3, 1, 4, e=72, prec=240, rel_prec=240)
 def _coefficient(draw, v):
     """A value of valuation v with up to two more terms, 9k grid units
     above it (so the roots' expansions stay sparse), exact or known to a
-    drawn precision; with v None, zero to a drawn precision.  Leading
-    coefficients are mostly in F_3, whose residual equations split in
-    F_81."""
+    drawn precision above v; with v None, zero to a drawn precision.
+    Leading coefficients are mostly in F_3, whose residual equations split
+    in F_81."""
     code = st.one_of(st.integers(1, 2), st.integers(1, _Q3.field.size - 1))
     if v is None:
         return _Q3.zero(draw(st.integers(-150, 400)))
     terms = {v: draw(code)}
     for _ in range(draw(st.integers(0, 2))):
         terms[v + 9 * draw(st.integers(1, 16))] = draw(code)
-    prec = draw(st.one_of(st.just(INF), st.integers(700, 1500)))
+    prec = draw(st.one_of(st.just(INF), st.integers(v + 1, 1500)))
     return CInfApprox(_Q3, terms, prec)
 
 
@@ -174,10 +174,10 @@ def _q3_module(draw):
     shapes: one segment from (1, -e) to (9, v(u)), two segments of integer
     slopes (so the cluster descent runs), or any.
 
-    Finite precisions are at least 700, which every torsion point the
-    polygon predicts needs to certify.  Below that the generic finder
-    reports other failures: it checks certification at the top level
-    only."""
+    Finite precisions reach down to just above the valuation, far below
+    what a torsion point needs to certify: the generic finder certifies
+    every root at every descent level, as the library does, so the
+    uncertified roots are the same failures on both sides."""
     shape = draw(st.sampled_from(["rank1", "one", "two", "any"]))
     if shape == "rank1":
         return DrinfeldModule(_Q3, 1)

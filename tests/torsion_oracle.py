@@ -15,9 +15,9 @@ Roots are located by the classical descent: each segment yields a residual
 polynomial over F_{q^m}; a simple residual root gives a Newton-ready seed,
 a multiple residual root shifts the polynomial and recurses on the strictly
 smaller slopes.  Root differences of the separable polynomials that appear
-here are bounded away from each other, so the descent terminates.  A
-caller that knows a faster certified solver for the simple roots of the
-top level passes it in.
+here are bounded away from each other, so the descent terminates.  Every
+root, at every descent level, must make the top-level polynomial vanish to
+the pass threshold, as the library certifies its roots.
 """
 
 import math
@@ -286,14 +286,23 @@ def _segment_residual(coeffs, hull_i0, v0, slope, length):
     return out
 
 
-def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
+def _certified(top, x, what):
+    """x, once the top-level polynomial top is zero at it to the pass
+    threshold, as the library certifies each root at every level; x None,
+    a root whose precision nothing bounds, never certifies."""
+    threshold = top[0].cfg.pass_threshold()
+    if x is None or poly_eval(top, x).vbound() < threshold:
+        raise NoConvergence("%s did not certify to threshold %d"
+                            % (what, threshold))
+    return x
+
+
+def _segment_roots(coeffs, i0, v0, slope, length, depth, top, base):
     """All roots hanging off one polygon segment (descending clusters).
 
-    simple_root(x0), when given, replaces Newton and its residual check for
-    the simple residual roots at depth 0: x0 is the leading monomial of the
-    one root it must return, certified."""
+    coeffs is top shifted to the exact seed base, a polynomial in h; each
+    root h is certified as the root base + h of top, at every level."""
     cfg = coeffs[-1].cfg
-    threshold = cfg.pass_threshold()
     if slope.denominator != 1:
         raise GridTooCoarse(
             "polygon slope %s is not integral on the grid" % slope,
@@ -309,16 +318,11 @@ def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
         if z == 0:
             continue
         x0 = cfg.monomial(-lam, z)
-        if mult == 1 and depth == 0 and simple_root is not None:
-            roots.append(simple_root(x0))
-        elif mult == 1:
+        if mult == 1:
             # Newton is invariant under affine rescaling, so a simple
             # residual root converges without the raw magnitude test
             r, _ = newton_iterate(coeffs, x0, check_criterion=False)
-            if depth == 0 and poly_eval(coeffs, r).vbound() < threshold:
-                raise NoConvergence(
-                    "root from residual class %d did not certify to "
-                    "threshold %d" % (z, threshold))
+            _certified(top, base + r, "root from residual class %d" % z)
             roots.append(r)
         else:
             # the cluster: h = 0 once per exact zero low coefficient (x0 is
@@ -330,9 +334,15 @@ def _segment_roots(coeffs, i0, v0, slope, length, depth, simple_root=None):
                         if not a.is_exact_zero())
             sub = [cfg.zero(INF)] * ord0
             if ord0 == 0 and shifted[0].is_apparent_zero():
-                sub.append(cfg.zero(shifted[0].prec
-                                    - shifted[1].valuation()))
-            sub += all_nonzero_roots(shifted, depth + 1, below=lam)
+                # with f'(x0) zero to its precision too, nothing bounds it
+                f1 = shifted[1]
+                h = (cfg.zero(shifted[0].prec - f1.valuation())
+                     if f1.terms else None)
+                _certified(top, None if h is None else base + x0 + h,
+                           "seed root at slope %d" % lam)
+                sub.append(h)
+            sub += all_nonzero_roots(shifted, depth + 1, below=lam, top=top,
+                                     base=base + x0)
             if len(sub) != mult:
                 raise NoConvergence(
                     "cluster descent found %d of %d roots at slope %d"
@@ -360,40 +370,44 @@ def _iter_segments(coeffs):
         v0 += slope * length
 
 
-def all_nonzero_roots(coeffs, depth=0, simple_root=None, below=None):
+def all_nonzero_roots(coeffs, depth=0, below=None, top=None, base=None):
     """All roots of the polynomial that are units times grid monomials.
 
     Every segment must have an integral slope (GridTooCoarse otherwise) and
     every residual equation must split over F_{q^m} (ResidueFieldTooSmall
-    otherwise); multiplicities descend recursively.  Returns a list of
+    otherwise); multiplicities descend recursively, and every root, at
+    every level, must certify (NoConvergence otherwise).  Returns a list of
     CInfApprox roots of length = degree - ord0, or, with below, only the
-    roots on the segments of slope below it.  simple_root is the solver
-    for simple residual roots at depth 0 (see _segment_roots); the cluster
-    descent always uses Newton.
+    roots on the segments of slope below it.  A descent level passes the
+    top-level polynomial top and its shift base, against which it
+    certifies.
     """
     if depth > _MAX_DESCENT:
         raise NoConvergence("root cluster descent exceeded %d levels"
                             % _MAX_DESCENT)
+    if top is None:
+        top, base = coeffs, coeffs[-1].cfg.zero(INF)
     roots = []
     for i0, v0, slope, length in _iter_segments(coeffs):
         if below is not None and slope >= below:
             break
         roots.extend(_segment_roots(coeffs, i0, v0, slope, length, depth,
-                                    simple_root))
+                                    top, base))
     return roots
 
 
-def partial_nonzero_roots(coeffs, simple_root=None):
+def partial_nonzero_roots(coeffs):
     """Like all_nonzero_roots, but collects per-segment failures instead of
     raising: returns (roots, failures) with failures a list of error
     records.  Used to salvage the representable part of a torsion module
     whose other part is wildly ramified."""
+    base = coeffs[-1].cfg.zero(INF)
     roots = []
     failures = []
     for i0, v0, slope, length in _iter_segments(coeffs):
         try:
             roots.extend(_segment_roots(coeffs, i0, v0, slope, length, 0,
-                                        simple_root))
+                                        coeffs, base))
         except (GridTooCoarse, NoConvergence, ResidueFieldTooSmall) as ex:
             failures.append({"slope": str(slope), "length": length,
                              **ex.record()})
