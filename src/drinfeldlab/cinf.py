@@ -84,9 +84,14 @@ _PACK_MIN = 100
 # sweep, so 64 covers any window that fits in memory
 _INVERSE_SWEEPS = 64
 
-# the bit counts of the most elements a field's tables may hold and of the
-# largest q^depth of a grid
-_FIELD_BITS, _GRID_BITS = 24, 32
+# the bit counts of the most elements a field's tables may hold, of the
+# largest q^depth of a grid and of the largest grid exponent a ladder may
+# form: a sum INF + n, INF a float, overflows once n passes 2^1023, and the
+# bound leaves a margin for the arguments' own valuations
+_FIELD_BITS, _GRID_BITS, _EXPONENT_BITS = 24, 32, 768
+
+# the coefficient bounds a tail floor scans past the last row it sums
+_TAIL_SCAN = 64
 
 # one FiniteField per (p, s, m, modulus) and process, like a unique parent:
 # its tables never change, so every config over it may share them
@@ -178,6 +183,18 @@ class FieldConfig:
         self.rel_prec = rel_prec if rel_prec is not None else 4 * prec
         if self.rel_prec < self.prec:
             raise ConfigError("rel_prec must be at least prec")
+        # a ladder twists by q^i for i up to exp_depth or pole_count, a
+        # tail floor scans _TAIL_SCAN rows past them and a generating
+        # function twists twice more, on exponents up to e rel_prec:
+        # decided on bit counts before any such power is formed
+        rows, name = max((exp_depth, "exp_depth"),
+                         (pole_count or 0, "pole_count"))
+        bits = ((rows + _TAIL_SCAN + 2) * self.q.bit_length()
+                + e.bit_length() + self.rel_prec.bit_length())
+        if bits > _EXPONENT_BITS:
+            raise ConfigError(
+                "%s = %d puts grid exponents q^(%d + %d) e rel_prec past "
+                "2^%d" % (name, rows, rows, _TAIL_SCAN + 2, _EXPONENT_BITS))
         self.t_terms = t_terms
         self.exp_depth = exp_depth
         self.pole_count = pole_count

@@ -32,7 +32,8 @@ tail bound's lines per module, kind and start.  Every row a ladder keeps
 is read through one cut (_ladder_row).  A period's tower is built with
 the full products alpha_i omega^{q^i} that its residual check
 exp(omega) ~ 0 read, the numerators of omega's generating function, which
-the quasi-period and the generating function of that period cut.
+the quasi-period and the generating function of that period cut; each is
+that cut at its own precision, formed from the digits of omega below it.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -50,15 +51,13 @@ A tower's numerators are given to it when it is built and never change.
 
 from bisect import bisect_left
 
-from .cinf import INF, CInfApprox, dot
+from .cinf import _TAIL_SCAN, INF, CInfApprox, dot
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, ResidueFieldTooSmall, VerificationFailed)
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
 
 # SkewPoly is imported where a tau-polynomial is built (torsion, towers,
 # biderivations), so exp and log evaluation never load skew.py
-
-_TAIL_SCAN = 64
 
 
 def _digits(vc, qi, prec):
@@ -413,10 +412,26 @@ class DrinfeldModule:
         """The full products alpha_i z^{q^i}, i < count (default: the pole
         count of a generating function, pole_count or exp_depth): the
         numerators of the generating function of z, which a residual check
-        forms once and its readers cut (_ladder_row)."""
+        forms once and its readers cut (_ladder_row).
+
+        Row i is the row _ladder_row forms at P_i = min(prec(alpha_i) +
+        q^i v(z), v(alpha_i) + q^i prec(z)), dot's precision of
+        alpha_i * z^{q^i}, fixed from valuations and precisions alone: z
+        cut at d = _digits(v(alpha_i), q^i, P_i), twisted, and one dot
+        capped at P_i.  A dropped digit of z lands at or above
+        v(alpha_i) + q^i d >= P_i, so the terms below P_i are the
+        product's.  The cut z has valuation at least v(z) and precision
+        min(d, prec(z)), with q^i d + v(alpha_i) >= P_i, so dot's own
+        precision is at least P_i and the cap makes it P_i: the terms and
+        precision of the product.  Rows past the first few keep only the
+        lowest digits of z (P_i - v(alpha_i) shrinks by about a factor q
+        per row), and only those are twisted."""
         if count is None:
             count = self.cfg.pole_count or self.cfg.exp_depth
-        return [alpha * z.frobenius(i)
+        qs = self.cfg.q_powers(count)
+        vz, zprec = z.vbound(), z.prec
+        return [self._ladder_row(z, i, min(alpha.prec + qs[i] * vz,
+                                           alpha.vbound() + qs[i] * zprec))
                 for i, alpha in enumerate(self.exp_coeffs(count - 1))]
 
     def _exp_with_numerators(self, z):
@@ -435,7 +450,8 @@ class DrinfeldModule:
         if i < len(numerators):
             return numerators[i].truncate(cap)
         cfg = self.cfg
-        alpha = self.exp_coeffs(cfg.exp_depth)[i]
+        # a generating function's rows reach past exp_depth to pole_count
+        alpha = self.exp_coeffs(i)[i]
         digits = _digits(alpha.vbound(), cfg.q_powers(i)[i], cap)
         return dot(cfg, [(alpha, z.truncate(digits).frobenius(i))], cap)
 

@@ -22,6 +22,12 @@ This module assembles, for a normalized rank-2 Drinfeld module:
   whose terms cancel;
 * the period matrix P = Psi(theta)^(-1) and the Legendre-type invariant
   [(omega1 F(omega2) - omega2 F(omega1)) * Omega(theta)]^(q-1) = -1.
+  Psi(theta), its reference (xi/pi_tilde) [[F(omega2), -F(omega1)],
+  [omega2, -omega1]], with xi/pi_tilde read as -(xi Omega(theta)), and
+  the Legendre bracket are multiplied by Omega_I(theta) =
+  (-theta)^(-q/(q-1)) prod_(i <= I) (1 - theta^(1 - q^i)) one factor at a
+  time (OmegaData.scale_at_theta), with the terms and precision of the
+  product by its value.
 
 Every identity is checked in its positively-twisted form, e.g.
 Psi = Phi^(1) Psi^(1), so that no series coefficient ever needs a q-th
@@ -30,7 +36,7 @@ Kronecker square, its determinant and the block systems alike.
 """
 
 from .agf import AndersonGF, require_normalized
-from .cinf import INF, CInfApprox, _merge_codes, dot
+from .cinf import INF, CInfApprox, _merge_codes, _merge_logs, dot
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
 from .tseries import TMatrix, TSeries
@@ -257,6 +263,41 @@ class OmegaData:
         the value it perturbs."""
         return (self.cfg.q ** (self.I + 1) - 1) * self.cfg.e
 
+    def scale_at_theta(self, x, c):
+        """c Omega_I(theta) x for a nonzero field constant c (a code), with
+        the terms and precision of dot(cfg, [(value_at(theta).scale(c), x)]),
+        one factor of Omega_I(theta) at a time.
+
+        Omega_I(theta) = prefactor * prod_(i <= I) (1 - theta^(1 - q^i)),
+        and every factor has leading term 1, so value_at(theta) has
+        valuation v_p = v(prefactor) and precision v_p + tail_error.
+        Precision first, by dot's rule: P = min(v_p + tail_error + v(x),
+        prec(x) + v_p), INF for the exact zero.  Below P the product's
+        terms are those of c Omega_I(theta) x_0, x_0 the polynomial of x's
+        known terms: a term of Omega_I(theta) that value_at drops lies at
+        or above v_p + tail_error, so its products with x land at or above
+        P.  Each factor only raises exponents, so y = x_0 cut below
+        P - v_p is multiplied by one factor at a time, y <- y -
+        y theta^(-(q^i - 1) e), read off a copy of y and kept below P - v_p
+        (_merge_logs); the monomial c * prefactor then shifts y by v_p.
+        The field sums are exact, so these are the products' terms below
+        P."""
+        cfg = self.cfg
+        F = cfg.field
+        log, order = F._log, F.size - 1
+        vp = self.prefactor.vbound()
+        prec = min(vp + self.tail_error() + x.vbound(), x.prec + vp)
+        limit = prec - vp
+        y = {k: log[a] for k, a in x.terms.items() if k < limit}
+        minus = log[F.neg(1)]
+        for r in self.roots:
+            s = r.vbound() - cfg.e
+            _merge_logs(F, y, list(y.items()), s, minus, limit - s)
+        l0 = (log[c] + log[self.prefactor.terms[vp]]) % order
+        exp = F._exp
+        return CInfApprox._raw(
+            cfg, {k + vp: exp[l + l0] for k, l in y.items()}, prec)
+
     def value_at(self, t0):
         """Specialize the finite product anywhere; the dropped factors are
         folded in as a relative error."""
@@ -410,11 +451,18 @@ class MotiveMatrices:
     # -- specialization at t = theta ----------------------------------------------
 
     def psi_at_theta(self):
-        """Psi(theta) by pole-aware evaluation of the generating functions."""
+        """Psi(theta) by pole-aware evaluation of the generating functions:
+        xi Omega(theta) [[-b2, b1], [a2, -a1]], each entry's sign folded
+        into Omega's scalar +-xi and Omega_I(theta) multiplied in one
+        factor at a time (OmegaData.scale_at_theta), with the terms and
+        precision of the product by xi Omega(theta)."""
         a1, b1 = self.agf1.twisted_pair_at_theta()
         a2, b2 = self.agf2.twisted_pair_at_theta()
-        s = self.xi * self.omega.value_at(self.cfg.theta())
-        return [[-s * b2, s * b1], [s * a2, -s * a1]]
+        xi = self.xi.terms[0]
+        nxi = self.cfg.field.neg(xi)
+        scale = self.omega.scale_at_theta
+        return [[scale(b2, nxi), scale(b1, xi)],
+                [scale(a2, xi), scale(a1, nxi)]]
 
     def reference_psi_at_theta(self):
         """(xi/pi_tilde) [[F(omega2), -F(omega1)], [omega2, -omega1]] from
@@ -423,13 +471,19 @@ class MotiveMatrices:
         xi/pi_tilde is read as -(xi Omega(theta)), the identity that
         pi_tilde = -1/Omega(theta) itself defines: no inversion, so the
         scale keeps value_at's precision instead of the rel_prec cap that
-        the two inverses of the quotient form put on it."""
+        the two inverses of the quotient form put on it.  Each entry's sign
+        is folded into Omega's scalar +-xi, and Omega_I(theta) is
+        multiplied in one factor at a time (OmegaData.scale_at_theta), with
+        the terms and precision of the product by -(xi Omega(theta))."""
         lat = self.lattice
         mod = self.module
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)
         F2 = mod.quasi_period_eval(lat.omega2, lattice=lat)
-        s = -(self.xi * self.omega.value_at(self.cfg.theta()))
-        return [[s * F2, -(s * F1)], [s * lat.omega2, -(s * lat.omega1)]]
+        xi = self.xi.terms[0]
+        nxi = self.cfg.field.neg(xi)
+        scale = self.omega.scale_at_theta
+        return [[scale(F2, nxi), scale(F1, xi)],
+                [scale(lat.omega2, nxi), scale(lat.omega1, xi)]]
 
     def specialization_residuals(self):
         """Entrywise difference between the two computations of Psi(theta)."""
@@ -463,12 +517,15 @@ class MotiveMatrices:
 
     def legendre_invariant_for(self, lattice):
         """Same invariant on another basis of the same lattice (used to
-        certify invariance under rescaling and unimodular changes)."""
+        certify invariance under rescaling and unimodular changes).  The
+        bracket is multiplied by Omega_I(theta) one factor at a time
+        (OmegaData.scale_at_theta), with the terms and precision of the
+        product by Omega(theta)."""
         cfg = self.cfg
         bracket = lattice.bracket
         if bracket is None:
             bracket = self.module.legendre_bracket(lattice)
-        b = bracket * self.omega.value_at(cfg.theta())
+        b = self.omega.scale_at_theta(bracket, 1)
         if b.is_apparent_zero() or b.valuation() != 0:
             raise NotAUnit(
                 "scaled quasi-period bracket is not a unit "

@@ -578,6 +578,50 @@ def test_huge_descriptor_sizes_rejected_first(tmp_path, key, value, named):
     assert record["error"] == "ConfigError" and named in record["message"]
 
 
+def _cm_q3_deep():
+    return json.loads((Path(__file__).parent / "data" / "cm_q3_deep.json")
+                      .read_text())
+
+
+@pytest.mark.parametrize("key,value,argv", [
+    ("depth", 600, ["periods"]),
+    ("depth", 600, ["exp-eval", "--z", "theta^-1"]),
+    ("pole_count", 640, ["periods"])],
+    ids=["depth-periods", "depth-exp-eval", "pole_count-periods"])
+def test_deep_ladder_rejected_first(tmp_path, key, value, argv):
+    # an exponential depth or pole count whose grid exponents q^(n + 66) e
+    # rel_prec pass 2^768 is refused up front; past 2^1023 such an exponent
+    # no longer adds to INF, and the run ended in an OverflowError
+    data = _cm_q3()
+    data["prec"] = dict(data["prec"], **{key: value})
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(data))
+    if key == "depth":
+        # the descriptor the CI step runs
+        assert _cm_q3_deep() == data
+    done = _run_capped([argv[0], "--module", str(path)] + argv[1:])
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ConfigError"
+    assert "%s = %d" % ("exp_depth" if key == "depth" else key, value) \
+        in record["message"]
+
+
+@pytest.mark.parametrize("q,e,N,rows", [(3, 72, 240, 309), (3, 72, 1920, 308),
+                                        (5, 600, 240, 183)])
+def test_ladder_depth_bound_is_the_stated_one(q, e, N, rows):
+    # (n + 66) bits of q plus those of e and rel_prec at most 768: n = 309
+    # on q3 at N = 240, 183 on q5-tame; every sample's exp_depth 12 and a
+    # pole count of 100 pass, one row more is refused, naming the value
+    for name in ("exp_depth", "pole_count"):
+        for n in (12, 100, rows):
+            FieldConfig(q, 1, 4, e=e, prec=N, **{name: n})
+        with pytest.raises(errors.ConfigError, match=r"past 2\^768") as ex:
+            FieldConfig(q, 1, 4, e=e, prec=N, **{name: rows + 1})
+        assert "%s = %d" % (name, rows + 1) in str(ex.value)
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--p", "3", "--s", "1000000000"], "1000000000"),
     (["--p", str(_HUGE_P)], str(_HUGE_P))], ids=["s", "p"])

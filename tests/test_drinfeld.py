@@ -1253,6 +1253,57 @@ def test_quasi_period_level_zero_matches_levels(q, depth, k, cube, inner,
     assert (held.terms, held.prec) == (want.terms, want.prec)
 
 
+_NUMERATOR_MODULES = {}
+
+
+def _numerator_module(name):
+    """A named module with its periods, built once: cm_q3 (kappa = 0) has
+    every odd alpha_i exactly zero, kappa-inexact every alpha_i inexact."""
+    got = _NUMERATOR_MODULES.get(name)
+    if got is None:
+        rho = {"q3": lambda: _q3_module(240),
+               "q5-tame": lambda: _q5_module(240),
+               "cm_q3": lambda: _q3_module(
+                   240, kappa=lambda cfg: cfg.zero(INF)),
+               "kappa-inexact": lambda: _with_coeff_prec(
+                   _q3_module(240), kappa=400)}[name]()
+        got = _NUMERATOR_MODULES[name] = (rho, rho.periods())
+    return got
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["q3", "q5-tame", "cm_q3", "kappa-inexact"]),
+       count=st.sampled_from([1, 3, 12, 13, 20]),
+       kind=st.sampled_from(["period", "exact", "inexact",
+                             "zero-to-precision", "zero"]),
+       data=st.data())
+def test_numerators_match_full_products(name, count, kind, data):
+    # each numerator, formed from z's digits below its precision, has the
+    # terms and precision of the full product alpha_i * z^(q^i): counts
+    # past exp_depth + 1 = 13 rows, exactly-zero rows (kappa = 0) and
+    # inexact ones, arguments exact, inexact, zero to precision and zero
+    rho, lat = _numerator_module(name)
+    cfg = rho.cfg
+    e, size = cfg.e, cfg.field.size
+    if kind == "period":
+        z = data.draw(st.sampled_from(lat.basis()))
+    elif kind == "zero":
+        z = cfg.zero(INF)
+    elif kind == "zero-to-precision":
+        z = cfg.zero(data.draw(st.integers(-2 * e, 4 * e)))
+    else:
+        terms = data.draw(st.dictionaries(
+            st.integers(-2 * e, 4 * e), st.integers(1, size - 1),
+            min_size=1, max_size=8))
+        z = CInfApprox(cfg, terms, INF if kind == "exact" else data.draw(
+            st.integers(min(terms) + 1, 6 * e)))
+    got = rho._numerators(z, count)
+    want = [alpha * z.frobenius(i)
+            for i, alpha in enumerate(rho.exp_coeffs(count - 1))]
+    assert [(x.terms, x.prec) for x in got] == \
+        [(x.terms, x.prec) for x in want]
+
+
 def test_quasi_period_plans_one_level(monkeypatch):
     # at N = 1920 every quasi-period with exact d_k, of a period (cutting
     # its tower's numerators) or of a logarithm, reads one exp precision

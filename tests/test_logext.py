@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from drinfeldlab.agf import AndersonGF
-from drinfeldlab.cinf import INF, FieldConfig
+from drinfeldlab.cinf import INF, CInfApprox, FieldConfig
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import ConfigError
 from drinfeldlab.logext import (ExtendedSystem, GVector, make_log_point,
@@ -194,6 +194,41 @@ def test_psi_and_g_vector_form_no_products(monkeypatch):
     assert formed == []
     thr = cfg.pass_threshold()
     assert r1.is_zero_to(thr) and r2.is_zero_to(thr)
+
+
+def test_numerators_twist_only_the_digits_they_keep(monkeypatch):
+    # at N = 1920 the numerators of the two periods and of a log point
+    # are formed from the argument's digits below each row's precision:
+    # rows past the first keep a few low digits, and only those are
+    # twisted (the full arguments, twisted for every row, are 4,325 terms)
+    cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+    rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    frob, numerators = CInfApprox.frob_p, DrinfeldModule._numerators
+    inside, twisted, sets = [], [], []
+
+    def frob_spy(self, k):
+        if inside and k:
+            twisted.append(len(self.terms))
+        return frob(self, k)
+
+    def numerators_spy(self, z, count=None):
+        inside.append(z)
+        try:
+            got = numerators(self, z, count)
+        finally:
+            inside.pop()
+        sets.append(got)
+        return got
+
+    monkeypatch.setattr(CInfApprox, "frob_p", frob_spy)
+    monkeypatch.setattr(DrinfeldModule, "_numerators", numerators_spy)
+    lat = rho.periods()
+    point = make_log_point(rho, alpha=cfg.theta(-2))
+    monkeypatch.undo()
+    assert len(sets) == 3 and sum(twisted) <= 600
+    thr = cfg.pass_threshold()
+    assert all(rho.exp_eval(om).is_zero_to(thr) for om in lat.basis())
+    assert (rho.exp_eval(point.lam) - point.alpha).is_zero_to(thr)
 
 
 def test_every_ladder_row_read_through_ladder_row(monkeypatch):

@@ -189,6 +189,95 @@ def test_reference_psi_scale_read_off_omega(name):
         assert [[x.prec for x in r] for r in got] == [[8001] * 2, [7761] * 2]
 
 
+_SCALE_CASES = {}
+
+
+def _scale_case(name):
+    """(OmegaData, Omega(theta) from value_at) of a reference module's
+    config, built once."""
+    got = _SCALE_CASES.get(name)
+    if got is None:
+        cfg = _reference_module(name).cfg
+        om = OmegaData(cfg)
+        got = _SCALE_CASES[name] = (om, om.value_at(cfg.theta()))
+    return got
+
+
+def _scale_operand(om, kind, data):
+    """A value of the drawn kind: exact, inexact (sparse, or dense like a
+    pole inverse), zero to precision or exactly zero, spread past the
+    tail error so that both terms of the precision rule can bind."""
+    cfg = om.cfg
+    e, size = cfg.e, cfg.field.size
+    reach = om.tail_error() + 4 * e
+    if kind == "zero":
+        return cfg.zero(INF)
+    if kind == "zero-to-precision":
+        return cfg.zero(data.draw(st.integers(-2 * e, reach)))
+    if kind == "dense":
+        k = data.draw(st.integers(1, 2))
+        return cfg.pole_inverse(k).shift(data.draw(st.integers(-3 * e, e)))
+    terms = data.draw(st.dictionaries(
+        st.integers(-2 * e, reach), st.integers(1, size - 1),
+        min_size=1, max_size=24))
+    if kind == "exact":
+        return CInfApprox(cfg, terms)
+    return CInfApprox(cfg, terms, data.draw(
+        st.integers(min(terms) + 1, reach + e)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["q3", "q3-1920", "q5-tame", "cm_q3.json"]),
+       kind=st.sampled_from(["exact", "inexact", "dense",
+                             "zero-to-precision", "zero"]),
+       data=st.data())
+def test_scale_at_theta_matches_product_by_value(name, kind, data):
+    """OmegaData.scale_at_theta, one factor of Omega_I(theta) at a time,
+    against the product by c value_at(theta), in terms and precision: I =
+    2 and 4 on q3 (N = 240, 1920), one factor on q5-tame and cm_q3's two,
+    for c in {1, xi, -xi}."""
+    om, val = _scale_case(name)
+    cfg = om.cfg
+    assert om.I == {"q3": 2, "q3-1920": 4, "q5-tame": 1,
+                    "cm_q3.json": 2}[name]
+    xi = xi_constant(cfg).terms[0]
+    c = data.draw(st.sampled_from([1, xi, cfg.field.neg(xi)]))
+    x = _scale_operand(om, kind, data)
+    got = om.scale_at_theta(x, c)
+    want = dot(cfg, [(val.scale(c), x)])
+    assert got.terms == want.terms and got.prec == want.prec
+
+
+_DEEP_Q3 = []
+
+
+def _deep_q3_motive():
+    """MotiveMatrices(T=16) of the q3 chain at N = 1920, built once."""
+    if not _DEEP_Q3:
+        cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
+        rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+        _DEEP_Q3.append(MotiveMatrices(rho, rho.periods(), T=16))
+    return _DEEP_Q3[0]
+
+
+def test_specialization_expands_no_omega_value(monkeypatch):
+    # at N = 1920, Psi(theta), its reference and the Legendre bracket
+    # multiply by Omega_I(theta) one factor at a time: none of them
+    # expands Omega_I(theta) through value_at
+    mot = _deep_q3_motive()
+
+    def value_at(self, t0):
+        raise AssertionError("expanded Omega(theta)")
+
+    monkeypatch.setattr(OmegaData, "value_at", value_at)
+    res = mot.specialization_residuals()
+    li = mot.legendre_invariant()
+    monkeypatch.undo()
+    thr = mot.cfg.pass_threshold()
+    assert all(x.is_zero_to(thr) for r in res for x in r)
+    assert li["is_minus_one"] and li["unit_tail_valuation"] >= thr
+
+
 def test_legendre_invariant(ctx3):
     mot = ctx3.motive(16)
     li = mot.legendre_invariant()
