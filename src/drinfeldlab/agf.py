@@ -24,10 +24,11 @@ Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
 certified by DrinfeldModule._tail_floor and its induction proof.
 
-The twisted pair at t = theta is computed once per generating function
-and published by rebinding an attribute to the finished pair, so threads
-may share a generating function; two threads racing on the empty memo
-both compute the same pair.
+The twisted pair at t = theta, the series pair for each T and exp(u),
+which both residual reports read off the numerators, are computed once
+per generating function and published by rebinding an attribute to the
+finished value, so threads may share a generating function; two threads
+racing on an empty memo both compute the same value.
 """
 
 from .cinf import INF, CInfApprox, _merge_logs, dot
@@ -46,6 +47,8 @@ class AndersonGF:
         self.numerators = numerators or module._numerators(u)
         self.I = len(self.numerators)
         self._pair_at_theta = None
+        self._pairs = {}
+        self._exp = None
 
     # -- the t-series -------------------------------------------------------------
 
@@ -118,11 +121,18 @@ class AndersonGF:
         """(kappa f^(1) + f^(2), f^(1)) through T coefficients: every
         g-vector is this pair, signed where it is used, and every column of
         Psi is its product with xi Omega, which OmegaData.column forms from
-        the numerators instead."""
+        the numerators instead.  Computed once per generating function and
+        T."""
         self._require_normalized()
-        f = self.series(T)
-        f1 = f.twist(1)
-        return f1.scale(self.module.kappa) + f.twist(2), f1
+        if T is None:
+            T = self.cfg.t_terms
+        pair = self._pairs.get(T)
+        if pair is None:
+            f = self.series(T)
+            f1 = f.twist(1)
+            pair = (f1.scale(self.module.kappa) + f.twist(2), f1)
+            self._pairs = {**self._pairs, T: pair}
+        return pair
 
     def twisted_pair_at_theta(self):
         """The same pair at t = theta, by pole-aware evaluation; computed
@@ -139,6 +149,20 @@ class AndersonGF:
     def _require_normalized(self):
         require_normalized(self.module, "the twisted pair")
 
+    def _exp_u(self):
+        """exp(u) as exp_eval gives it, in terms and precision: the one
+        level of the exp ladder over u, which cuts the numerators for its
+        rows; the exact zero for u without terms.  Computed once."""
+        value = self._exp
+        if value is None:
+            if self.u.is_apparent_zero():
+                value = self.cfg.zero(INF)
+            else:
+                value = self.module._exp_levels(
+                    self.u, [0], numerators=self.numerators)[0]
+            self._exp = value
+        return value
+
     # -- functional equation reports ----------------------------------------------
 
     def functional_equation_residual(self, T=None):
@@ -149,10 +173,8 @@ class AndersonGF:
             T = cfg.t_terms
         mod = self.module
         F = self.series(T)
-        expu = mod.exp_eval(self.u) if not self.u.is_apparent_zero() \
-            else cfg.zero(INF)
         res = F.twist(1).scale(mod.kappa) - TSeries.t_minus_theta(cfg) * F \
-            - TSeries.constant(cfg, expu).truncate(T)
+            - TSeries.constant(cfg, self._exp_u()).truncate(T)
         if mod.rank == 2:
             res = res + F.twist(2).scale(mod.u)
         return res.truncate(T)
@@ -166,9 +188,7 @@ class AndersonGF:
         val = mod.kappa * self.eval_twisted(1, th) + self.u
         if mod.rank == 2:
             val = val + mod.u * self.eval_twisted(2, th)
-        if not self.u.is_apparent_zero():
-            val = val - mod.exp_eval(self.u)
-        return val
+        return val - self._exp_u()
 
 
 def require_normalized(module, what):

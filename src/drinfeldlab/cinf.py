@@ -90,6 +90,11 @@ _INVERSE_SWEEPS = 64
 # bound leaves a margin for the arguments' own valuations
 _FIELD_BITS, _GRID_BITS, _EXPONENT_BITS = 24, 32, 768
 
+# the most t-coefficients a series may carry: the Psi and block-system
+# products grow faster than T^2 (psi --q 3 takes 1.4 s at T = 512, 8 s at
+# 1024 on one core of a 2-core VM)
+_MAX_T_TERMS = 512
+
 # the coefficient bounds a tail floor scans past the last row it sums
 _TAIL_SCAN = 64
 
@@ -141,6 +146,9 @@ class FieldConfig:
             if low is not None and v < low:
                 raise ConfigError("%s = %d must be at least %d"
                                   % (name, v, low))
+        if t_terms > _MAX_T_TERMS:
+            raise ConfigError("t_terms = %d exceeds %d"
+                              % (t_terms, _MAX_T_TERMS))
         # decided before any power or primality test: p >= 2, so an
         # exponent past the bit count exceeds the bound
         if p > 1 and (s * m > _FIELD_BITS
@@ -377,8 +385,14 @@ class CInfApprox:
     def _sum(self, other, negate):
         """self + other, or self - other when negate: the longer
         operand's terms below the precision (self's for a difference),
-        then the other's, times -1 for a difference, by _merge_codes."""
+        then the other's, times -1 for a difference, by _merge_codes.
+        Values are immutable, so a sum with the exact zero is the other
+        operand itself (a difference only when the zero is subtracted)."""
         self._check(other)
+        if not other.terms and other.prec == INF:
+            return self
+        if not negate and not self.terms and self.prec == INF:
+            return other
         prec = min(self.prec, other.prec)
         a, b = self, other
         if not negate and len(b.terms) > len(a.terms):
@@ -639,8 +653,17 @@ def dot(cfg, pairs, cap=INF):
     log accumulator converted back once.  Every path forms the same term
     pairs below P and the field sum is exact and order-free, so the value
     is that of the products added one by one and cut at P.  An empty sum
-    is the exact zero.
+    is the exact zero, and a lone pair (1, b) or (b, 1) with the exact one
+    over cfg itself is b cut at cap: P = min(cap, prec_b) and b's terms
+    below it.  pairs is a sequence.
     """
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        if a.cfg is cfg and b.cfg is cfg:
+            if a.prec == INF and a.terms == {0: 1}:
+                return b.truncate(cap)
+            if b.prec == INF and b.terms == {0: 1}:
+                return a.truncate(cap)
     prec = cap
     monos = []  # (e0, c0, other): a one-term operand c0 th^(-e0/e)
     work = []   # pairs of operands with at least two terms each

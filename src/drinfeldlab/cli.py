@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from .cinf import INF
+from .cinf import _MAX_T_TERMS, INF
 from .encoding import (_require, canonical_dumps, decode_cinf,
                        decode_module, encode_agf, encode_cinf, encode_module,
                        encode_valuation)
@@ -73,6 +73,9 @@ def load_setup(args):
     """Resolve (cfg, module) from the flags."""
     if args.prec_t is not None and args.prec_t < 1:
         raise ConfigError("--prec-t = %d must be at least 1" % args.prec_t)
+    if args.prec_t is not None and args.prec_t > _MAX_T_TERMS:
+        raise ConfigError("--prec-t = %d exceeds %d"
+                          % (args.prec_t, _MAX_T_TERMS))
     if args.module:
         with open(args.module) as fh:
             data = json.load(fh)

@@ -28,7 +28,10 @@ alone, since every level's precision rises by at least one theta-unit per
 level, then sums the twisted products against exact sparse multipliers
 that stand for all its levels in one dot, keeping only the digits the sum
 needs.  The levels' tail floors are read off one lower envelope of the
-tail bound's lines per module, kind and start.  Every row a ladder keeps
+tail bound's lines per module, kind and start, and the rest of their
+precisions off two envelopes of the coefficient table's lines per module
+(_exp_lines), so a ladder is planned without a scan of the table per
+level.  Every row a ladder keeps
 is read through one cut (_ladder_row).  A period's tower is built with
 the full products alpha_i omega^{q^i} that its residual check
 exp(omega) ~ 0 read, the numerators of omega's generating function, which
@@ -70,6 +73,28 @@ def _known(coeffs):
     """(precision, lowest term or INF when it has none) of each value: all
     that _qlinear_prec and _qlinear_rows read of a coefficient."""
     return [(c.prec, c.vbound() if c.terms else INF) for c in coeffs]
+
+
+def _lower_envelope(lines):
+    """The lower envelope of the lines x -> c + s x, given as (s, c) with
+    c finite and distinct slopes s, steepest first, as (lines, cuts):
+    lines holds the (s, c) that reach the minimum somewhere, steepest
+    first, and line t is a lowest one for every integer x with
+    cuts[t - 1] < x <= cuts[t].  Line a lies at or below the shallower
+    line b exactly for x <= (c_b - c_a) / (s_a - s_b), so the cuts are
+    those quotients rounded down; a line is dropped when its neighbours
+    meet at or before the point where it would leave the minimum."""
+    hull = []
+    for s, c in lines:
+        while len(hull) >= 2:
+            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            if (c - c1) * (s1 - s2) > (c2 - c1) * (s1 - s):
+                break
+            hull.pop()
+        hull.append((s, c))
+    cuts = [(c2 - c1) // (s1 - s2)
+            for (s1, c1), (s2, c2) in zip(hull, hull[1:])]
+    return hull, cuts
 
 
 class Biderivation:
@@ -169,6 +194,7 @@ class DrinfeldModule:
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
         self._envelopes = {}  # (kind, start) -> _tail_envelope
+        self._lines = None  # _exp_lines
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
 
@@ -288,16 +314,10 @@ class DrinfeldModule:
         return floors
 
     def _tail_envelope(self, kind, start):
-        """The lower envelope of the scanned lines vz -> bound_i + q^i vz,
-        start < i <= start + _TAIL_SCAN, as (lines, cuts): lines holds the
-        (q^i, bound_i) that reach the minimum somewhere, steepest first,
-        and line t is a lowest one for every integer vz with
-        cuts[t - 1] < vz <= cuts[t].  A line with an infinite bound never
-        does.  Line a lies at or below the shallower line b exactly for
-        vz <= (bound_b - bound_a) / (q^a - q^b), so the cuts are those
-        quotients rounded down; a line is dropped when its neighbours meet
-        at or before the point where it would leave the minimum.  Built
-        once per module, kind and start, and published by rebinding."""
+        """The lower envelope (_lower_envelope) of the scanned lines
+        vz -> bound_i + q^i vz, start < i <= start + _TAIL_SCAN; a line
+        with an infinite bound never reaches the minimum.  Built once per
+        module, kind and start, and published by rebinding."""
         key = (kind, start)
         got = self._envelopes.get(key)
         if got is not None:
@@ -305,20 +325,9 @@ class DrinfeldModule:
         end = start + _TAIL_SCAN
         bounds = self._coeff_vbounds(kind, end)
         qi = self.cfg.q_powers(end)
-        lines = []
-        for i in range(end, start, -1):
-            s, b = qi[i], bounds[i]
-            if b == INF:
-                continue
-            while len(lines) >= 2:
-                (s1, b1), (s2, b2) = lines[-2], lines[-1]
-                if (b - b1) * (s1 - s2) > (b2 - b1) * (s1 - s):
-                    break
-                lines.pop()
-            lines.append((s, b))
-        cuts = [(b2 - b1) // (s1 - s2)
-                for (s1, b1), (s2, b2) in zip(lines, lines[1:])]
-        got = (lines, cuts)
+        got = _lower_envelope([(qi[i], bounds[i])
+                               for i in range(end, start, -1)
+                               if bounds[i] != INF])
         self._envelopes = {**self._envelopes, key: got}
         return got
 
@@ -371,15 +380,54 @@ class DrinfeldModule:
         return dot(self.cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
                               for i, digits in rows], prec)
 
+    def _exp_lines(self):
+        """(precs, lows, rows) for the rows i <= exp_depth of the
+        coefficient table: precs and lows the lower envelopes
+        (_lower_envelope) of the lines x -> prec(alpha_i) + q^i x and
+        x -> v(alpha_i) + q^i x, a line with an infinite constant left
+        out, and rows the (i, q^i, v(alpha_i)) of the rows with terms: all
+        that a ladder's plan reads of the table (_known).  Found once per
+        module and published by rebinding; the table's values never
+        change."""
+        got = self._lines
+        if got is None:
+            depth = self.cfg.exp_depth
+            qs = self.cfg.q_powers(depth)
+            known = _known(self.exp_coeffs(depth))
+            got = tuple(_lower_envelope([(qs[i], known[i][n])
+                                         for i in range(depth, -1, -1)
+                                         if known[i][n] != INF])
+                        for n in (0, 1))
+            got += ([(i, qs[i], cv) for i, (_, cv) in enumerate(known)
+                     if cv != INF],)
+            self._lines = got
+        return got
+
     def _exp_precs(self, vz, zprec, shifts):
         """[the precision exp_eval reaches on z.shift(k) for k in shifts],
-        for a nonzero z of valuation vz and precision zprec: one pass over
-        the levels, each reading its tail floor off _tail_envelope."""
-        depth = self.cfg.exp_depth
-        known = _known(self.exp_coeffs(depth))
-        floors = self._tail_floors("exp", [vz + k for k in shifts], depth)
-        return [self._qlinear_prec(known, vz + k, zprec + k, floor)
-                for k, floor in zip(shifts, floors)]
+        for a nonzero z of valuation vz and precision zprec, read off the
+        module's envelopes.
+
+        _qlinear_prec at z.shift(k) is the least of the tail floor and,
+        over the rows i, prec(alpha_i) + q^i (vz + k) and
+        v(alpha_i) + q^i (zprec + k).  The first are the lines of the
+        precs envelope of _exp_lines at x = vz + k, the second those of
+        its lows envelope at x = zprec + k (none for an exact z), each
+        row without a finite constant contributing INF.  So the minimum
+        over the rows is the least of the two envelopes' values, one
+        bisection each, as each tail floor is read off _tail_envelope
+        at vz + k: the scan's minimum, the same value."""
+        by_prec, by_low, _ = self._exp_lines()
+        floors = self._tail_floors("exp", [vz + k for k in shifts],
+                                   self.cfg.exp_depth)
+        precs = []
+        for k, r in zip(shifts, floors):
+            for (lines, cuts), x in ((by_prec, vz + k), (by_low, zprec + k)):
+                if lines and x != INF:
+                    slope, c = lines[bisect_left(cuts, x)]
+                    r = min(r, c + slope * x)
+            precs.append(r)
+        return precs
 
     def exp_eval(self, z):
         """exp(z), certified.  exp is entire, but its tail floor reads a
@@ -392,20 +440,28 @@ class DrinfeldModule:
     def _ladder_plan(self, z, shifts, precs):
         """The row plan of the levels exp(z.shift(k)) cut at R, for the
         (k, R) of shifts and precs and a nonzero z: (plans, caps) with
-        plans[(k, R, rows)], rows those of _qlinear_rows at R, and caps[i]
-        the list of R - q^i k over the levels that keep row i, the digits
-        of p_i = alpha_i z^{q^i} each of them reads.  Every ladder, exp_eval
-        included, is planned here, and nothing is formed."""
-        depth = self.cfg.exp_depth
-        known = _known(self.exp_coeffs(depth))
-        qs = self.cfg.q_powers(depth)
+        plans[(k, R, rows)], rows the indices of those of _qlinear_rows at
+        R, by increasing i, and caps[i] the list of R - q^i k over the
+        levels that keep row i, by level, the digits of p_i =
+        alpha_i z^{q^i} each of them reads.  Every ladder, exp_eval
+        included, is planned here, and nothing is formed.
+
+        _qlinear_rows at z.shift(k) keeps row i when v(alpha_i) +
+        q^i (vz + k) < R, that is b_i + q^i k < R with b_i = v(alpha_i) +
+        q^i vz, a row without terms never.  The b_i are found once per
+        argument, from the rows of _exp_lines, so each level tests one sum
+        per row, by increasing i: the same rows, and the same caps in the
+        same order."""
         vz = z.valuation()
-        plans = [(k, r, self._qlinear_rows(known, vz + k, r))
-                 for k, r in zip(shifts, precs)]
-        caps = {}
-        for k, r, rows in plans:
-            for i, _ in rows:
-                caps.setdefault(i, []).append(r - qs[i] * k)
+        rows = [(i, qi, cv + qi * vz) for i, qi, cv in self._exp_lines()[2]]
+        plans, caps = [], {}
+        for k, r in zip(shifts, precs):
+            kept = []
+            for i, qi, b in rows:
+                if b + qi * k < r:
+                    kept.append(i)
+                    caps.setdefault(i, []).append(r - qi * k)
+            plans.append((k, r, kept))
         return plans, caps
 
     def _numerators(self, z, count=None):
@@ -487,7 +543,7 @@ class DrinfeldModule:
         rows = {i: self._ladder_row(z, i, max(cs), numerators)
                 for i, cs in caps.items()}
         return [dot(cfg, [(rows[i], cfg.monomial(qs[i] * k))
-                          for i, _ in plan], r) for k, r, plan in plans]
+                          for i in plan], r) for k, r, plan in plans]
 
     def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term

@@ -15,7 +15,12 @@ transcendence.
 
 A log point is built with the numerators alpha_i lambda^(q^i) that its
 check exp(lambda) = alpha formed; its g-vector's generating function and
-F(lambda) cut them instead of forming them again.
+F(lambda) cut them instead of forming them again.  The point keeps that
+generating function, one per module, and its g-vector, one per motive:
+the lone g-vector of a check and the row of the point in every block
+system are one object, which forms the series pair, the pair at theta
+and the row g Psi once.  Each memo is published by rebinding, so threads
+may share a point.
 """
 
 from .agf import AndersonGF
@@ -35,6 +40,25 @@ class LogPoint:
         self.alpha = alpha
         self.provenance = provenance
         self.numerators = numerators
+        self._gfs = {}
+        self._gvectors = {}
+
+    def generating_function(self, module):
+        """The Anderson generating function of lambda over module, built
+        from the numerators the point keeps; one per module."""
+        gf = self._gfs.get(module)
+        if gf is None:
+            gf = AndersonGF(module, self.lam, self.numerators)
+            self._gfs = {**self._gfs, module: gf}
+        return gf
+
+    def g_vector(self, motive):
+        """The point's GVector over motive; one per motive."""
+        gv = self._gvectors.get(motive)
+        if gv is None:
+            gv = GVector(motive, self)
+            self._gvectors = {**self._gvectors, motive: gv}
+        return gv
 
 
 def make_log_point(module, lam=None, alpha=None):
@@ -69,17 +93,20 @@ class GVector:
     pole-form backing, plus the inhomogeneity h = (alpha, 0).
 
     The series pair g1, g2 is built on first read: the specialization at
-    t = theta reads the poles alone.  Like the generating function's pair
-    at theta, it is published by rebinding an attribute to the finished
-    pair, so threads may share a g-vector."""
+    t = theta reads the poles alone.  It and the row g Psi are published,
+    like the generating function's pair at theta, by rebinding an
+    attribute to the finished value, so threads may share a g-vector.  It
+    keeps the point's lambda and alpha, not the point, which keeps it: no
+    reference cycle holds a motive past its last reader."""
 
     def __init__(self, motive, point):
         self.motive = motive
-        self.point = point
+        self.lam, self.alpha = point.lam, point.alpha
         self.cfg = motive.cfg
-        self.agf = AndersonGF(motive.module, point.lam, point.numerators)
+        self.agf = point.generating_function(motive.module)
         self.agf._require_normalized()
         self._series = None
+        self._row = None
 
     @property
     def g1(self):
@@ -97,6 +124,15 @@ class GVector:
             self._series = pair
         return pair
 
+    def psi_row(self):
+        """g Psi, the point's row of G Psi in a block system: the entries
+        of the product TMatrix([[g1, g2]]) * Psi; computed once."""
+        row = self._row
+        if row is None:
+            row = (TMatrix([[self.g1, self.g2]]) * self.motive.psi).rows[0]
+            self._row = row
+        return row
+
     def at_theta(self):
         """(g1(theta), g2(theta)) by pole-aware evaluation."""
         a, b = self.agf.twisted_pair_at_theta()
@@ -107,10 +143,10 @@ class GVector:
         which vanish for the true vector."""
         module = self.motive.module
         g1t, g2t = self.at_theta()
-        r1 = g1t - (self.point.lam - self.point.alpha)
-        # F(lambda) cuts the numerators the point keeps, as f_lambda does
+        r1 = g1t - (self.lam - self.alpha)
+        # F(lambda) cuts the numerators f_lambda cuts, the point's
         r2 = g2t + module._quasi_period_sum(
-            self.point.lam, numerators=self.point.numerators)
+            self.lam, numerators=self.agf.numerators)
         return r1, r2
 
     def functional_equation_residual(self):
@@ -119,7 +155,7 @@ class GVector:
         T = self.motive.T
         g = TMatrix([[self.g1.truncate(T)], [self.g2.truncate(T)]])
         h = TMatrix([
-            [TSeries.constant(cfg, self.point.alpha).truncate(T)],
+            [TSeries.constant(cfg, self.alpha).truncate(T)],
             [TSeries.constant(cfg, cfg.zero(INF)).truncate(T)],
         ])
         lhs = self.motive.phi.transpose().twist(1) * g
@@ -137,17 +173,15 @@ class ExtendedSystem:
         self.motive = motive
         cfg = self.cfg = motive.cfg
         self.points = list(points)
-        self.gvectors = [GVector(motive, p) for p in self.points]
+        self.gvectors = [p.g_vector(motive) for p in self.points]
         self.n = len(self.points)
         zero = TSeries.constant(cfg, cfg.zero(INF))
         self.phi_n = self._block(motive.phi, [
             [TSeries.constant(cfg, p.alpha), zero] for p in self.points])
-        lower = []
-        if self.n:
-            # Psi and every g have T coefficients, and so does G Psi
-            G = TMatrix([[gv.g1, gv.g2] for gv in self.gvectors])
-            lower = (G * motive.psi).rows
-        self.psi_n = self._block(motive.psi, lower)
+        # Psi and every g have T coefficients, and so does each row g Psi
+        # of G Psi
+        self.psi_n = self._block(motive.psi,
+                                 [gv.psi_row() for gv in self.gvectors])
 
     def _block(self, top, lower):
         """[[top, 0], [lower, I_n]] for the n rows of lower."""

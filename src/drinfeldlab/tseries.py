@@ -9,6 +9,12 @@ their positively-twisted form.
 A product forms each coefficient as one sum of coefficient products
 (cinf.dot); a matrix product does so over all products of an entry at once,
 with the length and tail the entrywise sum of series products would have.
+A product reads each operand's summary: the suffix minima of its
+coefficients' valuation bounds, for the tail, and its coefficients that
+are not exactly zero, for the pairs.  It is found once per series, on
+first use, and published by rebinding an attribute to the finished pair
+of lists, so threads may share a series.  Series are never changed after
+they are built, so scaling by the exact one returns the series itself.
 """
 
 from operator import add, sub
@@ -23,6 +29,7 @@ class TSeries:
         self.cfg = cfg
         self.coeffs = list(coeffs)
         self.tail = tail
+        self._summary = None
 
     @classmethod
     def from_poly(cls, cfg, coeffs):
@@ -92,12 +99,12 @@ class TSeries:
         the known pairs a_i b_j with i + j >= length."""
         self._compat(other)
         n = _out_len(self.T, self.tail, other.T, other.tail, conv=True)
-        ys = [(j, y) for j, y in enumerate(other.coeffs[:n])
-              if not y.is_exact_zero()]
+        low_a, xs = self._summaries()
+        low, ys = other._summaries()
         pairs = [[] for _ in range(n)]
-        for i, x in enumerate(self.coeffs[:n]):
-            if x.is_exact_zero():
-                continue
+        for i, x in xs:
+            if i >= n:
+                break
             for j, y in ys:
                 if i + j >= n:
                     break
@@ -105,15 +112,14 @@ class TSeries:
         tail = None
         if self.tail is not None and other.tail is not None:
             ta, tb = self.tail, other.tail
-            va = min(self.min_vbound(), ta)
-            vb = min(other.min_vbound(), tb)
+            va = min(low_a[0], ta)
+            vb = min(low[0], tb)
             tail = min(ta + vb, tb + va)
-            # the known pairs past n: a_i with low[j] = min v(b_j'), j' >= j
-            low = [INF] * (other.T + 1)
-            for j in range(other.T - 1, -1, -1):
-                low[j] = min(low[j + 1], other.coeffs[j].vbound())
-            for i, x in enumerate(self.coeffs):
-                if n - i < other.T:
+            # the known pairs past n: a_i, n - i < T(b), with low[j] =
+            # min v(b_j'), j' >= j (an exact-zero a_i adds INF)
+            start = n - other.T
+            for i, x in xs:
+                if i > start:
                     tail = min(tail, x.vbound() + low[max(0, n - i)])
         return n, tail, pairs
 
@@ -123,7 +129,14 @@ class TSeries:
         return TSeries(cfg, [dot(cfg, p) for p in pairs], tail)
 
     def scale(self, c):
-        """Multiply by a scalar CInfApprox."""
+        """Multiply by a scalar CInfApprox.  The exact one over the same
+        config gives every coefficient's terms and precision, so the
+        series itself is returned."""
+        if c.prec == INF and c.terms == {0: 1}:
+            if c.cfg is not self.cfg and not c.cfg.same_as(self.cfg):
+                raise ConfigError(
+                    "operands built over different FieldConfigs")
+            return self
         tail = self.tail
         if c.is_exact_zero():
             tail = INF
@@ -191,7 +204,24 @@ class TSeries:
         return [c.vbound() for c in self.coeffs]
 
     def min_vbound(self):
-        return min(self.vbounds()) if self.coeffs else INF
+        return self._summaries()[0][0]
+
+    def _summaries(self):
+        """(low, nonzero): low[j] the least valuation bound of the
+        coefficients j, j+1, ... for j <= T (INF at T), and nonzero the
+        (j, coefficient) of those not exactly zero, by j: what a product
+        reads of an operand."""
+        got = self._summary
+        if got is None:
+            coeffs = self.coeffs
+            low = [INF] * (len(coeffs) + 1)
+            for j in range(len(coeffs) - 1, -1, -1):
+                v = coeffs[j].vbound()
+                low[j] = v if v < low[j + 1] else low[j + 1]
+            got = (low, [(j, c) for j, c in enumerate(coeffs)
+                         if not c.is_exact_zero()])
+            self._summary = got
+        return got
 
     def is_zero_to(self, threshold, count=None):
         n = len(self.coeffs) if count is None else min(count, len(self.coeffs))

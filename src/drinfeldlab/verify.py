@@ -32,8 +32,7 @@ from .cinf import INF, CInfApprox
 from .drinfeld import (Biderivation, DrinfeldModule, Lattice,
                        compose_qlinear, verify_morphism)
 from .encoding import encode_valuation
-from .logext import (ExtendedSystem, GVector, make_log_point,
-                     relation_certificate)
+from .logext import ExtendedSystem, make_log_point, relation_certificate
 from .motive import OmegaData
 from .samples import context_q3, context_q5_tame, context_q5_wild
 from .skew import SkewPoly
@@ -86,23 +85,27 @@ def check_carlitz_period(ctx):
 
 
 def _agf_u_values(ctx):
-    """The three u-arguments of the generating-function checks."""
+    """The three u-arguments of the generating-function checks, each with
+    the numerators already formed for it: the period's, which its tower's
+    residual check formed, and none for the others."""
     cfg = ctx.cfg
     if ctx.wild:
         pts, _ = ctx.module.torsion_points(partial=True)
-        omega1 = ctx.tame_period_tower().omega
-        return [("torsion", pts[0]), ("theta^-1", cfg.theta(-1)),
-                ("omega1", omega1)]
-    pts = ctx.module.torsion_points()
-    return [("torsion", pts[0]), ("theta^-1", cfg.theta(-1)),
-            ("omega1", ctx.lattice.omega1)]
+        tower = ctx.tame_period_tower()
+        omega1 = tower.omega
+    else:
+        pts = ctx.module.torsion_points()
+        omega1 = ctx.lattice.omega1
+        tower = ctx.lattice.tower_of(omega1)
+    return [("torsion", pts[0], None), ("theta^-1", cfg.theta(-1), None),
+            ("omega1", omega1, tower.numerators if tower else None)]
 
 
 def check_agf(ctx, T=24):
     cfg = ctx.cfg
     out = []
-    for name, u in _agf_u_values(ctx):
-        f = AndersonGF(ctx.module, u)
+    for name, u, numerators in _agf_u_values(ctx):
+        f = AndersonGF(ctx.module, u, numerators)
         res = f.functional_equation_residual(T)
         out.append(_report("agf-difference[%s,u=%s]" % (ctx.label, name),
                            {"q": cfg.q, "T": T},
@@ -212,19 +215,20 @@ def check_log_layer(ctx, ns=(1, 2)):
     out = []
     if ctx.wild:
         # only the g-vector specializations exist for this module
+        # the point lambda = log(theta^-1), alpha = exp(lambda), whose
+        # check formed the numerators its generating function cuts
         mod = ctx.module
-        lam = mod.log_eval(cfg.theta(-1))
-        alpha = mod.exp_eval(lam)
-        a, b = AndersonGF(mod, lam).twisted_pair_at_theta()
-        r1 = -a - (lam - alpha)
-        r2 = -b + mod.quasi_period_eval(lam)
+        P = make_log_point(mod, lam=mod.log_eval(cfg.theta(-1)))
+        a, b = P.generating_function(mod).twisted_pair_at_theta()
+        r1 = -a - (P.lam - P.alpha)
+        r2 = -b + mod.quasi_period_eval(P.lam)
         return [_report("log-g-specialization[%s]" % ctx.label, {"q": cfg.q},
                         [r1.vbound(), r2.vbound()], cfg.pass_threshold(),
                         {"note": "block systems need the full period basis, "
                                  "which is wildly ramified for this module"})]
     mot = ctx.motive()
     P = make_log_point(ctx.module, alpha=cfg.theta(-1))
-    gv = GVector(mot, P)
+    gv = P.g_vector(mot)
     r1, r2 = gv.specialization_residuals()
     out.append(_report("log-g-specialization[%s]" % ctx.label, {"q": cfg.q},
                        [r1.vbound(), r2.vbound()], cfg.pass_threshold()))

@@ -501,6 +501,30 @@ def test_dot_matches_summed_dense_reference(cfg, monkeypatch):
     check()
 
 
+
+@pytest.mark.parametrize("cfg", _DOT_CFGS, ids=["F9", "F625", "F81-s2"])
+def test_exact_one_and_zero_pass_through(cfg):
+    # a lone pair with the exact one is the other factor cut at the cap,
+    # the reference's terms and precision, and the value itself when the
+    # cap cuts nothing; a sum with the exact zero is the other operand
+    @_ORACLE
+    @given(b=_dot_values(cfg),
+           cap=st.one_of(st.just(INF), st.integers(-40, 200)))
+    def check(b, cap):
+        one, zero = cfg.one(), cfg.zero(INF)
+        want = _ref_dot([(one, b)], cap)
+        for pair in ((one, b), (b, one)):
+            got = cinf.dot(cfg, [pair], cap)
+            assert _as_pair(got) == want
+            assert (got is b) == (cap >= b.prec)
+        assert _as_pair(one * b) == _ref_dot([(one, b)])
+        for got in (b + zero, zero + b, b - zero):
+            assert got is b or (b.is_exact_zero() and got is zero)
+        assert _as_pair(zero - b) == _as_pair(-b)
+
+    check()
+
+
 # F_625 as F_25[x]/(f): n = s*m = 4 digits, a digit product at most 16, so
 # one pair's slots reach min(len a, len b) * 64: 8-bit slots up to three
 # terms, 16-bit slots from four

@@ -622,6 +622,38 @@ def test_ladder_depth_bound_is_the_stated_one(q, e, N, rows):
         assert "%s = %d" % (name, rows + 1) in str(ex.value)
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["psi", "--q", "3", "--prec-t", "100000"], "--prec-t = 100000"),
+    (["psi", "--module", None, "--prec-t", "100000"], "--prec-t = 100000"),
+    (["psi", "--module", None], "t_terms = 100000"),
+    (["omega", "--module", None], "t_terms = 100000")],
+    ids=["prec-t", "prec-t-module", "t_terms-psi", "t_terms-omega"])
+def test_huge_t_terms_rejected_first(tmp_path, argv, named):
+    # psi --q 3 --prec-t 100000 ran past 20 s; a T above 512, from the
+    # flag or the descriptor's prec.t_terms, is refused before any work
+    data = _cm_q3()
+    if "--prec-t" not in argv:
+        data["prec"] = dict(data["prec"], t_terms=100000)
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(data))
+    done = _run_capped([str(path) if a is None else a for a in argv])
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ConfigError" and named in record["message"]
+    assert "exceeds 512" in record["message"]
+
+
+def test_t_terms_bound_is_the_stated_one(capsys):
+    # every sample's T (16 for psi, 24 for the AGF checks, t_terms 32)
+    # and the bound itself pass; one more is refused
+    FieldConfig(3, 1, 4, e=72, prec=240, t_terms=512)
+    with pytest.raises(errors.ConfigError, match="t_terms = 513 exceeds 512"):
+        FieldConfig(3, 1, 4, e=72, prec=240, t_terms=513)
+    assert main(["psi", "--q", "3", "--prec-t", "513", "--json"]) == 2
+    assert "--prec-t = 513 exceeds 512" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--p", "3", "--s", "1000000000"], "1000000000"),
     (["--p", str(_HUGE_P)], str(_HUGE_P))], ids=["s", "p"])

@@ -1337,6 +1337,48 @@ def test_quasi_period_plans_one_level(monkeypatch):
             assert calls == [("precs", 1), ("plan", 1)], (lam, delta)
 
 
+def _planning_calls(monkeypatch, rho, u, T):
+    """The Python calls that the plan of AndersonGF(rho, u).series(T)
+    makes: inside _exp_precs and _ladder_plan, counted by a profiler."""
+    counts = []
+
+    def counted(method):
+        def spy(self, *args):
+            calls = [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                return method(self, *args)
+            finally:
+                sys.setprofile(None)
+                counts.append(calls[0])
+        return spy
+
+    for name in ("_exp_precs", "_ladder_plan"):
+        monkeypatch.setattr(DrinfeldModule, name,
+                            counted(getattr(DrinfeldModule, name)))
+    AndersonGF(rho, u).series(T)
+    monkeypatch.undo()
+    return counts
+
+
+def test_ladder_planning_does_not_grow_with_levels(monkeypatch):
+    # the rows' lines are kept per module as two lower envelopes and the
+    # tail floor's as a third, so a series ladder's plan makes the same
+    # calls for 24 levels as for 16: per level it bisects the envelopes
+    # and tests one sum per row, and calls nothing
+    rho = _q3_module(240)
+    u = rho.log_eval(rho.cfg.theta(-1))
+    AndersonGF(rho, u).series(16)
+    sixteen = _planning_calls(monkeypatch, rho, u, 16)
+    assert len(sixteen) == 2
+    assert _planning_calls(monkeypatch, rho, u, 24) == sixteen
+
+
 # The exp ladder against one exp_eval per level
 
 _LADDER_MODULES = {

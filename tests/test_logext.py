@@ -149,10 +149,30 @@ def _chain(rho):
             else [(c.terms, c.prec) for c in x.coeffs] for x in values]
 
 
+def _blocks(mot, points):
+    """The block systems n = 1 and n = 2 on points, encoded: Psi_n, its
+    difference residual and reconstruction, and the series pair the first
+    point's generating function keeps."""
+    out = []
+    for n in (1, 2):
+        system = ExtendedSystem(mot, points[:n])
+        out += [a for r in system.psi_n.rows for a in r]
+        out += [r[0] for r in system.difference_residual().rows]
+        out += [x for r in system.reconstruction_residuals() for x in r]
+    gf = points[0].generating_function(mot.module)
+    out += list(gf.twisted_pair(mot.T)) + list(gf.twisted_pair_at_theta())
+    return [(x.terms, x.prec) if hasattr(x, "terms")
+            else (x.tail, [(c.terms, c.prec) for c in x.coeffs])
+            for x in out]
+
+
 def test_shared_module_thread_safe():
     # six threads through one cold module at N = 480: the lattice, Psi,
     # F(omega_i), a log point and its g-vector, the numerators the towers
-    # and the point keep, all as a serial run on a fresh module gives them
+    # and the point keep, all as a serial run on a fresh module gives them;
+    # then six threads through the block systems n = 1 and n = 2 on one
+    # shared pair of cold points, whose first point's generating function
+    # and series pair every system shares
     cfg = FieldConfig(3, 1, 4, e=72, prec=480)
 
     def module():
@@ -162,6 +182,40 @@ def test_shared_module_thread_safe():
     shared = module()
     results = _run_in_threads(lambda: _chain(shared), 6)
     assert all(got == want for got in results)
+
+    def setup():
+        rho = module()
+        mot = MotiveMatrices(rho, rho.periods(), T=8)
+        point = make_log_point(rho, alpha=cfg.theta(-1))
+        return mot, [point, make_log_point(rho, lam=cfg.theta() * point.lam)]
+
+    want = _blocks(*setup())
+    mot, points = setup()
+    results = _run_in_threads(lambda: _blocks(mot, points), 6)
+    assert all(got == want for got in results)
+
+
+def test_log_layer_builds_each_series_once(monkeypatch):
+    # check_log_layer on a fresh q3 context reads the g-vector of its point
+    # P alone, in the n = 1 and in the n = 2 block system: P keeps its
+    # generating function and that its series pair, so the series of each
+    # log point (P and the second point of n = 2) is built once
+    from drinfeldlab.samples import context_q3
+    from drinfeldlab.verify import check_log_layer
+
+    built = []
+    series = AndersonGF.series
+
+    def spy(self, T=None):
+        built.append(self.u)
+        return series(self, T)
+
+    ctx = context_q3()
+    monkeypatch.setattr(AndersonGF, "series", spy)
+    reports = check_log_layer(ctx)
+    monkeypatch.undo()
+    assert all(r["pass"] for r in reports)
+    assert len(built) == 2 and built[0] is not built[1]
 
 
 def test_psi_and_g_vector_form_no_products(monkeypatch):

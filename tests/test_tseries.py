@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldlab.cinf import INF, CInfApprox
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 PrecisionExhausted, ShapeMismatch)
+from drinfeldlab.motive import difference_residual
 from drinfeldlab.tseries import TMatrix, TSeries
 
 
@@ -370,3 +373,76 @@ def test_products_match_reference_loops_on_psi(name, request):
                     + [[psi.rows[0][0], psi.rows[1][1], one]])
     for A, B in [(block.twist(1), lower.twist(1)), (block, block)]:
         _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+
+
+# -- the kept valuation summaries against the reference loops --------------
+
+
+def _ref_kronecker(A, B):
+    """A (x) B with every entry product formed by the reference loop."""
+    return TMatrix([[_ref_series_mul(a, b) for a in ra for b in rb]
+                    for ra in A.rows for rb in B.rows])
+
+
+def _ref_difference_residual(phi, psi, T):
+    """psi - phi^(1) psi^(1) through T, the product by the reference loop."""
+    psi = TMatrix([[a if a.T <= T else a.truncate(T) for a in r]
+                   for r in psi.rows])
+    return (psi - _ref_matrix_mul(phi.twist(1), psi.twist(1))).truncate(T)
+
+
+def _draw_coefficient(data, cfg):
+    kind = data.draw(st.sampled_from(["exact", "inexact", "zero to prec",
+                                      "exact zero"]))
+    if kind == "exact zero":
+        return cfg.zero(INF)
+    if kind == "zero to prec":
+        return cfg.zero(data.draw(st.integers(-20, 80)))
+    terms = data.draw(st.dictionaries(
+        st.integers(-20, 60), st.integers(1, cfg.field.size - 1),
+        min_size=1, max_size=5))
+    if kind == "exact":
+        return CInfApprox(cfg, terms, INF)
+    return CInfApprox(cfg, terms, data.draw(st.integers(min(terms) + 1, 81)))
+
+
+def _draw_series(data, cfg):
+    n = data.draw(st.integers(0, 20))
+    tail = data.draw(st.one_of(st.none(), st.just(INF),
+                               st.integers(-20, 80)))
+    return TSeries(cfg, [_draw_coefficient(data, cfg) for _ in range(n)],
+                   tail)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_kept_summaries_match_reference_loops(cfg_small, data):
+    # a pool of three series, each an operand of many products on both
+    # sides and in several shapes, so that a product reads the summary an
+    # earlier one kept: series products, matrix products, Kronecker
+    # products and the difference residual against the reference loops,
+    # which keep nothing
+    cfg = cfg_small
+    pool = [_draw_series(data, cfg) for _ in range(3)]
+
+    def pick():
+        return pool[data.draw(st.integers(0, len(pool) - 1))]
+
+    def matrix(n, m):
+        return TMatrix([[pick() for _ in range(m)] for _ in range(n)])
+
+    for x in pool:
+        assert x.min_vbound() == min([c.vbound() for c in x.coeffs] + [INF])
+    for x in pool:
+        for y in pool:
+            _assert_same_series(x * y, _ref_series_mul(x, y))
+    for n, k, m in [(2, 2, 2), (1, 2, 3), (3, 1, 2)]:
+        A, B = matrix(n, k), matrix(k, m)
+        _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
+        _assert_same_matrix(A.kronecker(B), _ref_kronecker(A, B))
+    phi, psi = matrix(2, 2), matrix(2, 2)
+    T = data.draw(st.integers(0, 20))
+    _assert_same_matrix(difference_residual(phi, psi, T),
+                        _ref_difference_residual(phi, psi, T))
+    for x in pool:
+        assert x.min_vbound() == min([c.vbound() for c in x.coeffs] + [INF])
