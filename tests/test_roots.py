@@ -209,9 +209,18 @@ def _exact_monomial_torsion():
                           CInfApprox(_Q3, {-18: 1, 0: 2}))
 
 
+def _negative_valuation_clusters():
+    # kappa = theta + 1, u = theta^(-5/4): the clusters' roots have
+    # valuation -27 and precision 285, and certify at 240 >= 192 through
+    # rho_t(x), but at 186 through rho_t(x)/x summed from x^2 and x^8
+    return DrinfeldModule(_Q3, 2, CInfApprox(_Q3, {-72: 1, 0: 1}),
+                          CInfApprox(_Q3, {90: 1}))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_q3_module())
 @example(_exact_monomial_torsion())
+@example(_negative_valuation_clusters())
 def test_torsion_matches_generic_finder(rho):
     assert_torsion_matches(rho)
 

@@ -288,13 +288,22 @@ def _segment_residual(coeffs, hull_i0, v0, slope, length):
 
 def _certified(top, x, what):
     """x, once the top-level polynomial top is zero at it to the pass
-    threshold, as the library certifies each root at every level; x None,
-    a root whose precision nothing bounds, never certifies."""
-    threshold = top[0].cfg.pass_threshold()
-    if x is None or poly_eval(top, x).vbound() < threshold:
-        raise NoConvergence("%s did not certify to threshold %d"
-                            % (what, threshold))
-    return x
+    threshold, as the library certifies each root at every level: v(x
+    top(x)) - v(x), with x top(x) = rho_t(x) summed from the powers
+    x^(i+1), whose p-th powers CInfApprox.__pow__ takes as exact twists.
+    Summed from x^i instead, top(x) keeps only prec(x) + (i - 1) v(x) of
+    u x^(q^2 - 1), below the additive rho_t's bound for roots of negative
+    valuation.  x None, a root whose precision nothing bounds, never
+    certifies, nor does a root that is zero to its precision."""
+    cfg = top[0].cfg
+    threshold = cfg.pass_threshold()
+    if x is not None and not x.is_apparent_zero():
+        rho_t = dot(cfg, [(a, x ** (i + 1)) for i, a in enumerate(top)
+                          if a is not None and not a.is_exact_zero()])
+        if rho_t.vbound() - x.valuation() >= threshold:
+            return x
+    raise NoConvergence("%s did not certify to threshold %d"
+                        % (what, threshold))
 
 
 def _segment_roots(coeffs, i0, v0, slope, length, depth, top, base):
