@@ -22,7 +22,7 @@ poles and their floor, lives in the tests.
 
 Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
-certified by DrinfeldModule._tail_floor and its induction proof.
+certified by DrinfeldModule._tail_floors and its induction proof.
 
 The twisted pair at t = theta, the series pair for each T and exp(u),
 which both residual reports read off the numerators, are computed once
@@ -61,7 +61,7 @@ class AndersonGF:
         if T is None:
             T = cfg.t_terms
         coeffs = self.module._exp_levels(
-            self.u, [(j + 1) * cfg.e for j in range(T)],
+            "exp", self.u, [(j + 1) * cfg.e for j in range(T)],
             numerators=self.numerators)
         return TSeries(cfg, coeffs, tail=self._series_tail(T))
 
@@ -71,7 +71,7 @@ class AndersonGF:
             return INF
         # v(exp(w)) >= min_i bound_i + q^i v(w); arguments only shrink with j
         vw = self.u.vbound() + (T + 1) * self.cfg.e
-        return self.module._tail_floor("exp", vw, -1)
+        return self.module._tail_floors("exp", [vw], -1)[0]
 
     # -- pole-aware evaluation ----------------------------------------------------
 
@@ -111,8 +111,8 @@ class AndersonGF:
             return acc
         # dropped pole i adds a term of valuation
         # q^n v(alpha_i (u/theta)^(q^i)): q^n times an exp tail term at u/theta
-        floor = cfg.q ** n * self.module._tail_floor(
-            "exp", self.u.vbound() + cfg.e, self.I - 1)
+        floor = cfg.q ** n * self.module._tail_floors(
+            "exp", [self.u.vbound() + cfg.e], self.I - 1)[0]
         return acc.truncate(min(acc.prec, floor))
 
     # -- the twisted pair ---------------------------------------------------------
@@ -159,7 +159,7 @@ class AndersonGF:
                 value = self.cfg.zero(INF)
             else:
                 value = self.module._exp_levels(
-                    self.u, [0], numerators=self.numerators)[0]
+                    "exp", self.u, [0], numerators=self.numerators)[0]
             self._exp = value
         return value
 

@@ -16,27 +16,31 @@ Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
 refuses arguments outside a disc where its term valuations grow by at least
 one theta-unit per step (safety factor q).  Precision comes first, then
-digits: the certified precision of exp(z) or log(z) follows from valuations
-and precisions alone, so it is fixed before any product is formed, terms
-that land at or above it are skipped, and the rest are computed only below
-it.  Values exp(z/theta^k) at several k, the levels of a quasi-periodic
-function and the coefficients of an Anderson generating function, share one
-ladder: (z/theta^k)^{q^i} = z^{q^i} theta^{-q^i k}, so each product
-alpha_i z^{q^i} is formed once and every level reads it shifted.  A
-quasi-periodic function with exact coefficients plans its sum at level 0
-alone, since every level's precision rises by at least one theta-unit per
-level, then sums the twisted products against exact sparse multipliers
-that stand for all its levels in one dot, keeping only the digits the sum
-needs.  The levels' tail floors are read off one lower envelope of the
-tail bound's lines per module, kind and start, and the rest of their
-precisions off two envelopes of the coefficient table's lines per module
-(_exp_lines), so a ladder is planned without a scan of the table per
-level.  Every row a ladder keeps
-is read through one cut (_ladder_row).  A period's tower is built with
-the full products alpha_i omega^{q^i} that its residual check
-exp(omega) ~ 0 read, the numerators of omega's generating function, which
-the quasi-period and the generating function of that period cut; each is
-that cut at its own precision, formed from the digits of omega below it.
+digits: the certified precision R of a q-linear sum sum_i c_i z^{q^i}
+follows from valuations and precisions alone, so it is fixed before any
+product is formed, terms that land at or above it are skipped, and the rest
+are computed only below it.  One planner serves every such sum, keyed by
+its coefficient table (_coeffs): exp's alpha_i, log's beta_i and the
+additive step's (0, kappa, u).  R is read off two lower envelopes of the
+table's lines per module and kind (_lines, _precs) and the floor of the
+dropped terms: the step's cap, or exp's and log's tail floor, read off one
+envelope of the tail bound's lines per module, kind and start.  The rows
+that reach below R come from the table's rows with terms (_ladder_plan),
+each formed through one cut (_ladder_row).  exp_eval, log_eval and each
+contraction step are one-level ladders (_exp_levels).  Values
+exp(z/theta^k) at several k, the levels of a quasi-periodic function and
+the coefficients of an Anderson generating function, share one ladder:
+(z/theta^k)^{q^i} = z^{q^i} theta^{-q^i k}, so each product alpha_i z^{q^i}
+is formed once and every level reads it shifted.  A quasi-periodic
+function with exact coefficients plans its sum at level 0 alone, since
+every level's precision rises by at least one theta-unit per level, then
+sums the twisted products against exact sparse multipliers that stand for
+all its levels in one dot, keeping only the digits the sum needs.  A
+period's tower is built with the full products alpha_i omega^{q^i} that
+its residual check exp(omega) ~ 0 read, the numerators of omega's
+generating function, which the quasi-period and the generating function of
+that period cut; each is that cut at its own precision, formed from the
+digits of omega below it.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -67,12 +71,6 @@ def _digits(vc, qi, prec):
     """The exponent of z from which no term of c * z^{q^i}, v(c) = vc,
     lands below prec: the digits of z that term needs."""
     return INF if prec == INF else -((vc - prec) // qi)
-
-
-def _known(coeffs):
-    """(precision, lowest term or INF when it has none) of each value: all
-    that _qlinear_prec and _qlinear_rows read of a coefficient."""
-    return [(c.prec, c.vbound() if c.terms else INF) for c in coeffs]
 
 
 def _lower_envelope(lines):
@@ -114,14 +112,12 @@ class Biderivation:
 
     @classmethod
     def inner_one(cls, module):
-        """delta_t = theta - rho_t; its quasi-periodic function is
-        z - exp(z), the differential of the first kind."""
+        """delta_t = theta - rho_t, the additive step's table negated; its
+        quasi-periodic function is z - exp(z), the differential of the
+        first kind."""
         from .skew import SkewPoly
-        cfg = module.cfg
-        rho = module.skew()
-        coeffs = [cfg.zero(INF)] + [-rho.coeff(i)
-                                    for i in range(1, rho.degree() + 1)]
-        return cls(SkewPoly(cfg, coeffs))
+        step = module._step
+        return cls(SkewPoly(module.cfg, step[:1] + [-c for c in step[1:]]))
 
     def is_zero(self):
         return self.delta_t.is_zero()
@@ -193,8 +189,9 @@ class DrinfeldModule:
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
+        self._step = [cfg.zero(INF), kappa, u]  # the additive step's table
         self._envelopes = {}  # (kind, start) -> _tail_envelope
-        self._lines = None  # _exp_lines
+        self._line_sets = {}  # kind -> _lines
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
 
@@ -271,18 +268,14 @@ class DrinfeldModule:
             self._vbounds = {**self._vbounds, kind: out}
         return out[:upto + 1]
 
-    def _tail_floor(self, kind, vz, start):
-        """Certified floor for v(coefficient_i * z^{q^i}) over all i > start.
+    def _tail_floors(self, kind, vzs, start):
+        """[a certified floor for v(coefficient_i * z^{q^i}) over all
+        i > start, for z of valuation vz, for vz in vzs] in one pass.
 
         b_i := bound_i + q^i vz obeys b_i >= min(vk + q b_{i-1},
         vu + q^2 b_{i-2}) + q^i e, so once the scanned b's sit above the
         floor and q^i e alone outweighs the damage a floor-level pair can
-        do, every later term stays above the floor by induction.  The
-        one-level case of _tail_floors."""
-        return self._tail_floors(kind, [vz], start)[0]
-
-    def _tail_floors(self, kind, vzs, start):
-        """[_tail_floor(kind, vz, start) for vz in vzs] in one pass: each
+        do, every later term stays above the floor by induction.  Each
         scanned minimum, over start < i <= start + _TAIL_SCAN, is read off
         _tail_envelope by one bisection, and each floor keeps its own
         stabilization check."""
@@ -333,93 +326,60 @@ class DrinfeldModule:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _qlinear_prec(self, known, vz, zprec, prec):
-        """Certified precision R of sum_i coeffs[i] * z^{q^i} for z of
-        valuation vz and precision zprec, from known = _known(coeffs):
-        prec (a tail floor, say) or the precision of a computed term,
-        whichever is lowest.  Valuations and precisions alone fix it, so it
-        comes before any product.  A coefficient without terms bounds R by
-        its precision plus q^i vz alone: z has a term below its precision,
-        so q^i zprec + prec(c) lies above that."""
-        qs = self.cfg.q_powers(len(known))
-        for (cp, cv), qi in zip(known, qs):
-            if cp + qi * vz < prec:
-                prec = cp + qi * vz
-            if qi * zprec + cv < prec:
-                prec = qi * zprec + cv
-        return prec
+    def _coeffs(self, kind, depth):
+        """The coefficient table c_0..c_depth of a q-linear sum
+        sum_i c_i z^{q^i}: exp's alpha_i, log's beta_i, or the additive
+        step's (0, kappa, u), whose three rows are all it has."""
+        if kind == "step":
+            return self._step
+        table = self.exp_coeffs if kind == "exp" else self.log_coeffs
+        return table(depth)
 
-    def _qlinear_rows(self, known, vz, prec):
-        """The rows of sum_i coeffs[i] * z^{q^i} that reach below prec, for
-        z of valuation vz and known = _known(coeffs), as (i, digits): a row
-        without known terms, or whose lowest term lands at or above prec,
-        is skipped; the others need z only below digits, the lowest
-        exponent of z whose term can land below prec.  An infinite prec
-        cuts nothing."""
-        rows = []
-        qs = self.cfg.q_powers(len(known))
-        for i, ((_, vc), qi) in enumerate(zip(known, qs)):
-            if vc + qi * vz < prec:
-                rows.append((i, _digits(vc, qi, prec)))
-        return rows
-
-    def _qlinear_sum(self, coeffs, z, prec, known=None):
-        """sum_i coeffs[i] * z^{q^i} for nonzero z, cut at the certified
-        precision R of _qlinear_prec and computed only below it; known is
-        _known(coeffs), when the caller keeps it.
-
-        The rows of _qlinear_rows are the only ones formed: each with z cut
-        to its digits before the Frobenius, and dot, capped at R, forms only
-        the coefficient pairs below it.
-        """
-        if known is None:
-            known = _known(coeffs)
-        vz = z.valuation()
-        prec = self._qlinear_prec(known, vz, z.prec, prec)
-        rows = self._qlinear_rows(known, vz, prec)
-        return dot(self.cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
-                              for i, digits in rows], prec)
-
-    def _exp_lines(self):
-        """(precs, lows, rows) for the rows i <= exp_depth of the
-        coefficient table: precs and lows the lower envelopes
-        (_lower_envelope) of the lines x -> prec(alpha_i) + q^i x and
-        x -> v(alpha_i) + q^i x, a line with an infinite constant left
-        out, and rows the (i, q^i, v(alpha_i)) of the rows with terms: all
-        that a ladder's plan reads of the table (_known).  Found once per
-        module and published by rebinding; the table's values never
-        change."""
-        got = self._lines
+    def _lines(self, kind):
+        """(precs, lows, rows) for the rows of kind's table (_coeffs; exp
+        and log through exp_depth): precs and lows the lower envelopes
+        (_lower_envelope) of the lines x -> prec(c_i) + q^i x and
+        x -> v(c_i) + q^i x, a line with an infinite constant left out, and
+        rows the (i, q^i, v(c_i)) of the rows with terms: all that a plan
+        reads of the table.  Found once per module and kind and published
+        by rebinding; the tables' values never change."""
+        got = self._line_sets.get(kind)
         if got is None:
-            depth = self.cfg.exp_depth
-            qs = self.cfg.q_powers(depth)
-            known = _known(self.exp_coeffs(depth))
-            got = tuple(_lower_envelope([(qs[i], known[i][n])
-                                         for i in range(depth, -1, -1)
-                                         if known[i][n] != INF])
-                        for n in (0, 1))
-            got += ([(i, qs[i], cv) for i, (_, cv) in enumerate(known)
-                     if cv != INF],)
-            self._lines = got
+            coeffs = self._coeffs(kind, self.cfg.exp_depth)
+            qs = self.cfg.q_powers(len(coeffs))
+            rows = [(i, qs[i], c.prec, c.vbound() if c.terms else INF)
+                    for i, c in enumerate(coeffs)]
+            got = tuple(_lower_envelope([(r[1], r[n]) for r in rows[::-1]
+                                         if r[n] != INF]) for n in (2, 3))
+            got += ([(i, qi, cv) for i, qi, _, cv in rows if cv != INF],)
+            self._line_sets = {**self._line_sets, kind: got}
         return got
 
-    def _exp_precs(self, vz, zprec, shifts):
-        """[the precision exp_eval reaches on z.shift(k) for k in shifts],
-        for a nonzero z of valuation vz and precision zprec, read off the
-        module's envelopes.
+    def _precs(self, kind, vz, zprec, shifts, floors=None):
+        """[the certified precision R of sum_i c_i z^{q^i} at z.shift(k) for
+        k in shifts], c_i kind's table and z nonzero of valuation vz and
+        precision zprec, read off the module's envelopes.  floors holds a
+        floor for the dropped terms per level: for exp and log it defaults
+        to their tail floors past exp_depth; the step drops no term, and
+        its floors, its caller's caps, must be given.
 
-        _qlinear_prec at z.shift(k) is the least of the tail floor and,
-        over the rows i, prec(alpha_i) + q^i (vz + k) and
-        v(alpha_i) + q^i (zprec + k).  The first are the lines of the
-        precs envelope of _exp_lines at x = vz + k, the second those of
-        its lows envelope at x = zprec + k (none for an exact z), each
-        row without a finite constant contributing INF.  So the minimum
-        over the rows is the least of the two envelopes' values, one
-        bisection each, as each tail floor is read off _tail_envelope
-        at vz + k: the scan's minimum, the same value."""
-        by_prec, by_low, _ = self._exp_lines()
-        floors = self._tail_floors("exp", [vz + k for k in shifts],
-                                   self.cfg.exp_depth)
+        R is the least of the floor and, over the rows i,
+        prec(c_i) + q^i (vz + k) and v(c_i) + q^i (zprec + k): dot's
+        precision of c_i z^{q^i}.  A row without terms bounds R by the
+        first alone, since z has a term below its precision, so
+        q^i zprec + prec(c_i) lies above it.  The first are the lines of
+        the precs envelope of _lines at x = vz + k, the second those of
+        its lows envelope at x = zprec + k (none for an exact z), each row
+        without a finite constant contributing INF.  So the minimum over
+        the rows is the least of the two envelopes' values, one bisection
+        each, as each tail floor is read off _tail_envelope at vz + k:
+        the value of a scan over the rows."""
+        by_prec, by_low, _ = self._lines(kind)
+        if floors is None:
+            if kind == "step":
+                raise TypeError("the additive step's caps must be given")
+            floors = self._tail_floors(kind, [vz + k for k in shifts],
+                                       self.cfg.exp_depth)
         precs = []
         for k, r in zip(shifts, floors):
             for (lines, cuts), x in ((by_prec, vz + k), (by_low, zprec + k)):
@@ -435,25 +395,23 @@ class DrinfeldModule:
         an argument far outside the unit disc (theta^40 on q3): there the
         value is refused with DivergentEvaluation.  The one-level case of
         _exp_levels."""
-        return self._exp_levels(z, [0])[0]
+        return self._exp_levels("exp", z, [0])[0]
 
-    def _ladder_plan(self, z, shifts, precs):
-        """The row plan of the levels exp(z.shift(k)) cut at R, for the
-        (k, R) of shifts and precs and a nonzero z: (plans, caps) with
-        plans[(k, R, rows)], rows the indices of those of _qlinear_rows at
-        R, by increasing i, and caps[i] the list of R - q^i k over the
-        levels that keep row i, by level, the digits of p_i =
-        alpha_i z^{q^i} each of them reads.  Every ladder, exp_eval
-        included, is planned here, and nothing is formed.
+    def _ladder_plan(self, kind, z, shifts, precs):
+        """The row plan of the levels sum_i c_i z.shift(k)^{q^i} of kind's
+        table cut at R, for the (k, R) of shifts and precs and a nonzero z:
+        (plans, caps) with plans[(k, R, rows)], rows the indices of the
+        rows that reach below R, by increasing i, and caps[i] the list of
+        R - q^i k over the levels that keep row i, by level, the digits of
+        p_i = c_i z^{q^i} each of them reads.  Every sum, exp's, log's and
+        the additive step's, is planned here, and nothing is formed.
 
-        _qlinear_rows at z.shift(k) keeps row i when v(alpha_i) +
-        q^i (vz + k) < R, that is b_i + q^i k < R with b_i = v(alpha_i) +
-        q^i vz, a row without terms never.  The b_i are found once per
-        argument, from the rows of _exp_lines, so each level tests one sum
-        per row, by increasing i: the same rows, and the same caps in the
-        same order."""
+        Row i reaches below R at z.shift(k) when v(c_i) + q^i (vz + k) < R,
+        that is b_i + q^i k < R with b_i = v(c_i) + q^i vz, a row without
+        terms never.  The b_i are found once per argument, from the rows of
+        _lines, so each level tests one sum per row, by increasing i."""
         vz = z.valuation()
-        rows = [(i, qi, cv + qi * vz) for i, qi, cv in self._exp_lines()[2]]
+        rows = [(i, qi, cv + qi * vz) for i, qi, cv in self._lines(kind)[2]]
         plans, caps = [], {}
         for k, r in zip(shifts, precs):
             kept = []
@@ -486,61 +444,63 @@ class DrinfeldModule:
             count = self.cfg.pole_count or self.cfg.exp_depth
         qs = self.cfg.q_powers(count)
         vz, zprec = z.vbound(), z.prec
-        return [self._ladder_row(z, i, min(alpha.prec + qs[i] * vz,
-                                           alpha.vbound() + qs[i] * zprec))
-                for i, alpha in enumerate(self.exp_coeffs(count - 1))]
+        return [self._ladder_row("exp", z, i, min(a.prec + qs[i] * vz,
+                                                  a.vbound() + qs[i] * zprec))
+                for i, a in enumerate(self.exp_coeffs(count - 1))]
 
     def _exp_with_numerators(self, z):
         """(exp(z), the numerators of z): the residual check of a period or
         a log point reads exp(z) from the numerators it forms, and the
         tower or point it builds keeps them."""
         numerators = self._numerators(z)
-        return self._exp_levels(z, [0], numerators=numerators)[0], numerators
+        return self._exp_levels("exp", z, [0], None, numerators)[0], numerators
 
-    def _ladder_row(self, z, i, cap, numerators=()):
-        """p_i = alpha_i z^{q^i} capped at cap: numerators[i] cut there when
-        the caller holds z's numerators (_numerators), else formed from z
-        cut to the digits whose terms reach below cap.  Either has the
-        full product's digits below min(cap, its precision), and that is
-        its precision."""
+    def _ladder_row(self, kind, z, i, cap, numerators=()):
+        """p_i = c_i z^{q^i}, c_i row i of kind's table, capped at cap:
+        numerators[i] cut there when the caller holds z's exp numerators
+        (_numerators), else formed from z cut to the digits whose terms
+        reach below cap.  Either has the full product's digits below
+        min(cap, its precision), and that is its precision."""
         if i < len(numerators):
             return numerators[i].truncate(cap)
         cfg = self.cfg
         # a generating function's rows reach past exp_depth to pole_count
-        alpha = self.exp_coeffs(i)[i]
-        digits = _digits(alpha.vbound(), cfg.q_powers(i)[i], cap)
-        return dot(cfg, [(alpha, z.truncate(digits).frobenius(i))], cap)
+        c = self._coeffs(kind, i)[i]
+        digits = _digits(c.vbound(), cfg.q_powers(i)[i], cap)
+        return dot(cfg, [(c, z.truncate(digits).frobenius(i))], cap)
 
-    def _exp_levels(self, z, shifts, precs=None, numerators=()):
-        """[exp_eval(z.shift(k)) for k in shifts] in terms and precision,
-        from one set of products alpha_i z^{q^i}.  precs, when given, holds
-        for each level a precision R at most the one exp_eval reaches there;
-        the level is then exp_eval's value cut at R.  numerators, when
-        given, holds the full products alpha_i z^{q^i} for the first rows
+    def _exp_levels(self, kind, z, shifts, precs=None, numerators=()):
+        """[sum_i c_i z.shift(k)^{q^i} for k in shifts], c_i kind's table,
+        in terms and precision, from one set of products c_i z^{q^i}; for
+        exp, [exp_eval(z.shift(k)) for k in shifts].  precs, when given,
+        holds for each level a precision R at most the one _precs gives
+        there; the level is then the full sum cut at R.  numerators, when
+        given, holds the full products alpha_i z^{q^i} for exp's first rows
         (_numerators), which the rows the ladder keeps among them cut
         instead of forming.
 
         Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
-        sum_i p_i theta^{-q^i k/e} with p_i = alpha_i z^{q^i}.  Precision
-        first: each level has its R, _exp_precs unless precs gives it, and
-        its rows are those of _ladder_plan.  Every row the ladder keeps is
-        read once, as p_i capped at C_i = max(R - q^i k) over the levels
-        that keep it (_ladder_row), and each of them reads it through the
-        pair (p_i, theta^{-q^i k/e}).  Each level is one dot capped at its
-        R, so it holds exactly the term pairs of exp_eval below R: p_i
-        shifted by q^i k is known to C_i + q^i k >= R and to the precision
-        of the full product shifted, min(prec(alpha_i) + q^i v,
-        v(alpha_i) + q^i zprec) for the argument's valuation v and
-        precision zprec, which _qlinear_prec keeps at or above R.
+        sum_i p_i theta^{-q^i k/e} with p_i = c_i z^{q^i}.  Precision
+        first: each level has its R, _precs unless precs gives it, and its
+        rows are those of _ladder_plan.  Every row the ladder keeps is read
+        once, as p_i capped at C_i = max(R - q^i k) over the levels that
+        keep it (_ladder_row), and each of them reads it through the pair
+        (p_i, theta^{-q^i k/e}).  Each level is one dot capped at its R,
+        so it holds exactly the term pairs of the sum below R: p_i shifted
+        by q^i k is known to C_i + q^i k >= R and to the precision of the
+        full product shifted, min(prec(c_i) + q^i v, v(c_i) + q^i zprec)
+        for the argument's valuation v and precision zprec, which _precs
+        keeps at or above R.  exp_eval, log_eval and each step of _contract
+        are the one level k = 0.
         """
         cfg = self.cfg
         if z.is_apparent_zero():
             return [z.shift(k) for k in shifts]
-        qs = cfg.q_powers(cfg.exp_depth)
         if precs is None:
-            precs = self._exp_precs(z.valuation(), z.prec, shifts)
-        plans, caps = self._ladder_plan(z, shifts, precs)
-        rows = {i: self._ladder_row(z, i, max(cs), numerators)
+            precs = self._precs(kind, z.valuation(), z.prec, shifts)
+        plans, caps = self._ladder_plan(kind, z, shifts, precs)
+        qs = cfg.q_powers(max(caps, default=0))
+        rows = {i: self._ladder_row(kind, z, i, max(cs), numerators)
                 for i, cs in caps.items()}
         return [dot(cfg, [(rows[i], cfg.monomial(qs[i] * k))
                           for i in plan], r) for k, r, plan in plans]
@@ -570,16 +530,12 @@ class DrinfeldModule:
         return True
 
     def log_eval(self, z):
-        """log(z) inside the certified disc; DivergentEvaluation outside."""
-        if z.is_apparent_zero():
-            return z
+        """log(z) inside the certified disc; DivergentEvaluation outside.
+        The one-level ladder on the log table, cut at its tail floor."""
         if not self.log_certificate(z):
             raise DivergentEvaluation(
                 "logarithm not certified at v(z) = %s" % z.valuation())
-        depth = self.cfg.exp_depth
-        return self._qlinear_sum(
-            self.log_coeffs(depth), z,
-            self._tail_floor("log", z.valuation(), depth))
+        return self._exp_levels("log", z, [0])[0]
 
     # -- torsion ---------------------------------------------------------------
 
@@ -615,10 +571,12 @@ class DrinfeldModule:
         x -> (b - kappa x^q - u x^{q^2})/theta, and the step takes a
         distance d = v(x - r) to at least min(v(kappa) + q d, v(u) + q^2 d)
         + e; a step that does not raise d is NoConvergence.  Each step is
-        computed only below min(prec, nxt), nxt the distance it proves, and
-        rebuilt as exact, so the result is r below prec once the proven d
-        reaches prec; b must be known to prec - e, and an inexact kappa or
-        u to prec - e on the q- resp. q^2-th power of x.
+        computed only below min(prec, nxt), nxt the distance it proves: its
+        sum is the one-level ladder on the step table (0, kappa, u) with
+        floor min(prec, nxt) - e.  It is rebuilt as exact, so the result is
+        r below prec once the proven d reaches prec; b must be known to
+        prec - e, and an inexact kappa or u to prec - e on the q- resp.
+        q^2-th power of x.
 
         The cut keeps every digit a step reads.  By induction x agrees
         with r below d, its digits from d on wrong or missing alike, and
@@ -628,16 +586,15 @@ class DrinfeldModule:
         """
         cfg = self.cfg
         q, e = cfg.q, cfg.e
-        step = [cfg.zero(INF)] + self.skew().coeffs[1:]
-        known = _known(step)
         while d < prec:
             nxt = min(self._vk + q * d, self._vu + q * q * d) + e
             if nxt <= d:
                 raise NoConvergence(
                     "additive step does not contract at distance %s from "
                     "the root" % d)
-            x = (b - self._qlinear_sum(step, x, min(prec, nxt) - e,
-                                       known)).shift(e)
+            r = self._precs("step", x.valuation(), INF, [0],
+                            [min(prec, nxt) - e])
+            x = (b - self._exp_levels("step", x, [0], r)[0]).shift(e)
             x, d = CInfApprox._raw(cfg, x.terms, INF), nxt
         return x.truncate(prec)
 
@@ -840,7 +797,7 @@ class DrinfeldModule:
         >= P for every k.
 
         With every d_k exact, level 0 plans the whole sum.  R_j rises by at
-        least e per level: each line of _qlinear_prec, and each line of the
+        least e per level: each line of _precs, and each line of the
         tail envelope, has slope q^i >= 1 in the argument's valuation and
         precision, and both grow by e per level.  So
         q^k R_j + v(d_k) - je >= q^k R_0 + v(d_k), and
@@ -893,7 +850,7 @@ class DrinfeldModule:
         # precision first: R_j of each planned level, then P, from
         # valuations only; with exact d_k level 0 plans the sum
         shifts = [(j + 1) * e for j in range(1 if exact else count)]
-        rs = self._exp_precs(vlam, lam.prec, shifts)
+        rs = self._precs("exp", vlam, lam.prec, shifts)
         prec = min([floor] + [qk * r + d.vbound() - j * e
                               for j, r in enumerate(rs) for _, qk, d in ds])
         # then digits: each level only to the c_j its terms need
@@ -902,11 +859,11 @@ class DrinfeldModule:
         if exact:
             # one sum over the pairs (d_k G_ik, p_i^(q^k)), G_ik's terms
             # theta^j theta^(-q^(i+k)(j+1)) at Q e + j(Q - 1)e, Q = q^(i+k)
-            _, caps = self._ladder_plan(lam, shifts, cuts)
+            _, caps = self._ladder_plan("exp", lam, shifts, cuts)
             qs = cfg.q_powers(cfg.exp_depth)
             pairs = []
             for i, (cap,) in caps.items():
-                row = self._ladder_row(lam, i, cap, numerators)
+                row = self._ladder_row("exp", lam, i, cap, numerators)
                 if not row.terms:
                     continue
                 low = row.vbound()
@@ -921,7 +878,7 @@ class DrinfeldModule:
                             INF)
                         pairs.append((d * G, row.frobenius(k)))
             return dot(cfg, pairs, prec)
-        values = self._exp_levels(lam, shifts, cuts)
+        values = self._exp_levels("exp", lam, shifts, cuts)
         # an inexact d_k also needs v(w_j): a level without terms lies at
         # or above c_j, where prec(d_k) + q^k c_j - je cannot fall below prec
         prec = min([prec] + [d.prec + qk * w.vbound() - j * e

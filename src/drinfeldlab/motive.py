@@ -138,7 +138,7 @@ class OmegaData:
 
         Precision first: P_k comes from valuations and precisions alone.
         The series coefficient f_j has the ladder's precision R_j
-        (_exp_precs), so b_j has q R_j and a_j, by dot's rule for the kappa
+        (_precs), so b_j has q R_j and a_j, by dot's rule for the kappa
         scale, min(q^2 R_j, v(kappa) + q R_j, prec(kappa) + q v(f_j)).  The
         last is read only for an inexact kappa, from the levels f_j formed
         to R_j.  Each factor 1 - t/theta^(q^i) of Omega_I is dot's rule for
@@ -171,7 +171,7 @@ class OmegaData:
             R, low = [u.shift(s).prec for s in shifts], []
         else:
             vu = u.valuation()
-            R = mod._exp_precs(vu, u.prec, shifts)
+            R = mod._precs("exp", vu, u.prec, shifts)
             # the lowest term of n_i, None for a row without terms
             low = [x.vbound() + qs[i] * vu if x.terms else None
                    for i, x in enumerate(mod.exp_coeffs(cfg.exp_depth))]
@@ -196,7 +196,7 @@ class OmegaData:
             if t != INF:
                 hb, ha = tb - min(vo[1:]), ta - min(vo[1:])
                 cut = max(-(-hb // q), -(-ha // (q * q)))
-        f = dict(zip(js, mod._exp_levels(u, [shifts[j] for j in js],
+        f = dict(zip(js, mod._exp_levels("exp", u, [shifts[j] for j in js],
                                          [min(R[j], cut) for j in js],
                                          numerators=gf.numerators)))
         # P_k, b column then a column
@@ -234,7 +234,7 @@ class OmegaData:
                     cap = max(P[k] - row[k].vbound() for k in ks)
                     reads.append((n, row, ks, -(-cap // qs[n])))
             if reads:
-                x = mod._ladder_row(u, i, max(r[3] for r in reads),
+                x = mod._ladder_row("exp", u, i, max(r[3] for r in reads),
                                     gf.numerators)
                 for n, row, ks, _ in reads:
                     xn = x.frobenius(n)
@@ -401,7 +401,7 @@ class MotiveMatrices:
         No row or dropped pole reaches below P_k, and every dot's own
         precision is P_k.  C_(L,k) = sum_(m <= min(k, I)) e_m
         theta^(-q^L (k-m+1)), so v(C_(L,k)) >= min_m v(e_m) +
-        q^L (k-m+1) e; and _qlinear_prec keeps R_j <= prec(n_i) +
+        q^L (k-m+1) e; and _precs keeps R_j <= prec(n_i) +
         q^i (j+1) e for every row.  Together, a pair's precision
         q prec(n_(L-1)) + v(C_(L,k)) is at least min_m q R_(k-m) + v(e_m)
         >= P_k^b, and with q^2 the same holds for the D pairs against

@@ -24,7 +24,8 @@ def _series_from_poles(f, T):
         acc = dot(cfg, [(n, cfg.theta(-(j + 1)).frobenius(i))
                         for i, n in enumerate(f.numerators)])
         # dropped pole i contributes alpha_i (u / theta^(j+1))^(q^i)
-        floor = f.module._tail_floor("exp", vu + (j + 1) * cfg.e, f.I - 1)
+        floor = f.module._tail_floors("exp", [vu + (j + 1) * cfg.e],
+                                      f.I - 1)[0]
         out.append(acc.truncate(min(acc.prec, floor)))
     return TSeries(cfg, out, tail=None)
 
@@ -242,8 +243,8 @@ def _eval_twisted_generic(f, n, t0):
               (cfg.theta(1).frobenius(i + n) - t0).inverse())
              for i in range(f.I)]
     acc = dot(cfg, pairs)
-    floor = cfg.q ** n * f.module._tail_floor("exp", f.u.vbound() + cfg.e,
-                                               f.I - 1)
+    floor = cfg.q ** n * f.module._tail_floors(
+        "exp", [f.u.vbound() + cfg.e], f.I - 1)[0]
     return acc.truncate(min(acc.prec, floor))
 
 
@@ -274,7 +275,8 @@ def _series_reference(f, T):
     if f.u.is_exact_zero():
         return TSeries(cfg, coeffs, tail=INF)
     vw = f.u.vbound() + (T + 1) * cfg.e
-    return TSeries(cfg, coeffs, tail=f.module._tail_floor("exp", vw, -1))
+    return TSeries(cfg, coeffs,
+                   tail=f.module._tail_floors("exp", [vw], -1)[0])
 
 
 @pytest.mark.parametrize("name", ["ctx3", "ctx5", "ctx5w"])
@@ -385,6 +387,6 @@ def test_numerators_feed_the_series_ladder(ctx3):
         assert (x.terms, x.prec) == (want.terms, want.prec)
     fresh = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
     got = f.series(16)
-    want = fresh._exp_levels(u, [(j + 1) * cfg.e for j in range(16)])
+    want = fresh._exp_levels("exp", u, [(j + 1) * cfg.e for j in range(16)])
     assert [(c.terms, c.prec) for c in got.coeffs] == \
         [(c.terms, c.prec) for c in want]

@@ -6,14 +6,14 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drinfeldlab import roots
 from drinfeldlab.agf import AndersonGF
 from drinfeldlab.cinf import CInfApprox, FieldConfig, INF, dot
 from drinfeldlab.drinfeld import (Biderivation, DrinfeldModule, Lattice,
-                                  _known, compose_qlinear, verify_morphism)
+                                  compose_qlinear, verify_morphism)
 from drinfeldlab.encoding import decode_module, encode_cinf, encode_module
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 DrinfeldLabError, IndependenceFailure,
@@ -21,6 +21,7 @@ from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
 from drinfeldlab.logext import make_log_point
 from drinfeldlab.skew import SkewPoly
 
+import qlinear_oracle
 import torsion_oracle
 
 
@@ -404,13 +405,15 @@ def _encoded(values):
 
 def _count_exp_evals(monkeypatch):
     # every exp evaluation, exp_eval's and the quasi-period sum's included,
-    # is planned by the shared ladder planner
+    # is planned by the shared ladder planner; the log and additive-step
+    # sums it also plans are not counted
     calls = []
     plan = DrinfeldModule._ladder_plan
 
-    def counted(self, z, levels, precs):
-        calls.append((z, levels))
-        return plan(self, z, levels, precs)
+    def counted(self, kind, z, levels, precs):
+        if kind == "exp":
+            calls.append((z, levels))
+        return plan(self, kind, z, levels, precs)
 
     monkeypatch.setattr(DrinfeldModule, "_ladder_plan", counted)
     return calls
@@ -512,7 +515,7 @@ def _uncapped_sum(module, kind, z):
     acc = cfg.zero(INF)
     for i, c in enumerate(table(depth)):
         acc = acc + c * z.frobenius(i)
-    floor = module._tail_floor(kind, z.valuation(), depth)
+    floor = module._tail_floors(kind, [z.valuation()], depth)[0]
     return acc.truncate(min(acc.prec, floor))
 
 
@@ -1110,15 +1113,22 @@ def test_quasi_period_level_count_small_argument_condition():
         assert got.terms == want.terms and got.prec == want.prec, a
 
 
-def _exp_prec_scan(rho, vz, zprec):
-    """The precision exp_eval reaches on a nonzero z of valuation vz and
-    precision zprec, its tail floor from the 64-line scan; None where that
-    floor does not stabilize."""
+def _prec_scan(rho, kind, vz, zprec, cap=None):
+    """The precision of kind's q-linear sum on a nonzero z of valuation vz
+    and precision zprec by the row scan (qlinear_oracle): exp and log with
+    the tail floor from the 64-line scan, None where that floor does not
+    stabilize; the step (0, kappa, u) with its cap."""
     depth = rho.cfg.exp_depth
-    floor = _tail_floor_formula(rho, "exp", vz, depth)
+    if kind == "step":
+        coeffs, floor = [rho.cfg.zero(INF), rho.kappa, rho.u], cap
+    else:
+        coeffs = rho.exp_coeffs(depth) if kind == "exp" \
+            else rho.log_coeffs(depth)
+        floor = _tail_floor_formula(rho, kind, vz, depth)
     if floor is None:
         return None
-    return rho._qlinear_prec(_known(rho.exp_coeffs(depth)), vz, zprec, floor)
+    return qlinear_oracle.qlinear_prec(
+        rho.cfg, qlinear_oracle.known(coeffs), vz, zprec, floor)
 
 
 def _quasi_period_levels(rho, lam, delta):
@@ -1141,12 +1151,12 @@ def _quasi_period_levels(rho, lam, delta):
     ds = [(k, q ** k, d) for k, d in enumerate(delta.delta_t.coeffs)
           if not d.is_exact_zero()]
     shifts = [(j + 1) * e for j in range(J + 1)]
-    rs = [_exp_prec_scan(rho, vlam + k, lam.prec + k) for k in shifts]
+    rs = [_prec_scan(rho, "exp", vlam + k, lam.prec + k) for k in shifts]
     prec = min([floor] + [qk * r + d.vbound() - j * e
                           for j, r in enumerate(rs) for _, qk, d in ds])
     cuts = [min(r, max(-((d.vbound() - prec - j * e) // qk)
                        for _, qk, d in ds)) for j, r in enumerate(rs)]
-    values = rho._exp_levels(lam, shifts, cuts)
+    values = rho._exp_levels("exp", lam, shifts, cuts)
     prec = min([prec] + [d.prec + qk * w.vbound() - j * e
                          for j, w in enumerate(values)
                          for _, qk, d in ds if d.prec != INF])
@@ -1183,9 +1193,9 @@ def test_quasi_period_one_sum_matches_levels(name, prec, monkeypatch):
     levels = []
     exp_levels = DrinfeldModule._exp_levels
 
-    def counted(self, z, shifts, precs=None):
+    def counted(self, kind, z, shifts, precs=None):
         levels.append(z)
-        return exp_levels(self, z, shifts, precs)
+        return exp_levels(self, kind, z, shifts, precs)
 
     monkeypatch.setattr(DrinfeldModule, "_exp_levels", counted)
     for lam in (lat.omega1, lat.omega2, point.lam):
@@ -1313,33 +1323,33 @@ def test_quasi_period_plans_one_level(monkeypatch):
     lat = rho.periods()
     point = make_log_point(rho, alpha=cfg.theta(-1))
     calls = []
-    exp_precs, ladder_plan = DrinfeldModule._exp_precs, \
-        DrinfeldModule._ladder_plan
+    precs_of, ladder_plan = DrinfeldModule._precs, DrinfeldModule._ladder_plan
 
-    def precs_spy(self, vz, zprec, shifts):
-        calls.append(("precs", len(shifts)))
-        return exp_precs(self, vz, zprec, shifts)
+    def precs_spy(self, kind, vz, zprec, shifts):
+        calls.append(("precs", kind, len(shifts)))
+        return precs_of(self, kind, vz, zprec, shifts)
 
-    def plan_spy(self, z, shifts, precs):
-        calls.append(("plan", len(shifts)))
-        return ladder_plan(self, z, shifts, precs)
+    def plan_spy(self, kind, z, shifts, precs):
+        calls.append(("plan", kind, len(shifts)))
+        return ladder_plan(self, kind, z, shifts, precs)
 
     def boom(*args, **kwargs):
         raise AssertionError("formed a ladder level")
 
-    monkeypatch.setattr(DrinfeldModule, "_exp_precs", precs_spy)
+    monkeypatch.setattr(DrinfeldModule, "_precs", precs_spy)
     monkeypatch.setattr(DrinfeldModule, "_ladder_plan", plan_spy)
     monkeypatch.setattr(DrinfeldModule, "_exp_levels", boom)
     for lam in (lat.omega1, lat.omega2, point.lam):
         for delta in (Biderivation.tau(cfg), Biderivation.inner_one(rho)):
             del calls[:]
             rho.quasi_period_eval(lam, delta=delta, lattice=lat)
-            assert calls == [("precs", 1), ("plan", 1)], (lam, delta)
+            assert calls == [("precs", "exp", 1), ("plan", "exp", 1)], \
+                (lam, delta)
 
 
 def _planning_calls(monkeypatch, rho, u, T):
     """The Python calls that the plan of AndersonGF(rho, u).series(T)
-    makes: inside _exp_precs and _ladder_plan, counted by a profiler."""
+    makes: inside _precs and _ladder_plan, counted by a profiler."""
     counts = []
 
     def counted(method):
@@ -1358,7 +1368,7 @@ def _planning_calls(monkeypatch, rho, u, T):
                 counts.append(calls[0])
         return spy
 
-    for name in ("_exp_precs", "_ladder_plan"):
+    for name in ("_precs", "_ladder_plan"):
         monkeypatch.setattr(DrinfeldModule, name,
                             counted(getattr(DrinfeldModule, name)))
     AndersonGF(rho, u).series(T)
@@ -1391,9 +1401,9 @@ _LADDER_MODULES = {
 _ladder_cache = {}
 
 
-def _ladder_module(name):
+def _ladder_module(name, modules=_LADDER_MODULES):
     if name not in _ladder_cache:
-        _ladder_cache[name] = _LADDER_MODULES[name]()
+        _ladder_cache[name] = modules[name]()
     return _ladder_cache[name]
 
 
@@ -1435,7 +1445,7 @@ def test_exp_levels_match_exp_eval(name, data):
     ks = data.draw(st.lists(st.integers(0, 6 * cfg.e), min_size=1,
                             max_size=6))
     want = [_exp_reference(rho, z.shift(k)) for k in ks]
-    assert _pairs(rho._exp_levels(z, ks)) == _pairs(want)
+    assert _pairs(rho._exp_levels("exp", z, ks)) == _pairs(want)
     assert _pairs(rho.exp_eval(z.shift(k)) for k in ks) == _pairs(want)
     if not z.terms:
         return
@@ -1450,12 +1460,13 @@ def test_exp_levels_match_exp_eval(name, data):
     # exp_eval returns a cut argument without terms as it is
     kept = [(k, a) for k, a in zip(ks, args) if a.terms]
     if kept:
-        precs = [rho._exp_precs(a.valuation(), a.prec, [0])[0]
+        precs = [rho._precs("exp", a.valuation(), a.prec, [0])[0]
                  for _, a in kept]
-        assert _pairs(rho._exp_levels(z, [k for k, _ in kept], precs)) == \
+        assert _pairs(rho._exp_levels("exp", z, [k for k, _ in kept],
+                                      precs)) == \
             _pairs(_exp_reference(rho, a) for _, a in kept)
     lower = [w.prec - data.draw(st.integers(0, cfg.rel_prec)) for w in want]
-    assert _pairs(rho._exp_levels(z, ks, lower)) == \
+    assert _pairs(rho._exp_levels("exp", z, ks, lower)) == \
         _pairs(w.truncate(r) for w, r in zip(want, lower))
 
 
@@ -1471,18 +1482,104 @@ def test_exp_levels_share_products(ctx3):
     om = ctx3.lattice.omega1
     e = ctx3.cfg.e
     ks = [0, e // 3] + [(j + 1) * e for j in range(20)]
-    assert _pairs(rho._exp_levels(om, ks)) == \
+    assert _pairs(rho._exp_levels("exp", om, ks)) == \
         _pairs(_exp_reference(rho, om.shift(k)) for k in ks)
 
 
 def test_qlinear_sum_exact_argument_uncapped(ctx3):
-    # exact coefficients, exact z and no cap: nothing is cut
+    # the additive step's sum kappa z^q + u z^(q^2) through the planner:
+    # exact coefficients, exact z and no cap, so nothing is cut
     rho = _fresh(ctx3)
-    skew = rho.skew()
     z = ctx3.cfg.theta(-1)
-    got = rho._qlinear_sum(skew.coeffs, z, INF)
-    want = skew(z)
+    r = rho._precs("step", z.valuation(), INF, [0], [INF])
+    got = rho._exp_levels("step", z, [0], r)[0]
+    want = rho.skew()(z) - ctx3.cfg.theta() * z
     assert got.terms == want.terms and got.prec == want.prec == INF
+
+
+# log and the additive step through the planner against the row scan
+
+
+def _cm_inexact_module():
+    data = json.loads((Path(__file__).parent / "data" /
+                       "cm_q3_inexact.json").read_text())
+    return decode_module(data)[1]
+
+
+_LOG_MODULES = dict(_LADDER_MODULES, cm_q3=lambda: _cm_module(240))
+_STEP_MODULES = {name: _LOG_MODULES[name]
+                 for name in ("q3", "q3,kappa.prec=300", "cm_q3")}
+_STEP_MODULES["cm_q3_inexact"] = _cm_inexact_module
+
+
+def _log_reference(rho, z):
+    """log(z) by the row scan: qlinear_oracle's sum over the log table cut
+    at the 64-line tail floor, z itself for a z without terms, and
+    DivergentEvaluation outside the certified disc."""
+    if not z.terms:
+        return z
+    depth = rho.cfg.exp_depth
+    floor = _tail_floor_formula(rho, "log", z.valuation(), depth)
+    if not rho.log_certificate(z) or floor is None:
+        raise DivergentEvaluation("outside the certified disc")
+    return qlinear_oracle.qlinear_sum(rho.cfg, rho.log_coeffs(depth), z,
+                                      floor)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_LOG_MODULES)), data=st.data())
+def test_log_eval_matches_row_scan(name, data):
+    # log_eval, the one-level ladder on the log table, equals the row scan
+    # in terms and precision on exact, inexact and zero z; cm_q3 (kappa =
+    # 0) has every odd log row exactly zero.  Outside the log disc both
+    # sides raise
+    rho = _ladder_module(name, _LOG_MODULES)
+    z = data.draw(_ladder_argument(rho.cfg))
+    try:
+        want = _log_reference(rho, z)
+    except DivergentEvaluation:
+        with pytest.raises(DivergentEvaluation):
+            rho.log_eval(z)
+        return
+    assert _pairs([rho.log_eval(z)]) == _pairs([want])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_STEP_MODULES)), data=st.data())
+def test_step_matches_row_scan(name, data):
+    # the additive step's sum kappa z^q + u z^(q^2), a one-level ladder on
+    # the table (0, kappa, u) whose floor is its caller's cap, equals the
+    # row scan in terms and precision: caps below, at and above the
+    # precision R the rows alone allow, and no cap.  kappa and u are exact
+    # (q3, cm_q3) or known to finite precision (q3,kappa.prec=300, and
+    # cm_q3_inexact, whose kappa is zero to precision 400)
+    rho = _ladder_module(name, _STEP_MODULES)
+    cfg = rho.cfg
+    z = data.draw(_ladder_argument(cfg))
+    assume(z.terms)
+    table = [cfg.zero(INF), rho.kappa, rho.u]
+    vz = z.valuation()
+    own = rho._precs("step", vz, z.prec, [0], [INF])[0]
+    # R for an exact z and exact kappa, u is INF: cut around the lowest
+    # row's lowest term instead
+    base = own if own != INF else min(
+        c.vbound() + cfg.q ** i * vz for i, c in enumerate(table) if c.terms)
+    d = data.draw(st.integers(1, 3 * cfg.e))
+    for cap in (INF, base, base - d, base + d):
+        r = rho._precs("step", vz, z.prec, [0], [cap])
+        got = rho._exp_levels("step", z, [0], r)[0]
+        want = qlinear_oracle.qlinear_sum(cfg, table, z, cap)
+        assert _pairs([got]) == _pairs([want]), cap
+
+
+def test_step_needs_its_cap(ctx3):
+    # the step has no tail floor to fall back on: a missing cap is an
+    # error, never a default
+    rho = _fresh(ctx3)
+    with pytest.raises(TypeError):
+        rho._precs("step", 0, INF, [0])
+    with pytest.raises(TypeError):
+        rho._exp_levels("step", ctx3.cfg.theta(-1), [0])
 
 
 def _tail_floor_formula(module, kind, vz, start):
@@ -1519,14 +1616,14 @@ def test_tail_floor_power_table_matches_formula():
                                                            start)
                                 if want is None:
                                     with pytest.raises(DivergentEvaluation):
-                                        rho._tail_floor(kind, vz, start)
+                                        rho._tail_floors(kind, [vz], start)
                                 else:
-                                    got = rho._tail_floor(kind, vz, start)
-                                    assert got == want, (k, a, j, kind)
+                                    got = rho._tail_floors(kind, [vz], start)
+                                    assert got == [want], (k, a, j, kind)
                                     # the second call reads the kept
                                     # envelope
-                                    assert rho._tail_floor(
-                                        kind, vz, start) == want
+                                    assert rho._tail_floors(
+                                        kind, [vz], start) == [want]
 
 
 _ENVELOPE_MODULES = dict(_LADDER_MODULES, **{
@@ -1539,15 +1636,15 @@ _ENVELOPE_MODULES = dict(_LADDER_MODULES, **{
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_ENVELOPE_MODULES)), data=st.data())
 def test_tail_envelope_matches_scan(name, data):
-    # the one-pass floors and exp precisions over increasing shifts equal
-    # those of the 64-line scan, for both kinds and every start the library
-    # passes: exp_depth (exp and log sums), -1 (the t-series tail) and
-    # I - 1 (a generating function's dropped poles); a floor that does not
-    # stabilize raises on both sides.  cm_q3 (kappa = 0) and Carlitz (u = 0)
-    # have lines with an infinite bound
-    if name not in _ladder_cache:
-        _ladder_cache[name] = _ENVELOPE_MODULES[name]()
-    rho = _ladder_cache[name]
+    # the one-pass floors and the planner's precisions over increasing
+    # shifts equal those of the 64-line scan and the row scan, for both
+    # tail kinds and every start the library passes: exp_depth (exp and log
+    # sums), -1 (the t-series tail) and I - 1 (a generating function's
+    # dropped poles); a floor that does not stabilize raises on both sides.
+    # The precisions cover the exp, log and step tables, the step with
+    # caps drawn around its rows' lines.  cm_q3 (kappa = 0) and Carlitz
+    # (u = 0) have lines with an infinite bound
+    rho = _ladder_module(name, _ENVELOPE_MODULES)
     cfg = rho.cfg
     e, depth = cfg.e, cfg.exp_depth
     vz = data.draw(st.integers(-80 * e, 40 * e))
@@ -1564,9 +1661,17 @@ def test_tail_envelope_matches_scan(name, data):
                     rho._tail_floors(kind, vzs, start)
             else:
                 assert rho._tail_floors(kind, vzs, start) == want
-    want = [_exp_prec_scan(rho, vz + k, zprec + k) for k in shifts]
-    if None in want:
-        with pytest.raises(DivergentEvaluation):
-            rho._exp_precs(vz, zprec, shifts)
-    else:
-        assert rho._exp_precs(vz, zprec, shifts) == want
+    for kind in ("exp", "log"):
+        want = [_prec_scan(rho, kind, vz + k, zprec + k) for k in shifts]
+        if None in want:
+            with pytest.raises(DivergentEvaluation):
+                rho._precs(kind, vz, zprec, shifts)
+        else:
+            assert rho._precs(kind, vz, zprec, shifts) == want
+    lines = [sorted((cfg.q * v, cfg.q * cfg.q * v)) for v in vzs]
+    caps = [data.draw(st.one_of(st.just(INF),
+                                st.integers(lo - 3 * e, hi + 3 * e)))
+            for lo, hi in lines]
+    assert rho._precs("step", vz, zprec, shifts, caps) == \
+        [_prec_scan(rho, "step", vz + k, zprec + k, c)
+         for k, c in zip(shifts, caps)]

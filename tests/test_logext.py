@@ -233,11 +233,12 @@ def test_psi_and_g_vector_form_no_products(monkeypatch):
     def numerators(self, z, count=None):
         raise AssertionError("formed the numerators again")
 
-    # every row a ladder reads passes through _ladder_row
-    def row_spy(self, z, i, cap, numerators=()):
-        if i >= len(numerators):
+    # every row a ladder reads passes through _ladder_row; the products
+    # alpha_i u^(q^i) are the exp table's rows
+    def row_spy(self, kind, z, i, cap, numerators=()):
+        if kind == "exp" and i >= len(numerators):
             formed.append(i)
-        return row(self, z, i, cap, numerators)
+        return row(self, kind, z, i, cap, numerators)
 
     monkeypatch.setattr(DrinfeldModule, "_numerators", numerators)
     monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
@@ -290,34 +291,36 @@ def test_every_ladder_row_read_through_ladder_row(monkeypatch):
     # rows that no caller holds: inside every ladder (_exp_levels, and the
     # quasi-period sum that plans at level 0), the _ladder_row calls are
     # the rows that _ladder_plan keeps, each once, capped at its largest
-    # cut
+    # cut.  The count is of exp ladders; the log and additive-step ladders
+    # of the torsion and the towers keep the same rule
     cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
     rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
     frames, ladders = [], []
     plan, row = DrinfeldModule._ladder_plan, DrinfeldModule._ladder_row
 
-    def ladder(method):
+    def ladder(method, kind=None):
         def spy(self, *args, **kwargs):
-            frames.append(([], []))
+            frames.append((kind or args[0], [], []))
             try:
                 return method(self, *args, **kwargs)
             finally:
                 ladders.append(frames.pop())
         return spy
 
-    def plan_spy(self, z, shifts, precs):
-        plans, caps = plan(self, z, shifts, precs)
-        frames[-1][0].append(sorted((i, max(cs)) for i, cs in caps.items()))
+    def plan_spy(self, kind, z, shifts, precs):
+        plans, caps = plan(self, kind, z, shifts, precs)
+        frames[-1][1].append(sorted((i, max(cs)) for i, cs in caps.items()))
         return plans, caps
 
-    def row_spy(self, z, i, cap, numerators=()):
+    def row_spy(self, kind, z, i, cap, numerators=()):
         if frames:
-            frames[-1][1].append((i, cap))
-        return row(self, z, i, cap, numerators)
+            frames[-1][2].append((i, cap))
+        return row(self, kind, z, i, cap, numerators)
 
-    for name in ("_exp_levels", "_quasi_period_sum"):
-        monkeypatch.setattr(DrinfeldModule, name,
-                            ladder(getattr(DrinfeldModule, name)))
+    monkeypatch.setattr(DrinfeldModule, "_exp_levels",
+                        ladder(DrinfeldModule._exp_levels))
+    monkeypatch.setattr(DrinfeldModule, "_quasi_period_sum",
+                        ladder(DrinfeldModule._quasi_period_sum, "exp"))
     monkeypatch.setattr(DrinfeldModule, "_ladder_plan", plan_spy)
     monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
     lat = rho.periods()
@@ -331,8 +334,10 @@ def test_every_ladder_row_read_through_ladder_row(monkeypatch):
         rho.quasi_period_eval(om, lattice=lat)
     rho.exp_eval(point.lam)
     monkeypatch.undo()
-    assert sum(1 for plans, _ in ladders if plans) >= 9
-    for plans, rows in ladders:
+    assert sum(1 for kind, plans, _ in ladders
+               if kind == "exp" and plans) >= 9
+    assert {kind for kind, _, _ in ladders} == {"exp", "log", "step"}
+    for _, plans, rows in ladders:
         # a ladder over zero plans nothing and reads no row
         assert plans == ([sorted(rows)] if plans or rows else [])
 
