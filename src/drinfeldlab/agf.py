@@ -14,7 +14,7 @@ it is a running sum (_pole_sum) rather than a product.  The t-power-series
 form (series, the one t-series path) exists for radius-1 work and takes
 its coefficients from the exp ladder (DrinfeldModule._exp_levels).  Both
 forms read the same products alpha_i u^(q^i), the numerators, formed once
-and handed to the ladder, which cuts them for every row it keeps.  A
+and handed to the ladder, which reads them for every row it keeps.  A
 generating function is given its numerators when it is built (those the
 residual check exp(u) of a tower or log point formed), or forms them then.
 The dual-representation oracle, which rebuilds the series from the I
@@ -56,7 +56,7 @@ class AndersonGF:
         """Truncated t-series from the defining coefficients, with a tail
         bound for the dropped ones.  Coefficient j is exp(u / theta^(j+1))
         as exp_eval gives it, in terms and precision; all T come from one
-        exp ladder over u, which cuts the numerators for its shared rows."""
+        exp ladder over u, which reads the numerators in place."""
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
@@ -151,8 +151,8 @@ class AndersonGF:
 
     def _exp_u(self):
         """exp(u) as exp_eval gives it, in terms and precision: the one
-        level of the exp ladder over u, which cuts the numerators for its
-        rows; the exact zero for u without terms.  Computed once."""
+        level of the exp ladder over u, which reads the numerators in
+        place; the exact zero for u without terms.  Computed once."""
         value = self._exp
         if value is None:
             if self.u.is_apparent_zero():

@@ -21,26 +21,29 @@ follows from valuations and precisions alone, so it is fixed before any
 product is formed, terms that land at or above it are skipped, and the rest
 are computed only below it.  One planner serves every such sum, keyed by
 its coefficient table (_coeffs): exp's alpha_i, log's beta_i and the
-additive step's (0, kappa, u).  R is read off two lower envelopes of the
+additive step's (0, -kappa, -u).  R is read off two lower envelopes of the
 table's lines per module and kind (_lines, _precs) and the floor of the
 dropped terms: the step's cap, or exp's and log's tail floor, read off one
 envelope of the tail bound's lines per module, kind and start.  The rows
 that reach below R come from the table's rows with terms (_ladder_plan),
-each formed through one cut (_ladder_row).  exp_eval, log_eval and each
-contraction step are one-level ladders (_exp_levels).  Values
-exp(z/theta^k) at several k, the levels of a quasi-periodic function and
-the coefficients of an Anderson generating function, share one ladder:
-(z/theta^k)^{q^i} = z^{q^i} theta^{-q^i k}, so each product alpha_i z^{q^i}
-is formed once and every level reads it shifted.  A quasi-periodic
-function with exact coefficients plans its sum at level 0 alone, since
-every level's precision rises by at least one theta-unit per level, then
-sums the twisted products against exact sparse multipliers that stand for
-all its levels in one dot, keeping only the digits the sum needs.  A
-period's tower is built with the full products alpha_i omega^{q^i} that
-its residual check exp(omega) ~ 0 read, the numerators of omega's
-generating function, which the quasi-period and the generating function of
-that period cut; each is that cut at its own precision, formed from the
-digits of omega below it.
+and an argument is cut for a row in one place (_ladder_pair).  Each level
+of a ladder is one dot (_exp_levels): a row only one level keeps enters it
+as its pair, coefficient and cut argument; a row two or more levels keep
+is formed once (_ladder_row); a numerator the caller holds is read in
+place.  So exp_eval, log_eval and each contraction step, one-level
+ladders, are one dot each.  Values exp(z/theta^k) at several k, the levels
+of a quasi-periodic function and the coefficients of an Anderson
+generating function, share one ladder: (z/theta^k)^{q^i} = z^{q^i}
+theta^{-q^i k}, so each product alpha_i z^{q^i} is formed at most once and
+every level reads it shifted.  A quasi-periodic function with exact
+coefficients plans its sum at level 0 alone, since every level's precision
+rises by at least one theta-unit per level, then sums the twisted products
+against exact sparse multipliers that stand for all its levels in one dot,
+keeping only the digits the sum needs.  A period's tower is built with
+the full products alpha_i omega^{q^i} that its residual check
+exp(omega) ~ 0 read, the numerators of omega's generating function, which
+the quasi-period and the generating function of that period read; each is
+that cut at its own precision, formed from the digits of omega below it.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -112,12 +115,11 @@ class Biderivation:
 
     @classmethod
     def inner_one(cls, module):
-        """delta_t = theta - rho_t, the additive step's table negated; its
-        quasi-periodic function is z - exp(z), the differential of the
-        first kind."""
+        """delta_t = theta - rho_t, the additive step's table as the module
+        keeps it, (0, -kappa, -u); its quasi-periodic function is
+        z - exp(z), the differential of the first kind."""
         from .skew import SkewPoly
-        step = module._step
-        return cls(SkewPoly(module.cfg, step[:1] + [-c for c in step[1:]]))
+        return cls(SkewPoly(module.cfg, module._step))
 
     def is_zero(self):
         return self.delta_t.is_zero()
@@ -189,7 +191,8 @@ class DrinfeldModule:
         self._exp = [cfg.one()]
         self._log = [cfg.one()]
         self._vbounds = {"exp": [0], "log": [0]}
-        self._step = [cfg.zero(INF), kappa, u]  # the additive step's table
+        # the additive step's table, negated: delta_t = theta - rho_t
+        self._step = [cfg.zero(INF), -kappa, -u]
         self._envelopes = {}  # (kind, start) -> _tail_envelope
         self._line_sets = {}  # kind -> _lines
         self._torsion = {}  # partial -> (points, failures)
@@ -329,7 +332,7 @@ class DrinfeldModule:
     def _coeffs(self, kind, depth):
         """The coefficient table c_0..c_depth of a q-linear sum
         sum_i c_i z^{q^i}: exp's alpha_i, log's beta_i, or the additive
-        step's (0, kappa, u), whose three rows are all it has."""
+        step's (0, -kappa, -u), whose three rows are all it has."""
         if kind == "step":
             return self._step
         table = self.exp_coeffs if kind == "exp" else self.log_coeffs
@@ -448,26 +451,35 @@ class DrinfeldModule:
                                                   a.vbound() + qs[i] * zprec))
                 for i, a in enumerate(self.exp_coeffs(count - 1))]
 
-    def _exp_with_numerators(self, z):
+    def _exp_with_numerators(self, z, numerators=None):
         """(exp(z), the numerators of z): the residual check of a period or
-        a log point reads exp(z) from the numerators it forms, and the
-        tower or point it builds keeps them."""
-        numerators = self._numerators(z)
+        a log point reads exp(z) from the numerators it forms, or from
+        those a tower of this very z already holds, and the tower or point
+        it builds keeps them."""
+        if numerators is None:
+            numerators = self._numerators(z)
         return self._exp_levels("exp", z, [0], None, numerators)[0], numerators
 
-    def _ladder_row(self, kind, z, i, cap, numerators=()):
-        """p_i = c_i z^{q^i}, c_i row i of kind's table, capped at cap:
-        numerators[i] cut there when the caller holds z's exp numerators
-        (_numerators), else formed from z cut to the digits whose terms
-        reach below cap.  Either has the full product's digits below
-        min(cap, its precision), and that is its precision."""
-        if i < len(numerators):
-            return numerators[i].truncate(cap)
+    def _ladder_pair(self, kind, z, i, cap):
+        """(c_i, z cut at _digits(v(c_i), q^i, cap), twisted i times), c_i
+        row i of kind's table: the one place an argument is cut for a row.
+        A dropped digit of z lands at or above cap, so the pair's product
+        has the full product's terms below cap."""
         cfg = self.cfg
         # a generating function's rows reach past exp_depth to pole_count
         c = self._coeffs(kind, i)[i]
         digits = _digits(c.vbound(), cfg.q_powers(i)[i], cap)
-        return dot(cfg, [(c, z.truncate(digits).frobenius(i))], cap)
+        return c, z.truncate(digits).frobenius(i)
+
+    def _ladder_row(self, kind, z, i, cap, numerators=()):
+        """p_i = c_i z^{q^i}, c_i row i of kind's table, capped at cap:
+        numerators[i] cut there when the caller holds z's exp numerators
+        (_numerators), else one dot over _ladder_pair capped at cap.
+        Either has the full product's digits below min(cap, its
+        precision), and that is its precision."""
+        if i < len(numerators):
+            return numerators[i].truncate(cap)
+        return dot(self.cfg, [self._ladder_pair(kind, z, i, cap)], cap)
 
     def _exp_levels(self, kind, z, shifts, precs=None, numerators=()):
         """[sum_i c_i z.shift(k)^{q^i} for k in shifts], c_i kind's table,
@@ -476,34 +488,76 @@ class DrinfeldModule:
         holds for each level a precision R at most the one _precs gives
         there; the level is then the full sum cut at R.  numerators, when
         given, holds the full products alpha_i z^{q^i} for exp's first rows
-        (_numerators), which the rows the ladder keeps among them cut
-        instead of forming.
+        (_numerators), which the ladder reads in place for the rows it
+        keeps among them.  Each level is one dot over _level_pairs, capped
+        at its R; exp_eval, log_eval and each step of _contract are the one
+        level k = 0, through the same loop.
 
         Since (z theta^{-k/e})^{q^i} = z^{q^i} theta^{-q^i k/e}, a level is
         sum_i p_i theta^{-q^i k/e} with p_i = c_i z^{q^i}.  Precision
-        first: each level has its R, _precs unless precs gives it, and its
-        rows are those of _ladder_plan.  Every row the ladder keeps is read
-        once, as p_i capped at C_i = max(R - q^i k) over the levels that
-        keep it (_ladder_row), and each of them reads it through the pair
-        (p_i, theta^{-q^i k/e}).  Each level is one dot capped at its R,
-        so it holds exactly the term pairs of the sum below R: p_i shifted
-        by q^i k is known to C_i + q^i k >= R and to the precision of the
-        full product shifted, min(prec(c_i) + q^i v, v(c_i) + q^i zprec)
-        for the argument's valuation v and precision zprec, which _precs
-        keeps at or above R.  exp_eval, log_eval and each step of _contract
-        are the one level k = 0.
+        first: each level has its R_k, _precs unless precs gives it, and
+        its rows are those of _ladder_plan.  A row level k keeps is read
+        through one pair: (numerators[i], theta^{-q^i k/e}) for a held
+        numerator; (p_i, theta^{-q^i k/e}) for a row two or more levels
+        keep, p_i formed once capped at C_i = max(R - q^i k) over them
+        (_ladder_row); otherwise _ladder_pair(kind, z, i, R_k - q^i k),
+        its short side, the cut and twisted argument, shifted by q^i k.
+
+        The levels equal those that form every kept row by its own capped
+        dot (_ladder_row at C_i) and sum each level's rows, read shifted,
+        in one more dot, term for term and in precision:
+        * P is the same.  dot's P over a level's pairs is the least of R_k
+          and their precisions.  The full product shifted is known to
+          P_i + q^i k, P_i = min(prec(c_i) + q^i v, v(c_i) + q^i zprec)
+          for the argument's valuation v and precision zprec.  A held
+          numerator has precision P_i; a formed row min(C_i, P_i), and
+          C_i + q^i k >= R_k; a pair of _ladder_pair has its cut argument
+          to d = _digits(v(c_i), q^i, R_k - q^i k) with
+          v(c_i) + q^i (d + k) >= R_k, and otherwise the precisions of
+          c_i and z, so its product shifted is known to at least
+          min(R_k, P_i + q^i k).  So P = min(R_k, P_i + q^i k) over the
+          rows in both forms, and _precs keeps R_k <= P_i + q^i k: P = R_k.
+        * The terms are the same.  Below R_k every pair holds the full
+          product's terms shifted: a held numerator is the full product,
+          a formed row has them below C_i + q^i k >= R_k, and a digit
+          that _ladder_pair drops lands at or above R_k.  These are the
+          term pairs of the capped rows below R_k, and field sums are exact
+          and order-free, so each level's terms are those of the rows
+          summed one by one and cut at R_k.
         """
-        cfg = self.cfg
         if z.is_apparent_zero():
             return [z.shift(k) for k in shifts]
+        return [dot(self.cfg, pairs, r)
+                for pairs, r in self._level_pairs(kind, z, shifts, precs,
+                                                  numerators)]
+
+    def _level_pairs(self, kind, z, shifts, precs=None, numerators=()):
+        """[(pairs, R)] per level of _exp_levels, for a nonzero z: the
+        pairs whose sum below R is that level (see _exp_levels).  A row is
+        formed only when two or more levels keep it and the caller holds
+        no numerator for it; the additive step adds its b to these pairs."""
+        cfg = self.cfg
         if precs is None:
             precs = self._precs(kind, z.valuation(), z.prec, shifts)
         plans, caps = self._ladder_plan(kind, z, shifts, precs)
         qs = cfg.q_powers(max(caps, default=0))
-        rows = {i: self._ladder_row(kind, z, i, max(cs), numerators)
-                for i, cs in caps.items()}
-        return [dot(cfg, [(rows[i], cfg.monomial(qs[i] * k))
-                          for i in plan], r) for k, r, plan in plans]
+        held = len(numerators)
+        rows = {i: numerators[i] if i < held
+                else self._ladder_row(kind, z, i, max(cs))
+                for i, cs in caps.items() if i < held or len(cs) > 1}
+        levels = []
+        for k, r, plan in plans:
+            pairs = []
+            for i in plan:
+                s = qs[i] * k
+                row = rows.get(i)
+                if row is not None:
+                    pairs.append((row, cfg.monomial(s)))
+                    continue
+                c, w = self._ladder_pair(kind, z, i, r - s)
+                pairs.append((c, w.shift(s)))
+            levels.append((pairs, r))
+        return levels
 
     def log_certificate(self, z):
         """True when the logarithm series is certified at z: computed term
@@ -515,15 +569,16 @@ class DrinfeldModule:
         if z.is_apparent_zero():
             return True
         cfg = self.cfg
-        e, q = cfg.e, cfg.q
+        e = cfg.e
         end = cfg.exp_depth + _TAIL_SCAN
         vz = z.valuation()
         bounds = self._coeff_vbounds("log", end)
+        qs = cfg.q_powers(end)
         prev, at = vz, 0
         for i in range(1, end + 1):
             if bounds[i] == INF:
                 continue
-            cur = bounds[i] + q ** i * vz
+            cur = bounds[i] + qs[i] * vz
             if cur < prev + (i - at) * e:
                 return False
             prev, at = cur, i
@@ -572,11 +627,14 @@ class DrinfeldModule:
         distance d = v(x - r) to at least min(v(kappa) + q d, v(u) + q^2 d)
         + e; a step that does not raise d is NoConvergence.  Each step is
         computed only below min(prec, nxt), nxt the distance it proves: its
-        sum is the one-level ladder on the step table (0, kappa, u) with
-        floor min(prec, nxt) - e.  It is rebuilt as exact, so the result is
-        r below prec once the proven d reaches prec; b must be known to
-        prec - e, and an inexact kappa or u to prec - e on the q- resp.
-        q^2-th power of x.
+        sum is the one-level ladder on the step table, kept negated as
+        (0, -kappa, -u), with floor min(prec, nxt) - e, and b joins the
+        ladder's pairs as (b, 1), so the step is one dot and the shift by
+        e.  That dot's precision is min(prec(b), R), that of b minus the
+        ladder's level, and its terms below it are that difference's.  It
+        is rebuilt as exact, so the result is r below prec once the proven
+        d reaches prec; b must be known to prec - e, and an inexact kappa
+        or u to prec - e on the q- resp. q^2-th power of x.
 
         The cut keeps every digit a step reads.  By induction x agrees
         with r below d, its digits from d on wrong or missing alike, and
@@ -586,6 +644,7 @@ class DrinfeldModule:
         """
         cfg = self.cfg
         q, e = cfg.q, cfg.e
+        bpair = (b, cfg.one())
         while d < prec:
             nxt = min(self._vk + q * d, self._vu + q * q * d) + e
             if nxt <= d:
@@ -594,7 +653,8 @@ class DrinfeldModule:
                     "the root" % d)
             r = self._precs("step", x.valuation(), INF, [0],
                             [min(prec, nxt) - e])
-            x = (b - self._exp_levels("step", x, [0], r)[0]).shift(e)
+            (pairs, r), = self._level_pairs("step", x, [0], r)
+            x = dot(cfg, [bpair] + pairs, r).shift(e)
             x, d = CInfApprox._raw(cfg, x.terms, INF), nxt
         return x.truncate(prec)
 

@@ -14,13 +14,13 @@ it can refute a relation only down to working precision, never prove
 transcendence.
 
 A log point is built with the numerators alpha_i lambda^(q^i) that its
-check exp(lambda) = alpha formed; its g-vector's generating function and
-F(lambda) cut them instead of forming them again.  The point keeps that
-generating function, one per module, and its g-vector, one per motive:
-the lone g-vector of a check and the row of the point in every block
-system are one object, which forms the series pair, the pair at theta
-and the row g Psi once.  Each memo is published by rebinding, so threads
-may share a point.
+check exp(lambda) = alpha formed, or that a tower of this very lambda
+already holds; its g-vector's generating function and F(lambda) read them
+instead of forming them again.  The point keeps that generating function,
+one per module, and its g-vector, one per motive: the lone g-vector of a
+check and the row of the point in every block system are one object, which
+forms the series pair, the pair at theta and the row g Psi once.  Each
+memo is published by rebinding, so threads may share a point.
 """
 
 from .agf import AndersonGF
@@ -61,13 +61,15 @@ class LogPoint:
         return gv
 
 
-def make_log_point(module, lam=None, alpha=None):
+def make_log_point(module, lam=None, alpha=None, numerators=None):
     """Build a verified LogPoint from exactly one of lam, alpha.
 
     Lifting from alpha uses the certified logarithm disc and may raise
     DivergentEvaluation; either way the defining identity is re-checked.
     exp(lambda) reads lambda's numerators, which the point keeps for the
-    generating function of its g-vector.
+    generating function of its g-vector.  numerators, with lam only, are
+    lam's as a tower of this very lam holds them (Tower.numerators, as
+    AndersonGF takes them): they are read instead of formed again.
     """
     cfg = module.cfg
     if (lam is None) == (alpha is None):
@@ -75,9 +77,11 @@ def make_log_point(module, lam=None, alpha=None):
     if lam is not None:
         provenance = "given-lambda"
     else:
+        if numerators is not None:
+            raise ConfigError("numerators are given with lambda only")
         lam = module.log_eval(alpha)
         provenance = "lifted-from-alpha"
-    value, numerators = module._exp_with_numerators(lam)
+    value, numerators = module._exp_with_numerators(lam, numerators)
     if alpha is None:
         alpha = value
     resid = value - alpha

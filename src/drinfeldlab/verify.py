@@ -255,7 +255,10 @@ def check_log_layer(ctx, ns=(1, 2)):
     # relation certificates
     lat = ctx.lattice
     one, zero = cfg.one(), cfg.zero(INF)
-    Pom = make_log_point(ctx.module, lam=lat.omega1)
+    # omega1's tower holds the numerators its residual check formed
+    tower = lat.tower_of(lat.omega1)
+    Pom = make_log_point(ctx.module, lam=lat.omega1,
+                         numerators=tower.numerators if tower else None)
     taut = relation_certificate(mot, [Pom],
                                 {"l11": one, "l21": zero, "l": [one]})
     out.append(_report("relation-tautology[%s]" % ctx.label, {"q": cfg.q},

@@ -6,6 +6,11 @@ rho_t(x) = b with these functions; it now reads the same precision and rows
 off the lower envelopes of each coefficient table's lines
 (DrinfeldModule._precs and _ladder_plan).  Here every row is compared, one
 at a time, on every call.
+
+Two more oracles keep earlier forms of the library: log_certificate, the
+certificate scan with a fresh q ** i per index, and ladder_levels, the
+ladder that formed every kept row by its own capped dot and then summed
+the rows of each level in one more dot.
 """
 
 from drinfeldlab.cinf import INF, dot
@@ -58,3 +63,65 @@ def qlinear_sum(cfg, coeffs, z, prec):
     return dot(cfg, [(coeffs[i], z.truncate(digits).frobenius(i))
                      for i, digits in qlinear_rows(cfg, table, vz, prec)],
                prec)
+
+
+def log_certificate(module, z):
+    """DrinfeldModule.log_certificate as a scan with a fresh q ** i per
+    index: computed log term valuations rise by at least e per step over
+    the exp_depth + 64 bounds, a bound of inf (a coefficient exactly zero)
+    skipped and the next finite one compared with the last, e per index
+    step between them."""
+    if z.is_apparent_zero():
+        return True
+    cfg = module.cfg
+    e, q = cfg.e, cfg.q
+    end = cfg.exp_depth + 64
+    vz = z.valuation()
+    bounds = module._coeff_vbounds("log", end)
+    prev, at = vz, 0
+    for i in range(1, end + 1):
+        if bounds[i] == INF:
+            continue
+        cur = bounds[i] + q ** i * vz
+        if cur < prev + (i - at) * e:
+            return False
+        prev, at = cur, i
+    return True
+
+
+def ladder_levels(module, kind, z, shifts, precs, numerators=()):
+    """[sum_i c_i z.shift(k)^{q^i} for k in shifts] cut at the R of precs,
+    c_i kind's table through exp_depth (exp's alpha_i, log's beta_i, or
+    the additive step's (0, -kappa, -u)), by rows then sums: row i is kept
+    at level k when v(c_i) + q^i (v(z) + k) < R, formed once by its own
+    dot capped at C_i = max(R - q^i k) over the levels that keep it
+    (numerators[i] cut at C_i when the caller holds it), and each level is
+    one more dot over the pairs (row, theta^{-q^i k}) capped at R.  A z
+    without terms gives z.shift(k)."""
+    if z.is_apparent_zero():
+        return [z.shift(k) for k in shifts]
+    cfg = module.cfg
+    if kind == "step":
+        coeffs = [cfg.zero(INF), -module.kappa, -module.u]
+    else:
+        coeffs = (module.exp_coeffs if kind == "exp"
+                  else module.log_coeffs)(cfg.exp_depth)
+    qs = cfg.q_powers(len(coeffs))
+    vz = z.valuation()
+    caps = {}
+    for k, r in zip(shifts, precs):
+        for i, c in enumerate(coeffs):
+            if c.terms and c.vbound() + qs[i] * (vz + k) < r:
+                caps[i] = max(caps.get(i, r - qs[i] * k), r - qs[i] * k)
+    rows = {}
+    for i, cap in caps.items():
+        if i < len(numerators):
+            rows[i] = numerators[i].truncate(cap)
+        else:
+            digits = INF if cap == INF else -((coeffs[i].vbound() - cap)
+                                              // qs[i])
+            rows[i] = dot(cfg, [(coeffs[i], z.truncate(digits).frobenius(i))],
+                          cap)
+    return [dot(cfg, [(rows[i], cfg.monomial(qs[i] * k)) for i in sorted(rows)
+                      if coeffs[i].vbound() + qs[i] * (vz + k) < r], r)
+            for k, r in zip(shifts, precs)]

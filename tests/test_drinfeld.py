@@ -1487,13 +1487,14 @@ def test_exp_levels_share_products(ctx3):
 
 
 def test_qlinear_sum_exact_argument_uncapped(ctx3):
-    # the additive step's sum kappa z^q + u z^(q^2) through the planner:
-    # exact coefficients, exact z and no cap, so nothing is cut
+    # the additive step's sum -(kappa z^q + u z^(q^2)) through the planner,
+    # on the table (0, -kappa, -u): exact coefficients, exact z and no
+    # cap, so nothing is cut
     rho = _fresh(ctx3)
     z = ctx3.cfg.theta(-1)
     r = rho._precs("step", z.valuation(), INF, [0], [INF])
     got = rho._exp_levels("step", z, [0], r)[0]
-    want = rho.skew()(z) - ctx3.cfg.theta() * z
+    want = ctx3.cfg.theta() * z - rho.skew()(z)
     assert got.terms == want.terms and got.prec == want.prec == INF
 
 
@@ -1547,8 +1548,8 @@ def test_log_eval_matches_row_scan(name, data):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_STEP_MODULES)), data=st.data())
 def test_step_matches_row_scan(name, data):
-    # the additive step's sum kappa z^q + u z^(q^2), a one-level ladder on
-    # the table (0, kappa, u) whose floor is its caller's cap, equals the
+    # the additive step's sum -(kappa z^q + u z^(q^2)), a one-level ladder
+    # on the table (0, -kappa, -u) whose floor is its caller's cap, equals the
     # row scan in terms and precision: caps below, at and above the
     # precision R the rows alone allow, and no cap.  kappa and u are exact
     # (q3, cm_q3) or known to finite precision (q3,kappa.prec=300, and
@@ -1557,7 +1558,7 @@ def test_step_matches_row_scan(name, data):
     cfg = rho.cfg
     z = data.draw(_ladder_argument(cfg))
     assume(z.terms)
-    table = [cfg.zero(INF), rho.kappa, rho.u]
+    table = [cfg.zero(INF), -rho.kappa, -rho.u]
     vz = z.valuation()
     own = rho._precs("step", vz, z.prec, [0], [INF])[0]
     # R for an exact z and exact kappa, u is INF: cut around the lowest
@@ -1570,6 +1571,73 @@ def test_step_matches_row_scan(name, data):
         got = rho._exp_levels("step", z, [0], r)[0]
         want = qlinear_oracle.qlinear_sum(cfg, table, z, cap)
         assert _pairs([got]) == _pairs([want]), cap
+
+
+_LEVEL_MODULES = dict(_LOG_MODULES, cm_q3_inexact=_cm_inexact_module)
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_LEVEL_MODULES)), data=st.data())
+def test_exp_levels_match_rows_then_sums(name, data):
+    # every ladder, exp's, log's and the additive step's, with one level or
+    # 2 to 16, with and without held numerators (exp), equals the ladder
+    # that formed each kept row by its own capped dot and summed each level
+    # in one more dot, in terms and precision; z exact, inexact and zero to
+    # precision.  Precisions are the planner's, or given lower; the step's
+    # are its caps'
+    rho = _ladder_module(name, _LEVEL_MODULES)
+    cfg = rho.cfg
+    kind, held = data.draw(st.sampled_from(
+        [("exp", False), ("exp", True), ("log", False), ("step", False)]))
+    z = data.draw(_ladder_argument(cfg))
+    count = data.draw(st.integers(1, 16))
+    shifts = [0] if count == 1 and data.draw(st.booleans()) else \
+        data.draw(st.lists(st.integers(0, 6 * cfg.e), min_size=count,
+                           max_size=count))
+    if not z.terms:
+        want = qlinear_oracle.ladder_levels(rho, kind, z, shifts, None)
+        assert _pairs(rho._exp_levels(kind, z, shifts)) == _pairs(want)
+        return
+    numerators = ()
+    if held:
+        count = data.draw(st.integers(1, cfg.pole_count or cfg.exp_depth))
+        numerators = rho._numerators(z, count)
+    given = None
+    if kind == "step":
+        # caps around the lowest line, q (v(z) + k) + v(kappa) for kappa = 1
+        given = [data.draw(st.one_of(st.just(INF), st.integers(
+            cfg.q * (z.valuation() + k) - 3 * cfg.e,
+            cfg.q * (z.valuation() + k) + 6 * cfg.e))) for k in shifts]
+    try:
+        precs = rho._precs(kind, z.valuation(), z.prec, shifts, given)
+    except DivergentEvaluation:
+        assert kind == "log"
+        with pytest.raises(DivergentEvaluation):
+            rho._exp_levels(kind, z, shifts, None, numerators)
+        return
+    if kind != "step" and data.draw(st.booleans()):
+        got = rho._exp_levels(kind, z, shifts, None, numerators)
+    else:
+        precs = [r if r == INF else r - data.draw(
+            st.integers(0, cfg.rel_prec)) for r in precs]
+        got = rho._exp_levels(kind, z, shifts, precs, numerators)
+    want = qlinear_oracle.ladder_levels(rho, kind, z, shifts, precs,
+                                        numerators)
+    assert _pairs(got) == _pairs(want)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_LOG_MODULES)), data=st.data())
+def test_log_certificate_matches_scan(name, data):
+    # the certificate over the kept power table equals the scan with a
+    # fresh q ** i per index, inside and outside the disc; cm_q3 (kappa =
+    # 0) has every odd log bound infinite
+    rho = _ladder_module(name, _LOG_MODULES)
+    cfg = rho.cfg
+    z = data.draw(st.one_of(_ladder_argument(cfg), st.builds(
+        cfg.monomial, st.integers(-12 * cfg.e, 12 * cfg.e),
+        st.integers(1, cfg.field.size - 1))))
+    assert rho.log_certificate(z) == qlinear_oracle.log_certificate(rho, z)
 
 
 def test_step_needs_its_cap(ctx3):

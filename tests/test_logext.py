@@ -37,6 +37,40 @@ def test_log_point_from_lambda(ctx3):
     assert P.alpha.terms == ctx3.module.exp_eval(lam).terms
 
 
+def test_log_point_reads_a_towers_numerators(monkeypatch):
+    # check_log_layer's relation tautology builds its point on omega1 from
+    # the numerators omega1's tower holds: no numerator of omega1 is formed
+    # again, and the point equals the one that forms them
+    from drinfeldlab.samples import context_q3
+    from drinfeldlab.verify import check_log_layer
+    ctx = context_q3()
+    lat = ctx.lattice
+    tower = lat.tower_of(lat.omega1)
+    formed = []
+    numerators = DrinfeldModule._numerators
+
+    def spy(self, z, count=None):
+        formed.append(z)
+        return numerators(self, z, count)
+
+    monkeypatch.setattr(DrinfeldModule, "_numerators", spy)
+    check_log_layer(ctx)
+    assert formed and not any(z is lat.omega1 for z in formed)
+    del formed[:]
+    P = make_log_point(ctx.module, lam=lat.omega1,
+                       numerators=tower.numerators)
+    assert formed == [] and P.numerators is tower.numerators
+    monkeypatch.undo()
+    want = make_log_point(ctx.module, lam=lat.omega1)
+    assert (P.alpha.terms, P.alpha.prec) == (want.alpha.terms,
+                                             want.alpha.prec)
+    assert [(x.terms, x.prec) for x in P.numerators] == \
+        [(x.terms, x.prec) for x in want.numerators]
+    with pytest.raises(ConfigError):
+        make_log_point(ctx.module, alpha=ctx.cfg.theta(-1),
+                       numerators=tower.numerators)
+
+
 def test_log_point_period_maps_to_zero(ctx3):
     P = make_log_point(ctx3.module, lam=ctx3.lattice.omega1)
     assert P.alpha.is_zero_to(ctx3.cfg.pass_threshold())
@@ -228,20 +262,20 @@ def test_psi_and_g_vector_form_no_products(monkeypatch):
     lat = rho.periods()
     point = make_log_point(rho, alpha=cfg.theta(-2))
     formed = []
-    row = DrinfeldModule._ladder_row
+    pair = DrinfeldModule._ladder_pair
 
     def numerators(self, z, count=None):
         raise AssertionError("formed the numerators again")
 
-    # every row a ladder reads passes through _ladder_row; the products
+    # every row a ladder forms is cut through _ladder_pair; the products
     # alpha_i u^(q^i) are the exp table's rows
-    def row_spy(self, kind, z, i, cap, numerators=()):
-        if kind == "exp" and i >= len(numerators):
+    def pair_spy(self, kind, z, i, cap):
+        if kind == "exp":
             formed.append(i)
-        return row(self, kind, z, i, cap, numerators)
+        return pair(self, kind, z, i, cap)
 
     monkeypatch.setattr(DrinfeldModule, "_numerators", numerators)
-    monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
+    monkeypatch.setattr(DrinfeldModule, "_ladder_pair", pair_spy)
     mot = MotiveMatrices(rho, lat, T=16)
     gv = GVector(mot, point)
     r1, r2 = gv.specialization_residuals()
@@ -286,17 +320,27 @@ def test_numerators_twist_only_the_digits_they_keep(monkeypatch):
     assert (rho.exp_eval(point.lam) - point.alpha).is_zero_to(thr)
 
 
-def test_every_ladder_row_read_through_ladder_row(monkeypatch):
+def test_every_ladder_row_read_once(monkeypatch):
     # one deep-q3 op at N = 1920, and exp(lambda), whose one level keeps
-    # rows that no caller holds: inside every ladder (_exp_levels, and the
-    # quasi-period sum that plans at level 0), the _ladder_row calls are
-    # the rows that _ladder_plan keeps, each once, capped at its largest
-    # cut.  The count is of exp ladders; the log and additive-step ladders
-    # of the torsion and the towers keep the same rule
+    # rows that no caller holds: inside every ladder (_level_pairs, which
+    # every _exp_levels level and every additive step reads, and the
+    # quasi-period sum that plans at level 0), each row that _ladder_plan
+    # keeps is read exactly once, either through _ladder_pair, capped at
+    # its largest cut, or as a numerator the caller holds.  The count is
+    # of exp ladders; the log and additive-step ladders of the torsion and
+    # the towers keep the same rule
     cfg = FieldConfig(3, 1, 4, e=72, prec=1920)
     rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
     frames, ladders = [], []
-    plan, row = DrinfeldModule._ladder_plan, DrinfeldModule._ladder_row
+    plan, pair = DrinfeldModule._ladder_plan, DrinfeldModule._ladder_pair
+    numerators = DrinfeldModule._numerators
+
+    class Held(list):
+        # a numerator list that records its reads inside a ladder
+        def __getitem__(self, i):
+            if frames:
+                frames[-1][2].append((i, None))
+            return list.__getitem__(self, i)
 
     def ladder(method, kind=None):
         def spy(self, *args, **kwargs):
@@ -309,20 +353,22 @@ def test_every_ladder_row_read_through_ladder_row(monkeypatch):
 
     def plan_spy(self, kind, z, shifts, precs):
         plans, caps = plan(self, kind, z, shifts, precs)
-        frames[-1][1].append(sorted((i, max(cs)) for i, cs in caps.items()))
+        frames[-1][1].append({i: max(cs) for i, cs in caps.items()})
         return plans, caps
 
-    def row_spy(self, kind, z, i, cap, numerators=()):
+    def pair_spy(self, kind, z, i, cap):
         if frames:
             frames[-1][2].append((i, cap))
-        return row(self, kind, z, i, cap, numerators)
+        return pair(self, kind, z, i, cap)
 
-    monkeypatch.setattr(DrinfeldModule, "_exp_levels",
-                        ladder(DrinfeldModule._exp_levels))
+    monkeypatch.setattr(DrinfeldModule, "_level_pairs",
+                        ladder(DrinfeldModule._level_pairs))
     monkeypatch.setattr(DrinfeldModule, "_quasi_period_sum",
                         ladder(DrinfeldModule._quasi_period_sum, "exp"))
     monkeypatch.setattr(DrinfeldModule, "_ladder_plan", plan_spy)
-    monkeypatch.setattr(DrinfeldModule, "_ladder_row", row_spy)
+    monkeypatch.setattr(DrinfeldModule, "_ladder_pair", pair_spy)
+    monkeypatch.setattr(DrinfeldModule, "_numerators",
+                        lambda self, *a: Held(numerators(self, *a)))
     lat = rho.periods()
     mot = MotiveMatrices(rho, lat, T=16)
     mot.difference_residual()
@@ -337,9 +383,56 @@ def test_every_ladder_row_read_through_ladder_row(monkeypatch):
     assert sum(1 for kind, plans, _ in ladders
                if kind == "exp" and plans) >= 9
     assert {kind for kind, _, _ in ladders} == {"exp", "log", "step"}
-    for _, plans, rows in ladders:
+    held = pairs = 0
+    for _, plans, reads in ladders:
         # a ladder over zero plans nothing and reads no row
-        assert plans == ([sorted(rows)] if plans or rows else [])
+        assert len(plans) == (1 if plans or reads else 0)
+        caps = plans[0] if plans else {}
+        assert sorted(i for i, _ in reads) == sorted(caps)
+        for i, cap in reads:
+            assert cap in (None, caps[i])
+        held += sum(1 for _, cap in reads if cap is None)
+        pairs += sum(1 for _, cap in reads if cap is not None)
+    # both ways occur: the towers' and the point's numerators are read in
+    # place, and the other rows are cut through _ladder_pair
+    assert held and pairs
+
+
+def test_one_level_ladders_take_one_dot(ctx3, monkeypatch):
+    # exp_eval, log_eval and one step of the additive solver are each one
+    # dot over the rows they keep (and, for the step, b): no row is formed
+    # by a dot of its own
+    from drinfeldlab import drinfeld
+    rho = ctx3.module
+    cfg = ctx3.cfg
+    z = cfg.theta(-1) + cfg.theta(-3)
+    rho.exp_eval(z), rho.log_eval(z)  # the tables, built once
+    calls = []
+    dot = drinfeld.dot
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(drinfeld, "dot", spy)
+    want = rho.exp_eval(z.shift(1))
+    assert len(calls) == 1 and calls[0] > 1
+    del calls[:]
+    rho.log_eval(z.shift(1))
+    assert len(calls) == 1 and calls[0] > 1
+    del calls[:]
+    # one step from x0 = b/theta: d0 is the distance it proves, and prec
+    # stops the loop after it
+    b = want
+    x0 = CInfApprox(cfg, b.shift(cfg.e).terms, INF)
+    v0 = x0.valuation()
+    d0 = min(rho._vk + cfg.q * v0, rho._vu + cfg.q ** 2 * v0) + cfg.e
+    step = rho._contract(b, x0, d0, d0 + 1)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    r = step.prec
+    want = (b - rho.kappa * x0.frobenius(1) - rho.u * x0.frobenius(2))
+    assert step.terms == want.shift(cfg.e).truncate(r).terms
 
 
 def test_g_vector_zero_point(ctx3, mot):
