@@ -60,6 +60,15 @@ are short after the cut at P, and CPython multiplies big ints by
 Karatsuba).  No product of the verify suite or the CLI commands at N = 240
 reaches the cutoff, so a cold start does not import packed.py.
 
+Every certified bound on a sum of such values is a minimum of integer
+lines c + s v, s > 0, in a valuation v, and two helpers here are the only
+code that reasons about such minima: _lower_envelope, the lines that reach
+the minimum and where each takes over, read by one bisection per value (the
+planner's precisions and tail floors in drinfeld.py, and the Newton polygon
+in roots.py through the dual lines of its points), and _least_v, the least
+integer v from which the minimum reaches a target (a tail floor's
+stabilization and the logarithm's certificate).
+
 Values are immutable, so each caches its valuation bound on first use;
 configurations over the same (p, s, m, modulus) share one FiniteField,
 whose tables are immutable and deterministic.
@@ -750,3 +759,43 @@ def dot(cfg, pairs, cap=INF):
                         out[e] = k - order if k >= order else k
     return CInfApprox._raw(cfg, {e: exp[k] for e, k in out.items()}, prec)
 
+
+# -- minima of integer lines -------------------------------------------------
+
+
+def _lower_envelope(lines):
+    """The lower envelope of the lines x -> c + s x, given as (s, c) with
+    c finite and distinct slopes s, steepest first, as (lines, cuts):
+    lines holds the (s, c) that are the strict minimum on an interval of
+    positive length, steepest first, and line t is a lowest one for every
+    integer x with cuts[t - 1] < x <= cuts[t].  Line a lies at or below
+    the shallower line b exactly for x <= (c_b - c_a) / (s_a - s_b), so
+    the cuts are those quotients rounded down; a line is dropped when its
+    neighbours meet at or before the point where it would leave the
+    minimum, so a line that touches the minimum at one point only is
+    dropped too.  Read as points (s, c), the kept lines are the vertices
+    of the points' lower convex hull, by decreasing s: a vertex is the
+    only lowest point under every supporting line of slope -x in an open
+    interval, and a point inside an edge is lowest at one x alone."""
+    hull = []
+    for s, c in lines:
+        while len(hull) >= 2:
+            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            if (c - c1) * (s1 - s2) > (c2 - c1) * (s1 - s):
+                break
+            hull.pop()
+        hull.append((s, c))
+    cuts = [(c2 - c1) // (s1 - s2)
+            for (s1, c1), (s2, c2) in zip(hull, hull[1:])]
+    return hull, cuts
+
+
+def _least_v(lines, target):
+    """The least integer v with c + s v >= target for every line (s, c),
+    s > 0 and target finite; a line with c = INF holds everywhere, and
+    with no other line the answer is -INF.  Each line rises with v, so it
+    holds exactly from the integer ceil((target - c) / s) on, and all of
+    them from the largest of those: a test that every line reaches the
+    target at an integer v is the one comparison v >= _least_v."""
+    return max((-((c - target) // s) for s, c in lines if c != INF),
+               default=-INF)

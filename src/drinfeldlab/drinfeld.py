@@ -15,32 +15,37 @@ difference equation.
 Evaluation is always certified: exponential tails are bounded through the
 integer valuation recursion on the coefficient tables, and the logarithm
 refuses arguments outside a disc where its term valuations grow by at least
-one theta-unit per step (safety factor q).  Precision comes first, then
-digits: the certified precision R of a q-linear sum sum_i c_i z^{q^i}
-follows from valuations and precisions alone, so it is fixed before any
-product is formed, terms that land at or above it are skipped, and the rest
-are computed only below it.  One planner serves every such sum, keyed by
-its coefficient table (_coeffs): exp's alpha_i, log's beta_i and the
-additive step's (0, -kappa, -u).  R is read off two lower envelopes of the
-table's lines per module and kind (_lines, _precs) and the floor of the
-dropped terms: the step's cap, or exp's and log's tail floor, read off one
-envelope of the tail bound's lines per module, kind and start.  The rows
-that reach below R come from the table's rows with terms (_ladder_plan),
-and an argument is cut for a row in one place (_ladder_pair).  Each level
-of a ladder is one dot (_exp_levels): a row only one level keeps enters it
-as its pair, coefficient and cut argument; a row two or more levels keep
-is formed once (_ladder_row); a numerator the caller holds is read in
-place.  So exp_eval, log_eval and each contraction step, one-level
-ladders, are one dot each.  Values exp(z/theta^k) at several k, the levels
-of a quasi-periodic function and the coefficients of an Anderson
-generating function, share one ladder: (z/theta^k)^{q^i} = z^{q^i}
-theta^{-q^i k}, so each product alpha_i z^{q^i} is formed at most once and
-every level reads it shifted.  A quasi-periodic function with exact
-coefficients plans its sum at level 0 alone, since every level's precision
-rises by at least one theta-unit per level, then sums the twisted products
-against exact sparse multipliers that stand for all its levels in one dot,
-keeping only the digits the sum needs.  A period's tower is built with
-the full products alpha_i omega^{q^i} that its residual check
+one theta-unit per step (safety factor q).  Each such test is linear in
+the argument's valuation with positive slopes, so it is one threshold per
+module (cinf._least_v), found once: the disc's (_log_threshold) and each
+tail floor's, kept with its envelope (_tail_envelope).
+
+Precision comes first, then digits: the certified precision R of a q-linear
+sum sum_i c_i z^{q^i} follows from valuations and precisions alone, so it
+is fixed before any product is formed, terms that land at or above it are
+skipped, and the rest are computed only below it.  One planner serves every
+such sum, keyed by its coefficient table (_coeffs): exp's alpha_i, log's
+beta_i and the additive step's (0, -kappa, -u).  R is read off two lower
+envelopes of the table's lines per module and kind (_lines, _precs) and the
+floor of the dropped terms: the step's cap, or exp's and log's tail floor,
+read off one envelope of the tail bound's lines per module, kind and start;
+every envelope is cinf._lower_envelope's, and the tables are read in place.
+The rows that reach below R come from the table's rows with terms
+(_ladder_plan), and an argument is cut for a row in one place
+(_ladder_pair).  Each level of a ladder is one dot (_exp_levels): a row
+only one level keeps enters it as its pair, coefficient and cut argument; a
+row two or more levels keep is formed once (_ladder_row); a numerator the
+caller holds is read in place.  So exp_eval, log_eval and each contraction
+step, one-level ladders, are one dot each.  Values exp(z/theta^k) at
+several k, the levels of a quasi-periodic function and the coefficients of
+an Anderson generating function, share one ladder: (z/theta^k)^{q^i} =
+z^{q^i} theta^{-q^i k}, so each product alpha_i z^{q^i} is formed at most
+once and every level reads it shifted.  A quasi-periodic function with
+exact coefficients plans its sum at level 0 alone, since every level's
+precision rises by at least one theta-unit per level, then sums the twisted
+products against exact sparse multipliers that stand for all its levels in
+one dot, keeping only the digits the sum needs.  A period's tower is built
+with the full products alpha_i omega^{q^i} that its residual check
 exp(omega) ~ 0 read, the numerators of omega's generating function, which
 the quasi-period and the generating function of that period read; each is
 that cut at its own precision, formed from the digits of omega below it.
@@ -61,7 +66,8 @@ A tower's numerators are given to it when it is built and never change.
 
 from bisect import bisect_left
 
-from .cinf import _TAIL_SCAN, INF, CInfApprox, dot
+from .cinf import (_TAIL_SCAN, INF, CInfApprox, _least_v, _lower_envelope,
+                   dot)
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, ResidueFieldTooSmall, VerificationFailed)
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
@@ -74,28 +80,6 @@ def _digits(vc, qi, prec):
     """The exponent of z from which no term of c * z^{q^i}, v(c) = vc,
     lands below prec: the digits of z that term needs."""
     return INF if prec == INF else -((vc - prec) // qi)
-
-
-def _lower_envelope(lines):
-    """The lower envelope of the lines x -> c + s x, given as (s, c) with
-    c finite and distinct slopes s, steepest first, as (lines, cuts):
-    lines holds the (s, c) that reach the minimum somewhere, steepest
-    first, and line t is a lowest one for every integer x with
-    cuts[t - 1] < x <= cuts[t].  Line a lies at or below the shallower
-    line b exactly for x <= (c_b - c_a) / (s_a - s_b), so the cuts are
-    those quotients rounded down; a line is dropped when its neighbours
-    meet at or before the point where it would leave the minimum."""
-    hull = []
-    for s, c in lines:
-        while len(hull) >= 2:
-            (s1, c1), (s2, c2) = hull[-2], hull[-1]
-            if (c - c1) * (s1 - s2) > (c2 - c1) * (s1 - s):
-                break
-            hull.pop()
-        hull.append((s, c))
-    cuts = [(c2 - c1) // (s1 - s2)
-            for (s1, c1), (s2, c2) in zip(hull, hull[1:])]
-    return hull, cuts
 
 
 class Biderivation:
@@ -188,13 +172,13 @@ class DrinfeldModule:
         self.u = u
         self._vk = INF if kappa.is_apparent_zero() else kappa.valuation()
         self._vu = INF if u.is_apparent_zero() else u.valuation()
-        self._exp = [cfg.one()]
-        self._log = [cfg.one()]
+        self._tables = {"exp": [cfg.one()], "log": [cfg.one()]}
         self._vbounds = {"exp": [0], "log": [0]}
         # the additive step's table, negated: delta_t = theta - rho_t
         self._step = [cfg.zero(INF), -kappa, -u]
         self._envelopes = {}  # (kind, start) -> _tail_envelope
         self._line_sets = {}  # kind -> _lines
+        self._log_from = None  # _log_threshold
         self._torsion = {}  # partial -> (points, failures)
         self._lattice = None
 
@@ -220,37 +204,21 @@ class DrinfeldModule:
     def exp_coeffs(self, depth):
         """alpha_0..alpha_depth with
         alpha_i = (kappa alpha_{i-1}^q + u alpha_{i-2}^{q^2})/(theta^{q^i}-theta)."""
-        cfg = self.cfg
-        table = self._exp
-        if len(table) <= depth:
-            table = list(table)
-            while len(table) <= depth:
-                i = len(table)
-                pairs = [(self.kappa, table[i - 1].frobenius(1))]
-                if i >= 2:
-                    pairs.append((self.u, table[i - 2].frobenius(2)))
-                table.append(dot(cfg, pairs) * cfg.pole_inverse(i))
-            self._exp = table
-        return table[:depth + 1]
+        return self._coeffs("exp", depth)[:depth + 1]
 
     def log_coeffs(self, depth):
         """beta_0..beta_depth, the compositional inverse table:
         beta_i = (beta_{i-1} kappa^{q^{i-1}} + beta_{i-2} u^{q^{i-2}})/(theta-theta^{q^i})."""
-        cfg = self.cfg
-        table = self._log
-        if len(table) <= depth:
-            table = list(table)
-            while len(table) <= depth:
-                i = len(table)
-                pairs = [(table[i - 1], self.kappa.frobenius(i - 1))]
-                if i >= 2:
-                    pairs.append((table[i - 2], self.u.frobenius(i - 2)))
-                table.append(-(dot(cfg, pairs) * cfg.pole_inverse(i)))
-            self._log = table
-        return table[:depth + 1]
+        return self._coeffs("log", depth)[:depth + 1]
 
     def _coeff_vbounds(self, kind, upto):
-        """Integer lower bounds for v(alpha_i) resp. v(beta_i), i <= upto.
+        """Integer lower bounds for v(alpha_i) resp. v(beta_i), i <= upto,
+        as a fresh list: _bounds cut at upto."""
+        return self._bounds(kind, upto)[:upto + 1]
+
+    def _bounds(self, kind, upto):
+        """The bounds of _coeff_vbounds through upto, or a longer prefix of
+        the same table, read in place.
 
         The table is kept per kind and extended like the coefficient
         tables: on a copy that is then published by rebinding."""
@@ -269,61 +237,68 @@ class DrinfeldModule:
                     c2 = out[i - 2] + q ** (i - 2) * vu if i >= 2 else INF
                 out.append(min(c1, c2) + q ** i * e)
             self._vbounds = {**self._vbounds, kind: out}
-        return out[:upto + 1]
+        return out
 
     def _tail_floors(self, kind, vzs, start):
         """[a certified floor for v(coefficient_i * z^{q^i}) over all
-        i > start, for z of valuation vz, for vz in vzs] in one pass.
-
-        b_i := bound_i + q^i vz obeys b_i >= min(vk + q b_{i-1},
-        vu + q^2 b_{i-2}) + q^i e, so once the scanned b's sit above the
-        floor and q^i e alone outweighs the damage a floor-level pair can
-        do, every later term stays above the floor by induction.  Each
-        scanned minimum, over start < i <= start + _TAIL_SCAN, is read off
-        _tail_envelope by one bisection, and each floor keeps its own
-        stabilization check."""
-        lines, cuts = self._tail_envelope(kind, start)
-        cfg = self.cfg
-        q, e = cfg.q, cfg.e
-        end = start + _TAIL_SCAN
-        reach = cfg.q_powers(end)[end] * e
-        vk, vu = self._vk, self._vu
+        i > start, for z of valuation vz, for vz in vzs] in one pass: the
+        scanned minimum over start < i <= start + _TAIL_SCAN, read off
+        _tail_envelope by one bisection per vz, once the least vz is at or
+        above the envelope's lowest; below it DivergentEvaluation."""
+        lines, cuts, lowest = self._tail_envelope(kind, start)
+        if min(vzs, default=INF) < lowest:
+            raise DivergentEvaluation(
+                "tail bound for %s evaluation did not stabilize" % kind)
+        if not lines:
+            return [INF for _ in vzs]
         floors = []
         for vz in vzs:
-            if lines:
-                slope, bound = lines[bisect_left(cuts, vz)]
-                floor = bound + slope * vz
-            else:
-                floor = INF
-            if kind == "exp":
-                ok = min(vk + q * floor, vu + q * q * floor) + reach >= floor
-            else:
-                # increments scale with q^i; nonnegative increment
-                # coefficients keep b_i >= min(b_{i-1}, b_{i-2}) >= floor
-                # forever
-                ok = (vk + (q - 1) * vz + q * e >= 0
-                      and vu + (q * q - 1) * vz + q * q * e >= 0)
-            if not ok:
-                raise DivergentEvaluation(
-                    "tail bound for %s evaluation did not stabilize" % kind)
-            floors.append(floor)
+            slope, bound = lines[bisect_left(cuts, vz)]
+            floors.append(bound + slope * vz)
         return floors
 
     def _tail_envelope(self, kind, start):
-        """The lower envelope (_lower_envelope) of the scanned lines
-        vz -> bound_i + q^i vz, start < i <= start + _TAIL_SCAN; a line
-        with an infinite bound never reaches the minimum.  Built once per
-        module, kind and start, and published by rebinding."""
+        """(lines, cuts, lowest): the lower envelope (_lower_envelope) of
+        the scanned lines vz -> bound_i + q^i vz, start < i <= end =
+        start + _TAIL_SCAN, and lowest, the least vz from which their
+        minimum, the floor, bounds every later term.  A line with an
+        infinite bound never reaches the minimum and is left out.  Built
+        once per module, kind and start, and published by rebinding.
+
+        b_i := bound_i + q^i vz obeys b_i >= min(vk + q b_{i-1},
+        vu + q^2 b_{i-2}) + q^i e.  Every slope below is positive and vz
+        an integer, so each test is one threshold (_least_v):
+        * exp: once the scanned b's sit at or above a floor f and q^end e
+          outweighs the damage a floor-level pair can do,
+          min(vk + (q - 1) f, vu + (q^2 - 1) f) + q^end e >= 0, every later
+          term stays above f by induction.  That holds exactly for f at or
+          above its least integer f*, and the floor, the least scanned
+          line, reaches f* exactly when every scanned line does.
+        * log: b_i >= min(b_{i-1} + q^{i-1} (vk + (q - 1) vz + q e),
+          b_{i-2} + q^{i-2} (vu + (q^2 - 1) vz + q^2 e)), so nonnegative
+          increment coefficients keep b_i >= min(b_{i-1}, b_{i-2}) >=
+          floor forever; lowest is the least vz where both are."""
         key = (kind, start)
         got = self._envelopes.get(key)
         if got is not None:
             return got
+        cfg = self.cfg
+        q, e = cfg.q, cfg.e
         end = start + _TAIL_SCAN
-        bounds = self._coeff_vbounds(kind, end)
-        qi = self.cfg.q_powers(end)
-        got = _lower_envelope([(qi[i], bounds[i])
-                               for i in range(end, start, -1)
-                               if bounds[i] != INF])
+        bounds = self._bounds(kind, end)
+        qi = cfg.q_powers(end)
+        lines = [(qi[i], bounds[i]) for i in range(end, start, -1)
+                 if bounds[i] != INF]
+        vk, vu = self._vk, self._vu
+        if kind == "exp":
+            reach = qi[end] * e
+            floor = _least_v([(q - 1, vk + reach), (q * q - 1, vu + reach)],
+                             0)
+            lowest = _least_v(lines, floor)
+        else:
+            lowest = _least_v([(q - 1, vk + q * e),
+                               (q * q - 1, vu + q * q * e)], 0)
+        got = _lower_envelope(lines) + (lowest,)
         self._envelopes = {**self._envelopes, key: got}
         return got
 
@@ -331,12 +306,33 @@ class DrinfeldModule:
 
     def _coeffs(self, kind, depth):
         """The coefficient table c_0..c_depth of a q-linear sum
-        sum_i c_i z^{q^i}: exp's alpha_i, log's beta_i, or the additive
-        step's (0, -kappa, -u), whose three rows are all it has."""
+        sum_i c_i z^{q^i}, or a longer prefix of the same table, read in
+        place: exp's alpha_i, log's beta_i, or the additive step's
+        (0, -kappa, -u), whose three rows are all it has.
+
+        exp and log extend lazily by their recursions (exp_coeffs,
+        log_coeffs), on a copy that is then published by rebinding."""
         if kind == "step":
             return self._step
-        table = self.exp_coeffs if kind == "exp" else self.log_coeffs
-        return table(depth)
+        table = self._tables[kind]
+        if len(table) <= depth:
+            cfg = self.cfg
+            kappa, u = self.kappa, self.u
+            table = list(table)
+            while len(table) <= depth:
+                i = len(table)
+                if kind == "exp":
+                    pairs = [(kappa, table[i - 1].frobenius(1))]
+                    if i >= 2:
+                        pairs.append((u, table[i - 2].frobenius(2)))
+                    table.append(dot(cfg, pairs) * cfg.pole_inverse(i))
+                else:
+                    pairs = [(table[i - 1], kappa.frobenius(i - 1))]
+                    if i >= 2:
+                        pairs.append((table[i - 2], u.frobenius(i - 2)))
+                    table.append(-(dot(cfg, pairs) * cfg.pole_inverse(i)))
+            self._tables = {**self._tables, kind: table}
+        return table
 
     def _lines(self, kind):
         """(precs, lows, rows) for the rows of kind's table (_coeffs; exp
@@ -348,7 +344,8 @@ class DrinfeldModule:
         by rebinding; the tables' values never change."""
         got = self._line_sets.get(kind)
         if got is None:
-            coeffs = self._coeffs(kind, self.cfg.exp_depth)
+            depth = self.cfg.exp_depth
+            coeffs = self._coeffs(kind, depth)[:depth + 1]
             qs = self.cfg.q_powers(len(coeffs))
             rows = [(i, qs[i], c.prec, c.vbound() if c.terms else INF)
                     for i, c in enumerate(coeffs)]
@@ -393,11 +390,11 @@ class DrinfeldModule:
         return precs
 
     def exp_eval(self, z):
-        """exp(z), certified.  exp is entire, but its tail floor reads a
-        scan of _TAIL_SCAN coefficient bounds, which does not stabilize for
-        an argument far outside the unit disc (theta^40 on q3): there the
-        value is refused with DivergentEvaluation.  The one-level case of
-        _exp_levels."""
+        """exp(z), certified.  exp is entire, but its tail floor is
+        certified only from one valuation per module on (_tail_envelope),
+        and an argument far outside the unit disc lies below it (theta^39
+        on q3): there the value is refused with DivergentEvaluation.  The
+        one-level case of _exp_levels."""
         return self._exp_levels("exp", z, [0])[0]
 
     def _ladder_plan(self, kind, z, shifts, precs):
@@ -446,10 +443,12 @@ class DrinfeldModule:
         if count is None:
             count = self.cfg.pole_count or self.cfg.exp_depth
         qs = self.cfg.q_powers(count)
+        alphas = self._coeffs("exp", count - 1)
         vz, zprec = z.vbound(), z.prec
-        return [self._ladder_row("exp", z, i, min(a.prec + qs[i] * vz,
-                                                  a.vbound() + qs[i] * zprec))
-                for i, a in enumerate(self.exp_coeffs(count - 1))]
+        return [self._ladder_row("exp", z, i,
+                                 min(alphas[i].prec + qs[i] * vz,
+                                     alphas[i].vbound() + qs[i] * zprec))
+                for i in range(count)]
 
     def _exp_with_numerators(self, z, numerators=None):
         """(exp(z), the numerators of z): the residual check of a period or
@@ -560,29 +559,34 @@ class DrinfeldModule:
         return levels
 
     def log_certificate(self, z):
-        """True when the logarithm series is certified at z: computed term
-        valuations rise by at least e per step (safety factor q) and the
-        tail bound recursion continues the climb.  A coefficient that is
-        exactly zero (bound inf, as at every odd index when kappa = 0) has
-        no term; the next finite bound is compared with the last finite
-        one, e per index step between them."""
-        if z.is_apparent_zero():
-            return True
-        cfg = self.cfg
-        e = cfg.e
-        end = cfg.exp_depth + _TAIL_SCAN
-        vz = z.valuation()
-        bounds = self._coeff_vbounds("log", end)
-        qs = cfg.q_powers(end)
-        prev, at = vz, 0
-        for i in range(1, end + 1):
-            if bounds[i] == INF:
-                continue
-            cur = bounds[i] + qs[i] * vz
-            if cur < prev + (i - at) * e:
-                return False
-            prev, at = cur, i
-        return True
+        """True when the logarithm series is certified at z: z is zero, or
+        v(z) reaches the module's threshold (_log_threshold)."""
+        return z.is_apparent_zero() or z.valuation() >= self._log_threshold()
+
+    def _log_threshold(self):
+        """The least v(z) at which computed log term valuations rise by at
+        least e per step (safety factor q) and the tail bound recursion
+        continues the climb, over the bounds b_i through exp_depth +
+        _TAIL_SCAN.  A coefficient that is exactly zero (bound inf, as at
+        every odd index when kappa = 0) has no term; the next finite bound
+        is compared with the last finite one, e per index step between
+        them.  So for consecutive finite bounds b_at, b_i (b_0 = 0) the
+        test is b_i + q^i v >= b_at + q^at v + (i - at) e: the line
+        (q^i - q^at, b_i - b_at - (i - at) e) at or above 0.  Every slope
+        is positive and v(z) an integer, so the tests hold together
+        exactly from _least_v of those lines on.  Found once per module and
+        published by rebinding."""
+        got = self._log_from
+        if got is None:
+            cfg = self.cfg
+            end = cfg.exp_depth + _TAIL_SCAN
+            bounds = self._bounds("log", end)
+            qs = cfg.q_powers(end)
+            finite = [i for i in range(end + 1) if bounds[i] != INF]
+            got = self._log_from = _least_v(
+                [(qs[i] - qs[at], bounds[i] - bounds[at] - (i - at) * cfg.e)
+                 for at, i in zip(finite, finite[1:])], 0)
+        return got
 
     def log_eval(self, z):
         """log(z) inside the certified disc; DivergentEvaluation outside.
@@ -772,7 +776,7 @@ class DrinfeldModule:
         the unique solution of the quasi-period functional equation."""
         cfg = self.cfg
         got = [cfg.zero(INF)]
-        alphas = self.exp_coeffs(depth)
+        alphas = self._coeffs("exp", depth)
         d = delta.delta_t
         while len(got) <= depth:
             i = len(got)
@@ -801,7 +805,7 @@ class DrinfeldModule:
         rho, i = 0, 0
         while True:
             i += 1
-            b, qi = self._coeff_vbounds("exp", i)[i], cfg.q_powers(i)[i]
+            b, qi = self._bounds("exp", i)[i], cfg.q_powers(i)[i]
             if b != INF and b + (qi - 1) * rho < 0:
                 rho = -(b // (qi - 1))
             reach = q * qi * e

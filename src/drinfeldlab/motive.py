@@ -265,16 +265,18 @@ class OmegaData:
 
     def scale_at_theta(self, x, c):
         """c Omega_I(theta) x for a nonzero field constant c (a code), with
-        the terms and precision of dot(cfg, [(value_at(theta).scale(c), x)]),
-        one factor of Omega_I(theta) at a time.
+        the terms and precision of dot(cfg, [(w.scale(c), x)]), w the
+        finite product specialized at theta with the dropped factors folded
+        in as a relative error (cut at its valuation plus tail_error), one
+        factor of Omega_I(theta) at a time.
 
         Omega_I(theta) = prefactor * prod_(i <= I) (1 - theta^(1 - q^i)),
-        and every factor has leading term 1, so value_at(theta) has
-        valuation v_p = v(prefactor) and precision v_p + tail_error.
+        and every factor has leading term 1, so w has valuation
+        v_p = v(prefactor) and precision v_p + tail_error.
         Precision first, by dot's rule: P = min(v_p + tail_error + v(x),
         prec(x) + v_p), INF for the exact zero.  Below P the product's
         terms are those of c Omega_I(theta) x_0, x_0 the polynomial of x's
-        known terms: a term of Omega_I(theta) that value_at drops lies at
+        known terms: a term of Omega_I(theta) that w drops lies at
         or above v_p + tail_error, so its products with x land at or above
         P.  Each factor only raises exponents, so y = x_0 cut below
         P - v_p is multiplied by one factor at a time, y <- y -
@@ -298,17 +300,10 @@ class OmegaData:
         return CInfApprox._raw(
             cfg, {k + vp: exp[l + l0] for k, l in y.items()}, prec)
 
-    def value_at(self, t0):
-        """Specialize the finite product anywhere; the dropped factors are
-        folded in as a relative error."""
-        val = self.product.specialize(t0)
-        if val.is_apparent_zero():
-            return val
-        return val.truncate(min(val.prec, val.valuation() + self.tail_error()))
-
     def pi_tilde(self):
-        """-1/Omega(theta), the Carlitz period for this root choice."""
-        return -self.value_at(self.cfg.theta()).inverse()
+        """-1/Omega(theta), the Carlitz period for this root choice, with
+        Omega(theta) read off scale_at_theta."""
+        return -self.scale_at_theta(self.cfg.one(), 1).inverse()
 
     def difference_residual(self, T=None):
         """Omega - (t - theta^q) Omega^(1), the rank-1 difference residual;
@@ -470,7 +465,7 @@ class MotiveMatrices:
 
         xi/pi_tilde is read as -(xi Omega(theta)), the identity that
         pi_tilde = -1/Omega(theta) itself defines: no inversion, so the
-        scale keeps value_at's precision instead of the rel_prec cap that
+        scale keeps Omega(theta)'s precision instead of the rel_prec cap that
         the two inverses of the quotient form put on it.  Each entry's sign
         is folded into Omega's scalar +-xi, and Omega_I(theta) is
         multiplied in one factor at a time (OmegaData.scale_at_theta), with

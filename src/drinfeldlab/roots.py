@@ -5,10 +5,11 @@ Polygon.  For sum_i a_i x^i the Newton polygon is the lower convex hull of
 the points (i, v(a_i)) in grid units.  A segment of slope s and length L
 holds L roots of valuation -s; they lie on the grid only when s is an
 integer, otherwise GridTooCoarse names the missing divisor.  rho_t has at
-most three points, (1, -e), (q, v(kappa)) and (q^2, v(u)), so the hull
-comes from integer cross products.  A coefficient that is zero only to its
-precision (an inexact kappa = 0) must lie strictly above the hull, else
-IndeterminateValuation.
+most three points, (1, -e), (q, v(kappa)) and (q^2, v(u)), with integer
+coordinates, and the hull is read off the lower envelope of their dual
+lines (cinf._lower_envelope), in integer arithmetic.  A coefficient that is
+zero only to its precision (an inexact kappa = 0) must lie strictly above
+the hull, else IndeterminateValuation.
 
 Residual roots.  The residual polynomial of a segment has the leading
 coefficients of its roots as roots, with their multiplicities.  On a
@@ -71,7 +72,7 @@ here that is not additive.
 
 import math
 
-from .cinf import INF, dot
+from .cinf import INF, _lower_envelope, dot
 from .errors import (GridTooCoarse, IndeterminateValuation, NoConvergence,
                      ResidueFieldTooSmall)
 
@@ -87,7 +88,13 @@ def _slope_text(dy, dx):
 
 def _segments(coeffs):
     """Edges ((i0, v0), (i1, v1)) of the lower hull of a polynomial given
-    as {index: CInfApprox}, in increasing slope."""
+    as {index: CInfApprox}, in increasing slope.
+
+    The hull's vertices are the points (i, v(a_i)) whose dual lines
+    x -> v(a_i) + i x are the strict minimum on an interval: the lines of
+    their lower envelope, fed steepest first, that is by decreasing index,
+    and read back by increasing index.  A point inside an edge (collinear
+    with its ends) is lowest at one x alone and is no vertex."""
     pts, loose = [], []
     for i in sorted(coeffs):
         a = coeffs[i]
@@ -97,14 +104,7 @@ def _segments(coeffs):
             loose.append((i, a.prec))
         else:
             pts.append((i, a.valuation()))
-    hull = []
-    for x, y in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (x - x1) < (y - y1) * (x2 - x1):
-                break
-            hull.pop()
-        hull.append((x, y))
+    hull = _lower_envelope(pts[::-1])[0][::-1]
     edges = list(zip(hull, hull[1:]))
     for i, p in loose:
         for k, ((x1, y1), (x2, y2)) in enumerate(edges):

@@ -4,11 +4,23 @@ Psi (OmegaData.column) is compared against.
 The library once built every entry of Psi this way, from the twisted pair
 (a, b) of a generating function as a truncated t-series; it is kept here
 as an independent reference for the value, precision and tail of the
-product with the truncated Carlitz trivialization Omega_I.
+product with the truncated Carlitz trivialization Omega_I.  omega_value
+keeps the library's old specialization of Omega_I at a point, which
+OmegaData.scale_at_theta replaced.
 """
 
 from drinfeldlab.cinf import INF, CInfApprox, _merge_logs
 from drinfeldlab.tseries import TSeries
+
+
+def omega_value(om, t0):
+    """Omega_I(t0) by expanding the finite product: its specialization at
+    t0, the dropped factors folded in as a relative error, so cut at its
+    valuation plus tail_error()."""
+    val = om.product.specialize(t0)
+    if val.is_apparent_zero():
+        return val
+    return val.truncate(min(val.prec, val.valuation() + om.tail_error()))
 
 
 def omega_times(om, a, c, T):

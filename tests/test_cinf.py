@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -785,3 +786,40 @@ def test_each_config_keeps_its_pole_inverses():
     x, y = a.pole_inverse(1), b.pole_inverse(1)
     assert x.prec < y.prec
     assert {e: c for e, c in y.terms.items() if e < x.prec} == x.terms
+
+
+# -- minima of integer lines ---------------------------------------------------
+
+
+_LINES = st.lists(st.tuples(st.integers(1, 40),
+                            st.one_of(st.just(INF), st.integers(-400, 400))),
+                  max_size=6)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(lines=_LINES, target=st.integers(-400, 400))
+def test_least_v_is_the_least_passing_integer(lines, target):
+    # every line reaches the target from _least_v on and one misses it just
+    # below; with no finite line every v passes
+    v = cinf._least_v(lines, target)
+    holds = lambda x: all(c + s * x >= target for s, c in lines)
+    if all(c == INF for _, c in lines):
+        assert v == -INF
+    else:
+        assert holds(v) and not holds(v - 1)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(lines=_LINES, xs=st.lists(st.integers(-800, 800), max_size=8))
+def test_lower_envelope_reads_the_minimum(lines, xs):
+    # one bisection into the envelope gives the least line at each integer
+    # x; lines of equal slope keep the lowest, as the library feeds them
+    best = {}
+    for s, c in lines:
+        if c != INF:
+            best[s] = min(c, best.get(s, c))
+    hull, cuts = cinf._lower_envelope(sorted(best.items(), reverse=True))
+    for x in xs:
+        if hull:
+            s, c = hull[bisect.bisect_left(cuts, x)]
+            assert c + s * x == min(c + s * x for s, c in best.items())

@@ -1743,3 +1743,50 @@ def test_tail_envelope_matches_scan(name, data):
     assert rho._precs("step", vz, zprec, shifts, caps) == \
         [_prec_scan(rho, "step", vz + k, zprec + k, c)
          for k, c in zip(shifts, caps)]
+
+
+def _least_passing(ok):
+    """The least integer v with ok(v), for ok false below some integer and
+    true from it on: an outward search from 0, then a bisection."""
+    step = 1
+    if ok(0):
+        while ok(-step):
+            step *= 2
+        lo, hi = -step, 0
+    else:
+        while not ok(step):
+            step *= 2
+        lo, hi = 0, step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("name", sorted(set(_ENVELOPE_MODULES)
+                                        | set(_LOG_MODULES)))
+def test_thresholds_at_their_boundary(name):
+    # each threshold is found by the oracles' scans and the library
+    # refuses one below it and accepts at it: the exp and log tail floors
+    # at the starts the library passes (exp_depth, -1 and pole_count - 1),
+    # with the lowest of several arguments deciding, and the logarithm's
+    # certificate on theta-monomials
+    rho = _ladder_module(name, {**_ENVELOPE_MODULES, **_LOG_MODULES})
+    cfg = rho.cfg
+    depth = cfg.exp_depth
+    for kind in ("exp", "log"):
+        for start in (depth, -1, (cfg.pole_count or depth) - 1):
+            at = _least_passing(lambda v: _tail_floor_formula(
+                rho, kind, v, start) is not None)
+            with pytest.raises(DivergentEvaluation):
+                rho._tail_floors(kind, [at - 1], start)
+            with pytest.raises(DivergentEvaluation):
+                rho._tail_floors(kind, [at + cfg.e, at - 1], start)
+            assert rho._tail_floors(kind, [at + cfg.e, at], start) == \
+                [_tail_floor_formula(rho, kind, v, start)
+                 for v in (at + cfg.e, at)], (kind, start)
+    at = _least_passing(lambda v: qlinear_oracle.log_certificate(
+        rho, cfg.monomial(v)))
+    assert not rho.log_certificate(cfg.monomial(at - 1))
+    assert rho.log_certificate(cfg.monomial(at))
+    assert rho.log_certificate(cfg.monomial(at, 2, at + 1))

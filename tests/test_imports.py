@@ -51,7 +51,7 @@ def test_exp_eval_loads_only_what_it_runs():
 
 
 def test_torsion_loads_no_fractions():
-    # the torsion polygon is formed from integer cross products
+    # the torsion polygon is read off an integer lower envelope
     mods = _imported("-m", "drinfeldlab", "torsion", "--q", "3", "--json")
     assert "drinfeldlab.roots" in mods
     assert not mods & _HEAVY - {"drinfeldlab.skew"}

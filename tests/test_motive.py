@@ -16,7 +16,7 @@ from drinfeldlab.motive import (MotiveMatrices, OmegaData, phi_matrix,
                                 xi_constant)
 from drinfeldlab.tseries import TSeries
 
-from omega_oracle import factor_step_column, omega_times
+from omega_oracle import factor_step_column, omega_times, omega_value
 
 
 def test_omega_difference_relation(ctx3):
@@ -29,7 +29,7 @@ def test_omega_difference_relation(ctx3):
 def test_omega_value_and_pi(ctx3):
     cfg = ctx3.cfg
     om = OmegaData(cfg)
-    val = om.value_at(cfg.theta())
+    val = omega_value(om, cfg.theta())
     pi = om.pi_tilde()
     # Omega(theta) * pi = -1 and v(pi) = -q e/(q-1)
     assert (val * pi + cfg.one()).is_zero_to(cfg.pass_threshold())
@@ -193,13 +193,13 @@ _SCALE_CASES = {}
 
 
 def _scale_case(name):
-    """(OmegaData, Omega(theta) from value_at) of a reference module's
-    config, built once."""
+    """(OmegaData, Omega(theta) from the expanded product, omega_value) of
+    a reference module's config, built once."""
     got = _SCALE_CASES.get(name)
     if got is None:
         cfg = _reference_module(name).cfg
         om = OmegaData(cfg)
-        got = _SCALE_CASES[name] = (om, om.value_at(cfg.theta()))
+        got = _SCALE_CASES[name] = (om, omega_value(om, cfg.theta()))
     return got
 
 
@@ -233,9 +233,9 @@ def _scale_operand(om, kind, data):
        data=st.data())
 def test_scale_at_theta_matches_product_by_value(name, kind, data):
     """OmegaData.scale_at_theta, one factor of Omega_I(theta) at a time,
-    against the product by c value_at(theta), in terms and precision: I =
-    2 and 4 on q3 (N = 240, 1920), one factor on q5-tame and cm_q3's two,
-    for c in {1, xi, -xi}."""
+    against the product by c Omega(theta) expanded (omega_value), in terms
+    and precision: I = 2 and 4 on q3 (N = 240, 1920), one factor on
+    q5-tame and cm_q3's two, for c in {1, xi, -xi}."""
     om, val = _scale_case(name)
     cfg = om.cfg
     assert om.I == {"q3": 2, "q3-1920": 4, "q5-tame": 1,
@@ -263,13 +263,16 @@ def _deep_q3_motive():
 def test_specialization_expands_no_omega_value(monkeypatch):
     # at N = 1920, Psi(theta), its reference and the Legendre bracket
     # multiply by Omega_I(theta) one factor at a time: none of them
-    # expands Omega_I(theta) through value_at
+    # expands Omega_I(theta) by specializing Omega's product
     mot = _deep_q3_motive()
+    specialize = TSeries.specialize
 
-    def value_at(self, t0):
-        raise AssertionError("expanded Omega(theta)")
+    def guarded(self, t0):
+        if self is mot.omega.product:
+            raise AssertionError("expanded Omega(theta)")
+        return specialize(self, t0)
 
-    monkeypatch.setattr(OmegaData, "value_at", value_at)
+    monkeypatch.setattr(TSeries, "specialize", guarded)
     res = mot.specialization_residuals()
     li = mot.legendre_invariant()
     monkeypatch.undo()

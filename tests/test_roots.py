@@ -14,8 +14,8 @@ from drinfeldlab.errors import (GridTooCoarse, IndeterminateValuation,
                                 NoConvergence)
 
 from torsion_oracle import (all_nonzero_roots, assert_torsion_matches,
-                            hensel_root, newton_iterate, newton_polygon,
-                            poly_eval, torsion_polynomial)
+                            hensel_root, hull_edges, newton_iterate,
+                            newton_polygon, poly_eval, torsion_polynomial)
 
 
 def test_polygon_examples(cfg_small):
@@ -297,6 +297,49 @@ def test_seed_precision_must_clear_the_extended_first_edge():
         [((1, -72), (9, 0))]
     with pytest.raises(IndeterminateValuation, match=r"rho_t\(x0\) .* -81"):
         roots._segments({0: cfg.zero(-81), **coeffs})
+
+
+def _edges_or_error(segments, coeffs):
+    try:
+        return segments(coeffs)
+    except IndeterminateValuation as ex:
+        return ex.record()
+
+
+@st.composite
+def _polygon_points(draw):
+    """{index: value} over the q3 grid: a run of two to four collinear
+    points (a common slope a/b, b in 1..3), often with nothing below it, and
+    up to six more indices holding exact zeros, values zero to precision
+    and exact or inexact values."""
+    cfg = _Q3
+    coeffs = {}
+    if draw(st.booleans()):
+        i0, b = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+        v0, a = draw(st.integers(-100, 100)), draw(st.integers(-40, 40))
+        for k in range(draw(st.integers(2, 4))):
+            coeffs[i0 + k * b] = cfg.monomial(v0 + a * k)
+    value = st.one_of(
+        st.just(cfg.zero(INF)),
+        st.builds(cfg.zero, st.integers(-150, 150)),
+        st.builds(lambda v, c, d: cfg.monomial(v, c, v + d),
+                  st.integers(-150, 150), st.integers(1, 2),
+                  st.one_of(st.just(INF), st.integers(1, 50))))
+    coeffs.update(draw(st.dictionaries(st.integers(0, 12), value,
+                                       max_size=6)))
+    return coeffs
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_polygon_points())
+@example({1: _Q3.theta(), 3: _Q3.monomial(-54), 9: _Q3.one()})
+@example({0: _Q3.zero(-81), 1: _Q3.theta(), 3: _Q3.one(), 9: _Q3.one()})
+def test_polygon_hull_matches_cross_products(coeffs):
+    # the hull read off the dual lines' lower envelope has the edges of
+    # the cross-product hull, a collinear middle point on no edge end, or
+    # both raise IndeterminateValuation alike
+    assert _edges_or_error(roots._segments, coeffs) == \
+        _edges_or_error(hull_edges, coeffs)
 
 
 def test_uncertified_roots_are_failure_records():

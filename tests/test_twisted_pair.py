@@ -16,7 +16,7 @@ from drinfeldlab.logext import ExtendedSystem, GVector, make_log_point
 from drinfeldlab.motive import MotiveMatrices
 from drinfeldlab.tseries import TSeries
 
-from omega_oracle import omega_times
+from omega_oracle import omega_times, omega_value
 
 
 def _ref_psi(mot):
@@ -38,7 +38,7 @@ def _ref_psi_at_theta(mot):
     f1_2 = mot.agf1.eval_twisted(2, th)
     f2_1 = mot.agf2.eval_twisted(1, th)
     f2_2 = mot.agf2.eval_twisted(2, th)
-    s = mot.xi * mot.omega.value_at(th)
+    s = mot.xi * omega_value(mot.omega, th)
     return [
         [-s * f2_1, s * f1_1],
         [s * (k * f2_1 + f2_2), -s * (k * f1_1 + f1_2)],

@@ -151,6 +151,43 @@ def newton_polygon(coeffs):
     return NewtonPolygon(segments, ord0, degree)
 
 
+def hull_edges(coeffs):
+    """Edges ((i0, v0), (i1, v1)) of the lower hull of {index: CInfApprox},
+    in increasing slope, by integer cross products: roots._segments as the
+    library once computed it, kept as the oracle for its hull read off
+    the dual lines' lower envelope.  A coefficient zero only to its
+    precision must lie strictly above the hull (left of it, the first edge
+    extended), else IndeterminateValuation with the library's message."""
+    from fractions import Fraction
+    pts, loose = [], []
+    for i in sorted(coeffs):
+        a = coeffs[i]
+        if a.is_exact_zero():
+            continue
+        if a.is_apparent_zero():
+            loose.append((i, a.prec))
+        else:
+            pts.append((i, a.valuation()))
+    hull = []
+    for x, y in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x1) < (y - y1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append((x, y))
+    edges = list(zip(hull, hull[1:]))
+    for i, p in loose:
+        for k, ((x1, y1), (x2, y2)) in enumerate(edges):
+            line = y1 * (x2 - x1) + (y2 - y1) * (i - x1)
+            if (x1 <= i or k == 0) and i <= x2 and p * (x2 - x1) <= line:
+                what = "rho_t(x0)" if i == 0 else "coefficient %d" % (i - 1)
+                raise IndeterminateValuation(
+                    "%s known only to precision %s, hull needs > %s"
+                    % (what, p, Fraction(line, x2 - x1)))
+    return edges
+
+
 # ---------------------------------------------------------------------------
 
 
