@@ -13,10 +13,14 @@ theta^(q^k) - theta, whose inverse has every coefficient 1, so dividing by
 it is a running sum (_pole_sum) rather than a product.  The t-power-series
 form (series, the one t-series path) exists for radius-1 work and takes
 its coefficients from the exp ladder (DrinfeldModule._exp_levels).  Both
-forms read the same products alpha_i u^(q^i), the numerators, formed once
-and handed to the ladder, which reads them for every row it keeps.  A
-generating function is given its numerators when it is built (those the
-residual check exp(u) of a tower or log point formed), or forms them then.
+forms read the same products alpha_i u^(q^i), the numerators, which the
+generating function forms once when it is built and owns: every ladder
+over u (exp(u), the series, the levels and rows of Psi's columns) and the
+quasi-period F_tau(u) read them in place through it.  A residual check
+exp(u) ~ 0 or exp(lambda) = alpha (a tower, a log point) builds the
+generating function of its argument and reads exp(u) off it, and the
+tower or point keeps it; so each u's numerators are formed once, and only
+the module that formed them reads them.
 The dual-representation oracle, which rebuilds the series from the I
 poles and their floor, lives in the tests.
 
@@ -24,31 +28,52 @@ Every tail (the dropped coefficients of the series and the dropped poles
 of a twisted evaluation) is a q-linear exponential tail, so each is
 certified by DrinfeldModule._tail_floors and its induction proof.
 
-The twisted pair at t = theta, the series pair for each T and exp(u),
-which both residual reports read off the numerators, are computed once
-per generating function and published by rebinding an attribute to the
-finished value, so threads may share a generating function; two threads
-racing on an empty memo both compute the same value.
+The twisted pair at t = theta, the series pair for each T, exp(u), which
+both residual reports read off the numerators, and F_tau(u) are computed
+once per generating function and published by rebinding an attribute to
+the finished value, so threads may share a generating function; two
+threads racing on an empty memo both compute the same value.
 """
+
+# weakref.ref itself, from the built-in module: importing weakref loads
+# weakref.py and _weakrefset.py, about 1.4 ms on a cold command
+from _weakref import ref
 
 from .cinf import INF, CInfApprox, _merge_logs, dot
 from .errors import ConfigError, PoleHit
-from .tseries import TSeries
+
+# TSeries is imported where a series is formed (series, the functional
+# equation), so periods and quasi-periods never load tseries.py
 
 
 class AndersonGF:
-    def __init__(self, module, u, numerators=None):
-        """numerators: the products alpha_i u^(q^i), one per pole, that a
-        residual check formed for this very u (a tower, a log point); when
-        none are given, module._numerators(u) forms them here."""
-        self.module = module
+    def __init__(self, module, u):
+        """The numerators alpha_i u^(q^i), one per pole, are formed here
+        (module._numerators), once."""
+        self._module = ref(module)
+        self._holds = module
         self.cfg = module.cfg
         self.u = u
-        self.numerators = numerators or module._numerators(u)
+        self.numerators = module._numerators(u)
         self.I = len(self.numerators)
         self._pair_at_theta = None
         self._pairs = {}
         self._exp = None
+        self._quasi_period = None
+
+    @property
+    def module(self):
+        """The module the generating function is over; None once a module
+        that only its own tower referred to is gone (_held_by_module)."""
+        return self._module()
+
+    def _held_by_module(self):
+        """Refer to the module weakly from now on: a tower of the module's
+        lattice keeps this generating function, and the module keeps the
+        lattice, so a strong reference back would be a cycle that holds
+        every table of the module until the cyclic collector runs.  Called
+        once, by the tower's builder, before the tower is shared."""
+        self._holds = None
 
     # -- the t-series -------------------------------------------------------------
 
@@ -57,13 +82,25 @@ class AndersonGF:
         bound for the dropped ones.  Coefficient j is exp(u / theta^(j+1))
         as exp_eval gives it, in terms and precision; all T come from one
         exp ladder over u, which reads the numerators in place."""
+        from .tseries import TSeries
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms
-        coeffs = self.module._exp_levels(
-            "exp", self.u, [(j + 1) * cfg.e for j in range(T)],
-            numerators=self.numerators)
+        coeffs = self.levels([(j + 1) * cfg.e for j in range(T)])
         return TSeries(cfg, coeffs, tail=self._series_tail(T))
+
+    def levels(self, shifts, precs=None):
+        """[exp(u theta^(-k/e)) for k in shifts], from one exp ladder over u
+        that reads the numerators in place (DrinfeldModule._exp_levels,
+        precs as there)."""
+        return self.module._exp_levels("exp", self.u, shifts, precs,
+                                       self.numerators)
+
+    def row(self, i, cap):
+        """alpha_i u^(q^i) capped at cap: numerator i cut there, or for a
+        row past the poles one capped product (DrinfeldModule._ladder_row)."""
+        return self.module._ladder_row("exp", self.u, i, cap,
+                                       self.numerators)
 
     def _series_tail(self, T):
         """The tail of series(T): a floor for every dropped coefficient."""
@@ -152,15 +189,21 @@ class AndersonGF:
     def _exp_u(self):
         """exp(u) as exp_eval gives it, in terms and precision: the one
         level of the exp ladder over u, which reads the numerators in
-        place; the exact zero for u without terms.  Computed once."""
+        place; for u zero to precision P, zero to P.  The residual check
+        of a tower or log point reads it here.  Computed once."""
         value = self._exp
         if value is None:
-            if self.u.is_apparent_zero():
-                value = self.cfg.zero(INF)
-            else:
-                value = self.module._exp_levels(
-                    "exp", self.u, [0], numerators=self.numerators)[0]
-            self._exp = value
+            value = self._exp = self.levels([0])[0]
+        return value
+
+    def quasi_period(self):
+        """F_tau(u) = f_u^(1)(theta), as quasi_period_eval(u) gives it: the
+        quasi-period sum, which cuts the numerators for its rows
+        (DrinfeldModule._quasi_period_sum).  Computed once."""
+        value = self._quasi_period
+        if value is None:
+            value = self._quasi_period = self.module._quasi_period_sum(
+                self.u, None, self.numerators)
         return value
 
     # -- functional equation reports ----------------------------------------------
@@ -168,6 +211,7 @@ class AndersonGF:
     def functional_equation_residual(self, T=None):
         """kappa f^(1) + u_rho f^(2) - (t-theta) f - exp(u), as a TSeries;
         every coefficient of the true function vanishes."""
+        from .tseries import TSeries
         cfg = self.cfg
         if T is None:
             T = cfg.t_terms

@@ -161,7 +161,8 @@ def cmd_agf(args, cfg, module):
 def cmd_omega(args, cfg, module):
     from .motive import OmegaData
     om = OmegaData(cfg)
-    res = om.difference_residual()
+    # --prec-t sets T on a built-in sample too, as for psi and extend
+    res = om.difference_residual(args.prec_t)
     return {
         "command": "omega",
         "I": om.I,

@@ -44,11 +44,12 @@ once and every level reads it shifted.  A quasi-periodic function with
 exact coefficients plans its sum at level 0 alone, since every level's
 precision rises by at least one theta-unit per level, then sums the twisted
 products against exact sparse multipliers that stand for all its levels in
-one dot, keeping only the digits the sum needs.  A period's tower is built
-with the full products alpha_i omega^{q^i} that its residual check
-exp(omega) ~ 0 read, the numerators of omega's generating function, which
-the quasi-period and the generating function of that period read; each is
-that cut at its own precision, formed from the digits of omega below it.
+one dot, keeping only the digits the sum needs.  A period's residual
+check exp(omega) ~ 0 reads the full products alpha_i omega^{q^i}, each cut
+at its own precision and formed from the digits of omega below it, off
+omega's generating function (agf.AndersonGF), which forms them once; the
+tower keeps that generating function, and the quasi-period and Psi's
+columns of that period read it, over the module that built it only.
 
 Coefficient tables and their valuation bounds extend lazily: an extension
 is built on a private copy and published by rebinding the attribute, so
@@ -56,12 +57,12 @@ threads sharing a module never see a table that one of them is still
 growing.  All evaluations are pure.
 
 Derived values are computed once per module: the torsion points (full and
-partial), the period lattice of periods() and F_tau(omega) for each period
-of that lattice.  A memo is filled by rebinding an attribute to a finished
-value, never by growing one in place, so threads may share a module; two
-threads racing on an empty memo both compute the same value.  Memoized
+partial), the period lattice of periods() and, by each tower's generating
+function, F_tau(omega) for each period of that lattice.  A memo is filled
+by rebinding an attribute to a finished value, never by growing one in
+place, so threads may share a module; two threads racing on an empty memo
+both compute the same value.  Memoized
 lists are copied on the way out, so no caller can change a cached value.
-A tower's numerators are given to it when it is built and never change.
 """
 
 from bisect import bisect_left
@@ -116,15 +117,16 @@ class Biderivation:
 
 class Tower:
     """One period with its division tower e_n = exp(omega / theta^n), and
-    the numerators alpha_i omega^(q^i), i < pole count, that its residual
-    check exp(omega) ~ 0 formed."""
+    the generating function of omega (gf, over the module that built the
+    tower) whose exp(omega) its residual check read.  gf refers to that
+    module weakly (AndersonGF._held_by_module), so it is read while the
+    module lives."""
 
-    def __init__(self, omega, depth, chain, numerators=()):
+    def __init__(self, omega, depth, chain, gf):
         self.omega = omega
         self.depth = depth
         self.chain = chain  # chain[n-1] = e_n
-        self.numerators = numerators
-        self.quasi_period = None  # F_tau(omega), set by quasi_period_eval
+        self.gf = gf
 
 
 class Lattice:
@@ -142,10 +144,13 @@ class Lattice:
         return [self.omega1] if self.omega2 is None \
             else [self.omega1, self.omega2]
 
-    def tower_of(self, z):
-        """The tower whose period is this very value z (matched by
-        identity, not by digits), else None."""
-        return next((tw for tw in self.towers if tw.omega is z), None)
+    def gf_of(self, z, module):
+        """The generating function kept by the tower whose period is this
+        very value z (matched by identity, not by digits), when module
+        built that tower, else None: a tower's numerators are read over
+        their own module only."""
+        gf = next((tw.gf for tw in self.towers if tw.omega is z), None)
+        return gf if gf is not None and gf.module is module else None
 
 
 class DrinfeldModule:
@@ -425,8 +430,8 @@ class DrinfeldModule:
     def _numerators(self, z, count=None):
         """The full products alpha_i z^{q^i}, i < count (default: the pole
         count of a generating function, pole_count or exp_depth): the
-        numerators of the generating function of z, which a residual check
-        forms once and its readers cut (_ladder_row).
+        numerators of the generating function of z, which AndersonGF forms
+        once and its readers cut (_ladder_row).
 
         Row i is the row _ladder_row forms at P_i = min(prec(alpha_i) +
         q^i v(z), v(alpha_i) + q^i prec(z)), dot's precision of
@@ -449,15 +454,6 @@ class DrinfeldModule:
                                  min(alphas[i].prec + qs[i] * vz,
                                      alphas[i].vbound() + qs[i] * zprec))
                 for i in range(count)]
-
-    def _exp_with_numerators(self, z, numerators=None):
-        """(exp(z), the numerators of z): the residual check of a period or
-        a log point reads exp(z) from the numerators it forms, or from
-        those a tower of this very z already holds, and the tower or point
-        it builds keeps them."""
-        if numerators is None:
-            numerators = self._numerators(z)
-        return self._exp_levels("exp", z, [0], None, numerators)[0], numerators
 
     def _ladder_pair(self, kind, z, i, cap):
         """(c_i, z cut at _digits(v(c_i), q^i, cap), twisted i times), c_i
@@ -705,9 +701,10 @@ class DrinfeldModule:
         the precision that b and the step's products carry, or at
         v(x0) + rel_prec when all of them are exact.
 
-        The residual check exp(omega) ~ 0 reads omega's numerators
-        (_exp_with_numerators), which the tower is built with, for the
-        generating function and the quasi-period of omega.
+        The residual check exp(omega) ~ 0 reads exp(omega) off omega's
+        generating function (AndersonGF._exp_u), which forms its
+        numerators; the tower keeps it for the quasi-period and Psi's
+        columns of omega.
         """
         cfg = self.cfg
         q, e = cfg.q, cfg.e
@@ -715,13 +712,15 @@ class DrinfeldModule:
         for n in range(1, cfg.tower_cap + 1):
             en = chain[-1]
             if self.log_certificate(en):
-                omega = cfg.theta(n) * self.log_eval(en)
-                resid, numerators = self._exp_with_numerators(omega)
+                from .agf import AndersonGF
+                gf = AndersonGF(self, cfg.theta(n) * self.log_eval(en))
+                resid = gf._exp_u()
                 if resid.vbound() < cfg.pass_threshold():
                     raise NoConvergence(
                         "period residual v = %s below threshold %d"
                         % (resid.vbound(), cfg.pass_threshold()))
-                return Tower(omega, n, chain, numerators)
+                gf._held_by_module()
+                return Tower(gf.u, n, chain, gf)
             x0 = CInfApprox(cfg, en.shift(e).terms, INF)
             v0 = x0.valuation()
             d0 = min(self._vk + q * v0, self._vu + q * q * v0) + e
@@ -792,26 +791,22 @@ class DrinfeldModule:
         on, every term alpha_i z^(q^i), i >= 1, of exp(z) lies at or above
         v(z), so v(exp z) >= v(z).
 
-        The scan stops at the first i where the recursion keeps the bound
-        for every later index.  b_m >= min(vk + q b_(m-1),
-        vu + q^2 b_(m-2)) + q^m e, so when b_(m-1) and b_(m-2) meet the
-        bound, b_m + (q^m - 1) rho is at least
-        min(vk + (q - 1) rho, vu + (q^2 - 1) rho) + q^m e; once that is
-        >= 0 at m = i + 1 it is at every m > i, and b_0 = 0 meets the
-        bound."""
-        cfg = self.cfg
-        q, e = cfg.q, cfg.e
-        vk, vu = self._vk, self._vu
-        rho, i = 0, 0
-        while True:
-            i += 1
-            b, qi = self._bounds("exp", i)[i], cfg.q_powers(i)[i]
-            if b != INF and b + (qi - 1) * rho < 0:
-                rho = -(b // (qi - 1))
-            reach = q * qi * e
-            if vk + (q - 1) * rho + reach >= 0 \
-                    and vu + (q * q - 1) * rho + reach >= 0:
-                return rho
+        It is max(0, _least_v) of the lines (q - 1, b_1) and
+        (q^2 - 1, b_2) alone (a line with b_i = INF holds everywhere):
+        every rho >= 0 meeting those two meets all of them.  Proof: with
+        b_0 = 0 the recursion gives b_1 = vk + q e (INF for vk = INF) and
+        b_2 <= vu + q^2 e, so such a rho has vk + (q - 1) rho >= -q e and
+        vu + (q^2 - 1) rho >= -q^2 e.  If it meets lines n - 1 and n,
+        n >= 2 (line 0 holds as b_0 = 0), then q b_n >= -(q^(n+1) - q) rho
+        and q^2 b_(n-1) >= -(q^(n+1) - q^2) rho, so by
+        b_(n+1) >= min(vk + q b_n, vu + q^2 b_(n-1)) + q^(n+1) e,
+        b_(n+1) + (q^(n+1) - 1) rho is at least
+        min(vk + (q - 1) rho, vu + (q^2 - 1) rho) + q^(n+1) e
+        >= q^(n+1) e - q^2 e >= 0: it meets line n + 1, and by induction
+        every line."""
+        q = self.cfg.q
+        b = self._bounds("exp", 2)
+        return max(0, _least_v([(q - 1, b[1]), (q * q - 1, b[2])], 0))
 
     def quasi_period_eval(self, lam, delta=None, lattice=None):
         """F_delta(lam) via the unrolled functional equation
@@ -819,19 +814,18 @@ class DrinfeldModule:
         w_j = exp(lam/theta^{j+1}) (_quasi_period_sum).
 
         Converges for every lam (the exp values shrink geometrically).  When
-        a lattice is supplied and lam is one of its periods, the sum cuts
-        the numerators that period's tower keeps instead of forming them;
-        when delta is also the default tau, the value is kept on that tower
-        and returned on later calls."""
-        tower = lattice.tower_of(lam) if lattice is not None else None
-        memo = tower if delta is None else None
-        if memo is not None and memo.quasi_period is not None:
-            return memo.quasi_period
-        value = self._quasi_period_sum(
-            lam, delta, tower.numerators if tower is not None else ())
-        if memo is not None:
-            memo.quasi_period = value
-        return value
+        a lattice is supplied and lam is one of its periods, whose tower
+        this module built (Lattice.gf_of), the sum cuts the numerators of
+        that tower's generating function instead of forming them; for the
+        default tau it is that generating function's quasi_period(),
+        computed once.  A lattice of another module changes nothing: its
+        numerators are that module's."""
+        gf = lattice.gf_of(lam, self) if lattice is not None else None
+        if gf is None:
+            return self._quasi_period_sum(lam, delta)
+        if delta is None:
+            return gf.quasi_period()
+        return self._quasi_period_sum(lam, delta, gf.numerators)
 
     def _quasi_period_sum(self, lam, delta=None, numerators=()):
         """F_delta(lam), delta None meaning tau.  numerators, when given,

@@ -13,14 +13,15 @@ linear relations among these quantities and reports residual valuations;
 it can refute a relation only down to working precision, never prove
 transcendence.
 
-A log point is built with the numerators alpha_i lambda^(q^i) that its
-check exp(lambda) = alpha formed, or that a tower of this very lambda
-already holds; its g-vector's generating function and F(lambda) read them
-instead of forming them again.  The point keeps that generating function,
-one per module, and its g-vector, one per motive: the lone g-vector of a
-check and the row of the point in every block system are one object, which
-forms the series pair, the pair at theta and the row g Psi once.  Each
-memo is published by rebinding, so threads may share a point.
+A log point keeps the generating function of lambda whose exp(lambda) its
+check exp(lambda) = alpha read (agf.AndersonGF, which forms the numerators
+alpha_i lambda^(q^i) once): over the point's module its g-vector, F(lambda)
+and every block system read it, and over any other module a fresh one is
+built, since the numerators are the module's.  The point keeps its
+g-vector, one per motive: the lone g-vector of a check and the row of the
+point in every block system are one object, which forms the series pair,
+the pair at theta and the row g Psi once.  Each memo is published by
+rebinding, so threads may share a point.
 """
 
 from .agf import AndersonGF
@@ -32,25 +33,21 @@ from .tseries import TMatrix, TSeries
 
 class LogPoint:
     """A pair (lambda, alpha) with exp(lambda) = alpha, verified, and the
-    numerators alpha_i lambda^(q^i), i < pole count, that the check
-    formed."""
+    generating function of lambda (gf) whose exp(lambda) the check read."""
 
-    def __init__(self, lam, alpha, provenance, numerators=()):
+    def __init__(self, lam, alpha, provenance, gf):
         self.lam = lam
         self.alpha = alpha
         self.provenance = provenance
-        self.numerators = numerators
-        self._gfs = {}
+        self.gf = gf
         self._gvectors = {}
 
     def generating_function(self, module):
-        """The Anderson generating function of lambda over module, built
-        from the numerators the point keeps; one per module."""
-        gf = self._gfs.get(module)
-        if gf is None:
-            gf = AndersonGF(module, self.lam, self.numerators)
-            self._gfs = {**self._gfs, module: gf}
-        return gf
+        """The Anderson generating function of lambda over module: the
+        point's own over the module that checked it, else a fresh one."""
+        if module is self.gf.module:
+            return self.gf
+        return AndersonGF(module, self.lam)
 
     def g_vector(self, motive):
         """The point's GVector over motive; one per motive."""
@@ -61,15 +58,13 @@ class LogPoint:
         return gv
 
 
-def make_log_point(module, lam=None, alpha=None, numerators=None):
+def make_log_point(module, lam=None, alpha=None):
     """Build a verified LogPoint from exactly one of lam, alpha.
 
     Lifting from alpha uses the certified logarithm disc and may raise
     DivergentEvaluation; either way the defining identity is re-checked.
-    exp(lambda) reads lambda's numerators, which the point keeps for the
-    generating function of its g-vector.  numerators, with lam only, are
-    lam's as a tower of this very lam holds them (Tower.numerators, as
-    AndersonGF takes them): they are read instead of formed again.
+    exp(lambda) is read off lambda's generating function
+    (AndersonGF._exp_u), which the point keeps.
     """
     cfg = module.cfg
     if (lam is None) == (alpha is None):
@@ -77,11 +72,10 @@ def make_log_point(module, lam=None, alpha=None, numerators=None):
     if lam is not None:
         provenance = "given-lambda"
     else:
-        if numerators is not None:
-            raise ConfigError("numerators are given with lambda only")
         lam = module.log_eval(alpha)
         provenance = "lifted-from-alpha"
-    value, numerators = module._exp_with_numerators(lam, numerators)
+    gf = AndersonGF(module, lam)
+    value = gf._exp_u()
     if alpha is None:
         alpha = value
     resid = value - alpha
@@ -89,7 +83,7 @@ def make_log_point(module, lam=None, alpha=None, numerators=None):
         raise VerificationFailed(
             "exp(lambda) - alpha has v = %s, below threshold %d"
             % (resid.vbound(), cfg.pass_threshold()))
-    return LogPoint(lam, alpha, provenance, numerators)
+    return LogPoint(lam, alpha, provenance, gf)
 
 
 class GVector:
@@ -144,14 +138,11 @@ class GVector:
 
     def specialization_residuals(self):
         """g1(theta) - (lambda - alpha) and g2(theta) + F(lambda), both of
-        which vanish for the true vector."""
-        module = self.motive.module
+        which vanish for the true vector; F(lambda) is read off the
+        generating function (AndersonGF.quasi_period)."""
         g1t, g2t = self.at_theta()
         r1 = g1t - (self.lam - self.alpha)
-        # F(lambda) cuts the numerators f_lambda cuts, the point's
-        r2 = g2t + module._quasi_period_sum(
-            self.lam, numerators=self.agf.numerators)
-        return r1, r2
+        return r1, g2t + self.agf.quasi_period()
 
     def functional_equation_residual(self):
         """(Phi^tr)^(1) g - g^(1) - h^(1) as a 2x1 matrix of series."""
@@ -212,10 +203,9 @@ class ExtendedSystem:
             ("F(omega1)", mod.quasi_period_eval(lat.omega1, lattice=lat)),
             ("F(omega2)", mod.quasi_period_eval(lat.omega2, lattice=lat)),
         ]
-        for i, p in enumerate(self.points, start=1):
+        for i, (p, gv) in enumerate(zip(self.points, self.gvectors), start=1):
             gens.append(("lambda%d" % i, p.lam))
-            gens.append(("F(lambda%d)" % i,
-                         mod.quasi_period_eval(p.lam, lattice=lat)))
+            gens.append(("F(lambda%d)" % i, gv.agf.quasi_period()))
         return gens
 
     def reconstruction_residuals(self):
@@ -230,8 +220,7 @@ class ExtendedSystem:
         out = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(psi, ref)]
         for p, gv in zip(self.points, self.gvectors):
             g1, g2 = gv.at_theta()
-            flam = motive.module.quasi_period_eval(p.lam,
-                                                   lattice=motive.lattice)
+            flam = gv.agf.quasi_period()
             out.append([dot(self.cfg, [(g1, psi[0][j]), (g2, psi[1][j]),
                                        (-(p.lam - p.alpha), ref[0][j]),
                                        (flam, ref[1][j])])
@@ -268,7 +257,7 @@ def relation_certificate(motive, points, ell, AB=None):
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)
         F2 = mod.quasi_period_eval(lat.omega2, lattice=lat)
         Sl = dot(cfg, [(li, p.lam) for li, p in zip(ell["l"], points)])
-        SF = dot(cfg, [(li, mod.quasi_period_eval(p.lam, lattice=lat))
+        SF = dot(cfg, [(li, p.generating_function(mod).quasi_period())
                        for li, p in zip(ell["l"], points)])
         spec1 = Sl * xi * F2 + (B_t - SF) * xi * lat.omega2 \
             - ell["l11"] * pi

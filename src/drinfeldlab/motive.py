@@ -16,10 +16,10 @@ This module assembles, for a normalized rank-2 Drinfeld module:
   t-series: the factor 1 - t/theta^(q^L) of the truncated Omega_I cancels
   the pole theta^(q^L) of f_i^(1) and f_i^(2) for L <= I, so
   Omega_I/(theta^(q^L) - t) is a polynomial, and each coefficient of
-  xi Omega b_i is one sum of the twisted numerators against those
-  coefficients.  The value, precision and tail are those of the product
-  of the series of xi Omega_I with the twisted-pair series, almost all of
-  whose terms cancel;
+  xi Omega b_i is one sum of the twisted products alpha_i omega_i^(q^i)
+  against those coefficients.  The value, precision and tail are those of
+  the product of the series of xi Omega_I with the twisted-pair series,
+  almost all of whose terms cancel;
 * the period matrix P = Psi(theta)^(-1) and the Legendre-type invariant
   [(omega1 F(omega2) - omega2 F(omega1)) * Omega(theta)]^(q-1) = -1.
   Psi(theta), its reference (xi/pi_tilde) [[F(omega2), -F(omega1)],
@@ -133,8 +133,7 @@ class OmegaData:
         Only the pairs whose lowest term lands below P_k are listed, and a
         row whose lowest term plus v(prefactor) + q^L e reaches no P_k
         builds no C_(L, .); each row n_i that a pair reads is formed once
-        (DrinfeldModule._ladder_row), cut to the digits its pairs read, and
-        twisted.
+        (AndersonGF.row), cut to the digits its pairs read, and twisted.
 
         Precision first: P_k comes from valuations and precisions alone.
         The series coefficient f_j has the ladder's precision R_j
@@ -196,9 +195,8 @@ class OmegaData:
             if t != INF:
                 hb, ha = tb - min(vo[1:]), ta - min(vo[1:])
                 cut = max(-(-hb // q), -(-ha // (q * q)))
-        f = dict(zip(js, mod._exp_levels("exp", u, [shifts[j] for j in js],
-                                         [min(R[j], cut) for j in js],
-                                         numerators=gf.numerators)))
+        f = dict(zip(js, gf.levels([shifts[j] for j in js],
+                                   [min(R[j], cut) for j in js])))
         # P_k, b column then a column
         Pb = [q * r for r in R]
         Pa = [q * r for r in Pb]
@@ -234,8 +232,7 @@ class OmegaData:
                     cap = max(P[k] - row[k].vbound() for k in ks)
                     reads.append((n, row, ks, -(-cap // qs[n])))
             if reads:
-                x = mod._ladder_row("exp", u, i, max(r[3] for r in reads),
-                                    gf.numerators)
+                x = gf.row(i, max(r[3] for r in reads))
                 for n, row, ks, _ in reads:
                     xn = x.frobenius(n)
                     for k in ks:
@@ -356,12 +353,11 @@ class MotiveMatrices:
         self.T = T if T is not None else cfg.t_terms
         self.xi = xi_constant(cfg)
         self.omega = OmegaData(cfg)
-        # each period's generating function takes the numerators its
-        # tower's residual check formed
-        towers = [lattice.tower_of(om) for om in lattice.basis()]
+        # each period's generating function is the one its tower keeps,
+        # when this module built the tower
         self.agf1, self.agf2 = (
-            AndersonGF(module, om, tw.numerators if tw else None)
-            for om, tw in zip(lattice.basis(), towers))
+            lattice.gf_of(om, module) or AndersonGF(module, om)
+            for om in lattice.basis())
         self.phi = phi_matrix(module)
         self.psi = self._build_psi()
 

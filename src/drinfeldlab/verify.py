@@ -84,28 +84,26 @@ def check_carlitz_period(ctx):
                    require=in_fq)
 
 
-def _agf_u_values(ctx):
-    """The three u-arguments of the generating-function checks, each with
-    the numerators already formed for it: the period's, which its tower's
-    residual check formed, and none for the others."""
-    cfg = ctx.cfg
+def _agf_values(ctx):
+    """The generating functions of the three u-arguments of the
+    generating-function checks: the period's is the one its tower keeps."""
+    mod = ctx.module
     if ctx.wild:
-        pts, _ = ctx.module.torsion_points(partial=True)
-        tower = ctx.tame_period_tower()
-        omega1 = tower.omega
+        pts, _ = mod.torsion_points(partial=True)
+        f_omega = ctx.tame_period_tower().gf
     else:
-        pts = ctx.module.torsion_points()
-        omega1 = ctx.lattice.omega1
-        tower = ctx.lattice.tower_of(omega1)
-    return [("torsion", pts[0], None), ("theta^-1", cfg.theta(-1), None),
-            ("omega1", omega1, tower.numerators if tower else None)]
+        pts = mod.torsion_points()
+        lat = ctx.lattice
+        f_omega = lat.gf_of(lat.omega1, mod)
+    return [("torsion", AndersonGF(mod, pts[0])),
+            ("theta^-1", AndersonGF(mod, ctx.cfg.theta(-1))),
+            ("omega1", f_omega)]
 
 
 def check_agf(ctx, T=24):
     cfg = ctx.cfg
     out = []
-    for name, u, numerators in _agf_u_values(ctx):
-        f = AndersonGF(ctx.module, u, numerators)
+    for name, f in _agf_values(ctx):
         res = f.functional_equation_residual(T)
         out.append(_report("agf-difference[%s,u=%s]" % (ctx.label, name),
                            {"q": cfg.q, "T": T},
@@ -215,13 +213,13 @@ def check_log_layer(ctx, ns=(1, 2)):
     out = []
     if ctx.wild:
         # only the g-vector specializations exist for this module
-        # the point lambda = log(theta^-1), alpha = exp(lambda), whose
-        # check formed the numerators its generating function cuts
+        # the point lambda = log(theta^-1), alpha = exp(lambda), read off
+        # the generating function its check built
         mod = ctx.module
         P = make_log_point(mod, lam=mod.log_eval(cfg.theta(-1)))
-        a, b = P.generating_function(mod).twisted_pair_at_theta()
+        a, b = P.gf.twisted_pair_at_theta()
         r1 = -a - (P.lam - P.alpha)
-        r2 = -b + mod.quasi_period_eval(P.lam)
+        r2 = -b + P.gf.quasi_period()
         return [_report("log-g-specialization[%s]" % ctx.label, {"q": cfg.q},
                         [r1.vbound(), r2.vbound()], cfg.pass_threshold(),
                         {"note": "block systems need the full period basis, "
@@ -255,10 +253,7 @@ def check_log_layer(ctx, ns=(1, 2)):
     # relation certificates
     lat = ctx.lattice
     one, zero = cfg.one(), cfg.zero(INF)
-    # omega1's tower holds the numerators its residual check formed
-    tower = lat.tower_of(lat.omega1)
-    Pom = make_log_point(ctx.module, lam=lat.omega1,
-                         numerators=tower.numerators if tower else None)
+    Pom = make_log_point(ctx.module, lam=lat.omega1)
     taut = relation_certificate(mot, [Pom],
                                 {"l11": one, "l21": zero, "l": [one]})
     out.append(_report("relation-tautology[%s]" % ctx.label, {"q": cfg.q},

@@ -9,6 +9,7 @@ from drinfeldlab.cinf import INF, CInfApprox, FieldConfig, dot
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import PoleHit
 from drinfeldlab.tseries import TSeries
+from pole_count import with_pole_count
 
 
 def _series_from_poles(f, T):
@@ -31,8 +32,9 @@ def _series_from_poles(f, T):
 
 
 def _gf(module, u, I):
-    """The generating function of u with I poles."""
-    return AndersonGF(module, u, module._numerators(u, I))
+    """The generating function of u with I poles: over module's twin with
+    pole_count I."""
+    return AndersonGF(with_pole_count(module, I), u)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,20 @@ def test_functional_equation_zero(ctx3):
     z = _gf(ctx3.module, ctx3.cfg.zero(INF), 6)
     assert z.functional_equation_residual(8).is_zero_to(10 ** 9)
     assert z.specialization_residual().is_zero_to(10 ** 9)
+
+
+def test_exp_of_zero_to_precision(ctx3):
+    # u zero only to P = 500: exp(u) is zero to 500, as exp_eval gives it,
+    # not the exact zero; so is the alpha of a log point on that lambda
+    from drinfeldlab.logext import make_log_point
+    rho, cfg = ctx3.module, ctx3.cfg
+    for u in (cfg.zero(500), cfg.zero(INF)):
+        got = AndersonGF(rho, u)._exp_u()
+        want = rho.exp_eval(u)
+        assert (got.terms, got.prec) == (want.terms, want.prec) == \
+            ({}, u.prec)
+        alpha = make_log_point(rho, lam=u).alpha
+        assert (alpha.terms, alpha.prec) == ({}, u.prec)
 
 
 @pytest.mark.parametrize("uname", ["torsion", "theta^-1", "omega1"])

@@ -332,6 +332,18 @@ def test_omega_command(capsys):
                for v in data["difference_residual_valuations"])
 
 
+def test_omega_honours_prec_t_on_builtin_samples(capsys):
+    # --prec-t sets T for omega on a built-in sample, as for psi: the
+    # residuals are the first T of the default run's t_terms = 32
+    full = json.loads(run_cli(capsys, "omega", "--q", "3", "--json")[1])
+    code, out, _ = run_cli(capsys, "omega", "--q", "3", "--prec-t", "4",
+                           "--json")
+    assert code == 0
+    short = json.loads(out)["difference_residual_valuations"]
+    assert len(full["difference_residual_valuations"]) == 32
+    assert short == full["difference_residual_valuations"][:4]
+
+
 def test_log_point_command(capsys):
     code, out, _ = run_cli(capsys, "log-point", "--q", "3",
                            "--alpha", "theta^-1", "--json")

@@ -1085,6 +1085,81 @@ def test_exp_radius_matches_scan():
         assert 0 in radii and max(radii) > cfg.e
 
 
+def _exp_radius_loop(rho, lines=None):
+    """(exp's radius, the index its scan stops at) by the scan that
+    _exp_radius replaced: raise rho to meet each line
+    b_i + (q^i - 1) rho >= 0 in turn, and stop at the first i where
+    min(vk + (q - 1) rho, vu + (q^2 - 1) rho) + q^(i+1) e >= 0, from which
+    the recursion carries the bound.  With lines given, scan exactly that
+    many lines instead."""
+    cfg = rho.cfg
+    q, e = cfg.q, cfg.e
+    vk, vu = rho._vk, rho._vu
+    radius, i = 0, 0
+    while True:
+        i += 1
+        b, qi = rho._bounds("exp", i)[i], q ** i
+        if b != INF and b + (qi - 1) * radius < 0:
+            radius = -(b // (qi - 1))
+        reach = q * qi * e
+        if i == lines or lines is None and (
+                vk + (q - 1) * radius + reach >= 0
+                and vu + (q * q - 1) * radius + reach >= 0):
+            return radius, i
+
+
+_RADIUS_GRIDS = (FieldConfig(3, 1, 4, e=72, prec=240),
+                 FieldConfig(5, 1, 4, e=600, prec=240),
+                 FieldConfig(5, 1, 2, e=100, prec=240))
+
+
+def _radius_valuation(q, e):
+    # -40e..6e, or about -q^j e for j = 60..70: b_i stays below
+    # -(q^i - 1) rho for the first 2 <= i < j, so a scan that stopped at
+    # the least i with q^(i+1) e >= max(-vk, -vu) would stop past 64
+    return st.one_of(
+        st.integers(-40 * e, 6 * e),
+        st.builds(lambda j, r: -q ** j * e - r, st.integers(60, 70),
+                  st.integers(0, e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exp_radius_is_one_least_v(data):
+    # _exp_radius, one _least_v over lines 1 and 2, equals the scan on the
+    # q3, q5-tame and q5-wild grids with kappa = 0 or a monomial and u a
+    # monomial, and a scan of 80 lines: the lines past 2 never raise it,
+    # for valuations whose bound-carrying index q^(i+1) e >= max(-vk, -vu)
+    # lies past 64 too
+    cfg = data.draw(st.sampled_from(_RADIUS_GRIDS))
+    q, e, size = cfg.q, cfg.e, cfg.field.size
+    vk = data.draw(st.none() | _radius_valuation(q, e))
+    vu = data.draw(_radius_valuation(q, e))
+    code = st.integers(1, size - 1)
+    kappa = (cfg.zero(INF) if vk is None
+             else CInfApprox(cfg, {vk: data.draw(code)}))
+    rho = DrinfeldModule(cfg, 2, kappa,
+                         CInfApprox(cfg, {vu: data.draw(code)}))
+    radius = rho._exp_radius()
+    assert radius == _exp_radius_loop(rho)[0]
+    assert radius == _exp_radius_loop(rho, lines=80)[0]
+
+
+def test_exp_radius_scan_stops_by_index_two():
+    # the scan stops at i <= 2 whatever v(kappa) and v(u) are: lines 1
+    # and 2 lift rho until both terms of the recursion are carried; kappa
+    # = 0 and v(u) = -3^70 e on q3 are the two ends the hypothesis test
+    # reaches
+    cfg = _RADIUS_GRIDS[0]
+    for kappa in (cfg.zero(INF), cfg.one(), cfg.theta(3 ** 70)):
+        for vu in (0, -40 * cfg.e, -3 ** 70 * cfg.e):
+            rho = DrinfeldModule(cfg, 2, kappa, CInfApprox(cfg, {vu: 1}))
+            radius, stop = _exp_radius_loop(rho)
+            assert stop <= 2
+            assert rho._exp_radius() == radius == \
+                _exp_radius_loop(rho, lines=80)[0]
+
+
 def test_quasi_period_level_count_reaches_target():
     # q = 3 over F_9 at e = 18 needs more levels than a scan of
     # 4 * tower_cap + 64 holds; the level count has no cap, so the floor

@@ -6,6 +6,7 @@ from drinfeldlab.encoding import (canonical_dumps, decode_cinf,
                                   decode_config, decode_module, encode_agf,
                                   encode_cinf, encode_config, encode_module,
                                   encode_valuation)
+from pole_count import with_pole_count
 
 
 def test_cinf_round_trip(cfg_small):
@@ -66,7 +67,7 @@ def test_config_defaults_are_field_configs():
 
 def test_agf_encoding(ctx3):
     u = ctx3.cfg.theta(-1)
-    f = AndersonGF(ctx3.module, u, ctx3.module._numerators(u, 4))
+    f = AndersonGF(with_pole_count(ctx3.module, 4), u)
     data = encode_agf(f)
     assert data["I"] == 4
     assert len(data["terms"]) == 4

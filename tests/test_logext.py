@@ -37,38 +37,91 @@ def test_log_point_from_lambda(ctx3):
     assert P.alpha.terms == ctx3.module.exp_eval(lam).terms
 
 
-def test_log_point_reads_a_towers_numerators(monkeypatch):
-    # check_log_layer's relation tautology builds its point on omega1 from
-    # the numerators omega1's tower holds: no numerator of omega1 is formed
-    # again, and the point equals the one that forms them
+def test_readers_keep_their_holders_generating_functions():
+    # MotiveMatrices reads the generating function each period's tower
+    # keeps, and a g-vector the one its point keeps: the objects whose
+    # exp(u) the residual checks read, over the module that built them
     from drinfeldlab.samples import context_q3
-    from drinfeldlab.verify import check_log_layer
     ctx = context_q3()
-    lat = ctx.lattice
-    tower = lat.tower_of(lat.omega1)
-    formed = []
-    numerators = DrinfeldModule._numerators
+    rho, lat = ctx.module, ctx.lattice
+    mot = MotiveMatrices(rho, lat, T=4)
+    assert [mot.agf1, mot.agf2] == [tw.gf for tw in lat.towers]
+    assert all(tw.gf.module is rho and tw.gf.u is tw.omega
+               for tw in lat.towers)
+    point = make_log_point(rho, alpha=ctx.cfg.theta(-1))
+    assert point.gf.module is rho and point.gf.u is point.lam
+    assert GVector(mot, point).agf is point.gf
+    assert point.generating_function(rho) is point.gf
+    # F(omega_i) over the lattice is the tower's generating function's
+    # quasi-period, computed once
+    assert all(rho.quasi_period_eval(tw.omega, lattice=lat)
+               is tw.gf.quasi_period() for tw in lat.towers)
 
-    def spy(self, z, count=None):
-        formed.append(z)
-        return numerators(self, z, count)
 
-    monkeypatch.setattr(DrinfeldModule, "_numerators", spy)
-    check_log_layer(ctx)
-    assert formed and not any(z is lat.omega1 for z in formed)
-    del formed[:]
-    P = make_log_point(ctx.module, lam=lat.omega1,
-                       numerators=tower.numerators)
-    assert formed == [] and P.numerators is tower.numerators
-    monkeypatch.undo()
-    want = make_log_point(ctx.module, lam=lat.omega1)
-    assert (P.alpha.terms, P.alpha.prec) == (want.alpha.terms,
-                                             want.alpha.prec)
-    assert [(x.terms, x.prec) for x in P.numerators] == \
-        [(x.terms, x.prec) for x in want.numerators]
-    with pytest.raises(ConfigError):
-        make_log_point(ctx.module, alpha=ctx.cfg.theta(-1),
-                       numerators=tower.numerators)
+def test_holders_free_their_module_by_reference_counting():
+    # the towers of a module's memoized lattice keep generating functions
+    # over that module, which refer to it weakly: the module, its lattice,
+    # a motive and a log point are freed as soon as their last reader
+    # drops them, without the cyclic collector; a lattice that outlives
+    # its module keeps its towers' numerators but no module
+    import gc
+    import weakref
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+        lat = rho.periods()
+        mot = MotiveMatrices(rho, lat, T=4)
+        point = make_log_point(rho, alpha=cfg.theta(-1))
+        GVector(mot, point).specialization_residuals()
+        gone = weakref.ref(rho)
+        del rho, mot, point
+        assert gone() is None
+        gf = lat.towers[0].gf
+        assert gf.module is None and gf.numerators
+        other = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+        assert lat.gf_of(lat.omega1, other) is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _two_q3_modules():
+    """rho1 = theta + tau + tau^2 and rho2 = theta + theta tau + tau^2 on
+    the q3 grid at N = 240, fresh."""
+    cfg = FieldConfig(3, 1, 4, e=72, prec=240)
+    return (DrinfeldModule(cfg, 2, cfg.one(), cfg.one()),
+            DrinfeldModule(cfg, 2, cfg.theta(), cfg.one()))
+
+
+def test_quasi_period_ignores_a_foreign_lattice():
+    # the lattice of rho1 holds omega1 with rho1's generating function: F
+    # over rho2 of that very value is rho2's own sum, not rho1's memo
+    rho1, rho2 = _two_q3_modules()
+    lat = rho1.periods()
+    om = lat.omega1
+    got = rho2.quasi_period_eval(om, lattice=lat)
+    want = rho2.quasi_period_eval(om)
+    assert (got.terms, got.prec) == (want.terms, want.prec)
+    # the same holds for a lattice other than the module's own, built by
+    # rho1 from rho1's default seeds, for MotiveMatrices over rho2
+    mot = MotiveMatrices(rho2, lat, T=4)
+    assert mot.agf1.module is rho2 and mot.agf1 is not lat.towers[0].gf
+
+
+def test_log_point_generating_function_over_another_module():
+    # a point checked over rho1 keeps rho1's generating function; over
+    # rho2 its generating function is rho2's own, with rho2's numerators
+    rho1, rho2 = _two_q3_modules()
+    om = rho1.periods().omega1
+    point = make_log_point(rho1, lam=om)
+    gf = point.generating_function(rho2)
+    assert gf.module is rho2
+    want = AndersonGF(rho2, om).twisted_pair_at_theta()
+    got = gf.twisted_pair_at_theta()
+    assert [(x.terms, x.prec) for x in got] == \
+        [(x.terms, x.prec) for x in want]
 
 
 def test_log_point_period_maps_to_zero(ctx3):
@@ -175,8 +228,8 @@ def _chain(rho):
     values = lat.basis() + [rho.quasi_period_eval(om, lattice=lat)
                             for om in lat.basis()]
     values += [point.lam, point.alpha, *gv.specialization_residuals()]
-    values += [x for tw in lat.towers for x in tw.numerators]
-    values += point.numerators
+    values += [x for tw in lat.towers for x in tw.gf.numerators]
+    values += point.gf.numerators
     values += [c for r in mot.psi.rows for a in r for c in a.coeffs]
     values += [r[0] for r in gv.functional_equation_residual().rows]
     return [(x.terms, x.prec) if hasattr(x, "terms")

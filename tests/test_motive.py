@@ -17,6 +17,7 @@ from drinfeldlab.motive import (MotiveMatrices, OmegaData, phi_matrix,
 from drinfeldlab.tseries import TSeries
 
 from omega_oracle import factor_step_column, omega_times, omega_value
+from pole_count import with_pole_count
 
 
 def test_omega_difference_relation(ctx3):
@@ -533,7 +534,7 @@ def test_psi_poles_match_factor_steps(name, N, T, pole_count, data):
             min_size=1, max_size=3))))
     xi = xi_constant(cfg)
     c = data.draw(st.sampled_from([xi, -xi]))
-    gf = AndersonGF(rho, u, rho._numerators(u, pole_count))
+    gf = AndersonGF(with_pole_count(rho, pole_count), u)
     for got, want in zip(om.column(gf, c.terms[0], T),
                          factor_step_column(om, gf, c, T)):
         _same_series(got, want)
