@@ -79,21 +79,27 @@ def load_setup(args):
     if args.module:
         with open(args.module) as fh:
             data = json.load(fh)
-        if args.prec_n is not None or args.prec_t is not None:
-            _require(data, (), "module descriptor")
-            prec = data.setdefault("prec", {})
-            _require(prec, (), "'prec'")
-            if args.prec_n is not None:
-                prec["valuation_terms"] = args.prec_n
-            if args.prec_t is not None:
-                prec["t_terms"] = args.prec_t
-        return decode_module(data)
-    ctx = builtin_context("3" if args.q is None else args.q)
-    cfg = ctx.cfg
-    if args.prec_n is not None and args.prec_n != cfg.prec:
-        raise ConfigError("builtin samples have fixed precision; use a "
-                          "--module file to change it")
-    return cfg, ctx.carlitz if args.rank1 else ctx.module
+    else:
+        ctx = builtin_context("3" if args.q is None else args.q)
+        cfg = ctx.cfg
+        if args.prec_n is not None and args.prec_n != cfg.prec:
+            raise ConfigError("builtin samples have fixed precision; use a "
+                              "--module file to change it")
+        module = ctx.carlitz if args.rank1 else ctx.module
+        if args.prec_t is None:
+            return cfg, module
+        # --prec-t sets T on a built-in sample as on a module file, through
+        # its descriptor, so the config echoes the T its residuals ran to
+        data = encode_module(module)
+    if args.prec_n is not None or args.prec_t is not None:
+        _require(data, (), "module descriptor")
+        prec = data.setdefault("prec", {})
+        _require(prec, (), "'prec'")
+        if args.prec_n is not None:
+            prec["valuation_terms"] = args.prec_n
+        if args.prec_t is not None:
+            prec["t_terms"] = args.prec_t
+    return decode_module(data)
 
 
 def emit(args, payload):
@@ -161,8 +167,7 @@ def cmd_agf(args, cfg, module):
 def cmd_omega(args, cfg, module):
     from .motive import OmegaData
     om = OmegaData(cfg)
-    # --prec-t sets T on a built-in sample too, as for psi and extend
-    res = om.difference_residual(args.prec_t)
+    res = om.difference_residual()
     return {
         "command": "omega",
         "I": om.I,

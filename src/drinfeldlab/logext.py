@@ -22,13 +22,15 @@ g-vector, one per motive: the lone g-vector of a check and the row of the
 point in every block system are one object, which forms the series pair,
 the pair at theta and the row g Psi once.  Each memo is published by
 rebinding, so threads may share a point.
+
+The series layers (tseries, motive) are imported where a series or a
+block system is formed, so a command that only builds a log point does not
+load them.
 """
 
 from .agf import AndersonGF
 from .cinf import INF, dot
 from .errors import ConfigError, VerificationFailed
-from .motive import difference_residual
-from .tseries import TMatrix, TSeries
 
 
 class LogPoint:
@@ -105,6 +107,7 @@ class GVector:
         self.agf._require_normalized()
         self._series = None
         self._row = None
+        self._block = None
 
     @property
     def g1(self):
@@ -127,8 +130,23 @@ class GVector:
         of the product TMatrix([[g1, g2]]) * Psi; computed once."""
         row = self._row
         if row is None:
+            from .tseries import TMatrix
             row = (TMatrix([[self.g1, self.g2]]) * self.motive.psi).rows[0]
             self._row = row
+        return row
+
+    def block_row(self):
+        """The point's row of Phi_n^(1) Psi_n^(1) over Psi's columns, the
+        same in every block system: lower_block_row of alpha, the motive's
+        Psi^(1) and (g Psi)^(1), g Psi cut to T first; computed once."""
+        row = self._block
+        if row is None:
+            from .motive import cut
+            T = self.motive.T
+            row = lower_block_row(
+                self.alpha, self.motive.psi_twist(),
+                [cut(x, T).twist(1) for x in self.psi_row()])
+            self._block = row
         return row
 
     def at_theta(self):
@@ -146,6 +164,7 @@ class GVector:
 
     def functional_equation_residual(self):
         """(Phi^tr)^(1) g - g^(1) - h^(1) as a 2x1 matrix of series."""
+        from .tseries import TMatrix, TSeries
         cfg = self.cfg
         T = self.motive.T
         g = TMatrix([[self.g1.truncate(T)], [self.g2.truncate(T)]])
@@ -165,6 +184,7 @@ class ExtendedSystem:
     is (alpha_i, 0) and row i of G the g-vector of point i."""
 
     def __init__(self, motive, points):
+        from .tseries import TSeries
         self.motive = motive
         cfg = self.cfg = motive.cfg
         self.points = list(points)
@@ -180,6 +200,7 @@ class ExtendedSystem:
 
     def _block(self, top, lower):
         """[[top, 0], [lower, I_n]] for the n rows of lower."""
+        from .tseries import TMatrix, TSeries
         cfg = self.cfg
         zero = TSeries.constant(cfg, cfg.zero(INF))
         one = TSeries.constant(cfg, cfg.one())
@@ -189,8 +210,12 @@ class ExtendedSystem:
                           for i, r in enumerate(lower)])
 
     def difference_residual(self):
-        """Psi_n - Phi_n^(1) Psi_n^(1) through T coefficients."""
-        return difference_residual(self.phi_n, self.psi_n, self.motive.T)
+        """Psi_n - Phi_n^(1) Psi_n^(1) through T coefficients, the product
+        read off the motive's Phi^(1) Psi^(1) and each point's block_row
+        (block_difference_residual)."""
+        return block_difference_residual(
+            self.phi_n, self.psi_n, self.motive.T, self.motive.phi_psi(),
+            [gv.block_row() for gv in self.gvectors])
 
     def generators(self):
         """The named quantities that generate the specialized system."""
@@ -226,6 +251,51 @@ class ExtendedSystem:
                                        (flam, ref[1][j])])
                         for j in range(2)])
         return out
+
+
+def lower_block_row(alpha, psi1, row1):
+    """alpha^(1) Psi^(1)_0j + 0 Psi^(1)_1j + row1_j for j = 0, 1: the row
+    (alpha, 0, 1)^(1) of a block Phi_n^(1), its point's own identity column
+    kept and the others' zero columns left out, times the columns of
+    Psi^(1) over row1 = (g Psi)^(1).  The exact constants 0 and 1 are their
+    own twists."""
+    from .tseries import TSeries, series_dot
+    cfg = alpha.cfg
+    a = TSeries.constant(cfg, alpha).twist(1)
+    zero = TSeries.constant(cfg, cfg.zero(INF))
+    one = TSeries.constant(cfg, cfg.one())
+    return [series_dot([a, zero, one], [psi1.rows[0][j], psi1.rows[1][j],
+                                        row1[j]])
+            for j in range(2)]
+
+
+def block_difference_residual(phi_n, psi_n, T, top, lower):
+    """difference_residual(phi_n, psi_n, T) for the block matrices
+    phi_n = [[Phi, 0], [A, I_n]] and psi_n = [[Psi, 0], [L, I_n]], with
+    Phi^(1) Psi^(1) (Psi cut to T) given as top and the rows of the
+    product over Psi's columns as lower, row i that of lower_block_row for
+    row i of A and of L, cut to T.
+
+    The residual is the one the whole product gives when every entry of L
+    has a tail, as every series the library builds does.  The products
+    left out of top and lower, the zero blocks of phi_n against L and the
+    other rows' zero entries against L, are then products of the exact
+    zero series: no pairs, tail INF and their other factor's length, at
+    most T.  They change no tail and no coefficient below the length of
+    the products kept (series_dot); where every kept tail is INF they may
+    lengthen an entry by exact zeros only, which the cut to T pads back.
+    (Against an entry without a tail, None, the exact zero's product has
+    none either and can shorten the whole product's entry.)  The products
+    over the identity columns are formed here from the exact constants."""
+    from .motive import cut, difference_residual
+    from .tseries import TMatrix, series_dot
+    k = len(top.rows)
+    right = [[cut(a, T).twist(1) for a in r[k:]] for r in psi_n.rows]
+    cols = [list(c) for c in zip(*right)]
+    product = TMatrix([left + [series_dot(r, c) for c in cols]
+                       for r, left in zip(phi_n.twist(1).rows,
+                                          top.rows + lower)])
+    return difference_residual(phi_n, psi_n, T, product)
 
 
 def relation_certificate(motive, points, ell, AB=None):

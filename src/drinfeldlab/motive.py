@@ -33,13 +33,25 @@ Every identity is checked in its positively-twisted form, e.g.
 Psi = Phi^(1) Psi^(1), so that no series coefficient ever needs a q-th
 root; difference_residual forms X - Phi^(1) X^(1) for Omega, Psi, its
 Kronecker square, its determinant and the block systems alike.
+
+A motive forms each product of Psi's entries once and publishes it by
+rebinding, so threads may share it: the 10 distinct entries of
+Psi (x) Psi (Psi_ik Psi_jl = Psi_jl Psi_ik), two of which give det Psi for
+the wedge and sigma checks; Phi^(1) Psi^(1), which every block system
+reads as its top-left block; and Psi(theta) with its reference.  No byte
+moves: dot's value and precision do not depend on the order of its pairs,
+TSeries._product's length and tail rules are symmetric in its operands,
+and a matrix product folds lengths and tails the same way in any order
+(tseries.series_dot), so x y and y x are the same series, swapped
+entries are equal, and the exact-zero blocks of Phi_n add no pair and
+leave the fold unchanged.
 """
 
 from .agf import AndersonGF, require_normalized
 from .cinf import INF, CInfApprox, _merge_codes, _merge_logs, dot
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
-from .tseries import TMatrix, TSeries
+from .tseries import TMatrix, TSeries, series_dot
 
 
 def designated_sign_root(cfg):
@@ -311,14 +323,74 @@ class OmegaData:
             cfg.t_terms if T is None else T).entry(0, 0)
 
 
-def difference_residual(phi, psi, T):
+def cut(a, T):
+    """The series a cut to T coefficients.  An exact series shorter than T
+    is known everywhere and is left unpadded, so that its products stay
+    short."""
+    return a if a.T <= T else a.truncate(T)
+
+
+def difference_residual(phi, psi, T, product=None):
     """psi - phi^(1) psi^(1), entrywise through T coefficients: the
     difference equation of every trivialization here.  psi is cut to T
-    first; an exact entry shorter than T is known everywhere and is left
-    unpadded, so that its products stay short."""
-    psi = TMatrix([[a if a.T <= T else a.truncate(T) for a in r]
-                   for r in psi.rows])
-    return (psi - phi.twist(1) * psi.twist(1)).truncate(T)
+    first (cut).  product, when given, is phi^(1) psi^(1) already formed
+    over the cut psi."""
+    psi = TMatrix([[cut(a, T) for a in r] for r in psi.rows])
+    if product is None:
+        product = phi.twist(1) * psi.twist(1)
+    return (psi - product).truncate(T)
+
+
+def square_products(m):
+    """{(a, b): x_a x_b for a <= b}, x the entries of the square TMatrix m
+    read row by row: the distinct entries of m (x) m (square)."""
+    x = [e for r in m.rows for e in r]
+    return {(a, b): x[a] * x[b]
+            for a in range(len(x)) for b in range(a, len(x))}
+
+
+def _square(n, products):
+    """The rows of M (x) M for an n x n matrix M from products[(a, b)],
+    a <= b, the product of M's entries a and b read row by row.  Entry
+    ((i, k), (j, l)) is M_ij M_kl, of the entries i n + j and k n + l, and
+    its swap ((k, i), (l, j)) is the same object: x y and y x are the same
+    series (TSeries._product)."""
+    def at(a, b):
+        return products[(a, b) if a <= b else (b, a)]
+    return [[at(i * n + j, k * n + l) for j in range(n) for l in range(n)]
+            for i in range(n) for k in range(n)]
+
+
+def tensor_difference_residual(phi, psi, T, products):
+    """difference_residual(phi (x) phi, psi (x) psi, T) for square phi and
+    psi of one size n, each distinct entry formed once.  products is
+    square_products(psi).
+
+    Each distinct product of either square is cut and twisted once.  The
+    swap of the tensor factors, s(i, k) = (k, i), maps entry (r, c) of a
+    square to (s r, s c), the same series (_square).  Entry (s r, s c) of
+    the twisted squares' product sums, over a, the products of entries
+    (s r, s a) and (s a, s c), which are those of (r, a) and (a, c): the
+    same pairs and lengths and tails in another order, so the same series
+    (series_dot).  So the residual is formed on one representative of each
+    orbit of the swap, n^2 (n^2 + 1) / 2 of the n^4 entries, and the other
+    entry of an orbit is the same object."""
+    n = len(psi.rows)
+    cuts = {k: cut(x, T) for k, x in products.items()}
+    lhs = _square(n, cuts)
+    left = _square(n, {k: x.twist(1)
+                       for k, x in square_products(phi).items()})
+    right = _square(n, {k: x.twist(1) for k, x in cuts.items()})
+    swap = [k * n + i for i in range(n) for k in range(n)]
+    out = [[None] * (n * n) for _ in range(n * n)]
+    for r, row in enumerate(left):
+        for c in range(n * n):
+            x = out[swap[r]][swap[c]]
+            if x is None:
+                x = (lhs[r][c]
+                     - series_dot(row, [y[c] for y in right])).truncate(T)
+            out[r][c] = x
+    return TMatrix(out)
 
 
 def phi_matrix(module):
@@ -360,6 +432,7 @@ class MotiveMatrices:
             for om in lattice.basis())
         self.phi = phi_matrix(module)
         self.psi = self._build_psi()
+        self._memo = {}
 
     def _build_psi(self):
         """Psi = xi Omega [[-b2, b1], [a2, -a1]] for the twisted pairs
@@ -411,22 +484,60 @@ class MotiveMatrices:
         b1, a1 = self.omega.column(self.agf1, xi, T)
         return TMatrix([[b2, b1], [a2, a1]])
 
+    def _once(self, key, build):
+        """The value memoized under key, built on first read and published
+        by rebinding the memo to a new dict, so threads may share a
+        motive (a race builds a value twice, never half)."""
+        got = self._memo.get(key)
+        if got is None:
+            got = build()
+            self._memo = {**self._memo, key: got}
+        return got
+
     # -- coefficientwise identities ---------------------------------------------
+
+    def psi_square(self):
+        """square_products(Psi): the 10 distinct entries of Psi (x) Psi,
+        formed once.  det Psi reads two of them."""
+        return self._once("square", lambda: square_products(self.psi))
+
+    def det_psi(self):
+        """det Psi = Psi00 Psi11 - Psi01 Psi10, as TMatrix.det forms it,
+        from psi_square; formed once."""
+        sq = self.psi_square()
+        return self._once("det", lambda: sq[0, 3] - sq[1, 2])
+
+    def psi_twist(self):
+        """Psi^(1), each entry cut to T first, as difference_residual
+        twists it; formed once.  Every block system's lower rows read it
+        too (GVector.block_row)."""
+        return self._once("psi1", lambda: TMatrix(
+            [[cut(a, self.T).twist(1) for a in r] for r in self.psi.rows]))
+
+    def phi_psi(self):
+        """Phi^(1) Psi^(1) over psi_twist(), the product difference_residual
+        subtracts; formed once.  Every ExtendedSystem reads it as the
+        top-left block of its own product."""
+        return self._once("phi_psi",
+                          lambda: self.phi.twist(1) * self.psi_twist())
 
     def difference_residual(self):
         """Psi - Phi^(1) Psi^(1), entrywise through T coefficients."""
-        return difference_residual(self.phi, self.psi, self.T)
+        return difference_residual(self.phi, self.psi, self.T,
+                                   self.phi_psi())
 
     def tensor_difference_residual(self):
-        """Kronecker square: Psi x Psi against Phi x Phi."""
-        return difference_residual(self.phi.kronecker(self.phi),
-                                   self.psi.kronecker(self.psi), self.T)
+        """Kronecker square: Psi x Psi against Phi x Phi, Psi (x) Psi's 10
+        distinct entries read off psi_square and the residual formed on 10
+        of its 16 entries (the module function)."""
+        return tensor_difference_residual(self.phi, self.psi, self.T,
+                                          self.psi_square())
 
     def wedge_residual(self):
         """det Psi - (det Phi)^(1) (det Psi)^(1): the wedge line, multiplier
         det Phi, trivialized by det Psi."""
         return difference_residual(TMatrix([[self.phi.det()]]),
-                                   TMatrix([[self.psi.det()]]),
+                                   TMatrix([[self.det_psi()]]),
                                    self.T).entry(0, 0)
 
     def sigma_invariance_residual(self):
@@ -434,7 +545,7 @@ class MotiveMatrices:
         F_q(t), so every coefficient is Frobenius-fixed.  Returns
         (residual, constant_term)."""
         cfg = self.cfg
-        dpsi = self.psi.det().truncate(self.T)
+        dpsi = self.det_psi().truncate(self.T)
         xiom = self.omega.product.truncate(self.T).scale(self.xi)
         x = dpsi.divide(xiom)
         return (x - x.twist(1)).truncate(self.T), x.coeff(0)
@@ -446,7 +557,11 @@ class MotiveMatrices:
         xi Omega(theta) [[-b2, b1], [a2, -a1]], each entry's sign folded
         into Omega's scalar +-xi and Omega_I(theta) multiplied in one
         factor at a time (OmegaData.scale_at_theta), with the terms and
-        precision of the product by xi Omega(theta)."""
+        precision of the product by xi Omega(theta).  Formed once; callers
+        read the rows and do not change them."""
+        return self._once("psi(theta)", self._psi_at_theta)
+
+    def _psi_at_theta(self):
         a1, b1 = self.agf1.twisted_pair_at_theta()
         a2, b2 = self.agf2.twisted_pair_at_theta()
         xi = self.xi.terms[0]
@@ -465,7 +580,11 @@ class MotiveMatrices:
         the two inverses of the quotient form put on it.  Each entry's sign
         is folded into Omega's scalar +-xi, and Omega_I(theta) is
         multiplied in one factor at a time (OmegaData.scale_at_theta), with
-        the terms and precision of the product by -(xi Omega(theta))."""
+        the terms and precision of the product by -(xi Omega(theta)).
+        Formed once, like psi_at_theta."""
+        return self._once("reference", self._reference_psi_at_theta)
+
+    def _reference_psi_at_theta(self):
         lat = self.lattice
         mod = self.module
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)

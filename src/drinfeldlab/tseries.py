@@ -96,7 +96,14 @@ class TSeries:
         k, by increasing i.  A pair with an exact-zero factor adds INF to
         dot's precision and no terms, so it is left out.  The tail bounds
         every dropped coefficient: the products with a dropped factor, and
-        the known pairs a_i b_j with i + j >= length."""
+        the known pairs a_i b_j with i + j >= length.
+
+        Every rule is symmetric in the operands: the length by _out_len,
+        the tail as min(ta + v(b), tb + v(a)) and the least v(a_i) + v(b_j)
+        over the known pairs past the length, and pairs[k] the same pairs
+        with their factors swapped.  Since dot's value and precision do not
+        depend on the order of its pairs or of a pair's factors, x * y and
+        y * x are the same series."""
         self._compat(other)
         n = _out_len(self.T, self.tail, other.T, other.tail, conv=True)
         low_a, xs = self._summaries()
@@ -253,6 +260,31 @@ def _sum_tail(ta, tb):
     return None if ta is None or tb is None else min(ta, tb)
 
 
+def series_dot(xs, ys):
+    """sum x_l y_l over the paired series of xs and ys, one entry of a
+    matrix product: the length and tail of the sum of the products, folded
+    by the rules of TSeries.__add__, and each coefficient one dot over the
+    pairs of every product.
+
+    The fold takes the least length among the products whose tail is not
+    INF (the greatest when every tail is INF) and the least tail, None if
+    any, so it does not depend on the order of the products; nor does
+    dot's value or precision depend on the order of its pairs.  A product
+    of the exact zero series with a series that has a tail has no pairs,
+    tail INF and the other factor's length, so it leaves the fold
+    unchanged wherever another product has a tail other than INF or is at
+    least as long."""
+    cfg = xs[0].cfg
+    parts = [x._product(y) for x, y in zip(xs, ys)]
+    size, tail, _ = parts[0]
+    for n2, t2, _ in parts[1:]:
+        size = _out_len(size, tail, n2, t2)
+        tail = _sum_tail(tail, t2)
+    return TSeries(cfg, [
+        dot(cfg, [pr for _, _, ps in parts if c < len(ps) for pr in ps[c]])
+        for c in range(size)], tail)
+
+
 class TMatrix:
     """Dense matrix of TSeries entries."""
 
@@ -300,26 +332,9 @@ class TMatrix:
         if k != k2:
             raise ShapeMismatch("matrix product %sx%s by %sx%s"
                                 % (n, k, k2, m))
-        cfg = self.cfg
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                # the length and tail of the sum of the k entry products,
-                # folded by the rules of TSeries.__add__; each coefficient
-                # is then one dot over the pairs of every product
-                parts = [self.rows[i][l]._product(other.rows[l][j])
-                         for l in range(k)]
-                size, tail, _ = parts[0]
-                for n2, t2, _ in parts[1:]:
-                    size = _out_len(size, tail, n2, t2)
-                    tail = _sum_tail(tail, t2)
-                row.append(TSeries(cfg, [
-                    dot(cfg, [pr for _, _, ps in parts if c < len(ps)
-                              for pr in ps[c]])
-                    for c in range(size)], tail))
-            out.append(row)
-        return TMatrix(out)
+        cols = [[r[j] for r in other.rows] for j in range(m)]
+        return TMatrix([[series_dot(row, col) for col in cols]
+                        for row in self.rows])
 
     def twist(self, n):
         return TMatrix([[a.twist(n) for a in r] for r in self.rows])
@@ -331,20 +346,6 @@ class TMatrix:
         n, m = self.shape
         return TMatrix([[self.rows[i][j] for i in range(n)]
                         for j in range(m)])
-
-    def kronecker(self, other):
-        """Kronecker product: block (i,j) is self[i][j] * other."""
-        n, m = self.shape
-        p, q = other.shape
-        out = []
-        for i in range(n):
-            for k in range(p):
-                row = []
-                for j in range(m):
-                    for l in range(q):
-                        row.append(self.rows[i][j] * other.rows[k][l])
-                out.append(row)
-        return TMatrix(out)
 
     def det(self):
         """Cofactor expansion; fine for the small motive matrices."""

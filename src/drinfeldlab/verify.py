@@ -357,9 +357,11 @@ def _groups():
     on it in order, in two groups: q3, and q5-tame then q5-wild.  The table
     is read from this module's names on each run, so a wrapped or patched
     check is the one that runs.  Warm, in process under taskset -c 0 on a
-    2-core shared box (median of 36 runs: 4 processes of 9), the jobs take
-    55, 49 and 6 ms, so the groups take 55 and 56 ms; q5-wild beside q3
-    would give 61 and 49."""
+    2-core shared box (median of 54 runs: 6 processes of 9), the jobs take
+    33, 32 and 4.3 ms, so the groups take 33 and 36 ms; q5-wild beside q3
+    would give 37 and 32.  A group in a forked child takes about 3-4 ms
+    more than in process (median of 20, three processes): the fork, the
+    pipe and the child's exit, about 2.5 ms of it with no job at all."""
     full = (check_omega_difference, check_carlitz_period, check_agf,
             check_periods_kernel, check_psi, check_legendre, check_log_layer,
             check_algebra)

@@ -344,6 +344,35 @@ def test_omega_honours_prec_t_on_builtin_samples(capsys):
     assert short == full["difference_residual_valuations"][:4]
 
 
+@pytest.mark.parametrize("argv", [
+    ["omega", "--q", "3"], ["psi", "--q", "3"], ["specialize", "--q", "5"],
+    ["extend", "--q", "3", "--alphas", "theta^-1"],
+    ["omega", "--module", str(Path(__file__).parent / "data" / "cm_q3.json")]],
+    ids=["omega", "psi", "specialize", "extend", "omega-module"])
+def test_prec_t_is_echoed_in_the_config(capsys, argv):
+    # the config names the T the residuals ran to, where a built-in sample
+    # printed its own t_terms = 32; nothing else changes: omega's residuals
+    # are the first T of its default run, and psi, specialize and extend at
+    # their default T = 16 print what they print without the flag
+    def run(*flags):
+        code, out, _ = run_cli(capsys, *argv, *flags, "--json")
+        assert code == 0
+        return json.loads(out)
+
+    base = run()
+    T = 4 if argv[0] == "omega" else 16
+    got = run("--prec-t", str(T))
+    assert got["config"]["prec"]["t_terms"] == T
+    got["config"]["prec"]["t_terms"] = base["config"]["prec"]["t_terms"]
+    if argv[0] == "omega":
+        assert len(got["difference_residual_valuations"]) == T
+        del base["difference_residual_valuations"][T:]
+    assert got == base
+    if argv[0] == "psi":
+        got = run("--prec-t", "4")
+        assert got["T"] == got["config"]["prec"]["t_terms"] == 4
+
+
 def test_log_point_command(capsys):
     code, out, _ = run_cli(capsys, "log-point", "--q", "3",
                            "--alpha", "theta^-1", "--json")
@@ -675,6 +704,19 @@ def test_huge_suggest_sizes_rejected_first(flags, named):
     assert len(done.stderr.splitlines()) == 1
     record = json.loads(done.stderr)
     assert record["error"] == "ConfigError" and named in record["message"]
+
+
+def test_suggest_stops_at_the_field_bound():
+    # the search raised m 2 -> 4 -> ... -> 10 and built the tables of
+    # F_(5^10), 9.8M elements: a MemoryError traceback under this cap after
+    # 29 s; it now stops before the first field past 2^20 elements
+    done = _run_capped(["suggest", "--p", "5", "--kappa-poly", "4,3",
+                        "--u-poly", "2,1"])
+    assert done.returncode == 3 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ResidueFieldTooSmall"
+    assert "stopped at m = 10" in record["message"]
 
 
 @pytest.mark.parametrize("p,s,m,depth,named", [

@@ -64,6 +64,16 @@ def test_psi_loads_motive_but_not_the_log_layer():
     assert not mods & {"drinfeldlab.verify", "drinfeldlab.logext"}
 
 
+def test_log_point_loads_no_motive():
+    # a log point is a lambda, its exp check and the generating function
+    # that check reads: no series, no motive
+    mods = _imported("-m", "drinfeldlab", "log-point", "--q", "3",
+                     "--alpha", "theta^-1", "--json")
+    assert "drinfeldlab.logext" in mods
+    assert not mods & {"drinfeldlab.motive", "drinfeldlab.tseries",
+                       "drinfeldlab.verify"}
+
+
 def test_every_public_name_is_its_submodules_object():
     for name in drinfeldlab.__all__:
         sub = importlib.import_module(

@@ -12,12 +12,16 @@ from drinfeldlab.drinfeld import DrinfeldModule, Lattice
 from drinfeldlab.encoding import decode_module
 from drinfeldlab.errors import (ConfigError, PrecisionExhausted,
                                 ResidueFieldTooSmall)
-from drinfeldlab.motive import (MotiveMatrices, OmegaData, phi_matrix,
-                                xi_constant)
-from drinfeldlab.tseries import TSeries
+from drinfeldlab import tseries
+from drinfeldlab.logext import ExtendedSystem, make_log_point
+from drinfeldlab.motive import (MotiveMatrices, OmegaData,
+                                difference_residual, phi_matrix,
+                                square_products, xi_constant)
+from drinfeldlab.tseries import TMatrix, TSeries
 
 from omega_oracle import factor_step_column, omega_times, omega_value
 from pole_count import with_pole_count
+from tensor_oracle import kronecker
 
 
 def test_omega_difference_relation(ctx3):
@@ -313,7 +317,7 @@ def test_tensor_constructions(ctx3):
     assert mot.tensor_difference_residual().is_zero_to(thr)
     assert mot.wedge_residual().is_zero_to(thr)
     # det(Phi x Phi) = det(Phi)^4 and the wedge multiplier is det Phi
-    pp = mot.phi.kronecker(mot.phi)
+    pp = kronecker(mot.phi, mot.phi)
     d4 = pp.det()
     dphi = mot.phi.det()
     ref = dphi * dphi * dphi * dphi
@@ -721,3 +725,105 @@ def test_omega_times_matches_stepwise_dot(case):
     assert got.tail == want.tail and got.T == want.T
     assert [(x.terms, x.prec) for x in got.coeffs] == \
         [(x.terms, x.prec) for x in want.coeffs]
+
+
+# -- each product of Psi's entries formed once --------------------------------
+
+
+def _kept_case(name):
+    """(motive at T = 16, two log points) on a fresh module: the second
+    point's lambda is theta times the first's, as verify's block systems
+    take it."""
+    if name in ("q3", "q5-tame"):
+        q, e = (5, 600) if name == "q5-tame" else (3, 72)
+        cfg = FieldConfig(q, 1, 4, e=e, prec=240)
+        rho = DrinfeldModule(cfg, 2, cfg.one(), cfg.one())
+    else:
+        rho = _file_module(name)
+        cfg = rho.cfg
+    mot = MotiveMatrices(rho, rho.periods(), T=16)
+    first = make_log_point(rho, alpha=cfg.theta(-1))
+    return mot, [first, make_log_point(rho, lam=cfg.theta() * first.lam)]
+
+
+def _same_matrix(got, want):
+    assert len(got.rows) == len(want.rows)
+    for ra, rb in zip(got.rows, want.rows):
+        assert len(ra) == len(rb)
+        for a, b in zip(ra, rb):
+            _same_series(a, b)
+
+
+@pytest.mark.parametrize("name", ["q3", "q5-tame", "cm_q3.json",
+                                  "q3_n960.json"])
+def test_kept_products_match_the_replaced_paths(name):
+    # entry for entry against the paths that formed every product: the
+    # Kronecker products' residual, TMatrix.det, difference_residual
+    # forming Phi^(1) Psi^(1) itself, and the whole block matrices
+    mot, points = _kept_case(name)
+    phi, psi, T = mot.phi, mot.psi, mot.T
+    _same_matrix(mot.tensor_difference_residual(),
+                 difference_residual(kronecker(phi, phi),
+                                     kronecker(psi, psi), T))
+    _same_series(mot.det_psi(), psi.det())
+    _same_series(mot.wedge_residual(), difference_residual(
+        TMatrix([[phi.det()]]), TMatrix([[psi.det()]]), T).entry(0, 0))
+    _same_matrix(mot.difference_residual(), difference_residual(phi, psi, T))
+    for n in (1, 2, 1):
+        system = ExtendedSystem(mot, points[:n])
+        _same_matrix(system.difference_residual(),
+                     difference_residual(system.phi_n, system.psi_n, T))
+
+
+def test_each_product_of_psi_formed_once(monkeypatch):
+    # q3 in check_psi's and check_log_layer's order, with TSeries.__mul__,
+    # the series products' set-up and their dots counted
+    mot, points = _kept_case("q3")
+    T = mot.T
+    entries = [a for r in mot.psi.rows for a in r]
+    psi1 = [a for r in mot.psi_twist().rows for a in r]
+    phi_terms = sum(x.T for x in square_products(mot.phi).values())
+    muls, twisted, dots = [], [], []
+    mul, product, dot = TSeries.__mul__, TSeries._product, tseries.dot
+
+    def mul_spy(self, other):
+        if any(self is a for a in entries) and \
+                any(other is a for a in entries):
+            muls.append({id(self), id(other)})
+        return mul(self, other)
+
+    def product_spy(self, other):
+        if any(other is a for a in psi1):
+            twisted.append(self)
+        return product(self, other)
+
+    def dot_spy(cfg, pairs, cap=INF):
+        dots.append(len(pairs))
+        return dot(cfg, pairs, cap)
+
+    monkeypatch.setattr(TSeries, "__mul__", mul_spy)
+    monkeypatch.setattr(TSeries, "_product", product_spy)
+    monkeypatch.setattr(tseries, "dot", dot_spy)
+    mot.difference_residual()
+    del muls[:], dots[:]
+    # the 10 distinct products Psi_ik Psi_jl, T coefficients each, the 10
+    # of Phi's entries, and the residual on 10 of its 16 entries
+    mot.tensor_difference_residual()
+    assert len(muls) == 10
+    assert len({frozenset(m) for m in muls}) == 10
+    assert len(dots) == 10 * T + phi_terms + 10 * T
+    # det Psi read off two of them, for both checks
+    del muls[:]
+    mot.wedge_residual()
+    mot.sigma_invariance_residual()
+    assert muls == []
+    # the block systems n = 1 and n = 2 form no entry of Phi^(1) Psi^(1),
+    # whose rows pair the exact one (row 0) and t - theta^q (row 1) with
+    # Psi^(1): only the two points' rows pair constants, alpha^(1) and 0,
+    # with Psi^(1)'s columns, 4 products each, and point 1's row is formed
+    # once
+    del twisted[:]
+    for n in (1, 2):
+        ExtendedSystem(mot, points[:n]).difference_residual()
+    assert len(twisted) == 8
+    assert all(x.T == 1 and x.coeffs[0].terms != {0: 1} for x in twisted)

@@ -1,6 +1,7 @@
 import pytest
 
-from drinfeldlab.errors import GridTooCoarse
+from drinfeldlab import suggest
+from drinfeldlab.errors import GridTooCoarse, ResidueFieldTooSmall
 from drinfeldlab.suggest import suggest_config
 
 
@@ -26,3 +27,15 @@ def test_suggest_detects_wild_module():
     with pytest.raises(GridTooCoarse) as exc:
         suggest_config(5, rank=2, kappa_poly=(0, 1), u_poly=(1,))
     assert "wildly ramified" in str(exc.value)
+
+
+@pytest.mark.parametrize("bound,stops", [(81, None), (80, 4)])
+def test_suggest_field_bound_is_the_stated_one(monkeypatch, bound, stops):
+    # the q3 sample needs m = 4: a bound of 3^4 elements admits F_81, one
+    # element less stops the search at m = 4 with a typed error
+    monkeypatch.setattr(suggest, "_MAX_FIELD_SIZE", bound)
+    if stops is None:
+        assert suggest_config(3, kappa_poly=(1,), u_poly=(1,))["m"] == 4
+        return
+    with pytest.raises(ResidueFieldTooSmall, match="stopped at m = 4"):
+        suggest_config(3, kappa_poly=(1,), u_poly=(1,))

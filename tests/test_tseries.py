@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from drinfeldlab.cinf import INF, CInfApprox
 from drinfeldlab.errors import (ConfigError, DivergentEvaluation,
                                 PrecisionExhausted, ShapeMismatch)
-from drinfeldlab.motive import difference_residual
+from drinfeldlab.logext import block_difference_residual, lower_block_row
+from drinfeldlab.motive import (cut, difference_residual, square_products,
+                                tensor_difference_residual)
 from drinfeldlab.tseries import TMatrix, TSeries
+
+from tensor_oracle import kronecker
 
 
 def _random_series(cfg, rng, T):
@@ -123,7 +127,7 @@ def test_series_division(cfg_small):
 
 def test_matrix_identities(cfg_small):
     I2 = TMatrix.identity(cfg_small, 2)
-    K = I2.kronecker(I2)
+    K = kronecker(I2, I2)
     assert K.shape == (4, 4)
     for i in range(4):
         for j in range(4):
@@ -362,7 +366,7 @@ def test_products_match_reference_loops_on_psi(name, request):
     # them, and the block shape [[Phi, 0], [A, I]] of the log layer with
     # A = (alpha, 0): whole exact-zero entries on both sides
     cfg = mot.cfg
-    phi2, psi2 = mot.phi.kronecker(mot.phi), psi.kronecker(psi)
+    phi2, psi2 = kronecker(mot.phi, mot.phi), kronecker(psi, psi)
     for A, B in [(phi2.twist(1), psi2.twist(1)), (phi2, phi2)]:
         _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
     zero, one = _exact_zero_series(cfg), TSeries.constant(cfg, cfg.one())
@@ -406,10 +410,14 @@ def _draw_coefficient(data, cfg):
     return CInfApprox(cfg, terms, data.draw(st.integers(min(terms) + 1, 81)))
 
 
-def _draw_series(data, cfg):
+def _draw_series(data, cfg, none_tail=True):
+    """A series of up to 20 drawn coefficients whose tail is INF, finite
+    or, with none_tail, None."""
     n = data.draw(st.integers(0, 20))
-    tail = data.draw(st.one_of(st.none(), st.just(INF),
-                               st.integers(-20, 80)))
+    tails = [st.just(INF), st.integers(-20, 80)]
+    if none_tail:
+        tails.insert(0, st.none())
+    tail = data.draw(st.one_of(*tails))
     return TSeries(cfg, [_draw_coefficient(data, cfg) for _ in range(n)],
                    tail)
 
@@ -439,10 +447,65 @@ def test_kept_summaries_match_reference_loops(cfg_small, data):
     for n, k, m in [(2, 2, 2), (1, 2, 3), (3, 1, 2)]:
         A, B = matrix(n, k), matrix(k, m)
         _assert_same_matrix(A * B, _ref_matrix_mul(A, B))
-        _assert_same_matrix(A.kronecker(B), _ref_kronecker(A, B))
+        _assert_same_matrix(kronecker(A, B), _ref_kronecker(A, B))
     phi, psi = matrix(2, 2), matrix(2, 2)
     T = data.draw(st.integers(0, 20))
     _assert_same_matrix(difference_residual(phi, psi, T),
                         _ref_difference_residual(phi, psi, T))
     for x in pool:
         assert x.min_vbound() == min([c.vbound() for c in x.coeffs] + [INF])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_product_is_symmetric(cfg_small, data):
+    # x y and y x are the same series: terms, precisions, length and tail,
+    # over None, INF and finite tails, exact zeros, zeros to precision and
+    # unequal lengths; the motive forms Psi_ik Psi_jl = Psi_jl Psi_ik once
+    x, y = _draw_series(data, cfg_small), _draw_series(data, cfg_small)
+    _assert_same_series(x * y, y * x)
+
+
+def _draw_matrix(data, cfg, n, m):
+    return TMatrix([[_draw_series(data, cfg) for _ in range(m)]
+                    for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_kept_products_match_the_replaced_paths(cfg_small, data):
+    # on drawn 2 x 2 matrices, entry for entry: the tensor residual formed
+    # on one entry per swap orbit against the residual of the Kronecker
+    # products; det from two of the square's distinct products against
+    # TMatrix.det; and the block residual with its top-left block and its
+    # lower rows formed apart against the residual of the whole blocks.
+    # The rows g Psi carry a tail, as every series the library builds
+    # does: against a series without one the exact-zero blocks give a
+    # product without a tail, which can shorten the whole product's entry
+    cfg = cfg_small
+    phi, psi = _draw_matrix(data, cfg, 2, 2), _draw_matrix(data, cfg, 2, 2)
+    T = data.draw(st.integers(1, 20))
+    sq = square_products(psi)
+    _assert_same_matrix(
+        tensor_difference_residual(phi, psi, T, sq),
+        difference_residual(kronecker(phi, phi), kronecker(psi, psi), T))
+    _assert_same_series(sq[0, 3] - sq[1, 2], psi.det())
+    n = data.draw(st.integers(0, 2))
+    alphas = [_draw_coefficient(data, cfg) for _ in range(n)]
+    lower = [[_draw_series(data, cfg, none_tail=False) for _ in range(2)]
+             for _ in range(n)]
+    zero, one = _exact_zero_series(cfg), TSeries.constant(cfg, cfg.one())
+    phi_n = TMatrix([r + [zero] * n for r in phi.rows]
+                    + [[TSeries.constant(cfg, a), zero]
+                       + [one if j == i else zero for j in range(n)]
+                       for i, a in enumerate(alphas)])
+    psi_n = TMatrix([r + [zero] * n for r in psi.rows]
+                    + [r + [one if j == i else zero for j in range(n)]
+                       for i, r in enumerate(lower)])
+    psi1 = TMatrix([[cut(a, T).twist(1) for a in r] for r in psi.rows])
+    rows = [lower_block_row(a, psi1, [cut(x, T).twist(1) for x in r])
+            for a, r in zip(alphas, lower)]
+    _assert_same_matrix(
+        block_difference_residual(phi_n, psi_n, T, phi.twist(1) * psi1,
+                                  rows),
+        difference_residual(phi_n, psi_n, T))
