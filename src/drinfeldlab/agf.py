@@ -30,16 +30,14 @@ certified by DrinfeldModule._tail_floors and its induction proof.
 
 The twisted pair at t = theta, the series pair for each T, exp(u), which
 both residual reports read off the numerators, and F_tau(u) are computed
-once per generating function and published by rebinding an attribute to
-the finished value, so threads may share a generating function; two
-threads racing on an empty memo both compute the same value.
+once per generating function, under the one memo rule (cinf.once).
 """
 
 # weakref.ref itself, from the built-in module: importing weakref loads
 # weakref.py and _weakrefset.py, about 1.4 ms on a cold command
 from _weakref import ref
 
-from .cinf import INF, CInfApprox, _merge_logs, dot
+from .cinf import INF, CInfApprox, _merge_logs, dot, once
 from .errors import ConfigError, PoleHit
 
 # TSeries is imported where a series is formed (series, the functional
@@ -56,10 +54,7 @@ class AndersonGF:
         self.u = u
         self.numerators = module._numerators(u)
         self.I = len(self.numerators)
-        self._pair_at_theta = None
-        self._pairs = {}
-        self._exp = None
-        self._quasi_period = None
+        self._memo = {}
 
     @property
     def module(self):
@@ -159,52 +154,42 @@ class AndersonGF:
         g-vector is this pair, signed where it is used, and every column of
         Psi is its product with xi Omega, which OmegaData.column forms from
         the numerators instead.  Computed once per generating function and
-        T."""
+        T (_twisted_pair)."""
         self._require_normalized()
-        if T is None:
-            T = self.cfg.t_terms
-        pair = self._pairs.get(T)
-        if pair is None:
-            f = self.series(T)
-            f1 = f.twist(1)
-            pair = (f1.scale(self.module.kappa) + f.twist(2), f1)
-            self._pairs = {**self._pairs, T: pair}
-        return pair
+        return self._twisted_pair(self.cfg.t_terms if T is None else T)
 
+    @once
+    def _twisted_pair(self, T):
+        f = self.series(T)
+        f1 = f.twist(1)
+        return f1.scale(self.module.kappa) + f.twist(2), f1
+
+    @once
     def twisted_pair_at_theta(self):
         """The same pair at t = theta, by pole-aware evaluation; computed
         once per generating function."""
-        pair = self._pair_at_theta
-        if pair is None:
-            self._require_normalized()
-            th = self.cfg.theta()
-            f1 = self.eval_twisted(1, th)
-            pair = (self.module.kappa * f1 + self.eval_twisted(2, th), f1)
-            self._pair_at_theta = pair
-        return pair
+        self._require_normalized()
+        th = self.cfg.theta()
+        f1 = self.eval_twisted(1, th)
+        return self.module.kappa * f1 + self.eval_twisted(2, th), f1
 
     def _require_normalized(self):
         require_normalized(self.module, "the twisted pair")
 
+    @once
     def _exp_u(self):
         """exp(u) as exp_eval gives it, in terms and precision: the one
         level of the exp ladder over u, which reads the numerators in
         place; for u zero to precision P, zero to P.  The residual check
         of a tower or log point reads it here.  Computed once."""
-        value = self._exp
-        if value is None:
-            value = self._exp = self.levels([0])[0]
-        return value
+        return self.levels([0])[0]
 
+    @once
     def quasi_period(self):
         """F_tau(u) = f_u^(1)(theta), as quasi_period_eval(u) gives it: the
         quasi-period sum, which cuts the numerators for its rows
         (DrinfeldModule._quasi_period_sum).  Computed once."""
-        value = self._quasi_period
-        if value is None:
-            value = self._quasi_period = self.module._quasi_period_sum(
-                self.u, None, self.numerators)
-        return value
+        return self.module._quasi_period_sum(self.u, None, self.numerators)
 
     # -- functional equation reports ----------------------------------------------
 

@@ -95,9 +95,12 @@ _INVERSE_SWEEPS = 64
 
 # the bit counts of the most elements a field's tables may hold, of the
 # largest q^depth of a grid and of the largest grid exponent a ladder may
-# form: a sum INF + n, INF a float, overflows once n passes 2^1023, and the
-# bound leaves a margin for the arguments' own valuations
-_FIELD_BITS, _GRID_BITS, _EXPONENT_BITS = 24, 32, 768
+# form.  The largest fields of at most 2^20 elements build their tables in
+# 1.2-3.3 s and 94-173 MB (F_(3^12), F_(7^7), F_(31^4), F_(1021^2),
+# F_(2^20); one core of a 2-core Xeon VM), while F_(3^14) took 14.7 s and
+# 746 MB.  A sum INF + n, INF a float, overflows once n passes 2^1023, and
+# the exponent bound leaves a margin for the arguments' own valuations
+_FIELD_BITS, _GRID_BITS, _EXPONENT_BITS = 20, 32, 768
 
 # the most t-coefficients a series may carry: the Psi and block-system
 # products grow faster than T^2 (psi --q 3 takes 1.4 s at T = 512, 8 s at
@@ -119,6 +122,30 @@ def _shared_field(p, s, m, modulus):
         # two threads may both build it; setdefault keeps the first
         field = _FIELDS.setdefault(key, FiniteField(p, s, m, modulus))
     return field
+
+
+def once(method):
+    """method(self, *args), computed once per owner and arguments: the one
+    memo rule of the library.  The value is kept in the owner's _memo dict
+    under (name,) + args, the arguments as given, so a public method with
+    a default resolves it before it reads a memo.  The first value
+    published wins, as in _shared_field: two threads racing on an empty
+    key may both build it, but setdefault keeps the first, and every reader
+    gets that one object; publishing one key never drops another.  A
+    memoized method never returns None, which stands for a key not yet
+    built, and a build that raises leaves no value."""
+    name = method.__name__
+
+    def memoized(self, *args):
+        key = (name,) + args
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo.setdefault(key, method(self, *args))
+        return got
+
+    memoized.__name__, memoized.__qualname__ = name, method.__qualname__
+    memoized.__doc__, memoized.__wrapped__ = method.__doc__, method
+    return memoized
 
 
 class FieldConfig:

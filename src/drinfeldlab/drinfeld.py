@@ -56,19 +56,18 @@ is built on a private copy and published by rebinding the attribute, so
 threads sharing a module never see a table that one of them is still
 growing.  All evaluations are pure.
 
-Derived values are computed once per module: the torsion points (full and
-partial), the period lattice of periods() and, by each tower's generating
-function, F_tau(omega) for each period of that lattice.  A memo is filled
-by rebinding an attribute to a finished value, never by growing one in
-place, so threads may share a module; two threads racing on an empty memo
-both compute the same value.  Memoized
-lists are copied on the way out, so no caller can change a cached value.
+Derived values are computed once per module, under the one memo rule
+(cinf.once): the torsion points (full and partial), the period lattice of
+periods(), the planner's lines, tail envelopes and logarithm threshold;
+F_tau(omega) for each period of that lattice is computed once by its
+tower's generating function.  Memoized lists are copied on the way out, so
+no caller can change a cached value.
 """
 
 from bisect import bisect_left
 
 from .cinf import (_TAIL_SCAN, INF, CInfApprox, _least_v, _lower_envelope,
-                   dot)
+                   dot, once)
 from .errors import (ConfigError, DivergentEvaluation, IndependenceFailure,
                      NoConvergence, ResidueFieldTooSmall, VerificationFailed)
 from .roots import all_nonzero_roots, newton_iterate, partial_nonzero_roots
@@ -181,11 +180,7 @@ class DrinfeldModule:
         self._vbounds = {"exp": [0], "log": [0]}
         # the additive step's table, negated: delta_t = theta - rho_t
         self._step = [cfg.zero(INF), -kappa, -u]
-        self._envelopes = {}  # (kind, start) -> _tail_envelope
-        self._line_sets = {}  # kind -> _lines
-        self._log_from = None  # _log_threshold
-        self._torsion = {}  # partial -> (points, failures)
-        self._lattice = None
+        self._memo = {}
 
     # -- descriptor -----------------------------------------------------------
 
@@ -262,13 +257,14 @@ class DrinfeldModule:
             floors.append(bound + slope * vz)
         return floors
 
+    @once
     def _tail_envelope(self, kind, start):
         """(lines, cuts, lowest): the lower envelope (_lower_envelope) of
         the scanned lines vz -> bound_i + q^i vz, start < i <= end =
         start + _TAIL_SCAN, and lowest, the least vz from which their
         minimum, the floor, bounds every later term.  A line with an
         infinite bound never reaches the minimum and is left out.  Built
-        once per module, kind and start, and published by rebinding.
+        once per module, kind and start.
 
         b_i := bound_i + q^i vz obeys b_i >= min(vk + q b_{i-1},
         vu + q^2 b_{i-2}) + q^i e.  Every slope below is positive and vz
@@ -283,10 +279,6 @@ class DrinfeldModule:
           b_{i-2} + q^{i-2} (vu + (q^2 - 1) vz + q^2 e)), so nonnegative
           increment coefficients keep b_i >= min(b_{i-1}, b_{i-2}) >=
           floor forever; lowest is the least vz where both are."""
-        key = (kind, start)
-        got = self._envelopes.get(key)
-        if got is not None:
-            return got
         cfg = self.cfg
         q, e = cfg.q, cfg.e
         end = start + _TAIL_SCAN
@@ -303,9 +295,7 @@ class DrinfeldModule:
         else:
             lowest = _least_v([(q - 1, vk + q * e),
                                (q * q - 1, vu + q * q * e)], 0)
-        got = _lower_envelope(lines) + (lowest,)
-        self._envelopes = {**self._envelopes, key: got}
-        return got
+        return _lower_envelope(lines) + (lowest,)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -339,26 +329,23 @@ class DrinfeldModule:
             self._tables = {**self._tables, kind: table}
         return table
 
+    @once
     def _lines(self, kind):
         """(precs, lows, rows) for the rows of kind's table (_coeffs; exp
         and log through exp_depth): precs and lows the lower envelopes
         (_lower_envelope) of the lines x -> prec(c_i) + q^i x and
         x -> v(c_i) + q^i x, a line with an infinite constant left out, and
         rows the (i, q^i, v(c_i)) of the rows with terms: all that a plan
-        reads of the table.  Found once per module and kind and published
-        by rebinding; the tables' values never change."""
-        got = self._line_sets.get(kind)
-        if got is None:
-            depth = self.cfg.exp_depth
-            coeffs = self._coeffs(kind, depth)[:depth + 1]
-            qs = self.cfg.q_powers(len(coeffs))
-            rows = [(i, qs[i], c.prec, c.vbound() if c.terms else INF)
-                    for i, c in enumerate(coeffs)]
-            got = tuple(_lower_envelope([(r[1], r[n]) for r in rows[::-1]
-                                         if r[n] != INF]) for n in (2, 3))
-            got += ([(i, qi, cv) for i, qi, _, cv in rows if cv != INF],)
-            self._line_sets = {**self._line_sets, kind: got}
-        return got
+        reads of the table.  Found once per module and kind; the tables'
+        values never change."""
+        depth = self.cfg.exp_depth
+        coeffs = self._coeffs(kind, depth)[:depth + 1]
+        qs = self.cfg.q_powers(len(coeffs))
+        rows = [(i, qs[i], c.prec, c.vbound() if c.terms else INF)
+                for i, c in enumerate(coeffs)]
+        got = tuple(_lower_envelope([(r[1], r[n]) for r in rows[::-1]
+                                     if r[n] != INF]) for n in (2, 3))
+        return got + ([(i, qi, cv) for i, qi, _, cv in rows if cv != INF],)
 
     def _precs(self, kind, vz, zprec, shifts, floors=None):
         """[the certified precision R of sum_i c_i z^{q^i} at z.shift(k) for
@@ -559,6 +546,7 @@ class DrinfeldModule:
         v(z) reaches the module's threshold (_log_threshold)."""
         return z.is_apparent_zero() or z.valuation() >= self._log_threshold()
 
+    @once
     def _log_threshold(self):
         """The least v(z) at which computed log term valuations rise by at
         least e per step (safety factor q) and the tail bound recursion
@@ -570,19 +558,15 @@ class DrinfeldModule:
         test is b_i + q^i v >= b_at + q^at v + (i - at) e: the line
         (q^i - q^at, b_i - b_at - (i - at) e) at or above 0.  Every slope
         is positive and v(z) an integer, so the tests hold together
-        exactly from _least_v of those lines on.  Found once per module and
-        published by rebinding."""
-        got = self._log_from
-        if got is None:
-            cfg = self.cfg
-            end = cfg.exp_depth + _TAIL_SCAN
-            bounds = self._bounds("log", end)
-            qs = cfg.q_powers(end)
-            finite = [i for i in range(end + 1) if bounds[i] != INF]
-            got = self._log_from = _least_v(
-                [(qs[i] - qs[at], bounds[i] - bounds[at] - (i - at) * cfg.e)
-                 for at, i in zip(finite, finite[1:])], 0)
-        return got
+        exactly from _least_v of those lines on.  Found once per module."""
+        cfg = self.cfg
+        end = cfg.exp_depth + _TAIL_SCAN
+        bounds = self._bounds("log", end)
+        qs = cfg.q_powers(end)
+        finite = [i for i in range(end + 1) if bounds[i] != INF]
+        return _least_v(
+            [(qs[i] - qs[at], bounds[i] - bounds[at] - (i - at) * cfg.e)
+             for at, i in zip(finite, finite[1:])], 0)
 
     def log_eval(self, z):
         """log(z) inside the certified disc; DivergentEvaluation outside.
@@ -601,21 +585,21 @@ class DrinfeldModule:
         With partial=True the representable torsion is returned together
         with the per-segment failure records as (points, failures); the
         default insists on the full set.  Computed once per value of
-        partial; every call returns fresh lists.
+        partial (_torsion); every call returns fresh lists.
         """
-        got = self._torsion.get(partial)
-        if got is None:
-            key = lambda r: (r.valuation(), r.leading()[1])
-            if partial:
-                roots, failures = partial_nonzero_roots(self)
-            else:
-                roots, failures = all_nonzero_roots(self), []
-            got = (sorted(roots, key=key), failures)
-            self._torsion = {**self._torsion, partial: got}
-        points, failures = got
+        points, failures = self._torsion(partial)
         if partial:
             return list(points), [dict(f) for f in failures]
         return list(points)
+
+    @once
+    def _torsion(self, partial):
+        key = lambda r: (r.valuation(), r.leading()[1])
+        if partial:
+            roots, failures = partial_nonzero_roots(self)
+        else:
+            roots, failures = all_nonzero_roots(self), []
+        return sorted(roots, key=key), failures
 
     def _contract(self, b, x, d, prec):
         """The solution r of rho_t(r) = b with v(x - r) >= d, cut at prec;
@@ -743,9 +727,11 @@ class DrinfeldModule:
         lattice from the default seeds is computed once per module."""
         if seeds is not None:
             return self._lattice_from(seeds)
-        if self._lattice is None:
-            self._lattice = self._lattice_from(self.lattice_seeds())
-        return self._lattice
+        return self._lattice()
+
+    @once
+    def _lattice(self):
+        return self._lattice_from(self.lattice_seeds())
 
     def _lattice_from(self, seeds):
         towers = [self.period_from_seed(s) for s in seeds]

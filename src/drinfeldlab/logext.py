@@ -20,8 +20,8 @@ and every block system read it, and over any other module a fresh one is
 built, since the numerators are the module's.  The point keeps its
 g-vector, one per motive: the lone g-vector of a check and the row of the
 point in every block system are one object, which forms the series pair,
-the pair at theta and the row g Psi once.  Each memo is published by
-rebinding, so threads may share a point.
+the pair at theta and the row g Psi once.  Every memo here follows the one
+memo rule (cinf.once).
 
 The series layers (tseries, motive) are imported where a series or a
 block system is formed, so a command that only builds a log point does not
@@ -29,7 +29,7 @@ load them.
 """
 
 from .agf import AndersonGF
-from .cinf import INF, dot
+from .cinf import INF, dot, once
 from .errors import ConfigError, VerificationFailed
 
 
@@ -42,7 +42,7 @@ class LogPoint:
         self.alpha = alpha
         self.provenance = provenance
         self.gf = gf
-        self._gvectors = {}
+        self._memo = {}
 
     def generating_function(self, module):
         """The Anderson generating function of lambda over module: the
@@ -51,13 +51,10 @@ class LogPoint:
             return self.gf
         return AndersonGF(module, self.lam)
 
+    @once
     def g_vector(self, motive):
         """The point's GVector over motive; one per motive."""
-        gv = self._gvectors.get(motive)
-        if gv is None:
-            gv = GVector(motive, self)
-            self._gvectors = {**self._gvectors, motive: gv}
-        return gv
+        return GVector(motive, self)
 
 
 def make_log_point(module, lam=None, alpha=None):
@@ -93,11 +90,10 @@ class GVector:
     pole-form backing, plus the inhomogeneity h = (alpha, 0).
 
     The series pair g1, g2 is built on first read: the specialization at
-    t = theta reads the poles alone.  It and the row g Psi are published,
-    like the generating function's pair at theta, by rebinding an
-    attribute to the finished value, so threads may share a g-vector.  It
-    keeps the point's lambda and alpha, not the point, which keeps it: no
-    reference cycle holds a motive past its last reader."""
+    t = theta reads the poles alone.  It, the row g Psi and the block row
+    are each computed once (cinf.once).  It keeps the point's lambda and
+    alpha, not the point, which keeps it: no reference cycle holds a
+    motive past its last reader."""
 
     def __init__(self, motive, point):
         self.motive = motive
@@ -105,9 +101,7 @@ class GVector:
         self.cfg = motive.cfg
         self.agf = point.generating_function(motive.module)
         self.agf._require_normalized()
-        self._series = None
-        self._row = None
-        self._block = None
+        self._memo = {}
 
     @property
     def g1(self):
@@ -117,37 +111,27 @@ class GVector:
     def g2(self):
         return self._pair()[1]
 
+    @once
     def _pair(self):
-        pair = self._series
-        if pair is None:
-            a, b = self.agf.twisted_pair(self.motive.T)
-            pair = (-a, -b)
-            self._series = pair
-        return pair
+        a, b = self.agf.twisted_pair(self.motive.T)
+        return -a, -b
 
+    @once
     def psi_row(self):
         """g Psi, the point's row of G Psi in a block system: the entries
         of the product TMatrix([[g1, g2]]) * Psi; computed once."""
-        row = self._row
-        if row is None:
-            from .tseries import TMatrix
-            row = (TMatrix([[self.g1, self.g2]]) * self.motive.psi).rows[0]
-            self._row = row
-        return row
+        from .tseries import TMatrix
+        return (TMatrix([[self.g1, self.g2]]) * self.motive.psi).rows[0]
 
+    @once
     def block_row(self):
         """The point's row of Phi_n^(1) Psi_n^(1) over Psi's columns, the
         same in every block system: lower_block_row of alpha, the motive's
         Psi^(1) and (g Psi)^(1), g Psi cut to T first; computed once."""
-        row = self._block
-        if row is None:
-            from .motive import cut
-            T = self.motive.T
-            row = lower_block_row(
-                self.alpha, self.motive.psi_twist(),
-                [cut(x, T).twist(1) for x in self.psi_row()])
-            self._block = row
-        return row
+        from .motive import cut
+        return lower_block_row(
+            self.alpha, self.motive.psi_twist(),
+            [cut(x, self.motive.T).twist(1) for x in self.psi_row()])
 
     def at_theta(self):
         """(g1(theta), g2(theta)) by pole-aware evaluation."""

@@ -34,8 +34,8 @@ Psi = Phi^(1) Psi^(1), so that no series coefficient ever needs a q-th
 root; difference_residual forms X - Phi^(1) X^(1) for Omega, Psi, its
 Kronecker square, its determinant and the block systems alike.
 
-A motive forms each product of Psi's entries once and publishes it by
-rebinding, so threads may share it: the 10 distinct entries of
+A motive forms each product of Psi's entries once, under the one memo
+rule (cinf.once): the 10 distinct entries of
 Psi (x) Psi (Psi_ik Psi_jl = Psi_jl Psi_ik), two of which give det Psi for
 the wedge and sigma checks; Phi^(1) Psi^(1), which every block system
 reads as its top-left block; and Psi(theta) with its reference.  No byte
@@ -48,7 +48,7 @@ leave the fold unchanged.
 """
 
 from .agf import AndersonGF, require_normalized
-from .cinf import INF, CInfApprox, _merge_codes, _merge_logs, dot
+from .cinf import INF, CInfApprox, _merge_codes, _merge_logs, dot, once
 from .errors import (ConfigError, NotAUnit, ResidueFieldTooSmall,
                      SingularSpecialization)
 from .tseries import TMatrix, TSeries, series_dot
@@ -484,42 +484,35 @@ class MotiveMatrices:
         b1, a1 = self.omega.column(self.agf1, xi, T)
         return TMatrix([[b2, b1], [a2, a1]])
 
-    def _once(self, key, build):
-        """The value memoized under key, built on first read and published
-        by rebinding the memo to a new dict, so threads may share a
-        motive (a race builds a value twice, never half)."""
-        got = self._memo.get(key)
-        if got is None:
-            got = build()
-            self._memo = {**self._memo, key: got}
-        return got
-
     # -- coefficientwise identities ---------------------------------------------
 
+    @once
     def psi_square(self):
         """square_products(Psi): the 10 distinct entries of Psi (x) Psi,
         formed once.  det Psi reads two of them."""
-        return self._once("square", lambda: square_products(self.psi))
+        return square_products(self.psi)
 
+    @once
     def det_psi(self):
         """det Psi = Psi00 Psi11 - Psi01 Psi10, as TMatrix.det forms it,
         from psi_square; formed once."""
         sq = self.psi_square()
-        return self._once("det", lambda: sq[0, 3] - sq[1, 2])
+        return sq[0, 3] - sq[1, 2]
 
+    @once
     def psi_twist(self):
         """Psi^(1), each entry cut to T first, as difference_residual
         twists it; formed once.  Every block system's lower rows read it
         too (GVector.block_row)."""
-        return self._once("psi1", lambda: TMatrix(
-            [[cut(a, self.T).twist(1) for a in r] for r in self.psi.rows]))
+        return TMatrix(
+            [[cut(a, self.T).twist(1) for a in r] for r in self.psi.rows])
 
+    @once
     def phi_psi(self):
         """Phi^(1) Psi^(1) over psi_twist(), the product difference_residual
         subtracts; formed once.  Every ExtendedSystem reads it as the
         top-left block of its own product."""
-        return self._once("phi_psi",
-                          lambda: self.phi.twist(1) * self.psi_twist())
+        return self.phi.twist(1) * self.psi_twist()
 
     def difference_residual(self):
         """Psi - Phi^(1) Psi^(1), entrywise through T coefficients."""
@@ -552,6 +545,7 @@ class MotiveMatrices:
 
     # -- specialization at t = theta ----------------------------------------------
 
+    @once
     def psi_at_theta(self):
         """Psi(theta) by pole-aware evaluation of the generating functions:
         xi Omega(theta) [[-b2, b1], [a2, -a1]], each entry's sign folded
@@ -559,9 +553,6 @@ class MotiveMatrices:
         factor at a time (OmegaData.scale_at_theta), with the terms and
         precision of the product by xi Omega(theta).  Formed once; callers
         read the rows and do not change them."""
-        return self._once("psi(theta)", self._psi_at_theta)
-
-    def _psi_at_theta(self):
         a1, b1 = self.agf1.twisted_pair_at_theta()
         a2, b2 = self.agf2.twisted_pair_at_theta()
         xi = self.xi.terms[0]
@@ -570,6 +561,7 @@ class MotiveMatrices:
         return [[scale(b2, nxi), scale(b1, xi)],
                 [scale(a2, xi), scale(a1, nxi)]]
 
+    @once
     def reference_psi_at_theta(self):
         """(xi/pi_tilde) [[F(omega2), -F(omega1)], [omega2, -omega1]] from
         independently computed periods and quasi-periods.
@@ -582,9 +574,6 @@ class MotiveMatrices:
         multiplied in one factor at a time (OmegaData.scale_at_theta), with
         the terms and precision of the product by -(xi Omega(theta)).
         Formed once, like psi_at_theta."""
-        return self._once("reference", self._reference_psi_at_theta)
-
-    def _reference_psi_at_theta(self):
         lat = self.lattice
         mod = self.module
         F1 = mod.quasi_period_eval(lat.omega1, lattice=lat)

@@ -7,7 +7,7 @@ q5:      rho_t = theta + theta tau + tau^2 over F_25, e = 100, whose large
          usable.
 """
 
-from .cinf import FieldConfig
+from .cinf import FieldConfig, once
 from .drinfeld import DrinfeldModule
 
 
@@ -23,26 +23,27 @@ class SampleContext:
             self.module = None
         else:
             self.module = DrinfeldModule(cfg, 2, kappa, u)
-        self._motive = None
-        self._tame_tower = None
+        self._memo = {}
 
     @property
     def lattice(self):
         return self.module.periods()
 
     def motive(self, T=16):
-        from .motive import MotiveMatrices
-        if self._motive is None or self._motive.T != T:
-            self._motive = MotiveMatrices(self.module, self.lattice, T=T)
-        return self._motive
+        """The motive through T coefficients; one per T (_motive)."""
+        return self._motive(T)
 
+    @once
+    def _motive(self, T):
+        from .motive import MotiveMatrices
+        return MotiveMatrices(self.module, self.lattice, T=T)
+
+    @once
     def tame_period_tower(self):
         """First period from the representable torsion (works even when the
         rest of the torsion is wild)."""
-        if self._tame_tower is None:
-            pts, _ = self.module.torsion_points(partial=True)
-            self._tame_tower = self.module.period_from_seed(pts[0])
-        return self._tame_tower
+        pts, _ = self.module.torsion_points(partial=True)
+        return self.module.period_from_seed(pts[0])
 
 
 def context_q3():

@@ -10,22 +10,19 @@ what every later construction needs.
 
 Wildly ramified modules refine forever by construction; the search stops
 after a bounded number of grid refinements and reports the suspicion
-instead.  Nor does it raise m past a field of _MAX_FIELD_SIZE elements,
-whose tables alone would outgrow a run: it stops with ResidueFieldTooSmall
-naming the m it would have tried next.
+instead.  Nor does it raise m past the field size FieldConfig admits, a
+field of at most 2^cinf._FIELD_BITS elements: it stops with
+ResidueFieldTooSmall naming the m it would have tried next.  Its first
+field, F_(q^2), is bounded by FieldConfig itself, a ConfigError.
 """
 
-from .cinf import FieldConfig
+from . import cinf
 from .drinfeld import DrinfeldModule
 from .errors import (ConfigError, GridTooCoarse, NoConvergence,
                      ResidueFieldTooSmall)
 from .motive import xi_constant
 
 _MAX_GRID_REFINEMENTS = 4
-# the largest residue field the search raises m to: building the tables of
-# F_(5^8) (390,625 elements) took 0.7 s and 74 MB, of F_(3^12) (531,441)
-# 4.0 s and 99 MB, of F_(3^14) (4,782,969) 14.7 s and 746 MB
-_MAX_FIELD_SIZE = 1 << 20
 
 
 def _build_module(cfg, rank, kappa_codes, u_codes):
@@ -45,17 +42,18 @@ def suggest_config(p, s=1, rank=2, kappa_poly=(1,), u_poly=(1,), depth=2,
     Returns {"m", "e", "refinements", "torsion_valuations"}; raises
     GridTooCoarse with a wild-ramification note when grid refinement does
     not terminate, and ResidueFieldTooSmall naming m when the next field
-    would have more than _MAX_FIELD_SIZE elements.
+    would have more than 2^cinf._FIELD_BITS elements.
     """
     m = 2
     # the first config bounds p, s and depth before any power is formed
-    first = FieldConfig(p, s, m, depth=depth, prec=prec, **extra)
+    first = cinf.FieldConfig(p, s, m, depth=depth, prec=prec, **extra)
     q = first.q
     e = base = first.e
     refinements = 0
     while True:
         try:
-            cfg = FieldConfig(p, s, m, e=e, depth=depth, prec=prec, **extra)
+            cfg = cinf.FieldConfig(p, s, m, e=e, depth=depth, prec=prec,
+                                   **extra)
             xi_constant(cfg)
             module = _build_module(cfg, rank, kappa_poly, u_poly)
             points = module.torsion_points()
@@ -67,10 +65,10 @@ def suggest_config(p, s=1, rank=2, kappa_poly=(1,), u_poly=(1,), depth=2,
             }
         except ResidueFieldTooSmall as ex:
             m += 2
-            if q ** m > _MAX_FIELD_SIZE:
+            if q ** m > 1 << cinf._FIELD_BITS:
                 raise ResidueFieldTooSmall(
                     "the search stopped at m = %d: F_(%d^%d) has more "
-                    "than %d elements" % (m, q, m, _MAX_FIELD_SIZE),
+                    "than 2^%d elements" % (m, q, m, cinf._FIELD_BITS),
                     hint="F_(%d^%d) was too small: %s" % (q, m - 2, ex)
                 ) from ex
         except GridTooCoarse as ex:

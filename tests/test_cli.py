@@ -608,7 +608,7 @@ def _run_capped(argv):
     ("s", 10 ** 9, "1000000000"), ("depth", 10 ** 9, "^1000000000"),
     ("p", _HUGE_P, str(_HUGE_P))], ids=["s", "depth", "p"])
 def test_huge_descriptor_sizes_rejected_first(tmp_path, key, value, named):
-    # a field past 2^24 elements or a q^depth past 2^32 is refused before
+    # a field past 2^20 elements or a q^depth past 2^32 is refused before
     # any power of it or primality test is formed
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(dict(_cm_q3(), **{key: value})))
@@ -706,6 +706,24 @@ def test_huge_suggest_sizes_rejected_first(flags, named):
     assert record["error"] == "ConfigError" and named in record["message"]
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["suggest", "--p", "4093"], "4093^(1 * 2)"),
+    (["periods", "--module", None], "3^(1 * 14)")], ids=["suggest", "module"])
+def test_fields_past_2_20_rejected_first(tmp_path, argv, named):
+    # suggest's first field F_(4093^2), 16.8M elements, and a descriptor's
+    # F_(3^14), whose tables took 746 MB, are refused before any table is
+    # built
+    data = {k: v for k, v in _cm_q3().items() if k != "modulus"}
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(dict(data, m=14)))
+    done = _run_capped([str(path) if a is None else a for a in argv])
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ConfigError" and named in record["message"]
+    assert "exceeds 2^20" in record["message"]
+
+
 def test_suggest_stops_at_the_field_bound():
     # the search raised m 2 -> 4 -> ... -> 10 and built the tables of
     # F_(5^10), 9.8M elements: a MemoryError traceback under this cap after
@@ -722,10 +740,14 @@ def test_suggest_stops_at_the_field_bound():
 @pytest.mark.parametrize("p,s,m,depth,named", [
     (2, 25, 1, 0, "2^(25 * 1)"), (4099, 1, 2, 0, "4099^(1 * 2)"),
     ((1 << 24) + 1, 1, 1, 0, "16777217^(1 * 1)"), (3, 1, 1, 21, "3^21"),
+    (2, 21, 1, 0, "2^(21 * 1)"), (1031, 1, 2, 0, "1031^(1 * 2)"),
+    (3, 1, 13, 0, "3^(1 * 13)"), ((1 << 20) + 7, 1, 1, 0, "1048583^(1 * 1)"),
     (2, 2, 1, 17, "4^17"), (3, 1, 1, 20, None), (2, 2, 1, 16, None)])
 def test_size_bounds_are_the_stated_ones(p, s, m, depth, named):
-    # past 2^24 field elements (4099^2, 2^25) or a q^depth of 2^32 (3^21,
-    # 4^17) is refused, naming the value; 3^20 and 4^16 pass
+    # past 2^20 field elements (2^21, 1031^2, 3^13, the prime 2^20 + 7) or
+    # a q^depth of 2^32 (3^21, 4^17) is refused, naming the value; 3^20
+    # and 4^16 pass.  The largest admitted fields (2^20, 1021^2, 3^12) are
+    # not built here: their tables take seconds
     if named is None:
         FieldConfig(p, s, m, depth=depth, allow_char2=True)
         return

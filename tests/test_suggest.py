@@ -1,6 +1,6 @@
 import pytest
 
-from drinfeldlab import suggest
+from drinfeldlab import cinf
 from drinfeldlab.errors import GridTooCoarse, ResidueFieldTooSmall
 from drinfeldlab.suggest import suggest_config
 
@@ -29,11 +29,12 @@ def test_suggest_detects_wild_module():
     assert "wildly ramified" in str(exc.value)
 
 
-@pytest.mark.parametrize("bound,stops", [(81, None), (80, 4)])
-def test_suggest_field_bound_is_the_stated_one(monkeypatch, bound, stops):
-    # the q3 sample needs m = 4: a bound of 3^4 elements admits F_81, one
-    # element less stops the search at m = 4 with a typed error
-    monkeypatch.setattr(suggest, "_MAX_FIELD_SIZE", bound)
+@pytest.mark.parametrize("bits,stops", [(7, None), (6, 4)])
+def test_suggest_field_bound_is_the_stated_one(monkeypatch, bits, stops):
+    # the q3 sample needs m = 4: the one field bound of FieldConfig, at
+    # 2^7 elements, admits F_81; at 2^6 it stops the search at m = 4 with
+    # a typed error, before FieldConfig would refuse the field
+    monkeypatch.setattr(cinf, "_FIELD_BITS", bits)
     if stops is None:
         assert suggest_config(3, kappa_poly=(1,), u_poly=(1,))["m"] == 4
         return
